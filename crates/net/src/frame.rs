@@ -41,7 +41,10 @@
 //! * response — `stamps[0]` echoes the request's send time, `stamps[1]`
 //!   worker dequeue (= in-db start), `stamps[2]` in-db end, `stamps[3]`
 //!   slave send time;
-//! * busy — `stamps[0]` echoes the request's send time;
+//! * busy — `stamps[0]` echoes the request's send time, `stamps[2]` the
+//!   slave's work-queue capacity (not a timestamp: it is the credit window
+//!   the master may keep in flight on this node; 0 = not advertised, which
+//!   the master reads as unlimited);
 //! * expired — `stamps[0]` echoes the request's send time, `stamps[1]`
 //!   the slave-side wall clock when the deadline was found to have passed;
 //! * write / rmw — same convention as request (`stamps[0]` issue,
@@ -191,6 +194,15 @@ impl Frame {
     /// payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the serialized frame to `out`, so a connection can collect
+    /// several frames in one reused buffer and write them with one call.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&MAGIC.to_be_bytes());
         out.push(VERSION);
         out.push(self.kind.to_byte());
@@ -202,11 +214,10 @@ impl Frame {
         }
         out.extend_from_slice(&self.deadline.to_be_bytes());
         let mut crc = Crc32::new();
-        crc.update(&out);
+        crc.update(&out[start..]);
         crc.update(&self.payload);
         out.extend_from_slice(&crc.finish().to_be_bytes());
         out.extend_from_slice(&self.payload);
-        out
     }
 
     /// Tries to decode one frame (version 1 or 2) from the front of `buf`.
@@ -326,6 +337,76 @@ impl Frame {
             )),
             Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
         }
+    }
+}
+
+/// Bytes a [`Deframer`] asks the stream for at a time.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// The stream side of [`Frame::decode`]: one `read` per [`Deframer::fill`]
+/// however many frames it brings, then [`Deframer::next_frame`] until it
+/// answers `None`. Consumed bytes are skipped with a cursor and the
+/// unconsumed tail moves to the front once per `fill`, not once per frame.
+/// A `fill` that fails (a read timeout, say) loses nothing already
+/// received. Both ends of a connection deframe with this: the master's
+/// reader threads and the slave's connection readers.
+pub struct Deframer {
+    buf: Vec<u8>,
+    /// `buf[start..end]` is received and not yet returned as a frame.
+    start: usize,
+    end: usize,
+}
+
+impl Default for Deframer {
+    fn default() -> Self {
+        Deframer {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+}
+
+impl Deframer {
+    /// An empty deframer.
+    pub fn new() -> Deframer {
+        Deframer::default()
+    }
+
+    /// Reads once from `r` behind what is already buffered and returns
+    /// the byte count; `Ok(0)` is the end of the stream.
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            // One frame larger than the buffer is arriving. `next_frame`
+            // has already refused a length over MAX_PAYLOAD, so doubling
+            // stops short of twice the largest legal frame.
+            let doubled = self.buf.len() * 2;
+            self.buf.resize(doubled, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The next complete frame, `Ok(None)` when more bytes are needed, or
+    /// the reason the stream can never be deframed again.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        Ok(
+            Frame::decode(&self.buf[self.start..self.end])?.map(|(frame, used)| {
+                self.start += used;
+                frame
+            }),
+        )
     }
 }
 
@@ -584,6 +665,26 @@ mod tests {
         let got = Frame::read_from(&mut cursor).unwrap();
         assert_eq!(got, sample());
         assert!(cursor.is_empty());
+    }
+
+    #[test]
+    fn deframer_grows_for_a_frame_larger_than_its_buffer() {
+        let big = Frame {
+            payload: Bytes::from(vec![0xAB; 5 * READ_CHUNK / 2]),
+            ..sample()
+        };
+        let mut wire = sample().encode();
+        wire.extend_from_slice(&big.encode());
+        wire.extend_from_slice(&sample().encode());
+        let mut stream = &wire[..];
+        let mut deframer = Deframer::new();
+        let mut got = Vec::new();
+        while deframer.fill(&mut stream).unwrap() > 0 {
+            while let Some(frame) = deframer.next_frame().unwrap() {
+                got.push(frame);
+            }
+        }
+        assert_eq!(got, [sample(), big, sample()]);
     }
 
     #[test]

@@ -3,12 +3,25 @@
 //! bookkeeping that turns frame timestamps into a
 //! [`kvs_cluster::RunResult`].
 //!
+//! Flow control is a **credit window** per node: the master keeps at most
+//! as many requests in flight on a node as the node's work queue holds,
+//! and holds the rest un-issued on a per-node ready list, so every
+//! sub-request is sent once. The window is not configured: a slave
+//! advertises its queue capacity in every `Busy` frame, the master
+//! remembers it per node across queries, and until a node has said
+//! anything its window is unlimited. I/O is batched per wake-up: the
+//! master takes every frame that is ready, issues the credit they freed
+//! into one buffer per node, and writes each buffer once before it blocks
+//! again.
+//!
 //! Reliability model: one TCP connection per slave, a reader thread per
 //! connection funneling frames into one channel, per-request deadlines,
-//! and bounded retries. A `Busy` frame (slave queue full) is flow control,
-//! never a failure: it schedules a quick retry that does not consume the
-//! failure budget, and — because a `Busy` reply proves the slave alive —
-//! it re-arms the request's wall-clock allowance. A timeout re-sends the
+//! and bounded retries. A `Busy` frame (slave queue full) is the fallback
+//! for what the window cannot see — a second master on the same slave, a
+//! node that has not advertised yet — and is flow control, never a
+//! failure: it schedules a quick retry that does not consume the failure
+//! budget, and — because a `Busy` reply proves the slave alive — it
+//! re-arms the request's wall-clock allowance. A timeout re-sends the
 //! request at most [`NetConfig::max_retries`] times; once that budget is
 //! exhausted (or the connection drops, or a corrupted frame forces a
 //! disconnect) the master *fails over* to the next replica of the key.
@@ -35,7 +48,7 @@
 //! per-partition miss list — partial answers over errors.
 
 use crate::clock::wall_ns;
-use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
+use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::latency::LatencyTracker;
 use crate::phi::PhiAccrual;
 use bytes::Bytes;
@@ -46,8 +59,8 @@ use kvs_stages::{analyze, Stage, TraceRecorder};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
-use std::io;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -188,7 +201,8 @@ pub struct MissedPartition {
 pub struct NetRunReport {
     /// The standard run outcome (traces, stage report, aggregates).
     pub result: RunResult,
-    /// Master CPU+syscall time spent encoding/framing/writing requests, µs.
+    /// Master CPU+syscall time spent encoding/framing/writing requests,
+    /// µs: the codec, the frame, and each `write` that carried frames.
     pub tx_micros: u64,
     /// Master CPU+syscall time spent decoding responses, µs.
     pub rx_micros: u64,
@@ -257,24 +271,42 @@ pub(crate) enum Event {
     Down(u32, DownReason),
 }
 
-struct Pending {
+/// Where a request is in its send cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leg {
+    /// Un-issued: on its node's ready list until the node has credit.
+    Ready,
+    /// On the wire and counted in the node's in-flight; re-sent at
+    /// `retry_at` if nothing comes back.
+    Sent { retry_at: Instant },
+    /// Refused with `Busy`, so off the wire again: back on the ready list
+    /// at `retry_at`, unless `expires` — the hard wall-clock limit every
+    /// `Busy` re-arms — has passed by then.
+    Backoff { retry_at: Instant, expires: Instant },
+}
+
+impl Leg {
+    /// When the retry pass is to pick the request up again, if ever.
+    fn retry_at(self) -> Option<Instant> {
+        match self {
+            Leg::Ready => None,
+            Leg::Sent { retry_at } | Leg::Backoff { retry_at, .. } => Some(retry_at),
+        }
+    }
+}
+
+struct Pending<'r> {
     /// Replica nodes of this key, primary first (the route).
-    replicas: Vec<u32>,
+    replicas: &'r [u32],
     /// Index into `replicas` of the replica currently being tried.
     replica_ix: usize,
     payload: Bytes,
     attempts: u32,
+    /// Wall-clock stamp of the first send, 0 until there was one.
     first_sent_wall: u64,
     sent_wall: u64,
     issued_wall: u64,
-    /// Next retry instant (timeout, or busy back-off when `busy`).
-    deadline: Instant,
-    /// Hard wall-clock limit for this request on the current replica.
-    /// Re-armed by `Busy` replies (liveness evidence) and on failover.
-    expires: Instant,
-    /// The last resend trigger was a `Busy` frame (for counter accounting
-    /// and the retry budget).
-    busy: bool,
+    leg: Leg,
     /// The request's absolute deadline as carried on the wire (0 = none).
     deadline_wall: u64,
     /// Master-side view of the same deadline.
@@ -286,9 +318,17 @@ struct Pending {
     hedge_sent_wall: u64,
 }
 
-impl Pending {
+impl Pending<'_> {
     fn node(&self) -> u32 {
         self.replicas[self.replica_ix]
+    }
+
+    /// The earliest instant any of this request's timers is due.
+    fn next_timer(&self) -> Option<Instant> {
+        [self.leg.retry_at(), self.hedge_at, self.hard_deadline]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 
@@ -307,6 +347,10 @@ pub(crate) struct NodeHealth {
     /// Phi crossed the threshold while the master was deciding where to
     /// send work. Latched for reporting; cleared by any frame.
     phi_suspect: bool,
+    /// The credit window: how many requests the node's work queue holds,
+    /// as its last `Busy` advertised (`stamps[2]`). 0 until a `Busy` says
+    /// otherwise, and for peers that advertise nothing: unlimited.
+    window: usize,
 }
 
 impl NodeHealth {
@@ -317,6 +361,7 @@ impl NodeHealth {
             hard_dead: false,
             exhausted: false,
             phi_suspect: false,
+            window: 0,
         }
     }
 
@@ -328,14 +373,18 @@ impl NodeHealth {
 /// A connected master.
 pub struct NetMaster {
     pub(crate) writers: Vec<Option<TcpStream>>,
+    /// Per node, request frames encoded and not yet written. A query
+    /// fills these and writes each once per wake-up; a single-frame send
+    /// ([`NetMaster::write_frame`]) writes at once.
+    out: Vec<Vec<u8>>,
     pub(crate) rx: Receiver<Event>,
     /// Producer half of the event channel, kept so a reconnect
     /// ([`NetMaster::reconnect`]) can spawn a fresh reader thread.
     pub(crate) tx: Sender<Event>,
     readers: Vec<JoinHandle<()>>,
     pub(crate) cfg: NetConfig,
-    /// Per-node failure-detector and latency state. Persists across
-    /// queries, like the dead set it replaces.
+    /// Per-node failure-detector and latency state, and the credit
+    /// window. Persists across queries, like the dead set it replaces.
     pub(crate) health: Vec<NodeHealth>,
     crc_disconnects: u64,
     /// Monotone per-master send sequence, stamped into request frames
@@ -369,26 +418,87 @@ pub(crate) fn connect_with_retry(addr: &SocketAddr, cfg: &NetConfig) -> io::Resu
     }
 }
 
-/// Spawns one connection reader thread funneling frames into `tx`.
+/// Spawns one connection reader thread funneling frames into `tx`: one
+/// `read` per wake-up, every frame it brought forwarded in order.
 fn spawn_reader(node: u32, mut read_half: TcpStream, tx: Sender<Event>) -> JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        match Frame::read_from(&mut read_half) {
-            Ok(frame) => {
-                if tx.send(Event::Frame(node, frame)).is_err() {
-                    return;
+    std::thread::spawn(move || {
+        let mut deframer = Deframer::new();
+        let reason = 'conn: loop {
+            match deframer.fill(&mut read_half) {
+                Ok(0) | Err(_) => break DownReason::Closed,
+                Ok(_) => {}
+            }
+            loop {
+                match deframer.next_frame() {
+                    Ok(Some(frame)) => {
+                        if tx.send(Event::Frame(node, frame)).is_err() {
+                            return;
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => break 'conn DownReason::Corrupt,
                 }
             }
-            Err(e) => {
-                let reason = if e.kind() == io::ErrorKind::InvalidData {
-                    DownReason::Corrupt
-                } else {
-                    DownReason::Closed
-                };
-                let _ = tx.send(Event::Down(node, reason));
-                return;
-            }
-        }
+        };
+        let _ = tx.send(Event::Down(node, reason));
     })
+}
+
+/// How many frames the issue pass encodes for one node before it writes
+/// them and looks at the event channel again. A node whose window is not
+/// known yet has unlimited credit, and this is what lets its first `Busy`
+/// be heard before every route has been sent to it.
+const ISSUE_BURST: usize = 64;
+
+/// The state of one running query, bundled so helpers can borrow it
+/// alongside `self` without fighting the borrow checker.
+struct Flight<'r> {
+    pending: HashMap<u64, Pending<'r>>,
+    /// Requests on the wire per node, hedges included.
+    inflight: Vec<usize>,
+    /// Per node, the ids waiting un-issued for credit, oldest first. An
+    /// entry is checked when it is popped: one whose request has gone, or
+    /// moved to another node, is skipped.
+    ready: Vec<VecDeque<u64>>,
+    /// No pending timer (retry, hedge, hard deadline) is due before this;
+    /// the timer passes run only once it has come.
+    nearest: Option<Instant>,
+    misses: Vec<u64>,
+    ctr: Counters,
+    send_last: Instant,
+    origin_wall: u64,
+}
+
+/// What the responses of one query add up to.
+struct Answers {
+    recorder: TraceRecorder,
+    counts: BTreeMap<u8, u64>,
+    total_cells: u64,
+}
+
+impl Flight<'_> {
+    fn to_sim(&self, wall: u64) -> SimTime {
+        SimTime::from_nanos(wall.saturating_sub(self.origin_wall))
+    }
+}
+
+/// Pulls `nearest` in to `at` if that is sooner.
+fn arm(nearest: &mut Option<Instant>, at: Instant) {
+    *nearest = Some(nearest.map_or(at, |n| n.min(at)));
+}
+
+/// One request fewer on the wire to `node`: it gets the credit back.
+fn release_node(inflight: &mut [usize], node: u32) {
+    if let Some(slot) = inflight.get_mut(node as usize) {
+        *slot = slot.saturating_sub(1);
+    }
+}
+
+/// Takes `p`'s current attempt off the wire, if it is on it.
+fn release(inflight: &mut [usize], p: &Pending) {
+    if let Leg::Sent { .. } = p.leg {
+        release_node(inflight, p.node());
+    }
 }
 
 impl NetMaster {
@@ -409,6 +519,7 @@ impl NetMaster {
         }
         Ok(NetMaster {
             writers,
+            out: vec![Vec::new(); addrs.len()],
             rx,
             tx,
             readers,
@@ -423,10 +534,10 @@ impl NetMaster {
 
     /// Re-establishes the connection to a restarted `node`: a fresh TCP
     /// stream, a fresh reader thread, and fresh failure-detector state
-    /// (the old incarnation's suspicion does not transfer to the new
-    /// process). The caller typically follows up with
-    /// [`NetMaster::replay_hints`] to drain writes buffered while the
-    /// node was dark.
+    /// (the old incarnation's suspicion, and the credit window it
+    /// advertised, do not transfer to the new process). The caller
+    /// typically follows up with [`NetMaster::replay_hints`] to drain
+    /// writes buffered while the node was dark.
     pub fn reconnect(&mut self, node: u32, addr: SocketAddr) -> io::Result<()> {
         let cfg = self.cfg;
         let stream = connect_with_retry(&addr, &cfg)?;
@@ -492,6 +603,14 @@ impl NetMaster {
             .unwrap_or(true)
     }
 
+    /// Whether `node` may be sent one more request: its in-flight count is
+    /// below the window its last `Busy` advertised (any count is, while no
+    /// window is known).
+    fn has_credit(&self, node: usize, inflight: &[usize]) -> bool {
+        let window = self.health.get(node).map_or(0, |h| h.window);
+        window == 0 || inflight.get(node).copied().unwrap_or(0) < window
+    }
+
     /// Phi of `node`, but only when its silence is *evidence*: a node the
     /// master has requests outstanding against and is actively draining
     /// responses from. An idle node (nothing in flight) is silent because
@@ -520,6 +639,11 @@ impl NetMaster {
     /// only once `arrivals_ns[i]` nanoseconds have elapsed since the run
     /// started — the open-loop load generator's entry point. `None` means
     /// release everything immediately (closed batch).
+    ///
+    /// A released request is *issued* once its node has credit: the
+    /// master keeps at most a node's advertised window in flight on it
+    /// (see [`NodeHealth`]) and holds the rest un-issued, per node, so one
+    /// full node never delays the others.
     pub fn run_with_arrivals(
         &mut self,
         routes: &[Route],
@@ -534,32 +658,42 @@ impl NetMaster {
         };
         let origin_wall = wall_ns();
         let origin = Instant::now();
-        let to_sim = |w: u64| SimTime::from_nanos(w.saturating_sub(origin_wall));
-        let allowance = self.cfg.timeout * (self.cfg.max_retries + 1);
         let degraded = self.cfg.mode == QueryMode::Degraded;
         let budget = self.cfg.query_deadline;
-        let hedge_cfg = self.cfg.hedge;
+        let nodes = self.writers.len();
 
-        let mut pending: HashMap<u64, Pending> = HashMap::with_capacity(routes.len());
-        let mut ctr = Counters::default();
-        let mut inflight: Vec<usize> = vec![0; self.writers.len()];
-        let mut misses: Vec<u64> = Vec::new();
-        let mut send_last = origin;
-
-        let mut recorder = TraceRecorder::new();
-        let mut counts: BTreeMap<u8, u64> = BTreeMap::new();
-        let mut total_cells = 0u64;
+        // A query that failed may have left frames behind: every user of
+        // the buffers starts from empty ones.
+        for out in &mut self.out {
+            out.clear();
+        }
+        let mut fl = Flight {
+            pending: HashMap::with_capacity(routes.len()),
+            inflight: vec![0; nodes],
+            ready: vec![VecDeque::new(); nodes],
+            nearest: None,
+            misses: Vec::new(),
+            ctr: Counters::default(),
+            send_last: origin,
+            origin_wall,
+        };
+        let mut answers = Answers {
+            recorder: TraceRecorder::new(),
+            counts: BTreeMap::new(),
+            total_cells: 0,
+        };
         let mut next_issue = 0usize;
 
-        // Issue and collect interleave in one loop. A paced run must keep
-        // draining responses and firing hedge/retry timers *between*
-        // arrivals: issuing everything first and only then collecting
-        // would leave every armed timer long overdue by the time the last
-        // request is released, firing a storm of spurious hedges and
-        // retries. An unpaced (batch) run issues everything on the first
-        // pass and the loop degenerates to the plain collect loop.
+        // Release, issue and collect interleave in one loop. A paced run
+        // must keep draining responses and firing hedge/retry timers
+        // *between* arrivals: releasing everything first and only then
+        // collecting would leave every armed timer long overdue by the
+        // time the last request is released, firing a storm of spurious
+        // hedges and retries. An unpaced (batch) run releases everything
+        // on the first pass; what each node's window does not admit waits
+        // on its ready list for the responses that free credit.
         loop {
-            // ---- Issue every route whose arrival time has come. ----
+            // ---- Release every route whose arrival time has come. ----
             while next_issue < routes.len() {
                 if let Some(arrivals) = arrivals_ns {
                     if origin.elapsed() < Duration::from_nanos(arrivals[next_issue]) {
@@ -577,6 +711,7 @@ impl NetMaster {
                     request_id: i as u64,
                     partition: route.key.clone(),
                 });
+                fl.ctr.tx_ns += t0.elapsed().as_nanos() as u64;
 
                 // Replica choice: the configured policy proposes, the health
                 // table disposes — a suspected pick slides to the least
@@ -585,7 +720,11 @@ impl NetMaster {
                 let loads: Vec<usize> = route
                     .replicas
                     .iter()
-                    .map(|&n| inflight.get(n as usize).copied().unwrap_or(0))
+                    .map(|&n| {
+                        let n = n as usize;
+                        fl.inflight.get(n).copied().unwrap_or(0)
+                            + fl.ready.get(n).map_or(0, |r| r.len())
+                    })
                     .collect();
                 let picked = self.cfg.replica_policy.pick(
                     route.replicas.len(),
@@ -594,16 +733,14 @@ impl NetMaster {
                     &mut self.policy_rng,
                 );
                 let mut p = Pending {
-                    replicas: route.replicas.clone(),
+                    replicas: &route.replicas,
                     replica_ix: picked,
                     payload,
                     attempts: 1,
                     first_sent_wall: 0,
                     sent_wall: 0,
                     issued_wall,
-                    deadline: Instant::now(),
-                    expires: Instant::now(),
-                    busy: false,
+                    leg: Leg::Ready,
                     deadline_wall: budget
                         .map(|b| issued_wall + b.as_nanos() as u64)
                         .unwrap_or(0),
@@ -613,269 +750,62 @@ impl NetMaster {
                     hedge_sent_wall: 0,
                 };
                 if self.hard_suspect(p.node())
-                    && !self.failover_to_live(&mut p, &mut ctr, &inflight)
+                    && !self.failover_to_live(&mut p, &mut fl.ctr, &fl.inflight)
                 {
                     if degraded {
-                        misses.push(i as u64);
+                        fl.misses.push(i as u64);
                         continue;
                     }
                     return Err(self.no_replica_error(i as u64, &p));
                 }
-
-                let Some(sent_wall) =
-                    self.send_pending(i as u64, &mut p, flags, &mut ctr, &inflight)
-                else {
-                    if degraded {
-                        misses.push(i as u64);
-                        continue;
-                    }
-                    return Err(self.no_replica_error(i as u64, &p));
-                };
-                p.first_sent_wall = sent_wall;
-                ctr.tx_micros += t0.elapsed().as_micros() as u64;
-                send_last = Instant::now();
-                p.deadline = send_last + self.cfg.timeout;
-                p.expires = send_last + allowance;
-                if let Some(h) = hedge_cfg {
-                    if p.replicas.len() > 1 {
-                        p.hedge_at = Some(send_last + self.hedge_delay(p.node(), &h));
-                    }
+                if let Some(hd) = p.hard_deadline {
+                    arm(&mut fl.nearest, hd);
                 }
-                if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                    *slot += 1;
-                }
-                ctr.bytes_to_slaves += p.payload.len() as u64;
-                pending.insert(i as u64, p);
+                fl.ready[p.node() as usize].push_back(i as u64);
+                fl.pending.insert(i as u64, p);
             }
-            if next_issue == routes.len() && pending.is_empty() {
+
+            // ---- Issue what has credit; one write per node. ----
+            let more = self.issue_ready(&mut fl, flags)?;
+            if next_issue == routes.len() && fl.pending.is_empty() {
                 break;
             }
 
             // ---- Wait for whichever comes first: a frame, the next
-            // arrival to release, or the nearest pending timer. ----
-            let mut nearest = pending
-                .values()
-                .map(|p| {
-                    let mut t = p.deadline;
-                    if let Some(at) = p.hedge_at {
-                        t = t.min(at);
-                    }
-                    if let Some(hd) = p.hard_deadline {
-                        t = t.min(hd);
-                    }
-                    t
-                })
-                .min();
+            // arrival to release, or the nearest pending timer — unless
+            // the issue pass stopped at its burst limit, in which case
+            // only look. Then take everything else that is ready, so the
+            // credit it frees is issued in one write per node. ----
+            let mut wake = fl.nearest;
             if let (Some(arrivals), true) = (arrivals_ns, next_issue < routes.len()) {
-                let due = origin + Duration::from_nanos(arrivals[next_issue]);
-                nearest = Some(nearest.map_or(due, |n: Instant| n.min(due)));
+                arm(
+                    &mut wake,
+                    origin + Duration::from_nanos(arrivals[next_issue]),
+                );
             }
-            // `nearest` is `None` only when nothing is pending and nothing
-            // is left to issue — the loop break above; a plain poll
+            // `wake` is `None` only when nothing is pending and nothing
+            // is left to release — the loop break above; a plain poll
             // interval keeps even that impossible case live.
-            let wait = match nearest {
-                Some(at) => at
-                    .saturating_duration_since(Instant::now())
-                    .max(Duration::from_micros(100)),
-                None => Duration::from_micros(100),
+            let wait = if more {
+                Duration::ZERO
+            } else {
+                wake.map_or(Duration::ZERO, |at| {
+                    at.saturating_duration_since(Instant::now())
+                })
+                .max(Duration::from_micros(100))
             };
-            match self.rx.recv_timeout(wait) {
-                Ok(Event::Frame(node, frame)) => {
-                    self.note_alive(node);
-                    match frame.kind {
-                        FrameKind::Response => {
-                            let t0 = Instant::now();
-                            let Some(response) =
-                                self.cfg.codec.decode_response(frame.payload.clone())
-                            else {
-                                continue; // checksummed but undecodable: let the retry path handle it
-                            };
-                            let done_wall = wall_ns();
-                            ctr.rx_micros += t0.elapsed().as_micros() as u64;
-                            let Some(p) = pending.remove(&frame.id) else {
-                                continue; // duplicate (a retry or a lost hedge raced the winner)
-                            };
-                            // First response wins; both outstanding
-                            // attempts are released here, so the loser is
-                            // cancelled: never retried, its eventual
-                            // answer dropped as a duplicate above.
-                            if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                                *slot = slot.saturating_sub(1);
-                            }
-                            let hedge_answered = p.hedge_node == Some(node) && node != p.node();
-                            if let Some(hn) = p.hedge_node {
-                                if let Some(slot) = inflight.get_mut(hn as usize) {
-                                    *slot = slot.saturating_sub(1);
-                                }
-                                if hedge_answered {
-                                    ctr.hedges_won += 1;
-                                }
-                            }
-                            let sent = if hedge_answered {
-                                p.hedge_sent_wall
-                            } else {
-                                p.sent_wall
-                            };
-                            if let Some(h) = self.health.get_mut(node as usize) {
-                                h.latency
-                                    .record(Duration::from_nanos(done_wall.saturating_sub(sent)));
-                            }
-                            ctr.bytes_to_master += frame.payload.len() as u64;
-                            ctr.retry_wait_ns += p.sent_wall.saturating_sub(p.first_sent_wall);
-                            let id = frame.id;
-                            recorder.begin(id, node, response.cells);
-                            recorder.record(
-                                id,
-                                Stage::MasterToSlave,
-                                to_sim(p.issued_wall),
-                                to_sim(sent),
-                            );
-                            recorder.record(
-                                id,
-                                Stage::InQueue,
-                                to_sim(frame.stamps[0]),
-                                to_sim(frame.stamps[1]),
-                            );
-                            recorder.record(
-                                id,
-                                Stage::InDb,
-                                to_sim(frame.stamps[1]),
-                                to_sim(frame.stamps[2]),
-                            );
-                            recorder.record(
-                                id,
-                                Stage::SlaveToMaster,
-                                to_sim(frame.stamps[2]),
-                                to_sim(done_wall),
-                            );
-                            for (&kind, &count) in &response.counts {
-                                *counts.entry(kind).or_insert(0) += count;
-                            }
-                            total_cells += response.cells;
-                        }
-                        FrameKind::Busy => {
-                            if let Some(p) = pending.get_mut(&frame.id) {
-                                if p.hedge_node == Some(node) && node != p.node() {
-                                    // The hedge target is saturated;
-                                    // hedging toward it buys nothing.
-                                    // Cancel the hedge, keep the original.
-                                    p.hedge_node = None;
-                                    if let Some(slot) = inflight.get_mut(node as usize) {
-                                        *slot = slot.saturating_sub(1);
-                                    }
-                                } else {
-                                    // Pull the deadline in: retry after a
-                                    // short back-off through the common
-                                    // expiry path. The slave demonstrably
-                                    // lives, so re-arm the wall-clock
-                                    // allowance — Busy is flow control,
-                                    // never a failure (see the regression
-                                    // test in tests/busy_budget.rs).
-                                    p.busy = true;
-                                    let now = Instant::now();
-                                    p.deadline = now + self.cfg.busy_backoff;
-                                    p.expires = now + allowance;
-                                }
-                            }
-                        }
-                        FrameKind::Expired => {
-                            // The slave shed this request: its deadline
-                            // passed before the DB stage. The deadline
-                            // will not un-expire, so retrying is useless.
-                            if let Some(p) = pending.remove(&frame.id) {
-                                if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                                    *slot = slot.saturating_sub(1);
-                                }
-                                if let Some(hn) = p.hedge_node {
-                                    if let Some(slot) = inflight.get_mut(hn as usize) {
-                                        *slot = slot.saturating_sub(1);
-                                    }
-                                }
-                                if !degraded {
-                                    return Err(io::Error::new(
-                                        io::ErrorKind::TimedOut,
-                                        format!(
-                                            "request {} expired at node {node} before service",
-                                            frame.id
-                                        ),
-                                    ));
-                                }
-                                misses.push(frame.id);
-                            }
-                        }
-                        // Protocol violations (a slave never sends these)
-                        // and write-path acks owned by `run_mixed`: ignore.
-                        FrameKind::Request
-                        | FrameKind::Write
-                        | FrameKind::WriteAck
-                        | FrameKind::Rmw => {}
-                    }
-                }
-                Ok(Event::Down(node, reason)) => {
-                    if reason == DownReason::Corrupt {
-                        self.crc_disconnects += 1;
-                        ctr.crc_disconnects += 1;
-                    }
-                    self.mark_dead(node);
-                    // Outstanding hedges on the dead node are lost.
-                    for p in pending.values_mut() {
-                        if p.hedge_node == Some(node) {
-                            p.hedge_node = None;
-                            if let Some(slot) = inflight.get_mut(node as usize) {
-                                *slot = slot.saturating_sub(1);
-                            }
-                        }
-                    }
-                    // Everything in flight on that node fails over now
-                    // rather than waiting out its timeout.
-                    let stranded: Vec<u64> = pending
-                        .iter()
-                        .filter(|(_, p)| p.node() == node)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    for id in stranded {
-                        let Some(mut p) = pending.remove(&id) else {
-                            continue;
-                        };
-                        if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                            *slot = slot.saturating_sub(1);
-                        }
-                        if !self.failover_to_live(&mut p, &mut ctr, &inflight) {
-                            if degraded {
-                                misses.push(id);
-                                continue;
-                            }
-                            return Err(self.no_replica_error(id, &p));
-                        }
-                        let Some(_) = self.send_pending(id, &mut p, flags, &mut ctr, &inflight)
-                        else {
-                            if degraded {
-                                misses.push(id);
-                                continue;
-                            }
-                            return Err(self.no_replica_error(id, &p));
-                        };
-                        let now = Instant::now();
-                        p.deadline = now + self.cfg.timeout;
-                        p.expires = now + allowance;
-                        p.attempts = 1;
-                        p.busy = false;
-                        ctr.bytes_to_slaves += p.payload.len() as u64;
-                        if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                            *slot += 1;
-                        }
-                        pending.insert(id, p);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
+            let mut next = match self.rx.recv_timeout(wait) {
+                Ok(event) => Some(event),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => {
                     if degraded {
                         // Every connection is gone: nothing pending can be
                         // answered. Record the losses and finish with what
                         // we have.
-                        misses.extend(pending.keys().copied());
-                        misses.extend((next_issue..routes.len()).map(|i| i as u64));
-                        pending.clear();
+                        fl.misses.extend(fl.pending.keys().copied());
+                        fl.misses
+                            .extend((next_issue..routes.len()).map(|i| i as u64));
+                        fl.pending.clear();
                         break;
                     }
                     return Err(io::Error::new(
@@ -883,139 +813,41 @@ impl NetMaster {
                         "every slave connection dropped mid-query",
                     ));
                 }
-            }
-
-            // ---- Enforce hard deadlines. ----
-            let now = Instant::now();
-            let overdue: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.hard_deadline.is_some_and(|d| d <= now))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in overdue {
-                let Some(p) = pending.remove(&id) else {
-                    continue;
-                };
-                if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                    *slot = slot.saturating_sub(1);
-                }
-                if let Some(hn) = p.hedge_node {
-                    if let Some(slot) = inflight.get_mut(hn as usize) {
-                        *slot = slot.saturating_sub(1);
+            };
+            while let Some(event) = next {
+                match event {
+                    Event::Frame(node, frame) => {
+                        self.on_frame(&mut fl, &mut answers, node, frame)?
                     }
-                }
-                if !degraded {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("request {id} missed its deadline"),
-                    ));
-                }
-                misses.push(id);
-            }
-
-            // ---- Fire due hedges. ----
-            let now = Instant::now();
-            let due: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.hedge_at.is_some_and(|t| t <= now) && p.hedge_node.is_none())
-                .map(|(&id, _)| id)
-                .collect();
-            for id in due {
-                let Some(p) = pending.get_mut(&id) else {
-                    continue;
-                };
-                p.hedge_at = None;
-                let Some(node) = self.pick_hedge_target(p, now, &inflight) else {
-                    continue;
-                };
-                let sent_wall = wall_ns();
-                let seq = self.send_seq;
-                self.send_seq += 1;
-                let frame = Frame {
-                    kind: FrameKind::Request,
-                    flags,
-                    id,
-                    stamps: [p.issued_wall, sent_wall, seq, 0],
-                    deadline: p.deadline_wall,
-                    payload: p.payload.clone(),
-                };
-                if self.write_frame(node, &frame).is_ok() {
-                    ctr.hedges_sent += 1;
-                    ctr.bytes_to_slaves += p.payload.len() as u64;
-                    p.hedge_node = Some(node);
-                    p.hedge_sent_wall = sent_wall;
-                    if let Some(slot) = inflight.get_mut(node as usize) {
-                        *slot += 1;
-                    }
-                } else {
-                    self.mark_dead(node);
-                }
-            }
-
-            // ---- Retry expired requests. ----
-            let now = Instant::now();
-            let expired: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                let Some(mut p) = pending.remove(&id) else {
-                    continue;
-                };
-                if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                    *slot = slot.saturating_sub(1);
-                }
-                // Busy resends are flow control and don't consume the
-                // retry budget; their allowance re-arms on every Busy
-                // receipt, so hitting `expires` here means the slave went
-                // silent after flow-controlling us. Timeout resends are
-                // bounded by `max_retries` per replica. Either way,
-                // exhaustion suspects the replica and fails over.
-                let exhausted = if p.busy {
-                    now >= p.expires
-                } else {
-                    p.attempts > self.cfg.max_retries
-                };
-                if exhausted {
-                    self.mark_exhausted(p.node());
-                    if !self.failover_to_live(&mut p, &mut ctr, &inflight) {
-                        if degraded {
-                            misses.push(id);
-                            continue;
+                    Event::Down(node, reason) => {
+                        if reason == DownReason::Corrupt {
+                            self.crc_disconnects += 1;
+                            fl.ctr.crc_disconnects += 1;
                         }
-                        return Err(self.no_replica_error(id, &p));
+                        self.fail_node(&mut fl, node)?;
                     }
-                    p.attempts = 1;
-                } else if p.busy {
-                    ctr.busy_retries += 1;
-                } else {
-                    ctr.timeout_retries += 1;
-                    p.attempts += 1;
                 }
-                p.busy = false;
-                let t0 = Instant::now();
-                let Some(_) = self.send_pending(id, &mut p, flags, &mut ctr, &inflight) else {
-                    if degraded {
-                        misses.push(id);
-                        continue;
-                    }
-                    return Err(self.no_replica_error(id, &p));
-                };
-                ctr.tx_micros += t0.elapsed().as_micros() as u64;
-                let now = Instant::now();
-                p.deadline = now + self.cfg.timeout;
-                if exhausted {
-                    p.expires = now + allowance;
-                }
-                ctr.bytes_to_slaves += p.payload.len() as u64;
-                if let Some(slot) = inflight.get_mut(p.node() as usize) {
-                    *slot += 1;
-                }
-                pending.insert(id, p);
+                next = self.rx.try_recv().ok();
+            }
+
+            // ---- Timers: hard deadlines, hedges, retries. ----
+            let now = Instant::now();
+            if fl.nearest.is_some_and(|at| at <= now) {
+                self.on_timers(&mut fl, flags, now)?;
             }
         }
 
+        let Flight {
+            mut misses,
+            ctr,
+            send_last,
+            ..
+        } = fl;
+        let Answers {
+            recorder,
+            counts,
+            total_cells,
+        } = answers;
         misses.sort_unstable();
         misses.dedup();
         let missed: Vec<MissedPartition> = misses
@@ -1055,8 +887,8 @@ impl NetMaster {
                 hedges_won: ctr.hedges_won,
                 queue: None,
             },
-            tx_micros: ctr.tx_micros,
-            rx_micros: ctr.rx_micros,
+            tx_micros: ctr.tx_ns / 1_000,
+            rx_micros: ctr.rx_ns / 1_000,
             busy_retries: ctr.busy_retries,
             timeout_retries: ctr.timeout_retries,
             failovers: ctr.failovers,
@@ -1067,6 +899,399 @@ impl NetMaster {
             hedges_won: ctr.hedges_won,
             missed,
         })
+    }
+
+    /// The one place requests are sent from. Drains every node's ready
+    /// list as far as the node's credit goes, encoding into the node's
+    /// buffer, then writes each buffer once. A ready request whose node
+    /// has become suspect meanwhile (dead, or out of some request's retry
+    /// budget) moves to a live replica instead of waiting for credit that
+    /// will not come. Returns whether a node still has ready requests and
+    /// credit — the pass stops at [`ISSUE_BURST`] per node so the caller
+    /// can look at the event channel in between.
+    fn issue_ready(&mut self, fl: &mut Flight, flags: u8) -> io::Result<bool> {
+        let degraded = self.cfg.mode == QueryMode::Degraded;
+        let mut more = false;
+        // A reroute or a failed write puts requests on the ready lists of
+        // nodes this pass has already visited: go round again.
+        let mut settled = false;
+        while !settled {
+            settled = true;
+            more = false;
+            for node in 0..fl.ready.len() {
+                if fl.ready[node].is_empty() {
+                    continue;
+                }
+                let started = Instant::now();
+                let mut burst = 0usize;
+                while let Some(&id) = fl.ready[node].front() {
+                    let Some(p) = fl.pending.get_mut(&id) else {
+                        fl.ready[node].pop_front();
+                        continue;
+                    };
+                    if p.leg != Leg::Ready || p.node() != node as u32 {
+                        fl.ready[node].pop_front();
+                        continue;
+                    }
+                    if self.hard_suspect(node as u32) {
+                        fl.ready[node].pop_front();
+                        if self.failover_to_live(p, &mut fl.ctr, &fl.inflight) {
+                            p.attempts = 1;
+                            fl.ready[p.node() as usize].push_back(id);
+                            settled = false;
+                        } else if degraded {
+                            fl.pending.remove(&id);
+                            fl.misses.push(id);
+                        } else {
+                            return Err(self.no_replica_error(id, p));
+                        }
+                        continue;
+                    }
+                    if !self.has_credit(node, &fl.inflight) {
+                        break;
+                    }
+                    if burst == ISSUE_BURST {
+                        more = true;
+                        break;
+                    }
+                    fl.ready[node].pop_front();
+                    burst += 1;
+                    let sent_wall = self.frame_request(node, id, flags, p);
+                    p.sent_wall = sent_wall;
+                    p.leg = Leg::Sent {
+                        retry_at: started + self.cfg.timeout,
+                    };
+                    if p.first_sent_wall == 0 {
+                        p.first_sent_wall = sent_wall;
+                        if let (Some(h), true) = (self.cfg.hedge, p.replicas.len() > 1) {
+                            p.hedge_at = Some(started + self.hedge_delay(node as u32, &h));
+                        }
+                    }
+                    fl.inflight[node] += 1;
+                    fl.ctr.bytes_to_slaves += p.payload.len() as u64;
+                    if let Some(at) = p.next_timer() {
+                        arm(&mut fl.nearest, at);
+                    }
+                }
+                if burst > 0 {
+                    fl.send_last = Instant::now();
+                    fl.ctr.tx_ns += fl.send_last.duration_since(started).as_nanos() as u64;
+                }
+            }
+            for node in 0..self.out.len() {
+                if self.flush(node, &mut fl.ctr).is_err() {
+                    // The connection is unusable; suspect the node and
+                    // walk its requests to their next replicas.
+                    self.fail_node(fl, node as u32)?;
+                    settled = false;
+                }
+            }
+        }
+        Ok(more)
+    }
+
+    /// Frames `p`'s request into `node`'s buffer, for the next
+    /// [`NetMaster::flush`] to write, and returns its send stamp.
+    fn frame_request(&mut self, node: usize, id: u64, flags: u8, p: &Pending) -> u64 {
+        let sent_wall = wall_ns();
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        Frame {
+            kind: FrameKind::Request,
+            flags,
+            id,
+            stamps: [p.issued_wall, sent_wall, seq, 0],
+            deadline: p.deadline_wall,
+            payload: p.payload.clone(),
+        }
+        .encode_into(&mut self.out[node]);
+        sent_wall
+    }
+
+    /// Writes what `node`'s buffer holds, if anything, in one call; the
+    /// time goes to the `tx` cost of the frames it carried.
+    fn flush(&mut self, node: usize, ctr: &mut Counters) -> io::Result<()> {
+        let out = &mut self.out[node];
+        if out.is_empty() {
+            return Ok(());
+        }
+        let t0 = Instant::now();
+        let res = match self.writers.get_mut(node).and_then(|w| w.as_mut()) {
+            Some(writer) => writer.write_all(out),
+            None => Err(io::ErrorKind::NotConnected.into()),
+        };
+        out.clear();
+        ctr.tx_ns += t0.elapsed().as_nanos() as u64;
+        res
+    }
+
+    /// `node` is gone (its reader reported the connection down, or a write
+    /// to it failed): everything pending on it fails over now rather than
+    /// waiting out its timeout, through the ready lists like any send.
+    fn fail_node(&mut self, fl: &mut Flight, node: u32) -> io::Result<()> {
+        let degraded = self.cfg.mode == QueryMode::Degraded;
+        self.mark_dead(node);
+        if let Some(out) = self.out.get_mut(node as usize) {
+            out.clear();
+        }
+        if let Some(ready) = fl.ready.get_mut(node as usize) {
+            ready.clear();
+        }
+        // Outstanding hedges on the dead node are lost.
+        for p in fl.pending.values_mut() {
+            if p.hedge_node == Some(node) {
+                p.hedge_node = None;
+                release_node(&mut fl.inflight, node);
+            }
+        }
+        let stranded: Vec<u64> = fl
+            .pending
+            .iter()
+            .filter(|(_, p)| p.node() == node)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in stranded {
+            let Some(p) = fl.pending.get_mut(&id) else {
+                continue;
+            };
+            release(&mut fl.inflight, p);
+            if !self.failover_to_live(p, &mut fl.ctr, &fl.inflight) {
+                if degraded {
+                    fl.pending.remove(&id);
+                    fl.misses.push(id);
+                    continue;
+                }
+                return Err(self.no_replica_error(id, p));
+            }
+            p.attempts = 1;
+            p.leg = Leg::Ready;
+            fl.ready[p.node() as usize].push_back(id);
+        }
+        Ok(())
+    }
+
+    /// One received frame.
+    fn on_frame(
+        &mut self,
+        fl: &mut Flight,
+        answers: &mut Answers,
+        node: u32,
+        frame: Frame,
+    ) -> io::Result<()> {
+        let degraded = self.cfg.mode == QueryMode::Degraded;
+        self.note_alive(node);
+        match frame.kind {
+            FrameKind::Response => {
+                let t0 = Instant::now();
+                let wire_len = frame.payload.len() as u64;
+                let Some(response) = self.cfg.codec.decode_response(frame.payload) else {
+                    return Ok(()); // checksummed but undecodable: let the retry path handle it
+                };
+                let done_wall = wall_ns();
+                fl.ctr.rx_ns += t0.elapsed().as_nanos() as u64;
+                let Some(p) = fl.pending.remove(&frame.id) else {
+                    return Ok(()); // duplicate (a retry or a lost hedge raced the winner)
+                };
+                // First response wins; both outstanding attempts are
+                // released here, so the loser is cancelled: never
+                // retried, its eventual answer dropped as a duplicate
+                // above.
+                release(&mut fl.inflight, &p);
+                let hedge_answered = p.hedge_node == Some(node) && node != p.node();
+                if let Some(hn) = p.hedge_node {
+                    release_node(&mut fl.inflight, hn);
+                    if hedge_answered {
+                        fl.ctr.hedges_won += 1;
+                    }
+                }
+                let sent = if hedge_answered {
+                    p.hedge_sent_wall
+                } else {
+                    p.sent_wall
+                };
+                if let Some(h) = self.health.get_mut(node as usize) {
+                    h.latency
+                        .record(Duration::from_nanos(done_wall.saturating_sub(sent)));
+                }
+                fl.ctr.bytes_to_master += wire_len;
+                fl.ctr.retry_wait_ns += p.sent_wall.saturating_sub(p.first_sent_wall);
+                let id = frame.id;
+                let spans = [
+                    (Stage::MasterToSlave, p.issued_wall, sent),
+                    (Stage::InQueue, frame.stamps[0], frame.stamps[1]),
+                    (Stage::InDb, frame.stamps[1], frame.stamps[2]),
+                    (Stage::SlaveToMaster, frame.stamps[2], done_wall),
+                ];
+                answers.recorder.begin(id, node, response.cells);
+                for (stage, from, to) in spans {
+                    answers
+                        .recorder
+                        .record(id, stage, fl.to_sim(from), fl.to_sim(to));
+                }
+                for (&kind, &count) in &response.counts {
+                    *answers.counts.entry(kind).or_insert(0) += count;
+                }
+                answers.total_cells += response.cells;
+            }
+            FrameKind::Busy => {
+                // The refusal names the capacity of the queue that made
+                // it: from here on this node gets no more than that in
+                // flight, and `Busy` is left for what the window cannot
+                // see (a second master sharing the queue).
+                if frame.stamps[2] != 0 {
+                    if let Some(h) = self.health.get_mut(node as usize) {
+                        h.window = usize::try_from(frame.stamps[2]).unwrap_or(usize::MAX);
+                    }
+                }
+                let Some(p) = fl.pending.get_mut(&frame.id) else {
+                    return Ok(());
+                };
+                if p.hedge_node == Some(node) && node != p.node() {
+                    // The hedge target is saturated; hedging toward it
+                    // buys nothing. Cancel the hedge, keep the original.
+                    p.hedge_node = None;
+                    release_node(&mut fl.inflight, node);
+                } else if p.node() == node && matches!(p.leg, Leg::Sent { .. }) {
+                    // The request is off the wire: the node has its
+                    // credit back, and the request returns to the ready
+                    // list after a short back-off through the common
+                    // retry path. The slave demonstrably lives, so re-arm
+                    // the wall-clock allowance — Busy is flow control,
+                    // never a failure (see the regression test in
+                    // tests/busy_budget.rs).
+                    release(&mut fl.inflight, p);
+                    let now = Instant::now();
+                    let retry_at = now + self.cfg.busy_backoff;
+                    p.leg = Leg::Backoff {
+                        retry_at,
+                        expires: now + self.cfg.timeout * (self.cfg.max_retries + 1),
+                    };
+                    arm(&mut fl.nearest, retry_at);
+                }
+            }
+            FrameKind::Expired => {
+                // The slave shed this request: its deadline passed before
+                // the DB stage. The deadline will not un-expire, so
+                // retrying is useless.
+                if let Some(p) = fl.pending.remove(&frame.id) {
+                    release(&mut fl.inflight, &p);
+                    if let Some(hn) = p.hedge_node {
+                        release_node(&mut fl.inflight, hn);
+                    }
+                    if !degraded {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            format!("request {} expired at node {node} before service", frame.id),
+                        ));
+                    }
+                    fl.misses.push(frame.id);
+                }
+            }
+            // Protocol violations (a slave never sends these) and
+            // write-path acks owned by `run_mixed`: ignore.
+            FrameKind::Request | FrameKind::Write | FrameKind::WriteAck | FrameKind::Rmw => {}
+        }
+        Ok(())
+    }
+
+    /// The timer passes, run only once `fl.nearest` has come: close out
+    /// requests past their hard deadline, fire due hedges, and put
+    /// requests whose retry instant has passed back on the ready lists.
+    fn on_timers(&mut self, fl: &mut Flight, flags: u8, now: Instant) -> io::Result<()> {
+        let degraded = self.cfg.mode == QueryMode::Degraded;
+
+        // ---- Enforce hard deadlines. ----
+        let overdue: Vec<u64> = fl
+            .pending
+            .iter()
+            .filter(|(_, p)| p.hard_deadline.is_some_and(|d| d <= now))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in overdue {
+            let Some(p) = fl.pending.remove(&id) else {
+                continue;
+            };
+            release(&mut fl.inflight, &p);
+            if let Some(hn) = p.hedge_node {
+                release_node(&mut fl.inflight, hn);
+            }
+            if !degraded {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("request {id} missed its deadline"),
+                ));
+            }
+            fl.misses.push(id);
+        }
+
+        // ---- Fire due hedges (written by the next issue pass). ----
+        let due: Vec<u64> = fl
+            .pending
+            .iter()
+            .filter(|(_, p)| p.hedge_at.is_some_and(|t| t <= now) && p.hedge_node.is_none())
+            .map(|(&id, _)| id)
+            .collect();
+        for id in due {
+            let Some(p) = fl.pending.get_mut(&id) else {
+                continue;
+            };
+            p.hedge_at = None;
+            let Some(node) = self.pick_hedge_target(p, now, &fl.inflight) else {
+                continue;
+            };
+            let sent_wall = self.frame_request(node as usize, id, flags, p);
+            fl.ctr.hedges_sent += 1;
+            fl.ctr.bytes_to_slaves += p.payload.len() as u64;
+            p.hedge_node = Some(node);
+            p.hedge_sent_wall = sent_wall;
+            fl.inflight[node as usize] += 1;
+        }
+
+        // ---- Retry expired requests. ----
+        let expired: Vec<(u64, Leg)> = fl
+            .pending
+            .iter()
+            .filter(|(_, p)| p.leg.retry_at().is_some_and(|at| at <= now))
+            .map(|(&id, p)| (id, p.leg))
+            .collect();
+        for (id, leg) in expired {
+            let Some(p) = fl.pending.get_mut(&id) else {
+                continue;
+            };
+            release(&mut fl.inflight, p);
+            // Busy resends are flow control and don't consume the retry
+            // budget; their allowance re-arms on every Busy receipt, so
+            // hitting `expires` here means the slave went silent after
+            // flow-controlling us. Timeout resends are bounded by
+            // `max_retries` per replica. Either way, exhaustion suspects
+            // the replica and fails over.
+            let exhausted = match leg {
+                Leg::Backoff { expires, .. } => now >= expires,
+                _ => p.attempts > self.cfg.max_retries,
+            };
+            if exhausted {
+                self.mark_exhausted(p.node());
+                if !self.failover_to_live(p, &mut fl.ctr, &fl.inflight) {
+                    if degraded {
+                        fl.pending.remove(&id);
+                        fl.misses.push(id);
+                        continue;
+                    }
+                    return Err(self.no_replica_error(id, p));
+                }
+                p.attempts = 1;
+            } else if let Leg::Backoff { .. } = leg {
+                fl.ctr.busy_retries += 1;
+            } else {
+                fl.ctr.timeout_retries += 1;
+                p.attempts += 1;
+            }
+            p.leg = Leg::Ready;
+            fl.ready[p.node() as usize].push_back(id);
+        }
+
+        fl.nearest = fl.pending.values().filter_map(|p| p.next_timer()).min();
+        Ok(())
     }
 
     /// The per-node hedge trigger: the configured quantile of the node's
@@ -1181,59 +1406,20 @@ impl NetMaster {
         }
     }
 
-    /// Frames and writes `p`'s request to its current replica, failing
-    /// over (possibly repeatedly) when the write itself fails. Returns
-    /// the wall-clock send stamp, or `None` when no live replica remains.
-    fn send_pending(
-        &mut self,
-        id: u64,
-        p: &mut Pending,
-        flags: u8,
-        ctr: &mut Counters,
-        inflight: &[usize],
-    ) -> Option<u64> {
-        loop {
-            let sent_wall = wall_ns();
-            let seq = self.send_seq;
-            self.send_seq += 1;
-            let frame = Frame {
-                kind: FrameKind::Request,
-                flags,
-                id,
-                stamps: [p.issued_wall, sent_wall, seq, 0],
-                deadline: p.deadline_wall,
-                payload: p.payload.clone(),
-            };
-            let node = p.node();
-            match self.write_frame(node, &frame) {
-                Ok(()) => {
-                    p.sent_wall = sent_wall;
-                    return Some(sent_wall);
-                }
-                Err(_) => {
-                    // The connection is unusable; suspect the node and
-                    // walk to the next replica (or run out of them).
-                    self.mark_dead(node);
-                    if !self.failover_to_live(p, ctr, inflight) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
+    /// Sends one frame to `node` at once (the write path's single-op
+    /// sends), through the node's reused encode buffer.
     pub(crate) fn write_frame(&mut self, node: u32, frame: &Frame) -> io::Result<()> {
-        let writer = self
-            .writers
-            .get_mut(node as usize)
-            .and_then(|w| w.as_mut())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no connection for node {node}"),
-                )
-            })?;
-        frame.write_to(writer)
+        let node = node as usize;
+        let (Some(Some(writer)), Some(out)) = (self.writers.get_mut(node), self.out.get_mut(node))
+        else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no connection for node {node}"),
+            ));
+        };
+        out.clear();
+        frame.encode_into(out);
+        writer.write_all(out)
     }
 
     /// Closes every connection and joins the reader threads.
@@ -1258,12 +1444,15 @@ impl Drop for NetMaster {
     }
 }
 
-/// Per-run mutable counters, bundled so helpers can borrow them alongside
-/// `self` without fighting the borrow checker.
+/// Per-run counters.
 #[derive(Default)]
 struct Counters {
-    tx_micros: u64,
-    rx_micros: u64,
+    /// Master time encoding, framing and writing requests, ns. Summed in
+    /// nanoseconds and divided once for the report: a sub-microsecond
+    /// step truncated per message would read as zero.
+    tx_ns: u64,
+    /// Master time decoding responses, ns.
+    rx_ns: u64,
     busy_retries: u64,
     timeout_retries: u64,
     failovers: u64,

@@ -7,12 +7,19 @@
 //! * one **accept loop** on an ephemeral loopback port;
 //! * one **reader thread per connection**, deframing requests and offering
 //!   them to the bounded work queue — a full queue answers with a `Busy`
-//!   frame immediately instead of absorbing load silently;
+//!   frame instead of absorbing load silently, and that frame advertises
+//!   the queue's capacity so the master can keep within it from then on;
 //! * a fixed pool of **worker threads** (`workers_per_node`, the paper's
 //!   per-node database parallelism) draining the queue: decode the
-//!   request, read the store, encode the response, write it back with the
-//!   stage timestamps (`in-queue` start/end, `in-db` start/end) stamped
-//!   into the frame header.
+//!   request, read the store, encode the response with the stage
+//!   timestamps (`in-queue` start/end, `in-db` start/end) stamped into the
+//!   frame header.
+//!
+//! Replies collect in a per-connection buffer: a reader writes the
+//! refusals of the chunk it just read in one call, a worker writes when it
+//! finds the queue empty or has held an answer for [`REPLY_HOLD`] — so a
+//! burst of cheap requests shares a `write`, and a lone request or one
+//! that took the store milliseconds is answered at once.
 //!
 //! Shutdown is deterministic: [`SlaveHandle::shutdown`] stops the accept
 //! loop, joins every connection reader (their sockets poll a stop flag),
@@ -20,18 +27,18 @@
 //! pool. No thread or socket outlives the call.
 
 use crate::clock::wall_ns;
-use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
+use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
 use kvs_cluster::{Codec, QueryResponse, WriteAck, WriteRequest};
 use kvs_store::{Cell, DurableTable, PartitionKey, Table};
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Slave server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -90,9 +97,54 @@ pub fn version_cell(timestamp: u64) -> Cell {
     )
 }
 
+/// How long a worker may keep a finished answer buffered while it serves
+/// the work queued behind it. Sharing one `write` (several µs) among
+/// answers only pays while the requests are about as cheap as the call;
+/// an answer the store took longer than this to produce goes out before
+/// the next request is touched, and no answer waits more than this plus
+/// one request's service time — far below any deadline, hedge delay or
+/// timeout a master works with.
+const REPLY_HOLD: Duration = Duration::from_micros(100);
+
+/// The write side of one master connection, shared by the connection's
+/// reader (refusals) and the workers (replies).
+struct Conn {
+    stream: TcpStream,
+    /// Encoded frames not yet written.
+    out: Vec<u8>,
+}
+
 struct Job {
     frame: Frame,
-    conn: Arc<Mutex<TcpStream>>,
+    conn: Arc<Mutex<Conn>>,
+}
+
+/// Appends `frame` to the connection's reply buffer; whoever queued it
+/// owes the connection a [`flush`] before blocking.
+fn queue_reply(conn: &Mutex<Conn>, frame: &Frame) {
+    frame.encode_into(&mut conn.lock().out);
+}
+
+/// Writes the connection's buffered replies, if any, in one call.
+fn flush(conn: &Mutex<Conn>) {
+    let mut c = conn.lock();
+    if c.out.is_empty() {
+        return;
+    }
+    let Conn { stream, out } = &mut *c;
+    // The connection mutex *is* the per-connection write serializer:
+    // refusals from readers and responses from workers must not interleave
+    // mid-frame, so holding it across the write is the point (waived
+    // KVS-L007). A failed write means the master hung up — best effort.
+    best_effort("reply write", stream.write_all(out));
+    out.clear();
+}
+
+/// Flushes every connection a worker owes one, emptying the list.
+fn flush_all(owed: &mut Vec<Arc<Mutex<Conn>>>) {
+    for conn in owed.drain(..) {
+        flush(&conn);
+    }
 }
 
 /// The storage engine behind one slave server: the in-memory [`Table`] of
@@ -201,8 +253,31 @@ impl SlaveServer {
             let source = source.clone();
             let store = store.clone();
             workers.push(std::thread::spawn(move || {
-                while let Some(job) = source.recv() {
+                // Connections holding replies this worker has not flushed,
+                // and when it took up the first of the requests behind them.
+                let mut unflushed: Vec<Arc<Mutex<Conn>>> = Vec::new();
+                let mut held_since = Instant::now();
+                loop {
+                    let job = match source.recv_timeout(Duration::ZERO) {
+                        Some(job) => job,
+                        None => {
+                            flush_all(&mut unflushed);
+                            match source.recv() {
+                                Some(job) => job,
+                                None => return,
+                            }
+                        }
+                    };
+                    if unflushed.is_empty() {
+                        held_since = Instant::now();
+                    }
+                    if !unflushed.iter().any(|c| Arc::ptr_eq(c, &job.conn)) {
+                        unflushed.push(job.conn.clone());
+                    }
                     serve(&store, job);
+                    if held_since.elapsed() >= REPLY_HOLD {
+                        flush_all(&mut unflushed);
+                    }
                 }
             }));
         }
@@ -247,32 +322,32 @@ impl SlaveServer {
 
 /// One connection's read loop: deframe, enqueue, reply `Busy` on overflow.
 ///
-/// Reads into a growable buffer and decodes incrementally — the socket has
-/// a short read timeout (so shutdown can interrupt an idle connection), and
-/// a timeout must not lose the bytes of a partially received frame.
+/// The socket has a short read timeout (so shutdown can interrupt an idle
+/// connection); the [`Deframer`] keeps the bytes of a partially received
+/// frame across it.
 fn read_connection(stream: TcpStream, queue: WorkQueue<Job>, stop: Arc<AtomicBool>) {
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
         Err(_) => return,
     };
-    let conn = Arc::new(Mutex::new(stream));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+    let conn = Arc::new(Mutex::new(Conn {
+        stream,
+        out: Vec::new(),
+    }));
+    let mut deframer = Deframer::new();
     loop {
-        match io::Read::read(&mut reader, &mut chunk) {
+        match deframer.fill(&mut reader) {
             Ok(0) => return, // peer closed
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
+            Ok(_) => {
                 loop {
-                    match Frame::decode(&buf) {
-                        Ok(Some((frame, used))) => {
-                            buf.drain(..used);
-                            dispatch(frame, &queue, &conn);
-                        }
+                    match deframer.next_frame() {
+                        Ok(Some(frame)) => dispatch(frame, &queue, &conn),
                         Ok(None) => break, // need more bytes
                         Err(_) => return,  // corrupted stream: drop the conn
                     }
                 }
+                // The refusals of this chunk, in one write.
+                flush(&conn);
             }
             Err(e) if would_block(&e) => {
                 if stop.load(Ordering::Acquire) {
@@ -287,10 +362,11 @@ fn read_connection(stream: TcpStream, queue: WorkQueue<Job>, stop: Arc<AtomicBoo
 /// Routes one decoded frame: requests, writes and RMWs go to the
 /// deadline-aware queue. A request whose deadline already passed is
 /// answered `Expired` without ever occupying a queue slot, a full queue
-/// of live work gets an immediate `Busy` reply, and expired entries
-/// evicted to make room are each answered `Expired`. Anything else is a
+/// of live work gets a `Busy` reply advertising the queue's capacity, and
+/// expired entries evicted to make room are each answered `Expired`.
+/// Refusals to `conn` are left for the caller to flush. Anything else is a
 /// protocol violation, dropped.
-fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<TcpStream>>) {
+fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<Conn>>) {
     if frame.kind != FrameKind::Request
         && frame.kind != FrameKind::Write
         && frame.kind != FrameKind::Rmw
@@ -312,32 +388,32 @@ fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<TcpStream>>) 
     match queue.try_push_timed(job, deadline, now) {
         TimedPush::Accepted { evicted } => {
             for dead in evicted {
-                reply_refusal(&dead, FrameKind::Expired);
+                // Possibly another connection's request: nobody else owes
+                // that connection a flush.
+                reply_refusal(&dead, FrameKind::Expired, 0);
+                flush(&dead.conn);
             }
         }
-        TimedPush::AlreadyExpired(job) => reply_refusal(&job, FrameKind::Expired),
+        TimedPush::AlreadyExpired(job) => reply_refusal(&job, FrameKind::Expired, 0),
         // Queue full: tell the master now rather than letting the request
-        // age invisibly.
-        TimedPush::Full(job) => reply_refusal(&job, FrameKind::Busy),
+        // age invisibly, and tell it how much this queue holds.
+        TimedPush::Full(job) => reply_refusal(&job, FrameKind::Busy, queue.capacity() as u64),
         TimedPush::Disconnected(_) => {} // shutting down
     }
 }
 
-/// Answers a request with a payload-less refusal (`Busy` or `Expired`).
-fn reply_refusal(job: &Job, kind: FrameKind) {
+/// Queues a payload-less refusal (`Busy` or `Expired`) of `job`. `window`
+/// is the credit window a `Busy` advertises (`stamps[2]`, 0 = none).
+fn reply_refusal(job: &Job, kind: FrameKind, window: u64) {
     let refusal = Frame {
         kind,
         flags: job.frame.flags,
         id: job.frame.id,
-        stamps: [job.frame.stamps[1], wall_ns(), 0, 0],
+        stamps: [job.frame.stamps[1], wall_ns(), window, 0],
         deadline: job.frame.deadline,
         payload: bytes::Bytes::new(),
     };
-    // The connection mutex *is* the per-connection write serializer:
-    // refusals from readers and responses from workers must not interleave
-    // mid-frame, so holding it across the write is the point (waived
-    // KVS-L007). A failed write means the master hung up — best effort.
-    best_effort("refusal write", refusal.write_to(&mut *job.conn.lock()));
+    queue_reply(&job.conn, &refusal);
 }
 
 // LINT-ZONE: nonblocking — readiness classification for the epoll rewrite.
@@ -348,14 +424,14 @@ fn would_block(e: &io::Error) -> bool {
     )
 }
 
-/// Worker body: decode → store read/write → encode → reply with stage
-/// stamps. Work whose deadline has passed while queued is shed *before*
-/// the DB stage — the master gets an `Expired` answer instead of a result
-/// it can no longer use.
+/// Worker body: decode → store read/write → encode → queue the reply with
+/// its stage stamps. Work whose deadline has passed while queued is shed
+/// *before* the DB stage — the master gets an `Expired` answer instead of
+/// a result it can no longer use.
 fn serve(store: &Mutex<NodeStore>, job: Job) {
     let dequeued = wall_ns();
     if job.frame.deadline != 0 && dequeued >= job.frame.deadline {
-        reply_refusal(&job, FrameKind::Expired);
+        reply_refusal(&job, FrameKind::Expired, 0);
         return;
     }
     match job.frame.kind {
@@ -367,16 +443,22 @@ fn serve(store: &Mutex<NodeStore>, job: Job) {
     }
 }
 
+/// The codec a frame's flags declare; the server answers in kind.
+fn codec_of(flags: u8) -> Codec {
+    if flags & FLAG_COMPACT != 0 {
+        Codec::compact()
+    } else {
+        Codec::verbose()
+    }
+}
+
 /// The read path: aggregate the partition's per-kind counts (the version
 /// cell is bookkeeping, not data — filtered out) and report the
 /// partition's LWW version for coordinator-side staleness accounting.
 fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
-    let codec = if job.frame.flags & FLAG_COMPACT != 0 {
-        Codec::compact()
-    } else {
-        Codec::verbose()
-    };
-    let Some(request) = codec.decode_request(job.frame.payload.clone()) else {
+    let Job { frame, conn } = job;
+    let codec = codec_of(frame.flags);
+    let Some(request) = codec.decode_request(frame.payload) else {
         return; // checksummed frame with an undecodable body: drop it
     };
     let cells = store.lock().get(&request.partition);
@@ -388,15 +470,13 @@ fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
     let db_end = wall_ns();
     let reply = Frame {
         kind: FrameKind::Response,
-        flags: job.frame.flags,
-        id: job.frame.id,
-        stamps: [job.frame.stamps[1], dequeued, db_end, wall_ns()],
-        deadline: job.frame.deadline,
+        flags: frame.flags,
+        id: frame.id,
+        stamps: [frame.stamps[1], dequeued, db_end, wall_ns()],
+        deadline: frame.deadline,
         payload: codec.encode_response(&response),
     };
-    // Same per-connection write serialization as `reply_refusal` (waived
-    // KVS-L007); a failed write means the master hung up.
-    best_effort("response write", reply.write_to(&mut *job.conn.lock()));
+    queue_reply(&conn, &reply);
 }
 
 /// The write path: apply the batch under last-write-wins and acknowledge
@@ -404,12 +484,9 @@ fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
 /// first, preserving read-your-write ordering on the replica before the
 /// apply decision.
 fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
-    let codec = if job.frame.flags & FLAG_COMPACT != 0 {
-        Codec::compact()
-    } else {
-        Codec::verbose()
-    };
-    let Some(write) = codec.decode_write(job.frame.payload.clone()) else {
+    let Job { frame, conn } = job;
+    let codec = codec_of(frame.flags);
+    let Some(write) = codec.decode_write(frame.payload) else {
         return; // checksummed frame with an undecodable body: drop it
     };
     let (applied, version) = {
@@ -429,15 +506,13 @@ fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
     let db_end = wall_ns();
     let reply = Frame {
         kind: FrameKind::WriteAck,
-        flags: job.frame.flags,
-        id: job.frame.id,
-        stamps: [job.frame.stamps[1], dequeued, db_end, wall_ns()],
-        deadline: job.frame.deadline,
+        flags: frame.flags,
+        id: frame.id,
+        stamps: [frame.stamps[1], dequeued, db_end, wall_ns()],
+        deadline: frame.deadline,
         payload: codec.encode_write_ack(&ack),
     };
-    // Same per-connection write serialization as `reply_refusal` (waived
-    // KVS-L007); a failed write means the master hung up.
-    best_effort("write-ack write", reply.write_to(&mut *job.conn.lock()));
+    queue_reply(&conn, &reply);
 }
 
 impl SlaveHandle {
