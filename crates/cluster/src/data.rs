@@ -1,7 +1,8 @@
 //! DHT data placement: partitions → hash ring → per-node tables.
 
+use crate::messages::QueryResponse;
 use kvs_balance::HashRing;
-use kvs_store::{Cell, PartitionKey, Table, TableOptions};
+use kvs_store::{Cell, PartitionKey, ReadReceipt, Table, TableOptions};
 use std::collections::BTreeMap;
 
 /// The cluster's data: one [`Table`] per node, plus the ring and a
@@ -94,7 +95,20 @@ impl ClusterData {
         self.partition_cells.len()
     }
 
-    /// Mutable access to a node's table (the slave read path).
+    /// The slave read path: `node` aggregates the partition — counts its
+    /// cells by kind as they stream past, owning none — and answers
+    /// request `request_id` with the counts, plus the receipt of the work
+    /// the read did.
+    pub fn aggregate(
+        &mut self,
+        node: u32,
+        request_id: u64,
+        pk: &PartitionKey,
+    ) -> (QueryResponse, ReadReceipt) {
+        aggregate(&mut self.tables[node as usize], request_id, pk)
+    }
+
+    /// Mutable access to a node's table.
     pub fn table_mut(&mut self, node: u32) -> &mut Table {
         &mut self.tables[node as usize]
     }
@@ -125,6 +139,17 @@ impl ClusterData {
     pub fn into_tables(self) -> Vec<Table> {
         self.tables
     }
+}
+
+/// [`ClusterData::aggregate`] on a table held by itself.
+pub(crate) fn aggregate(
+    table: &mut Table,
+    request_id: u64,
+    pk: &PartitionKey,
+) -> (QueryResponse, ReadReceipt) {
+    let mut tally = [0; 256];
+    let receipt = table.fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
+    (QueryResponse::from_tally(request_id, &tally), receipt)
 }
 
 /// Convenience: evenly sized synthetic partitions — `partitions` partitions
@@ -181,8 +206,8 @@ mod tests {
         let replicas: Vec<u32> = data.replicas_of(&pk).to_vec();
         assert_eq!(replicas.len(), 3);
         for node in replicas {
-            let (cells, _) = data.table_mut(node).get(&pk);
-            assert_eq!(cells.len(), 8, "replica on node {node} missing data");
+            let (response, _) = data.aggregate(node, 0, &pk);
+            assert_eq!(response.cells, 8, "replica on node {node} missing data");
         }
         assert_eq!(data.replication_factor(), 3);
     }
@@ -193,8 +218,12 @@ mod tests {
             ClusterData::load(2, 1, TableOptions::default(), uniform_partitions(10, 20, 4));
         let pk = PartitionKey::from_id(3);
         let node = data.primary_of(&pk).unwrap();
-        let (cells, receipt) = data.table_mut(node).get(&pk);
-        assert_eq!(cells.len(), 20);
+        let (response, receipt) = data.aggregate(node, 7, &pk);
+        assert_eq!((response.request_id, response.cells), (7, 20));
+        assert_eq!(
+            response.counts.values().copied().collect::<Vec<_>>(),
+            [5; 4]
+        );
         assert!(!receipt.memtable_hit, "load() must flush");
         assert_eq!(receipt.sstables_read, 1);
     }

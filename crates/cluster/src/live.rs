@@ -18,8 +18,8 @@
 //!   deserialized the response.
 
 use crate::codec::Codec;
-use crate::data::ClusterData;
-use crate::messages::{QueryRequest, QueryResponse};
+use crate::data::{aggregate, ClusterData};
+use crate::messages::QueryRequest;
 use crate::queue::{work_queue, QueueStats};
 use crate::result::{Coverage, RunResult};
 use bytes::Bytes;
@@ -108,9 +108,8 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
                     let req = codec
                         .decode_request(wire.bytes)
                         .expect("malformed request on the wire");
-                    let (cells, _receipt) = table.lock().get(&req.partition);
-                    let response =
-                        QueryResponse::from_kinds(req.request_id, cells.iter().map(|c| c.kind));
+                    let (response, _receipt) =
+                        aggregate(&mut table.lock(), req.request_id, &req.partition);
                     let db_end = Instant::now();
                     let bytes = codec.encode_response(&response);
                     // Ignore send failure: the master may already have all

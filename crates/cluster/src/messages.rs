@@ -44,16 +44,24 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// Builds a response from raw cell kinds.
     pub fn from_kinds(request_id: u64, kinds: impl IntoIterator<Item = u8>) -> Self {
-        let mut counts: BTreeMap<u8, u64> = BTreeMap::new();
-        let mut cells = 0;
+        let mut tally = [0; 256];
         for kind in kinds {
-            *counts.entry(kind).or_insert(0) += 1;
-            cells += 1;
+            tally[kind as usize] += 1;
         }
+        Self::from_tally(request_id, &tally)
+    }
+
+    /// Builds a response from a tally indexed by kind byte — what a fold
+    /// over a partition's cells counts into.
+    pub fn from_tally(request_id: u64, tally: &[u64; 256]) -> Self {
         QueryResponse {
             request_id,
-            counts,
-            cells,
+            counts: (0..=u8::MAX)
+                .zip(tally)
+                .filter(|&(_, &count)| count > 0)
+                .map(|(kind, &count)| (kind, count))
+                .collect(),
+            cells: tally.iter().sum(),
             version: 0,
         }
     }

@@ -257,8 +257,7 @@ fn run_query_inner(
     for (i, pk) in keys.iter().enumerate() {
         let replicas: Vec<u32> = data.replicas_of(pk).to_vec();
         assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
-        let (cells, receipt) = data.table_mut(replicas[0]).get(pk);
-        let response = QueryResponse::from_kinds(i as u64, cells.iter().map(|c| c.kind));
+        let (response, receipt) = data.aggregate(replicas[0], i as u64, pk);
         let request = QueryRequest {
             request_id: i as u64,
             partition: pk.clone(),
@@ -270,7 +269,7 @@ fn run_query_inner(
         prepared.push(Prepared {
             request_id: i as u64,
             replicas,
-            cells: cells.len() as u64,
+            cells: response.cells,
             base_service_ms: cfg.db.cost.service_ms(&receipt),
             response,
             req_bytes,
@@ -520,8 +519,8 @@ pub fn db_microbench(
         let node = data
             .primary_of(pk)
             .unwrap_or_else(|| panic!("unplaced partition {pk:?}"));
-        let (cells, receipt) = data.table_mut(node).get(pk);
-        let cells = cells.len() as u64;
+        let (response, receipt) = data.aggregate(node, 0, pk);
+        let cells = response.cells;
         let k = parallelism.min(keys.len());
         let inflation = usl::params_for_cells(cells).inflation(k);
         let base_ms = config.db.cost.service_ms(&receipt);
@@ -599,8 +598,7 @@ pub fn run_open_loop(
     for (i, pk) in keys.iter().enumerate() {
         let replicas: Vec<u32> = data.replicas_of(pk).to_vec();
         assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
-        let (cells, receipt) = data.table_mut(replicas[0]).get(pk);
-        let response = QueryResponse::from_kinds(i as u64, cells.iter().map(|c| c.kind));
+        let (response, receipt) = data.aggregate(replicas[0], i as u64, pk);
         let request = QueryRequest {
             request_id: i as u64,
             partition: pk.clone(),
@@ -608,7 +606,7 @@ pub fn run_open_loop(
         prepared.push(Prepared {
             request_id: i as u64,
             replicas,
-            cells: cells.len() as u64,
+            cells: response.cells,
             base_service_ms: cfg.db.cost.service_ms(&receipt),
             req_bytes: codec.encode_request(&request).len(),
             resp_bytes: codec.encode_response(&response).len(),

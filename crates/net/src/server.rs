@@ -31,7 +31,7 @@ use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
 use kvs_cluster::{Codec, QueryResponse, WriteAck, WriteRequest};
-use kvs_store::{Cell, DurableTable, PartitionKey, Table};
+use kvs_store::{Cell, CellRef, DurableTable, PartitionKey, Table};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,23 +70,6 @@ const READ_POLL: Duration = Duration::from_millis(25);
 pub const VERSION_CLUSTERING: u64 = u64::MAX;
 /// Kind byte of the version cell (never produced by workload generators).
 pub const VERSION_KIND: u8 = 0xFF;
-
-/// True for the reserved version cell (excluded from aggregations).
-pub fn is_version_cell(cell: &Cell) -> bool {
-    cell.clustering == VERSION_CLUSTERING && cell.kind == VERSION_KIND
-}
-
-/// The partition's LWW version recorded in `cells`, `0` if never written
-/// through the replicated write path. Takes the max so a version cell
-/// duplicated across memtable and SSTable generations still reads newest.
-pub fn version_of(cells: &[Cell]) -> u64 {
-    cells
-        .iter()
-        .filter(|c| is_version_cell(c))
-        .filter_map(|c| c.payload.as_ref().try_into().ok().map(u64::from_be_bytes))
-        .max()
-        .unwrap_or(0)
-}
 
 /// Builds the version cell carrying `timestamp`.
 pub fn version_cell(timestamp: u64) -> Cell {
@@ -158,22 +141,46 @@ pub enum NodeStore {
     Durable(DurableTable),
 }
 
+/// What one pass over a partition yields: how many data cells it holds of
+/// each kind, and its LWW version — the timestamp in the reserved version
+/// cell, which is bookkeeping and not counted; `0` if the partition was
+/// never written through the replicated write path.
+struct Aggregate {
+    kinds: [u64; 256],
+    version: u64,
+}
+
 impl NodeStore {
-    /// Reads a whole partition. A durable-tier I/O error cannot reach the
-    /// wire (the frame protocol has no error kind a master could
-    /// distinguish from loss), so it is logged and served as an empty
-    /// partition — the master's replica failover treats it like a miss.
-    fn get(&mut self, pk: &PartitionKey) -> Vec<Cell> {
+    /// Folds a whole partition into its [`Aggregate`] without owning a
+    /// cell. `None` when the durable tier could not read it (I/O error,
+    /// failed checksum — logged here): the partition's contents are then
+    /// unknown, not empty, and the caller must not answer as if it knew.
+    fn aggregate(&mut self, pk: &PartitionKey) -> Option<Aggregate> {
+        let mut agg = Aggregate {
+            kinds: [0; 256],
+            version: 0,
+        };
+        // The stream hands over one cell per clustering key, so at most
+        // one version cell.
+        let visit = |cell: CellRef<'_>| {
+            if cell.clustering != VERSION_CLUSTERING || cell.kind != VERSION_KIND {
+                agg.kinds[cell.kind as usize] += 1;
+            } else if let Ok(timestamp) = cell.payload.try_into() {
+                agg.version = u64::from_be_bytes(timestamp);
+            }
+        };
         match self {
-            NodeStore::Ram(table) => table.get(pk).0,
-            NodeStore::Durable(table) => match table.get(pk) {
-                Ok((cells, _receipt)) => cells,
-                Err(e) => {
+            NodeStore::Ram(table) => {
+                table.fold_partition(pk, visit);
+            }
+            NodeStore::Durable(table) => {
+                if let Err(e) = table.fold_partition(pk, visit) {
                     eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
-                    Vec::new()
+                    return None;
                 }
-            },
+            }
         }
+        Some(agg)
     }
 
     /// Applies a replicated write under the last-write-wins rule: a
@@ -182,9 +189,13 @@ impl NodeStore {
     /// incumbent untouched (ties keep the incumbent, so hint replay is
     /// idempotent). Returns `(applied, version_after)`. A durable-tier
     /// error refuses the write (`applied = false`) with the pre-image
-    /// version, and the coordinator will not count the ack.
+    /// version — `0` when it is the pre-image read that failed, since an
+    /// unknown version must not let an older write through — and the
+    /// coordinator will not count the ack.
     fn apply(&mut self, req: &WriteRequest) -> (bool, u64) {
-        let current = version_of(&self.get(&req.partition));
+        let Some(current) = self.aggregate(&req.partition).map(|agg| agg.version) else {
+            return (false, 0);
+        };
         if req.timestamp <= current {
             return (false, current);
         }
@@ -452,21 +463,23 @@ fn codec_of(flags: u8) -> Codec {
     }
 }
 
-/// The read path: aggregate the partition's per-kind counts (the version
-/// cell is bookkeeping, not data — filtered out) and report the
-/// partition's LWW version for coordinator-side staleness accounting.
+/// The read path: aggregate the partition's per-kind counts and report
+/// the partition's LWW version for coordinator-side staleness accounting.
+/// A read the store could not complete gets no answer — the frame protocol
+/// has no error kind, and an answer of zero cells would be a wrong
+/// aggregate with full coverage; the master's timeout and replica failover
+/// treat the silence as they treat loss.
 fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(request) = codec.decode_request(frame.payload) else {
         return; // checksummed frame with an undecodable body: drop it
     };
-    let cells = store.lock().get(&request.partition);
-    let response = QueryResponse::from_kinds(
-        request.request_id,
-        cells.iter().filter(|c| !is_version_cell(c)).map(|c| c.kind),
-    )
-    .with_version(version_of(&cells));
+    let Some(agg) = store.lock().aggregate(&request.partition) else {
+        return;
+    };
+    let response =
+        QueryResponse::from_tally(request.request_id, &agg.kinds).with_version(agg.version);
     let db_end = wall_ns();
     let reply = Frame {
         kind: FrameKind::Response,
@@ -491,12 +504,14 @@ fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
     };
     let (applied, version) = {
         let mut guard = store.lock();
-        if rmw {
-            // The pre-image read is the "modify" input; the prototype's
-            // aggregation workload only needs its cost, not its value.
-            let _pre_image_cells = guard.get(&write.partition).len();
+        // The pre-image read is the "modify" input; the prototype's
+        // aggregation workload only needs its cost, not its value — but
+        // a replica that cannot read the partition must not ack.
+        if rmw && guard.aggregate(&write.partition).is_none() {
+            (false, 0)
+        } else {
+            guard.apply(&write)
         }
-        guard.apply(&write)
     };
     let ack = WriteAck {
         request_id: write.request_id,

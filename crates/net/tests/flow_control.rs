@@ -192,8 +192,10 @@ fn a_slow_store_answers_as_it_goes_under_a_deadline() {
     // 40 requests queued at once, and a budget of half what the whole
     // query takes: the answers the store produces inside the budget must
     // reach the master inside it, not wait on the slave for the queue
-    // behind them to drain.
-    const BIG: u64 = 20_000;
+    // behind them to drain. The store streams a partition at memory
+    // speed, some 14 ns a cell: 80 000 cells keep one read above a
+    // millisecond, ten times the slave's reply hold.
+    const BIG: u64 = 80_000;
     let (cluster, routes) =
         spawn_local_cluster(data_of(1, 1, 40, BIG), small_queue(64)).expect("cluster boots");
     let mut unhurried =

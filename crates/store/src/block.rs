@@ -26,25 +26,43 @@ pub const BLOCK_TARGET_BYTES: usize = 4096;
 /// Encoded size of one [`BlockMeta`] index entry.
 pub const BLOCK_META_BYTES: usize = 40;
 
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a over a byte slice — the checksum of every durable artifact
 /// (blocks, WAL records, manifest, SSTable footer).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv64_extend(FNV_OFFSET_BASIS, bytes)
 }
 
 /// Chained FNV-1a: continue hashing `bytes` from a previous digest, so a
 /// multi-part record can be checksummed without concatenating buffers.
 pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// How many slices [`fnv64_lanes`] digests at once.
+pub const FNV_LANES: usize = 4;
+
+/// [`fnv64`] of each of `slices`, computed together. FNV-1a is one
+/// dependent multiply per byte, so a single digest runs at the multiplier's
+/// latency; stepping independent chains side by side runs them at its
+/// throughput. Same function, same digests: over the slices' common length
+/// the lanes advance in lockstep, then each finishes on its own.
+pub fn fnv64_lanes(slices: [&[u8]; FNV_LANES]) -> [u64; FNV_LANES] {
+    let common = slices.iter().map(|s| s.len()).min().unwrap_or(0);
+    let split = slices.map(|s| s.split_at(common));
+    let [a, b, c, d] = split.map(|(lockstep, _)| lockstep);
+    let mut h = [FNV_OFFSET_BASIS; FNV_LANES];
+    for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+        for (h, &byte) in h.iter_mut().zip([a, b, c, d]) {
+            *h = (*h ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    std::array::from_fn(|lane| fnv64_extend(h[lane], split[lane].1))
 }
 
 /// Index entry for one data block: its file extent, content checksum and
@@ -156,6 +174,27 @@ mod tests {
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64_extend(fnv64(b"ab"), b"c"), fnv64(b"abc"));
+    }
+
+    #[test]
+    fn lanes_match_the_serial_digest_for_ragged_slices() {
+        let bytes: Vec<u8> = (0..4 * 4140u32).map(|i| (i * 31 + 7) as u8).collect();
+        let cases: [[usize; FNV_LANES]; 6] = [
+            [0, 0, 0, 0],
+            [4140, 4140, 4140, 4140],
+            [4140, 4140, 4140, 460],
+            [1, 0, 4097, 33],
+            [4140, 0, 0, 0], // fewer than four blocks: the rest are empty
+            [13, 4140, 0, 0],
+        ];
+        for lens in cases {
+            let mut at = 0;
+            let slices = lens.map(|len| {
+                at += len;
+                &bytes[at - len..at]
+            });
+            assert_eq!(fnv64_lanes(slices), slices.map(fnv64), "lengths {lens:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! live run into one — which is all the experiments need: the paper's
 //! datasets are bulk-loaded once and then read-only.
 
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::merge::merge_runs;
 use crate::sstable::{SsTable, SsTableOptions};
-use std::collections::BTreeMap;
 
 /// Merges all `runs` into a single SSTable with generation `generation`.
 /// On clustering-key conflicts the cell from the highest-generation run
@@ -14,20 +13,7 @@ use std::collections::BTreeMap;
 /// in any order).
 pub fn merge_all(mut runs: Vec<SsTable>, opts: SsTableOptions, generation: u64) -> SsTable {
     runs.sort_by_key(|s| s.generation());
-    let mut merged: BTreeMap<PartitionKey, BTreeMap<ClusteringKey, Cell>> = BTreeMap::new();
-    for run in &runs {
-        for (pk, cells) in run.partitions() {
-            let slot = merged.entry(pk).or_default();
-            for cell in cells {
-                // Later (newer-generation) runs overwrite earlier ones.
-                slot.insert(cell.clustering, cell);
-            }
-        }
-    }
-    let input: Vec<(PartitionKey, Vec<Cell>)> = merged
-        .into_iter()
-        .map(|(pk, cells)| (pk, cells.into_values().collect()))
-        .collect();
+    let input = merge_runs(runs.iter().map(|run| run.partitions().collect()).collect());
     SsTable::build(input, opts, generation)
 }
 
@@ -35,6 +21,7 @@ pub fn merge_all(mut runs: Vec<SsTable>, opts: SsTableOptions, generation: u64) 
 mod tests {
     use super::*;
     use crate::receipt::ReadReceipt;
+    use crate::schema::{Cell, PartitionKey};
 
     fn pk(i: u64) -> PartitionKey {
         PartitionKey::from_id(i)

@@ -29,13 +29,14 @@
 
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
+use crate::merge::merge_runs;
 use crate::receipt::ReadReceipt;
 use crate::recovery::{recover, RecoveryReport};
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use crate::sst_file::{sst_file_name, write_sst, BlockCache, SstFile};
 use crate::sstable::SsTableOptions;
+use crate::stream::{stream_partition, CellBuf, ClusteringRange, WHOLE};
 use crate::wal::{self, FsyncPolicy, WalWriter};
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::ops::RangeInclusive;
@@ -267,20 +268,10 @@ impl DurableTable {
         if self.ssts.len() < 2 {
             return Ok(());
         }
-        let mut merged: BTreeMap<PartitionKey, BTreeMap<ClusteringKey, Cell>> = BTreeMap::new();
-        // Ascending generation: later inserts overwrite older cells.
-        for sst in &self.ssts {
-            for (pk, cells) in sst.scan()? {
-                let slot = merged.entry(pk).or_default();
-                for cell in cells {
-                    slot.insert(cell.clustering, cell);
-                }
-            }
-        }
-        let input: Vec<(PartitionKey, Vec<Cell>)> = merged
-            .into_iter()
-            .map(|(pk, cells)| (pk, cells.into_values().collect()))
-            .collect();
+        // `ssts` is ascending by generation: the last run holding a cell
+        // wins.
+        let runs = self.ssts.iter().map(SstFile::scan);
+        let input = merge_runs(runs.collect::<io::Result<_>>()?);
         let generation = self.manifest.next_generation;
         let path = self.dir.join(sst_file_name(generation));
         let stats = write_sst(&path, &input, &self.opts.sst_opts(), generation)?;
@@ -325,30 +316,27 @@ impl DurableTable {
         Ok(())
     }
 
+    /// Streams a whole partition's cells, in clustering order and straight
+    /// off block and memtable bytes, into `visit`, and returns the work
+    /// receipt — the read primitive: [`DurableTable::get`] collects from
+    /// it, an aggregation folds over it without ever owning a cell. The
+    /// receipt itemizes the work, including disk blocks read vs served
+    /// from the block cache. On `Err` (I/O failure, detected corruption)
+    /// `visit` may already have seen part of the partition.
+    pub fn fold_partition(
+        &mut self,
+        pk: &PartitionKey,
+        visit: impl FnMut(CellRef<'_>),
+    ) -> io::Result<ReadReceipt> {
+        self.stream(pk, WHOLE, visit)
+    }
+
     /// Reads a whole partition, merging every run and the memtable
-    /// newest-wins. The receipt itemizes the work, including disk blocks
-    /// read vs served from the block cache.
+    /// newest-wins.
     pub fn get(&mut self, pk: &PartitionKey) -> io::Result<(Vec<Cell>, ReadReceipt)> {
-        self.check_usable()?;
-        self.metrics.reads += 1;
-        let mut receipt = ReadReceipt::default();
-        let mut merged: BTreeMap<ClusteringKey, Cell> = BTreeMap::new();
-        for sst in &self.ssts {
-            if let Some(cells) = sst.read(pk, &mut self.block_cache, &mut receipt)? {
-                for cell in cells {
-                    merged.insert(cell.clustering, cell);
-                }
-            }
-        }
-        if let Some(cells) = self.memtable.get(pk) {
-            receipt.memtable_hit = true;
-            for cell in cells {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let out: Vec<Cell> = merged.into_values().collect();
-        receipt.cells_returned = out.len() as u64;
-        Ok((out, receipt))
+        let mut cells = CellBuf::default();
+        let receipt = self.fold_partition(pk, |cell| cells.push(cell))?;
+        Ok((cells.into_cells(), receipt))
     }
 
     /// Reads a clustering range of a partition; column-indexed partitions
@@ -358,25 +346,22 @@ impl DurableTable {
         pk: &PartitionKey,
         range: RangeInclusive<ClusteringKey>,
     ) -> io::Result<(Vec<Cell>, ReadReceipt)> {
+        let mut cells = CellBuf::default();
+        let receipt = self.stream(pk, range.into_inner(), |cell| cells.push(cell))?;
+        Ok((cells.into_cells(), receipt))
+    }
+
+    /// The one read path ([`stream_partition`]).
+    fn stream(
+        &mut self,
+        pk: &PartitionKey,
+        range: ClusteringRange,
+        visit: impl FnMut(CellRef<'_>),
+    ) -> io::Result<ReadReceipt> {
         self.check_usable()?;
         self.metrics.reads += 1;
-        let mut receipt = ReadReceipt::default();
-        let mut merged: BTreeMap<ClusteringKey, Cell> = BTreeMap::new();
-        for sst in &self.ssts {
-            for cell in sst.read_range(pk, range.clone(), &mut self.block_cache, &mut receipt)? {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let mem = self.memtable.get_range(pk, range);
-        if !mem.is_empty() {
-            receipt.memtable_hit = true;
-            for cell in mem {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let out: Vec<Cell> = merged.into_values().collect();
-        receipt.cells_returned = out.len() as u64;
-        Ok((out, receipt))
+        let (runs, cache) = (&self.ssts, &mut self.block_cache);
+        stream_partition(runs, cache, &self.memtable, pk, range, visit)
     }
 
     /// Forces buffered WAL records to stable storage (useful with
@@ -465,6 +450,7 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn pk(i: u64) -> PartitionKey {
         PartitionKey::from_id(i)

@@ -55,6 +55,7 @@ pub mod durable;
 #[cfg(feature = "durable")]
 pub mod manifest;
 pub mod memtable;
+mod merge;
 pub mod receipt;
 #[cfg(feature = "durable")]
 pub mod recovery;
@@ -62,6 +63,7 @@ pub mod schema;
 #[cfg(feature = "durable")]
 pub mod sst_file;
 pub mod sstable;
+mod stream;
 pub mod table;
 pub mod tiering;
 #[cfg(feature = "durable")]
@@ -77,7 +79,7 @@ pub use memtable::Memtable;
 pub use receipt::ReadReceipt;
 #[cfg(feature = "durable")]
 pub use recovery::RecoveryReport;
-pub use schema::{Cell, PartitionKey};
+pub use schema::{Cell, CellRef, PartitionKey};
 pub use sstable::{SsTable, SsTableOptions};
 pub use table::{Table, TableMetrics, TableOptions};
 pub use tiering::{StorageHierarchy, Tier};

@@ -39,18 +39,28 @@ impl Memtable {
         }
     }
 
+    /// The partition's cells with clustering keys in `range`, in order and
+    /// in place; `None` when the memtable holds none.
+    pub fn range(
+        &self,
+        pk: &PartitionKey,
+        range: RangeInclusive<ClusteringKey>,
+    ) -> Option<impl Iterator<Item = &Cell>> {
+        let mut cells = self.partitions.get(pk)?.range(range).peekable();
+        cells.peek()?;
+        Some(cells.map(|(_, cell)| cell))
+    }
+
     /// All cells of a partition, in clustering order.
     pub fn get(&self, pk: &PartitionKey) -> Option<Vec<Cell>> {
-        self.partitions
-            .get(pk)
-            .map(|m| m.values().cloned().collect())
+        self.range(pk, 0..=ClusteringKey::MAX)
+            .map(|cells| cells.cloned().collect())
     }
 
     /// Cells of a partition within a clustering range, in order.
     pub fn get_range(&self, pk: &PartitionKey, range: RangeInclusive<ClusteringKey>) -> Vec<Cell> {
-        self.partitions
-            .get(pk)
-            .map(|m| m.range(range).map(|(_, c)| c.clone()).collect())
+        self.range(pk, range)
+            .map(|cells| cells.cloned().collect())
             .unwrap_or_default()
     }
 

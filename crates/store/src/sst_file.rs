@@ -43,12 +43,15 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
-use crate::block::{build_blocks, fnv64, fnv64_extend, BlockMeta, BLOCK_META_BYTES};
+use crate::block::{
+    build_blocks, fnv64, fnv64_extend, fnv64_lanes, BlockMeta, BLOCK_META_BYTES, FNV_LANES,
+};
 use crate::bloom::BloomFilter;
 use crate::cache::Lru;
 use crate::receipt::ReadReceipt;
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use crate::sstable::SsTableOptions;
+use crate::stream::{ClusteringRange, Run, WHOLE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -186,7 +189,7 @@ pub fn write_sst(
 
 /// One partition's resident metadata.
 #[derive(Debug)]
-struct DiskPartition {
+pub(crate) struct DiskPartition {
     key: PartitionKey,
     cell_count: u32,
     /// Encoded size of the partition (sum of its block lengths).
@@ -319,44 +322,53 @@ impl SstFile {
             .unwrap_or(false)
     }
 
-    fn find(&self, pk: &PartitionKey) -> Option<&DiskPartition> {
-        self.partitions
-            .binary_search_by(|p| p.key.cmp(pk))
-            .ok()
-            .map(|i| &self.partitions[i])
-    }
-
-    /// Fetches one block, via the cache when possible, verifying its
-    /// checksum on a disk read.
-    fn load_block(
+    /// Fetches up to [`FNV_LANES`] consecutive blocks, each from the cache
+    /// when it is there. The ones read from disk are checksummed together
+    /// ([`fnv64_lanes`]) — every block once per disk read — and only then
+    /// offered to the cache; unused slots come back empty.
+    fn load_blocks(
         &self,
-        meta: &BlockMeta,
+        group: &[BlockMeta],
         cache: &mut BlockCache,
         receipt: &mut ReadReceipt,
-    ) -> io::Result<Bytes> {
-        let key = (self.generation, meta.offset);
-        if let Some(block) = cache.get(&key) {
-            receipt.disk_block_cache_hits += 1;
-            return Ok(block.clone());
+    ) -> io::Result<[Bytes; FNV_LANES]> {
+        let mut blocks: [Bytes; FNV_LANES] = Default::default();
+        let mut from_disk = [false; FNV_LANES];
+        for ((meta, block), from_disk) in group.iter().zip(&mut blocks).zip(&mut from_disk) {
+            if let Some(cached) = cache.get(&(self.generation, meta.offset)) {
+                receipt.disk_block_cache_hits += 1;
+                *block = cached.clone();
+                continue;
+            }
+            let mut raw = vec![0u8; meta.len as usize];
+            self.file.read_exact_at(&mut raw, meta.offset)?;
+            // Charge before the checksum verdict: the read moved the bytes
+            // whether or not they verify, and a corrupt block that escaped
+            // the accounting would skew every cost model built on receipts
+            // (KVS-L019 checks this must-reach property on all paths).
+            receipt.disk_blocks_read += 1;
+            receipt.disk_bytes_read += meta.len as u64;
+            *block = Bytes::from(raw);
+            *from_disk = true;
         }
-        let mut raw = vec![0u8; meta.len as usize];
-        self.file.read_exact_at(&mut raw, meta.offset)?;
-        // Charge before the checksum verdict: the read moved the bytes
-        // whether or not they verify, and a corrupt block that escaped
-        // the accounting would skew every cost model built on receipts
-        // (KVS-L019 checks this must-reach property on all paths).
-        receipt.disk_blocks_read += 1;
-        receipt.disk_bytes_read += meta.len as u64;
-        if fnv64(&raw) != meta.crc {
-            return Err(bad_data(format!(
-                "{}: block at offset {} failed its checksum",
-                self.path.display(),
-                meta.offset
-            )));
+        let unverified: [&[u8]; FNV_LANES] =
+            std::array::from_fn(|i| if from_disk[i] { &blocks[i][..] } else { &[] });
+        let digests = fnv64_lanes(unverified);
+        for ((meta, digest), from_disk) in group.iter().zip(digests).zip(from_disk) {
+            if from_disk && digest != meta.crc {
+                return Err(bad_data(format!(
+                    "{}: block at offset {} failed its checksum",
+                    self.path.display(),
+                    meta.offset
+                )));
+            }
         }
-        let block = Bytes::from(raw);
-        cache.put(key, block.clone());
-        Ok(block)
+        for ((meta, block), from_disk) in group.iter().zip(&blocks).zip(from_disk) {
+            if from_disk {
+                cache.put((self.generation, meta.offset), block.clone());
+            }
+        }
+        Ok(blocks)
     }
 
     /// Reads a whole partition. `Ok(None)` (with receipt counters
@@ -368,50 +380,11 @@ impl SstFile {
         cache: &mut BlockCache,
         receipt: &mut ReadReceipt,
     ) -> io::Result<Option<Vec<Cell>>> {
-        receipt.bloom_probes += 1;
-        if !self.bloom.maybe_contains(pk.as_bytes()) {
-            receipt.bloom_negatives += 1;
-            return Ok(None);
-        }
-        receipt.partition_index_seeks += 1;
-        let Some(entry) = self.find(pk) else {
-            receipt.bloom_false_positives += 1;
-            return Ok(None);
-        };
-        receipt.sstables_read += 1;
-        if entry.bytes > self.column_index_size as u64 {
-            receipt.used_column_index = true;
-            receipt.column_index_blocks += entry.blocks.len() as u64;
-        }
-        let mut out = Vec::with_capacity(entry.cell_count as usize);
-        for meta in &entry.blocks {
-            let mut block = self.load_block(meta, cache, receipt)?;
-            let mut in_block = 0u32;
-            while let Some(cell) = Cell::decode(&mut block) {
-                receipt.cells_scanned += 1;
-                receipt.bytes_read += cell.encoded_len() as u64;
-                out.push(cell);
-                in_block += 1;
-            }
-            if in_block != meta.cells || !block.is_empty() {
-                return Err(bad_data(format!(
-                    "{}: block at offset {} decoded {} cells, index says {}",
-                    self.path.display(),
-                    meta.offset,
-                    in_block,
-                    meta.cells
-                )));
-            }
-        }
-        receipt.cells_returned += out.len() as u64;
-        Ok(Some(out))
+        self.collect(pk, WHOLE, cache, receipt)
     }
 
-    /// Reads the cells of a partition within a clustering range. A
-    /// column-indexed partition seeks to overlapping blocks only; a small
-    /// partition decodes every block up to the range end — exactly the
-    /// in-RAM [`crate::sstable::SsTable::read_range`] mechanics, with
-    /// disk charges.
+    /// Reads the cells of a partition within a clustering range (see
+    /// [`Run::scan_partition`] on this type for which blocks that touches).
     pub fn read_range(
         &self,
         pk: &PartitionKey,
@@ -419,47 +392,8 @@ impl SstFile {
         cache: &mut BlockCache,
         receipt: &mut ReadReceipt,
     ) -> io::Result<Vec<Cell>> {
-        receipt.bloom_probes += 1;
-        if !self.bloom.maybe_contains(pk.as_bytes()) {
-            receipt.bloom_negatives += 1;
-            return Ok(Vec::new());
-        }
-        receipt.partition_index_seeks += 1;
-        let Some(entry) = self.find(pk) else {
-            receipt.bloom_false_positives += 1;
-            return Ok(Vec::new());
-        };
-        receipt.sstables_read += 1;
-        let (from, to) = (*range.start(), *range.end());
-        let indexed = entry.bytes > self.column_index_size as u64;
-        let blocks: Vec<&BlockMeta> = if indexed {
-            receipt.used_column_index = true;
-            let overlapping: Vec<&BlockMeta> = entry
-                .blocks
-                .iter()
-                .filter(|b| b.overlaps(from, to))
-                .collect();
-            receipt.column_index_blocks += overlapping.len() as u64;
-            overlapping
-        } else {
-            entry.blocks.iter().collect()
-        };
-        let mut out = Vec::new();
-        'blocks: for meta in blocks {
-            let mut block = self.load_block(meta, cache, receipt)?;
-            while let Some(cell) = Cell::decode(&mut block) {
-                receipt.cells_scanned += 1;
-                receipt.bytes_read += cell.encoded_len() as u64;
-                if cell.clustering > to {
-                    break 'blocks;
-                }
-                if cell.clustering >= from {
-                    out.push(cell);
-                }
-            }
-        }
-        receipt.cells_returned += out.len() as u64;
-        Ok(out)
+        let cells = self.collect(pk, range.into_inner(), cache, receipt)?;
+        Ok(cells.unwrap_or_default())
     }
 
     /// Reads every partition back, verifying all block checksums — the
@@ -496,6 +430,85 @@ impl SstFile {
             out.push((entry.key.clone(), cells));
         }
         Ok(out)
+    }
+}
+
+impl Run for SstFile {
+    type Entry = DiskPartition;
+    type Cache = BlockCache;
+    type Error = io::Error;
+
+    fn bloom(&self) -> &BloomFilter {
+        &self.bloom
+    }
+
+    fn find(&self, pk: &PartitionKey) -> Option<&DiskPartition> {
+        self.partitions
+            .binary_search_by(|p| p.key.cmp(pk))
+            .ok()
+            .map(|i| &self.partitions[i])
+    }
+
+    /// Straight off the block bytes, charging the receipt for every block
+    /// fetched and every cell decoded. `Err` on I/O failure or detected
+    /// corruption: a failed checksum, or a block whose contents disagree
+    /// with its [`BlockMeta`].
+    ///
+    /// Which blocks the scan reaches is decided from their metadata — the
+    /// in-RAM [`crate::SsTable`]'s mechanics with disk charges: a
+    /// column-indexed partition seeks to the overlapping blocks only; a
+    /// small one is decoded from its start through the first block holding
+    /// a cell past the range.
+    fn scan_partition(
+        &self,
+        entry: &DiskPartition,
+        (from, to): ClusteringRange,
+        cache: &mut BlockCache,
+        receipt: &mut ReadReceipt,
+        mut visit: impl FnMut(CellRef<'_>),
+    ) -> io::Result<()> {
+        receipt.sstables_read += 1;
+        // Blocks are ascending and disjoint, so both selections are
+        // contiguous.
+        let blocks = &entry.blocks;
+        let reached = if entry.bytes > self.column_index_size as u64 {
+            receipt.used_column_index = true;
+            let lo = blocks.partition_point(|b| b.last_clustering < from);
+            let hi = blocks.partition_point(|b| b.first_clustering <= to).max(lo);
+            receipt.column_index_blocks += (hi - lo) as u64;
+            &blocks[lo..hi]
+        } else {
+            let within = blocks.partition_point(|b| b.last_clustering <= to);
+            &blocks[..blocks.len().min(within + 1)]
+        };
+        for group in reached.chunks(FNV_LANES) {
+            let loaded = self.load_blocks(group, cache, receipt)?;
+            for (meta, block) in group.iter().zip(&loaded) {
+                let mut rest = &block[..];
+                let mut in_block = 0u32;
+                while let Some(cell) = CellRef::decode(&mut rest) {
+                    receipt.cells_scanned += 1;
+                    receipt.bytes_read += cell.encoded_len() as u64;
+                    if cell.clustering > to {
+                        return Ok(());
+                    }
+                    if cell.clustering >= from {
+                        visit(cell);
+                    }
+                    in_block += 1;
+                }
+                if in_block != meta.cells || !rest.is_empty() {
+                    return Err(bad_data(format!(
+                        "{}: block at offset {} decoded {} cells, index says {}",
+                        self.path.display(),
+                        meta.offset,
+                        in_block,
+                        meta.cells
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -780,6 +793,59 @@ mod tests {
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(sst.scan().is_err());
+        // Streamed: nothing of the bad group is visited or cached, and the
+        // blocks that were read are on the bill before the verdict.
+        let (err, r) = scan_err(&sst, &mut cache);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
+        assert_eq!(r.cells_scanned, 0);
+        assert!(cache.is_empty());
+    }
+
+    /// Streams partition 0 whole, expecting the scan to fail; returns the
+    /// error and what the receipt had been charged by then.
+    fn scan_err(sst: &SstFile, cache: &mut BlockCache) -> (io::Error, ReadReceipt) {
+        let mut r = ReadReceipt::default();
+        let entry = sst.probe(&pk(0), &mut r).expect("present");
+        let err = sst
+            .scan_partition(entry, (0, u64::MAX), cache, &mut r, |_| {})
+            .expect_err("must fail");
+        (err, r)
+    }
+
+    #[test]
+    fn block_cell_count_mismatch_rejected_at_read() {
+        // A block that verifies but does not hold the cells its index entry
+        // promises: patch the first block's `cells` (90 → 89) and re-seal
+        // the metadata and footer checksums around the lie.
+        let tmp = TempDir::new("sst-count-mismatch");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        let mut bytes = std::fs::read(&path).expect("read");
+        let footer = bytes.len() - SST_FOOTER_LEN;
+        let index = 200 * 46;
+        // count (4) ⋅ key_len (2) ⋅ key (8) ⋅ cell_count (4) ⋅ block_count
+        // (4), then per block offset (8) ⋅ len (4) ⋅ cells (4) ⋅ …
+        let cells_at = index + 4 + 2 + 8 + 4 + 4 + 8 + 4;
+        assert_eq!(bytes[cells_at..cells_at + 4], 90u32.to_be_bytes());
+        bytes[cells_at..cells_at + 4].copy_from_slice(&89u32.to_be_bytes());
+        let meta_crc = fnv64(&bytes[index..footer]);
+        bytes[footer + 56..footer + 64].copy_from_slice(&meta_crc.to_be_bytes());
+        let footer_crc = fnv64(&bytes[footer..footer + 64]);
+        bytes[footer + 64..].copy_from_slice(&footer_crc.to_be_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+
+        let sst = SstFile::open(&path).expect("the metadata is self-consistent");
+        let mut cache = BlockCache::new(4);
+        let mut r = ReadReceipt::default();
+        let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let (err, r) = scan_err(&sst, &mut BlockCache::new(0));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("index says 89"), "{err}");
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
+        assert_eq!(r.cells_scanned, 90, "the block was decoded, then refused");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 use crate::block::fnv64;
 use crate::bloom::BloomFilter;
 use crate::receipt::ReadReceipt;
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
+use crate::stream::{ClusteringRange, Run, WHOLE};
 use bytes::{Bytes, BytesMut};
 use std::ops::RangeInclusive;
 
@@ -53,7 +54,7 @@ struct ColumnIndexEntry {
 
 /// Partition-index entry: key → byte extent (+ optional column index).
 #[derive(Debug, Clone)]
-struct PartitionEntry {
+pub(crate) struct PartitionEntry {
     key: PartitionKey,
     start: usize,
     end: usize,
@@ -84,7 +85,10 @@ impl SsTable {
         generation: u64,
     ) -> Self {
         let mut bloom = BloomFilter::with_rate(input.len(), opts.bloom_fp_rate);
-        let mut data = BytesMut::new();
+        // Sized exactly: freezing keeps the buffer as it is, and a run
+        // lives as long as the table.
+        let encoded = input.iter().flat_map(|(_, cells)| cells);
+        let mut data = BytesMut::with_capacity(encoded.map(Cell::encoded_len).sum());
         let mut partitions = Vec::with_capacity(input.len());
         for (pk, cells) in input {
             if let Some(prev) = partitions.last() {
@@ -179,43 +183,11 @@ impl SsTable {
             .unwrap_or(false)
     }
 
-    fn find(&self, pk: &PartitionKey) -> Option<&PartitionEntry> {
-        self.partitions
-            .binary_search_by(|e| e.key.cmp(pk))
-            .ok()
-            .map(|i| &self.partitions[i])
-    }
-
     /// Reads a whole partition; `None` (with receipt counters updated) when
     /// this run does not contain it.
     pub fn read(&self, pk: &PartitionKey, receipt: &mut ReadReceipt) -> Option<Vec<Cell>> {
-        receipt.bloom_probes += 1;
-        if !self.bloom.maybe_contains(pk.as_bytes()) {
-            receipt.bloom_negatives += 1;
-            return None;
-        }
-        receipt.partition_index_seeks += 1;
-        let entry = match self.find(pk) {
-            Some(e) => e,
-            None => {
-                receipt.bloom_false_positives += 1;
-                return None;
-            }
-        };
-        receipt.sstables_read += 1;
-        if let Some(ci) = &entry.column_index {
-            receipt.used_column_index = true;
-            receipt.column_index_blocks += ci.len() as u64;
-        }
-        let mut buf = self.data.slice(entry.start..entry.end);
-        let mut out = Vec::with_capacity(entry.cell_count);
-        while let Some(cell) = Cell::decode(&mut buf) {
-            receipt.cells_scanned += 1;
-            receipt.bytes_read += cell.encoded_len() as u64;
-            out.push(cell);
-        }
-        receipt.cells_returned += out.len() as u64;
-        Some(out)
+        let Ok(cells) = self.collect(pk, WHOLE, &mut (), receipt);
+        cells
     }
 
     /// Reads the cells of a partition within a clustering range, seeking
@@ -226,49 +198,8 @@ impl SsTable {
         range: RangeInclusive<ClusteringKey>,
         receipt: &mut ReadReceipt,
     ) -> Vec<Cell> {
-        receipt.bloom_probes += 1;
-        if !self.bloom.maybe_contains(pk.as_bytes()) {
-            receipt.bloom_negatives += 1;
-            return Vec::new();
-        }
-        receipt.partition_index_seeks += 1;
-        let entry = match self.find(pk) {
-            Some(e) => e,
-            None => {
-                receipt.bloom_false_positives += 1;
-                return Vec::new();
-            }
-        };
-        receipt.sstables_read += 1;
-        let (from, to) = (*range.start(), *range.end());
-        let extents: Vec<(usize, usize)> = match &entry.column_index {
-            Some(ci) => {
-                receipt.used_column_index = true;
-                let blocks: Vec<&ColumnIndexEntry> = ci
-                    .iter()
-                    .filter(|b| b.last_clustering >= from && b.first_clustering <= to)
-                    .collect();
-                receipt.column_index_blocks += blocks.len() as u64;
-                blocks.iter().map(|b| (b.start, b.end)).collect()
-            }
-            None => vec![(entry.start, entry.end)],
-        };
-        let mut out = Vec::new();
-        for (start, end) in extents {
-            let mut buf = self.data.slice(start..end);
-            while let Some(cell) = Cell::decode(&mut buf) {
-                receipt.cells_scanned += 1;
-                receipt.bytes_read += cell.encoded_len() as u64;
-                if cell.clustering > to {
-                    break;
-                }
-                if cell.clustering >= from {
-                    out.push(cell);
-                }
-            }
-        }
-        receipt.cells_returned += out.len() as u64;
-        out
+        let Ok(cells) = self.collect(pk, range.into_inner(), &mut (), receipt);
+        cells.unwrap_or_default()
     }
 
     /// Serializes the whole run (data + indexes are rebuilt on load) into a
@@ -380,6 +311,64 @@ impl SsTable {
             }
             (entry.key.clone(), cells)
         })
+    }
+}
+
+impl Run for SsTable {
+    type Entry = PartitionEntry;
+    type Cache = ();
+    type Error = std::convert::Infallible;
+
+    fn bloom(&self) -> &BloomFilter {
+        &self.bloom
+    }
+
+    fn find(&self, pk: &PartitionKey) -> Option<&PartitionEntry> {
+        self.partitions
+            .binary_search_by(|e| e.key.cmp(pk))
+            .ok()
+            .map(|i| &self.partitions[i])
+    }
+
+    /// A column-indexed partition is entered at the first overlapping
+    /// block; one without decodes from its start up to the first cell past
+    /// the range.
+    fn scan_partition(
+        &self,
+        entry: &PartitionEntry,
+        (from, to): ClusteringRange,
+        _cache: &mut (),
+        receipt: &mut ReadReceipt,
+        mut visit: impl FnMut(CellRef<'_>),
+    ) -> Result<(), Self::Error> {
+        receipt.sstables_read += 1;
+        let (start, end) = match &entry.column_index {
+            Some(ci) => {
+                receipt.used_column_index = true;
+                // Blocks are ascending and disjoint: the overlapping ones
+                // are contiguous.
+                let lo = ci.partition_point(|b| b.last_clustering < from);
+                let hi = ci.partition_point(|b| b.first_clustering <= to).max(lo);
+                receipt.column_index_blocks += (hi - lo) as u64;
+                match (ci[lo..hi].first(), ci[lo..hi].last()) {
+                    (Some(first), Some(last)) => (first.start, last.end),
+                    _ => return Ok(()),
+                }
+            }
+            None => (entry.start, entry.end),
+        };
+        let mut buf = &self.data[start..end];
+        while let Some(cell) = CellRef::decode(&mut buf) {
+            receipt.cells_scanned += 1;
+            receipt.bytes_read += cell.encoded_len() as u64;
+            if cell.clustering > to {
+                break;
+            }
+            if cell.clustering >= from {
+                visit(cell);
+            }
+        }
+        Ok(())
     }
 }
 

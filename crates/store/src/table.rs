@@ -7,10 +7,11 @@
 use crate::cache::Lru;
 use crate::compaction;
 use crate::memtable::Memtable;
+use crate::merge::merge_runs;
 use crate::receipt::ReadReceipt;
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use crate::sstable::{SsTable, SsTableOptions};
-use std::collections::BTreeMap;
+use crate::stream::{stream_partition, CellBuf, ClusteringRange, WHOLE};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -178,40 +179,60 @@ impl Table {
         // not change content), so the cache is kept.
     }
 
+    /// Streams a whole partition's cells, in clustering order and in place,
+    /// into `visit`, and returns the work receipt — the read primitive:
+    /// [`Table::get`] collects from it, an aggregation folds over it
+    /// without ever owning a cell. A row-cache hit visits the cached cells;
+    /// a miss on a table whose row cache is enabled keeps what it streams
+    /// to fill the cache.
+    ///
+    /// ```
+    /// use kvs_store::{Cell, PartitionKey, Table};
+    ///
+    /// let mut table = Table::with_defaults();
+    /// let pk = PartitionKey::from("users:eu");
+    /// table.put_all(&pk, (0..10).map(|c| Cell::synthetic(c, (c % 2) as u8)));
+    ///
+    /// let mut kinds = [0u64; 256];
+    /// let receipt = table.fold_partition(&pk, |cell| kinds[cell.kind as usize] += 1);
+    /// assert_eq!((kinds[0], kinds[1]), (5, 5));
+    /// assert_eq!(receipt.cells_returned, 10);
+    /// ```
+    pub fn fold_partition(
+        &mut self,
+        pk: &PartitionKey,
+        mut visit: impl FnMut(CellRef<'_>),
+    ) -> ReadReceipt {
+        self.metrics.reads += 1;
+        if let Some(cached) = self.row_cache.get(pk) {
+            self.metrics.row_cache_hits += 1;
+            cached.iter().for_each(|cell| visit(cell.as_cell_ref()));
+            return ReadReceipt {
+                row_cache_hit: true,
+                cells_returned: cached.len() as u64,
+                ..ReadReceipt::default()
+            };
+        }
+        if self.opts.row_cache_partitions == 0 {
+            return self.stream(pk, WHOLE, visit);
+        }
+        let mut kept = CellBuf::default();
+        let receipt = self.stream(pk, WHOLE, |cell| {
+            kept.push(cell);
+            visit(cell);
+        });
+        if kept.len() > 0 {
+            self.row_cache.put(pk.clone(), Arc::new(kept.into_cells()));
+        }
+        receipt
+    }
+
     /// Reads a whole partition, merging memtable and SSTables newest-wins.
     /// Returns the cells in clustering order plus the work receipt.
     pub fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
-        self.metrics.reads += 1;
-        let mut receipt = ReadReceipt::default();
-        if let Some(cached) = self.row_cache.get(pk) {
-            receipt.row_cache_hit = true;
-            receipt.cells_returned = cached.len() as u64;
-            self.metrics.row_cache_hits += 1;
-            return (cached.as_ref().clone(), receipt);
-        }
-        let mut merged: BTreeMap<ClusteringKey, Cell> = BTreeMap::new();
-        // Oldest generation first so newer runs overwrite older cells.
-        for sst in &self.sstables {
-            if let Some(cells) = sst.read(pk, &mut receipt) {
-                for cell in cells {
-                    merged.insert(cell.clustering, cell);
-                }
-            }
-        }
-        if let Some(cells) = self.memtable.get(pk) {
-            receipt.memtable_hit = true;
-            for cell in cells {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let out: Vec<Cell> = merged.into_values().collect();
-        // `cells_returned` accumulated per-run counts double-merged cells;
-        // report the merged truth instead.
-        receipt.cells_returned = out.len() as u64;
-        if !out.is_empty() {
-            self.row_cache.put(pk.clone(), Arc::new(out.clone()));
-        }
-        (out, receipt)
+        let mut cells = CellBuf::default();
+        let receipt = self.fold_partition(pk, |cell| cells.push(cell));
+        (cells.into_cells(), receipt)
     }
 
     /// Reads a clustering range of a partition (no row-cache interaction —
@@ -222,23 +243,21 @@ impl Table {
         range: RangeInclusive<ClusteringKey>,
     ) -> (Vec<Cell>, ReadReceipt) {
         self.metrics.reads += 1;
-        let mut receipt = ReadReceipt::default();
-        let mut merged: BTreeMap<ClusteringKey, Cell> = BTreeMap::new();
-        for sst in &self.sstables {
-            for cell in sst.read_range(pk, range.clone(), &mut receipt) {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let mem = self.memtable.get_range(pk, range);
-        if !mem.is_empty() {
-            receipt.memtable_hit = true;
-            for cell in mem {
-                merged.insert(cell.clustering, cell);
-            }
-        }
-        let out: Vec<Cell> = merged.into_values().collect();
-        receipt.cells_returned = out.len() as u64;
-        (out, receipt)
+        let mut cells = CellBuf::default();
+        let receipt = self.stream(pk, range.into_inner(), |cell| cells.push(cell));
+        (cells.into_cells(), receipt)
+    }
+
+    /// The one read path under the row cache ([`stream_partition`]).
+    fn stream(
+        &self,
+        pk: &PartitionKey,
+        range: ClusteringRange,
+        visit: impl FnMut(CellRef<'_>),
+    ) -> ReadReceipt {
+        let Ok(receipt) =
+            stream_partition(&self.sstables, &mut (), &self.memtable, pk, range, visit);
+        receipt
     }
 
     /// Row-cache hit statistics `(hits, misses)`.
@@ -251,26 +270,15 @@ impl Table {
     /// newest-wins — the input a durable bulk-load ingests. Does not
     /// mutate the table.
     pub fn export_partitions(&self) -> Vec<(PartitionKey, Vec<Cell>)> {
-        let mut merged: BTreeMap<PartitionKey, BTreeMap<ClusteringKey, Cell>> = BTreeMap::new();
-        // `sstables` is ascending by generation, so later inserts win.
-        for sst in &self.sstables {
-            for (pk, cells) in sst.partitions() {
-                let slot = merged.entry(pk).or_default();
-                for cell in cells {
-                    slot.insert(cell.clustering, cell);
-                }
-            }
-        }
-        for (pk, cells) in self.memtable.snapshot_sorted() {
-            let slot = merged.entry(pk).or_default();
-            for cell in cells {
-                slot.insert(cell.clustering, cell);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(pk, cells)| (pk, cells.into_values().collect()))
-            .collect()
+        // `sstables` is ascending by generation and the memtable is newer
+        // than all of them.
+        let mut runs: Vec<_> = self
+            .sstables
+            .iter()
+            .map(|sst| sst.partitions().collect())
+            .collect();
+        runs.push(self.memtable.snapshot_sorted());
+        merge_runs(runs)
     }
 
     /// Persists the table: flushes the memtable and serializes every run

@@ -12,7 +12,10 @@ use std::sync::Arc;
 /// A cheaply cloneable, sliceable chunk of immutable bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// The frozen buffer, held as the `Vec` it arrived in so freezing moves
+    /// it instead of copying it; `None` is the empty buffer, which owns no
+    /// allocation.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -74,7 +77,10 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -88,7 +94,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: (end > 0).then(|| Arc::new(v)),
             start: 0,
             end,
         }
