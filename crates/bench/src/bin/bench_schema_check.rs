@@ -1,31 +1,18 @@
 //! bench_schema_check — validates emitted `BENCH_*.json` files.
 //!
-//! CI's bench lane runs the drills and then this checker, so a drill
-//! whose emitter regresses (wrong envelope, missing field, NaN quantile,
-//! unparseable output) fails the build instead of silently poisoning the
-//! perf trajectory.
+//! CI runs the drills and then this checker, so a drill whose emitter
+//! regresses (wrong envelope, missing field, NaN quantile, unparseable
+//! output) fails the build instead of shipping a report nothing can read.
 //!
-//! Usage: `bench_schema_check [--compare <prev_dir>] [file ...]` — with
-//! no file arguments it validates every `BENCH_*.json` under
-//! `target/figures/` and fails if there are none (a bench lane that
-//! produced no reports is itself a regression).
-//!
-//! `--compare <prev_dir>` adds a trend gate: `prev_dir` is walked
-//! recursively for `BENCH_*.json` files (the shape a CI
-//! artifact-download restores), each current report is matched to its
-//! predecessor by file name, and every `p99_ms` series present in both
-//! — matched by its full JSON path — must not have grown by more than
-//! 25%. A report or series with no predecessor is reported as new, not
-//! failed, so the first run of a new drill passes; a missing `prev_dir`
-//! skips the gate entirely (first CI run, no artifact yet).
+//! Usage: `bench_schema_check [file ...]` — with no file arguments it
+//! validates every `BENCH_*.json` under `target/figures/` and fails if
+//! there are none (a drill lane that produced no reports is itself a
+//! regression).
 
 use kvs_bench::figures_dir;
 use kvs_bench::json::{parse, validate, Value};
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// A current-over-previous `p99_ms` ratio above this fails the gate.
-const P99_REGRESSION_RATIO: f64 = 1.25;
 
 fn discovered() -> Vec<PathBuf> {
     let dir = figures_dir();
@@ -48,22 +35,6 @@ fn is_bench_report(path: &Path) -> bool {
         .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
 }
 
-/// Recursively collects `BENCH_*.json` under `root`, keyed by file name
-/// (artifact downloads may nest reports one directory deep per lane).
-fn walk_reports(root: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(root) else {
-        return;
-    };
-    for entry in entries.filter_map(|e| e.ok()) {
-        let path = entry.path();
-        if path.is_dir() {
-            walk_reports(&path, out);
-        } else if is_bench_report(&path) {
-            out.push(path);
-        }
-    }
-}
-
 fn check(path: &PathBuf) -> Result<String, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
     let doc = parse(&text).map_err(|e| format!("parse error: {e}"))?;
@@ -83,118 +54,8 @@ fn check(path: &PathBuf) -> Result<String, String> {
     Ok(bench)
 }
 
-/// Collects every `p99_ms` number in the document as
-/// (dotted-JSON-path, value), so a series is matched positionally across
-/// runs even inside arrays of result cells.
-fn p99_series(value: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
-    match value {
-        Value::Obj(fields) => {
-            for (key, child) in fields {
-                let path = if prefix.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{prefix}.{key}")
-                };
-                if key == "p99_ms" {
-                    if let Some(n) = child.as_num() {
-                        out.push((path, n));
-                    }
-                } else {
-                    p99_series(child, &path, out);
-                }
-            }
-        }
-        Value::Arr(items) => {
-            for (ix, item) in items.iter().enumerate() {
-                p99_series(item, &format!("{prefix}[{ix}]"), out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn parsed_series(path: &Path) -> Result<Vec<(String, f64)>, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("parse error: {e}"))?;
-    let mut series = Vec::new();
-    p99_series(&doc, "", &mut series);
-    Ok(series)
-}
-
-/// Compares current reports against `prev_dir`; returns the number of
-/// regressions (a previous report that no longer parses counts as zero —
-/// the schema gate above already covers the current files).
-fn compare(files: &[PathBuf], prev_dir: &Path) -> usize {
-    if !prev_dir.is_dir() {
-        println!(
-            "compare: no previous artifacts at {} — skipping trend gate",
-            prev_dir.display()
-        );
-        return 0;
-    }
-    let mut previous = Vec::new();
-    walk_reports(prev_dir, &mut previous);
-    let mut regressions = 0;
-    for path in files {
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let Some(prev_path) = previous
-            .iter()
-            .find(|p| p.file_name().and_then(|n| n.to_str()) == Some(name))
-        else {
-            println!("new  {name}: no previous report — trend gate skipped");
-            continue;
-        };
-        let current = match parsed_series(path) {
-            Ok(s) => s,
-            Err(_) => continue, // schema pass already reported it
-        };
-        let prev = match parsed_series(prev_path) {
-            Ok(s) => s,
-            Err(e) => {
-                println!("warn {name}: previous report unusable ({e}) — skipped");
-                continue;
-            }
-        };
-        for (series, cur_ms) in &current {
-            let Some((_, prev_ms)) = prev.iter().find(|(p, _)| p == series) else {
-                println!("new  {name}: series {series} has no predecessor");
-                continue;
-            };
-            if *prev_ms <= 0.0 {
-                continue; // a zero baseline has no meaningful ratio
-            }
-            let ratio = cur_ms / prev_ms;
-            if ratio > P99_REGRESSION_RATIO {
-                eprintln!(
-                    "REGRESSION {name}: {series} {prev_ms:.3} ms -> {cur_ms:.3} ms \
-                     ({ratio:.2}x > {P99_REGRESSION_RATIO:.2}x)"
-                );
-                regressions += 1;
-            } else {
-                println!("ok   {name}: {series} {prev_ms:.3} ms -> {cur_ms:.3} ms ({ratio:.2}x)");
-            }
-        }
-    }
-    regressions
-}
-
 fn main() {
-    let mut compare_dir: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--compare" {
-            match args.next() {
-                Some(dir) => compare_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("bench_schema_check: --compare needs a directory");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            files.push(PathBuf::from(arg));
-        }
-    }
+    let mut files: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
     if files.is_empty() {
         files = discovered();
     }
@@ -218,13 +79,6 @@ fn main() {
     if failures > 0 {
         eprintln!("bench_schema_check: {failures} invalid report(s)");
         std::process::exit(1);
-    }
-    if let Some(prev) = compare_dir {
-        let regressions = compare(&files, &prev);
-        if regressions > 0 {
-            eprintln!("bench_schema_check: {regressions} p99 regression(s) beyond 25%");
-            std::process::exit(1);
-        }
     }
     println!("bench_schema_check: {} report(s) valid", files.len());
 }

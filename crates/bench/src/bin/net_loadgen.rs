@@ -21,7 +21,6 @@
 //!
 //! Output: a table per codec and `target/figures/net_loadgen.csv`.
 
-use kvs_bench::json::{self, int, num, obj, s, Value};
 use kvs_bench::{banner, elements_from_env, fmt_ms, Csv};
 use kvs_cluster::data::uniform_partitions;
 use kvs_cluster::{ClusterData, Codec};
@@ -127,7 +126,6 @@ fn main() {
         ],
     );
 
-    let mut codec_results: Vec<Value> = Vec::new();
     for codec in [Codec::verbose(), Codec::compact()] {
         // Under chaos, replicate so injected faults are survivable and
         // shorten the failure-detection timeout so the run stays brisk.
@@ -258,37 +256,7 @@ fn main() {
             &faults_injected,
             &report.failovers,
         ]);
-        codec_results.push(obj(vec![
-            ("codec", s(&format!("{:?}", codec.kind))),
-            ("achieved_rps", num(achieved_rps)),
-            ("latency", json::latency_summary_ms(&latencies)),
-            (
-                "stages_ms",
-                obj(vec![
-                    ("master_to_slave", num(stage_ms[0])),
-                    ("in_queue", num(stage_ms[1])),
-                    ("in_db", num(stage_ms[2])),
-                    ("slave_to_master", num(stage_ms[3])),
-                ]),
-            ),
-            ("busy_retries", int(report.busy_retries)),
-            ("timeout_retries", int(report.timeout_retries)),
-            ("faults_injected", int(faults_injected)),
-            ("failovers", int(report.failovers)),
-        ]));
     }
-
-    json::write_report(&json::report(
-        "net",
-        obj(vec![
-            ("requests", int(requests as u64)),
-            ("offered_rps", num(rate_rps)),
-            ("nodes", int(nodes as u64)),
-            ("chaos", Value::Bool(chaos.is_some())),
-        ]),
-        obj(vec![("codecs", Value::Arr(codec_results))]),
-    ))
-    .expect("write BENCH_net.json");
 
     // §V-B on this machine, then Figure 11 with the measured constants.
     println!("t_msg calibration (1 slave, 2000 messages):");

@@ -1,8 +1,8 @@
 //! The shared `BENCH_*.json` emitter.
 //!
-//! Every bench binary that produces machine-readable results goes
-//! through this module, so the perf trajectory CI persists is uniform:
-//! one file per drill, one envelope shape, one schema tag. The value
+//! Every drill that produces machine-readable results goes through this
+//! module, so the reports are uniform: one file per drill, one envelope
+//! shape, one schema tag. The value
 //! type (order-preserving objects, pretty printer, parser) is borrowed
 //! from `kvs_lint::json` — the same dependency-free layer that already
 //! round-trips the lint baseline — and this module adds the envelope
@@ -21,8 +21,8 @@
 //! ```
 //!
 //! `schema` pins the envelope version; `bench` names the drill (the file
-//! is `BENCH_<bench>.json`); `config` records every knob a re-anchor
-//! needs to reproduce the run; `results` is drill-specific. The
+//! is `BENCH_<bench>.json`); `config` records every knob needed to
+//! reproduce the run; `results` is drill-specific. The
 //! validator additionally rejects non-finite numbers anywhere in the
 //! document — a NaN percentile means a bug, not a result.
 
@@ -59,8 +59,7 @@ pub fn report(bench: &str, config: Value, results: Value) -> Value {
 }
 
 /// The standard latency-summary object: count, mean and the quantiles
-/// the trajectory tracks (p50/p95/p99 per the bench contract, plus p90
-/// and the extremes). `samples` need not be sorted.
+/// the drills report (p50/p95/p99, plus p90 and the extremes). `samples` need not be sorted.
 ///
 /// # Panics
 /// If `samples` is empty.

@@ -14,7 +14,7 @@
 //! registered one-byte class id and varint fields like Kryo. The CPU cost
 //! of encoding on the paper's hardware is *modelled* (we are not running a
 //! 2010 JVM), with the paper's measured per-message constants — and, so
-//! that *live* runs (`cluster::live`, `kvs-net`) also observe the gap, the
+//! that runs over real sockets (`kvs-net`) also observe the gap, the
 //! verbose paths additionally perform the real per-message work the paper
 //! attributes to that stack: field-by-field debug-log formatting and a
 //! redundant integrity pass over every message (`verbose_stack_overhead`
@@ -467,7 +467,7 @@ const CLASS_WRITE_ACK: u8 = 0x04;
 const VERBOSE_STACK_PASSES: usize = 4;
 
 /// The real per-message CPU work of the paper's verbose stack, performed
-/// so that live and socket-path runs *measure* a higher `t_msg` for
+/// so that socket-path runs *measure* a higher `t_msg` for
 /// [`CodecKind::Verbose`] instead of merely modelling one: each pass
 /// formats a field-by-field debug-log record (log4j-style) and folds every
 /// byte into an FNV integrity checksum. The output is kept out of the wire

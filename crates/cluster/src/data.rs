@@ -105,7 +105,10 @@ impl ClusterData {
         request_id: u64,
         pk: &PartitionKey,
     ) -> (QueryResponse, ReadReceipt) {
-        aggregate(&mut self.tables[node as usize], request_id, pk)
+        let mut tally = [0; 256];
+        let receipt =
+            self.tables[node as usize].fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
+        (QueryResponse::from_tally(request_id, &tally), receipt)
     }
 
     /// Mutable access to a node's table.
@@ -135,21 +138,10 @@ impl ClusterData {
     }
 
     /// Consumes the cluster, handing each node's table to the caller (the
-    /// live executor moves them into worker threads).
+    /// `kvs-net` slave servers move them behind their worker pools).
     pub fn into_tables(self) -> Vec<Table> {
         self.tables
     }
-}
-
-/// [`ClusterData::aggregate`] on a table held by itself.
-pub(crate) fn aggregate(
-    table: &mut Table,
-    request_id: u64,
-    pk: &PartitionKey,
-) -> (QueryResponse, ReadReceipt) {
-    let mut tally = [0; 256];
-    let receipt = table.fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
-    (QueryResponse::from_tally(request_id, &tally), receipt)
 }
 
 /// Convenience: evenly sized synthetic partitions — `partitions` partitions

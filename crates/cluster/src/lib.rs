@@ -3,18 +3,13 @@
 //! # kvs-cluster
 //!
 //! The distributed prototype of the paper (§V): a master/slave aggregation
-//! engine over a DHT-partitioned wide-column store, runnable in two modes:
-//!
-//! * [`sim`] — a deterministic discrete-event replay of the paper's 16-node
-//!   cluster. Per-message master CPU, network transit, slave queueing and
-//!   database service (with cross-request interference) are first-class
-//!   simulated quantities calibrated to the constants the paper reports.
-//! * [`live`] — a real multi-threaded executor (one OS thread per slave,
-//!   crossbeam channels as the network) for demonstrating the methodology
-//!   on actual hardware.
-//!
-//! Both record the four methodology stages through `kvs-stages` and return
-//! a [`RunResult`].
+//! engine over a DHT-partitioned wide-column store. [`sim`] is a
+//! deterministic discrete-event replay of the paper's 16-node cluster:
+//! per-message master CPU, network transit, slave queueing and database
+//! service (with cross-request interference) are first-class simulated
+//! quantities calibrated to the constants the paper reports. The same query
+//! on real hardware is `kvs-net`, over loopback TCP sockets. Both record the
+//! four methodology stages through `kvs-stages` and return a [`RunResult`].
 //!
 //! Sub-modules:
 //! * [`messages`] — the wire protocol (query / response).
@@ -28,17 +23,16 @@
 //! * [`data`] — DHT data placement: partitions → ring → per-node tables.
 //! * [`policy`] — replica-selection policies (primary-only, random,
 //!   round-robin, least-loaded).
-//! * [`queue`] — bounded work queues with observable backpressure, shared
-//!   by the live executor and the `kvs-net` TCP slaves.
+//! * [`queue`] — bounded work queues with observable backpressure, the
+//!   worker-pool front of the `kvs-net` TCP slaves.
 //! * [`replication`] — deterministic mirror of the replicated write path:
 //!   ONE/QUORUM/ALL consistency, LWW versions, read-repair, bounded
 //!   hinted handoff, and PCAP-style staleness accounting.
-//! * [`sim`], [`result`], [`live`].
+//! * [`sim`], [`result`].
 
 pub mod codec;
 pub mod config;
 pub mod data;
-pub mod live;
 pub mod messages;
 pub mod policy;
 pub mod queue;

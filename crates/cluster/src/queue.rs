@@ -5,9 +5,8 @@
 //! pile up silently and the only symptom is a growing in-queue time. A
 //! bounded queue makes the pressure explicit — producers either block
 //! (and the block is counted) or are refused outright (a `Busy` reply on
-//! the wire). Both the in-process [`crate::live`] executor and the TCP
-//! `kvs-net` slave servers run their worker pools behind this type, so
-//! the two executors report saturation identically.
+//! the wire). The TCP `kvs-net` slave servers run their worker pools
+//! behind this type.
 //!
 //! Entries may carry an absolute deadline ([`WorkQueue::try_push_timed`]).
 //! A full queue evicts entries whose deadline has already passed before

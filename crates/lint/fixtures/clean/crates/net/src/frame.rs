@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic        0x4B56 ("KV")
-//!      2     1  version      2 (version 1 still decodes)
+//!      2     1  version      2 (any other value is refused)
 //!      3     1  kind         1 = request, 2 = response, 3 = busy,
 //!                            4 = expired, 5 = write, 6 = write-ack,
 //!                            7 = rmw
@@ -18,9 +18,7 @@
 
 pub const MAGIC: u16 = 0x4B56;
 pub const VERSION: u8 = 2;
-pub const VERSION_V1: u8 = 1;
 pub const HEADER_LEN: usize = 61;
-pub const HEADER_LEN_V1: usize = 53;
 
 pub enum FrameKind {
     Request,

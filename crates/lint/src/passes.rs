@@ -1883,7 +1883,7 @@ fn receipt_accounting(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>)
         if !in_scope {
             continue;
         }
-        for ob in dataflow::uncharged_paths(g, &f.rel, &is_read, &is_charge) {
+        for ob in dataflow::uncharged_paths(g, &f.rel, is_read, is_charge) {
             out.push(Diagnostic {
                 rule: "KVS-L019",
                 path: f.rel.clone(),

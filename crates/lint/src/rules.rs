@@ -301,9 +301,7 @@ fn determinism_guard(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 struct FrameLayout {
     magic: u64,
     version: u64,
-    version_v1: u64,
     header_len: u64,
-    header_len_v1: u64,
     kinds: Vec<(String, u64)>,
 }
 
@@ -365,9 +363,7 @@ fn parse_frame_layout(f: &SourceFile, out: &mut Vec<Diagnostic>) -> Option<Frame
     };
     let magic = get("MAGIC")?;
     let version = get("VERSION")?;
-    let version_v1 = get("VERSION_V1")?;
     let header_len = get("HEADER_LEN")?;
-    let header_len_v1 = get("HEADER_LEN_V1")?;
     let mut kinds = Vec::new();
     for (n, l) in f.numbered() {
         // `FrameKind::Request => 1,` — the to_byte arms. (from_byte's arms
@@ -394,23 +390,10 @@ fn parse_frame_layout(f: &SourceFile, out: &mut Vec<Diagnostic>) -> Option<Frame
         });
         return None;
     }
-    if header_len_v1 + 8 != header_len {
-        out.push(Diagnostic {
-            rule: "KVS-L002",
-            path: f.rel.clone(),
-            line: 1,
-            message: format!(
-                "HEADER_LEN ({header_len}) must be HEADER_LEN_V1 ({header_len_v1}) + 8 \
-                 (the deadline field) — one of them drifted"
-            ),
-        });
-    }
     Some(FrameLayout {
         magic,
         version,
-        version_v1,
         header_len,
-        header_len_v1,
         kinds,
     })
 }
@@ -564,17 +547,10 @@ fn check_netmd_table(rel: &str, lines: &[String], layout: &FrameLayout, out: &mu
                     ));
                 }
             }
-            "version"
-                if !notes.contains(&layout.version.to_string())
-                    || !notes.contains(&layout.version_v1.to_string()) =>
-            {
+            "version" if !notes.contains(&layout.version.to_string()) => {
                 out.push(diag(
                     n,
-                    format!(
-                        "frame table: version notes must mention both v{} (current) and \
-                         v{} (legacy)",
-                        layout.version, layout.version_v1
-                    ),
+                    format!("frame table: version notes must state {}", layout.version),
                 ));
             }
             "kind" => {
@@ -619,15 +595,6 @@ fn check_netmd_table(rel: &str, lines: &[String], layout: &FrameLayout, out: &mu
             format!(
                 "prose must state the current header size ({} bytes)",
                 layout.header_len
-            ),
-        ));
-    }
-    if !body.contains(&format!("{}-byte header", layout.header_len_v1)) {
-        out.push(diag(
-            1,
-            format!(
-                "prose must state the v{} header size ({}-byte header)",
-                layout.version_v1, layout.header_len_v1
             ),
         ));
     }

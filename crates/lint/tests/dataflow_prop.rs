@@ -220,7 +220,7 @@ fn serial_and_parallel_scans_produce_identical_taint_summaries() {
     // Sanity: the analysis actually saw the live wire files, so the
     // equality above is not vacuous.
     assert!(
-        files.iter().any(|f| *f == "crates/net/src/frame.rs"),
+        files.contains(&"crates/net/src/frame.rs"),
         "live frame.rs missing from the scan"
     );
 }

@@ -109,15 +109,15 @@ pub fn fit_linear(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// Residual sum of squares of a linear fit over the given points.
-fn sse(fit: &LinearFit, xs: &[f64], ys: &[f64]) -> f64 {
-    xs.iter()
-        .zip(ys)
-        .map(|(&x, &y)| {
-            let e = y - fit.predict(x);
-            e * e
-        })
-        .sum()
+/// Residual sums of squares of a linear fit over the given points:
+/// `(absolute, relative)`, the second with every residual divided by the
+/// observed `|y|` it misses.
+fn sse(fit: &LinearFit, xs: &[f64], ys: &[f64]) -> (f64, f64) {
+    xs.iter().zip(ys).fold((0.0, 0.0), |(abs, rel), (&x, &y)| {
+        let e = y - fit.predict(x);
+        let r = e / y.abs().max(f64::MIN_POSITIVE);
+        (abs + e * e, rel + r * r)
+    })
 }
 
 /// A two-segment piecewise-linear fit with a free breakpoint — the shape of
@@ -151,9 +151,14 @@ impl PiecewiseFit {
 }
 
 /// Fits a two-segment piecewise line, scanning every candidate breakpoint
-/// between distinct x values and keeping the split with minimum total SSE.
-/// Requires at least 3 points on each side of a valid split; returns `None`
-/// if no split qualifies.
+/// between distinct x values. Each side is an ordinary least-squares line;
+/// the split kept is the one with the smallest total *relative* squared
+/// error (residual over observed `y`). Measured response times carry noise
+/// proportional to their size, so under absolute error a handful of large
+/// noisy rows split off as their own segment can outweigh a real knee among
+/// the small ones; relative error weighs every row's miss against its own
+/// magnitude. Requires at least 3 points on each side of a valid split;
+/// returns `None` if no split qualifies.
 pub fn fit_piecewise(xs: &[f64], ys: &[f64]) -> Option<PiecewiseFit> {
     assert_eq!(xs.len(), ys.len(), "mismatched sample lengths");
     if xs.len() < 6 {
@@ -166,6 +171,7 @@ pub fn fit_piecewise(xs: &[f64], ys: &[f64]) -> Option<PiecewiseFit> {
     let sy: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
 
     let mut best: Option<PiecewiseFit> = None;
+    let mut best_rel = f64::INFINITY;
     for split in 3..=(sx.len() - 3) {
         // Skip splits inside runs of identical x.
         if sx[split - 1] == sx[split] {
@@ -176,13 +182,15 @@ pub fn fit_piecewise(xs: &[f64], ys: &[f64]) -> Option<PiecewiseFit> {
         let (Some(below), Some(above)) = (fit_linear(lx, ly), fit_linear(rx, ry)) else {
             continue;
         };
-        let total = sse(&below, lx, ly) + sse(&above, rx, ry);
-        if best.as_ref().map(|b| total < b.sse).unwrap_or(true) {
+        let (l_abs, l_rel) = sse(&below, lx, ly);
+        let (r_abs, r_rel) = sse(&above, rx, ry);
+        if best.is_none() || l_rel + r_rel < best_rel {
+            best_rel = l_rel + r_rel;
             best = Some(PiecewiseFit {
                 breakpoint: 0.5 * (sx[split - 1] + sx[split]),
                 below,
                 above,
-                sse: total,
+                sse: l_abs + r_abs,
             });
         }
     }

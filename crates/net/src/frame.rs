@@ -1,12 +1,11 @@
 //! The wire frame: length-prefixed, checksummed, timestamped.
 //!
-//! Every message on a `kvs-net` connection travels inside one frame
-//! (version 2, the current codec):
+//! Every message on a `kvs-net` connection travels inside one frame:
 //!
 //! ```text
 //! offset  size  field
 //!      0     2  magic        0x4B56 ("KV")
-//!      2     1  version      2 (version 1 frames still decode, see below)
+//!      2     1  version      2 (any other value is refused)
 //!      3     1  kind         1 = request, 2 = response, 3 = busy,
 //!                            4 = expired, 5 = write, 6 = write-ack,
 //!                            7 = rmw
@@ -22,11 +21,6 @@
 //!     61   len  payload      codec-encoded body (empty for busy and
 //!                            expired frames)
 //! ```
-//!
-//! Version 1 frames are identical except the `deadline` field is absent
-//! (checksum at offset 49, payload at 53); the decoder accepts them and
-//! reports `deadline = 0`, so a v2 master interoperates with v1 peers.
-//! The encoder always emits version 2.
 //!
 //! Integers are big-endian. The CRC covers the header (minus the checksum
 //! field itself) and the payload, so any single-bit corruption anywhere
@@ -63,17 +57,16 @@ use std::io::{self, Read, Write};
 
 /// Frame magic, "KV".
 pub const MAGIC: u16 = 0x4B56;
-/// Wire protocol version emitted by the encoder.
+/// The one wire protocol version: the encoder emits it and the decoder
+/// refuses anything else.
 pub const VERSION: u8 = 2;
-/// The previous protocol version, still accepted by the decoder.
-pub const VERSION_V1: u8 = 1;
-/// Fixed header size in bytes for the current version, checksum included.
+/// Fixed header size in bytes, checksum included.
 pub const HEADER_LEN: usize = 61;
-/// Fixed header size of version 1 frames (no deadline field).
-pub const HEADER_LEN_V1: usize = 53;
-/// Bytes of header both versions share: everything through the `len`
-/// field, after which the version byte decides the full header size.
-const COMMON_PREFIX: usize = 17;
+/// Offset of the checksum field: the last four header bytes.
+const CRC_OFFSET: usize = HEADER_LEN - 4;
+/// Header bytes through the `len` field: enough to refuse an oversized
+/// declared length before the rest of the header has arrived.
+const LEN_FIELD_END: usize = 17;
 /// Upper bound on payload size — malformed length prefixes fail fast
 /// instead of provoking giant allocations.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
@@ -174,24 +167,14 @@ pub struct Frame {
     /// Wall-clock nanosecond stamps (see the module docs for semantics).
     pub stamps: [u64; 4],
     /// Absolute wall-clock deadline in nanoseconds since the UNIX epoch;
-    /// `0` means the request has no deadline. Decoded v1 frames always
-    /// report `0`.
+    /// `0` means the request has no deadline.
     pub deadline: u64,
     /// The codec-encoded body.
     pub payload: Bytes,
 }
 
-fn header_len_for(version: u8) -> Result<usize, FrameError> {
-    match version {
-        VERSION_V1 => Ok(HEADER_LEN_V1),
-        VERSION => Ok(HEADER_LEN),
-        v => Err(FrameError::BadVersion(v)),
-    }
-}
-
 impl Frame {
-    /// Serializes the frame (always version 2), header + checksum +
-    /// payload.
+    /// Serializes the frame: header + checksum + payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
         self.encode_into(&mut out);
@@ -220,7 +203,7 @@ impl Frame {
         out.extend_from_slice(&self.payload);
     }
 
-    /// Tries to decode one frame (version 1 or 2) from the front of `buf`.
+    /// Tries to decode one frame from the front of `buf`.
     ///
     /// Returns `Ok(Some((frame, consumed)))` on success,
     /// `Ok(None)` when `buf` is a (possibly empty) prefix of a frame and
@@ -231,52 +214,35 @@ impl Frame {
         if buf.len() >= 2 && buf[..2] != MAGIC.to_be_bytes() {
             return Err(FrameError::BadMagic);
         }
-        if buf.len() >= 3 {
-            header_len_for(buf[2])?;
+        if buf.len() >= 3 && buf[2] != VERSION {
+            return Err(FrameError::BadVersion(buf[2]));
         }
         if buf.len() >= 4 && FrameKind::from_byte(buf[3]).is_none() {
             return Err(FrameError::BadKind(buf[3]));
         }
-        if buf.len() < COMMON_PREFIX {
+        if buf.len() < LEN_FIELD_END {
             return Ok(None);
         }
         let len = u32::from_be_bytes(buf[13..17].try_into().expect("4 bytes"));
         if len > MAX_PAYLOAD {
             return Err(FrameError::TooLarge(len));
         }
-        let header_len = header_len_for(buf[2]).expect("version validated above");
-        if buf.len() < header_len {
+        let total = HEADER_LEN + len as usize;
+        if buf.len() < total {
             return Ok(None);
         }
         let kind = FrameKind::from_byte(buf[3]).expect("kind validated above");
         let flags = buf[4];
         let id = u64::from_be_bytes(buf[5..13].try_into().expect("8 bytes"));
-        let total = header_len + len as usize;
-        if buf.len() < total {
-            return Ok(None);
-        }
         let mut stamps = [0u64; 4];
         for (i, s) in stamps.iter_mut().enumerate() {
             *s = u64::from_be_bytes(buf[17 + i * 8..25 + i * 8].try_into().expect("8 bytes"));
         }
-        // Kept as two separate lets: `crc_off` is an offset derived only
-        // from header constants, never from wire bytes, and defining it
-        // in the same destructure as the wire-decoded deadline would
-        // conflate the two (KVS-L017 tracks taint per definition).
-        let crc_off = if buf[2] == VERSION_V1 {
-            HEADER_LEN_V1 - 4
-        } else {
-            HEADER_LEN - 4
-        };
-        let deadline = if buf[2] == VERSION_V1 {
-            0
-        } else {
-            u64::from_be_bytes(buf[49..57].try_into().expect("8 bytes"))
-        };
-        let declared = u32::from_be_bytes(buf[crc_off..crc_off + 4].try_into().expect("4 bytes"));
+        let deadline = u64::from_be_bytes(buf[49..57].try_into().expect("8 bytes"));
+        let declared = u32::from_be_bytes(buf[CRC_OFFSET..HEADER_LEN].try_into().expect("4 bytes"));
         let mut crc = Crc32::new();
-        crc.update(&buf[..crc_off]);
-        crc.update(&buf[header_len..total]);
+        crc.update(&buf[..CRC_OFFSET]);
+        crc.update(&buf[HEADER_LEN..total]);
         if crc.finish() != declared {
             return Err(FrameError::BadChecksum);
         }
@@ -287,7 +253,7 @@ impl Frame {
                 id,
                 stamps,
                 deadline,
-                payload: Bytes::copy_from_slice(&buf[header_len..total]),
+                payload: Bytes::copy_from_slice(&buf[HEADER_LEN..total]),
             },
             total,
         )))
@@ -301,17 +267,14 @@ impl Frame {
     /// Reads exactly one frame from a stream, blocking as needed.
     /// Malformed bytes surface as `InvalidData`.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        // Read the version-independent prefix first; the version byte
-        // decides how much more header follows.
-        let mut prefix = [0u8; COMMON_PREFIX];
-        r.read_exact(&mut prefix)?;
-        if let Err(e) = Frame::decode(&prefix) {
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        if let Err(e) = Frame::decode(&header) {
             return Err(io::Error::new(io::ErrorKind::InvalidData, e));
         }
-        let header_len = header_len_for(prefix[2]).expect("version validated above");
-        let declared_len = u32::from_be_bytes(prefix[13..17].try_into().expect("4 bytes"));
+        let declared_len = u32::from_be_bytes(header[13..17].try_into().expect("4 bytes"));
         // Validate the wire-declared length BEFORE sizing any buffer
-        // from it: `decode` on the prefix above checks it too, but this
+        // from it: `decode` on the header above checks it too, but this
         // path must bound the allocation on its own — a hostile peer
         // sends the length, and an unchecked `with_capacity` from it is
         // a remote OOM.
@@ -322,10 +285,10 @@ impl Frame {
             ));
         }
         let len = declared_len as usize;
-        let mut buf = Vec::with_capacity(header_len + len);
-        buf.extend_from_slice(&prefix);
-        buf.resize(header_len + len, 0);
-        r.read_exact(&mut buf[COMMON_PREFIX..])?;
+        let mut buf = Vec::with_capacity(HEADER_LEN + len);
+        buf.extend_from_slice(&header);
+        buf.resize(HEADER_LEN + len, 0);
+        r.read_exact(&mut buf[HEADER_LEN..])?;
         match Frame::decode(&buf) {
             Ok(Some((frame, consumed))) => {
                 debug_assert_eq!(consumed, buf.len());
@@ -451,11 +414,12 @@ mod tests {
         }
     }
 
-    /// Hand-assembles a version 1 frame (53-byte header, no deadline).
+    /// Hand-assembles a well-formed frame of the retired version 1
+    /// (53-byte header, no deadline field).
     fn encode_v1(kind: u8, flags: u8, id: u64, stamps: [u64; 4], payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION_V1);
+        out.push(1);
         out.push(kind);
         out.push(flags);
         out.extend_from_slice(&id.to_be_bytes());
@@ -489,25 +453,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_decode() {
+    fn v1_frames_are_refused_at_every_prefix() {
         let wire = encode_v1(2, FLAG_COMPACT, 0xABCD, [10, 20, 30, 40], b"legacy");
-        let (decoded, consumed) = Frame::decode(&wire).unwrap().unwrap();
-        assert_eq!(consumed, wire.len());
-        assert_eq!(decoded.kind, FrameKind::Response);
-        assert_eq!(decoded.flags, FLAG_COMPACT);
-        assert_eq!(decoded.id, 0xABCD);
-        assert_eq!(decoded.stamps, [10, 20, 30, 40]);
-        assert_eq!(decoded.deadline, 0, "v1 frames carry no deadline");
-        assert_eq!(&decoded.payload[..], b"legacy");
-        // And through the streaming path, mixed with a v2 frame behind it.
+        for cut in 0..=wire.len() {
+            let want = if cut < 3 {
+                Ok(None)
+            } else {
+                Err(FrameError::BadVersion(1))
+            };
+            assert_eq!(
+                Frame::decode(&wire[..cut]),
+                want,
+                "v1 prefix of {cut} bytes"
+            );
+        }
+        // The streaming paths refuse it too, whatever follows it.
         let mut stream = wire.clone();
         stream.extend_from_slice(&sample().encode());
-        let mut cursor = &stream[..];
-        let first = Frame::read_from(&mut cursor).unwrap();
-        assert_eq!(first.id, 0xABCD);
-        let second = Frame::read_from(&mut cursor).unwrap();
-        assert_eq!(second, sample());
-        assert!(cursor.is_empty());
+        let err = Frame::read_from(&mut &stream[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut deframer = Deframer::new();
+        deframer.fill(&mut &stream[..]).unwrap();
+        assert_eq!(deframer.next_frame(), Err(FrameError::BadVersion(1)));
     }
 
     #[test]
@@ -533,18 +500,6 @@ mod tests {
         wire[13..17].copy_from_slice(&MAX_PAYLOAD.to_be_bytes());
         let err = Frame::read_from(&mut &wire[..]).unwrap_err();
         assert!(!err.to_string().contains("exceeds the cap"), "got: {err}");
-    }
-
-    #[test]
-    fn v1_prefixes_want_more_bytes() {
-        let wire = encode_v1(1, 0, 9, [1, 2, 3, 4], b"p");
-        for cut in 0..wire.len() {
-            assert_eq!(
-                Frame::decode(&wire[..cut]),
-                Ok(None),
-                "v1 prefix of {cut} bytes"
-            );
-        }
     }
 
     #[test]
@@ -652,7 +607,7 @@ mod tests {
         );
         // Fails fast even before the full header has arrived.
         assert_eq!(
-            Frame::decode(&bytes[..COMMON_PREFIX]),
+            Frame::decode(&bytes[..LEN_FIELD_END]),
             Err(FrameError::TooLarge(MAX_PAYLOAD + 1))
         );
     }

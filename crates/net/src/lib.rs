@@ -3,8 +3,7 @@
 //! # kvs-net
 //!
 //! The paper's master/slave aggregation query over real TCP sockets. Where
-//! `kvs-cluster`'s [`sim`](kvs_cluster::sim) replays the hardware and its
-//! [`live`](kvs_cluster::live) executor runs on in-process channels, this
+//! `kvs-cluster`'s [`sim`](kvs_cluster::sim) replays the hardware, this
 //! crate puts the same query on the wire:
 //!
 //! * [`frame`] — the length-prefixed, CRC-checksummed frame format that
@@ -17,7 +16,7 @@
 //! * [`master`] — [`NetMaster`]: a connection pool over all slaves with
 //!   per-request deadlines, bounded retries, hedged replica reads and
 //!   phi-accrual failure detection, producing the same
-//!   [`kvs_cluster::RunResult`] as the other two executors;
+//!   [`kvs_cluster::RunResult`] as the simulator;
 //! * [`phi`] — [`PhiAccrual`]: the continuous suspicion level the master
 //!   orders replicas by (Hayashibara et al., SRDS 2004);
 //! * [`latency`] — [`LatencyTracker`]: online per-node latency histogram

@@ -1,11 +1,10 @@
 //! The ISSUE's acceptance test: a real 4-slave loopback cluster serving a
 //! D8tree-style aggregation query through [`NetMaster`], checked against
-//! the in-process live executor, the four methodology stages, the codec
-//! cost ordering, and the calibrated Figure 11 sweep.
+//! the simulator's answer, the four methodology stages, the codec cost
+//! ordering, and the calibrated Figure 11 sweep.
 
 use kvs_cluster::data::uniform_partitions;
-use kvs_cluster::live::{run_query_live, LiveConfig};
-use kvs_cluster::{ClusterData, Codec};
+use kvs_cluster::{run_query, ClusterConfig, ClusterData, Codec};
 use kvs_model::{limits, DbModel, SystemModel};
 use kvs_net::{calibrate_t_msg, spawn_local_cluster, NetConfig, NetMaster, NetServerConfig};
 use kvs_simcore::SimDuration;
@@ -26,20 +25,21 @@ fn paper_data() -> ClusterData {
 }
 
 #[test]
-fn net_query_matches_live_executor_and_traces_all_stages() {
-    // The same placement twice: once over TCP, once over in-process
-    // channels — the aggregation answer must be identical.
+fn net_query_matches_simulator_and_traces_all_stages() {
+    // The same placement twice: once over TCP, once through the
+    // simulator — the aggregation answer must be identical.
     let (cluster, routes) =
         spawn_local_cluster(paper_data(), NetServerConfig::default()).expect("cluster boots");
     let mut master =
         NetMaster::connect(&cluster.addrs(), NetConfig::default()).expect("master connects");
     let net = master.run_query(&routes).expect("net query succeeds");
 
-    let live_keys: Vec<_> = routes.iter().map(|r| r.key.clone()).collect();
-    let live = run_query_live(paper_data(), &live_keys, LiveConfig::default());
+    let keys: Vec<_> = routes.iter().map(|r| r.key.clone()).collect();
+    let sim_cfg = ClusterConfig::paper_optimized_master(NODES).deterministic();
+    let sim = run_query(&sim_cfg, &mut paper_data(), &keys);
 
-    assert_eq!(net.result.counts_by_kind, live.counts_by_kind);
-    assert_eq!(net.result.total_cells, live.total_cells);
+    assert_eq!(net.result.counts_by_kind, sim.counts_by_kind);
+    assert_eq!(net.result.total_cells, sim.total_cells);
     assert_eq!(net.result.total_cells, PARTITIONS * CELLS);
     assert_eq!(net.result.messages, PARTITIONS);
     assert_eq!(net.result.traces.len(), PARTITIONS as usize);

@@ -2,15 +2,20 @@
 //!
 //! Runs the `update_heavy` mix's request schedule through both engines
 //! under the *same* dominant latency source — node 0's responses held
-//! 40 ms with p = 0.15 — and asserts the measured p99 lands within 25%
-//! of `cluster::sim`'s prediction (the same acceptance shape as the
-//! chaos straggler scenario). The straggler is what makes the comparison
-//! apples-to-apples: the simulator charges 2010-era Cassandra service
-//! times while the sockets pay this machine's loopback, so absolute
-//! medians differ by design, but a 40 ms injected delay dwarfs both
-//! baselines and the tail it builds is governed by the shared
-//! parameters (delay, probability, arrival schedule) — exactly what the
-//! cross-validation is entitled to pin down.
+//! 40 ms with p = 0.15. The tier-1 test asserts what the seeds fix: the
+//! socket run answers every request and the straggler sets both p99s. How
+//! close the measured p99 lands to `cluster::sim`'s prediction (within
+//! 25%, the same acceptance shape as the chaos straggler scenario) is a
+//! wall-clock reading that a loaded host moves, so that band lives in an
+//! `#[ignore]`d companion the `chaos` CI lane runs with `--ignored`: it
+//! reports, it does not gate tier-1.
+//!
+//! The straggler is what makes the comparison apples-to-apples: the
+//! simulator charges 2010-era Cassandra service times while the sockets
+//! pay this machine's loopback, so absolute medians differ by design, but
+//! a 40 ms injected delay dwarfs both baselines and the tail it builds is
+//! governed by the shared parameters (delay, probability, arrival
+//! schedule) — exactly what the cross-validation is entitled to pin down.
 //!
 //! Fixed seeds everywhere: same ops, same faulted frames, every run.
 
@@ -47,8 +52,9 @@ fn p99_ms(traces: &[RequestTrace]) -> f64 {
     totals[rank - 1]
 }
 
-#[test]
-fn update_heavy_p99_tracks_sim_prediction() {
+/// Both worlds under the same straggler: `(measured, simulated)` p99 in
+/// milliseconds. The socket run must have answered every request.
+fn p99_both_worlds() -> (f64, f64) {
     let spec = standard_mixes()
         .into_iter()
         .find(|m| m.name == "update_heavy")
@@ -131,14 +137,23 @@ fn update_heavy_p99_tracks_sim_prediction() {
         "measured run lost data"
     );
 
-    // --- Acceptance: measured p99 within 25% of the sim's. ---
-    let measured = p99_ms(&report.result.traces);
-    let simulated = p99_ms(&sim.traces);
+    (p99_ms(&report.result.traces), p99_ms(&sim.traces))
+}
+
+#[test]
+fn update_heavy_p99_tracks_sim_prediction() {
+    let (measured, simulated) = p99_both_worlds();
     assert!(
         measured >= STRAGGLE_MS as f64 && simulated >= STRAGGLE_MS as f64,
         "straggler did not dominate the tail: measured {measured:.1} ms, \
          simulated {simulated:.1} ms"
     );
+}
+
+#[test]
+#[ignore = "a 25% band on a wall clock: run by the chaos CI lane with --ignored"]
+fn update_heavy_p99_within_a_quarter_of_sim_prediction() {
+    let (measured, simulated) = p99_both_worlds();
     let relative_error = (measured - simulated).abs() / simulated;
     assert!(
         relative_error <= 0.25,

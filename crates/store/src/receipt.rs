@@ -3,8 +3,8 @@
 //! The paper's methodology hinges on knowing *where time goes*. Inside the
 //! database that means counting the mechanical steps of the read path; the
 //! [`crate::CostModel`] then converts a receipt into simulated service time,
-//! and the live executor uses receipts to validate that the store did what
-//! the experiment intended (e.g. that a Figure 6 run really did cross the
+//! and experiments use receipts to validate that the store did what they
+//! intended (e.g. that a Figure 6 run really did cross the
 //! column-index threshold).
 
 /// Work accounting for one logical read (possibly merging several runs).

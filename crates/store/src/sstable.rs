@@ -15,7 +15,6 @@
 //! exactly this threshold; with the workspace's 46-byte cells the column
 //! index appears at 1425 cells here too.
 
-use crate::block::fnv64;
 use crate::bloom::BloomFilter;
 use crate::receipt::ReadReceipt;
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
@@ -200,105 +199,6 @@ impl SsTable {
     ) -> Vec<Cell> {
         let Ok(cells) = self.collect(pk, range.into_inner(), &mut (), receipt);
         cells.unwrap_or_default()
-    }
-
-    /// Serializes the whole run (data + indexes are rebuilt on load) into a
-    /// self-describing byte image with a checksum — the on-disk format.
-    ///
-    /// Layout: magic (4) ⋅ version (1) ⋅ generation (8) ⋅ column-index
-    /// size (8) ⋅ partition count (4) ⋅ per partition: key len (2) + key +
-    /// cell count (4) ⋅ data length (8) ⋅ data ⋅ FNV checksum (8).
-    pub fn serialize(&self) -> Bytes {
-        use bytes::BufMut;
-        let mut buf = bytes::BytesMut::new();
-        buf.put_slice(b"KVS1");
-        buf.put_u8(1);
-        buf.put_u64(self.generation);
-        buf.put_u64(self.opts.column_index_size as u64);
-        buf.put_u32(self.partitions.len() as u32);
-        for entry in &self.partitions {
-            buf.put_u16(entry.key.len() as u16);
-            buf.put_slice(entry.key.as_bytes());
-            buf.put_u32(entry.cell_count as u32);
-        }
-        buf.put_u64(self.data.len() as u64);
-        buf.put_slice(&self.data);
-        let checksum = fnv64(&buf);
-        buf.put_u64(checksum);
-        buf.freeze()
-    }
-
-    /// Reconstructs a run from [`SsTable::serialize`] output. Returns
-    /// `None` on any structural damage or checksum mismatch (a corrupted
-    /// run must never be half-loaded).
-    pub fn deserialize(bytes: &[u8]) -> Option<SsTable> {
-        use bytes::Buf;
-        if bytes.len() < 12 + 8 {
-            return None;
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_be_bytes(tail.try_into().ok()?);
-        if fnv64(body) != stored {
-            return None;
-        }
-        let mut buf = body;
-        let mut magic = [0u8; 4];
-        if buf.remaining() < 4 {
-            return None;
-        }
-        buf.copy_to_slice(&mut magic);
-        if &magic != b"KVS1" || buf.remaining() < 1 || buf.get_u8() != 1 {
-            return None;
-        }
-        if buf.remaining() < 8 + 8 + 4 {
-            return None;
-        }
-        let generation = buf.get_u64();
-        let column_index_size = buf.get_u64() as usize;
-        let n_partitions = buf.get_u32() as usize;
-        let mut headers = Vec::with_capacity(n_partitions);
-        for _ in 0..n_partitions {
-            if buf.remaining() < 2 {
-                return None;
-            }
-            let key_len = buf.get_u16() as usize;
-            if buf.remaining() < key_len + 4 {
-                return None;
-            }
-            let key = PartitionKey::new(buf.copy_to_bytes(key_len).to_vec());
-            let cells = buf.get_u32() as usize;
-            headers.push((key, cells));
-        }
-        if buf.remaining() < 8 {
-            return None;
-        }
-        let data_len = buf.get_u64() as usize;
-        if buf.remaining() != data_len {
-            return None;
-        }
-        let mut data = Bytes::copy_from_slice(buf);
-        // Re-decode the data stream into (key, cells) and rebuild through
-        // `build` so every index and bloom filter is reconstructed
-        // consistently with the current implementation.
-        let mut input = Vec::with_capacity(n_partitions);
-        for (key, cell_count) in headers {
-            let mut cells = Vec::with_capacity(cell_count);
-            for _ in 0..cell_count {
-                cells.push(Cell::decode(&mut data)?);
-            }
-            input.push((key, cells));
-        }
-        if !data.is_empty() {
-            return None;
-        }
-        Some(SsTable::build(
-            input,
-            SsTableOptions {
-                column_index_size,
-                bloom_fp_rate: 0.01,
-            },
-            generation,
-        ))
     }
 
     /// Iterates all partitions (for compaction).
@@ -505,70 +405,6 @@ mod tests {
         let mut r = ReadReceipt::default();
         assert!(sst.read(&pk(0), &mut r).is_none());
         assert_eq!(sst.partition_count(), 0);
-    }
-
-    #[test]
-    fn serialize_roundtrips() {
-        let sst = build_one(&[10, 2_000, 1]);
-        let bytes = sst.serialize();
-        let back = SsTable::deserialize(&bytes).expect("roundtrip");
-        assert_eq!(back.generation(), sst.generation());
-        assert_eq!(back.partition_count(), sst.partition_count());
-        assert_eq!(back.data_bytes(), sst.data_bytes());
-        for (pk, cells) in sst.partitions() {
-            let mut r = ReadReceipt::default();
-            assert_eq!(back.read(&pk, &mut r).expect("partition"), cells);
-        }
-        // The column index survives (2 000 cells > threshold).
-        assert_eq!(back.has_column_index(&pk(1)), sst.has_column_index(&pk(1)));
-    }
-
-    #[test]
-    fn roundtrip_preserves_column_index_threshold() {
-        let input = vec![(
-            pk(0),
-            (0..3_000u64).map(|c| Cell::synthetic(c, 0)).collect(),
-        )];
-        let sst = SsTable::build(
-            input,
-            SsTableOptions {
-                column_index_size: 32 * 1024,
-                bloom_fp_rate: 0.01,
-            },
-            9,
-        );
-        let back = SsTable::deserialize(&sst.serialize()).unwrap();
-        assert_eq!(back.options().column_index_size, 32 * 1024);
-        assert!(back.has_column_index(&pk(0)));
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let sst = build_one(&[50, 3]);
-        let bytes = sst.serialize().to_vec();
-        // Flip one bit anywhere — the checksum must catch it.
-        for idx in [0usize, 4, bytes.len() / 2, bytes.len() - 9] {
-            let mut corrupted = bytes.clone();
-            corrupted[idx] ^= 0x40;
-            assert!(
-                SsTable::deserialize(&corrupted).is_none(),
-                "corruption at byte {idx} went unnoticed"
-            );
-        }
-        // Truncations too.
-        for cut in [0usize, 10, bytes.len() - 1] {
-            assert!(SsTable::deserialize(&bytes[..cut]).is_none());
-        }
-        // And the pristine image still loads.
-        assert!(SsTable::deserialize(&bytes).is_some());
-    }
-
-    #[test]
-    fn empty_sstable_roundtrips() {
-        let sst = SsTable::build(Vec::new(), SsTableOptions::default(), 3);
-        let back = SsTable::deserialize(&sst.serialize()).unwrap();
-        assert_eq!(back.partition_count(), 0);
-        assert_eq!(back.generation(), 3);
     }
 
     #[test]

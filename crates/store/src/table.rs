@@ -280,32 +280,6 @@ impl Table {
         runs.push(self.memtable.snapshot_sorted());
         merge_runs(runs)
     }
-
-    /// Persists the table: flushes the memtable and serializes every run
-    /// (see [`SsTable::serialize`]). The images plus the options are all
-    /// that is needed to [`Table::restore`].
-    pub fn snapshot(&mut self) -> Vec<bytes::Bytes> {
-        self.flush();
-        self.sstables.iter().map(|s| s.serialize()).collect()
-    }
-
-    /// Rebuilds a table from [`Table::snapshot`] images. Returns `None` if
-    /// any image is corrupt (a partial restore would silently lose data).
-    pub fn restore(
-        opts: TableOptions,
-        images: impl IntoIterator<Item = impl AsRef<[u8]>>,
-    ) -> Option<Table> {
-        let mut table = Table::new(opts);
-        let mut max_generation = 0;
-        for image in images {
-            let sst = SsTable::deserialize(image.as_ref())?;
-            max_generation = max_generation.max(sst.generation());
-            table.sstables.push(sst);
-        }
-        table.sstables.sort_by_key(|s| s.generation());
-        table.next_generation = max_generation + 1;
-        Some(table)
-    }
 }
 
 #[cfg(test)]
@@ -474,42 +448,6 @@ mod tests {
         assert_eq!(receipt.cells_returned, 0);
         let (cells2, _) = t.get_range(&pk(99), 0..=10);
         assert!(cells2.is_empty());
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips() {
-        let mut t = Table::new(small_opts());
-        for c in 0..150u64 {
-            t.put(pk(c % 3), Cell::synthetic(c, (c % 4) as u8));
-        }
-        t.flush();
-        // Overwrite one cell in a later run so generation order matters.
-        t.put(pk(0), Cell::new(0, 99, vec![1]));
-        let images = t.snapshot();
-        assert!(!images.is_empty());
-        let mut restored = Table::restore(small_opts(), &images).expect("restore");
-        for p in 0..3u64 {
-            let (orig, _) = t.get(&pk(p));
-            let (back, _) = restored.get(&pk(p));
-            assert_eq!(orig, back, "partition {p}");
-        }
-        // Newest-wins must survive the roundtrip.
-        let (cells, _) = restored.get(&pk(0));
-        assert_eq!(cells[0].kind, 99);
-        // And the restored table keeps accepting writes with a fresh
-        // generation counter.
-        restored.put(pk(9), Cell::synthetic(1, 1));
-        restored.flush();
-        assert_eq!(restored.get(&pk(9)).0.len(), 1);
-    }
-
-    #[test]
-    fn restore_rejects_corruption() {
-        let mut t = Table::new(small_opts());
-        t.put(pk(1), Cell::synthetic(0, 0));
-        let mut images: Vec<Vec<u8>> = t.snapshot().iter().map(|b| b.to_vec()).collect();
-        images[0][2] ^= 0xFF;
-        assert!(Table::restore(small_opts(), &images).is_none());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Boots four slave servers on loopback ports (each owning a quarter of a
 //! D8tree-style dataset), connects a master over TCP, runs the query with
 //! both codecs, and prints the four-stage breakdown, the slave queue
-//! counters, and the measured per-message master cost — the socket-path
-//! analogue of the `live_cluster` example.
+//! counters, and the measured per-message master cost.
 //!
 //! Run with: `cargo run --release --example net_cluster`
 

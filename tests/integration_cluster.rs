@@ -1,13 +1,29 @@
-//! Cross-crate integration: workloads → store → cluster, in both the
-//! simulated and the live executors.
+//! Cross-crate integration: workloads → store → cluster, through both the
+//! simulator and the loopback socket engine.
 
 use kvscale::cluster::data::uniform_partitions;
-use kvscale::cluster::live::{run_query_live, LiveConfig};
-use kvscale::cluster::{run_query, ClusterConfig, ClusterData, Codec, ReplicaPolicy};
+use kvscale::cluster::{run_query, ClusterConfig, ClusterData, Codec, ReplicaPolicy, RunResult};
+use kvscale::net::{spawn_local_cluster, NetConfig, NetMaster, NetServerConfig};
 use kvscale::prelude::*;
 use kvscale::simcore::RngHub;
 use kvscale::workloads::alya::{generate, AlyaConfig};
 use kvscale::workloads::{D8Tree, DataModel};
+
+/// The aggregation over every partition of `data`, served by one TCP slave
+/// per node on loopback.
+fn run_over_sockets(data: ClusterData, codec: Codec) -> RunResult {
+    let (cluster, routes) =
+        spawn_local_cluster(data, NetServerConfig::default()).expect("cluster boots");
+    let cfg = NetConfig {
+        codec,
+        ..NetConfig::default()
+    };
+    let mut master = NetMaster::connect(&cluster.addrs(), cfg).expect("master connects");
+    let report = master.run_query(&routes).expect("net query succeeds");
+    master.shutdown();
+    cluster.shutdown();
+    report.result
+}
 
 #[test]
 fn d8tree_query_counts_match_index_populations() {
@@ -38,19 +54,20 @@ fn d8tree_query_counts_match_index_populations() {
     assert_eq!(result.counts_by_kind, expected);
 }
 
+/// "Live" is the cluster of real slave servers on loopback sockets.
 #[test]
 fn live_and_sim_agree_on_answers_for_all_data_models() {
     for model in DataModel::ALL {
         let partitions = model.build_partitions(10_000, 4);
         let keys: Vec<PartitionKey> = partitions.iter().map(|(pk, _)| pk.clone()).collect();
         let mut sim_data = ClusterData::load(3, 1, TableOptions::default(), partitions.clone());
-        let live_data = ClusterData::load(3, 1, TableOptions::default(), partitions);
+        let net_data = ClusterData::load(3, 1, TableOptions::default(), partitions);
         let cfg = ClusterConfig::paper_optimized_master(3).deterministic();
         let sim = run_query(&cfg, &mut sim_data, &keys);
-        let live = run_query_live(live_data, &keys, LiveConfig::default());
-        assert_eq!(sim.counts_by_kind, live.counts_by_kind, "{model:?}");
-        assert_eq!(sim.total_cells, live.total_cells);
-        assert_eq!(sim.messages, live.messages);
+        let net = run_over_sockets(net_data, Codec::compact());
+        assert_eq!(sim.counts_by_kind, net.counts_by_kind, "{model:?}");
+        assert_eq!(sim.total_cells, net.total_cells);
+        assert_eq!(sim.messages, net.messages);
     }
 }
 
@@ -88,6 +105,8 @@ fn replication_policies_preserve_answers_and_spread_load() {
 
 #[test]
 fn wire_bytes_depend_on_codec_not_executor() {
+    // 25 requests a node, under the slaves' queue depth: the socket master
+    // sends each once, so both sides count one payload per key.
     let partitions = uniform_partitions(50, 10, 2);
     let keys: Vec<PartitionKey> = partitions.iter().map(|(pk, _)| pk.clone()).collect();
     let mut sizes = std::collections::BTreeMap::new();
@@ -96,19 +115,11 @@ fn wire_bytes_depend_on_codec_not_executor() {
         let mut cfg = ClusterConfig::paper_optimized_master(2).deterministic();
         cfg.master.codec = codec;
         let sim = run_query(&cfg, &mut data, &keys);
-        let live_data = ClusterData::load(2, 1, TableOptions::default(), partitions.clone());
-        let live = run_query_live(
-            live_data,
-            &keys,
-            LiveConfig {
-                codec,
-                workers_per_node: 2,
-                ..LiveConfig::default()
-            },
-        );
+        let net_data = ClusterData::load(2, 1, TableOptions::default(), partitions.clone());
+        let net = run_over_sockets(net_data, codec);
         assert_eq!(
-            sim.bytes_to_slaves, live.bytes_to_slaves,
-            "{:?}: sim and live disagree on request bytes",
+            sim.bytes_to_slaves, net.bytes_to_slaves,
+            "{:?}: sim and sockets disagree on request payload bytes",
             codec.kind
         );
         sizes.insert(format!("{:?}", codec.kind), sim.bytes_to_slaves);

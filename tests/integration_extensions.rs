@@ -107,25 +107,6 @@ fn failover_end_to_end_through_the_facade_types() {
 }
 
 #[test]
-fn snapshot_survives_a_simulated_node_replacement() {
-    // Persist a node's table, "replace the node", restore, and verify a
-    // query over the restored table answers identically.
-    let mut original = Table::new(TableOptions::default());
-    for p in 0..20u64 {
-        for c in 0..30u64 {
-            original.put(PartitionKey::from_id(p), Cell::synthetic(c, (c % 4) as u8));
-        }
-    }
-    let images = original.snapshot();
-    let mut replacement = Table::restore(TableOptions::default(), &images).expect("restore");
-    for p in 0..20u64 {
-        let (a, _) = original.get(&PartitionKey::from_id(p));
-        let (b, _) = replacement.get(&PartitionKey::from_id(p));
-        assert_eq!(a, b, "partition {p} diverged after restore");
-    }
-}
-
-#[test]
 fn sensitivity_tracks_the_bottleneck_transitions() {
     // The dominant parameter must follow the §V-B story: fixing the master
     // moves the leverage into the database tier.

@@ -112,6 +112,33 @@ fn calibration_then_optimization_is_consistent() {
 }
 
 #[test]
+fn figure6_knee_survives_noise_proportional_to_row_size() {
+    // Unlike the tests above this study keeps its noise: `calibrate` reads
+    // the stratified Figure 6 sample five times a key (the `fig06` binary
+    // reads nine) under the calibration profile. The sample's tail is a few
+    // rows of ~10 000 cells whose noise is worth several knees; the fit
+    // must still put the break at the column index, not in front of that
+    // tail.
+    let fit = Study::new(1_000_000).calibrate().piecewise;
+    assert!(
+        (1_390.0..=1_440.0).contains(&fit.breakpoint),
+        "breakpoint {} cells (column index at 1425)",
+        fit.breakpoint
+    );
+    assert!(
+        (5.0..=9.0).contains(&fit.jump()),
+        "jump {:+.2} ms (paper: about +7)",
+        fit.jump()
+    );
+    assert!(
+        fit.below.r2 >= 0.99 && fit.above.r2 >= 0.99,
+        "R² below/above {:.4} / {:.4}",
+        fit.below.r2,
+        fit.above.r2
+    );
+}
+
+#[test]
 fn study_reruns_are_deterministic() {
     let study = Study::new(ELEMENTS);
     let a = study.run(DataModel::Coarse, 4);
