@@ -1,4 +1,11 @@
-//! A small O(log n) LRU cache, used as the table's row cache.
+//! A small O(1) LRU cache: the table's row cache and the durable tier's
+//! block cache.
+//!
+//! Entries live in a slab (`Vec`) threaded into a doubly linked recency
+//! list by slot index, and one `HashMap` maps a key to its slot: a `get`
+//! or a `put` is one hash look-up plus a few index writes (a `put` that
+//! evicts also unmaps its victim). The map keeps the standard library's
+//! keyed hasher — row-cache keys arrive off the wire.
 //!
 //! The paper's database model calls out caches as a variance source:
 //! "a miss in a cache … can arbitrarily make a request orders of magnitude
@@ -6,17 +13,34 @@
 //! replica-spreading defeats caching. The row cache here lets the cost
 //! model and the ablation benches quantify both effects.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::Hash;
+
+/// "No slot": the list's ends, and both links of an empty list.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug)]
+struct Slot<K, V> {
+    key: K,
+    value: V,
+    /// Towards the most recently used entry.
+    prev: usize,
+    /// Towards the least recently used entry.
+    next: usize,
+}
 
 /// An LRU cache over hashable keys.
 #[derive(Debug)]
 pub struct Lru<K, V> {
     capacity: usize,
-    map: HashMap<K, (V, u64)>,
-    /// recency tick → key; the smallest tick is the eviction victim.
-    order: BTreeMap<u64, K>,
-    tick: u64,
+    /// key → index into `slots`; exactly one entry per slot.
+    map: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the eviction victim.
+    tail: usize,
     hits: u64,
     misses: u64,
 }
@@ -28,25 +52,58 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         Lru {
             capacity,
             map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// Points the forward link of `prev` (the head, when `prev` is no slot)
+    /// at `forward`, and the back link of `next` (or the tail) at `back`.
+    fn join(&mut self, prev: usize, next: usize, forward: usize, back: usize) {
+        match prev {
+            NIL => self.head = forward,
+            _ => self.slots[prev].next = forward,
+        }
+        match next {
+            NIL => self.tail = back,
+            _ => self.slots[next].prev = back,
+        }
+    }
+
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        self.join(prev, next, next, prev);
+    }
+
+    /// Puts an unlinked `slot` at the most recently used end.
+    fn link_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        match self.head {
+            NIL => self.tail = slot,
+            head => self.slots[head].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    fn touch(&mut self, slot: usize) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+    }
+
     /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some((_, last)) => {
-                self.order.remove(last);
-                *last = tick;
-                self.order.insert(tick, key.clone());
+        match self.map.get(key) {
+            Some(&slot) => {
                 self.hits += 1;
-                // Reborrow immutably for the return value.
-                self.map.get(key).map(|(v, _)| v)
+                self.touch(slot);
+                Some(&self.slots[slot].value)
             }
             None => {
                 self.misses += 1;
@@ -61,38 +118,71 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         if self.capacity == 0 {
             return;
         }
-        self.tick += 1;
-        if let Some((_, old_tick)) = self.map.insert(key.clone(), (value, self.tick)) {
-            self.order.remove(&old_tick);
-        }
-        self.order.insert(self.tick, key);
-        while self.map.len() > self.capacity {
-            let (_, victim) = self.order.pop_first().expect("order tracks map");
+        let full = self.slots.len() == self.capacity;
+        // A new key takes the victim's slot when full, a fresh one otherwise.
+        let target = if full { self.tail } else { self.slots.len() };
+        let key = match self.map.entry(key) {
+            Entry::Occupied(held) => {
+                let slot = *held.get();
+                self.slots[slot].value = value;
+                self.touch(slot);
+                return;
+            }
+            Entry::Vacant(vacant) => {
+                let key = vacant.key().clone();
+                vacant.insert(target);
+                key
+            }
+        };
+        if full {
+            let victim = std::mem::replace(&mut self.slots[target].key, key);
             self.map.remove(&victim);
+            self.slots[target].value = value;
+            self.touch(target);
+        } else {
+            self.slots.push(Slot {
+                key,
+                value,
+                prev: NIL,
+                next: NIL,
+            });
+            self.link_front(target);
         }
     }
 
     /// Removes an entry (used on writes to keep the cache coherent).
     pub fn invalidate(&mut self, key: &K) {
-        if let Some((_, tick)) = self.map.remove(key) {
-            self.order.remove(&tick);
+        let Some(slot) = self.map.remove(key) else {
+            return;
+        };
+        self.unlink(slot);
+        // Keep the slab dense: the last slot moves into the hole.
+        self.slots.swap_remove(slot);
+        if let Some(moved) = self.slots.get(slot) {
+            let (prev, next) = (moved.prev, moved.next);
+            if let Some(at) = self.map.get_mut(&moved.key) {
+                *at = slot;
+            }
+            self.join(prev, next, slot, slot);
         }
     }
 
     /// Drops everything (used after compaction rewrites the data).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.order.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slots.is_empty()
     }
 
     /// Lifetime (hits, misses).
@@ -150,7 +240,7 @@ mod tests {
         assert_eq!(c.len(), 1);
         c.clear();
         assert!(c.is_empty());
-        // Internal order map must not leak stale entries.
+        // The recency list must not leak stale entries.
         c.put(3, "z");
         assert_eq!(c.get(&3), Some(&"z"));
     }
@@ -173,6 +263,87 @@ mod tests {
         // The 16 newest keys survive.
         for i in 10_000 - 16..10_000 {
             assert_eq!(c.get(&i), Some(&(i * 2)), "key {i} missing");
+        }
+    }
+
+    /// The cache's keys from most to least recently used, checking the
+    /// list against the slab and the map on the way.
+    fn recency<K: Eq + Hash + Clone, V>(c: &Lru<K, V>) -> Vec<K> {
+        let mut keys = Vec::new();
+        let (mut at, mut prev) = (c.head, NIL);
+        while at != NIL {
+            assert_eq!(c.slots[at].prev, prev, "back link of slot {at}");
+            assert_eq!(
+                c.map.get(&c.slots[at].key),
+                Some(&at),
+                "map entry of slot {at}"
+            );
+            keys.push(c.slots[at].key.clone());
+            (prev, at) = (at, c.slots[at].next);
+        }
+        assert_eq!(c.tail, prev);
+        assert_eq!(keys.len(), c.slots.len(), "every slot is on the list");
+        assert_eq!(keys.len(), c.map.len());
+        keys
+    }
+
+    #[test]
+    fn random_streams_match_a_naive_vec_model() {
+        // The model: (key, value) pairs, most recently used first.
+        for capacity in [0usize, 1, 2, 3, 8] {
+            let mut lru = Lru::new(capacity);
+            let mut model: Vec<(u8, u32)> = Vec::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
+            for step in 0..20_000u32 {
+                // xorshift: the store crate reads no ambient randomness.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let key = (state >> 8) as u8 % 12;
+                match state % 16 {
+                    0..=6 => {
+                        let want = model.iter().position(|(k, _)| *k == key).map(|i| {
+                            let hit = model.remove(i);
+                            model.insert(0, hit);
+                            hit.1
+                        });
+                        match want {
+                            Some(_) => hits += 1,
+                            None => misses += 1,
+                        }
+                        assert_eq!(lru.get(&key).copied(), want, "step {step}: get {key}");
+                    }
+                    7..=13 => {
+                        if capacity > 0 {
+                            model.retain(|(k, _)| *k != key);
+                            model.insert(0, (key, step));
+                            model.truncate(capacity); // drops the LRU victim
+                        }
+                        lru.put(key, step);
+                    }
+                    14 => {
+                        model.retain(|(k, _)| *k != key);
+                        lru.invalidate(&key);
+                    }
+                    _ => {
+                        if step % 64 == 0 {
+                            model.clear();
+                            lru.clear();
+                        }
+                    }
+                }
+                // Same survivors in the same recency order: the next victim,
+                // and every one after it, is the model's.
+                let keys: Vec<u8> = model.iter().map(|(k, _)| *k).collect();
+                assert_eq!(recency(&lru), keys, "step {step}, capacity {capacity}");
+                assert_eq!(lru.len(), model.len());
+                assert_eq!(lru.is_empty(), model.is_empty());
+                assert_eq!(lru.hit_stats(), (hits, misses));
+            }
+            for (key, value) in model {
+                assert_eq!(lru.slots[lru.map[&key]].value, value);
+            }
         }
     }
 }

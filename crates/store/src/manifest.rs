@@ -13,7 +13,7 @@
 //! ```text
 //! offset size field            notes
 //!      0    4 magic            0x4B4D414E ("KMAN")
-//!      4    1 version          1
+//!      4    1 version          2
 //!      5    3 reserved         zero
 //!      8    8 next_generation  next SSTable generation to allocate
 //!     16    8 wal_seq          lowest live WAL segment seq
@@ -21,10 +21,10 @@
 //!                              clean flushes)
 //!     32    4 sst_count        number of live generations
 //!     36   8n live generations, ascending
-//!   36+8n  8 crc              fnv64 over bytes 0..36+8n
+//!   36+8n  8 crc              checksum64 over bytes 0..36+8n
 //! ```
 
-use crate::block::fnv64;
+use crate::block::checksum64;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -37,7 +37,7 @@ pub const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
 /// Manifest magic: `"KMAN"`.
 pub const MANIFEST_MAGIC: u32 = 0x4B4D_414E;
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u8 = 1;
+pub const MANIFEST_VERSION: u8 = 2;
 
 /// The durable tier's commit point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +81,7 @@ impl Manifest {
         for generation in &self.live {
             buf.put_u64(*generation);
         }
-        let crc = fnv64(&buf);
+        let crc = checksum64(0, &buf);
         buf.put_u64(crc);
         buf.freeze()
     }
@@ -95,7 +95,7 @@ impl Manifest {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_be_bytes(tail.try_into().ok()?);
-        if fnv64(body) != stored {
+        if checksum64(0, body) != stored {
             return None;
         }
         let mut buf = Bytes::copy_from_slice(body);
@@ -203,6 +203,34 @@ mod tests {
         for cut in [0usize, 10, bytes.len() - 1] {
             assert!(Manifest::decode(&bytes[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn version_1_manifests_are_refused_not_loaded() {
+        use crate::block::{fnv1a, FNV1A_BASIS};
+        let pristine = sample().encode().to_vec();
+        assert_eq!(pristine[4], MANIFEST_VERSION);
+        let sealed = |version: u8, basis: u64, digest: fn(u64, &[u8]) -> u64| {
+            let mut bytes = pristine.clone();
+            bytes[4] = version;
+            let body = bytes.len() - 8;
+            let crc = digest(basis, &bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_be_bytes());
+            bytes
+        };
+        // The sealing procedure reproduces a good manifest …
+        assert_eq!(sealed(MANIFEST_VERSION, 0, checksum64), pristine);
+        // … so what refuses version 1 under today's checksum is the version
+        // check, and what refuses FNV-1a seals is the checksum.
+        assert_eq!(Manifest::decode(&sealed(1, 0, checksum64)), None);
+        assert_eq!(Manifest::decode(&sealed(1, FNV1A_BASIS, fnv1a)), None);
+        let fnv_today = sealed(MANIFEST_VERSION, FNV1A_BASIS, fnv1a);
+        assert_eq!(Manifest::decode(&fnv_today), None);
+        // On disk that is a hard error, never a guessed live set.
+        let tmp = TempDir::new("manifest-v1");
+        std::fs::write(tmp.path().join(MANIFEST_FILE), sealed(1, 0, checksum64)).expect("write");
+        let err = Manifest::load(tmp.path()).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! Unlike [`crate::sstable::SsTable`] (the in-RAM run), an [`SstFile`]
 //! keeps only its *metadata* resident — partition index, per-block
 //! [`BlockMeta`] lists and the bloom filter — and fetches 4 KiB data
-//! blocks ([`crate::block::BLOCK_TARGET_BYTES`]) from disk on demand,
-//! verifying each block's checksum and charging the read to the
-//! [`ReadReceipt`] (`disk_blocks_read` vs `disk_block_cache_hits`).
+//! blocks ([`crate::block::BLOCK_TARGET_BYTES`]) from disk on demand: a
+//! run of consecutive blocks the [`BlockCache`] does not hold is one
+//! positional read (an *extent*, up to 256 KiB) into a buffer reused from
+//! read to read, charged to the [`ReadReceipt`] block by block
+//! (`disk_blocks_read` vs `disk_block_cache_hits`), each block verified
+//! against its own checksum before any cell of the extent is visited or
+//! any block of it cached.
 //!
 //! The column-index mechanics survive on disk: a partition whose encoded
 //! size exceeds `column_index_size` is *column-indexed* — its block list
@@ -25,7 +29,7 @@
 //! ```text
 //! offset size field              notes
 //!      0    4 magic              0x4B535354 ("KSST")
-//!      4    1 version            1
+//!      4    1 version            2
 //!      5    3 reserved           zero
 //!      8    8 generation         newer wins merges
 //!     16    8 column_index_size  threshold the run was built with
@@ -33,8 +37,8 @@
 //!     32    8 index_len          partition index length
 //!     40    8 bloom_off          bloom filter file offset
 //!     48    8 bloom_len          bloom filter length
-//!     56    8 meta_crc           fnv64 over index bytes ⋅ bloom bytes
-//!     64    8 footer_crc         fnv64 over footer bytes 0..64
+//!     56    8 meta_crc           checksum64 of bloom bytes, seeded with that of index bytes
+//!     64    8 footer_crc         checksum64 over footer bytes 0..64
 //! ```
 //!
 //! The partition index is `count (u32)` then, per partition: `key_len
@@ -43,15 +47,13 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
-use crate::block::{
-    build_blocks, fnv64, fnv64_extend, fnv64_lanes, BlockMeta, BLOCK_META_BYTES, FNV_LANES,
-};
+use crate::block::{build_blocks, checksum64, BlockMeta, BLOCK_META_BYTES, BLOCK_TARGET_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::Lru;
 use crate::receipt::ReadReceipt;
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use crate::sstable::SsTableOptions;
-use crate::stream::{ClusteringRange, Run, WHOLE};
+use crate::stream::{CellBuf, ClusteringRange, Run, WHOLE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -62,13 +64,53 @@ use std::path::{Path, PathBuf};
 /// Footer magic: `"KSST"`.
 pub const SST_MAGIC: u32 = 0x4B53_5354;
 /// Current file format version.
-pub const SST_VERSION: u8 = 1;
+pub const SST_VERSION: u8 = 2;
 /// Encoded footer size in bytes.
 pub const SST_FOOTER_LEN: usize = 72;
 
+/// The most one disk read fetches: a run of consecutive blocks a scan
+/// reaches and the cache does not hold is read as one extent of up to this
+/// many bytes — 64 blocks of the target size — unless a single block is
+/// larger.
+const EXTENT_MAX_BYTES: usize = 64 * BLOCK_TARGET_BYTES;
+
 /// The block cache shared across a durable table's runs, keyed by
-/// `(generation, block offset)`.
-pub type BlockCache = Lru<(u64, u64), Bytes>;
+/// `(generation, block offset)`, and beside it the buffer extents are read
+/// into, reused from one read to the next.
+#[derive(Debug)]
+pub struct BlockCache {
+    /// Each block an exact-size copy of its own: `capacity` blocks bound
+    /// the resident bytes, and none pins the extent it arrived in.
+    blocks: Lru<(u64, u64), Bytes>,
+    capacity: usize,
+    extent: Vec<u8>,
+}
+
+impl BlockCache {
+    /// A cache of up to `capacity` blocks; 0 caches nothing.
+    pub fn new(capacity: usize) -> BlockCache {
+        BlockCache {
+            blocks: Lru::new(capacity),
+            capacity,
+            extent: Vec::new(),
+        }
+    }
+
+    /// True when no block is cached.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Drops every cached block (compaction retired their generations).
+    pub fn clear(&mut self) {
+        self.blocks.clear();
+    }
+
+    /// Lifetime `(hits, misses)` of block look-ups.
+    pub fn hit_stats(&self) -> (u64, u64) {
+        self.blocks.hit_stats()
+    }
+}
 
 /// File name of generation `generation` (zero-padded so lexicographic
 /// order is generation order).
@@ -155,7 +197,7 @@ pub fn write_sst(
     let index_len = index.len() as u64;
     let bloom_off = index_off + index_len;
     let bloom_len = bloom_bytes.len() as u64;
-    let meta_crc = fnv64_extend(fnv64(&index), &bloom_bytes);
+    let meta_crc = checksum64(checksum64(0, &index), &bloom_bytes);
 
     let mut footer = BytesMut::with_capacity(SST_FOOTER_LEN);
     footer.put_u32(SST_MAGIC);
@@ -168,7 +210,7 @@ pub fn write_sst(
     footer.put_u64(bloom_off);
     footer.put_u64(bloom_len);
     footer.put_u64(meta_crc);
-    let footer_crc = fnv64(&footer);
+    let footer_crc = checksum64(0, &footer);
     footer.put_u64(footer_crc);
 
     let mut file = OpenOptions::new().write(true).create_new(true).open(path)?;
@@ -184,6 +226,19 @@ pub fn write_sst(
         blocks: total_blocks,
         partitions: input.len() as u64,
         cells: total_cells,
+    })
+}
+
+/// Pairs each block of `run` with its bytes in `extent`, where the blocks
+/// lie back to back.
+fn blocks_in<'a>(
+    run: &'a [BlockMeta],
+    mut extent: &'a [u8],
+) -> impl Iterator<Item = (&'a BlockMeta, &'a [u8])> {
+    run.iter().map(move |meta| {
+        let (block, rest) = extent.split_at(meta.len as usize);
+        extent = rest;
+        (meta, block)
     })
 }
 
@@ -229,7 +284,7 @@ impl SstFile {
             tail.try_into()
                 .map_err(|_| bad_data(format!("{}: unreadable footer crc", path.display())))?,
         );
-        if fnv64(covered) != stored {
+        if checksum64(0, covered) != stored {
             return Err(bad_data(format!("{}: footer crc mismatch", path.display())));
         }
         let mut footer = Bytes::copy_from_slice(covered);
@@ -266,7 +321,7 @@ impl SstFile {
         file.read_exact_at(&mut index_raw, index_off)?;
         let mut bloom_raw = vec![0u8; bloom_len as usize];
         file.read_exact_at(&mut bloom_raw, bloom_off)?;
-        if fnv64_extend(fnv64(&index_raw), &bloom_raw) != meta_crc {
+        if checksum64(checksum64(0, &index_raw), &bloom_raw) != meta_crc {
             return Err(bad_data(format!(
                 "{}: metadata crc mismatch",
                 path.display()
@@ -322,40 +377,33 @@ impl SstFile {
             .unwrap_or(false)
     }
 
-    /// Fetches up to [`FNV_LANES`] consecutive blocks, each from the cache
-    /// when it is there. The ones read from disk are checksummed together
-    /// ([`fnv64_lanes`]) — every block once per disk read — and only then
-    /// offered to the cache; unused slots come back empty.
-    fn load_blocks(
+    /// Reads `run` — consecutive blocks, adjacent in the file — with one
+    /// positional read into `extent`, and verifies each against its
+    /// [`BlockMeta`] digest. The blocks lie back to back in the returned
+    /// bytes; nothing of an extent is handed on unless all of it verifies.
+    fn read_extent<'b>(
         &self,
-        group: &[BlockMeta],
-        cache: &mut BlockCache,
+        run: &[BlockMeta],
+        extent: &'b mut Vec<u8>,
         receipt: &mut ReadReceipt,
-    ) -> io::Result<[Bytes; FNV_LANES]> {
-        let mut blocks: [Bytes; FNV_LANES] = Default::default();
-        let mut from_disk = [false; FNV_LANES];
-        for ((meta, block), from_disk) in group.iter().zip(&mut blocks).zip(&mut from_disk) {
-            if let Some(cached) = cache.get(&(self.generation, meta.offset)) {
-                receipt.disk_block_cache_hits += 1;
-                *block = cached.clone();
-                continue;
-            }
-            let mut raw = vec![0u8; meta.len as usize];
-            self.file.read_exact_at(&mut raw, meta.offset)?;
-            // Charge before the checksum verdict: the read moved the bytes
-            // whether or not they verify, and a corrupt block that escaped
-            // the accounting would skew every cost model built on receipts
-            // (KVS-L019 checks this must-reach property on all paths).
-            receipt.disk_blocks_read += 1;
-            receipt.disk_bytes_read += meta.len as u64;
-            *block = Bytes::from(raw);
-            *from_disk = true;
+    ) -> io::Result<&'b [u8]> {
+        let Some(first) = run.first() else {
+            return Ok(&[]); // the scan went straight to a cached block
+        };
+        let bytes: usize = run.iter().map(|meta| meta.len as usize).sum();
+        if extent.len() < bytes {
+            extent.resize(bytes, 0);
         }
-        let unverified: [&[u8]; FNV_LANES] =
-            std::array::from_fn(|i| if from_disk[i] { &blocks[i][..] } else { &[] });
-        let digests = fnv64_lanes(unverified);
-        for ((meta, digest), from_disk) in group.iter().zip(digests).zip(from_disk) {
-            if from_disk && digest != meta.crc {
+        let extent = &mut extent[..bytes];
+        self.file.read_exact_at(extent, first.offset)?;
+        // Charge before the checksum verdict: the read moved the bytes
+        // whether or not they verify, and a corrupt block that escaped
+        // the accounting would skew every cost model built on receipts
+        // (KVS-L019 checks this must-reach property on all paths).
+        receipt.disk_blocks_read += run.len() as u64;
+        receipt.disk_bytes_read += bytes as u64;
+        for (meta, block) in blocks_in(run, extent) {
+            if checksum64(0, block) != meta.crc {
                 return Err(bad_data(format!(
                     "{}: block at offset {} failed its checksum",
                     self.path.display(),
@@ -363,12 +411,42 @@ impl SstFile {
                 )));
             }
         }
-        for ((meta, block), from_disk) in group.iter().zip(&blocks).zip(from_disk) {
-            if from_disk {
-                cache.put((self.generation, meta.offset), block.clone());
+        Ok(extent)
+    }
+
+    /// Decodes one verified block into `visit`, charging the receipt per
+    /// cell. `Ok(false)` once a cell past `to` ends the scan; `Err` when the
+    /// block's contents disagree with its [`BlockMeta`].
+    fn fold_block(
+        &self,
+        meta: &BlockMeta,
+        mut block: &[u8],
+        (from, to): ClusteringRange,
+        receipt: &mut ReadReceipt,
+        visit: &mut impl FnMut(CellRef<'_>),
+    ) -> io::Result<bool> {
+        let mut in_block = 0u32;
+        while let Some(cell) = CellRef::decode(&mut block) {
+            receipt.cells_scanned += 1;
+            receipt.bytes_read += cell.encoded_len() as u64;
+            if cell.clustering > to {
+                return Ok(false);
             }
+            if cell.clustering >= from {
+                visit(cell);
+            }
+            in_block += 1;
         }
-        Ok(blocks)
+        if in_block != meta.cells || !block.is_empty() {
+            return Err(bad_data(format!(
+                "{}: block at offset {} decoded {} cells, index says {}",
+                self.path.display(),
+                meta.offset,
+                in_block,
+                meta.cells
+            )));
+        }
+        Ok(true)
     }
 
     /// Reads a whole partition. `Ok(None)` (with receipt counters
@@ -397,27 +475,18 @@ impl SstFile {
     }
 
     /// Reads every partition back, verifying all block checksums — the
-    /// compaction input path. Bypasses the block cache (compaction reads
+    /// compaction input path, through the same extent reads as every other
+    /// scan but with a cache of its own that holds nothing (compaction reads
     /// each block once; caching them would only evict hot read blocks).
     pub fn scan(&self) -> io::Result<Vec<(PartitionKey, Vec<Cell>)>> {
+        let mut cache = BlockCache::new(0);
+        let mut receipt = ReadReceipt::default();
         let mut out = Vec::with_capacity(self.partitions.len());
         for entry in &self.partitions {
-            let mut cells = Vec::with_capacity(entry.cell_count as usize);
-            for meta in &entry.blocks {
-                let mut raw = vec![0u8; meta.len as usize];
-                self.file.read_exact_at(&mut raw, meta.offset)?;
-                if fnv64(&raw) != meta.crc {
-                    return Err(bad_data(format!(
-                        "{}: block at offset {} failed its checksum",
-                        self.path.display(),
-                        meta.offset
-                    )));
-                }
-                let mut block = Bytes::from(raw);
-                while let Some(cell) = Cell::decode(&mut block) {
-                    cells.push(cell);
-                }
-            }
+            let mut cells = CellBuf::default();
+            self.scan_partition(entry, WHOLE, &mut cache, &mut receipt, |cell| {
+                cells.push(cell)
+            })?;
             if cells.len() != entry.cell_count as usize {
                 return Err(bad_data(format!(
                     "{}: partition {:?} decoded {} cells, index says {}",
@@ -427,7 +496,7 @@ impl SstFile {
                     entry.cell_count
                 )));
             }
-            out.push((entry.key.clone(), cells));
+            out.push((entry.key.clone(), cells.into_cells()));
         }
         Ok(out)
     }
@@ -481,31 +550,52 @@ impl Run for SstFile {
             let within = blocks.partition_point(|b| b.last_clustering <= to);
             &blocks[..blocks.len().min(within + 1)]
         };
-        for group in reached.chunks(FNV_LANES) {
-            let loaded = self.load_blocks(group, cache, receipt)?;
-            for (meta, block) in group.iter().zip(&loaded) {
-                let mut rest = &block[..];
-                let mut in_block = 0u32;
-                while let Some(cell) = CellRef::decode(&mut rest) {
-                    receipt.cells_scanned += 1;
-                    receipt.bytes_read += cell.encoded_len() as u64;
-                    if cell.clustering > to {
-                        return Ok(());
+        let BlockCache {
+            blocks: cached,
+            capacity,
+            extent,
+        } = cache;
+        let key = |meta: &BlockMeta| (self.generation, meta.offset);
+        let mut at = 0;
+        while at < reached.len() {
+            // One cache look-up per reached block, in order. A miss opens an
+            // extent that runs on over the misses that follow it, until a
+            // hit, a gap in the file or the size cap.
+            let start = at;
+            let mut bytes = 0;
+            let hit = loop {
+                let Some(meta) = reached.get(at) else {
+                    break None;
+                };
+                if let Some(prev) = reached[start..at].last() {
+                    if meta.offset != prev.offset + prev.len as u64
+                        || bytes + meta.len as usize > EXTENT_MAX_BYTES
+                    {
+                        break None;
                     }
-                    if cell.clustering >= from {
-                        visit(cell);
-                    }
-                    in_block += 1;
                 }
-                if in_block != meta.cells || !rest.is_empty() {
-                    return Err(bad_data(format!(
-                        "{}: block at offset {} decoded {} cells, index says {}",
-                        self.path.display(),
-                        meta.offset,
-                        in_block,
-                        meta.cells
-                    )));
+                if let Some(block) = cached.get(&key(meta)) {
+                    break Some(block.clone());
                 }
+                bytes += meta.len as usize;
+                at += 1;
+            };
+            let run = &reached[start..at];
+            let verified = self.read_extent(run, extent, receipt)?;
+            for (meta, block) in blocks_in(run, verified) {
+                if *capacity > 0 {
+                    cached.put(key(meta), Bytes::copy_from_slice(block));
+                }
+                if !self.fold_block(meta, block, (from, to), receipt, &mut visit)? {
+                    return Ok(());
+                }
+            }
+            if let Some(block) = hit {
+                receipt.disk_block_cache_hits += 1;
+                if !self.fold_block(&reached[at], &block, (from, to), receipt, &mut visit)? {
+                    return Ok(());
+                }
+                at += 1;
             }
         }
         Ok(())
@@ -569,6 +659,7 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<DiskPartition>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{fnv1a, FNV1A_BASIS};
     use crate::durable::TempDir;
 
     fn pk(i: u64) -> PartitionKey {
@@ -803,6 +894,22 @@ mod tests {
         assert!(cache.is_empty());
     }
 
+    /// Re-seals an SST image's metadata and footer digests around a patch,
+    /// under `digest` started from `basis`.
+    fn reseal(bytes: &mut [u8], basis: u64, digest: fn(u64, &[u8]) -> u64) {
+        let footer = bytes.len() - SST_FOOTER_LEN;
+        let field = |at: usize| {
+            let mut be = [0u8; 8];
+            be.copy_from_slice(&bytes[footer + at..footer + at + 8]);
+            u64::from_be_bytes(be) as usize
+        };
+        let (index, bloom) = (field(24), field(40));
+        let meta_crc = digest(digest(basis, &bytes[index..bloom]), &bytes[bloom..footer]);
+        bytes[footer + 56..footer + 64].copy_from_slice(&meta_crc.to_be_bytes());
+        let footer_crc = digest(basis, &bytes[footer..footer + 64]);
+        bytes[footer + 64..].copy_from_slice(&footer_crc.to_be_bytes());
+    }
+
     /// Streams partition 0 whole, expecting the scan to fail; returns the
     /// error and what the receipt had been charged by then.
     fn scan_err(sst: &SstFile, cache: &mut BlockCache) -> (io::Error, ReadReceipt) {
@@ -823,17 +930,13 @@ mod tests {
         let path = tmp.path().join(sst_file_name(1));
         write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
-        let footer = bytes.len() - SST_FOOTER_LEN;
         let index = 200 * 46;
         // count (4) ⋅ key_len (2) ⋅ key (8) ⋅ cell_count (4) ⋅ block_count
         // (4), then per block offset (8) ⋅ len (4) ⋅ cells (4) ⋅ …
         let cells_at = index + 4 + 2 + 8 + 4 + 4 + 8 + 4;
         assert_eq!(bytes[cells_at..cells_at + 4], 90u32.to_be_bytes());
         bytes[cells_at..cells_at + 4].copy_from_slice(&89u32.to_be_bytes());
-        let meta_crc = fnv64(&bytes[index..footer]);
-        bytes[footer + 56..footer + 64].copy_from_slice(&meta_crc.to_be_bytes());
-        let footer_crc = fnv64(&bytes[footer..footer + 64]);
-        bytes[footer + 64..].copy_from_slice(&footer_crc.to_be_bytes());
+        reseal(&mut bytes, 0, checksum64);
         std::fs::write(&path, &bytes).expect("write");
 
         let sst = SstFile::open(&path).expect("the metadata is self-consistent");
@@ -846,6 +949,119 @@ mod tests {
         assert!(err.to_string().contains("index says 89"), "{err}");
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
         assert_eq!(r.cells_scanned, 90, "the block was decoded, then refused");
+    }
+
+    #[test]
+    fn corrupt_block_deep_in_a_partition_fails_its_extent() {
+        // 10 000 cells = 112 blocks of 4140 B (the last one short): two
+        // extents of 63 and 49 blocks.
+        let tmp = TempDir::new("sst-corrupt-deep");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(
+            &path,
+            &build_input(&[10_000]),
+            &SsTableOptions::default(),
+            1,
+        )
+        .expect("write");
+        let pristine = std::fs::read(&path).expect("read");
+        let scan = |bad_block: usize| {
+            let mut bytes = pristine.clone();
+            bytes[bad_block * 4140 + 100] ^= 0x01;
+            std::fs::write(&path, &bytes).expect("write");
+            let sst = SstFile::open(&path).expect("open still fine");
+            let mut cache = BlockCache::new(256);
+            let mut r = ReadReceipt::default();
+            let entry = sst.probe(&pk(0), &mut r).expect("present");
+            let mut visited = Vec::new();
+            let err = sst
+                .scan_partition(entry, WHOLE, &mut cache, &mut r, |cell| {
+                    visited.push(cell.clustering)
+                })
+                .expect_err("must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let named = format!("block at offset {} failed its checksum", bad_block * 4140);
+            assert!(err.to_string().contains(&named), "{err}");
+            (visited, cache.blocks.len(), r)
+        };
+        // Block 37, in the first extent: the whole extent is on the bill
+        // before the verdict, and none of it is visited or cached.
+        let (visited, cached, r) = scan(37);
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (63, 63 * 4140));
+        assert_eq!(r.disk_block_cache_hits, 0);
+        assert_eq!((visited.len(), r.cells_scanned, cached), (0, 0, 0));
+        // Block 100, in the second: the first extent was verified, cached
+        // and visited; no cell of the second was.
+        let (visited, cached, r) = scan(100);
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (112, 10_000 * 46));
+        assert_eq!(visited, (0..63 * 90).collect::<Vec<u64>>());
+        assert_eq!((r.cells_scanned, cached), (63 * 90, 63));
+    }
+
+    #[test]
+    fn extents_stop_at_cached_blocks_and_charge_per_block() {
+        let tmp = TempDir::new("sst-extents");
+        let (sst, stats) = write_open(tmp.path(), &[10_000], 1);
+        assert_eq!(stats.blocks, 112);
+        let mut cache = BlockCache::new(256);
+        // Warm blocks 20..=22 and 70 (90 cells a block).
+        for range in [1_800..=2_069u64, 6_300..=6_389] {
+            let mut r = ReadReceipt::default();
+            sst.read_range(&pk(0), range, &mut cache, &mut r)
+                .expect("io");
+            assert_eq!(r.column_index_blocks, r.disk_blocks_read);
+        }
+        assert_eq!(cache.blocks.len(), 4);
+        let mut r = ReadReceipt::default();
+        let cells = sst
+            .read(&pk(0), &mut cache, &mut r)
+            .expect("io")
+            .expect("hit");
+        assert_eq!(cells, build_input(&[10_000])[0].1);
+        assert_eq!((r.disk_blocks_read, r.disk_block_cache_hits), (108, 4));
+        assert_eq!(r.disk_bytes_read, 10_000 * 46 - 4 * 4140);
+        assert_eq!(r.column_index_blocks, 112);
+        // Every cached block is a copy of exactly its own bytes.
+        assert_eq!(cache.blocks.len(), 112);
+        let mut r = ReadReceipt::default();
+        sst.read(&pk(0), &mut cache, &mut r).expect("io");
+        assert_eq!((r.disk_blocks_read, r.disk_block_cache_hits), (0, 112));
+        // The extent buffer never outgrows the cap.
+        assert!(cache.extent.len() <= EXTENT_MAX_BYTES);
+    }
+
+    #[test]
+    fn version_1_files_are_refused_not_read() {
+        let tmp = TempDir::new("sst-v1");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        let pristine = std::fs::read(&path).expect("read");
+        let version_at = pristine.len() - SST_FOOTER_LEN + 4;
+        assert_eq!(pristine[version_at], SST_VERSION);
+        let open_err = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write");
+            SstFile::open(&path).expect_err("must refuse").to_string()
+        };
+        // Version 1 under today's checksum: the version check refuses it.
+        let mut v1 = pristine.clone();
+        v1[version_at] = 1;
+        reseal(&mut v1, 0, checksum64);
+        let err = open_err(&v1);
+        assert!(err.contains("unsupported version 1"), "{err}");
+        // A real version-1 file is sealed with FNV-1a: the footer checksum
+        // refuses it before any field is believed — whatever its version
+        // byte says.
+        for version in [1, SST_VERSION] {
+            let mut fnv = pristine.clone();
+            fnv[version_at] = version;
+            reseal(&mut fnv, FNV1A_BASIS, fnv1a);
+            let err = open_err(&fnv);
+            assert!(err.contains("footer crc mismatch"), "{err}");
+        }
+        // The patch-and-reseal procedure itself is sound.
+        let mut same = pristine.clone();
+        reseal(&mut same, 0, checksum64);
+        assert_eq!(same, pristine);
     }
 
     #[test]

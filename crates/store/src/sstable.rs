@@ -67,7 +67,6 @@ pub struct SsTable {
     data: Bytes,
     partitions: Vec<PartitionEntry>,
     bloom: BloomFilter,
-    opts: SsTableOptions,
     generation: u64,
 }
 
@@ -149,7 +148,6 @@ impl SsTable {
             data: data.freeze(),
             partitions,
             bloom,
-            opts,
             generation,
         }
     }
@@ -168,11 +166,6 @@ impl SsTable {
     /// Total encoded data bytes.
     pub fn data_bytes(&self) -> usize {
         self.data.len()
-    }
-
-    /// The build options (used by compaction to rebuild alike).
-    pub fn options(&self) -> &SsTableOptions {
-        &self.opts
     }
 
     /// Whether this partition carries a column index.

@@ -14,20 +14,20 @@
 //! ```text
 //! offset size field        notes
 //!      0    4 magic        0x4B57414C ("KWAL")
-//!      4    1 version      1
+//!      4    1 version      2
 //!      5    3 reserved     zero
 //!      8    8 segment_seq  must match the file name
 //! ```
 //!
 //! Each record is `len (u32) ⋅ seq (u64) ⋅ body (len bytes) ⋅ crc (u64)`,
 //! all big-endian, where the body is `kind (u8 = 1, put) ⋅ key_len (u16) ⋅
-//! key ⋅ cell` ([`Cell::encode`]) and the crc is [`fnv64`] over the
-//! len+seq prefix chained with the body. Replay stops at the first
-//! truncated record (a torn tail — the crash interrupted a write) or the
-//! first checksum mismatch (bit rot), and reports which; everything
-//! before the stop point is intact by construction.
+//! key ⋅ cell` ([`Cell::encode`]) and the crc is [`checksum64`] of the body
+//! seeded with the [`checksum64`] of the len+seq prefix. Replay stops at
+//! the first truncated record (a torn tail — the crash interrupted a
+//! write) or the first checksum mismatch (bit rot), and reports which;
+//! everything before the stop point is intact by construction.
 
-use crate::block::{fnv64, fnv64_extend};
+use crate::block::checksum64;
 use crate::schema::{Cell, PartitionKey};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// Segment header magic: `"KWAL"`.
 pub const WAL_MAGIC: u32 = 0x4B57_414C;
 /// Current segment format version.
-pub const WAL_VERSION: u8 = 1;
+pub const WAL_VERSION: u8 = 2;
 /// Encoded segment header size in bytes.
 pub const WAL_HEADER_LEN: usize = 16;
 /// Record kind byte: a put of one cell.
@@ -138,7 +138,7 @@ impl WalWriter {
         rec.put_u32(body.len() as u32);
         rec.put_u64(seq);
         rec.put_slice(&body);
-        let crc = fnv64_extend(fnv64(&rec[..12]), &body);
+        let crc = checksum64(checksum64(0, &rec[..12]), &body);
         rec.put_u64(crc);
         // One write_all per record: a torn write is then (almost always) a
         // clean prefix, which replay detects as a torn tail.
@@ -289,7 +289,7 @@ pub fn replay_segment(path: &Path) -> io::Result<SegmentReplay> {
         let body = &raw[offset + 12..offset + 12 + len as usize];
         let mut crc_bytes = Bytes::copy_from_slice(&raw[offset + total - 8..offset + total]);
         let stored_crc = crc_bytes.get_u64();
-        let crc = fnv64_extend(fnv64(&raw[offset..offset + 12]), body);
+        let crc = checksum64(checksum64(0, &raw[offset..offset + 12]), body);
         if crc != stored_crc {
             break WalTail::Corrupt {
                 valid_bytes: offset as u64,
@@ -442,6 +442,50 @@ mod tests {
         std::fs::write(&path, &bytes[..7]).expect("write");
         let replay = replay_segment(&path).expect("replay");
         assert_eq!(replay.tail, WalTail::Torn { valid_bytes: 0 });
+    }
+
+    #[test]
+    fn version_1_segments_are_refused_not_replayed() {
+        use crate::block::{fnv1a, FNV1A_BASIS};
+        let tmp = TempDir::new("wal-v1");
+        let path = write_records(tmp.path(), 4);
+        let pristine = std::fs::read(&path).expect("read");
+        assert_eq!(pristine[4], WAL_VERSION);
+        let replay = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("write");
+            replay_segment(&path).expect("replay")
+        };
+        // Re-seals every record of a segment image under `digest`.
+        let reseal = |bytes: &mut [u8], basis: u64, digest: fn(u64, &[u8]) -> u64| {
+            let rec_len = (bytes.len() - WAL_HEADER_LEN) / 4;
+            for rec in bytes[WAL_HEADER_LEN..].chunks_exact_mut(rec_len) {
+                let (covered, crc) = rec.split_at_mut(rec_len - 8);
+                let sealed = digest(digest(basis, &covered[..12]), &covered[12..]);
+                crc.copy_from_slice(&sealed.to_be_bytes());
+            }
+        };
+        // Version 1 over today's records: the header check refuses the
+        // segment whole.
+        let mut v1 = pristine.clone();
+        v1[4] = 1;
+        reseal(&mut v1, 0, checksum64);
+        let refused = replay(&v1);
+        assert!(refused.records.is_empty());
+        assert_eq!(refused.header_seq, None);
+        assert_eq!(refused.tail, WalTail::Corrupt { valid_bytes: 0 });
+        // A real version-1 segment seals its records with FNV-1a: behind
+        // today's version byte the first record's checksum refuses it.
+        let mut fnv = pristine.clone();
+        reseal(&mut fnv, FNV1A_BASIS, fnv1a);
+        let refused = replay(&fnv);
+        assert!(refused.records.is_empty());
+        let valid_bytes = WAL_HEADER_LEN as u64;
+        assert_eq!(refused.tail, WalTail::Corrupt { valid_bytes });
+        // The reseal procedure itself is sound.
+        let mut same = pristine.clone();
+        reseal(&mut same, 0, checksum64);
+        assert_eq!(same, pristine);
+        assert_eq!(replay(&same).records.len(), 4);
     }
 
     #[test]
