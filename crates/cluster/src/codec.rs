@@ -19,9 +19,16 @@
 //! attributes to that stack: field-by-field debug-log formatting and a
 //! redundant integrity pass over every message (`verbose_stack_overhead`
 //! below).
+//!
+//! The read path's bodies can be written and read in place: a sender
+//! appends to the buffer it will write from ([`Codec::append_request`],
+//! [`Codec::append_response`] — straight from a per-kind tally), a
+//! receiver folds a response into an accumulator from the bytes where
+//! they lie ([`Codec::fold_response`]). `encode_*`/`decode_response` call
+//! the same routines, so both agree and both do the verbose stack's work.
 
 use crate::messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use kvs_store::{Cell, PartitionKey};
 use std::collections::BTreeMap;
 
@@ -69,26 +76,37 @@ impl Codec {
 
     /// Encodes a request to wire bytes.
     pub fn encode_request(&self, req: &QueryRequest) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut out = Vec::new();
+        self.append_request(&mut out, req.request_id, &req.partition);
+        Bytes::from(out)
+    }
+
+    /// Appends to `out` the bytes [`Codec::encode_request`] returns for
+    /// this id and partition, where the master will write them from.
+    pub fn append_request(&self, out: &mut Vec<u8>, request_id: u64, partition: &PartitionKey) {
+        let start = out.len();
+        // Here and below the reserved size is an upper bound on the body;
+        // one that fell short would cost a reallocation, not a byte.
         match self.kind {
             CodecKind::Verbose => {
-                put_str(&mut buf, "org.kvscale.proto.QueryRequest");
-                put_str(&mut buf, "serialVersionUID");
-                buf.put_u64(0x1CE1_CE1C_E1CE_1CE1);
-                put_str(&mut buf, "requestId");
-                buf.put_u64(req.request_id);
-                put_str(&mut buf, "partition");
-                put_bytes_field(&mut buf, req.partition.as_bytes());
-                verbose_stack_overhead(&buf, "tx-req");
+                out.reserve(96 + partition.len());
+                put_str(out, "org.kvscale.proto.QueryRequest");
+                put_str(out, "serialVersionUID");
+                out.put_u64(0x1CE1_CE1C_E1CE_1CE1);
+                put_str(out, "requestId");
+                out.put_u64(request_id);
+                put_str(out, "partition");
+                put_bytes_field(out, partition.as_bytes());
+                verbose_stack_overhead(&out[start..], "tx-req");
             }
             CodecKind::Compact => {
-                buf.put_u8(CLASS_REQUEST);
-                put_varint(&mut buf, req.request_id);
-                put_varint(&mut buf, req.partition.len() as u64);
-                buf.put_slice(req.partition.as_bytes());
+                out.reserve(1 + 2 * MAX_VARINT + partition.len());
+                out.put_u8(CLASS_REQUEST);
+                put_varint(out, request_id);
+                put_varint(out, partition.len() as u64);
+                out.put_slice(partition.as_bytes());
             }
         }
-        buf.freeze()
     }
 
     /// Decodes a request; `None` on malformed input.
@@ -98,15 +116,9 @@ impl Codec {
                 verbose_stack_overhead(&bytes, "rx-req");
                 expect_str(&mut bytes, "org.kvscale.proto.QueryRequest")?;
                 expect_str(&mut bytes, "serialVersionUID")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                bytes.get_u64();
+                get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "requestId")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let request_id = bytes.get_u64();
+                let request_id = get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "partition")?;
                 let pk = get_bytes_field(&mut bytes)?;
                 Some(QueryRequest {
@@ -115,15 +127,12 @@ impl Codec {
                 })
             }
             CodecKind::Compact => {
-                if bytes.remaining() < 1 || bytes.get_u8() != CLASS_REQUEST {
+                if get_u8(&mut bytes)? != CLASS_REQUEST {
                     return None;
                 }
                 let request_id = get_varint(&mut bytes)?;
                 let len = get_varint(&mut bytes)? as usize;
-                if bytes.remaining() < len {
-                    return None;
-                }
-                let pk = bytes.split_to(len).to_vec();
+                let pk = get_vec(&mut bytes, len)?;
                 Some(QueryRequest {
                     request_id,
                     partition: PartitionKey::new(pk),
@@ -134,125 +143,173 @@ impl Codec {
 
     /// Encodes a response to wire bytes.
     pub fn encode_response(&self, resp: &QueryResponse) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self.kind {
-            CodecKind::Verbose => {
-                put_str(&mut buf, "org.kvscale.proto.QueryResponse");
-                put_str(&mut buf, "serialVersionUID");
-                buf.put_u64(0x2CE2_CE2C_E2CE_2CE2);
-                put_str(&mut buf, "requestId");
-                buf.put_u64(resp.request_id);
-                put_str(&mut buf, "cells");
-                buf.put_u64(resp.cells);
-                put_str(&mut buf, "counts");
-                put_str(&mut buf, "java.util.TreeMap");
-                buf.put_u32(resp.counts.len() as u32);
-                for (&kind, &count) in &resp.counts {
-                    put_str(&mut buf, "java.lang.Byte");
-                    buf.put_u8(kind);
-                    put_str(&mut buf, "java.lang.Long");
-                    buf.put_u64(count);
+        let mut out = Vec::new();
+        let counts = resp.counts.iter().map(|(&kind, &count)| (kind, count));
+        self.write_response(&mut out, resp.request_id, resp.cells, resp.version, counts);
+        Bytes::from(out)
+    }
+
+    /// Appends to `out` the response to a read whose fold counted `tally`
+    /// cells of each kind at `version` — byte for byte
+    /// `encode_response(&from_tally(request_id, tally).with_version(version))`,
+    /// with no message and no map built to get there.
+    pub fn append_response(
+        &self,
+        out: &mut Vec<u8>,
+        request_id: u64,
+        tally: &[u64; 256],
+        version: u64,
+    ) {
+        // Eight slots at a glance: a partition holds a handful of kinds.
+        let (mut kinds, mut found, mut cells) = ([0u8; 256], 0, 0);
+        for (base, eight) in tally.chunks_exact(8).enumerate() {
+            if eight.iter().fold(0, |any, &count| any | count) != 0 {
+                for (slot, &count) in eight.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                    kinds[found] = (base * 8 + slot) as u8;
+                    found += 1;
+                    cells += count;
                 }
-                put_str(&mut buf, "version");
-                buf.put_u64(resp.version);
-                verbose_stack_overhead(&buf, "tx-resp");
-            }
-            CodecKind::Compact => {
-                buf.put_u8(CLASS_RESPONSE);
-                put_varint(&mut buf, resp.request_id);
-                put_varint(&mut buf, resp.cells);
-                put_varint(&mut buf, resp.counts.len() as u64);
-                for (&kind, &count) in &resp.counts {
-                    buf.put_u8(kind);
-                    put_varint(&mut buf, count);
-                }
-                put_varint(&mut buf, resp.version);
             }
         }
-        buf.freeze()
+        let counts = kinds[..found]
+            .iter()
+            .map(|&kind| (kind, tally[kind as usize]));
+        self.write_response(out, request_id, cells, version, counts);
+    }
+
+    /// The one response-body encoder.
+    fn write_response(
+        &self,
+        out: &mut Vec<u8>,
+        request_id: u64,
+        cells: u64,
+        version: u64,
+        counts: impl ExactSizeIterator<Item = (u8, u64)>,
+    ) {
+        let start = out.len();
+        let kinds = counts.len();
+        match self.kind {
+            CodecKind::Verbose => {
+                out.reserve(160 + 48 * kinds);
+                put_str(out, "org.kvscale.proto.QueryResponse");
+                put_str(out, "serialVersionUID");
+                out.put_u64(0x2CE2_CE2C_E2CE_2CE2);
+                put_str(out, "requestId");
+                out.put_u64(request_id);
+                put_str(out, "cells");
+                out.put_u64(cells);
+                put_str(out, "counts");
+                put_str(out, "java.util.TreeMap");
+                out.put_u32(kinds as u32);
+                for (kind, count) in counts {
+                    put_str(out, "java.lang.Byte");
+                    out.put_u8(kind);
+                    put_str(out, "java.lang.Long");
+                    out.put_u64(count);
+                }
+                put_str(out, "version");
+                out.put_u64(version);
+                verbose_stack_overhead(&out[start..], "tx-resp");
+            }
+            CodecKind::Compact => {
+                out.reserve(1 + 4 * MAX_VARINT + (1 + MAX_VARINT) * kinds);
+                out.put_u8(CLASS_RESPONSE);
+                put_varint(out, request_id);
+                put_varint(out, cells);
+                put_varint(out, kinds as u64);
+                for (kind, count) in counts {
+                    out.put_u8(kind);
+                    put_varint(out, count);
+                }
+                put_varint(out, version);
+            }
+        }
     }
 
     /// Decodes a response; `None` on malformed input.
-    pub fn decode_response(&self, mut bytes: Bytes) -> Option<QueryResponse> {
+    pub fn decode_response(&self, bytes: Bytes) -> Option<QueryResponse> {
+        if self.kind == CodecKind::Verbose {
+            verbose_stack_overhead(&bytes, "rx-resp");
+        }
+        let mut counts = BTreeMap::new();
+        let (request_id, cells, version) = self.walk_response(&bytes, |kind, count| {
+            counts.insert(kind, count);
+        })?;
+        Some(QueryResponse {
+            request_id,
+            counts,
+            cells,
+            version,
+        })
+    }
+
+    /// Folds an encoded response into `acc` where it lies — what
+    /// [`Codec::decode_response`] then [`QueryResponse::merge`] do, with
+    /// no message in between — and returns its cell count. `None`, with
+    /// `acc` untouched, for exactly the input `decode_response` refuses.
+    /// (A kind named twice, which no encoder writes, is added twice.)
+    pub fn fold_response(&self, bytes: &[u8], acc: &mut QueryResponse) -> Option<u64> {
+        if self.kind == CodecKind::Verbose {
+            verbose_stack_overhead(bytes, "rx-resp");
+        }
+        // A body cut short must leave the accumulator as it was: walk it
+        // to its end before adding any of it.
+        self.walk_response(bytes, |_, _| {})?;
+        let (_, cells, version) = self.walk_response(bytes, |kind, count| {
+            *acc.counts.entry(kind).or_insert(0) += count;
+        })?;
+        acc.cells += cells;
+        acc.version = acc.version.max(version);
+        Some(cells)
+    }
+
+    /// The one response-body decoder; returns `(request_id, cells, version)`.
+    fn walk_response(
+        &self,
+        mut bytes: &[u8],
+        mut visit: impl FnMut(u8, u64),
+    ) -> Option<(u64, u64, u64)> {
+        let bytes = &mut bytes;
         match self.kind {
             CodecKind::Verbose => {
-                verbose_stack_overhead(&bytes, "rx-resp");
-                expect_str(&mut bytes, "org.kvscale.proto.QueryResponse")?;
-                expect_str(&mut bytes, "serialVersionUID")?;
-                if bytes.remaining() < 8 {
-                    return None;
+                expect_str(bytes, "org.kvscale.proto.QueryResponse")?;
+                expect_str(bytes, "serialVersionUID")?;
+                get_u64(bytes)?;
+                expect_str(bytes, "requestId")?;
+                let request_id = get_u64(bytes)?;
+                expect_str(bytes, "cells")?;
+                let cells = get_u64(bytes)?;
+                expect_str(bytes, "counts")?;
+                expect_str(bytes, "java.util.TreeMap")?;
+                for _ in 0..get_u32(bytes)? {
+                    expect_str(bytes, "java.lang.Byte")?;
+                    let kind = get_u8(bytes)?;
+                    expect_str(bytes, "java.lang.Long")?;
+                    visit(kind, get_u64(bytes)?);
                 }
-                bytes.get_u64();
-                expect_str(&mut bytes, "requestId")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let request_id = bytes.get_u64();
-                expect_str(&mut bytes, "cells")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let cells = bytes.get_u64();
-                expect_str(&mut bytes, "counts")?;
-                expect_str(&mut bytes, "java.util.TreeMap")?;
-                if bytes.remaining() < 4 {
-                    return None;
-                }
-                let n = bytes.get_u32() as usize;
-                let mut counts = BTreeMap::new();
-                for _ in 0..n {
-                    expect_str(&mut bytes, "java.lang.Byte")?;
-                    if bytes.remaining() < 1 {
-                        return None;
-                    }
-                    let kind = bytes.get_u8();
-                    expect_str(&mut bytes, "java.lang.Long")?;
-                    if bytes.remaining() < 8 {
-                        return None;
-                    }
-                    counts.insert(kind, bytes.get_u64());
-                }
-                expect_str(&mut bytes, "version")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let version = bytes.get_u64();
-                Some(QueryResponse {
-                    request_id,
-                    counts,
-                    cells,
-                    version,
-                })
+                expect_str(bytes, "version")?;
+                Some((request_id, cells, get_u64(bytes)?))
             }
             CodecKind::Compact => {
-                if bytes.remaining() < 1 || bytes.get_u8() != CLASS_RESPONSE {
+                if get_u8(bytes)? != CLASS_RESPONSE {
                     return None;
                 }
-                let request_id = get_varint(&mut bytes)?;
-                let cells = get_varint(&mut bytes)?;
-                let n = get_varint(&mut bytes)? as usize;
-                let mut counts = BTreeMap::new();
-                for _ in 0..n {
-                    if bytes.remaining() < 1 {
-                        return None;
-                    }
-                    let kind = bytes.get_u8();
-                    counts.insert(kind, get_varint(&mut bytes)?);
+                let request_id = get_varint(bytes)?;
+                let cells = get_varint(bytes)?;
+                for _ in 0..get_varint(bytes)? {
+                    let kind = get_u8(bytes)?;
+                    visit(kind, get_varint(bytes)?);
                 }
-                let version = get_varint(&mut bytes)?;
-                Some(QueryResponse {
-                    request_id,
-                    counts,
-                    cells,
-                    version,
-                })
+                Some((request_id, cells, get_varint(bytes)?))
             }
         }
     }
 
     /// Encodes a write request (also the RMW body) to wire bytes.
     pub fn encode_write(&self, req: &WriteRequest) -> Bytes {
-        let mut buf = BytesMut::new();
+        let payloads: usize = req.cells.iter().map(|c| c.payload.len()).sum();
+        let mut buf =
+            Vec::with_capacity(160 + req.partition.len() + 40 * req.cells.len() + payloads);
         match self.kind {
             CodecKind::Verbose => {
                 put_str(&mut buf, "org.kvscale.proto.WriteRequest");
@@ -290,7 +347,7 @@ impl Codec {
                 }
             }
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes a write request; `None` on malformed input.
@@ -300,36 +357,21 @@ impl Codec {
                 verbose_stack_overhead(&bytes, "rx-write");
                 expect_str(&mut bytes, "org.kvscale.proto.WriteRequest")?;
                 expect_str(&mut bytes, "serialVersionUID")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                bytes.get_u64();
+                get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "requestId")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let request_id = bytes.get_u64();
+                let request_id = get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "partition")?;
                 let pk = get_bytes_field(&mut bytes)?;
                 expect_str(&mut bytes, "timestamp")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let timestamp = bytes.get_u64();
+                let timestamp = get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "cells")?;
                 expect_str(&mut bytes, "java.util.ArrayList")?;
-                if bytes.remaining() < 4 {
-                    return None;
-                }
-                let n = bytes.get_u32() as usize;
+                let n = get_u32(&mut bytes)? as usize;
                 let mut cells = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     expect_str(&mut bytes, "org.kvscale.proto.Cell")?;
-                    if bytes.remaining() < 9 {
-                        return None;
-                    }
-                    let clustering = bytes.get_u64();
-                    let kind = bytes.get_u8();
+                    let clustering = get_u64(&mut bytes)?;
+                    let kind = get_u8(&mut bytes)?;
                     let payload = get_bytes_field(&mut bytes)?;
                     cells.push(Cell::new(clustering, kind, payload));
                 }
@@ -341,24 +383,18 @@ impl Codec {
                 })
             }
             CodecKind::Compact => {
-                if bytes.remaining() < 1 || bytes.get_u8() != CLASS_WRITE {
+                if get_u8(&mut bytes)? != CLASS_WRITE {
                     return None;
                 }
                 let request_id = get_varint(&mut bytes)?;
                 let len = get_varint(&mut bytes)? as usize;
-                if bytes.remaining() < len {
-                    return None;
-                }
-                let pk = bytes.split_to(len).to_vec();
+                let pk = get_vec(&mut bytes, len)?;
                 let timestamp = get_varint(&mut bytes)?;
                 let n = get_varint(&mut bytes)? as usize;
                 let mut cells = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let clustering = get_varint(&mut bytes)?;
-                    if bytes.remaining() < 1 {
-                        return None;
-                    }
-                    let kind = bytes.get_u8();
+                    let kind = get_u8(&mut bytes)?;
                     let plen = get_varint(&mut bytes)? as usize;
                     if bytes.remaining() < plen {
                         return None;
@@ -378,7 +414,7 @@ impl Codec {
 
     /// Encodes a write acknowledgement to wire bytes.
     pub fn encode_write_ack(&self, ack: &WriteAck) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::with_capacity(112);
         match self.kind {
             CodecKind::Verbose => {
                 put_str(&mut buf, "org.kvscale.proto.WriteAck");
@@ -399,7 +435,7 @@ impl Codec {
                 put_varint(&mut buf, ack.version);
             }
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Decodes a write acknowledgement; `None` on malformed input.
@@ -409,25 +445,13 @@ impl Codec {
                 verbose_stack_overhead(&bytes, "rx-ack");
                 expect_str(&mut bytes, "org.kvscale.proto.WriteAck")?;
                 expect_str(&mut bytes, "serialVersionUID")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                bytes.get_u64();
+                get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "requestId")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let request_id = bytes.get_u64();
+                let request_id = get_u64(&mut bytes)?;
                 expect_str(&mut bytes, "applied")?;
-                if bytes.remaining() < 1 {
-                    return None;
-                }
-                let applied = bytes.get_u8() != 0;
+                let applied = get_u8(&mut bytes)? != 0;
                 expect_str(&mut bytes, "version")?;
-                if bytes.remaining() < 8 {
-                    return None;
-                }
-                let version = bytes.get_u64();
+                let version = get_u64(&mut bytes)?;
                 Some(WriteAck {
                     request_id,
                     applied,
@@ -435,14 +459,11 @@ impl Codec {
                 })
             }
             CodecKind::Compact => {
-                if bytes.remaining() < 1 || bytes.get_u8() != CLASS_WRITE_ACK {
+                if get_u8(&mut bytes)? != CLASS_WRITE_ACK {
                     return None;
                 }
                 let request_id = get_varint(&mut bytes)?;
-                if bytes.remaining() < 1 {
-                    return None;
-                }
-                let applied = bytes.get_u8() != 0;
+                let applied = get_u8(&mut bytes)? != 0;
                 let version = get_varint(&mut bytes)?;
                 Some(WriteAck {
                     request_id,
@@ -458,6 +479,9 @@ const CLASS_REQUEST: u8 = 0x01;
 const CLASS_RESPONSE: u8 = 0x02;
 const CLASS_WRITE: u8 = 0x03;
 const CLASS_WRITE_ACK: u8 = 0x04;
+
+/// The most bytes a varint-encoded `u64` takes.
+const MAX_VARINT: usize = 10;
 
 /// How many per-message passes the verbose stack makes over each message:
 /// serializer field logging, transport trace logging, an integrity
@@ -489,40 +513,50 @@ fn verbose_stack_overhead(payload: &[u8], op: &str) {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
 
-fn expect_str(bytes: &mut Bytes, expected: &str) -> Option<()> {
+fn expect_str(bytes: &mut impl Buf, expected: &str) -> Option<()> {
     if bytes.remaining() < 2 {
         return None;
     }
     let len = bytes.get_u16() as usize;
-    if bytes.remaining() < len {
-        return None;
-    }
-    let s = bytes.split_to(len);
-    (s.as_ref() == expected.as_bytes()).then_some(())
+    let matches = bytes.chunk().get(..len)? == expected.as_bytes();
+    bytes.advance(len);
+    matches.then_some(())
 }
 
-fn put_bytes_field(buf: &mut BytesMut, b: &[u8]) {
+fn get_u8(bytes: &mut impl Buf) -> Option<u8> {
+    (bytes.remaining() >= 1).then(|| bytes.get_u8())
+}
+
+fn get_u32(bytes: &mut impl Buf) -> Option<u32> {
+    (bytes.remaining() >= 4).then(|| bytes.get_u32())
+}
+
+fn get_u64(bytes: &mut impl Buf) -> Option<u64> {
+    (bytes.remaining() >= 8).then(|| bytes.get_u64())
+}
+
+fn get_vec(bytes: &mut impl Buf, len: usize) -> Option<Vec<u8>> {
+    let field = bytes.chunk().get(..len)?.to_vec();
+    bytes.advance(len);
+    Some(field)
+}
+
+fn put_bytes_field(buf: &mut Vec<u8>, b: &[u8]) {
     buf.put_u32(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn get_bytes_field(bytes: &mut Bytes) -> Option<Vec<u8>> {
-    if bytes.remaining() < 4 {
-        return None;
-    }
-    let len = bytes.get_u32() as usize;
-    if bytes.remaining() < len {
-        return None;
-    }
-    Some(bytes.split_to(len).to_vec())
+fn get_bytes_field(bytes: &mut impl Buf) -> Option<Vec<u8>> {
+    let len = get_u32(bytes)? as usize;
+    get_vec(bytes, len)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -534,13 +568,10 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn get_varint(bytes: &mut Bytes) -> Option<u64> {
+fn get_varint(bytes: &mut impl Buf) -> Option<u64> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
-        if bytes.remaining() < 1 {
-            return None;
-        }
-        let byte = bytes.get_u8();
+        let byte = get_u8(bytes)?;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
@@ -640,12 +671,12 @@ mod tests {
 
     #[test]
     fn varint_roundtrip_extremes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             buf.clear();
             put_varint(&mut buf, v);
-            let mut b = buf.clone().freeze();
-            assert_eq!(get_varint(&mut b), Some(v));
+            assert!(buf.len() <= MAX_VARINT);
+            assert_eq!(get_varint(&mut &buf[..]), Some(v));
         }
     }
 

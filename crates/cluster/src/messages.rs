@@ -54,16 +54,17 @@ impl QueryResponse {
     /// Builds a response from a tally indexed by kind byte — what a fold
     /// over a partition's cells counts into.
     pub fn from_tally(request_id: u64, tally: &[u64; 256]) -> Self {
-        QueryResponse {
+        let mut response = QueryResponse {
             request_id,
-            counts: (0..=u8::MAX)
-                .zip(tally)
-                .filter(|&(_, &count)| count > 0)
-                .map(|(kind, &count)| (kind, count))
-                .collect(),
-            cells: tally.iter().sum(),
-            version: 0,
+            ..QueryResponse::empty()
+        };
+        for (kind, &count) in tally.iter().enumerate() {
+            if count > 0 {
+                response.counts.insert(kind as u8, count);
+                response.cells += count;
+            }
         }
+        response
     }
 
     /// Sets the partition's LWW version (builder style).

@@ -14,6 +14,15 @@
 //! requests could use; the evicted items are handed back to the producer,
 //! which owns answering them (an `Expired` reply on the wire). Entries
 //! pushed through the untimed API never expire.
+//!
+//! A hand-off wakes only a thread that waits. Consumers and blocked
+//! producers count themselves under the queue's mutex (up before a wait,
+//! down after it), and a push or pop notifies the other side only when
+//! the counts it read under that same lock show a sleeper no wake-up is
+//! on its way to yet — a wake-up is a system call, a busy worker finds
+//! the next item without one, and a burst wakes a parked worker once.
+//! [`WorkSource::recv_timeout`] looks at the queue before the clock, so a
+//! zero-timeout poll costs a lock and nothing else.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -88,6 +97,35 @@ struct Inner<T> {
     items: VecDeque<(T, u64)>,
     producers: usize,
     consumers: usize,
+    /// Consumers asleep on `not_empty`.
+    sleeping_consumers: Sleepers,
+    /// Producers asleep on `not_full`.
+    sleeping_producers: Sleepers,
+}
+
+/// The threads asleep on one condition variable, and how many of them a
+/// notification is already on its way to.
+#[derive(Default)]
+struct Sleepers {
+    asleep: usize,
+    notified: usize,
+}
+
+impl Sleepers {
+    /// Whether a sleeper has no wake-up coming; if so, books the caller's.
+    fn claim_one(&mut self) -> bool {
+        let owed = self.asleep > self.notified;
+        self.notified += owed as usize;
+        owed
+    }
+
+    /// A sleeper is awake again, for whatever reason, and uses up a booked
+    /// wake-up, its own or not: bookings can only run short, which costs
+    /// a spare notification, never a missed one.
+    fn woke(&mut self) {
+        self.asleep -= 1;
+        self.notified = self.notified.saturating_sub(1);
+    }
 }
 
 struct Shared<T> {
@@ -96,11 +134,49 @@ struct Shared<T> {
     not_full: Condvar,
     counters: Counters,
     capacity: usize,
+    /// Notifications issued by push and pop paths.
+    #[cfg(test)]
+    wakes: AtomicUsize,
 }
 
 impl<T> Shared<T> {
     fn lock(&self) -> MutexGuard<'_, Inner<T>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wakes one thread asleep on `cv`, if `owed` — claimed under the
+    /// lock the caller has just released — says one is waiting for it.
+    fn wake_one(&self, cv: &Condvar, owed: bool) {
+        if owed {
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            cv.notify_one();
+        }
+    }
+
+    /// Enqueues an item, counts it, and wakes a sleeping consumer, if any.
+    fn push(&self, mut g: MutexGuard<'_, Inner<T>>, item: T, deadline: u64) {
+        g.items.push_back((item, deadline));
+        let c = &self.counters;
+        c.pushed.fetch_add(1, Ordering::Relaxed);
+        c.max_depth.fetch_max(g.items.len(), Ordering::Relaxed);
+        let owed = g.sleeping_consumers.claim_one();
+        drop(g);
+        self.wake_one(&self.not_empty, owed);
+    }
+
+    /// Takes the oldest item, if any, and wakes a producer blocked on the
+    /// slot it frees.
+    fn pop<'a>(&self, mut g: MutexGuard<'a, Inner<T>>) -> Result<T, MutexGuard<'a, Inner<T>>> {
+        match g.items.pop_front() {
+            Some((item, _)) => {
+                let owed = g.sleeping_producers.claim_one();
+                drop(g);
+                self.wake_one(&self.not_full, owed);
+                Ok(item)
+            }
+            None => Err(g),
+        }
     }
 }
 
@@ -125,11 +201,15 @@ pub fn work_queue<T>(capacity: usize) -> (WorkQueue<T>, WorkSource<T>) {
             items: VecDeque::with_capacity(capacity),
             producers: 1,
             consumers: 1,
+            sleeping_consumers: Sleepers::default(),
+            sleeping_producers: Sleepers::default(),
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         counters: Counters::default(),
         capacity,
+        #[cfg(test)]
+        wakes: AtomicUsize::new(0),
     });
     (
         WorkQueue {
@@ -169,29 +249,26 @@ impl<T> WorkQueue<T> {
         }
         let mut evicted = Vec::new();
         if g.items.len() >= self.shared.capacity {
-            let mut kept = VecDeque::with_capacity(g.items.len());
-            for (it, dl) in g.items.drain(..) {
-                if dl <= now {
-                    evicted.push(it);
-                } else {
-                    kept.push_back((it, dl));
+            // In place, oldest first: only the dead leave the deque.
+            let mut i = 0;
+            while i < g.items.len() {
+                if g.items[i].1 > now {
+                    i += 1;
+                } else if let Some((dead, _)) = g.items.remove(i) {
+                    evicted.push(dead);
                 }
             }
-            g.items = kept;
+            if g.items.len() >= self.shared.capacity {
+                c.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                return TimedPush::Full(item);
+            }
             c.expired.fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            if evicted.len() > 1 && g.sleeping_producers.asleep > 0 {
+                // Eviction freed slots beyond the one this push uses.
+                self.shared.not_full.notify_all();
+            }
         }
-        if g.items.len() >= self.shared.capacity {
-            c.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            return TimedPush::Full(item);
-        }
-        g.items.push_back((item, deadline));
-        self.note_push(g.items.len());
-        drop(g);
-        self.shared.not_empty.notify_one();
-        if !evicted.is_empty() {
-            // Eviction freed at least one slot beyond the one we used.
-            self.shared.not_full.notify_all();
-        }
+        self.shared.push(g, item, deadline);
         TimedPush::Accepted { evicted }
     }
 
@@ -210,27 +287,20 @@ impl<T> WorkQueue<T> {
                 .blocked_pushes
                 .fetch_add(1, Ordering::Relaxed);
             while g.items.len() >= self.shared.capacity && g.consumers > 0 {
+                g.sleeping_producers.asleep += 1;
                 g = self
                     .shared
                     .not_full
                     .wait(g)
                     .unwrap_or_else(|e| e.into_inner());
+                g.sleeping_producers.woke();
             }
             if g.consumers == 0 {
                 return Err(item);
             }
         }
-        g.items.push_back((item, NO_DEADLINE));
-        self.note_push(g.items.len());
-        drop(g);
-        self.shared.not_empty.notify_one();
+        self.shared.push(g, item, NO_DEADLINE);
         Ok(())
-    }
-
-    fn note_push(&self, depth: usize) {
-        let c = &self.shared.counters;
-        c.pushed.fetch_add(1, Ordering::Relaxed);
-        c.max_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// The configured capacity.
@@ -271,49 +341,52 @@ impl<T> WorkSource<T> {
     pub fn recv(&self) -> Option<T> {
         let mut g = self.shared.lock();
         loop {
-            if let Some((item, _)) = g.items.pop_front() {
-                drop(g);
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
+            g = match self.shared.pop(g) {
+                Ok(item) => return Some(item),
+                Err(g) => g,
+            };
             if g.producers == 0 {
                 return None;
             }
+            g.sleeping_consumers.asleep += 1;
             g = self
                 .shared
                 .not_empty
                 .wait(g)
                 .unwrap_or_else(|e| e.into_inner());
+            g.sleeping_consumers.woke();
         }
     }
 
     /// Takes the next item, waiting at most `timeout`; `None` on timeout
-    /// or disconnection.
+    /// or disconnection. The queue is looked at before the clock: an item
+    /// already there, and a zero timeout (a poll), cost no clock read.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let give_up = Instant::now() + timeout;
+        let mut give_up = None;
         let mut g = self.shared.lock();
         loop {
-            if let Some((item, _)) = g.items.pop_front() {
-                drop(g);
-                self.shared.not_full.notify_one();
-                return Some(item);
-            }
-            if g.producers == 0 {
+            g = match self.shared.pop(g) {
+                Ok(item) => return Some(item),
+                Err(g) => g,
+            };
+            if g.producers == 0 || timeout.is_zero() {
                 return None;
             }
-            let left = give_up.saturating_duration_since(Instant::now());
+            let now = Instant::now();
+            let left = give_up
+                .get_or_insert_with(|| now + timeout)
+                .saturating_duration_since(now);
             if left.is_zero() {
                 return None;
             }
-            let (guard, res) = self
+            g.sleeping_consumers.asleep += 1;
+            g = self
                 .shared
                 .not_empty
                 .wait_timeout(g, left)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-            if res.timed_out() && g.items.is_empty() {
-                return None;
-            }
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            g.sleeping_consumers.woke();
         }
     }
 
@@ -475,6 +548,58 @@ mod tests {
         assert_eq!(s.expired, 2);
         assert_eq!(s.busy_rejections, 1);
         assert_eq!(s.pushed, 3);
+    }
+
+    #[test]
+    fn eviction_takes_only_the_dead_and_keeps_both_orders() {
+        let (q, src) = work_queue::<u32>(4);
+        for (item, deadline) in [(1, 10), (2, 100), (3, 10), (4, 100)] {
+            assert!(matches!(
+                q.try_push_timed(item, deadline, 0),
+                TimedPush::Accepted { .. }
+            ));
+        }
+        match q.try_push_timed(5, 100, 20) {
+            TimedPush::Accepted { evicted } => assert_eq!(evicted, vec![1, 3]),
+            other => panic!("expected acceptance, got {other:?}"),
+        }
+        assert!(matches!(
+            q.try_push_timed(6, 100, 20),
+            TimedPush::Accepted { .. }
+        ));
+        assert!(matches!(q.try_push_timed(7, 100, 20), TimedPush::Full(7)));
+        drop(q);
+        let left: Vec<u32> = std::iter::from_fn(|| src.recv()).collect();
+        assert_eq!(left, vec![2, 4, 5, 6]);
+        assert_eq!(src.stats().expired, 2);
+    }
+
+    #[test]
+    fn only_a_sleeping_consumer_costs_a_wakeup() {
+        let (q, src) = work_queue::<u32>(4);
+        let wakes = |q: &WorkQueue<u32>| q.shared.wakes.load(Ordering::Relaxed);
+        for i in 0..10_000 {
+            q.try_push(i).unwrap();
+            assert_eq!(src.recv_timeout(Duration::ZERO), Some(i));
+            assert_eq!(src.recv_timeout(Duration::ZERO), None);
+        }
+        assert_eq!(wakes(&q), 0, "nobody slept, nobody is woken");
+        // The burst woke no one; the first push to a parked consumer must
+        // still wake it, and the rest of a burst pushed at it — whether or
+        // not it has got as far as running — must not wake it again:
+        // exactly one notification.
+        let parked = {
+            let src = src.clone();
+            std::thread::spawn(move || src.recv())
+        };
+        while q.shared.lock().sleeping_consumers.asleep == 0 {
+            std::thread::yield_now();
+        }
+        for i in 7..11 {
+            q.try_push(i).unwrap();
+        }
+        assert_eq!(parked.join().unwrap(), Some(7));
+        assert_eq!(wakes(&q), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::messages::{QueryRequest, QueryResponse};
 use crate::result::{Coverage, RunResult};
 use crate::usl;
 use kvs_simcore::{Dist, Engine, Resource, RngHub, SimDuration, SimTime};
-use kvs_stages::{analyze, Stage, TraceRecorder};
+use kvs_stages::{analyze, RequestTrace, Span, Stage, TraceRecorder};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
 use std::cell::{Cell, RefCell};
@@ -166,14 +166,21 @@ fn launch_attempt(
                     }
                     let mut s = env.st.borrow_mut();
                     let id = env.p.request_id;
-                    s.recorder.begin(id, node, env.p.cells);
-                    s.recorder
-                        .record(id, Stage::MasterToSlave, env.issued_at, arrival);
-                    s.recorder
-                        .record(id, Stage::InQueue, enqueued_at, started_at);
-                    s.recorder.record(id, Stage::InDb, started_at, db_done);
-                    s.recorder
-                        .record(id, Stage::SlaveToMaster, db_done, eng.now());
+                    let mut spans = [None; 4];
+                    for (stage, start, end) in [
+                        (Stage::MasterToSlave, env.issued_at, arrival),
+                        (Stage::InQueue, enqueued_at, started_at),
+                        (Stage::InDb, started_at, db_done),
+                        (Stage::SlaveToMaster, db_done, eng.now()),
+                    ] {
+                        spans[stage.index()] = Some(Span { start, end });
+                    }
+                    s.recorder.insert(RequestTrace {
+                        request_id: id,
+                        node,
+                        cells: env.p.cells,
+                        spans,
+                    });
                     if is_hedge {
                         s.hedges_won += 1;
                     }
@@ -281,7 +288,7 @@ fn run_query_inner(
     let mut eng = Engine::new();
     let hub = RngHub::new(cfg.seed);
     let state = Rc::new(RefCell::new(SharedState {
-        recorder: TraceRecorder::new(),
+        recorder: TraceRecorder::with_capacity(prepared.len()),
         pending: prepared.len(),
         counts: BTreeMap::new(),
         total_cells: 0,

@@ -70,6 +70,90 @@ proptest! {
         }
     }
 
+    /// The in-place response encoder appends, after whatever the buffer
+    /// already holds, exactly the bytes `encode_response` returns for the
+    /// message `from_tally` would have built — for any number of kinds
+    /// from none to all 256, wherever in the tally they sit.
+    #[test]
+    fn in_place_response_is_encode_response(id in any::<u64>(),
+                                            version in any::<u64>(),
+                                            kinds in 0usize..=256,
+                                            first_kind in any::<u8>(),
+                                            counts in proptest::collection::vec(1u64..=1 << 40, 256),
+                                            prefix in proptest::collection::vec(any::<u8>(), 0..40)) {
+        let tally = tally_of(kinds, first_kind, &counts);
+        let message = QueryResponse::from_tally(id, &tally).with_version(version);
+        prop_assert_eq!(message.counts.len(), kinds);
+        for codec in [Codec::verbose(), Codec::compact()] {
+            let mut out = prefix.clone();
+            codec.append_response(&mut out, id, &tally, version);
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &codec.encode_response(&message)[..]);
+        }
+    }
+
+    /// Likewise the in-place request encoder and `encode_request`.
+    #[test]
+    fn in_place_request_is_encode_request(id in any::<u64>(),
+                                          key in proptest::collection::vec(any::<u8>(), 0..64),
+                                          prefix in proptest::collection::vec(any::<u8>(), 0..40)) {
+        let req = QueryRequest {
+            request_id: id,
+            partition: PartitionKey::new(key),
+        };
+        for codec in [Codec::verbose(), Codec::compact()] {
+            let mut out = prefix.clone();
+            codec.append_request(&mut out, id, &req.partition);
+            prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&out[prefix.len()..], &codec.encode_request(&req)[..]);
+        }
+    }
+
+    /// Folding an encoded response into an accumulator is `decode_response`
+    /// then `merge`: the same accumulator after, the same verdict on every
+    /// truncation and on trailing bytes, and an accumulator left alone by
+    /// input that is refused.
+    #[test]
+    fn fold_response_is_decode_then_merge(id in any::<u64>(),
+                                          version in any::<u64>(),
+                                          kinds in 0usize..=256,
+                                          first_kind in any::<u8>(),
+                                          counts in proptest::collection::vec(1u64..=1 << 40, 256),
+                                          before in proptest::collection::btree_map(any::<u8>(), 1u64..=1 << 40, 0..8),
+                                          before_version in any::<u64>(),
+                                          trailing in proptest::collection::vec(any::<u8>(), 1..4)) {
+        let tally = tally_of(kinds, first_kind, &counts);
+        let acc = QueryResponse {
+            request_id: 0,
+            cells: before.values().sum(),
+            counts: before,
+            version: before_version,
+        };
+        for codec in [Codec::verbose(), Codec::compact()] {
+            let wire = codec.encode_response(&QueryResponse::from_tally(id, &tally).with_version(version));
+            let mut longer = wire.to_vec();
+            longer.extend_from_slice(&trailing);
+            // Every truncation (sampled densely at both ends, where the
+            // framing lives), the message itself, and the message with
+            // bytes after it.
+            let cuts = (0..wire.len()).filter(|&c| c < 48 || c + 48 > wire.len() || c % 61 == 0);
+            let inputs = cuts.map(|c| &wire[..c]).chain([&wire[..], &longer[..]]);
+            for input in inputs {
+                let mut folded = acc.clone();
+                let cells = codec.fold_response(input, &mut folded);
+                let mut merged = acc.clone();
+                let decoded = codec.decode_response(bytes::Bytes::copy_from_slice(input));
+                if let Some(response) = &decoded {
+                    merged.merge(response);
+                }
+                prop_assert_eq!(cells, decoded.map(|r| r.cells), "{:?} on {} of {} bytes", codec.kind, input.len(), wire.len());
+                prop_assert_eq!(folded, merged);
+            }
+            prop_assert!(codec.fold_response(&wire, &mut acc.clone()).is_some());
+            prop_assert!(codec.fold_response(&wire[..wire.len() - 1], &mut acc.clone()).is_none());
+        }
+    }
+
     /// USL invariants hold for any solvable (peak speed-up, peak k) target:
     /// S(1)=1, S(k) ≤ k, inflation ≥ 1 and monotone, retrograde after k*.
     #[test]
@@ -110,4 +194,14 @@ proptest! {
             "speed-up exceeds the Formula 7 ceiling: {s}");
         prop_assert!(p.inflation(k) >= 1.0);
     }
+}
+
+/// A tally with `kinds` non-zero slots, the run of them starting (and
+/// wrapping) at `first_kind`, slot `k` holding `counts[k]`.
+fn tally_of(kinds: usize, first_kind: u8, counts: &[u64]) -> [u64; 256] {
+    let mut tally = [0u64; 256];
+    for k in (0..kinds).map(|j| (first_kind as usize + j) % 256) {
+        tally[k] = counts[k];
+    }
+    tally
 }

@@ -312,3 +312,132 @@ fn stats_merge_is_exact_at_large_magnitudes() {
     assert_eq!(total.max_depth, usize::MAX / 2);
     assert!(total.saturated());
 }
+
+/// Runs `f` on its own thread and fails the test, instead of hanging it,
+/// if `f` has not returned within a minute — what a lost wake-up looks
+/// like from outside.
+fn watchdog(f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let body = thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("still blocked after 60 s: a wake-up was lost")
+        }
+        // Finished, or panicked: the join says which.
+        _ => body.join().expect("test body"),
+    }
+}
+
+/// The queue notifies only a thread that has counted itself asleep; a
+/// count read at the wrong moment would strand an item (or a producer)
+/// for good. 4 blocking producers × 4 blocking consumers, from a queue
+/// that makes every hand-off a sleep (capacity 1) to one that makes
+/// almost none (64): every item arrives exactly once and nobody hangs.
+#[test]
+fn no_wakeup_is_lost_between_blocking_producers_and_consumers() {
+    const PER_PRODUCER: u32 = 50_000;
+    for capacity in [1, 2, 64] {
+        watchdog(move || {
+            let (queue, source) = work_queue::<u32>(capacity);
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    let source = source.clone();
+                    thread::spawn(move || std::iter::from_fn(|| source.recv()).collect::<Vec<_>>())
+                })
+                .collect();
+            drop(source);
+            let producers: Vec<_> = (0..4u32)
+                .map(|p| {
+                    let queue = queue.clone();
+                    thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            queue
+                                .push_blocking(p * PER_PRODUCER + i)
+                                .expect("consumers alive");
+                        }
+                    })
+                })
+                .collect();
+            let stats_of = queue.clone();
+            drop(queue);
+            for p in producers {
+                p.join().expect("producer");
+            }
+            let stats = stats_of.stats();
+            drop(stats_of);
+            let mut got: Vec<u32> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().expect("consumer"))
+                .collect();
+            got.sort_unstable();
+            assert!(
+                got.iter().copied().eq(0..4 * PER_PRODUCER),
+                "capacity {capacity}: an item was lost or delivered twice ({} arrived)",
+                got.len()
+            );
+            assert_eq!(stats.pushed, 4 * PER_PRODUCER as u64);
+            assert!(stats.max_depth <= capacity, "{stats:?}");
+        });
+    }
+}
+
+/// A consumer asleep in `recv_timeout` with the clock far away can only
+/// be released by the last producer's drop: the disconnect wakes everyone,
+/// whatever the sleeper counts say.
+#[test]
+fn recv_timeout_racing_the_last_drop_sees_disconnection() {
+    watchdog(|| {
+        for round in 0..2_000u32 {
+            let (queue, source) = work_queue::<u32>(2);
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let producer = {
+                let start = start.clone();
+                thread::spawn(move || {
+                    start.wait();
+                    queue.push_blocking(round).expect("consumer alive");
+                })
+            };
+            start.wait();
+            let hour = Duration::from_secs(3600);
+            assert_eq!(source.recv_timeout(hour), Some(round));
+            assert_eq!(source.recv_timeout(hour), None);
+            producer.join().expect("producer");
+        }
+    });
+}
+
+/// A burst served by a consumer that never sleeps wakes no one; the
+/// consumer that parks afterwards must still be woken by the very next
+/// push, and a producer parked on a full queue by the very next pop.
+#[test]
+fn the_first_push_after_a_quiet_burst_wakes_a_parked_consumer() {
+    watchdog(|| {
+        let (queue, source) = work_queue::<u32>(1);
+        for i in 0..10_000 {
+            queue.try_push(i).expect("room");
+            assert_eq!(source.recv_timeout(Duration::ZERO), Some(i));
+        }
+        for round in 0..1_000 {
+            let parked = {
+                let source = source.clone();
+                thread::spawn(move || source.recv())
+            };
+            // Whether or not the consumer has parked yet, it gets the item.
+            queue.push_blocking(round).expect("consumer alive");
+            assert_eq!(parked.join().expect("consumer"), Some(round));
+            // And the other way round: the queue is full, the producer
+            // parks (or not), and the pop lets it through.
+            queue.try_push(round).expect("room");
+            let blocked = {
+                let queue = queue.clone();
+                thread::spawn(move || queue.push_blocking(round + 1))
+            };
+            assert_eq!(source.recv(), Some(round));
+            assert_eq!(blocked.join().expect("producer"), Ok(()));
+            assert_eq!(source.recv(), Some(round + 1));
+        }
+    });
+}

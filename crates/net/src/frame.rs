@@ -184,23 +184,37 @@ impl Frame {
     /// Appends the serialized frame to `out`, so a connection can collect
     /// several frames in one reused buffer and write them with one call.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
         out.reserve(HEADER_LEN + self.payload.len());
+        self.encode_with(out, |out| out.extend_from_slice(&self.payload));
+    }
+
+    /// Appends the frame to `out` with a payload written in place: this
+    /// frame's header, then whatever `body` appends (a codec encoding
+    /// straight into the connection's buffer), then the length and
+    /// checksum that payload calls for. The frame's own `payload` is not
+    /// read: in-place senders leave it empty. Returns the payload length.
+    pub fn encode_with(&self, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let start = out.len();
         out.extend_from_slice(&MAGIC.to_be_bytes());
         out.push(VERSION);
         out.push(self.kind.to_byte());
         out.push(self.flags);
         out.extend_from_slice(&self.id.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(&[0; 4]); // len, known once the body is written
         for s in self.stamps {
             out.extend_from_slice(&s.to_be_bytes());
         }
         out.extend_from_slice(&self.deadline.to_be_bytes());
+        out.extend_from_slice(&[0; 4]); // checksum, likewise
+        let payload_at = start + HEADER_LEN;
+        body(out);
+        let len = out.len() - payload_at;
+        out[start + 13..start + LEN_FIELD_END].copy_from_slice(&(len as u32).to_be_bytes());
         let mut crc = Crc32::new();
-        crc.update(&out[start..]);
-        crc.update(&self.payload);
-        out.extend_from_slice(&crc.finish().to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        crc.update(&out[start..start + CRC_OFFSET]);
+        crc.update(&out[payload_at..]);
+        out[start + CRC_OFFSET..payload_at].copy_from_slice(&crc.finish().to_be_bytes());
+        len
     }
 
     /// Tries to decode one frame from the front of `buf`.

@@ -14,6 +14,12 @@
 //! into one buffer per node, and writes each buffer once before it blocks
 //! again.
 //!
+//! A request is encoded straight into its node's send buffer from the
+//! route's key (a retry or a hedge encodes again: no copy is kept), and a
+//! response's counts are folded into the query's totals where they lie.
+//! The clock is read per sub-request only for the master's stage stamps
+//! (`sent`, `received`); `tx`, `rx` and heartbeats are timed per batch.
+//!
 //! Reliability model: one TCP connection per slave, a reader thread per
 //! connection funneling frames into one channel, per-request deadlines,
 //! and bounded retries. A `Busy` frame (slave queue full) is the fallback
@@ -53,13 +59,14 @@ use crate::latency::LatencyTracker;
 use crate::phi::PhiAccrual;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use kvs_cluster::{Codec, CodecKind, Coverage, QueryRequest, ReplicaPolicy, RunResult};
+use kvs_cluster::{Codec, CodecKind, Coverage, QueryResponse, ReplicaPolicy, RunResult};
 use kvs_simcore::{SimDuration, SimTime};
-use kvs_stages::{analyze, Stage, TraceRecorder};
+use kvs_stages::{analyze, RequestTrace, Span, Stage, TraceRecorder};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
@@ -202,9 +209,11 @@ pub struct NetRunReport {
     /// The standard run outcome (traces, stage report, aggregates).
     pub result: RunResult,
     /// Master CPU+syscall time spent encoding/framing/writing requests,
-    /// µs: the codec, the frame, and each `write` that carried frames.
+    /// µs: the codec, the frame, and each `write` that carried frames,
+    /// timed per issue pass and per call.
     pub tx_micros: u64,
-    /// Master CPU+syscall time spent decoding responses, µs.
+    /// Master CPU time spent on received frames, µs: folding, settling
+    /// and tracing every response, timed per drained batch of events.
     pub rx_micros: u64,
     /// Requests re-sent because a slave answered `Busy`.
     pub busy_retries: u64,
@@ -296,11 +305,11 @@ impl Leg {
 }
 
 struct Pending<'r> {
-    /// Replica nodes of this key, primary first (the route).
-    replicas: &'r [u32],
-    /// Index into `replicas` of the replica currently being tried.
+    /// The key and its replica nodes, primary first; every send encodes
+    /// the request from here.
+    route: &'r Route,
+    /// Index into `route.replicas` of the replica currently being tried.
     replica_ix: usize,
-    payload: Bytes,
     attempts: u32,
     /// Wall-clock stamp of the first send, 0 until there was one.
     first_sent_wall: u64,
@@ -320,7 +329,7 @@ struct Pending<'r> {
 
 impl Pending<'_> {
     fn node(&self) -> u32 {
-        self.replicas[self.replica_ix]
+        self.route.replicas[self.replica_ix]
     }
 
     /// The earliest instant any of this request's timers is due.
@@ -464,16 +473,19 @@ struct Flight<'r> {
     /// the timer passes run only once it has come.
     nearest: Option<Instant>,
     misses: Vec<u64>,
+    /// Per node, whether the batch being drained has marked it alive.
+    heard: Vec<bool>,
     ctr: Counters,
     send_last: Instant,
     origin_wall: u64,
 }
 
-/// What the responses of one query add up to.
+/// What the responses of one query add up to; apart from [`Flight`] so
+/// its clocks do not look to KVS-L018 as if they reached the trace analysis.
 struct Answers {
     recorder: TraceRecorder,
-    counts: BTreeMap<u8, u64>,
-    total_cells: u64,
+    /// Every response folded together: the per-kind counts and cell total.
+    total: QueryResponse,
 }
 
 impl Flight<'_> {
@@ -585,9 +597,9 @@ impl NetMaster {
 
     /// Any frame from `node` proves it alive: feed the phi detector and
     /// clear the soft suspicion verdicts.
-    pub(crate) fn note_alive(&mut self, node: u32) {
+    pub(crate) fn note_alive(&mut self, node: u32, now: Instant) {
         if let Some(h) = self.health.get_mut(node as usize) {
-            h.phi.heartbeat(Instant::now());
+            h.phi.heartbeat(now);
             h.exhausted = false;
             h.phi_suspect = false;
         }
@@ -673,14 +685,14 @@ impl NetMaster {
             ready: vec![VecDeque::new(); nodes],
             nearest: None,
             misses: Vec::new(),
+            heard: vec![false; nodes],
             ctr: Counters::default(),
             send_last: origin,
             origin_wall,
         };
         let mut answers = Answers {
-            recorder: TraceRecorder::new(),
-            counts: BTreeMap::new(),
-            total_cells: 0,
+            recorder: TraceRecorder::with_capacity(routes.len()),
+            total: QueryResponse::empty(),
         };
         let mut next_issue = 0usize;
 
@@ -706,26 +718,19 @@ impl NetMaster {
                 assert!(!route.replicas.is_empty(), "route {i} has no replicas");
                 let arrival_ns = arrivals_ns.map(|a| a[i]).unwrap_or(0);
                 let issued_wall = origin_wall + arrival_ns;
-                let t0 = Instant::now();
-                let payload = self.cfg.codec.encode_request(&QueryRequest {
-                    request_id: i as u64,
-                    partition: route.key.clone(),
-                });
-                fl.ctr.tx_ns += t0.elapsed().as_nanos() as u64;
 
                 // Replica choice: the configured policy proposes, the health
                 // table disposes — a suspected pick slides to the least
                 // suspect live replica (counted as a failover, like the
-                // sim's).
-                let loads: Vec<usize> = route
-                    .replicas
-                    .iter()
-                    .map(|&n| {
+                // sim's). Only the least-loaded policy reads the loads.
+                let mut loads = Vec::new();
+                if self.cfg.replica_policy == ReplicaPolicy::LeastLoaded {
+                    loads.extend(route.replicas.iter().map(|&n| {
                         let n = n as usize;
                         fl.inflight.get(n).copied().unwrap_or(0)
                             + fl.ready.get(n).map_or(0, |r| r.len())
-                    })
-                    .collect();
+                    }));
+                }
                 let picked = self.cfg.replica_policy.pick(
                     route.replicas.len(),
                     &loads,
@@ -733,9 +738,8 @@ impl NetMaster {
                     &mut self.policy_rng,
                 );
                 let mut p = Pending {
-                    replicas: &route.replicas,
+                    route,
                     replica_ix: picked,
-                    payload,
                     attempts: 1,
                     first_sent_wall: 0,
                     sent_wall: 0,
@@ -814,9 +818,16 @@ impl NetMaster {
                     ));
                 }
             };
+            // One clock read per batch: `rx` is a sum, and a node is as
+            // alive after its first frame as after its tenth.
+            let drained_from = Instant::now();
+            let drained = next.is_some();
             while let Some(event) = next {
                 match event {
                     Event::Frame(node, frame) => {
+                        if !std::mem::replace(&mut fl.heard[node as usize], true) {
+                            self.note_alive(node, drained_from);
+                        }
                         self.on_frame(&mut fl, &mut answers, node, frame)?
                     }
                     Event::Down(node, reason) => {
@@ -829,9 +840,13 @@ impl NetMaster {
                 }
                 next = self.rx.try_recv().ok();
             }
+            fl.heard.fill(false);
 
             // ---- Timers: hard deadlines, hedges, retries. ----
             let now = Instant::now();
+            if drained {
+                fl.ctr.rx_ns += now.duration_since(drained_from).as_nanos() as u64;
+            }
             if fl.nearest.is_some_and(|at| at <= now) {
                 self.on_timers(&mut fl, flags, now)?;
             }
@@ -843,11 +858,7 @@ impl NetMaster {
             send_last,
             ..
         } = fl;
-        let Answers {
-            recorder,
-            counts,
-            total_cells,
-        } = answers;
+        let Answers { recorder, total } = answers;
         misses.sort_unstable();
         misses.dedup();
         let missed: Vec<MissedPartition> = misses
@@ -872,8 +883,8 @@ impl NetMaster {
                 makespan: report.makespan,
                 report,
                 traces,
-                counts_by_kind: counts,
-                total_cells,
+                counts_by_kind: total.counts,
+                total_cells: total.cells,
                 messages: routes.len() as u64,
                 bytes_to_slaves: ctr.bytes_to_slaves,
                 bytes_to_master: ctr.bytes_to_master,
@@ -956,19 +967,19 @@ impl NetMaster {
                     }
                     fl.ready[node].pop_front();
                     burst += 1;
-                    let sent_wall = self.frame_request(node, id, flags, p);
+                    let (sent_wall, wire_len) = self.frame_request(node, id, flags, p);
                     p.sent_wall = sent_wall;
                     p.leg = Leg::Sent {
                         retry_at: started + self.cfg.timeout,
                     };
                     if p.first_sent_wall == 0 {
                         p.first_sent_wall = sent_wall;
-                        if let (Some(h), true) = (self.cfg.hedge, p.replicas.len() > 1) {
+                        if let (Some(h), true) = (self.cfg.hedge, p.route.replicas.len() > 1) {
                             p.hedge_at = Some(started + self.hedge_delay(node as u32, &h));
                         }
                     }
                     fl.inflight[node] += 1;
-                    fl.ctr.bytes_to_slaves += p.payload.len() as u64;
+                    fl.ctr.bytes_to_slaves += wire_len;
                     if let Some(at) = p.next_timer() {
                         arm(&mut fl.nearest, at);
                     }
@@ -990,22 +1001,25 @@ impl NetMaster {
         Ok(more)
     }
 
-    /// Frames `p`'s request into `node`'s buffer, for the next
-    /// [`NetMaster::flush`] to write, and returns its send stamp.
-    fn frame_request(&mut self, node: usize, id: u64, flags: u8, p: &Pending) -> u64 {
+    /// Encodes `p`'s request, header and body, into `node`'s buffer for the
+    /// next [`NetMaster::flush`]; returns its send stamp and body length.
+    fn frame_request(&mut self, node: usize, id: u64, flags: u8, p: &Pending) -> (u64, u64) {
         let sent_wall = wall_ns();
         let seq = self.send_seq;
         self.send_seq += 1;
-        Frame {
+        let codec = self.cfg.codec;
+        let wire_len = Frame {
             kind: FrameKind::Request,
             flags,
             id,
             stamps: [p.issued_wall, sent_wall, seq, 0],
             deadline: p.deadline_wall,
-            payload: p.payload.clone(),
+            payload: Bytes::new(),
         }
-        .encode_into(&mut self.out[node]);
-        sent_wall
+        .encode_with(&mut self.out[node], |out| {
+            codec.append_request(out, id, &p.route.key)
+        });
+        (sent_wall, wire_len as u64)
     }
 
     /// Writes what `node`'s buffer holds, if anything, in one call; the
@@ -1079,19 +1093,20 @@ impl NetMaster {
         frame: Frame,
     ) -> io::Result<()> {
         let degraded = self.cfg.mode == QueryMode::Degraded;
-        self.note_alive(node);
         match frame.kind {
             FrameKind::Response => {
-                let t0 = Instant::now();
-                let wire_len = frame.payload.len() as u64;
-                let Some(response) = self.cfg.codec.decode_response(frame.payload) else {
-                    return Ok(()); // checksummed but undecodable: let the retry path handle it
-                };
-                let done_wall = wall_ns();
-                fl.ctr.rx_ns += t0.elapsed().as_nanos() as u64;
-                let Some(p) = fl.pending.remove(&frame.id) else {
+                let Entry::Occupied(entry) = fl.pending.entry(frame.id) else {
                     return Ok(()); // duplicate (a retry or a lost hedge raced the winner)
                 };
+                let Some(cells) = self
+                    .cfg
+                    .codec
+                    .fold_response(&frame.payload, &mut answers.total)
+                else {
+                    return Ok(()); // checksummed but undecodable: let the retry path handle it
+                };
+                let p = entry.remove();
+                let done_wall = wall_ns();
                 // First response wins; both outstanding attempts are
                 // released here, so the loser is cancelled: never
                 // retried, its eventual answer dropped as a duplicate
@@ -1113,25 +1128,24 @@ impl NetMaster {
                     h.latency
                         .record(Duration::from_nanos(done_wall.saturating_sub(sent)));
                 }
-                fl.ctr.bytes_to_master += wire_len;
+                fl.ctr.bytes_to_master += frame.payload.len() as u64;
                 fl.ctr.retry_wait_ns += p.sent_wall.saturating_sub(p.first_sent_wall);
-                let id = frame.id;
-                let spans = [
+                let mut spans = [None; 4];
+                for (stage, from, to) in [
                     (Stage::MasterToSlave, p.issued_wall, sent),
                     (Stage::InQueue, frame.stamps[0], frame.stamps[1]),
                     (Stage::InDb, frame.stamps[1], frame.stamps[2]),
                     (Stage::SlaveToMaster, frame.stamps[2], done_wall),
-                ];
-                answers.recorder.begin(id, node, response.cells);
-                for (stage, from, to) in spans {
-                    answers
-                        .recorder
-                        .record(id, stage, fl.to_sim(from), fl.to_sim(to));
+                ] {
+                    let (start, end) = (fl.to_sim(from), fl.to_sim(to));
+                    spans[stage.index()] = Some(Span { start, end });
                 }
-                for (&kind, &count) in &response.counts {
-                    *answers.counts.entry(kind).or_insert(0) += count;
-                }
-                answers.total_cells += response.cells;
+                answers.recorder.insert(RequestTrace {
+                    request_id: frame.id,
+                    node,
+                    cells,
+                    spans,
+                });
             }
             FrameKind::Busy => {
                 // The refusal names the capacity of the queue that made
@@ -1239,9 +1253,9 @@ impl NetMaster {
             let Some(node) = self.pick_hedge_target(p, now, &fl.inflight) else {
                 continue;
             };
-            let sent_wall = self.frame_request(node as usize, id, flags, p);
+            let (sent_wall, wire_len) = self.frame_request(node as usize, id, flags, p);
             fl.ctr.hedges_sent += 1;
-            fl.ctr.bytes_to_slaves += p.payload.len() as u64;
+            fl.ctr.bytes_to_slaves += wire_len;
             p.hedge_node = Some(node);
             p.hedge_sent_wall = sent_wall;
             fl.inflight[node as usize] += 1;
@@ -1312,12 +1326,12 @@ impl NetMaster {
     /// when every alternative is hard-suspect or past the phi threshold —
     /// hedging toward a dying node only doubles the damage.
     fn pick_hedge_target(&mut self, p: &Pending, now: Instant, inflight: &[usize]) -> Option<u32> {
-        let n = p.replicas.len();
+        let n = p.route.replicas.len();
         let threshold = self.cfg.phi_threshold;
         let mut best: Option<(u32, f64)> = None;
         for step in 1..n {
             let ix = (p.replica_ix + step) % n;
-            let node = p.replicas[ix];
+            let node = p.route.replicas[ix];
             if self.hard_suspect(node) {
                 continue;
             }
@@ -1346,11 +1360,11 @@ impl NetMaster {
         inflight: &[usize],
     ) -> bool {
         let now = Instant::now();
-        let n = p.replicas.len();
+        let n = p.route.replicas.len();
         let mut best: Option<(usize, f64)> = None;
         for step in 1..n {
             let ix = (p.replica_ix + step) % n;
-            let node = p.replicas[ix];
+            let node = p.route.replicas[ix];
             if self.hard_suspect(node) {
                 continue;
             }
@@ -1375,7 +1389,7 @@ impl NetMaster {
             io::ErrorKind::TimedOut,
             format!(
                 "request {id} has no live replica left (tried {:?}, suspected: {:?})",
-                p.replicas,
+                p.route.replicas,
                 self.suspected_dead()
             ),
         )
@@ -1451,7 +1465,7 @@ struct Counters {
     /// nanoseconds and divided once for the report: a sub-microsecond
     /// step truncated per message would read as zero.
     tx_ns: u64,
-    /// Master time decoding responses, ns.
+    /// Master time handling received frames, ns, timed per drained batch.
     rx_ns: u64,
     busy_retries: u64,
     timeout_retries: u64,

@@ -13,13 +13,17 @@
 //!   per-node database parallelism) draining the queue: decode the
 //!   request, read the store, encode the response with the stage
 //!   timestamps (`in-queue` start/end, `in-db` start/end) stamped into the
-//!   frame header.
+//!   frame header. A busy worker is not woken for the next request (see
+//!   [`kvs_cluster::queue`]): it polls the queue when it is done, and
+//!   parks only once the queue is empty and its replies are out.
 //!
 //! Replies collect in a per-connection buffer: a reader writes the
 //! refusals of the chunk it just read in one call, a worker writes when it
 //! finds the queue empty or has held an answer for [`REPLY_HOLD`] — so a
 //! burst of cheap requests shares a `write`, and a lone request or one
-//! that took the store milliseconds is answered at once.
+//! that took the store milliseconds is answered at once. A read's answer
+//! is encoded into that buffer directly from the tally the store fold
+//! filled; the hold is measured on the stage stamps a request takes anyway.
 //!
 //! Shutdown is deterministic: [`SlaveHandle::shutdown`] stops the accept
 //! loop, joins every connection reader (their sockets poll a stop flag),
@@ -30,7 +34,7 @@ use crate::clock::wall_ns;
 use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
-use kvs_cluster::{Codec, QueryResponse, WriteAck, WriteRequest};
+use kvs_cluster::{Codec, WriteAck, WriteRequest};
 use kvs_store::{Cell, CellRef, DurableTable, PartitionKey, Table};
 use parking_lot::Mutex;
 use std::io::{self, Write};
@@ -38,7 +42,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Slave server configuration.
 #[derive(Debug, Clone, Copy)]
@@ -265,9 +269,9 @@ impl SlaveServer {
             let store = store.clone();
             workers.push(std::thread::spawn(move || {
                 // Connections holding replies this worker has not flushed,
-                // and when it took up the first of the requests behind them.
+                // and the dequeue stamp of the first request behind them.
                 let mut unflushed: Vec<Arc<Mutex<Conn>>> = Vec::new();
-                let mut held_since = Instant::now();
+                let mut held_since = 0;
                 loop {
                     let job = match source.recv_timeout(Duration::ZERO) {
                         Some(job) => job,
@@ -279,14 +283,15 @@ impl SlaveServer {
                             }
                         }
                     };
+                    let dequeued = wall_ns();
                     if unflushed.is_empty() {
-                        held_since = Instant::now();
+                        held_since = dequeued;
                     }
                     if !unflushed.iter().any(|c| Arc::ptr_eq(c, &job.conn)) {
                         unflushed.push(job.conn.clone());
                     }
-                    serve(&store, job);
-                    if held_since.elapsed() >= REPLY_HOLD {
+                    let done = serve(&store, job, dequeued);
+                    if Duration::from_nanos(done.saturating_sub(held_since)) >= REPLY_HOLD {
                         flush_all(&mut unflushed);
                     }
                 }
@@ -438,19 +443,21 @@ fn would_block(e: &io::Error) -> bool {
 /// Worker body: decode → store read/write → encode → queue the reply with
 /// its stage stamps. Work whose deadline has passed while queued is shed
 /// *before* the DB stage — the master gets an `Expired` answer instead of
-/// a result it can no longer use.
-fn serve(store: &Mutex<NodeStore>, job: Job) {
-    let dequeued = wall_ns();
+/// a result it can no longer use. Returns the job's last stage stamp:
+/// its in-db end, or `dequeued` if it never reached the store.
+fn serve(store: &Mutex<NodeStore>, job: Job, dequeued: u64) -> u64 {
     if job.frame.deadline != 0 && dequeued >= job.frame.deadline {
         reply_refusal(&job, FrameKind::Expired, 0);
-        return;
+        return dequeued;
     }
     match job.frame.kind {
         FrameKind::Request => serve_read(store, job, dequeued),
         FrameKind::Write => serve_write(store, job, dequeued, false),
         FrameKind::Rmw => serve_write(store, job, dequeued, true),
         // dispatch() never queues these; tolerate and drop.
-        FrameKind::Response | FrameKind::WriteAck | FrameKind::Busy | FrameKind::Expired => {}
+        FrameKind::Response | FrameKind::WriteAck | FrameKind::Busy | FrameKind::Expired => {
+            dequeued
+        }
     }
 }
 
@@ -468,18 +475,17 @@ fn codec_of(flags: u8) -> Codec {
 /// A read the store could not complete gets no answer — the frame protocol
 /// has no error kind, and an answer of zero cells would be a wrong
 /// aggregate with full coverage; the master's timeout and replica failover
-/// treat the silence as they treat loss.
-fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
+/// treat the silence as they treat loss. Header and body go straight from
+/// the fold's tally into the connection's reply buffer.
+fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(request) = codec.decode_request(frame.payload) else {
-        return; // checksummed frame with an undecodable body: drop it
+        return dequeued; // checksummed frame with an undecodable body: drop it
     };
     let Some(agg) = store.lock().aggregate(&request.partition) else {
-        return;
+        return dequeued;
     };
-    let response =
-        QueryResponse::from_tally(request.request_id, &agg.kinds).with_version(agg.version);
     let db_end = wall_ns();
     let reply = Frame {
         kind: FrameKind::Response,
@@ -487,20 +493,23 @@ fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
         id: frame.id,
         stamps: [frame.stamps[1], dequeued, db_end, wall_ns()],
         deadline: frame.deadline,
-        payload: codec.encode_response(&response),
+        payload: bytes::Bytes::new(),
     };
-    queue_reply(&conn, &reply);
+    reply.encode_with(&mut conn.lock().out, |out| {
+        codec.append_response(out, request.request_id, &agg.kinds, agg.version)
+    });
+    db_end
 }
 
 /// The write path: apply the batch under last-write-wins and acknowledge
 /// with the partition's resulting version. An RMW reads the pre-image
 /// first, preserving read-your-write ordering on the replica before the
 /// apply decision.
-fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
+fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(write) = codec.decode_write(frame.payload) else {
-        return; // checksummed frame with an undecodable body: drop it
+        return dequeued; // checksummed frame with an undecodable body: drop it
     };
     let (applied, version) = {
         let mut guard = store.lock();
@@ -528,6 +537,7 @@ fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
         payload: codec.encode_write_ack(&ack),
     };
     queue_reply(&conn, &reply);
+    db_end
 }
 
 impl SlaveHandle {

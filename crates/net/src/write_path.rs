@@ -290,7 +290,7 @@ impl NetMaster {
                 }
                 match self.rx.recv_timeout(left) {
                     Ok(Event::Frame(node, frame)) => {
-                        self.note_alive(node);
+                        self.note_alive(node, Instant::now());
                         if frame.id != id {
                             continue; // stray frame from an earlier leg
                         }
@@ -415,7 +415,7 @@ impl NetMaster {
             }
             match self.rx.recv_timeout(left) {
                 Ok(Event::Frame(node, frame)) => {
-                    self.note_alive(node);
+                    self.note_alive(node, Instant::now());
                     if frame.id != id {
                         continue;
                     }
@@ -582,7 +582,7 @@ impl NetMaster {
             }
             match self.rx.recv_timeout(left) {
                 Ok(Event::Frame(from, frame)) => {
-                    self.note_alive(from);
+                    self.note_alive(from, Instant::now());
                     if from != node || frame.id != id || frame.kind != FrameKind::WriteAck {
                         continue;
                     }

@@ -80,6 +80,25 @@ impl TraceRecorder {
         Self::default()
     }
 
+    /// An empty recorder with room for `requests` traces, so a run whose
+    /// size is known up front never rehashes on the way there.
+    pub fn with_capacity(requests: usize) -> Self {
+        TraceRecorder {
+            traces: HashMap::with_capacity(requests),
+        }
+    }
+
+    /// Records a request whose stages are all known — the whole of
+    /// [`TraceRecorder::begin`] plus one [`TraceRecorder::record`] per
+    /// stage, in one look-up. Replaces any trace the id already had.
+    pub fn insert(&mut self, trace: RequestTrace) {
+        debug_assert!(
+            trace.spans.iter().flatten().all(|s| s.end >= s.start),
+            "span ends before it starts"
+        );
+        self.traces.insert(trace.request_id, trace);
+    }
+
     /// Registers a request (idempotent; node/cells of the first call win).
     pub fn begin(&mut self, request_id: u64, node: u32, cells: u64) {
         self.traces.entry(request_id).or_insert(RequestTrace {
@@ -164,6 +183,32 @@ mod tests {
         assert!(!trace.is_complete());
         assert_eq!(trace.stage_duration(Stage::InDb), SimDuration::ZERO);
         assert_eq!(trace.total(), SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn insert_is_begin_plus_every_record() {
+        let spans = [(0, 2), (2, 5), (5, 15), (15, 16)];
+        let mut by_calls = TraceRecorder::new();
+        by_calls.begin(1, 3, 100);
+        for (stage, (from, to)) in Stage::ALL.into_iter().zip(spans) {
+            by_calls.record(1, stage, t(from), t(to));
+        }
+        let mut by_insert = TraceRecorder::with_capacity(1);
+        by_insert.insert(RequestTrace {
+            request_id: 1,
+            node: 3,
+            cells: 100,
+            spans: spans.map(|(from, to)| {
+                Some(Span {
+                    start: t(from),
+                    end: t(to),
+                })
+            }),
+        });
+        assert_eq!(
+            format!("{:?}", by_insert.into_traces()),
+            format!("{:?}", by_calls.into_traces())
+        );
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! sliceable view over shared immutable storage), [`BytesMut`] (growable
 //! builder), and the [`Buf`]/[`BufMut`] cursor traits with big-endian
 //! integer accessors — semantics matching the real crate for this subset.
+//!
+//! A [`Bytes`] costs what its origin makes unavoidable: bytes copied out of
+//! a slice ([`Bytes::copy_from_slice`] — a frame payload leaving the read
+//! buffer) live in the one allocation that also holds the reference count;
+//! a frozen `Vec` ([`From<Vec<u8>>`], [`BytesMut::freeze`]) is moved, never
+//! copied, at the price of the count's own small allocation; the empty
+//! buffer owns none.
 
 use std::ops::{Deref, RangeBounds};
 use std::sync::Arc;
@@ -12,12 +19,27 @@ use std::sync::Arc;
 /// A cheaply cloneable, sliceable chunk of immutable bytes.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    /// The frozen buffer, held as the `Vec` it arrived in so freezing moves
-    /// it instead of copying it; `None` is the empty buffer, which owns no
-    /// allocation.
-    data: Option<Arc<Vec<u8>>>,
+    data: Storage,
     start: usize,
     end: usize,
+}
+
+/// What a [`Bytes`] views. Two variants, the empty buffer folded into the
+/// second, so that the compiler fits the whole of it in two words and a
+/// `Bytes` in four, as in the real crate: cells hold one each.
+#[derive(Clone)]
+enum Storage {
+    /// Bytes copied in: one allocation holds count and content.
+    Copied(Arc<[u8]>),
+    /// A frozen buffer, held as the `Vec` it arrived in so freezing moves
+    /// it instead of copying it; `None` is the empty buffer.
+    Moved(Option<Arc<Vec<u8>>>),
+}
+
+impl Default for Storage {
+    fn default() -> Self {
+        Storage::Moved(None)
+    }
 }
 
 impl Bytes {
@@ -28,7 +50,15 @@ impl Bytes {
 
     /// Copies a slice into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: if data.is_empty() {
+                Storage::default()
+            } else {
+                Storage::Copied(Arc::from(data))
+            },
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Number of bytes remaining in the view.
@@ -78,8 +108,9 @@ impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         match &self.data {
-            Some(data) => &data[self.start..self.end],
-            None => &[],
+            Storage::Copied(data) => &data[self.start..self.end],
+            Storage::Moved(Some(data)) => &data[self.start..self.end],
+            Storage::Moved(None) => &[],
         }
     }
 }
@@ -94,7 +125,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: (end > 0).then(|| Arc::new(v)),
+            data: Storage::Moved((end > 0).then(|| Arc::new(v))),
             start: 0,
             end,
         }
@@ -406,6 +437,24 @@ mod tests {
         assert_eq!(&b[..], &[2, 3, 4, 5]);
         assert_eq!(&b.slice(1..3)[..], &[3, 4]);
         assert_eq!(b.slice(..0).len(), 0);
+    }
+
+    #[test]
+    fn copied_and_moved_bytes_behave_alike() {
+        let raw: Vec<u8> = (0..=255).collect();
+        let copied = Bytes::copy_from_slice(&raw);
+        let moved = Bytes::from(raw.clone());
+        assert_eq!(copied, moved);
+        assert_eq!(&copied.slice(10..20)[..], &raw[10..20]);
+        let mut rest = copied.clone();
+        assert_eq!(rest.split_to(3), moved.slice(..3));
+        assert_eq!(rest.get_u8(), 3);
+        assert_eq!(&rest[..], &raw[4..]);
+        // Freezing keeps the buffer it was given.
+        let at = raw.as_ptr();
+        assert_eq!(Bytes::from(raw).as_ptr(), at);
+        assert!(Bytes::copy_from_slice(&[]).is_empty());
+        assert!(std::mem::size_of::<Bytes>() <= 4 * std::mem::size_of::<usize>());
     }
 
     #[test]
