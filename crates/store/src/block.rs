@@ -1,22 +1,17 @@
-//! Disk blocks: the unit of I/O, checksumming and cache residency for the
-//! durable tier.
+//! Blocks: the unit every run is laid out in ([`crate::run`]), and on disk
+//! the unit of I/O, checksumming and cache residency.
 //!
-//! The on-disk SSTable ([`crate::sst_file`]) lays each partition's cells
-//! out contiguously and chunks them into blocks of
-//! [`BLOCK_TARGET_BYTES`] (4 KiB, Cassandra's `column_index` block
-//! granularity scaled to a page). A block never splits a cell: it closes
-//! at the first cell boundary at or past the target, so a single cell
-//! larger than 4 KiB yields one oversized block. Block boundaries also
-//! never cross partitions — for partitions above the
-//! `column_index_size` threshold the block list *is* the column index
-//! (first/last clustering key per block), which is how the paper's
-//! Figure 6 discontinuity survives on disk.
-//!
-//! Every block carries an XXH64 checksum in its index entry, verified on
-//! every read from disk; the same [`checksum64`] checksums the WAL
-//! records, the manifest and the SSTable footer.
+//! A partition's cells lie contiguously, chunked into blocks of
+//! [`BLOCK_TARGET_BYTES`] (4 KiB, Cassandra's column-index granularity
+//! scaled to a page). A block closes at the first cell boundary at or
+//! past the target — never splitting a cell, never crossing a partition —
+//! so for a partition above `column_index_size` its block list (first and
+//! last clustering key per block) *is* the column index, on both tiers.
+//! Every block's index entry carries its XXH64 [`checksum64`], verified on
+//! every read from disk; the same checksum guards the WAL, the manifest
+//! and the SSTable footer.
 
-use crate::schema::Cell;
+use crate::schema::CellRef;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Target encoded size of one data block (bytes). Blocks close at the
@@ -162,58 +157,46 @@ impl BlockMeta {
             last_clustering: buf.get_u64(),
         })
     }
-
-    /// Whether this block's clustering range overlaps `[from, to]`.
-    pub fn overlaps(&self, from: u64, to: u64) -> bool {
-        self.last_clustering >= from && self.first_clustering <= to
-    }
 }
 
-/// Splits one partition's cells into blocks: returns `(meta, bytes)` per
-/// block, with `meta.offset` relative to `base_offset`. Cells must be in
-/// clustering order (the SSTable build contract).
-pub fn build_blocks(cells: &[Cell], base_offset: u64) -> Vec<(BlockMeta, Bytes)> {
+/// Appends one partition's cells to `data` as blocks, back to back, and
+/// returns their index entries, `offset` counted from the start of `data`.
+///
+/// # Panics
+/// If the cells are not strictly ascending by clustering key — the
+/// memtable and the merge both guarantee it, so a violation is a bug.
+pub fn build_blocks<'a>(
+    cells: impl IntoIterator<Item = CellRef<'a>>,
+    data: &mut BytesMut,
+) -> Vec<BlockMeta> {
     let mut out = Vec::new();
-    let mut buf = BytesMut::new();
-    let mut first: Option<u64> = None;
-    let mut last: u64 = 0;
+    let mut start = data.len();
+    let (mut first, mut last) = (0, None);
     let mut count: u32 = 0;
-    let mut offset = base_offset;
-    for cell in cells {
-        if first.is_none() {
-            first = Some(cell.clustering);
+    let mut cells = cells.into_iter().peekable();
+    while let Some(cell) = cells.next() {
+        assert!(
+            last < Some(cell.clustering),
+            "cells must be strictly ascending"
+        );
+        last = Some(cell.clustering);
+        if count == 0 {
+            first = cell.clustering;
         }
-        last = cell.clustering;
         count += 1;
-        cell.encode(&mut buf);
-        if buf.len() >= BLOCK_TARGET_BYTES {
-            let bytes = std::mem::take(&mut buf).freeze();
-            let meta = BlockMeta {
-                offset,
-                len: bytes.len() as u32,
+        cell.encode(data);
+        if data.len() - start >= BLOCK_TARGET_BYTES || cells.peek().is_none() {
+            out.push(BlockMeta {
+                offset: start as u64,
+                len: (data.len() - start) as u32,
                 cells: count,
-                crc: checksum64(0, &bytes),
-                first_clustering: first.take().unwrap_or(last),
-                last_clustering: last,
-            };
-            offset += bytes.len() as u64;
+                crc: checksum64(0, &data[start..]),
+                first_clustering: first,
+                last_clustering: cell.clustering,
+            });
+            start = data.len();
             count = 0;
-            out.push((meta, bytes));
         }
-    }
-    if !buf.is_empty() {
-        let bytes = buf.freeze();
-        out.push((
-            BlockMeta {
-                offset,
-                len: bytes.len() as u32,
-                cells: count,
-                crc: checksum64(0, &bytes),
-                first_clustering: first.unwrap_or(last),
-                last_clustering: last,
-            },
-            bytes,
-        ));
     }
     out
 }
@@ -221,6 +204,7 @@ pub fn build_blocks(cells: &[Cell], base_offset: u64) -> Vec<(BlockMeta, Bytes)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Cell;
 
     /// XXH64 as the specification writes it: one accumulator, word and
     /// byte indices spelled out, nothing shared with [`checksum64`] but the
@@ -354,56 +338,46 @@ mod tests {
     fn blocks_close_at_cell_boundaries() {
         // 46-byte cells: ⌈4096 / 46⌉ = 90 cells close a block at 4140 B.
         let cells: Vec<Cell> = (0..200u64).map(|c| Cell::synthetic(c, 0)).collect();
-        let blocks = build_blocks(&cells, 0);
+        let mut data = BytesMut::new();
+        let blocks = build_blocks(cells.iter().map(Cell::as_cell_ref), &mut data);
         assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0].0.cells, 90);
-        assert_eq!(blocks[0].0.len as usize, 90 * 46);
-        assert!(blocks[0].0.len as usize >= BLOCK_TARGET_BYTES);
-        assert_eq!(blocks[0].0.first_clustering, 0);
-        assert_eq!(blocks[0].0.last_clustering, 89);
+        assert_eq!(blocks[0].cells, 90);
+        assert_eq!(blocks[0].len as usize, 90 * 46);
+        assert!(blocks[0].len as usize >= BLOCK_TARGET_BYTES);
+        assert_eq!(blocks[0].first_clustering, 0);
+        assert_eq!(blocks[0].last_clustering, 89);
         // Offsets chain and checksums verify.
         let mut expect_offset = 0u64;
         let mut total_cells = 0u32;
-        for (meta, bytes) in &blocks {
+        for meta in &blocks {
             assert_eq!(meta.offset, expect_offset);
-            assert_eq!(meta.len as usize, bytes.len());
+            let bytes = &data[meta.offset as usize..][..meta.len as usize];
             assert_eq!(meta.crc, checksum64(0, bytes));
             expect_offset += meta.len as u64;
             total_cells += meta.cells;
         }
+        assert_eq!(expect_offset as usize, data.len());
         assert_eq!(total_cells, 200);
     }
 
     #[test]
     fn oversized_cell_gets_its_own_block() {
         let big = Cell::new(5, 0, vec![0xAB; 3 * BLOCK_TARGET_BYTES]);
-        let blocks = build_blocks(&[Cell::synthetic(1, 0), big.clone()], 100);
+        let mut data = BytesMut::new();
+        data.put_slice(&[0; 100]);
+        let cells = [Cell::synthetic(1, 0), big];
+        let blocks = build_blocks(cells.iter().map(Cell::as_cell_ref), &mut data);
         // First block closes only when the big cell pushes it past target.
         assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].0.cells, 2);
-        assert_eq!(blocks[0].0.offset, 100);
-        assert!(blocks[0].0.len as usize > 3 * BLOCK_TARGET_BYTES);
+        assert_eq!(blocks[0].cells, 2);
+        assert_eq!(blocks[0].offset, 100);
+        assert!(blocks[0].len as usize > 3 * BLOCK_TARGET_BYTES);
     }
 
     #[test]
     fn empty_partition_yields_no_blocks() {
-        assert!(build_blocks(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn overlap_predicate() {
-        let meta = BlockMeta {
-            offset: 0,
-            len: 1,
-            cells: 1,
-            crc: 0,
-            first_clustering: 10,
-            last_clustering: 20,
-        };
-        assert!(meta.overlaps(0, 10));
-        assert!(meta.overlaps(20, 30));
-        assert!(meta.overlaps(12, 13));
-        assert!(!meta.overlaps(21, 99));
-        assert!(!meta.overlaps(0, 9));
+        let mut data = BytesMut::new();
+        assert!(build_blocks([], &mut data).is_empty());
+        assert!(data.is_empty());
     }
 }

@@ -41,8 +41,6 @@ pub struct Lru<K, V> {
     head: usize,
     /// Least recently used slot: the eviction victim.
     tail: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
@@ -55,8 +53,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -99,17 +95,9 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match self.map.get(key) {
-            Some(&slot) => {
-                self.hits += 1;
-                self.touch(slot);
-                Some(&self.slots[slot].value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = *self.map.get(key)?;
+        self.touch(slot);
+        Some(&self.slots[slot].value)
     }
 
     /// Inserts or replaces an entry, evicting the least recently used entry
@@ -184,11 +172,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
-
-    /// Lifetime (hits, misses).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +186,6 @@ mod tests {
         assert_eq!(c.get(&"a"), Some(&1));
         assert_eq!(c.get(&"b"), Some(&2));
         assert_eq!(c.get(&"z"), None);
-        assert_eq!(c.hit_stats(), (2, 1));
     }
 
     #[test]
@@ -293,7 +275,6 @@ mod tests {
         for capacity in [0usize, 1, 2, 3, 8] {
             let mut lru = Lru::new(capacity);
             let mut model: Vec<(u8, u32)> = Vec::new();
-            let (mut hits, mut misses) = (0u64, 0u64);
             let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
             for step in 0..20_000u32 {
                 // xorshift: the store crate reads no ambient randomness.
@@ -308,10 +289,6 @@ mod tests {
                             model.insert(0, hit);
                             hit.1
                         });
-                        match want {
-                            Some(_) => hits += 1,
-                            None => misses += 1,
-                        }
                         assert_eq!(lru.get(&key).copied(), want, "step {step}: get {key}");
                     }
                     7..=13 => {
@@ -339,7 +316,6 @@ mod tests {
                 assert_eq!(recency(&lru), keys, "step {step}, capacity {capacity}");
                 assert_eq!(lru.len(), model.len());
                 assert_eq!(lru.is_empty(), model.is_empty());
-                assert_eq!(lru.hit_stats(), (hits, misses));
             }
             for (key, value) in model {
                 assert_eq!(lru.slots[lru.map[&key]].value, value);

@@ -22,20 +22,20 @@
 //! Compaction follows the same shape with the merged SSTable, and the
 //! manifest commit atomically swaps the live set.
 //!
-//! [`CrashPoint`] lets tests *inject* a crash at each step boundary: the
-//! armed operation fails and the table poisons itself (every later call
-//! errors), so the only way forward is what a real crash forces — drop
-//! the table and [`DurableTable::open`] the directory again.
+//! At the commit point the committed run is installed — a flush's with an
+//! empty memtable — so memory never lags the manifest, and any failure
+//! after it poisons the table (every later call errors). [`CrashPoint`]
+//! injects a crash at each step boundary to the same effect: the only way
+//! forward is what a real crash forces, [`DurableTable::open`] again.
 
+use crate::engine::Engine;
 use crate::manifest::Manifest;
-use crate::memtable::Memtable;
-use crate::merge::merge_runs;
 use crate::receipt::ReadReceipt;
 use crate::recovery::{recover, RecoveryReport};
+use crate::run::{Run, SsTableOptions};
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
-use crate::sst_file::{sst_file_name, write_sst, BlockCache, SstFile};
-use crate::sstable::SsTableOptions;
-use crate::stream::{stream_partition, CellBuf, ClusteringRange, WHOLE};
+use crate::sst_file::{write_sst, BlockCache, DiskBlocks};
+use crate::stream::{CellBuf, ClusteringRange, WHOLE};
 use crate::wal::{self, FsyncPolicy, WalWriter};
 use std::fs;
 use std::io;
@@ -70,15 +70,6 @@ impl Default for DurableOptions {
             compaction_threshold: 4,
             block_cache_blocks: 1024,
             fsync: FsyncPolicy::Always,
-        }
-    }
-}
-
-impl DurableOptions {
-    fn sst_opts(&self) -> SsTableOptions {
-        SsTableOptions {
-            column_index_size: self.column_index_size,
-            bloom_fp_rate: self.bloom_fp_rate,
         }
     }
 }
@@ -119,19 +110,17 @@ pub enum CrashPoint {
     AfterCompactManifest,
 }
 
-/// A persistent single-node wide-column table (feature `durable`).
+/// A persistent single-node wide-column table: the storage engine over
+/// SSTable files, plus the WAL, the manifest and the commit protocol.
 ///
 /// The API mirrors [`crate::Table`] with every operation fallible: disk
 /// I/O errors and detected corruption propagate instead of panicking.
 pub struct DurableTable {
     dir: PathBuf,
-    opts: DurableOptions,
-    memtable: Memtable,
+    fsync: FsyncPolicy,
+    engine: Engine<DiskBlocks>,
     wal: WalWriter,
     manifest: Manifest,
-    /// Live runs, ascending generation (newest last, wins merges).
-    ssts: Vec<SstFile>,
-    block_cache: BlockCache,
     metrics: DurableMetrics,
     crash_armed: Option<CrashPoint>,
     poisoned: bool,
@@ -150,22 +139,30 @@ impl DurableTable {
             recovered.next_record_seq,
             opts.fsync,
         )?;
-        let block_cache = BlockCache::new(opts.block_cache_blocks);
         let mut table = DurableTable {
             dir: dir.to_path_buf(),
-            opts,
-            memtable: recovered.memtable,
+            fsync: opts.fsync,
+            engine: Engine {
+                memtable: recovered.memtable,
+                runs: recovered.ssts,
+                next_generation: recovered.manifest.next_generation,
+                cache: BlockCache::new(opts.block_cache_blocks),
+                build: SsTableOptions {
+                    column_index_size: opts.column_index_size,
+                    bloom_fp_rate: opts.bloom_fp_rate,
+                },
+                flush_bytes: opts.memtable_flush_bytes,
+                compaction_threshold: opts.compaction_threshold,
+            },
             wal,
             manifest: recovered.manifest,
-            ssts: recovered.ssts,
-            block_cache,
             metrics: DurableMetrics::default(),
             crash_armed: None,
             poisoned: false,
         };
         // A replayed memtable can already be over the threshold (the
         // crash happened just before its flush) — finish the job now.
-        if table.memtable.bytes() >= table.opts.memtable_flush_bytes {
+        if table.engine.flush_due() {
             table.flush()?;
         }
         Ok((table, recovered.report))
@@ -174,7 +171,7 @@ impl DurableTable {
     fn check_usable(&self) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::other(
-                "durable table poisoned by an injected crash; reopen the directory",
+                "durable table poisoned by a crash or a failure past a commit point; reopen the directory",
             ));
         }
         Ok(())
@@ -195,6 +192,13 @@ impl DurableTable {
         Ok(())
     }
 
+    /// Runs what follows a commit point, poisoning the table if it fails.
+    fn past_commit(&mut self, step: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        let result = step(self);
+        self.poisoned |= result.is_err();
+        result
+    }
+
     /// Writes one cell: WAL first, then the memtable; flushes when the
     /// threshold trips. Once this returns `Ok` the write is recoverable
     /// (modulo the fsync policy's window).
@@ -203,8 +207,8 @@ impl DurableTable {
         self.wal.append(&pk, &cell)?;
         self.metrics.wal_records += 1;
         self.metrics.writes += 1;
-        self.memtable.insert(pk, cell);
-        if self.memtable.bytes() >= self.opts.memtable_flush_bytes {
+        self.engine.memtable.insert(pk, cell);
+        if self.engine.flush_due() {
             self.flush()?;
         }
         Ok(())
@@ -215,26 +219,26 @@ impl DurableTable {
     /// memtable is empty.
     pub fn flush(&mut self) -> io::Result<()> {
         self.check_usable()?;
-        if self.memtable.is_empty() {
+        if self.engine.memtable.is_empty() {
             return Ok(());
         }
         // 1. SSTable write. The snapshot does not drain: a crash between
         // here and the manifest commit loses nothing.
-        let generation = self.manifest.next_generation;
-        let path = self.dir.join(sst_file_name(generation));
-        let snapshot = self.memtable.snapshot_sorted();
-        let stats = write_sst(&path, &snapshot, &self.opts.sst_opts(), generation)?;
-        self.metrics.sst_bytes_written += stats.file_bytes;
+        let generation = self.engine.next_generation;
+        let snapshot = self.engine.memtable.snapshot_sorted();
+        let run = Run::build(&snapshot, &self.engine.build, generation);
+        let (run, bytes) = write_sst(&self.dir, &run)?;
+        self.metrics.sst_bytes_written += bytes;
         self.trip(CrashPoint::AfterFlushSstWrite)?;
         // 2. WAL rotation.
         let new_wal = WalWriter::create(
             &self.dir,
             self.wal.segment_seq() + 1,
             self.wal.next_record_seq(),
-            self.opts.fsync,
+            self.fsync,
         )?;
         self.trip(CrashPoint::AfterFlushWalRotate)?;
-        // 3. The commit point.
+        // 3. The commit point, and at it the run replaces the memtable.
         let mut manifest = self.manifest.clone();
         manifest.live.push(generation);
         manifest.next_generation = generation + 1;
@@ -243,18 +247,19 @@ impl DurableTable {
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
         self.wal = new_wal;
-        self.trip(CrashPoint::AfterFlushManifest)?;
-        // 4. Garbage collection; failure past the commit point is safe
-        // (recovery re-deletes).
-        for (seq, stale) in wal::list_segments(&self.dir)? {
-            if seq < self.manifest.wal_seq {
-                fs::remove_file(stale)?;
-            }
-        }
-        self.ssts.push(SstFile::open(&path)?);
-        self.memtable = Memtable::new();
+        let compact = self.engine.install_flush(run);
         self.metrics.flushes += 1;
-        if self.ssts.len() >= self.opts.compaction_threshold {
+        // 4. Garbage collection: recovery re-deletes what a crash leaves.
+        self.past_commit(|t| {
+            t.trip(CrashPoint::AfterFlushManifest)?;
+            for (seq, stale) in wal::list_segments(&t.dir)? {
+                if seq < t.manifest.wal_seq {
+                    fs::remove_file(stale)?;
+                }
+            }
+            Ok(())
+        })?;
+        if compact {
             self.compact()?;
         }
         Ok(())
@@ -265,32 +270,28 @@ impl DurableTable {
     /// swaps the manifest's live set. No-op below two runs.
     pub fn compact(&mut self) -> io::Result<()> {
         self.check_usable()?;
-        if self.ssts.len() < 2 {
+        let Some(run) = self.engine.compacted()? else {
             return Ok(());
-        }
-        // `ssts` is ascending by generation: the last run holding a cell
-        // wins.
-        let runs = self.ssts.iter().map(SstFile::scan);
-        let input = merge_runs(runs.collect::<io::Result<_>>()?);
-        let generation = self.manifest.next_generation;
-        let path = self.dir.join(sst_file_name(generation));
-        let stats = write_sst(&path, &input, &self.opts.sst_opts(), generation)?;
-        self.metrics.sst_bytes_written += stats.file_bytes;
+        };
+        let generation = run.generation;
+        let (run, bytes) = write_sst(&self.dir, &run)?;
+        self.metrics.sst_bytes_written += bytes;
         self.trip(CrashPoint::AfterCompactSstWrite)?;
         let mut manifest = self.manifest.clone();
         manifest.live = vec![generation];
         manifest.next_generation = generation + 1;
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
-        self.trip(CrashPoint::AfterCompactManifest)?;
-        let old = std::mem::replace(&mut self.ssts, vec![SstFile::open(&path)?]);
-        for sst in old {
-            fs::remove_file(sst.path())?;
-        }
-        // Cached blocks are keyed by dead generations now; drop them.
-        self.block_cache.clear();
+        let retired = self.engine.install_compaction(run);
         self.metrics.compactions += 1;
-        Ok(())
+        self.past_commit(|t| {
+            t.trip(CrashPoint::AfterCompactManifest)?;
+            // Cached blocks are keyed by dead generations now; drop them.
+            t.engine.cache.clear();
+            retired
+                .iter()
+                .try_for_each(|sst| fs::remove_file(sst.path()))
+        })
     }
 
     /// Bulk-loads already-sorted partitions directly into an SSTable,
@@ -303,26 +304,22 @@ impl DurableTable {
         if input.is_empty() {
             return Ok(());
         }
-        let generation = self.manifest.next_generation;
-        let path = self.dir.join(sst_file_name(generation));
-        let stats = write_sst(&path, input, &self.opts.sst_opts(), generation)?;
-        self.metrics.sst_bytes_written += stats.file_bytes;
+        let generation = self.engine.next_generation;
+        let run = Run::build(input, &self.engine.build, generation);
+        let (run, bytes) = write_sst(&self.dir, &run)?;
+        self.metrics.sst_bytes_written += bytes;
         let mut manifest = self.manifest.clone();
         manifest.live.push(generation);
         manifest.next_generation = generation + 1;
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
-        self.ssts.push(SstFile::open(&path)?);
+        self.engine.push(run);
         Ok(())
     }
 
-    /// Streams a whole partition's cells, in clustering order and straight
-    /// off block and memtable bytes, into `visit`, and returns the work
-    /// receipt — the read primitive: [`DurableTable::get`] collects from
-    /// it, an aggregation folds over it without ever owning a cell. The
-    /// receipt itemizes the work, including disk blocks read vs served
-    /// from the block cache. On `Err` (I/O failure, detected corruption)
-    /// `visit` may already have seen part of the partition.
+    /// Streams a whole partition's cells in place into `visit` and returns
+    /// the receipt, as [`crate::Table::fold_partition`] does. On `Err` (I/O
+    /// failure, detected corruption) `visit` may have seen part of it.
     pub fn fold_partition(
         &mut self,
         pk: &PartitionKey,
@@ -334,9 +331,7 @@ impl DurableTable {
     /// Reads a whole partition, merging every run and the memtable
     /// newest-wins.
     pub fn get(&mut self, pk: &PartitionKey) -> io::Result<(Vec<Cell>, ReadReceipt)> {
-        let mut cells = CellBuf::default();
-        let receipt = self.fold_partition(pk, |cell| cells.push(cell))?;
-        Ok((cells.into_cells(), receipt))
+        self.get_range(pk, 0..=ClusteringKey::MAX)
     }
 
     /// Reads a clustering range of a partition; column-indexed partitions
@@ -351,7 +346,7 @@ impl DurableTable {
         Ok((cells.into_cells(), receipt))
     }
 
-    /// The one read path ([`stream_partition`]).
+    /// The one read path ([`Engine::stream_partition`]).
     fn stream(
         &mut self,
         pk: &PartitionKey,
@@ -360,8 +355,7 @@ impl DurableTable {
     ) -> io::Result<ReadReceipt> {
         self.check_usable()?;
         self.metrics.reads += 1;
-        let (runs, cache) = (&self.ssts, &mut self.block_cache);
-        stream_partition(runs, cache, &self.memtable, pk, range, visit)
+        self.engine.stream_partition(pk, range, visit)
     }
 
     /// Forces buffered WAL records to stable storage (useful with
@@ -370,39 +364,19 @@ impl DurableTable {
         self.wal.sync()
     }
 
-    /// The table's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &DurableOptions {
-        &self.opts
-    }
-
     /// Lifetime metrics.
     pub fn metrics(&self) -> DurableMetrics {
         self.metrics
     }
 
-    /// The current manifest (the on-disk commit state).
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
     /// Number of live on-disk SSTables.
     pub fn sstable_count(&self) -> usize {
-        self.ssts.len()
+        self.engine.runs.len()
     }
 
     /// Cells currently buffered in the memtable (WAL-backed).
     pub fn memtable_cells(&self) -> usize {
-        self.memtable.cells()
-    }
-
-    /// Block-cache lifetime `(hits, misses)`.
-    pub fn block_cache_stats(&self) -> (u64, u64) {
-        self.block_cache.hit_stats()
+        self.engine.memtable.cells()
     }
 }
 
@@ -450,6 +424,7 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sst_file::sst_file_name;
     use std::collections::BTreeMap;
 
     fn pk(i: u64) -> PartitionKey {
@@ -511,7 +486,7 @@ mod tests {
         assert_eq!(t.sstable_count(), 1);
         assert_eq!(t.memtable_cells(), 0);
         assert_eq!(t.metrics().flushes, 1);
-        assert_eq!(t.manifest().live, vec![1]);
+        assert_eq!(t.manifest.live, vec![1]);
         // The pre-flush segment (seq 1) is gone; the live one is seq 2.
         assert!(!tmp.path().join(wal::segment_file_name(1)).exists());
         assert!(tmp.path().join(wal::segment_file_name(2)).exists());
@@ -614,7 +589,7 @@ mod tests {
         t.compact().expect("compact");
         assert_eq!(t.sstable_count(), 1);
         assert_eq!(t.metrics().compactions, 1);
-        assert_eq!(t.manifest().live.len(), 1);
+        assert_eq!(t.manifest.live.len(), 1);
         // Old generation files are gone; only the merged one remains.
         assert!(!tmp.path().join(sst_file_name(1)).exists());
         assert!(!tmp.path().join(sst_file_name(2)).exists());
@@ -663,8 +638,6 @@ mod tests {
         let (_, r2) = t.get(&pk(1)).expect("get");
         assert_eq!(r2.disk_blocks_read, 0);
         assert_eq!(r2.disk_block_cache_hits, r1.disk_blocks_read);
-        let (hits, _) = t.block_cache_stats();
-        assert!(hits > 0);
     }
 
     /// Every crash point: arm, trigger, verify the operation fails and
@@ -730,6 +703,36 @@ mod tests {
             t.compact().expect("compact after recovery");
             oracle.assert_matches(&mut t);
         }
+    }
+
+    /// A failure past the flush's commit point — here its WAL garbage
+    /// collection, which meets a directory where a stale segment's name
+    /// is — must not let a later compaction rewrite the manifest from a
+    /// memory that never installed the committed run: its cells' WAL
+    /// segment is stale by then, and recovery deletes it.
+    #[test]
+    fn failure_past_the_flush_commit_poisons_and_loses_nothing() {
+        let tmp = TempDir::new("dur-post-commit");
+        let mut oracle = Oracle::default();
+        let (mut t, _) = DurableTable::open(tmp.path(), small_opts()).expect("open");
+        for round in 0..3u64 {
+            for c in 0..20u64 {
+                let cell = Cell::new(c, round as u8, vec![round as u8; 8]);
+                oracle.put(pk(c % 3), cell.clone());
+                t.put(pk(c % 3), cell).expect("put");
+            }
+            if round < 2 {
+                t.flush().expect("flush");
+            }
+        }
+        let blocker = tmp.path().join(wal::segment_file_name(0));
+        fs::create_dir(&blocker).expect("mkdir");
+        t.flush().expect_err("the garbage collection fails");
+        let _ = t.compact(); // whatever it returns
+        drop(t);
+        fs::remove_dir(&blocker).expect("rmdir");
+        let (mut t, _) = DurableTable::open(tmp.path(), small_opts()).expect("reopen");
+        oracle.assert_matches(&mut t);
     }
 
     #[test]

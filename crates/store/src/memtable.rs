@@ -51,24 +51,6 @@ impl Memtable {
         Some(cells.map(|(_, cell)| cell))
     }
 
-    /// All cells of a partition, in clustering order.
-    pub fn get(&self, pk: &PartitionKey) -> Option<Vec<Cell>> {
-        self.range(pk, 0..=ClusteringKey::MAX)
-            .map(|cells| cells.cloned().collect())
-    }
-
-    /// Cells of a partition within a clustering range, in order.
-    pub fn get_range(&self, pk: &PartitionKey, range: RangeInclusive<ClusteringKey>) -> Vec<Cell> {
-        self.range(pk, range)
-            .map(|cells| cells.cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// True when the partition has at least one cell.
-    pub fn contains_partition(&self, pk: &PartitionKey) -> bool {
-        self.partitions.contains_key(pk)
-    }
-
     /// Approximate encoded size of the buffered data.
     pub fn bytes(&self) -> usize {
         self.bytes
@@ -79,11 +61,6 @@ impl Memtable {
         self.cells
     }
 
-    /// Number of distinct partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.partitions.is_empty()
@@ -91,7 +68,7 @@ impl Memtable {
 
     /// Clones the contents into `(partition, cells)` pairs in partition
     /// order *without* draining. The durable flush builds its SSTable from
-    /// this and only clears the memtable after the manifest commit, so a
+    /// this and only replaces the memtable at the manifest commit, so a
     /// crash mid-flush loses nothing.
     pub fn snapshot_sorted(&self) -> Vec<(PartitionKey, Vec<Cell>)> {
         self.partitions
@@ -120,16 +97,22 @@ mod tests {
         PartitionKey::from_id(i)
     }
 
+    /// The partition's cells in `range`, cloned out; `None` when absent.
+    fn cells(mt: &Memtable, p: u64, range: RangeInclusive<ClusteringKey>) -> Option<Vec<Cell>> {
+        mt.range(&pk(p), range)
+            .map(|cells| cells.cloned().collect())
+    }
+
     #[test]
     fn insert_and_get_sorted() {
         let mut mt = Memtable::new();
         for c in [5u64, 1, 3] {
             mt.insert(pk(1), Cell::synthetic(c, 0));
         }
-        let cells = mt.get(&pk(1)).unwrap();
+        let cells = cells(&mt, 1, 0..=u64::MAX).unwrap();
         let keys: Vec<u64> = cells.iter().map(|c| c.clustering).collect();
         assert_eq!(keys, vec![1, 3, 5]);
-        assert!(mt.get(&pk(2)).is_none());
+        assert!(mt.range(&pk(2), 0..=u64::MAX).is_none());
     }
 
     #[test]
@@ -140,7 +123,7 @@ mod tests {
         assert!(mt.insert(pk(1), Cell::new(7, 9, vec![0u8; 20])));
         assert_eq!(mt.cells(), 1);
         assert_eq!(mt.bytes(), bytes_before + 10);
-        assert_eq!(mt.get(&pk(1)).unwrap()[0].kind, 9);
+        assert_eq!(cells(&mt, 1, 7..=7).unwrap()[0].kind, 9);
     }
 
     #[test]
@@ -149,10 +132,12 @@ mod tests {
         for c in 0..10u64 {
             mt.insert(pk(1), Cell::synthetic(c, 0));
         }
-        let cells = mt.get_range(&pk(1), 3..=6);
+        let cells = cells(&mt, 1, 3..=6).unwrap();
         let keys: Vec<u64> = cells.iter().map(|c| c.clustering).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
-        assert!(mt.get_range(&pk(2), 0..=100).is_empty());
+        // An absent partition, and a present one with nothing in range.
+        assert!(mt.range(&pk(2), 0..=100).is_none());
+        assert!(mt.range(&pk(1), 10..=100).is_none());
     }
 
     #[test]
@@ -191,9 +176,9 @@ mod tests {
             }
         }
         assert_eq!(mt.cells(), 12);
-        assert_eq!(mt.partition_count(), 3);
         assert_eq!(mt.bytes(), 12 * 46);
-        assert!(mt.contains_partition(&pk(0)));
-        assert!(!mt.contains_partition(&pk(9)));
+        assert_eq!(mt.snapshot_sorted().len(), 3);
+        assert!(mt.range(&pk(0), 0..=u64::MAX).is_some());
+        assert!(mt.range(&pk(9), 0..=u64::MAX).is_none());
     }
 }

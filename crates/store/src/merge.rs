@@ -1,17 +1,13 @@
-//! Linear newest-wins merging of already-sorted sources.
-//!
-//! Every run and the memtable keep a partition's cells in strictly
-//! ascending clustering order, and every run keeps its partitions in
-//! ascending key order, so a read of a partition held by several sources
-//! and a compaction of several runs are both k-way merges. With the handful
-//! of sources a table ever has (runs below the compaction threshold plus
-//! the memtable) the merge picks the next key by looking at every source's
-//! head: one pass over the input, no tree.
-//!
-//! The rule, everywhere: **on equal keys the newest source wins** — sources
+//! Linear newest-wins merging of already-sorted sources: a read of a
+//! partition held by several sources and a merge of whole runs are both
+//! k-way merges over the handful of sources a table has, so the next key
+//! is picked by looking at every source's head — one pass, no tree. The
+//! rule, everywhere: **on equal keys the newest source wins** — sources
 //! are passed oldest first and the last one holding a key supplies it.
 
-use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use crate::schema::{ClusteringKey, PartitionKey};
+use crate::stream::CellBuf;
+use std::io;
 
 /// Merges `sources` — each strictly ascending by `key`, ordered oldest
 /// first — into one ascending stream handed to `emit`. An item whose key
@@ -47,50 +43,53 @@ pub(crate) fn merge_newest_wins<T, I: Iterator<Item = T>>(
     }
 }
 
-/// Merges whole runs — each a list of `(partition, cells)` ascending by
-/// partition key with cells ascending by clustering key, ordered oldest
-/// first — into one such list: the union of the partitions, a partition
-/// held by several runs merged cell by cell, newest run winning.
-pub(crate) fn merge_runs(
-    runs: Vec<Vec<(PartitionKey, Vec<Cell>)>>,
-) -> Vec<(PartitionKey, Vec<Cell>)> {
-    let mut runs: Vec<_> = runs
-        .into_iter()
-        .map(|run| run.into_iter().peekable())
-        .collect();
-    let mut out = Vec::new();
+/// Merges whole runs — each a stream of `(partition, cells)` ascending by
+/// partition key, with cells ascending by clustering key, ordered oldest
+/// first — into one handed to `emit` a partition at a time: the union of
+/// the partitions, one held by several merged cell by cell, newest run
+/// winning. Each run is read one partition ahead; the first error ends it.
+pub(crate) fn merge_runs<I>(
+    runs: Vec<I>,
+    mut emit: impl FnMut(PartitionKey, CellBuf),
+) -> io::Result<()>
+where
+    I: Iterator<Item = io::Result<(PartitionKey, CellBuf)>>,
+{
+    let mut heads = Vec::with_capacity(runs.len());
+    for mut run in runs {
+        heads.push((run.next().transpose()?, run));
+    }
     loop {
-        let Some(min) = runs
-            .iter_mut()
-            .filter_map(|run| run.peek().map(|(pk, _)| pk))
-            .min()
-            .cloned()
-        else {
-            return out;
+        let keys = heads.iter().filter_map(|(head, _)| head.as_ref());
+        let Some(min) = keys.map(|(pk, _)| pk).min().cloned() else {
+            return Ok(());
         };
-        let mut holders: Vec<Vec<Cell>> = runs
-            .iter_mut()
-            .filter_map(|run| run.next_if(|(pk, _)| *pk == min))
-            .map(|(_, cells)| cells)
-            .collect();
+        let mut holders = Vec::new();
+        for (head, rest) in &mut heads {
+            if head.as_ref().is_some_and(|(pk, _)| *pk == min) {
+                let next = rest.next().transpose()?;
+                holders.extend(std::mem::replace(head, next).map(|(_, cells)| cells));
+            }
+        }
         let cells = if holders.len() == 1 {
             holders.remove(0)
         } else {
-            let mut merged = Vec::with_capacity(holders.iter().map(Vec::len).max().unwrap_or(0));
+            let mut merged = CellBuf::default();
             merge_newest_wins(
-                holders.into_iter().map(Vec::into_iter),
-                |cell: &Cell| cell.clustering,
+                holders.iter().map(CellBuf::iter),
+                |cell| cell.clustering,
                 |cell| merged.push(cell),
             );
             merged
         };
-        out.push((min, cells));
+        emit(min, cells);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Cell;
 
     fn merged(sources: Vec<Vec<(u64, u8)>>) -> Vec<(u64, u8)> {
         let mut out = Vec::new();
@@ -125,25 +124,37 @@ mod tests {
     #[test]
     fn runs_merge_to_the_union_newest_cells_winning() {
         let pk = PartitionKey::from_id;
-        let old = vec![
+        let run = |parts: Vec<(PartitionKey, Vec<Cell>)>| {
+            parts.into_iter().map(|(pk, cells)| {
+                let mut buf = CellBuf::default();
+                cells.iter().for_each(|cell| buf.push(cell.as_cell_ref()));
+                Ok((pk, buf))
+            })
+        };
+        let old = run(vec![
             (
                 pk(1),
                 vec![Cell::new(5, 1, vec![1]), Cell::new(6, 1, vec![1])],
             ),
             (pk(3), vec![Cell::synthetic(0, 0)]),
-        ];
-        let new = vec![
+        ]);
+        let new = run(vec![
             (
                 pk(1),
                 vec![Cell::new(4, 2, vec![2]), Cell::new(5, 2, vec![2])],
             ),
             (pk(2), vec![Cell::synthetic(1, 1)]),
-        ];
-        let got = merge_runs(vec![old, new]);
+        ]);
+        let mut got = Vec::new();
+        merge_runs(vec![old, new], |pk, cells| {
+            got.push((pk, cells.into_cells()))
+        })
+        .expect("merge");
         let keys: Vec<&PartitionKey> = got.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, [&pk(1), &pk(2), &pk(3)]);
         let kinds: Vec<(u64, u8)> = got[0].1.iter().map(|c| (c.clustering, c.kind)).collect();
         assert_eq!(kinds, [(4, 2), (5, 2), (6, 1)]);
-        assert!(merge_runs(Vec::new()).is_empty());
+        let none: Vec<std::vec::IntoIter<io::Result<(PartitionKey, CellBuf)>>> = Vec::new();
+        merge_runs(none, |_, _| panic!("nothing to merge")).expect("merge");
     }
 }

@@ -187,9 +187,9 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
 mod tests {
     use super::*;
     use crate::durable::TempDir;
+    use crate::run::{Run, SsTableOptions};
     use crate::schema::{Cell, PartitionKey};
     use crate::sst_file::write_sst;
-    use crate::sstable::SsTableOptions;
     use crate::wal::{FsyncPolicy, WalWriter};
 
     fn pk(i: u64) -> PartitionKey {
@@ -236,7 +236,8 @@ mod tests {
         drop(w);
         let r = recover(tmp.path()).expect("recover");
         assert_eq!(r.memtable.cells(), 1);
-        assert_eq!(r.memtable.get(&pk(1)).expect("partition")[0].kind, 2);
+        let mut cells = r.memtable.range(&pk(1), 0..=u64::MAX).expect("partition");
+        assert_eq!(cells.next().map(|cell| cell.kind), Some(2));
         assert_eq!(r.report.wal_records_replayed, 2);
         assert_eq!(r.report.cells_recovered, 1);
     }
@@ -281,7 +282,7 @@ mod tests {
         assert_eq!(r.report.orphan_files_removed, 1);
         assert!(!tmp.path().join(wal::segment_file_name(1)).exists());
         assert!(
-            r.memtable.get(&pk(1)).is_none(),
+            r.memtable.range(&pk(1), 0..=u64::MAX).is_none(),
             "stale data must not replay"
         );
         assert_eq!(r.next_segment_seq, 4);
@@ -293,8 +294,8 @@ mod tests {
         let tmp = TempDir::new("rec-orphan");
         let input = vec![(pk(0), vec![Cell::synthetic(1, 0)])];
         let opts = SsTableOptions::default();
-        write_sst(&tmp.path().join(sst_file_name(1)), &input, &opts, 1).expect("sst 1");
-        write_sst(&tmp.path().join(sst_file_name(2)), &input, &opts, 2).expect("sst 2");
+        write_sst(tmp.path(), &Run::build(&input, &opts, 1)).expect("sst 1");
+        write_sst(tmp.path(), &Run::build(&input, &opts, 2)).expect("sst 2");
         fs::write(tmp.path().join("sst-0000000003.sst.tmp"), b"junk").expect("tmp");
         let manifest = Manifest {
             next_generation: 3,

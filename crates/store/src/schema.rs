@@ -121,10 +121,7 @@ impl Cell {
 
     /// Appends the binary encoding to `buf`.
     pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.clustering);
-        buf.put_u8(self.kind);
-        buf.put_u32_le(self.payload.len() as u32);
-        buf.put_slice(&self.payload);
+        self.as_cell_ref().encode(buf);
     }
 
     /// Decodes one cell from the front of `buf`, advancing it.
@@ -183,6 +180,14 @@ impl<'a> CellRef<'a> {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         CELL_HEADER_BYTES + self.payload.len()
+    }
+
+    /// Appends the binary encoding to `buf`.
+    pub fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(self.clustering);
+        buf.put_u8(self.kind);
+        buf.put_u32_le(self.payload.len() as u32);
+        buf.put_slice(self.payload);
     }
 }
 

@@ -1,22 +1,13 @@
-//! Block-based on-disk SSTables.
+//! Block-based on-disk SSTables: the file medium of the one run format
+//! ([`crate::run`]).
 //!
-//! Unlike [`crate::sstable::SsTable`] (the in-RAM run), an [`SstFile`]
-//! keeps only its *metadata* resident — partition index, per-block
-//! [`BlockMeta`] lists and the bloom filter — and fetches 4 KiB data
-//! blocks ([`crate::block::BLOCK_TARGET_BYTES`]) from disk on demand: a
-//! run of consecutive blocks the [`BlockCache`] does not hold is one
-//! positional read (an *extent*, up to 256 KiB) into a buffer reused from
-//! read to read, charged to the [`ReadReceipt`] block by block
-//! (`disk_blocks_read` vs `disk_block_cache_hits`), each block verified
-//! against its own checksum before any cell of the extent is visited or
-//! any block of it cached.
-//!
-//! The column-index mechanics survive on disk: a partition whose encoded
-//! size exceeds `column_index_size` is *column-indexed* — its block list
-//! doubles as the column index, so range reads seek to overlapping
-//! blocks only, and receipts report `used_column_index` exactly as the
-//! in-RAM store does. The Formula 6 discontinuity therefore appears at
-//! the same ≈ 1425-cell threshold on the durable path.
+//! An [`SstFile`] is a [`Run`] whose blocks lie in a file: only its
+//! metadata is resident, and 4 KiB blocks are fetched on demand — a run of
+//! consecutive blocks the [`BlockCache`] does not hold is one positional
+//! read (an *extent*, up to 256 KiB) into a reused buffer, charged to the
+//! [`ReadReceipt`] block by block (`disk_blocks_read` vs
+//! `disk_block_cache_hits`), each block verified against its own checksum
+//! before any cell of the extent is visited or any block of it cached.
 //!
 //! ## File layout
 //!
@@ -47,17 +38,15 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
-use crate::block::{build_blocks, checksum64, BlockMeta, BLOCK_META_BYTES, BLOCK_TARGET_BYTES};
+use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES, BLOCK_TARGET_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::Lru;
 use crate::receipt::ReadReceipt;
-use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
-use crate::sstable::SsTableOptions;
-use crate::stream::{CellBuf, ClusteringRange, Run, WHOLE};
+use crate::run::{bad_data, Medium, PartitionEntry, Run};
+use crate::schema::PartitionKey;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
-use std::io;
-use std::ops::RangeInclusive;
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
@@ -74,9 +63,8 @@ pub const SST_FOOTER_LEN: usize = 72;
 /// larger.
 const EXTENT_MAX_BYTES: usize = 64 * BLOCK_TARGET_BYTES;
 
-/// The block cache shared across a durable table's runs, keyed by
-/// `(generation, block offset)`, and beside it the buffer extents are read
-/// into, reused from one read to the next.
+/// The block cache of a durable table's runs, keyed by `(generation,
+/// offset)`, and the buffer extents are read into. The default holds none.
 #[derive(Debug)]
 pub struct BlockCache {
     /// Each block an exact-size copy of its own: `capacity` blocks bound
@@ -96,19 +84,15 @@ impl BlockCache {
         }
     }
 
-    /// True when no block is cached.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
     /// Drops every cached block (compaction retired their generations).
     pub fn clear(&mut self) {
         self.blocks.clear();
     }
+}
 
-    /// Lifetime `(hits, misses)` of block look-ups.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        self.blocks.hit_stats()
+impl Default for BlockCache {
+    fn default() -> Self {
+        BlockCache::new(0)
     }
 }
 
@@ -127,73 +111,25 @@ pub fn parse_sst_generation(name: &str) -> Option<u64> {
         .ok()
 }
 
-fn bad_data(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Totals reported by [`write_sst`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SstWriteStats {
-    /// Total file size in bytes.
-    pub file_bytes: u64,
-    /// Data-block payload bytes.
-    pub data_bytes: u64,
-    /// Number of data blocks written.
-    pub blocks: u64,
-    /// Number of partitions.
-    pub partitions: u64,
-    /// Total cells.
-    pub cells: u64,
-}
-
-/// Writes one SSTable file: data blocks, partition index, bloom, footer,
-/// then `fdatasync`. The file must not already exist (generations are
-/// never reused).
-///
-/// # Panics
-/// If partitions are not strictly ascending by key or cells are not
-/// strictly ascending by clustering key — the memtable snapshot and the
-/// compaction merge both guarantee this, so a violation is a bug.
-pub fn write_sst(
-    path: &Path,
-    input: &[(PartitionKey, Vec<Cell>)],
-    opts: &SsTableOptions,
-    generation: u64,
-) -> io::Result<SstWriteStats> {
-    let mut bloom = BloomFilter::with_rate(input.len(), opts.bloom_fp_rate);
-    let mut data = BytesMut::new();
+/// Writes a built run as its SSTable file in `dir`, `fdatasync`s it and
+/// opens it. Returns the run on disk and the file's size. The file must not
+/// already exist (generations are never reused).
+pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<(SstFile, u64)> {
     let mut index = BytesMut::new();
-    let mut total_blocks = 0u64;
-    let mut total_cells = 0u64;
-    index.put_u32(input.len() as u32);
-    let mut prev_key: Option<&PartitionKey> = None;
-    for (pk, cells) in input {
-        if let Some(prev) = prev_key {
-            assert!(prev < pk, "partitions must be strictly ascending");
-        }
-        prev_key = Some(pk);
-        assert!(
-            cells.windows(2).all(|w| w[0].clustering < w[1].clustering),
-            "cells must be strictly ascending"
-        );
-        bloom.insert(pk.as_bytes());
-        let blocks = build_blocks(cells, data.len() as u64);
-        index.put_u16(pk.len() as u16);
-        index.put_slice(pk.as_bytes());
-        index.put_u32(cells.len() as u32);
-        index.put_u32(blocks.len() as u32);
-        for (meta, bytes) in &blocks {
+    index.put_u32(run.partitions.len() as u32);
+    for p in &run.partitions {
+        index.put_u16(p.key.len() as u16);
+        index.put_slice(p.key.as_bytes());
+        index.put_u32(p.cell_count);
+        index.put_u32(p.blocks.len() as u32);
+        for meta in &p.blocks {
             meta.encode(&mut index);
-            data.put_slice(bytes);
         }
-        total_blocks += blocks.len() as u64;
-        total_cells += cells.len() as u64;
     }
     let mut bloom_bytes = BytesMut::new();
-    bloom.serialize(&mut bloom_bytes);
+    run.bloom.serialize(&mut bloom_bytes);
 
-    let data_bytes = data.len() as u64;
-    let index_off = data_bytes;
+    let index_off = run.medium.len() as u64;
     let index_len = index.len() as u64;
     let bloom_off = index_off + index_len;
     let bloom_len = bloom_bytes.len() as u64;
@@ -203,8 +139,8 @@ pub fn write_sst(
     footer.put_u32(SST_MAGIC);
     footer.put_u8(SST_VERSION);
     footer.put_slice(&[0u8; 3]);
-    footer.put_u64(generation);
-    footer.put_u64(opts.column_index_size as u64);
+    footer.put_u64(run.generation);
+    footer.put_u64(run.column_index_size as u64);
     footer.put_u64(index_off);
     footer.put_u64(index_len);
     footer.put_u64(bloom_off);
@@ -213,20 +149,19 @@ pub fn write_sst(
     let footer_crc = checksum64(0, &footer);
     footer.put_u64(footer_crc);
 
-    let mut file = OpenOptions::new().write(true).create_new(true).open(path)?;
-    use std::io::Write;
-    file.write_all(&data)?;
+    let path = dir.join(sst_file_name(run.generation));
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&path)?;
+    file.write_all(&run.medium)?;
     file.write_all(&index)?;
     file.write_all(&bloom_bytes)?;
     file.write_all(&footer)?;
     file.sync_data()?;
-    Ok(SstWriteStats {
-        file_bytes: data_bytes + index_len + bloom_len + SST_FOOTER_LEN as u64,
-        data_bytes,
-        blocks: total_blocks,
-        partitions: input.len() as u64,
-        cells: total_cells,
-    })
+    // Read back as recovery will: what is installed is what the file says.
+    let file_bytes = bloom_off + bloom_len + SST_FOOTER_LEN as u64;
+    Ok((SstFile::open(&path)?, file_bytes))
 }
 
 /// Pairs each block of `run` with its bytes in `extent`, where the blocks
@@ -242,61 +177,44 @@ fn blocks_in<'a>(
     })
 }
 
-/// One partition's resident metadata.
+/// The file medium: a run's blocks on disk, fetched in extents through
+/// the [`BlockCache`] and verified against their checksums before use.
 #[derive(Debug)]
-pub(crate) struct DiskPartition {
-    key: PartitionKey,
-    cell_count: u32,
-    /// Encoded size of the partition (sum of its block lengths).
-    bytes: u64,
-    blocks: Vec<BlockMeta>,
+pub struct DiskBlocks {
+    file: File,
+    path: PathBuf,
+    /// The run's generation: with a block's offset, its cache key.
+    generation: u64,
 }
 
 /// An open on-disk SSTable: metadata in RAM, data blocks on disk.
-#[derive(Debug)]
-pub struct SstFile {
-    file: File,
-    path: PathBuf,
-    generation: u64,
-    column_index_size: usize,
-    partitions: Vec<DiskPartition>,
-    bloom: BloomFilter,
-    data_bytes: u64,
-}
+pub type SstFile = Run<DiskBlocks>;
 
 impl SstFile {
     /// Opens an SSTable file, verifying the footer and metadata checksums
     /// and loading the partition index and bloom filter. Data blocks stay
     /// on disk; their checksums are verified lazily at read time.
     pub fn open(path: &Path) -> io::Result<SstFile> {
+        let bad = |what: &str| bad_data(format!("{}: {what}", path.display()));
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < SST_FOOTER_LEN as u64 {
-            return Err(bad_data(format!(
-                "{}: too short for a footer",
-                path.display()
-            )));
+            return Err(bad("too short for a footer"));
         }
-        let mut footer_raw = vec![0u8; SST_FOOTER_LEN];
+        let mut footer_raw = [0u8; SST_FOOTER_LEN];
         file.read_exact_at(&mut footer_raw, file_len - SST_FOOTER_LEN as u64)?;
         let (covered, tail) = footer_raw.split_at(SST_FOOTER_LEN - 8);
-        let stored = u64::from_be_bytes(
-            tail.try_into()
-                .map_err(|_| bad_data(format!("{}: unreadable footer crc", path.display())))?,
-        );
-        if checksum64(0, covered) != stored {
-            return Err(bad_data(format!("{}: footer crc mismatch", path.display())));
+        let stored = tail.try_into().map_err(|_| bad("unreadable footer crc"))?;
+        if checksum64(0, covered) != u64::from_be_bytes(stored) {
+            return Err(bad("footer crc mismatch"));
         }
         let mut footer = Bytes::copy_from_slice(covered);
         if footer.get_u32() != SST_MAGIC {
-            return Err(bad_data(format!("{}: bad magic", path.display())));
+            return Err(bad("bad magic"));
         }
         let version = footer.get_u8();
         if version != SST_VERSION {
-            return Err(bad_data(format!(
-                "{}: unsupported version {version}",
-                path.display()
-            )));
+            return Err(bad(&format!("unsupported version {version}")));
         }
         footer.advance(3);
         let generation = footer.get_u64();
@@ -312,71 +230,42 @@ impl SstFile {
             .is_none_or(|end| end != bloom_off)
             || meta_end.is_none_or(|end| end != file_len - SST_FOOTER_LEN as u64)
         {
-            return Err(bad_data(format!(
-                "{}: metadata extents inconsistent with file size",
-                path.display()
-            )));
+            return Err(bad("metadata extents inconsistent with file size"));
         }
         let mut index_raw = vec![0u8; index_len as usize];
         file.read_exact_at(&mut index_raw, index_off)?;
         let mut bloom_raw = vec![0u8; bloom_len as usize];
         file.read_exact_at(&mut bloom_raw, bloom_off)?;
         if checksum64(checksum64(0, &index_raw), &bloom_raw) != meta_crc {
-            return Err(bad_data(format!(
-                "{}: metadata crc mismatch",
-                path.display()
-            )));
+            return Err(bad("metadata crc mismatch"));
         }
-        let partitions = parse_index(&index_raw, index_off)
-            .ok_or_else(|| bad_data(format!("{}: malformed partition index", path.display())))?;
+        let partitions =
+            parse_index(&index_raw, index_off).ok_or_else(|| bad("malformed partition index"))?;
         let mut bloom_buf = Bytes::copy_from_slice(&bloom_raw);
         let bloom = BloomFilter::deserialize(&mut bloom_buf)
             .filter(|_| bloom_buf.is_empty())
-            .ok_or_else(|| bad_data(format!("{}: malformed bloom filter", path.display())))?;
-        Ok(SstFile {
-            file,
-            path: path.to_path_buf(),
+            .ok_or_else(|| bad("malformed bloom filter"))?;
+        let path = path.to_path_buf();
+        Ok(Run {
             generation,
             column_index_size,
             partitions,
             bloom,
-            data_bytes: index_off,
+            medium: DiskBlocks {
+                file,
+                path,
+                generation,
+            },
         })
-    }
-
-    /// The run's generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of partitions in the run.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Data-block payload bytes on disk.
-    pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
-    }
-
-    /// The column-index threshold the run was built with.
-    pub fn column_index_size(&self) -> usize {
-        self.column_index_size
     }
 
     /// The file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.medium.path
     }
+}
 
-    /// Whether this partition is column-indexed (encoded size above the
-    /// threshold) — the on-disk continuation of the Figure 6 mechanism.
-    pub fn has_column_index(&self, pk: &PartitionKey) -> bool {
-        self.find(pk)
-            .map(|p| p.bytes > self.column_index_size as u64)
-            .unwrap_or(false)
-    }
-
+impl DiskBlocks {
     /// Reads `run` — consecutive blocks, adjacent in the file — with one
     /// positional read into `extent`, and verifies each against its
     /// [`BlockMeta`] digest. The blocks lie back to back in the returned
@@ -413,143 +302,21 @@ impl SstFile {
         }
         Ok(extent)
     }
-
-    /// Decodes one verified block into `visit`, charging the receipt per
-    /// cell. `Ok(false)` once a cell past `to` ends the scan; `Err` when the
-    /// block's contents disagree with its [`BlockMeta`].
-    fn fold_block(
-        &self,
-        meta: &BlockMeta,
-        mut block: &[u8],
-        (from, to): ClusteringRange,
-        receipt: &mut ReadReceipt,
-        visit: &mut impl FnMut(CellRef<'_>),
-    ) -> io::Result<bool> {
-        let mut in_block = 0u32;
-        while let Some(cell) = CellRef::decode(&mut block) {
-            receipt.cells_scanned += 1;
-            receipt.bytes_read += cell.encoded_len() as u64;
-            if cell.clustering > to {
-                return Ok(false);
-            }
-            if cell.clustering >= from {
-                visit(cell);
-            }
-            in_block += 1;
-        }
-        if in_block != meta.cells || !block.is_empty() {
-            return Err(bad_data(format!(
-                "{}: block at offset {} decoded {} cells, index says {}",
-                self.path.display(),
-                meta.offset,
-                in_block,
-                meta.cells
-            )));
-        }
-        Ok(true)
-    }
-
-    /// Reads a whole partition. `Ok(None)` (with receipt counters
-    /// updated) when this run does not contain it; `Err` only on I/O
-    /// failure or detected corruption.
-    pub fn read(
-        &self,
-        pk: &PartitionKey,
-        cache: &mut BlockCache,
-        receipt: &mut ReadReceipt,
-    ) -> io::Result<Option<Vec<Cell>>> {
-        self.collect(pk, WHOLE, cache, receipt)
-    }
-
-    /// Reads the cells of a partition within a clustering range (see
-    /// [`Run::scan_partition`] on this type for which blocks that touches).
-    pub fn read_range(
-        &self,
-        pk: &PartitionKey,
-        range: RangeInclusive<ClusteringKey>,
-        cache: &mut BlockCache,
-        receipt: &mut ReadReceipt,
-    ) -> io::Result<Vec<Cell>> {
-        let cells = self.collect(pk, range.into_inner(), cache, receipt)?;
-        Ok(cells.unwrap_or_default())
-    }
-
-    /// Reads every partition back, verifying all block checksums — the
-    /// compaction input path, through the same extent reads as every other
-    /// scan but with a cache of its own that holds nothing (compaction reads
-    /// each block once; caching them would only evict hot read blocks).
-    pub fn scan(&self) -> io::Result<Vec<(PartitionKey, Vec<Cell>)>> {
-        let mut cache = BlockCache::new(0);
-        let mut receipt = ReadReceipt::default();
-        let mut out = Vec::with_capacity(self.partitions.len());
-        for entry in &self.partitions {
-            let mut cells = CellBuf::default();
-            self.scan_partition(entry, WHOLE, &mut cache, &mut receipt, |cell| {
-                cells.push(cell)
-            })?;
-            if cells.len() != entry.cell_count as usize {
-                return Err(bad_data(format!(
-                    "{}: partition {:?} decoded {} cells, index says {}",
-                    self.path.display(),
-                    entry.key,
-                    cells.len(),
-                    entry.cell_count
-                )));
-            }
-            out.push((entry.key.clone(), cells.into_cells()));
-        }
-        Ok(out)
-    }
 }
 
-impl Run for SstFile {
-    type Entry = DiskPartition;
+impl Medium for DiskBlocks {
     type Cache = BlockCache;
-    type Error = io::Error;
 
-    fn bloom(&self) -> &BloomFilter {
-        &self.bloom
-    }
-
-    fn find(&self, pk: &PartitionKey) -> Option<&DiskPartition> {
-        self.partitions
-            .binary_search_by(|p| p.key.cmp(pk))
-            .ok()
-            .map(|i| &self.partitions[i])
-    }
-
-    /// Straight off the block bytes, charging the receipt for every block
-    /// fetched and every cell decoded. `Err` on I/O failure or detected
-    /// corruption: a failed checksum, or a block whose contents disagree
-    /// with its [`BlockMeta`].
-    ///
-    /// Which blocks the scan reaches is decided from their metadata — the
-    /// in-RAM [`crate::SsTable`]'s mechanics with disk charges: a
-    /// column-indexed partition seeks to the overlapping blocks only; a
-    /// small one is decoded from its start through the first block holding
-    /// a cell past the range.
-    fn scan_partition(
+    /// One cache look-up per block, in order. A miss opens an extent over
+    /// the misses that follow it, up to a hit, a gap or the size cap, read,
+    /// charged and verified whole before any block of it is handed on.
+    fn read_blocks(
         &self,
-        entry: &DiskPartition,
-        (from, to): ClusteringRange,
+        reached: &[BlockMeta],
         cache: &mut BlockCache,
         receipt: &mut ReadReceipt,
-        mut visit: impl FnMut(CellRef<'_>),
+        mut fold: impl FnMut(&BlockMeta, &[u8], &mut ReadReceipt) -> io::Result<bool>,
     ) -> io::Result<()> {
-        receipt.sstables_read += 1;
-        // Blocks are ascending and disjoint, so both selections are
-        // contiguous.
-        let blocks = &entry.blocks;
-        let reached = if entry.bytes > self.column_index_size as u64 {
-            receipt.used_column_index = true;
-            let lo = blocks.partition_point(|b| b.last_clustering < from);
-            let hi = blocks.partition_point(|b| b.first_clustering <= to).max(lo);
-            receipt.column_index_blocks += (hi - lo) as u64;
-            &blocks[lo..hi]
-        } else {
-            let within = blocks.partition_point(|b| b.last_clustering <= to);
-            &blocks[..blocks.len().min(within + 1)]
-        };
         let BlockCache {
             blocks: cached,
             capacity,
@@ -558,9 +325,6 @@ impl Run for SstFile {
         let key = |meta: &BlockMeta| (self.generation, meta.offset);
         let mut at = 0;
         while at < reached.len() {
-            // One cache look-up per reached block, in order. A miss opens an
-            // extent that runs on over the misses that follow it, until a
-            // hit, a gap in the file or the size cap.
             let start = at;
             let mut bytes = 0;
             let hit = loop {
@@ -586,13 +350,13 @@ impl Run for SstFile {
                 if *capacity > 0 {
                     cached.put(key(meta), Bytes::copy_from_slice(block));
                 }
-                if !self.fold_block(meta, block, (from, to), receipt, &mut visit)? {
+                if !fold(meta, block, receipt)? {
                     return Ok(());
                 }
             }
             if let Some(block) = hit {
                 receipt.disk_block_cache_hits += 1;
-                if !self.fold_block(&reached[at], &block, (from, to), receipt, &mut visit)? {
+                if !fold(&reached[at], &block, receipt)? {
                     return Ok(());
                 }
                 at += 1;
@@ -605,14 +369,13 @@ impl Run for SstFile {
 /// Parses the partition index region. `data_len` is the size of the data
 /// region (which starts at file offset 0), so every block extent can be
 /// bounds-checked; structural damage yields `None`.
-fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<DiskPartition>> {
+fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
     let mut buf = Bytes::copy_from_slice(raw);
     if buf.len() < 4 {
         return None;
     }
     let count = buf.get_u32() as usize;
-    let mut out = Vec::with_capacity(count);
-    let mut prev_key: Option<PartitionKey> = None;
+    let mut out: Vec<PartitionEntry> = Vec::with_capacity(count);
     for _ in 0..count {
         if buf.len() < 2 {
             return None;
@@ -622,10 +385,8 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<DiskPartition>> {
             return None;
         }
         let key = PartitionKey::new(buf.split_to(key_len).to_vec());
-        if let Some(prev) = &prev_key {
-            if prev >= &key {
-                return None;
-            }
+        if out.last().is_some_and(|prev| prev.key >= key) {
+            return None;
         }
         let cell_count = buf.get_u32();
         let block_count = buf.get_u32() as usize;
@@ -642,8 +403,7 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<DiskPartition>> {
             bytes += meta.len as u64;
             blocks.push(meta);
         }
-        prev_key = Some(key.clone());
-        out.push(DiskPartition {
+        out.push(PartitionEntry {
             key,
             cell_count,
             bytes,
@@ -661,6 +421,9 @@ mod tests {
     use super::*;
     use crate::block::{fnv1a, FNV1A_BASIS};
     use crate::durable::TempDir;
+    use crate::run::SsTableOptions;
+    use crate::schema::Cell;
+    use crate::stream::WHOLE;
 
     fn pk(i: u64) -> PartitionKey {
         PartitionKey::from_id(i)
@@ -679,26 +442,32 @@ mod tests {
             .collect()
     }
 
-    fn write_open(dir: &Path, sizes: &[usize], generation: u64) -> (SstFile, SstWriteStats) {
+    /// Writes partitions of `sizes` cells; returns the run on disk with
+    /// its block and data-byte totals, having checked that the file indexes
+    /// the blocks exactly as the builder laid them out.
+    fn write_open(dir: &Path, sizes: &[usize], generation: u64) -> (SstFile, u64, u64) {
+        let input = build_input(sizes);
+        let build = || Run::build(&input, &SsTableOptions::default(), generation);
+        let (sst, file_bytes) = write_sst(dir, &build()).expect("write");
         let path = dir.join(sst_file_name(generation));
-        let stats = write_sst(
-            &path,
-            &build_input(sizes),
-            &SsTableOptions::default(),
-            generation,
-        )
-        .expect("write");
-        (SstFile::open(&path).expect("open"), stats)
+        assert_eq!(file_bytes, std::fs::metadata(&path).expect("stat").len());
+        assert_eq!(sst.partitions, build().partitions);
+        let blocks = sst.partitions.iter().map(|p| p.blocks.len() as u64).sum();
+        (sst, blocks, sst_data_bytes(&input))
+    }
+
+    fn sst_data_bytes(input: &[(PartitionKey, Vec<Cell>)]) -> u64 {
+        let cells = input.iter().flat_map(|(_, cells)| cells);
+        cells.map(|cell| cell.encoded_len() as u64).sum()
     }
 
     #[test]
     fn roundtrip_reads_every_partition() {
         let tmp = TempDir::new("sst-roundtrip");
-        let (sst, stats) = write_open(tmp.path(), &[10, 2000, 1], 3);
+        let (sst, _, data_bytes) = write_open(tmp.path(), &[10, 2000, 1], 3);
         assert_eq!(sst.generation(), 3);
         assert_eq!(sst.partition_count(), 3);
-        assert_eq!(stats.cells, 2011);
-        assert_eq!(stats.data_bytes, 2011 * 46);
+        assert_eq!(data_bytes, 2011 * 46);
         let mut cache = BlockCache::new(64);
         for (pk_in, cells_in) in build_input(&[10, 2000, 1]) {
             let mut r = ReadReceipt::default();
@@ -716,21 +485,21 @@ mod tests {
     #[test]
     fn disk_reads_then_cache_hits() {
         let tmp = TempDir::new("sst-cache");
-        let (sst, stats) = write_open(tmp.path(), &[500], 1);
+        let (sst, blocks, data_bytes) = write_open(tmp.path(), &[500], 1);
         let mut cache = BlockCache::new(64);
         let mut r1 = ReadReceipt::default();
         sst.read(&pk(0), &mut cache, &mut r1)
             .expect("io")
             .expect("hit");
-        assert_eq!(r1.disk_blocks_read, stats.blocks);
+        assert_eq!(r1.disk_blocks_read, blocks);
         assert_eq!(r1.disk_block_cache_hits, 0);
-        assert_eq!(r1.disk_bytes_read, stats.data_bytes);
+        assert_eq!(r1.disk_bytes_read, data_bytes);
         let mut r2 = ReadReceipt::default();
         sst.read(&pk(0), &mut cache, &mut r2)
             .expect("io")
             .expect("hit");
         assert_eq!(r2.disk_blocks_read, 0);
-        assert_eq!(r2.disk_block_cache_hits, stats.blocks);
+        assert_eq!(r2.disk_block_cache_hits, blocks);
         assert_eq!(r2.disk_bytes_read, 0);
     }
 
@@ -739,7 +508,7 @@ mod tests {
         // 1424 cells = 65504 B ≤ 64 KiB (not indexed), 1425 > (indexed):
         // the same Figure 6 boundary as the in-RAM store.
         let tmp = TempDir::new("sst-threshold");
-        let (sst, _) = write_open(tmp.path(), &[1424, 1425], 1);
+        let (sst, _, _) = write_open(tmp.path(), &[1424, 1425], 1);
         assert!(!sst.has_column_index(&pk(0)));
         assert!(sst.has_column_index(&pk(1)));
         let mut cache = BlockCache::new(256);
@@ -759,7 +528,7 @@ mod tests {
     #[test]
     fn range_reads_seek_on_indexed_partitions() {
         let tmp = TempDir::new("sst-range");
-        let (sst, stats) = write_open(tmp.path(), &[10_000], 1);
+        let (sst, blocks, _) = write_open(tmp.path(), &[10_000], 1);
         let mut cache = BlockCache::new(0); // no cache: count real reads
         let mut r = ReadReceipt::default();
         let cells = sst
@@ -769,10 +538,9 @@ mod tests {
         assert_eq!(cells[0].clustering, 5_000);
         assert!(r.used_column_index);
         assert!(
-            r.disk_blocks_read < stats.blocks / 10,
-            "read {} of {} blocks — seek failed",
-            r.disk_blocks_read,
-            stats.blocks
+            r.disk_blocks_read < blocks / 10,
+            "read {} of {blocks} blocks — seek failed",
+            r.disk_blocks_read
         );
         // Full-span range equals the point read.
         let mut r2 = ReadReceipt::default();
@@ -790,7 +558,7 @@ mod tests {
     #[test]
     fn small_partition_range_scans_without_index() {
         let tmp = TempDir::new("sst-range-small");
-        let (sst, _) = write_open(tmp.path(), &[100], 1);
+        let (sst, _, _) = write_open(tmp.path(), &[100], 1);
         let mut cache = BlockCache::new(8);
         let mut r = ReadReceipt::default();
         let cells = sst
@@ -808,7 +576,11 @@ mod tests {
         let big = Cell::new(5, 1, vec![0x5A; 100_000]);
         let input = vec![(pk(0), vec![Cell::synthetic(1, 0), big.clone()])];
         let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &input, &SsTableOptions::default(), 1).expect("write");
+        write_sst(
+            tmp.path(),
+            &Run::build(&input, &SsTableOptions::default(), 1),
+        )
+        .expect("write");
         let sst = SstFile::open(&path).expect("open");
         assert!(sst.has_column_index(&pk(0)));
         let mut cache = BlockCache::new(4);
@@ -823,8 +595,8 @@ mod tests {
     #[test]
     fn scan_returns_everything_in_order() {
         let tmp = TempDir::new("sst-scan");
-        let (sst, _) = write_open(tmp.path(), &[7, 3, 90], 2);
-        let scanned = sst.scan().expect("scan");
+        let (sst, _, _) = write_open(tmp.path(), &[7, 3, 90], 2);
+        let scanned = sst.scanned().expect("scan");
         assert_eq!(scanned, build_input(&[7, 3, 90]));
     }
 
@@ -832,7 +604,7 @@ mod tests {
     fn empty_sst_roundtrips() {
         let tmp = TempDir::new("sst-empty");
         let path = tmp.path().join(sst_file_name(5));
-        write_sst(&path, &[], &SsTableOptions::default(), 5).expect("write");
+        write_sst(tmp.path(), &Run::build(&[], &SsTableOptions::default(), 5)).expect("write");
         let sst = SstFile::open(&path).expect("open");
         assert_eq!(sst.partition_count(), 0);
         assert_eq!(sst.generation(), 5);
@@ -845,7 +617,11 @@ mod tests {
     fn footer_and_metadata_corruption_rejected_at_open() {
         let tmp = TempDir::new("sst-corrupt-meta");
         let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
         let pristine = std::fs::read(&path).expect("read");
         // Footer corruption (last 72 bytes) and index corruption (just
         // past the data region) must both fail open().
@@ -874,7 +650,11 @@ mod tests {
     fn data_block_corruption_rejected_at_read() {
         let tmp = TempDir::new("sst-corrupt-block");
         let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[100] ^= 0x01; // inside the first data block
         std::fs::write(&path, &bytes).expect("write");
@@ -883,7 +663,7 @@ mod tests {
         let mut r = ReadReceipt::default();
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(sst.scan().is_err());
+        assert!(sst.scanned().is_err());
         // Streamed: nothing of the bad group is visited or cached, and the
         // blocks that were read are on the bill before the verdict.
         let (err, r) = scan_err(&sst, &mut cache);
@@ -891,7 +671,7 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
         assert_eq!(r.cells_scanned, 0);
-        assert!(cache.is_empty());
+        assert!(cache.blocks.is_empty());
     }
 
     /// Re-seals an SST image's metadata and footer digests around a patch,
@@ -928,7 +708,11 @@ mod tests {
         // the metadata and footer checksums around the lie.
         let tmp = TempDir::new("sst-count-mismatch");
         let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
         let index = 200 * 46;
         // count (4) ⋅ key_len (2) ⋅ key (8) ⋅ cell_count (4) ⋅ block_count
@@ -958,10 +742,8 @@ mod tests {
         let tmp = TempDir::new("sst-corrupt-deep");
         let path = tmp.path().join(sst_file_name(1));
         write_sst(
-            &path,
-            &build_input(&[10_000]),
-            &SsTableOptions::default(),
-            1,
+            tmp.path(),
+            &Run::build(&build_input(&[10_000]), &SsTableOptions::default(), 1),
         )
         .expect("write");
         let pristine = std::fs::read(&path).expect("read");
@@ -1001,8 +783,8 @@ mod tests {
     #[test]
     fn extents_stop_at_cached_blocks_and_charge_per_block() {
         let tmp = TempDir::new("sst-extents");
-        let (sst, stats) = write_open(tmp.path(), &[10_000], 1);
-        assert_eq!(stats.blocks, 112);
+        let (sst, blocks, _) = write_open(tmp.path(), &[10_000], 1);
+        assert_eq!(blocks, 112);
         let mut cache = BlockCache::new(256);
         // Warm blocks 20..=22 and 70 (90 cells a block).
         for range in [1_800..=2_069u64, 6_300..=6_389] {
@@ -1034,7 +816,11 @@ mod tests {
     fn version_1_files_are_refused_not_read() {
         let tmp = TempDir::new("sst-v1");
         let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &build_input(&[200]), &SsTableOptions::default(), 1).expect("write");
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
         let pristine = std::fs::read(&path).expect("read");
         let version_at = pristine.len() - SST_FOOTER_LEN + 4;
         assert_eq!(pristine[version_at], SST_VERSION);
@@ -1074,8 +860,7 @@ mod tests {
     #[test]
     fn write_refuses_to_clobber() {
         let tmp = TempDir::new("sst-clobber");
-        let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &[], &SsTableOptions::default(), 1).expect("first");
-        assert!(write_sst(&path, &[], &SsTableOptions::default(), 1).is_err());
+        write_sst(tmp.path(), &Run::build(&[], &SsTableOptions::default(), 1)).expect("first");
+        assert!(write_sst(tmp.path(), &Run::build(&[], &SsTableOptions::default(), 1)).is_err());
     }
 }

@@ -1,20 +1,16 @@
-//! The read path: one stream of borrowed cells per partition, the same
-//! code over the in-RAM [`crate::SsTable`] and the on-disk
-//! [`crate::sst_file::SstFile`].
-//!
-//! [`stream_partition`] is what `fold_partition`, `get` and `get_range` of
-//! both tables run: probe every run, oldest first; a partition held by a
-//! single source — one run, or the memtable alone — streams straight from
-//! where it lies; one held by several is copied source by source, runs in
-//! generation order, and merged newest-wins
-//! ([`crate::merge::merge_newest_wins`]).
+//! The read path: [`Engine::stream_partition`], what `fold_partition`,
+//! `get` and `get_range` of both tables run. A partition held by a single
+//! source — one run, or the memtable alone — streams straight from where
+//! it lies; one held by several is copied source by source and merged
+//! newest-wins ([`crate::merge::merge_newest_wins`]).
 
-use crate::bloom::BloomFilter;
-use crate::memtable::Memtable;
+use crate::engine::Engine;
 use crate::merge::merge_newest_wins;
 use crate::receipt::ReadReceipt;
+use crate::run::Medium;
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use bytes::Bytes;
+use std::io;
 
 /// Clustering keys `from..=to`.
 pub(crate) type ClusteringRange = (ClusteringKey, ClusteringKey);
@@ -34,6 +30,14 @@ pub(crate) struct CellBuf {
 }
 
 impl CellBuf {
+    /// Room for `cells` cells whose payloads add up to `payload_bytes`.
+    pub(crate) fn with_capacity(cells: usize, payload_bytes: usize) -> CellBuf {
+        CellBuf {
+            payloads: Vec::with_capacity(payload_bytes),
+            index: Vec::with_capacity(cells),
+        }
+    }
+
     pub(crate) fn push(&mut self, cell: CellRef<'_>) {
         self.payloads.extend_from_slice(cell.payload);
         self.index
@@ -77,123 +81,63 @@ impl CellBuf {
     }
 }
 
-/// A sorted run partitions are read from.
-pub(crate) trait Run {
-    /// A partition's entry in the run's partition index.
-    type Entry;
-    /// What a scan needs besides the run: the durable tier's block cache.
-    type Cache;
-    /// How a scan can fail.
-    type Error;
-
-    /// The filter over the run's partition keys.
-    fn bloom(&self) -> &BloomFilter;
-
-    /// The partition-index lookup.
-    fn find(&self, pk: &PartitionKey) -> Option<&Self::Entry>;
-
-    /// Streams the cells of `entry` whose clustering keys lie in `range`,
-    /// in order, charging the receipt for the work.
-    fn scan_partition(
-        &self,
-        entry: &Self::Entry,
-        range: ClusteringRange,
-        cache: &mut Self::Cache,
-        receipt: &mut ReadReceipt,
-        visit: impl FnMut(CellRef<'_>),
-    ) -> Result<(), Self::Error>;
-
-    /// Looks the partition up — bloom filter, then partition index —
-    /// charging the receipt for each step; `None` when this run does not
-    /// hold it.
-    fn probe(&self, pk: &PartitionKey, receipt: &mut ReadReceipt) -> Option<&Self::Entry> {
-        receipt.bloom_probes += 1;
-        if !self.bloom().maybe_contains(pk.as_bytes()) {
-            receipt.bloom_negatives += 1;
-            return None;
-        }
-        receipt.partition_index_seeks += 1;
-        let entry = self.find(pk);
-        if entry.is_none() {
-            receipt.bloom_false_positives += 1;
-        }
-        entry
-    }
-
-    /// The run's own reads: probes, then collects what a scan of `range`
-    /// streams; `None` when this run does not hold the partition.
-    fn collect(
-        &self,
+impl<M: Medium> Engine<M> {
+    /// Streams the cells of `pk` within `range` — the newest version of
+    /// each, in clustering order — from the live runs (ascending
+    /// generation) and the memtable (newer than any run) into `visit`, and
+    /// returns the receipt of the work. On `Err`, `visit` may have seen part
+    /// of the partition.
+    pub(crate) fn stream_partition(
+        &mut self,
         pk: &PartitionKey,
         range: ClusteringRange,
-        cache: &mut Self::Cache,
-        receipt: &mut ReadReceipt,
-    ) -> Result<Option<Vec<Cell>>, Self::Error> {
-        let Some(entry) = self.probe(pk, receipt) else {
-            return Ok(None);
+        mut visit: impl FnMut(CellRef<'_>),
+    ) -> io::Result<ReadReceipt> {
+        let mut receipt = ReadReceipt::default();
+        let mut holders = Vec::new();
+        for run in &self.runs {
+            if let Some(entry) = run.probe(pk, &mut receipt) {
+                holders.push((run, entry));
+            }
+        }
+        let mem = self.memtable.range(pk, range.0..=range.1);
+        receipt.memtable_hit = mem.is_some();
+        let cache = &mut self.cache;
+        let mut returned = 0;
+        let mut visit = |cell: CellRef<'_>| {
+            returned += 1;
+            visit(cell);
         };
-        let mut cells = CellBuf::default();
-        self.scan_partition(entry, range, cache, receipt, |cell| cells.push(cell))?;
-        receipt.cells_returned += cells.len() as u64;
-        Ok(Some(cells.into_cells()))
-    }
-}
-
-/// Streams the cells of `pk` within `range` — the newest version of each,
-/// in clustering order — from `runs` (ascending generation) and the
-/// memtable (newer than any run) into `visit`, and returns the receipt of
-/// the work. On `Err`, `visit` may have seen part of the partition.
-pub(crate) fn stream_partition<R: Run>(
-    runs: &[R],
-    cache: &mut R::Cache,
-    memtable: &Memtable,
-    pk: &PartitionKey,
-    range: ClusteringRange,
-    mut visit: impl FnMut(CellRef<'_>),
-) -> Result<ReadReceipt, R::Error> {
-    let mut receipt = ReadReceipt::default();
-    let mut holders = Vec::new();
-    for run in runs {
-        if let Some(entry) = run.probe(pk, &mut receipt) {
-            holders.push((run, entry));
-        }
-    }
-    let mem = memtable.range(pk, range.0..=range.1);
-    receipt.memtable_hit = mem.is_some();
-    let mut returned = 0;
-    let mut visit = |cell: CellRef<'_>| {
-        returned += 1;
-        visit(cell);
-    };
-    match (holders.as_slice(), mem) {
-        ([], None) => {}
-        ([(run, entry)], None) => {
-            run.scan_partition(entry, range, cache, &mut receipt, &mut visit)?
-        }
-        ([], Some(cells)) => cells.for_each(|cell| visit(cell.as_cell_ref())),
-        (holders, mem) => {
-            let mut sources = Vec::with_capacity(holders.len() + 1);
-            for (run, entry) in holders {
+        match (holders.as_slice(), mem) {
+            ([], None) => {}
+            ([(run, entry)], None) => {
+                run.scan_partition(entry, range, cache, &mut receipt, &mut visit)?
+            }
+            ([], Some(cells)) => cells.for_each(|cell| visit(cell.as_cell_ref())),
+            (holders, mem) => {
+                let mut sources = Vec::with_capacity(holders.len() + 1);
+                for (run, entry) in holders {
+                    let mut cells = CellBuf::default();
+                    run.scan_partition(entry, range, cache, &mut receipt, |cell| cells.push(cell))?;
+                    sources.push(cells);
+                }
                 let mut cells = CellBuf::default();
-                run.scan_partition(entry, range, cache, &mut receipt, |cell| cells.push(cell))?;
+                for cell in mem.into_iter().flatten() {
+                    cells.push(cell.as_cell_ref());
+                }
                 sources.push(cells);
+                merge_newest_wins(
+                    sources.iter().map(CellBuf::iter),
+                    |cell| cell.clustering,
+                    &mut visit,
+                );
             }
-            let mut cells = CellBuf::default();
-            for cell in mem.into_iter().flatten() {
-                cells.push(cell.as_cell_ref());
-            }
-            sources.push(cells);
-            merge_newest_wins(
-                sources.iter().map(CellBuf::iter),
-                |cell| cell.clustering,
-                &mut visit,
-            );
         }
+        // Per-run counts would double-count merged cells; report what the
+        // caller was handed.
+        receipt.cells_returned = returned;
+        Ok(receipt)
     }
-    // Per-run counts would double-count merged cells; report what the
-    // caller was handed.
-    receipt.cells_returned = returned;
-    Ok(receipt)
 }
 
 #[cfg(test)]

@@ -1,17 +1,17 @@
-//! The table: memtable + SSTables + row cache, with merged reads.
-//!
-//! This is the per-node database instance the cluster layer talks to. The
-//! read path mirrors Cassandra's: row cache → (memtable ∥ every SSTable not
-//! excluded by its bloom filter) → merge newest-wins → fill cache.
+//! The table: the storage engine over runs held in memory ([`crate::run`]),
+//! plus a row cache — the per-node database the cluster layer talks to.
+//! Reads go row cache → (memtable ∥ every run its bloom filter admits) →
+//! merge newest-wins → fill cache, as Cassandra's do.
 
 use crate::cache::Lru;
-use crate::compaction;
+use crate::engine::Engine;
 use crate::memtable::Memtable;
-use crate::merge::merge_runs;
 use crate::receipt::ReadReceipt;
+use crate::run::{Run, SsTableOptions};
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
-use crate::sstable::{SsTable, SsTableOptions};
-use crate::stream::{stream_partition, CellBuf, ClusteringRange, WHOLE};
+use crate::stream::{CellBuf, ClusteringRange, WHOLE};
+use bytes::BytesMut;
+use std::io;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -58,6 +58,12 @@ pub struct TableMetrics {
     pub row_cache_hits: u64,
 }
 
+/// A heap run's blocks are the bytes its builder encoded beside their
+/// index, so nothing of reading one can fail.
+fn held<T>(result: io::Result<T>) -> T {
+    result.unwrap_or_else(|e| panic!("a run held in memory disagrees with its own index: {e}"))
+}
+
 /// A single-node wide-column table.
 ///
 /// ```
@@ -73,36 +79,37 @@ pub struct TableMetrics {
 /// assert_eq!(receipt.sstables_read, 1);
 /// ```
 pub struct Table {
-    opts: TableOptions,
-    memtable: Memtable,
-    sstables: Vec<SsTable>,
+    engine: Engine<BytesMut>,
     row_cache: Lru<PartitionKey, Arc<Vec<Cell>>>,
+    row_cache_on: bool,
     metrics: TableMetrics,
-    next_generation: u64,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(opts: TableOptions) -> Self {
-        let row_cache = Lru::new(opts.row_cache_partitions);
         Table {
-            opts,
-            memtable: Memtable::new(),
-            sstables: Vec::new(),
-            row_cache,
+            engine: Engine {
+                memtable: Memtable::new(),
+                runs: Vec::new(),
+                next_generation: 1,
+                cache: (),
+                build: SsTableOptions {
+                    column_index_size: opts.column_index_size,
+                    bloom_fp_rate: opts.bloom_fp_rate,
+                },
+                flush_bytes: opts.memtable_flush_bytes,
+                compaction_threshold: opts.compaction_threshold,
+            },
+            row_cache: Lru::new(opts.row_cache_partitions),
+            row_cache_on: opts.row_cache_partitions > 0,
             metrics: TableMetrics::default(),
-            next_generation: 1,
         }
     }
 
     /// Creates a table with default options.
     pub fn with_defaults() -> Self {
         Self::new(TableOptions::default())
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &TableOptions {
-        &self.opts
     }
 
     /// Lifetime metrics.
@@ -112,20 +119,20 @@ impl Table {
 
     /// Number of live SSTables.
     pub fn sstable_count(&self) -> usize {
-        self.sstables.len()
+        self.engine.runs.len()
     }
 
     /// Total cells currently buffered in the memtable.
     pub fn memtable_cells(&self) -> usize {
-        self.memtable.cells()
+        self.engine.memtable.cells()
     }
 
     /// Writes one cell, flushing / compacting when thresholds trip.
     pub fn put(&mut self, pk: PartitionKey, cell: Cell) {
         self.metrics.writes += 1;
         self.row_cache.invalidate(&pk);
-        self.memtable.insert(pk, cell);
-        if self.memtable.bytes() >= self.opts.memtable_flush_bytes {
+        self.engine.memtable.insert(pk, cell);
+        if self.engine.flush_due() {
             self.flush();
         }
     }
@@ -137,43 +144,25 @@ impl Table {
         }
     }
 
-    /// Forces the memtable to disk (a new SSTable), possibly compacting.
+    /// Forces the memtable into a new SSTable, possibly compacting.
     pub fn flush(&mut self) {
-        if self.memtable.is_empty() {
+        if self.engine.memtable.is_empty() {
             return;
         }
-        let drained = self.memtable.drain_sorted();
-        let sst = SsTable::build(
-            drained,
-            SsTableOptions {
-                column_index_size: self.opts.column_index_size,
-                bloom_fp_rate: self.opts.bloom_fp_rate,
-            },
-            self.next_generation,
-        );
-        self.next_generation += 1;
-        self.sstables.push(sst);
+        let input = self.engine.memtable.drain_sorted();
+        let run = Run::build(&input, &self.engine.build, self.engine.next_generation);
         self.metrics.flushes += 1;
-        if self.sstables.len() >= self.opts.compaction_threshold {
+        if self.engine.install_flush(run) {
             self.compact();
         }
     }
 
     /// Merges all SSTables into one (size-tiered "major" compaction).
     pub fn compact(&mut self) {
-        if self.sstables.len() < 2 {
+        let Some(run) = held(self.engine.compacted()) else {
             return;
-        }
-        let merged = compaction::merge_all(
-            std::mem::take(&mut self.sstables),
-            SsTableOptions {
-                column_index_size: self.opts.column_index_size,
-                bloom_fp_rate: self.opts.bloom_fp_rate,
-            },
-            self.next_generation,
-        );
-        self.next_generation += 1;
-        self.sstables.push(merged);
+        };
+        self.engine.install_compaction(run);
         self.metrics.compactions += 1;
         // Data moved; cached rows remain *logically* valid (compaction does
         // not change content), so the cache is kept.
@@ -213,7 +202,7 @@ impl Table {
                 ..ReadReceipt::default()
             };
         }
-        if self.opts.row_cache_partitions == 0 {
+        if !self.row_cache_on {
             return self.stream(pk, WHOLE, visit);
         }
         let mut kept = CellBuf::default();
@@ -248,21 +237,15 @@ impl Table {
         (cells.into_cells(), receipt)
     }
 
-    /// The one read path under the row cache ([`stream_partition`]).
+    /// The one read path under the row cache
+    /// ([`Engine::stream_partition`]).
     fn stream(
-        &self,
+        &mut self,
         pk: &PartitionKey,
         range: ClusteringRange,
         visit: impl FnMut(CellRef<'_>),
     ) -> ReadReceipt {
-        let Ok(receipt) =
-            stream_partition(&self.sstables, &mut (), &self.memtable, pk, range, visit);
-        receipt
-    }
-
-    /// Row-cache hit statistics `(hits, misses)`.
-    pub fn row_cache_stats(&self) -> (u64, u64) {
-        self.row_cache.hit_stats()
+        held(self.engine.stream_partition(pk, range, visit))
     }
 
     /// Exports the table's full logical contents as `(partition, cells)`
@@ -270,15 +253,12 @@ impl Table {
     /// newest-wins — the input a durable bulk-load ingests. Does not
     /// mutate the table.
     pub fn export_partitions(&self) -> Vec<(PartitionKey, Vec<Cell>)> {
-        // `sstables` is ascending by generation and the memtable is newer
-        // than all of them.
-        let mut runs: Vec<_> = self
-            .sstables
-            .iter()
-            .map(|sst| sst.partitions().collect())
-            .collect();
-        runs.push(self.memtable.snapshot_sorted());
-        merge_runs(runs)
+        let mut partitions = Vec::new();
+        let merged = self.engine.merge(true, |pk, cells| {
+            partitions.push((pk, cells.into_cells()));
+        });
+        held(merged);
+        partitions
     }
 }
 

@@ -2,14 +2,9 @@
 //! SSTable round-trips (including >64 KiB rows), and crash/restart
 //! schedules checked against a fault-free oracle.
 
-#![cfg(feature = "durable")]
-
-use kvs_store::sst_file::{sst_file_name, write_sst, BlockCache, SstFile};
-use kvs_store::sstable::SsTableOptions;
+use bytes::BytesMut;
 use kvs_store::wal::{replay_segment, FsyncPolicy, WalTail, WalWriter};
-use kvs_store::{
-    Cell, CrashPoint, DurableOptions, DurableTable, PartitionKey, ReadReceipt, TempDir,
-};
+use kvs_store::{Cell, CrashPoint, DurableOptions, DurableTable, PartitionKey, TempDir};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -20,6 +15,23 @@ fn small_opts(flush_every_cells: usize) -> DurableOptions {
         fsync: FsyncPolicy::Never, // durability windows don't matter here
         ..Default::default()
     }
+}
+
+/// A durable table at `dir` holding `input` as its one SSTable
+/// (generation 1), reopened from disk, with a cache of `cache_blocks`.
+fn reopened_with(
+    dir: &std::path::Path,
+    input: &[(PartitionKey, Vec<Cell>)],
+    cache_blocks: usize,
+) -> DurableTable {
+    let opts = DurableOptions {
+        block_cache_blocks: cache_blocks,
+        ..small_opts(1 << 20)
+    };
+    let (mut t, _) = DurableTable::open(dir, opts.clone()).expect("open");
+    t.ingest_sorted(input).expect("ingest");
+    drop(t);
+    DurableTable::open(dir, opts).expect("reopen").0
 }
 
 /// Raw generated partition data: `(key bytes, [(clustering, kind, payload len)])`.
@@ -140,8 +152,9 @@ proptest! {
         }
     }
 
-    /// On-disk SSTables round-trip arbitrary keys and values, and range
-    /// reads agree with filtered point reads.
+    /// On-disk SSTables round-trip arbitrary keys and values — read back
+    /// whole and by range after a reopen — and range reads agree with
+    /// filtered point reads.
     #[test]
     fn sst_file_roundtrips_arbitrary_data(
         raw in proptest::collection::vec(
@@ -156,18 +169,13 @@ proptest! {
     ) {
         let input = build_partitions(raw);
         let tmp = TempDir::new("prop-sst");
-        let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &input, &SsTableOptions::default(), 1).expect("write");
-        let sst = SstFile::open(&path).expect("open");
-        let mut cache = BlockCache::new(32);
+        let mut t = reopened_with(tmp.path(), &input, 32);
         let hi = lo.saturating_add(span);
         for (pk, cells) in &input {
-            let mut r = ReadReceipt::default();
-            let got = sst.read(pk, &mut cache, &mut r).expect("io").expect("present");
+            let (got, r) = t.get(pk).expect("get");
             prop_assert_eq!(&got, cells);
             prop_assert_eq!(r.cells_returned, cells.len() as u64);
-            let mut r2 = ReadReceipt::default();
-            let ranged = sst.read_range(pk, lo..=hi, &mut cache, &mut r2).expect("io");
+            let (ranged, _) = t.get_range(pk, lo..=hi).expect("range");
             let filtered: Vec<Cell> = cells
                 .iter()
                 .filter(|c| c.clustering >= lo && c.clustering <= hi)
@@ -175,11 +183,11 @@ proptest! {
                 .collect();
             prop_assert_eq!(ranged, filtered);
         }
-        prop_assert_eq!(sst.scan().expect("scan"), input);
     }
 
     /// Rows past the 64 KiB column-index threshold — including single
-    /// cells bigger than a block — survive the disk round-trip.
+    /// cells bigger than a block — survive the disk round-trip, and are
+    /// read as column-indexed exactly when they are past it.
     #[test]
     fn sst_file_roundtrips_oversized_rows(
         payloads in proptest::collection::vec(1usize..150_000, 1..5),
@@ -191,21 +199,11 @@ proptest! {
             .map(|(i, &plen)| Cell::new(i as u64, (i % 7) as u8, vec![i as u8; plen]))
             .collect();
         let input = vec![(PartitionKey::from_id(1), cells)];
-        let path = tmp.path().join(sst_file_name(1));
-        write_sst(&path, &input, &SsTableOptions::default(), 1).expect("write");
-        let sst = SstFile::open(&path).expect("open");
         let total: usize = input[0].1.iter().map(Cell::encoded_len).sum();
-        prop_assert_eq!(
-            sst.has_column_index(&PartitionKey::from_id(1)),
-            total > 64 * 1024
-        );
-        let mut cache = BlockCache::new(8);
-        let mut r = ReadReceipt::default();
-        let got = sst
-            .read(&PartitionKey::from_id(1), &mut cache, &mut r)
-            .expect("io")
-            .expect("present");
+        let mut t = reopened_with(tmp.path(), &input, 8);
+        let (got, r) = t.get(&PartitionKey::from_id(1)).expect("get");
         prop_assert_eq!(&got, &input[0].1);
+        prop_assert_eq!(r.used_column_index, total > 64 * 1024);
     }
 
     /// Arbitrary write schedules with interleaved flushes survive a
@@ -325,7 +323,8 @@ proptest! {
         let input: Vec<Cell> = (0..cells)
             .map(|c| Cell::new(c * 3, (c % 5) as u8, vec![c as u8; payload + (c % 7) as usize]))
             .collect();
-        let blocks = kvs_store::block::build_blocks(&input, 0).len() as u64;
+        let refs = input.iter().map(Cell::as_cell_ref);
+        let blocks = kvs_store::block::build_blocks(refs, &mut BytesMut::new()).len() as u64;
         let tmp = TempDir::new("prop-extent");
         let opts = DurableOptions {
             block_cache_blocks: [0, 8, 4_096][cache_blocks],

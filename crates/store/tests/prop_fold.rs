@@ -3,7 +3,9 @@
 //! visits exactly the cells `get` returns, in order, and bills the same
 //! [`ReadReceipt`] field for field — on the RAM table with the row cache
 //! off and on, and on the durable table across block-cache sizes — and
-//! both agree with a last-write-wins model of the history.
+//! both agree with a last-write-wins model of the history. And the two
+//! tiers are one engine: a RAM table and a durable one that live through
+//! the same history answer alike, bills included but for the disk fields.
 //!
 //! A read changes what the next read costs (it fills the row cache, it
 //! moves blocks through the block cache), so the two sides read from twin
@@ -12,6 +14,7 @@
 use kvs_store::{Cell, CellRef, PartitionKey, ReadReceipt, Table, TableOptions};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 /// `(what, partition, clustering, kind, payload length)`; `what` picks the
 /// operation, weighted towards puts.
@@ -45,6 +48,11 @@ trait Store {
     fn ingest(&mut self, pk: &PartitionKey, run: &[Cell]) -> bool;
     fn memtable_cells(&self) -> usize;
     fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt);
+    fn get_range(
+        &mut self,
+        pk: &PartitionKey,
+        range: RangeInclusive<u64>,
+    ) -> (Vec<Cell>, ReadReceipt);
     fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt;
 }
 
@@ -66,6 +74,13 @@ impl Store for Table {
     }
     fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
         Table::get(self, pk)
+    }
+    fn get_range(
+        &mut self,
+        pk: &PartitionKey,
+        range: RangeInclusive<u64>,
+    ) -> (Vec<Cell>, ReadReceipt) {
+        Table::get_range(self, pk, range)
     }
     fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt {
         self.fold_partition(pk, visit)
@@ -167,7 +182,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "durable")]
 mod durable {
     use super::*;
     use kvs_store::{DurableOptions, DurableTable, FsyncPolicy, TempDir};
@@ -192,6 +206,13 @@ mod durable {
         }
         fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
             DurableTable::get(self, pk).expect("get")
+        }
+        fn get_range(
+            &mut self,
+            pk: &PartitionKey,
+            range: RangeInclusive<u64>,
+        ) -> (Vec<Cell>, ReadReceipt) {
+            DurableTable::get_range(self, pk, range).expect("range")
         }
         fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt {
             self.fold_partition(pk, visit).expect("fold")
@@ -220,5 +241,82 @@ mod durable {
                 .map(|dir| DurableTable::open(dir.path(), opts.clone()).expect("open").0);
             twins_agree(twins, &ops);
         }
+
+        /// The two tiers are one engine. A `Table` and a `DurableTable` —
+        /// neither with a cache — live through the same history of puts,
+        /// flushes and compactions, one partition of it past the 64 KiB
+        /// column-index threshold, and answer every whole read of every
+        /// partition and range reads over the wide one with the same cells
+        /// and the same receipt in every field but the three only the disk
+        /// medium bills.
+        #[test]
+        fn ram_and_durable_tiers_bill_alike(
+            ops in ops(),
+            wide in 1_426u64..2_400,
+            ranges in proptest::collection::vec((0u64..2_400, 0u64..400), 1..6),
+        ) {
+            let flush_bytes = 46 * FLUSH_CELLS * 10;
+            let ram = Table::new(TableOptions {
+                memtable_flush_bytes: flush_bytes,
+                ..Default::default()
+            });
+            let dir = TempDir::new("prop-tiers");
+            let opts = DurableOptions {
+                memtable_flush_bytes: flush_bytes,
+                block_cache_blocks: 0,
+                fsync: FsyncPolicy::Never,
+                ..Default::default()
+            };
+            let (disk, _) = DurableTable::open(dir.path(), opts).expect("open");
+            let ranges: Vec<_> = ranges.into_iter().map(|(lo, span)| lo..=lo + span).collect();
+            let ram = one_history(ram, wide, &ops, &ranges);
+            let disk = one_history(disk, wide, &ops, &ranges);
+            for (i, (ram, disk)) in ram.into_iter().zip(disk).enumerate() {
+                prop_assert_eq!(ram, disk, "read {}", i);
+            }
+        }
     }
+}
+
+/// Plays the tier case's history on `table` — `wide` cells into the one
+/// partition no op writes to, then `ops` with ingests as puts — and returns
+/// what every whole read and then every range read over the wide partition
+/// answers, the receipt's disk fields zeroed: all that the two media may
+/// bill apart.
+fn one_history<S: Store>(
+    mut table: S,
+    wide: u64,
+    ops: &[Op],
+    ranges: &[RangeInclusive<u64>],
+) -> Vec<(Vec<Cell>, ReadReceipt)> {
+    let wide_pk = PartitionKey::from_id(PARTITIONS);
+    for c in 0..wide {
+        table.put(wide_pk.clone(), Cell::synthetic(c, (c % 4) as u8));
+    }
+    for &(what, p, clustering, kind, len) in ops {
+        match what {
+            0 => table.flush(),
+            1 => table.compact(),
+            _ => table.put(
+                PartitionKey::from_id(p),
+                Cell::new(clustering, kind, vec![kind; len]),
+            ),
+        }
+    }
+    let whole = (0..=PARTITIONS).map(|p| table.get(&PartitionKey::from_id(p)));
+    let mut reads: Vec<_> = whole.collect();
+    assert!(reads[PARTITIONS as usize].1.used_column_index);
+    reads.extend(
+        ranges
+            .iter()
+            .map(|range| table.get_range(&wide_pk, range.clone())),
+    );
+    for (_, receipt) in &mut reads {
+        (
+            receipt.disk_blocks_read,
+            receipt.disk_block_cache_hits,
+            receipt.disk_bytes_read,
+        ) = (0, 0, 0);
+    }
+    reads
 }

@@ -168,7 +168,6 @@ impl SurrogateBackend for Table {
     }
 }
 
-#[cfg(feature = "durable")]
 impl SurrogateBackend for kvs_store::DurableTable {
     fn fetch(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
         self.get(pk).expect("surrogate durable read")
