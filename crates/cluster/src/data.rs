@@ -111,6 +111,14 @@ impl ClusterData {
         (QueryResponse::from_tally(request_id, &tally), receipt)
     }
 
+    /// The replica lists and the tables, borrowed apart, so a reader can
+    /// hold a partition's replicas while it reads their tables.
+    pub(crate) fn placement_and_tables(
+        &mut self,
+    ) -> (&BTreeMap<PartitionKey, Vec<u32>>, &mut [Table]) {
+        (&self.placement, &mut self.tables)
+    }
+
     /// Mutable access to a node's table.
     pub fn table_mut(&mut self, node: u32) -> &mut Table {
         &mut self.tables[node as usize]

@@ -17,48 +17,105 @@
 //!   receipt* of the partition, inflated by the USL interference model at
 //!   the node's current concurrency, plus the GC model, with log-normal
 //!   noise and a heavy-tail mixture.
+//!
+//! ## Events and the four stages
+//!
+//! The reads run first and once; the replay then plays out only *time*, as
+//! one [`EventQueue`] of [`Event`]s over indices: `r` into the requests,
+//! `a` into their attempts (a request's primary and, when hedged, its
+//! duplicate). Each master shard's send and receive loops and each node's
+//! database executor are [`Station`]s holding those indices. The events
+//! are the stage boundaries:
+//!
+//! | event | boundary |
+//! |---|---|
+//! | `Issue(r)` | master-to-slaves begins (t = 0 in the batch query) |
+//! | `Sent(r)` | the send loop has serialised `r`; a replica is chosen |
+//! | `AtNode(a)` | master-to-slaves ends and in-queue begins |
+//! | a database server takes `a` | in-queue ends and in-db begins |
+//! | `Served(a)` | in-db ends and slaves-to-master begins |
+//! | `AtMaster(a)` | the response queues for the receive loop |
+//! | `Received(a)` | slaves-to-master ends; the first attempt here answers |
+//! | `Hedge(r, _)` | a timer: re-issue `r` if it is still unanswered |
 
 use crate::config::ClusterConfig;
 use crate::data::ClusterData;
-use crate::messages::{QueryRequest, QueryResponse};
+use crate::policy::ReplicaPolicy;
 use crate::result::{Coverage, RunResult};
-use crate::usl;
-use kvs_simcore::{Dist, Engine, Resource, RngHub, SimDuration, SimTime};
-use kvs_stages::{analyze, RequestTrace, Span, Stage, TraceRecorder};
+use crate::usl::{self, UslParams};
+use kvs_simcore::{Dist, EventQueue, RngHub, SimDuration, SimTime, Station};
+use kvs_stages::{analyze, RequestTrace, Span};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use rand::Rng;
+use std::ops::Range;
 
-/// Everything about one sub-query that is known before timing begins.
-#[derive(Debug, Clone)]
-struct Prepared {
-    request_id: u64,
-    replicas: Vec<u32>,
+/// One sub-query resolved against the store, before timing begins.
+struct Sub<'a> {
+    replicas: &'a [u32],
     cells: u64,
     /// Un-inflated mean database service (receipt → ms).
     base_service_ms: f64,
-    response: QueryResponse,
+    /// The interference model for a partition of this size.
+    usl: UslParams,
     req_bytes: usize,
     resp_bytes: usize,
+    /// Where this sub-query's `(kind, count)` answer lies in [`Prepared::kinds`].
+    kinds: Range<usize>,
 }
 
-struct SharedState {
-    recorder: TraceRecorder,
-    pending: usize,
-    counts: BTreeMap<u8, u64>,
-    total_cells: u64,
-    rng: StdRng,
-    dispatch_counter: u64,
-    msgs_sent: u64,
-    failovers: u64,
-    send_first: Option<SimTime>,
-    send_last: SimTime,
-    misses: Vec<u64>,
-    hedges_sent: u64,
-    hedges_won: u64,
-    extra_bytes_to_slaves: u64,
+/// Every key's sub-query, plus their answers back to back.
+struct Prepared<'a> {
+    subs: Vec<Sub<'a>>,
+    kinds: Vec<(u8, u64)>,
+}
+
+/// Phase 1: reads each key's partition on its primary replica, folding it
+/// into a per-kind tally, and sizes the request and response the codec
+/// would put on the wire for it.
+fn prepare<'a>(
+    cfg: &ClusterConfig,
+    data: &'a mut ClusterData,
+    keys: &[PartitionKey],
+) -> Prepared<'a> {
+    assert_eq!(
+        cfg.nodes,
+        data.nodes(),
+        "config/data disagree on cluster size"
+    );
+    let codec = cfg.master.codec;
+    let (placement, tables) = data.placement_and_tables();
+    let mut prepared = Prepared {
+        subs: Vec::with_capacity(keys.len()),
+        kinds: Vec::new(),
+    };
+    let (mut tally, mut wire) = ([0u64; 256], Vec::new());
+    for (i, pk) in keys.iter().enumerate() {
+        let replicas = placement.get(pk).map_or(&[][..], Vec::as_slice);
+        assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
+        let receipt =
+            tables[replicas[0] as usize].fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
+        wire.clear();
+        codec.append_request(&mut wire, i as u64, pk);
+        let req_bytes = wire.len();
+        wire.clear();
+        codec.append_response(&mut wire, i as u64, &tally, 0);
+        let start = prepared.kinds.len();
+        for (kind, count) in tally.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
+            prepared.kinds.push((kind as u8, std::mem::take(count)));
+        }
+        let cells = prepared.kinds[start..].iter().map(|&(_, c)| c).sum();
+        prepared.subs.push(Sub {
+            replicas,
+            cells,
+            base_service_ms: cfg.db.cost.service_ms(&receipt),
+            usl: usl::params_for_cells(cells),
+            req_bytes,
+            resp_bytes: wire.len(),
+            kinds: start..prepared.kinds.len(),
+        });
+    }
+    prepared
 }
 
 /// True when `node` has failed by instant `at` under the injected failure
@@ -77,122 +134,302 @@ fn node_is_dead(cfg: &ClusterConfig, node: u32, at: SimTime) -> bool {
 /// row's own time again, not a multiple of the time it spent contending.
 fn sample_service_ms(cfg: &ClusterConfig, base_ms: f64, mean_ms: f64, rng: &mut StdRng) -> f64 {
     let cost = &cfg.db.cost;
-    let body = Dist::lognormal(mean_ms, cost.service_cv);
-    let dist = if cost.tail_probability > 0.0 {
-        let tail_mean = mean_ms + base_ms * (cost.tail_multiplier - 1.0).max(0.0);
-        body.with_tail(
-            Dist::lognormal(tail_mean, cost.service_cv),
-            cost.tail_probability,
-        )
+    let tail = cost.tail_probability > 0.0 && rng.gen_bool(cost.tail_probability.clamp(0.0, 1.0));
+    let mean_ms = if tail {
+        mean_ms + base_ms * (cost.tail_multiplier - 1.0).max(0.0)
     } else {
-        body
+        mean_ms
     };
-    dist.sample(rng)
+    Dist::lognormal(mean_ms, cost.service_cv).sample(rng)
 }
 
-/// Everything one in-flight attempt (primary or hedge) of a sub-query
-/// needs, shared between the closure hops of its lifecycle.
-struct AttemptEnv {
-    cfg: Rc<ClusterConfig>,
-    st: Rc<RefCell<SharedState>>,
-    dbs: Rc<Vec<Resource>>,
-    master_rx: Rc<Vec<Resource>>,
+/// A stage boundary in a request's life; see the module docs.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Issue(usize),
+    Sent(usize),
+    /// The hedge timer of request `r`, whose primary went to replica `.1`.
+    Hedge(usize, usize),
+    AtNode(usize),
+    Served(usize),
+    AtMaster(usize),
+    Received(usize),
+}
+
+/// A request of the replay: which sub-query it asks, and its master side.
+struct Request {
+    sub: usize,
+    /// Send-loop CPU for this request.
+    tx: SimDuration,
+    /// The master shard that issues it and receives its answer.
     shard: usize,
-    p: Rc<Prepared>,
-    /// First-response-wins flag shared by the primary and its hedge.
-    done: Rc<Cell<bool>>,
-    /// When the master-to-slaves stage of this request began (t=0 for the
-    /// batch query; the arrival instant for paced runs).
-    issued_at: SimTime,
+    issued: SimTime,
+    /// First response wins: set when an attempt answers.
+    done: bool,
 }
 
-/// Plays out one attempt of a sub-query against `node`: request transit
-/// (plus any failover `penalty`), database service, response transit
-/// (straggler-inflated when one is injected on the node), master receive.
-/// Only the first attempt of a request to complete records its trace and
-/// its answer; the loser is dropped at the recording point, exactly as the
-/// network master deduplicates a lost hedge's late response.
-fn launch_attempt(
-    eng: &mut Engine,
-    env: Rc<AttemptEnv>,
+/// One trip of a request to one replica, primary or hedge.
+struct Attempt {
+    r: usize,
     node: u32,
-    penalty: SimDuration,
-    is_hedge: bool,
-) {
-    let transit = env.cfg.network.transit(env.p.req_bytes) + penalty;
-    let env0 = env.clone();
-    eng.schedule_in(transit, move |eng| {
-        let env = env0;
-        if env.done.get() {
-            return; // answered before this attempt even arrived
+    hedge: bool,
+    arrived: SimTime,
+    started: SimTime,
+    served: SimTime,
+}
+
+/// Phase 2: the discrete-event replay of a set of requests.
+struct Replay<'q> {
+    cfg: &'q ClusterConfig,
+    subs: &'q [Sub<'q>],
+    calendar: EventQueue<Event>,
+    rng: StdRng,
+    rx_time: SimDuration,
+    /// Per master shard: the send loop and the receive loop.
+    tx: Vec<Station<usize>>,
+    rx: Vec<Station<usize>>,
+    /// Per node: the database executor, holding attempts and their service.
+    dbs: Vec<Station<(usize, SimDuration)>>,
+    requests: Vec<Request>,
+    attempts: Vec<Attempt>,
+    /// Per request: the winning attempt's trace, `None` if unanswered.
+    traces: Vec<Option<RequestTrace>>,
+    /// Requests in the order they were answered.
+    answered: Vec<usize>,
+    missed: usize,
+    /// Replica loads handed to the policy, reused.
+    loads: Vec<usize>,
+    dispatched: u64,
+    failovers: u64,
+    hedges_sent: u64,
+    hedges_won: u64,
+    extra_bytes_to_slaves: u64,
+    send_first: Option<SimTime>,
+    send_last: SimTime,
+}
+
+impl<'q> Replay<'q> {
+    fn new(
+        cfg: &'q ClusterConfig,
+        subs: &'q [Sub<'q>],
+        requests: Vec<Request>,
+        rng: StdRng,
+    ) -> Self {
+        let shards = cfg.master_shards.max(1);
+        Replay {
+            cfg,
+            subs,
+            calendar: EventQueue::new(),
+            rng,
+            rx_time: cfg.master_rx_time(),
+            tx: (0..shards).map(|_| Station::new(1)).collect(),
+            rx: (0..shards).map(|_| Station::new(1)).collect(),
+            dbs: (0..cfg.nodes)
+                .map(|_| Station::new(cfg.db.parallelism))
+                .collect(),
+            attempts: Vec::with_capacity(requests.len()),
+            traces: (0..requests.len()).map(|_| None).collect(),
+            answered: Vec::with_capacity(requests.len()),
+            requests,
+            missed: 0,
+            loads: Vec::new(),
+            dispatched: 0,
+            failovers: 0,
+            hedges_sent: 0,
+            hedges_won: 0,
+            extra_bytes_to_slaves: 0,
+            send_first: None,
+            send_last: SimTime::ZERO,
         }
-        let arrival = eng.now();
-        let db = env.dbs[node as usize].clone();
-        let service = {
-            let mut s = env.st.borrow_mut();
-            let k = (db.busy() + db.queue_len() + 1).min(env.cfg.db.parallelism);
-            let inflation = usl::params_for_cells(env.p.cells).inflation(k);
-            let mean_ms = env.p.base_service_ms * inflation + env.cfg.gc.db_extra_ms(env.p.cells);
-            SimDuration::from_millis_f64(sample_service_ms(
-                &env.cfg,
-                env.p.base_service_ms,
-                mean_ms,
-                &mut s.rng,
-            ))
-        };
-        let env1 = env.clone();
-        db.submit(eng, service, move |eng, job| {
-            let env = env1;
-            let mut transit_back = env.cfg.network.transit(env.p.resp_bytes);
-            {
-                let mut s = env.st.borrow_mut();
-                for straggle in env.cfg.stragglers.iter().filter(|f| f.node == node) {
-                    if rand::Rng::gen_bool(&mut s.rng, straggle.probability.clamp(0.0, 1.0)) {
-                        transit_back += straggle.extra;
+    }
+
+    /// Fires every event. A station that finishes a job hands its server
+    /// to the next waiting one before the finished job moves on, which
+    /// fixes the order of events scheduled for the same instant.
+    fn run(&mut self) {
+        while let Some(event) = self.calendar.pop() {
+            match event {
+                Event::Issue(r) => self.issue(r),
+                Event::Sent(r) => {
+                    if let Some(next) = self.tx[self.requests[r].shard].finish() {
+                        self.calendar
+                            .schedule_in(self.requests[next].tx, Event::Sent(next));
+                    }
+                    self.sent(r);
+                }
+                Event::Hedge(r, primary) => self.hedge(r, primary),
+                Event::AtNode(a) => self.at_node(a),
+                Event::Served(a) => self.served(a),
+                Event::AtMaster(a) => {
+                    let shard = self.requests[self.attempts[a].r].shard;
+                    if let Some(a) = self.rx[shard].arrive(a) {
+                        self.calendar.schedule_in(self.rx_time, Event::Received(a));
                     }
                 }
+                Event::Received(a) => self.received(a),
             }
-            let (enqueued_at, started_at, db_done) =
-                (job.enqueued_at, job.started_at, job.completed_at);
-            let env2 = env.clone();
-            eng.schedule_in(transit_back, move |eng| {
-                let env = env2;
-                let rx_time = env.cfg.master_rx_time();
-                let env3 = env.clone();
-                env.master_rx[env.shard].submit(eng, rx_time, move |eng, _rx_job| {
-                    let env = env3;
-                    if env.done.replace(true) {
-                        return; // lost the race; duplicate answer dropped
-                    }
-                    let mut s = env.st.borrow_mut();
-                    let id = env.p.request_id;
-                    let mut spans = [None; 4];
-                    for (stage, start, end) in [
-                        (Stage::MasterToSlave, env.issued_at, arrival),
-                        (Stage::InQueue, enqueued_at, started_at),
-                        (Stage::InDb, started_at, db_done),
-                        (Stage::SlaveToMaster, db_done, eng.now()),
-                    ] {
-                        spans[stage.index()] = Some(Span { start, end });
-                    }
-                    s.recorder.insert(RequestTrace {
-                        request_id: id,
-                        node,
-                        cells: env.p.cells,
-                        spans,
-                    });
-                    if is_hedge {
-                        s.hedges_won += 1;
-                    }
-                    for (&kind, &count) in &env.p.response.counts {
-                        *s.counts.entry(kind).or_insert(0) += count;
-                    }
-                    s.total_cells += env.p.response.cells;
-                    s.pending -= 1;
-                });
-            });
+        }
+    }
+
+    /// Request `r` enters its shard's send loop. The paper's
+    /// master-to-slaves stage runs from here to slave receipt.
+    fn issue(&mut self, r: usize) {
+        let request = &mut self.requests[r];
+        request.issued = self.calendar.now();
+        if let Some(r) = self.tx[request.shard].arrive(r) {
+            self.calendar.schedule_in(request.tx, Event::Sent(r));
+        }
+    }
+
+    fn sent(&mut self, r: usize) {
+        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
+        let sub = &subs[self.requests[r].sub];
+        self.send_first.get_or_insert(now - self.requests[r].tx);
+        self.send_last = self.send_last.max(now);
+        // Replica choice happens at send time with live load info.
+        let dbs = &self.dbs;
+        self.loads.clear();
+        self.loads.extend(sub.replicas.iter().map(|&n| {
+            let db = &dbs[n as usize];
+            db.busy() + db.queue_len()
+        }));
+        let pick = cfg.replica_policy.pick(
+            sub.replicas.len(),
+            &self.loads,
+            self.dispatched,
+            &mut self.rng,
+        );
+        self.dispatched += 1;
+        // Failure injection: a dead replica costs a timeout, then the
+        // master walks the replica list for the next live one.
+        let transit = cfg.network.transit(sub.req_bytes);
+        let (mut attempt, mut penalty, mut tried) = (pick, SimDuration::ZERO, 0);
+        while node_is_dead(cfg, sub.replicas[attempt], now + transit + penalty) {
+            tried += 1;
+            if tried > sub.replicas.len() {
+                // Out of replicas: a recorded miss in degraded mode, an
+                // experiment-harness failure otherwise.
+                assert!(
+                    cfg.degraded,
+                    "every replica of request {r} is dead — unservable query"
+                );
+                self.failovers += tried as u64 - 1;
+                self.missed += 1;
+                return;
+            }
+            penalty += cfg.failure_timeout;
+            attempt = (attempt + 1) % sub.replicas.len();
+        }
+        self.failovers += tried as u64;
+        self.launch(r, sub.replicas[attempt], transit + penalty, false);
+        // Hedge: if the request is still unanswered `delay` after dispatch,
+        // re-issue it to the next live replica. The duplicate bypasses the
+        // send loop — a deliberate approximation (the real master's hedge
+        // is sent from the collect loop, off the issue path's critical
+        // resource).
+        if let Some(delay) = cfg.hedge.filter(|_| sub.replicas.len() > 1) {
+            self.calendar.schedule_in(delay, Event::Hedge(r, attempt));
+        }
+    }
+
+    fn hedge(&mut self, r: usize, primary: usize) {
+        if self.requests[r].done {
+            return;
+        }
+        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
+        let sub = &subs[self.requests[r].sub];
+        let n = sub.replicas.len();
+        let target = (1..n)
+            .map(|step| sub.replicas[(primary + step) % n])
+            .find(|&cand| !node_is_dead(cfg, cand, now));
+        let Some(node) = target else { return };
+        self.hedges_sent += 1;
+        self.extra_bytes_to_slaves += sub.req_bytes as u64;
+        self.launch(r, node, cfg.network.transit(sub.req_bytes), true);
+    }
+
+    /// Sends an attempt of request `r` to `node`, arriving after `transit`.
+    fn launch(&mut self, r: usize, node: u32, transit: SimDuration, hedge: bool) {
+        self.attempts.push(Attempt {
+            r,
+            node,
+            hedge,
+            arrived: SimTime::ZERO,
+            started: SimTime::ZERO,
+            served: SimTime::ZERO,
         });
-    });
+        let a = self.attempts.len() - 1;
+        self.calendar.schedule_in(transit, Event::AtNode(a));
+    }
+
+    fn at_node(&mut self, a: usize) {
+        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
+        let (r, node) = (self.attempts[a].r, self.attempts[a].node as usize);
+        if self.requests[r].done {
+            return; // answered before this attempt even arrived
+        }
+        let sub = &subs[self.requests[r].sub];
+        let db = &self.dbs[node];
+        let k = (db.busy() + db.queue_len() + 1).min(cfg.db.parallelism);
+        let mean_ms = sub.base_service_ms * sub.usl.inflation(k) + cfg.gc.db_extra_ms(sub.cells);
+        let service = sample_service_ms(cfg, sub.base_service_ms, mean_ms, &mut self.rng);
+        self.attempts[a].arrived = now;
+        if let Some(job) = self.dbs[node].arrive((a, SimDuration::from_millis_f64(service))) {
+            self.start_db(job);
+        }
+    }
+
+    fn start_db(&mut self, (a, service): (usize, SimDuration)) {
+        self.attempts[a].started = self.calendar.now();
+        self.calendar.schedule_in(service, Event::Served(a));
+    }
+
+    fn served(&mut self, a: usize) {
+        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
+        let node = self.attempts[a].node;
+        if let Some(next) = self.dbs[node as usize].finish() {
+            self.start_db(next);
+        }
+        self.attempts[a].served = now;
+        let sub = &subs[self.requests[self.attempts[a].r].sub];
+        let mut back = cfg.network.transit(sub.resp_bytes);
+        for straggle in cfg.stragglers.iter().filter(|s| s.node == node) {
+            if self.rng.gen_bool(straggle.probability.clamp(0.0, 1.0)) {
+                back += straggle.extra;
+            }
+        }
+        self.calendar.schedule_in(back, Event::AtMaster(a));
+    }
+
+    /// Only the first attempt of a request to get here records its trace
+    /// and its answer; the loser is dropped, exactly as the network master
+    /// deduplicates a lost hedge's late response.
+    fn received(&mut self, a: usize) {
+        let now = self.calendar.now();
+        let attempt = &self.attempts[a];
+        let request = &mut self.requests[attempt.r];
+        if let Some(next) = self.rx[request.shard].finish() {
+            self.calendar
+                .schedule_in(self.rx_time, Event::Received(next));
+        }
+        if std::mem::replace(&mut request.done, true) {
+            return; // lost the race; duplicate answer dropped
+        }
+        let span = |start, end| Some(Span { start, end });
+        self.traces[attempt.r] = Some(RequestTrace {
+            request_id: attempt.r as u64,
+            node: attempt.node,
+            cells: self.subs[request.sub].cells,
+            spans: [
+                span(request.issued, attempt.arrived),
+                span(attempt.arrived, attempt.started),
+                span(attempt.started, attempt.served),
+                span(attempt.served, now),
+            ],
+        });
+        self.hedges_won += attempt.hedge as u64;
+        self.answered.push(attempt.r);
+    }
 }
 
 /// Runs one distributed aggregation over `keys` and returns the full
@@ -242,242 +479,92 @@ pub fn run_query_paced(
 }
 
 fn run_query_inner(
-    config: &ClusterConfig,
+    cfg: &ClusterConfig,
     data: &mut ClusterData,
     keys: &[PartitionKey],
     arrivals: Option<&[SimDuration]>,
 ) -> RunResult {
-    assert_eq!(
-        config.nodes,
-        data.nodes(),
-        "config/data disagree on cluster size"
-    );
-    let cfg = Rc::new(config.clone());
-    let codec = cfg.master.codec;
-
-    // ---- Phase 1: resolve every sub-query against the store. ----
-    // The reads themselves are deterministic, so they run up front; the
-    // engine then only plays out *time*.
-    let mut prepared = Vec::with_capacity(keys.len());
-    let mut bytes_to_slaves = 0u64;
-    let mut bytes_to_master = 0u64;
-    for (i, pk) in keys.iter().enumerate() {
-        let replicas: Vec<u32> = data.replicas_of(pk).to_vec();
-        assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
-        let (response, receipt) = data.aggregate(replicas[0], i as u64, pk);
-        let request = QueryRequest {
-            request_id: i as u64,
-            partition: pk.clone(),
-        };
-        let req_bytes = codec.encode_request(&request).len();
-        let resp_bytes = codec.encode_response(&response).len();
-        bytes_to_slaves += req_bytes as u64;
-        bytes_to_master += resp_bytes as u64;
-        prepared.push(Prepared {
-            request_id: i as u64,
-            replicas,
-            cells: response.cells,
-            base_service_ms: cfg.db.cost.service_ms(&receipt),
-            response,
-            req_bytes,
-            resp_bytes,
-        });
-    }
-
-    // ---- Phase 2: the discrete-event replay. ----
-    let mut eng = Engine::new();
-    let hub = RngHub::new(cfg.seed);
-    let state = Rc::new(RefCell::new(SharedState {
-        recorder: TraceRecorder::with_capacity(prepared.len()),
-        pending: prepared.len(),
-        counts: BTreeMap::new(),
-        total_cells: 0,
-        rng: hub.stream("service-noise"),
-        dispatch_counter: 0,
-        msgs_sent: 0,
-        failovers: 0,
-        send_first: None,
-        send_last: SimTime::ZERO,
-        misses: Vec::new(),
-        hedges_sent: 0,
-        hedges_won: 0,
-        extra_bytes_to_slaves: 0,
-    }));
-    let shards = cfg.master_shards.max(1);
-    let master_tx: Vec<Resource> = (0..shards)
-        .map(|i| Resource::new(format!("master-tx-{i}"), 1))
-        .collect();
-    let master_rx: Rc<Vec<Resource>> = Rc::new(
-        (0..shards)
-            .map(|i| Resource::new(format!("master-rx-{i}"), 1))
-            .collect(),
-    );
-    let dbs: Rc<Vec<Resource>> = Rc::new(
-        (0..cfg.nodes)
-            .map(|n| Resource::new(format!("db-{n}"), cfg.db.parallelism))
-            .collect(),
-    );
-
-    for (idx, p) in prepared.into_iter().enumerate() {
-        let p = Rc::new(p);
-        // Master send CPU: serialization + policy overhead (+ a GC pause
-        // every N messages).
-        let mut tx_service = cfg.master_tx_time()
-            + SimDuration::from_micros_f64(cfg.replica_policy.master_overhead_us());
-        {
-            let mut st = state.borrow_mut();
-            st.msgs_sent += 1;
-            if cfg.gc.enabled && st.msgs_sent.is_multiple_of(cfg.gc.master_msgs_per_pause) {
-                tx_service += cfg.gc.master_pause;
+    let prepared = prepare(cfg, data, keys);
+    let shards = cfg.master_shards.max(1) as u64;
+    let overhead = SimDuration::from_micros_f64(cfg.replica_policy.master_overhead_us());
+    let requests = (0..keys.len())
+        .map(|r| {
+            // Master send CPU: serialization + policy overhead (+ a GC
+            // pause every N messages).
+            let mut tx = cfg.master_tx_time() + overhead;
+            if cfg.gc.enabled && (r as u64 + 1).is_multiple_of(cfg.gc.master_msgs_per_pause) {
+                tx += cfg.gc.master_pause;
             }
-        }
-
-        // Key space sharded over the coordinating masters: each request is
-        // issued by (and returns to) its key's home shard.
-        let shard =
-            (kvs_balance::hashing::hash_key(&p.request_id.to_le_bytes()) % shards as u64) as usize;
-        let st = state.clone();
-        let cfg = cfg.clone();
-        let dbs = dbs.clone();
-        let master_rx = master_rx.clone();
-        let arrival_at = arrivals
-            .map(|a| SimTime::ZERO + a[idx])
-            .unwrap_or(SimTime::ZERO);
-        let mtx = master_tx[shard].clone();
-        let dispatch = move |eng: &mut Engine| {
-            // The paper's master-to-slaves stage runs from issue (t=0 in
-            // the batch query, where the master knows all keys up front;
-            // the arrival instant in paced runs) to slave receipt.
-            let issued_at = eng.now();
-            mtx.submit(eng, tx_service, move |eng, tx_report| {
-                // Replica choice happens at send time with live load info.
-                let pick = {
-                    let mut s = st.borrow_mut();
-                    s.send_first.get_or_insert(tx_report.started_at);
-                    s.send_last = s.send_last.max(tx_report.completed_at);
-                    let loads: Vec<usize> = p
-                        .replicas
-                        .iter()
-                        .map(|&n| dbs[n as usize].busy() + dbs[n as usize].queue_len())
-                        .collect();
-                    let counter = s.dispatch_counter;
-                    s.dispatch_counter += 1;
-                    cfg.replica_policy
-                        .pick(p.replicas.len(), &loads, counter, &mut s.rng)
-                };
-                // Failure injection: a dead replica costs a timeout, then
-                // the master walks the replica list for the next live one.
-                let base_transit = cfg.network.transit(p.req_bytes);
-                let mut attempt = pick;
-                let mut penalty = SimDuration::ZERO;
-                let mut tried = 0usize;
-                while node_is_dead(
-                    &cfg,
-                    p.replicas[attempt],
-                    eng.now() + base_transit + penalty,
-                ) {
-                    tried += 1;
-                    if tried > p.replicas.len() {
-                        // Out of replicas: a recorded miss in degraded
-                        // mode, an experiment-harness failure otherwise.
-                        if cfg.degraded {
-                            let mut s = st.borrow_mut();
-                            s.failovers += tried as u64 - 1;
-                            s.misses.push(p.request_id);
-                            s.pending -= 1;
-                            return;
-                        }
-                        panic!(
-                            "every replica of request {} is dead — unservable query",
-                            p.request_id
-                        );
-                    }
-                    penalty += cfg.failure_timeout;
-                    attempt = (attempt + 1) % p.replicas.len();
-                }
-                if tried > 0 {
-                    st.borrow_mut().failovers += tried as u64;
-                }
-                let node = p.replicas[attempt];
-                let env = Rc::new(AttemptEnv {
-                    cfg: cfg.clone(),
-                    st: st.clone(),
-                    dbs,
-                    master_rx,
-                    shard,
-                    p: p.clone(),
-                    done: Rc::new(Cell::new(false)),
-                    issued_at,
-                });
-                launch_attempt(eng, env.clone(), node, penalty, false);
-                // Hedge: if the request is still unanswered `delay` after
-                // dispatch, re-issue it to the next live replica. The
-                // duplicate bypasses the master-tx resource — a deliberate
-                // approximation (the real master's hedge is sent from the
-                // collect loop, off the issue path's critical resource).
-                if let Some(delay) = cfg.hedge {
-                    if p.replicas.len() > 1 {
-                        let primary_ix = attempt;
-                        eng.schedule_in(delay, move |eng| {
-                            if env.done.get() {
-                                return;
-                            }
-                            let n = env.p.replicas.len();
-                            let target = (1..n)
-                                .map(|step| env.p.replicas[(primary_ix + step) % n])
-                                .find(|&cand| !node_is_dead(&env.cfg, cand, eng.now()));
-                            let Some(hnode) = target else { return };
-                            {
-                                let mut s = env.st.borrow_mut();
-                                s.hedges_sent += 1;
-                                s.extra_bytes_to_slaves += env.p.req_bytes as u64;
-                            }
-                            launch_attempt(eng, env.clone(), hnode, SimDuration::ZERO, true);
-                        });
-                    }
-                }
-            });
-        };
-        if arrivals.is_some() {
-            eng.schedule_at(arrival_at, dispatch);
-        } else {
-            dispatch(&mut eng);
+            // Key space sharded over the coordinating masters: each
+            // request is issued by (and returns to) its key's home shard.
+            let shard = kvs_balance::hashing::hash_key(&(r as u64).to_le_bytes()) % shards;
+            Request {
+                sub: r,
+                tx,
+                shard: shard as usize,
+                issued: SimTime::ZERO,
+                done: false,
+            }
+        })
+        .collect();
+    let rng = RngHub::new(cfg.seed).stream("service-noise");
+    let mut replay = Replay::new(cfg, &prepared.subs, requests, rng);
+    for r in 0..keys.len() {
+        match arrivals {
+            Some(at) => {
+                replay
+                    .calendar
+                    .schedule_at(SimTime::ZERO + at[r], Event::Issue(r));
+            }
+            None => replay.issue(r),
         }
     }
+    replay.run();
 
-    eng.run();
-
-    let state = Rc::try_unwrap(state)
-        .unwrap_or_else(|_| panic!("simulation closures leaked shared state"))
-        .into_inner();
-    assert_eq!(state.pending, 0, "requests never completed");
-    let traces = state.recorder.into_traces();
+    assert_eq!(
+        replay.answered.len() + replay.missed,
+        keys.len(),
+        "requests never completed"
+    );
+    let (mut counts, mut total_cells) = ([0u64; 256], 0);
+    for &r in &replay.answered {
+        let sub = &prepared.subs[r];
+        for &(kind, count) in &prepared.kinds[sub.kinds.clone()] {
+            counts[kind as usize] += count;
+        }
+        total_cells += sub.cells;
+    }
+    let missed: Vec<u64> = (0..keys.len() as u64)
+        .filter(|&r| replay.traces[r as usize].is_none())
+        .collect();
+    let traces: Vec<RequestTrace> = replay.traces.into_iter().flatten().collect();
     let report = analyze(&traces);
-    let issue_span = match state.send_first {
-        Some(first) => state.send_last - first,
-        None => SimDuration::ZERO,
-    };
-    let mut misses = state.misses;
-    misses.sort_unstable();
-    misses.dedup();
     RunResult {
         makespan: report.makespan,
         report,
         traces,
-        counts_by_kind: state.counts,
-        total_cells: state.total_cells,
-        messages: state.msgs_sent,
-        bytes_to_slaves: bytes_to_slaves + state.extra_bytes_to_slaves,
-        bytes_to_master,
-        issue_span,
-        failovers: state.failovers,
+        counts_by_kind: (0..=u8::MAX).zip(counts).filter(|&(_, c)| c > 0).collect(),
+        total_cells,
+        messages: keys.len() as u64,
+        bytes_to_slaves: prepared
+            .subs
+            .iter()
+            .map(|s| s.req_bytes as u64)
+            .sum::<u64>()
+            + replay.extra_bytes_to_slaves,
+        bytes_to_master: prepared.subs.iter().map(|s| s.resp_bytes as u64).sum(),
+        issue_span: match replay.send_first {
+            Some(first) => replay.send_last - first,
+            None => SimDuration::ZERO,
+        },
+        failovers: replay.failovers,
         coverage: Coverage {
-            answered: keys.len() as u64 - misses.len() as u64,
+            answered: keys.len() as u64 - missed.len() as u64,
             total: keys.len() as u64,
         },
-        missed: misses,
-        hedges_sent: state.hedges_sent,
-        hedges_won: state.hedges_won,
+        missed,
+        hedges_sent: replay.hedges_sent,
+        hedges_won: replay.hedges_won,
         queue: None,
     }
 }
@@ -579,6 +666,9 @@ pub struct OpenLoopResult {
 /// All in-flight requests are allowed to drain, but only those *arriving*
 /// inside the horizon are issued.
 ///
+/// It is the paced query without the batch master's extras: one master,
+/// the primary replica, a send cost of serialization alone, no faults.
+///
 /// # Panics
 /// Same contracts as [`run_query`], plus `offered_rps > 0` and a non-empty
 /// key pool.
@@ -592,142 +682,69 @@ pub fn run_open_loop(
 ) -> OpenLoopResult {
     assert!(offered_rps > 0.0, "need a positive arrival rate");
     assert!(!keys.is_empty(), "need a key pool");
-    assert_eq!(
-        config.nodes,
-        data.nodes(),
-        "config/data disagree on cluster size"
-    );
-    let cfg = Rc::new(config.clone());
-    let codec = cfg.master.codec;
-
-    // Resolve the key pool once.
-    let mut prepared = Vec::with_capacity(keys.len());
-    for (i, pk) in keys.iter().enumerate() {
-        let replicas: Vec<u32> = data.replicas_of(pk).to_vec();
-        assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
-        let (response, receipt) = data.aggregate(replicas[0], i as u64, pk);
-        let request = QueryRequest {
-            request_id: i as u64,
-            partition: pk.clone(),
-        };
-        prepared.push(Prepared {
-            request_id: i as u64,
-            replicas,
-            cells: response.cells,
-            base_service_ms: cfg.db.cost.service_ms(&receipt),
-            req_bytes: codec.encode_request(&request).len(),
-            resp_bytes: codec.encode_response(&response).len(),
-            response,
-        });
-    }
-    let prepared = Rc::new(prepared);
+    let prepared = prepare(config, data, keys);
 
     // Poisson arrivals over the horizon.
-    let hub = RngHub::new(cfg.seed);
+    let hub = RngHub::new(config.seed);
     let mut arrivals_rng = hub.stream(&format!("open-loop-arrivals-{label}"));
     let mut pick_rng = hub.stream(&format!("open-loop-keys-{label}"));
     let mut arrivals = Vec::new();
     let mut t = 0.0f64;
     let horizon_s = duration.as_secs_f64();
     loop {
-        t += kvs_simcore::Dist::Exponential {
+        t += Dist::Exponential {
             mean: 1.0 / offered_rps,
         }
         .sample(&mut arrivals_rng);
         if t >= horizon_s {
             break;
         }
-        arrivals.push((t, rand::Rng::gen_range(&mut pick_rng, 0..prepared.len())));
+        arrivals.push((t, pick_rng.gen_range(0..keys.len())));
     }
 
-    let mut eng = Engine::new();
-    let latencies: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
-    let noise: Rc<RefCell<StdRng>> = Rc::new(RefCell::new(
-        hub.stream(&format!("open-loop-noise-{label}")),
-    ));
-    let master_tx = Resource::new("ol-master-tx", 1);
-    let master_rx = Resource::new("ol-master-rx", 1);
-    let dbs: Rc<Vec<Resource>> = Rc::new(
-        (0..cfg.nodes)
-            .map(|n| Resource::new(format!("ol-db-{n}"), cfg.db.parallelism))
-            .collect(),
-    );
-
-    for (arrive_s, key_idx) in arrivals.iter().copied() {
-        let cfg = cfg.clone();
-        let prepared = prepared.clone();
-        let dbs = dbs.clone();
-        let master_tx = master_tx.clone();
-        let master_rx = master_rx.clone();
-        let latencies = latencies.clone();
-        let noise = noise.clone();
-        eng.schedule_at(
-            SimTime::ZERO + SimDuration::from_secs_f64(arrive_s),
-            move |eng| {
-                let born = eng.now();
-                let tx_service = cfg.master_tx_time();
-                let cfg2 = cfg.clone();
-                master_tx.submit(eng, tx_service, move |eng, _| {
-                    let p = &prepared[key_idx];
-                    let node = p.replicas[0];
-                    let transit = cfg2.network.transit(p.req_bytes);
-                    let cfg3 = cfg2.clone();
-                    let prepared = prepared.clone();
-                    let dbs = dbs.clone();
-                    let master_rx = master_rx.clone();
-                    let latencies = latencies.clone();
-                    let noise = noise.clone();
-                    eng.schedule_in(transit, move |eng| {
-                        let p = &prepared[key_idx];
-                        let db = dbs[node as usize].clone();
-                        let k = (db.busy() + db.queue_len() + 1).min(cfg3.db.parallelism);
-                        let inflation = usl::params_for_cells(p.cells).inflation(k);
-                        let mean_ms = p.base_service_ms * inflation + cfg3.gc.db_extra_ms(p.cells);
-                        let service = SimDuration::from_millis_f64(sample_service_ms(
-                            &cfg3,
-                            p.base_service_ms,
-                            mean_ms,
-                            &mut noise.borrow_mut(),
-                        ));
-                        let cfg4 = cfg3.clone();
-                        let prepared = prepared.clone();
-                        let master_rx = master_rx.clone();
-                        let latencies = latencies.clone();
-                        db.submit(eng, service, move |eng, _| {
-                            let p = &prepared[key_idx];
-                            let back = cfg4.network.transit(p.resp_bytes);
-                            let rx_time = cfg4.master_rx_time();
-                            let master_rx = master_rx.clone();
-                            let latencies = latencies.clone();
-                            eng.schedule_in(back, move |eng| {
-                                master_rx.submit(eng, rx_time, move |eng, _| {
-                                    latencies
-                                        .borrow_mut()
-                                        .push((eng.now() - born).as_millis_f64());
-                                });
-                            });
-                        });
-                    });
-                });
-            },
-        );
-    }
-
-    let offered = arrivals.len();
-    eng.run();
-    let latencies = Rc::try_unwrap(latencies)
-        .unwrap_or_else(|_| panic!("open-loop closures leaked state"))
-        .into_inner();
-    assert_eq!(latencies.len(), offered, "requests lost in flight");
-    let achieved_rps = if eng.now().as_secs_f64() > 0.0 {
-        latencies.len() as f64 / eng.now().as_secs_f64()
-    } else {
-        0.0
+    let cfg = ClusterConfig {
+        replica_policy: ReplicaPolicy::Primary,
+        master_shards: 1,
+        failures: Vec::new(),
+        stragglers: Vec::new(),
+        hedge: None,
+        degraded: false,
+        ..config.clone()
     };
+    let requests = arrivals
+        .iter()
+        .map(|&(_, sub)| Request {
+            sub,
+            tx: cfg.master_tx_time(),
+            shard: 0,
+            issued: SimTime::ZERO,
+            done: false,
+        })
+        .collect();
+    let rng = hub.stream(&format!("open-loop-noise-{label}"));
+    let mut replay = Replay::new(&cfg, &prepared.subs, requests, rng);
+    for (r, &(arrive_s, _)) in arrivals.iter().enumerate() {
+        let at = SimTime::ZERO + SimDuration::from_secs_f64(arrive_s);
+        replay.calendar.schedule_at(at, Event::Issue(r));
+    }
+    replay.run();
+
+    let latencies: Vec<f64> = replay
+        .answered
+        .iter()
+        .filter_map(|&r| replay.traces[r].as_ref())
+        .map(|trace| trace.total().as_millis_f64())
+        .collect();
+    assert_eq!(latencies.len(), arrivals.len(), "requests lost in flight");
+    let end_s = replay.calendar.now().as_secs_f64();
     OpenLoopResult {
         offered_rps,
         completed: latencies.len(),
-        achieved_rps,
+        achieved_rps: if end_s > 0.0 {
+            latencies.len() as f64 / end_s
+        } else {
+            0.0
+        },
         latency_ms: kvs_simcore::Summary::from_samples(&latencies),
     }
 }
@@ -736,8 +753,60 @@ pub fn run_open_loop(
 mod tests {
     use super::*;
     use crate::data::uniform_partitions;
-    use kvs_stages::Bottleneck;
+    use kvs_stages::{Bottleneck, Stage};
     use kvs_store::TableOptions;
+
+    /// `sample_service_ms` as it was, a `Dist::Mixture` built per draw:
+    /// the reference the direct draw must equal.
+    fn sample_by_mixture(cfg: &ClusterConfig, base_ms: f64, mean_ms: f64, rng: &mut StdRng) -> f64 {
+        let cost = &cfg.db.cost;
+        let body = Dist::lognormal(mean_ms, cost.service_cv);
+        let dist = if cost.tail_probability > 0.0 {
+            let tail_mean = mean_ms + base_ms * (cost.tail_multiplier - 1.0).max(0.0);
+            body.with_tail(
+                Dist::lognormal(tail_mean, cost.service_cv),
+                cost.tail_probability,
+            )
+        } else {
+            body
+        };
+        dist.sample(rng)
+    }
+
+    #[test]
+    fn service_draws_equal_the_mixture_draw_for_draw() {
+        let base = ClusterConfig::paper_optimized_master(1);
+        for (cv, p, multiplier) in [
+            (base.db.cost.service_cv, base.db.cost.tail_probability, 6.0),
+            (0.0, 0.3, 6.0),
+            (0.4, 0.0, 6.0),
+            (0.4, 1.0, 6.0),
+            (0.4, 1.7, 0.5),
+            (0.0, 0.0, 1.0),
+        ] {
+            let mut cfg = base.clone();
+            cfg.db.cost.service_cv = cv;
+            cfg.db.cost.tail_probability = p;
+            cfg.db.cost.tail_multiplier = multiplier;
+            for seed in 0..8u64 {
+                let hub = RngHub::new(seed);
+                let (mut direct, mut mixture) = (hub.stream("s"), hub.stream("s"));
+                for i in 0..200u64 {
+                    let base_ms = (i % 7) as f64 * 0.9 - 1.0;
+                    let mean_ms = base_ms * 1.3 + (i % 3) as f64 - 0.5;
+                    let got = sample_service_ms(&cfg, base_ms, mean_ms, &mut direct);
+                    let want = sample_by_mixture(&cfg, base_ms, mean_ms, &mut mixture);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "cv {cv} p {p} seed {seed} draw {i}"
+                    );
+                }
+                // Both consumed the stream alike.
+                assert_eq!(direct.gen::<u64>(), mixture.gen::<u64>());
+            }
+        }
+    }
 
     fn small_cluster(nodes: u32, partitions: u64, cells: u64) -> (ClusterData, Vec<PartitionKey>) {
         let parts = uniform_partitions(partitions, cells, 4);

@@ -1,68 +1,55 @@
-//! The discrete-event engine: a virtual clock plus an ordered event heap.
+//! The closure engine: the event calendar with callbacks for events.
 //!
-//! The engine is deliberately minimal: it owns *time* and nothing else.
-//! Model state lives in `Rc<RefCell<…>>` cells captured by the scheduled
-//! closures (the simulation is single-threaded, so `Rc` is the right tool —
-//! see the workspace guides on avoiding `Arc` where no sharing across
-//! threads happens).
+//! [`Engine`] is [`EventQueue`] with `E` = a boxed `FnOnce(&mut Engine)`,
+//! plus cancellation. Model state lives in `Rc<RefCell<…>>` cells captured
+//! by the scheduled closures (the simulation is single-threaded, so `Rc`
+//! is the right tool). It suits small models and tests; a model that fires
+//! millions of events drives an [`EventQueue`] of its own event `enum`
+//! instead, and pays no box or reference count per event.
 
-use crate::event::{Callback, EventId, ScheduledEvent};
+use crate::event::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
+
+/// The callback type fired by the engine. It receives the engine so it can
+/// schedule follow-up events.
+pub type Callback = Box<dyn FnOnce(&mut Engine)>;
 
 /// A discrete-event simulation engine.
 ///
 /// Events are closures scheduled at absolute or relative virtual times;
 /// [`Engine::run`] drains them in (time, FIFO) order, advancing the clock to
 /// each event's timestamp before firing it.
+#[derive(Default)]
 pub struct Engine {
-    now: SimTime,
-    heap: BinaryHeap<ScheduledEvent>,
-    next_id: u64,
+    calendar: EventQueue<Callback>,
     cancelled: HashSet<EventId>,
-    fired: u64,
-    /// Safety valve: `run` panics if more than this many events fire, which
-    /// turns accidental infinite event loops into a loud failure.
-    max_events: u64,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Engine {
     /// Creates an engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Engine {
-            now: SimTime::ZERO,
-            heap: BinaryHeap::new(),
-            next_id: 0,
-            cancelled: HashSet::new(),
-            fired: 0,
-            max_events: 500_000_000,
-        }
+        Self::default()
     }
 
     /// Lowers the runaway-event safety valve (mostly for tests).
     pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
+        self.calendar.set_max_events(max);
     }
 
     /// The current virtual instant.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.calendar.now()
     }
 
     /// Number of events fired so far.
     pub fn events_fired(&self) -> u64 {
-        self.fired
+        self.calendar.events_fired()
     }
 
     /// Number of events still pending (including cancelled-but-not-popped).
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.calendar.pending()
     }
 
     /// Schedules `cb` to fire at the absolute instant `at`.
@@ -70,16 +57,7 @@ impl Engine {
     /// Scheduling in the past is a modelling bug; the event is clamped to
     /// fire "now" so causality is preserved, and debug builds assert.
     pub fn schedule_at(&mut self, at: SimTime, cb: impl FnOnce(&mut Engine) + 'static) -> EventId {
-        debug_assert!(at >= self.now, "scheduled an event in the past");
-        let at = at.max(self.now);
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.heap.push(ScheduledEvent {
-            at,
-            id,
-            callback: Some(Box::new(cb) as Callback),
-        });
-        id
+        self.calendar.schedule_at(at, Box::new(cb))
     }
 
     /// Schedules `cb` to fire `delay` after the current instant.
@@ -88,7 +66,7 @@ impl Engine {
         delay: SimDuration,
         cb: impl FnOnce(&mut Engine) + 'static,
     ) -> EventId {
-        self.schedule_at(self.now + delay, cb)
+        self.calendar.schedule_in(delay, Box::new(cb))
     }
 
     /// Cancels a pending event. Cancelling an already-fired or unknown id is
@@ -100,24 +78,17 @@ impl Engine {
     /// Fires the next pending event, advancing the clock. Returns `false`
     /// when the heap is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(mut ev) = self.heap.pop() {
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            debug_assert!(ev.at >= self.now, "event heap yielded a past event");
-            self.now = ev.at;
-            self.fired += 1;
-            assert!(
-                self.fired <= self.max_events,
-                "simulation exceeded {} events — runaway event loop?",
-                self.max_events
-            );
-            if let Some(cb) = ev.callback.take() {
+        let cancelled = &mut self.cancelled;
+        let next = self
+            .calendar
+            .pop_where(|id| cancelled.is_empty() || !cancelled.remove(&id));
+        match next {
+            Some(cb) => {
                 cb(self);
+                true
             }
-            return true;
+            None => false,
         }
-        false
     }
 
     /// Runs until no events remain.
@@ -129,12 +100,12 @@ impl Engine {
     /// before the deadline still fire. Returns `true` if events remain.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
         loop {
-            match self.heap.peek() {
+            match self.calendar.next_at() {
                 None => return false,
-                Some(ev) if ev.at > deadline => {
+                Some(at) if at > deadline => {
                     // Do not fire, but advance the clock to the deadline so
                     // repeated calls observe monotonic time.
-                    self.now = self.now.max(deadline);
+                    self.calendar.advance_to(deadline);
                     return true;
                 }
                 Some(_) => {

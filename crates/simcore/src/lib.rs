@@ -13,14 +13,48 @@
 //! * **Deterministic** — all randomness flows through named [`rng::RngHub`]
 //!   streams derived from a single master seed, so every figure is exactly
 //!   reproducible.
-//! * **Single-threaded** — one event heap, microsecond-scale events; a full
-//!   16-node / 10 000-request experiment executes in well under a second of
-//!   wall time.
-//! * **Observable** — [`resource::Resource`] tracks queue waits, busy time
-//!   and utilization; [`stats`] provides online moments, percentiles and
+//! * **Single-threaded** — one event calendar, [`EventQueue`], fires typed
+//!   events in (time, scheduling order); a model's events are its own
+//!   `enum` over indices into its state, so an event costs a heap entry
+//!   and no allocation. [`Station`] is a FIFO `c`-server queue whose
+//!   completions the model schedules itself. [`Engine`] is the same
+//!   calendar with closures for events, for models too small to name them.
+//! * **Observable** — [`stats`] provides online moments, percentiles and
 //!   histograms used by the analysis layers.
 //!
 //! ## Quick example
+//!
+//! A one-server station fed two jobs at t = 0, each needing 5 ms:
+//!
+//! ```
+//! use kvs_simcore::{EventQueue, SimDuration, Station};
+//!
+//! enum Event {
+//!     Arrive(u32),
+//!     Done(u32),
+//! }
+//! let service = SimDuration::from_millis(5);
+//! let mut calendar = EventQueue::new();
+//! let mut db = Station::new(1);
+//! calendar.schedule_in(SimDuration::ZERO, Event::Arrive(0));
+//! calendar.schedule_in(SimDuration::ZERO, Event::Arrive(1));
+//! let mut finished = Vec::new();
+//! while let Some(event) = calendar.pop() {
+//!     let started = match event {
+//!         Event::Arrive(job) => db.arrive(job),
+//!         Event::Done(job) => {
+//!             finished.push((job, calendar.now().as_millis_f64()));
+//!             db.finish()
+//!         }
+//!     };
+//!     if let Some(job) = started {
+//!         calendar.schedule_in(service, Event::Done(job));
+//!     }
+//! }
+//! assert_eq!(finished, [(0, 5.0), (1, 10.0)]);
+//! ```
+//!
+//! The same clock with a closure per event:
 //!
 //! ```
 //! use kvs_simcore::{Engine, SimDuration};
@@ -46,8 +80,8 @@ pub mod time;
 
 pub use dist::Dist;
 pub use engine::Engine;
-pub use event::EventId;
-pub use resource::{Resource, ResourceStats};
+pub use event::{EventId, EventQueue};
+pub use resource::Station;
 pub use rng::RngHub;
 pub use stats::{Histogram, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};

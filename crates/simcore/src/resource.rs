@@ -1,425 +1,247 @@
-//! FIFO multi-server resources: the queueing building block of the cluster
-//! model.
+//! FIFO multi-server stations: the queueing resources of the cluster model.
 //!
-//! A [`Resource`] models `c` identical servers in front of one FIFO queue —
+//! A [`Station`] models `c` identical servers in front of one FIFO queue —
 //! exactly the shape of the paper's per-node database executor ("Cassandra
 //! is not fast enough to satisfy all of the requests as quickly as they
 //! arrive … a lot of requests spend a considerable time waiting", §V-B) and
-//! of the master's outbound CPU. It tracks, per job, the decomposition the
-//! paper's methodology needs: *time in queue* vs *time in service*.
+//! of the master's outbound CPU. It holds only who is waiting and how many
+//! servers are busy: the caller schedules each completion on its own
+//! calendar and stamps whatever times its traces need, so the paper's
+//! *time in queue* vs *time in service* is the caller's arrival, start and
+//! completion instants.
 
-use crate::engine::Engine;
-use crate::stats::OnlineStats;
-use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-/// What a completed job learns about its own life cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobReport {
-    /// When the job was submitted to the resource.
-    pub enqueued_at: SimTime,
-    /// When a server started working on it.
-    pub started_at: SimTime,
-    /// When service finished (== the instant the completion fires).
-    pub completed_at: SimTime,
-}
-
-impl JobReport {
-    /// Time spent waiting in the FIFO queue.
-    pub fn wait(&self) -> SimDuration {
-        self.started_at - self.enqueued_at
-    }
-
-    /// Time spent being served.
-    pub fn service(&self) -> SimDuration {
-        self.completed_at - self.started_at
-    }
-
-    /// Total sojourn time (wait + service).
-    pub fn sojourn(&self) -> SimDuration {
-        self.completed_at - self.enqueued_at
-    }
-}
-
-type Completion = Box<dyn FnOnce(&mut Engine, JobReport)>;
-
-struct Pending {
-    service: SimDuration,
-    enqueued_at: SimTime,
-    on_complete: Completion,
-}
-
-struct Inner {
-    name: String,
-    capacity: usize,
+/// `c` servers in front of one FIFO queue of jobs `J`.
+#[derive(Debug, Clone)]
+pub struct Station<J> {
+    servers: usize,
     busy: usize,
-    queue: VecDeque<Pending>,
-    // --- accounting ---
-    completed: u64,
-    waits: OnlineStats,
-    services: OnlineStats,
-    busy_integral_ns: u128,
-    queue_integral_ns: u128,
-    last_change: SimTime,
-    max_queue_len: usize,
+    queue: VecDeque<J>,
 }
 
-impl Inner {
-    /// Accumulates the time-weighted busy/queue integrals up to `now`.
-    fn account(&mut self, now: SimTime) {
-        let dt = (now - self.last_change).as_nanos() as u128;
-        self.busy_integral_ns += dt * self.busy as u128;
-        self.queue_integral_ns += dt * self.queue.len() as u128;
-        self.last_change = now;
-    }
-}
-
-/// A shared handle to a FIFO `c`-server resource. Cloning the handle clones
-/// the *reference*, not the resource.
-#[derive(Clone)]
-pub struct Resource {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl Resource {
-    /// Creates a resource with `capacity` parallel servers.
+impl<J> Station<J> {
+    /// A station with `servers` parallel servers, all idle.
     ///
     /// # Panics
-    /// If `capacity` is zero — a zero-server resource would deadlock every
-    /// submission, which is never a useful model.
-    pub fn new(name: impl Into<String>, capacity: usize) -> Self {
-        assert!(capacity > 0, "resource capacity must be positive");
-        Resource {
-            inner: Rc::new(RefCell::new(Inner {
-                name: name.into(),
-                capacity,
-                busy: 0,
-                queue: VecDeque::new(),
-                completed: 0,
-                waits: OnlineStats::new(),
-                services: OnlineStats::new(),
-                busy_integral_ns: 0,
-                queue_integral_ns: 0,
-                last_change: SimTime::ZERO,
-                max_queue_len: 0,
-            })),
+    /// If `servers` is zero — a station with no server would hold every
+    /// job forever, which is never a useful model.
+    pub fn new(servers: usize) -> Self {
+        assert!(servers > 0, "station capacity must be positive");
+        Station {
+            servers,
+            busy: 0,
+            queue: VecDeque::new(),
         }
     }
 
-    /// The resource's display name.
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+    /// A job arrives. A free server takes it at once, and it comes back
+    /// for the caller to schedule its completion; otherwise it waits in
+    /// the queue and `None` comes back.
+    pub fn arrive(&mut self, job: J) -> Option<J> {
+        if self.busy < self.servers {
+            self.busy += 1;
+            Some(job)
+        } else {
+            self.queue.push_back(job);
+            None
+        }
     }
 
-    /// The configured number of parallel servers.
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
+    /// A server finishes its job and takes the next waiting one, which
+    /// comes back for the caller to schedule its completion; with nobody
+    /// waiting the server goes idle and `None` comes back.
+    pub fn finish(&mut self) -> Option<J> {
+        debug_assert!(self.busy > 0, "a job finished on an idle station");
+        let next = self.queue.pop_front();
+        if next.is_none() {
+            self.busy -= 1;
+        }
+        next
     }
 
     /// Jobs currently being served.
     pub fn busy(&self) -> usize {
-        self.inner.borrow().busy
+        self.busy
     }
 
     /// Jobs currently waiting in queue.
     pub fn queue_len(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
-    /// Submits a job needing `service` time; `on_complete` fires when it
-    /// finishes, with the full queue/service decomposition.
-    pub fn submit(
-        &self,
-        eng: &mut Engine,
-        service: SimDuration,
-        on_complete: impl FnOnce(&mut Engine, JobReport) + 'static,
-    ) {
-        let mut slot = Some(Pending {
-            service,
-            enqueued_at: eng.now(),
-            on_complete: Box::new(job_completion(on_complete)),
-        });
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.account(eng.now());
-            if inner.busy < inner.capacity {
-                inner.busy += 1;
-            } else {
-                inner.queue.push_back(slot.take().expect("job present"));
-                let qlen = inner.queue.len();
-                inner.max_queue_len = inner.max_queue_len.max(qlen);
-            }
-        }
-        if let Some(job) = slot {
-            start_service(self.inner.clone(), eng, job);
-        }
-    }
-
-    /// A point-in-time snapshot of the accounting counters.
-    pub fn stats(&self, now: SimTime) -> ResourceStats {
-        let mut inner = self.inner.borrow_mut();
-        inner.account(now);
-        ResourceStats {
-            name: inner.name.clone(),
-            capacity: inner.capacity,
-            completed: inner.completed,
-            waits: inner.waits.clone(),
-            services: inner.services.clone(),
-            busy_integral_ns: inner.busy_integral_ns,
-            queue_integral_ns: inner.queue_integral_ns,
-            max_queue_len: inner.max_queue_len,
-            observed_at: now,
-        }
-    }
-}
-
-// `on_complete` captures `JobReport`; this indirection exists only to give
-// the box a uniform type.
-fn job_completion(
-    f: impl FnOnce(&mut Engine, JobReport) + 'static,
-) -> impl FnOnce(&mut Engine, JobReport) + 'static {
-    f
-}
-
-/// Puts `job` into service on one of the resource's servers (the caller must
-/// have already incremented `busy`), scheduling its completion.
-fn start_service(inner: Rc<RefCell<Inner>>, eng: &mut Engine, job: Pending) {
-    let started_at = eng.now();
-    let enqueued_at = job.enqueued_at;
-    let service = job.service;
-    let on_complete = job.on_complete;
-    eng.schedule_in(service, move |eng| {
-        let report = JobReport {
-            enqueued_at,
-            started_at,
-            completed_at: eng.now(),
-        };
-        let next = {
-            let mut st = inner.borrow_mut();
-            st.account(eng.now());
-            st.completed += 1;
-            st.waits.push(report.wait().as_secs_f64());
-            st.services.push(report.service().as_secs_f64());
-            match st.queue.pop_front() {
-                Some(next) => Some(next), // the freed server picks up the next job
-                None => {
-                    st.busy -= 1;
-                    None
-                }
-            }
-        };
-        // Callbacks run *after* the borrow is released: they may resubmit to
-        // this very resource.
-        if let Some(next) = next {
-            start_service(inner.clone(), eng, next);
-        }
-        on_complete(eng, report);
-    });
-}
-
-/// Accounting snapshot for a [`Resource`].
-#[derive(Debug, Clone)]
-pub struct ResourceStats {
-    /// Resource name.
-    pub name: String,
-    /// Number of parallel servers.
-    pub capacity: usize,
-    /// Jobs completed so far.
-    pub completed: u64,
-    /// Queue-wait statistics, in seconds.
-    pub waits: OnlineStats,
-    /// Service-time statistics, in seconds.
-    pub services: OnlineStats,
-    /// ∫ busy-servers dt, in server·nanoseconds.
-    pub busy_integral_ns: u128,
-    /// ∫ queue-length dt, in job·nanoseconds.
-    pub queue_integral_ns: u128,
-    /// High-water mark of the queue length.
-    pub max_queue_len: usize,
-    /// Instant the snapshot was taken.
-    pub observed_at: SimTime,
-}
-
-impl ResourceStats {
-    /// Mean utilization of the servers over `[0, observed_at]`, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let horizon = self.observed_at.as_nanos() as f64 * self.capacity as f64;
-        if horizon == 0.0 {
-            0.0
-        } else {
-            self.busy_integral_ns as f64 / horizon
-        }
-    }
-
-    /// Time-averaged queue length over `[0, observed_at]`.
-    pub fn mean_queue_len(&self) -> f64 {
-        let horizon = self.observed_at.as_nanos() as f64;
-        if horizon == 0.0 {
-            0.0
-        } else {
-            self.queue_integral_ns as f64 / horizon
-        }
+        self.queue.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::event::EventQueue;
+    use crate::time::{SimDuration, SimTime};
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
     }
 
+    /// A job's life on a station: when it arrived, started and finished.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Life {
+        arrived: SimTime,
+        started: SimTime,
+        finished: SimTime,
+    }
+
+    /// What [`play`] saw: each job's index and life, in completion order,
+    /// and the station's `(busy, queue_len)` after every event.
+    type Played = (Vec<(usize, Life)>, Vec<(usize, usize)>);
+
+    /// Submits jobs `(arrival, service)` to a `servers`-server station and
+    /// plays them out.
+    fn play(servers: usize, jobs: &[(SimTime, SimDuration)]) -> Played {
+        enum Ev {
+            Arrive(usize),
+            Done(usize),
+        }
+        let mut calendar = EventQueue::new();
+        let mut station = Station::new(servers);
+        let mut lives: Vec<Life> = jobs
+            .iter()
+            .map(|&(arrived, _)| Life {
+                arrived,
+                started: SimTime::MAX,
+                finished: SimTime::MAX,
+            })
+            .collect();
+        for (job, &(at, _)) in jobs.iter().enumerate() {
+            calendar.schedule_at(at, Ev::Arrive(job));
+        }
+        let (mut done, mut seen) = (Vec::new(), Vec::new());
+        while let Some(ev) = calendar.pop() {
+            let now = calendar.now();
+            let started = match ev {
+                Ev::Arrive(job) => station.arrive(job),
+                Ev::Done(job) => {
+                    lives[job].finished = now;
+                    done.push((job, lives[job]));
+                    station.finish()
+                }
+            };
+            if let Some(job) = started {
+                lives[job].started = now;
+                calendar.schedule_in(jobs[job].1, Ev::Done(job));
+            }
+            seen.push((station.busy(), station.queue_len()));
+        }
+        (done, seen)
+    }
+
+    fn finish_ms(done: &[(usize, Life)]) -> Vec<f64> {
+        done.iter()
+            .map(|(_, l)| l.finished.as_millis_f64())
+            .collect()
+    }
+
     #[test]
     fn single_server_serializes_jobs() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 1);
-        let ends = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..3 {
-            let ends = ends.clone();
-            res.submit(&mut eng, ms(10), move |eng, _| {
-                ends.borrow_mut().push(eng.now().as_millis_f64());
-            });
-        }
-        eng.run();
-        assert_eq!(*ends.borrow(), vec![10.0, 20.0, 30.0]);
+        let (done, _) = play(1, &[(SimTime::ZERO, ms(10)); 3]);
+        assert_eq!(finish_ms(&done), vec![10.0, 20.0, 30.0]);
     }
 
     #[test]
     fn multi_server_runs_in_parallel() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 3);
-        let ends = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..3 {
-            let ends = ends.clone();
-            res.submit(&mut eng, ms(10), move |eng, _| {
-                ends.borrow_mut().push(eng.now().as_millis_f64());
-            });
-        }
-        eng.run();
-        assert_eq!(*ends.borrow(), vec![10.0, 10.0, 10.0]);
+        let (done, _) = play(3, &[(SimTime::ZERO, ms(10)); 3]);
+        assert_eq!(finish_ms(&done), vec![10.0, 10.0, 10.0]);
     }
 
     #[test]
     fn job_report_decomposes_wait_and_service() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 1);
-        let reports = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..2 {
-            let reports = reports.clone();
-            res.submit(&mut eng, ms(10), move |_, r| reports.borrow_mut().push(r));
-        }
-        eng.run();
-        let rs = reports.borrow();
-        assert_eq!(rs[0].wait(), SimDuration::ZERO);
-        assert_eq!(rs[0].service(), ms(10));
-        assert_eq!(rs[1].wait(), ms(10));
-        assert_eq!(rs[1].sojourn(), ms(20));
+        let (done, _) = play(1, &[(SimTime::ZERO, ms(10)); 2]);
+        let (first, second) = (done[0].1, done[1].1);
+        assert_eq!(first.started - first.arrived, SimDuration::ZERO);
+        assert_eq!(first.finished - first.started, ms(10));
+        assert_eq!(second.started - second.arrived, ms(10));
+        assert_eq!(second.finished - second.arrived, ms(20));
     }
 
     #[test]
     fn fifo_order_is_respected() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for tag in 0..5 {
-            let order = order.clone();
-            res.submit(&mut eng, ms(1), move |_, _| order.borrow_mut().push(tag));
-        }
-        eng.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
+        let (done, _) = play(1, &[(SimTime::ZERO, ms(1)); 5]);
+        let order: Vec<usize> = done.iter().map(|&(job, _)| job).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn completion_can_resubmit() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 1);
-        let count = Rc::new(RefCell::new(0u32));
-        let c2 = count.clone();
-        let res2 = res.clone();
-        res.submit(&mut eng, ms(1), move |eng, _| {
-            *c2.borrow_mut() += 1;
-            let c3 = c2.clone();
-            res2.submit(eng, ms(1), move |_, _| {
-                *c3.borrow_mut() += 1;
-            });
-        });
-        eng.run();
-        assert_eq!(*count.borrow(), 2);
-        assert_eq!(eng.now(), SimTime::from_nanos(2_000_000));
+        // A finished job goes straight back in: the station hands the
+        // freed server to it when nobody else waits.
+        let mut calendar = EventQueue::new();
+        let mut station = Station::new(1);
+        let first = station.arrive(0u32).expect("idle server takes it");
+        calendar.schedule_in(ms(1), first);
+        let mut completions = 0;
+        while let Some(job) = calendar.pop() {
+            completions += 1;
+            assert_eq!(station.finish(), None);
+            if job == 0 {
+                let again = station.arrive(1).expect("the server is free again");
+                calendar.schedule_in(ms(1), again);
+            }
+        }
+        assert_eq!(completions, 2);
+        assert_eq!(calendar.now(), SimTime::from_nanos(2_000_000));
     }
 
     #[test]
     fn utilization_accounting() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 2);
-        // Two servers, two 10 ms jobs in parallel, then idle until t=20ms.
-        res.submit(&mut eng, ms(10), |_, _| {});
-        res.submit(&mut eng, ms(10), |_, _| {});
-        eng.run();
-        let s = res.stats(SimTime::from_nanos(20_000_000));
-        assert_eq!(s.completed, 2);
-        // 2 servers busy for 10 of 20 ms = 50 % utilization.
-        assert!((s.utilization() - 0.5).abs() < 1e-9, "{}", s.utilization());
-        assert_eq!(s.max_queue_len, 0);
+        // Two servers, two 10 ms jobs in parallel, then idle until 20 ms:
+        // the caller's busy integral over the station's readings is 50 %.
+        let (done, seen) = play(2, &[(SimTime::ZERO, ms(10)); 2]);
+        assert_eq!(seen, vec![(1, 0), (2, 0), (1, 0), (0, 0)]);
+        let busy_ms: f64 = done
+            .iter()
+            .map(|(_, l)| (l.finished - l.started).as_millis_f64())
+            .sum();
+        assert!((busy_ms / (2.0 * 20.0) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn queue_length_accounting() {
-        let mut eng = Engine::new();
-        let res = Resource::new("db", 1);
-        for _ in 0..3 {
-            res.submit(&mut eng, ms(10), |_, _| {});
-        }
-        assert_eq!(res.queue_len(), 2);
-        assert_eq!(res.busy(), 1);
-        eng.run();
-        let s = res.stats(eng.now());
-        assert_eq!(s.max_queue_len, 2);
-        // Queue holds 2 jobs for 10ms, 1 job for 10ms, 0 for 10ms → mean 1.0.
-        assert!((s.mean_queue_len() - 1.0).abs() < 1e-9);
-        assert_eq!(s.completed, 3);
-        assert!((s.waits.mean() - 0.010).abs() < 1e-9);
+        let (done, seen) = play(1, &[(SimTime::ZERO, ms(10)); 3]);
+        // All three arrive at once: one in service, then two waiting.
+        assert_eq!(&seen[..3], &[(1, 0), (1, 1), (1, 2)]);
+        assert_eq!(&seen[3..], &[(1, 1), (1, 0), (0, 0)]);
+        let waits: Vec<f64> = done
+            .iter()
+            .map(|(_, l)| (l.started - l.arrived).as_millis_f64())
+            .collect();
+        assert_eq!(waits, vec![0.0, 10.0, 20.0]);
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = Resource::new("bad", 0);
+        let _ = Station::<()>::new(0);
     }
 
     #[test]
     fn idle_resource_reports_clean_stats() {
-        let res = Resource::new("idle", 4);
-        let s = res.stats(SimTime::from_nanos(1_000_000));
-        assert_eq!(s.completed, 0);
-        assert_eq!(s.utilization(), 0.0);
-        assert_eq!(s.mean_queue_len(), 0.0);
-        assert_eq!(s.max_queue_len, 0);
-        assert_eq!(res.name(), "idle");
-        assert_eq!(res.capacity(), 4);
+        let mut station = Station::new(4);
+        assert_eq!((station.busy(), station.queue_len()), (0, 0));
+        for job in 0..5 {
+            assert_eq!(station.arrive(job).is_some(), job < 4);
+        }
+        assert_eq!((station.busy(), station.queue_len()), (4, 1));
+        assert_eq!(
+            station.finish(),
+            Some(4),
+            "the waiting job takes the server"
+        );
+        assert_eq!((station.busy(), station.queue_len()), (4, 0));
     }
 
     #[test]
     fn zero_service_jobs_complete_instantly_in_order() {
-        let mut eng = Engine::new();
-        let res = Resource::new("zero", 1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for tag in 0..3 {
-            let order = order.clone();
-            res.submit(&mut eng, SimDuration::ZERO, move |_, r| {
-                order.borrow_mut().push((tag, r.sojourn()));
-            });
-        }
-        eng.run();
-        let v = order.borrow();
-        assert_eq!(v.len(), 3);
-        assert!(v.iter().all(|(_, d)| d.is_zero()));
-        assert!(v.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(eng.now(), SimTime::ZERO);
+        let (done, _) = play(1, &[(SimTime::ZERO, SimDuration::ZERO); 3]);
+        assert_eq!(done.len(), 3);
+        assert!(done.iter().all(|(_, l)| l.finished == SimTime::ZERO));
+        assert!(done.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -1,10 +1,33 @@
 //! Property tests for the simulation substrate.
 
 use kvs_simcore::stats::percentile_sorted;
-use kvs_simcore::{Dist, Engine, Histogram, OnlineStats, Resource, RngHub, SimDuration, SimTime};
+use kvs_simcore::{
+    Dist, Engine, EventQueue, Histogram, OnlineStats, RngHub, SimDuration, SimTime, Station,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Submits one job per service time (µs) at t = 0 to a `servers`-server
+/// station; returns the jobs in completion order and the makespan.
+fn play(servers: usize, services: &[u64]) -> (Vec<usize>, SimTime) {
+    let mut calendar = EventQueue::new();
+    let mut station = Station::new(servers);
+    let service = |job: usize| SimDuration::from_micros(services[job]);
+    for job in 0..services.len() {
+        if let Some(job) = station.arrive(job) {
+            calendar.schedule_in(service(job), job);
+        }
+    }
+    let mut order = Vec::new();
+    while let Some(job) = calendar.pop() {
+        order.push(job);
+        if let Some(next) = station.finish() {
+            calendar.schedule_in(service(next), next);
+        }
+    }
+    (order, calendar.now())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -59,25 +82,15 @@ proptest! {
         prop_assert_eq!(bucketed + h.underflow(), h.total());
     }
 
-    /// A single-server resource completes jobs in FIFO order and the
+    /// A single-server station completes jobs in FIFO order and the
     /// makespan equals the sum of service times.
     #[test]
     fn resource_fifo_and_work_conserving(services in proptest::collection::vec(1u64..1000, 1..40)) {
-        let mut eng = Engine::new();
-        let res = Resource::new("prop", 1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for (i, &svc) in services.iter().enumerate() {
-            let order = order.clone();
-            res.submit(&mut eng, SimDuration::from_micros(svc), move |_, _| {
-                order.borrow_mut().push(i);
-            });
-        }
-        eng.run();
-        let completed = order.borrow();
-        prop_assert_eq!(completed.len(), services.len());
-        prop_assert!(completed.windows(2).all(|w| w[0] < w[1]), "out of order: {:?}", completed);
+        let (order, makespan) = play(1, &services);
+        prop_assert_eq!(order.len(), services.len());
+        prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "out of order: {:?}", order);
         let total_us: u64 = services.iter().sum();
-        prop_assert_eq!(eng.now(), SimTime::ZERO + SimDuration::from_micros(total_us));
+        prop_assert_eq!(makespan, SimTime::ZERO + SimDuration::from_micros(total_us));
     }
 
     /// With c servers the makespan is bounded by the greedy-scheduling
@@ -85,15 +98,10 @@ proptest! {
     #[test]
     fn resource_respects_greedy_bounds(services in proptest::collection::vec(1u64..1000, 1..40),
                                        cap in 1usize..8) {
-        let mut eng = Engine::new();
-        let res = Resource::new("prop", cap);
-        for &svc in &services {
-            res.submit(&mut eng, SimDuration::from_micros(svc), |_, _| {});
-        }
-        eng.run();
+        let (_, makespan) = play(cap, &services);
         let total: u64 = services.iter().sum();
         let longest = *services.iter().max().unwrap();
-        let makespan_us = eng.now().as_micros_f64();
+        let makespan_us = makespan.as_micros_f64();
         let lower = (total as f64 / cap as f64).max(longest as f64);
         let upper = total as f64 / cap as f64 + longest as f64;
         prop_assert!(makespan_us >= lower - 1e-6, "{makespan_us} < {lower}");

@@ -107,40 +107,50 @@ pub fn analyze(traces: &[RequestTrace]) -> StageReport {
     analyze_with(traces, ClassifierThresholds::default())
 }
 
+/// One node's share of the traces, accumulated in a dense slot.
+#[derive(Debug, Clone, Default)]
+struct NodeAcc {
+    requests: u64,
+    finish: Option<SimTime>,
+    stages: [OnlineStats; 4],
+}
+
 /// Analyzes a run's traces with explicit thresholds.
 pub fn analyze_with(traces: &[RequestTrace], thresholds: ClassifierThresholds) -> StageReport {
-    let mut per_stage_ms: BTreeMap<Stage, OnlineStats> = BTreeMap::new();
-    let mut per_node_stage_ms: BTreeMap<(u32, Stage), OnlineStats> = BTreeMap::new();
-    let mut requests_per_node: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut node_finish: BTreeMap<u32, SimTime> = BTreeMap::new();
+    // Node ids may be sparse: each one seen gets a dense slot, in id order.
+    let mut nodes: Vec<u32> = traces.iter().map(|t| t.node).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let mut per_node = vec![NodeAcc::default(); nodes.len()];
+    let mut per_stage: [OnlineStats; 4] = Default::default();
     let mut run_start = SimTime::MAX;
     let mut run_end = SimTime::ZERO;
     let mut send_start = SimTime::MAX;
     let mut send_end = SimTime::ZERO;
 
     for trace in traces {
-        *requests_per_node.entry(trace.node).or_insert(0) += 1;
+        let slot = nodes
+            .binary_search(&trace.node)
+            .expect("every node has a slot");
+        let node = &mut per_node[slot];
+        node.requests += 1;
         if let Some(t0) = trace.issued_at() {
             run_start = run_start.min(t0);
         }
         if let Some(t1) = trace.completed_at() {
             run_end = run_end.max(t1);
-            let slot = node_finish.entry(trace.node).or_insert(SimTime::ZERO);
-            *slot = (*slot).max(t1);
+            node.finish = node.finish.max(Some(t1));
         }
-        for stage in Stage::ALL {
-            if let Some(span) = trace.spans[stage.index()] {
+        for (i, span) in trace.spans.iter().enumerate() {
+            if let Some(span) = span {
                 let ms = span.duration().as_millis_f64();
-                per_stage_ms.entry(stage).or_default().push(ms);
-                per_node_stage_ms
-                    .entry((trace.node, stage))
-                    .or_default()
-                    .push(ms);
-                if stage == Stage::MasterToSlave {
-                    send_start = send_start.min(span.start);
-                    send_end = send_end.max(span.end);
-                }
+                per_stage[i].push(ms);
+                node.stages[i].push(ms);
             }
+        }
+        if let Some(span) = trace.spans[Stage::MasterToSlave.index()] {
+            send_start = send_start.min(span.start);
+            send_end = send_end.max(span.end);
         }
     }
 
@@ -154,10 +164,23 @@ pub fn analyze_with(traces: &[RequestTrace], thresholds: ClassifierThresholds) -
     } else {
         0.0
     };
-    let node_finish_ms: BTreeMap<u32, f64> = node_finish
-        .iter()
-        .map(|(&n, &t)| (n, (t - run_start).as_millis_f64()))
+    let recorded = |(_, stats): &(_, OnlineStats)| stats.count() > 0;
+    let per_stage_ms: BTreeMap<Stage, OnlineStats> = Stage::ALL
+        .into_iter()
+        .zip(per_stage)
+        .filter(recorded)
         .collect();
+    let mut per_node_stage_ms = BTreeMap::new();
+    let mut requests_per_node = BTreeMap::new();
+    let mut node_finish_ms = BTreeMap::new();
+    for (&id, node) in nodes.iter().zip(per_node) {
+        requests_per_node.insert(id, node.requests);
+        if let Some(t) = node.finish {
+            node_finish_ms.insert(id, (t - run_start).as_millis_f64());
+        }
+        let stages = Stage::ALL.into_iter().zip(node.stages).filter(recorded);
+        per_node_stage_ms.extend(stages.map(|(stage, stats)| ((id, stage), stats)));
+    }
 
     // Database idle gap: approximate as makespan minus the busiest node's
     // total in-db time (a fully driven single-threaded DB would be busy the
@@ -255,7 +278,148 @@ fn request_spread(requests_per_node: &BTreeMap<u32, u64>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceRecorder;
+    use crate::trace::{Span, TraceRecorder};
+
+    /// The implementation before the dense slots, with a map look-up per
+    /// node and stage of every trace: the reference the dense one must
+    /// equal.
+    fn analyze_reference(traces: &[RequestTrace], thresholds: ClassifierThresholds) -> StageReport {
+        let mut per_stage_ms: BTreeMap<Stage, OnlineStats> = BTreeMap::new();
+        let mut per_node_stage_ms: BTreeMap<(u32, Stage), OnlineStats> = BTreeMap::new();
+        let mut requests_per_node: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut node_finish: BTreeMap<u32, SimTime> = BTreeMap::new();
+        let mut run_start = SimTime::MAX;
+        let mut run_end = SimTime::ZERO;
+        let mut send_start = SimTime::MAX;
+        let mut send_end = SimTime::ZERO;
+
+        for trace in traces {
+            *requests_per_node.entry(trace.node).or_insert(0) += 1;
+            if let Some(t0) = trace.issued_at() {
+                run_start = run_start.min(t0);
+            }
+            if let Some(t1) = trace.completed_at() {
+                run_end = run_end.max(t1);
+                let slot = node_finish.entry(trace.node).or_insert(SimTime::ZERO);
+                *slot = (*slot).max(t1);
+            }
+            for stage in Stage::ALL {
+                if let Some(span) = trace.spans[stage.index()] {
+                    let ms = span.duration().as_millis_f64();
+                    per_stage_ms.entry(stage).or_default().push(ms);
+                    per_node_stage_ms
+                        .entry((trace.node, stage))
+                        .or_default()
+                        .push(ms);
+                    if stage == Stage::MasterToSlave {
+                        send_start = send_start.min(span.start);
+                        send_end = send_end.max(span.end);
+                    }
+                }
+            }
+        }
+
+        let makespan = if run_end > run_start {
+            run_end - run_start
+        } else {
+            SimDuration::ZERO
+        };
+        let issue_span_ms = if send_end > send_start {
+            (send_end - send_start).as_millis_f64()
+        } else {
+            0.0
+        };
+        let node_finish_ms: BTreeMap<u32, f64> = node_finish
+            .iter()
+            .map(|(&n, &t)| (n, (t - run_start).as_millis_f64()))
+            .collect();
+
+        // Database idle gap: approximate as makespan minus the busiest node's
+        // total in-db time (a fully driven single-threaded DB would be busy the
+        // whole run; idle holes mean starvation). Clamped at zero because with
+        // in-node parallelism the sum can exceed the makespan.
+        let max_node_db_ms = per_node_stage_ms
+            .iter()
+            .filter(|((_, s), _)| *s == Stage::InDb)
+            .map(|(_, stats)| stats.sum())
+            .fold(0.0f64, f64::max);
+        let db_idle_gap_ms = (makespan.as_millis_f64() - max_node_db_ms).max(0.0);
+
+        let bottleneck = classify(
+            traces.len(),
+            makespan,
+            issue_span_ms,
+            &per_stage_ms,
+            &requests_per_node,
+            thresholds,
+        );
+
+        StageReport {
+            requests: traces.len(),
+            makespan,
+            per_stage_ms,
+            per_node_stage_ms,
+            requests_per_node,
+            node_finish_ms,
+            issue_span_ms,
+            db_idle_gap_ms,
+            bottleneck,
+        }
+    }
+
+    /// `n` seeded random traces over dense, sparse and huge node ids, each
+    /// stage recorded or not at random, with spans anywhere on the clock.
+    fn random_traces(seed: u64, n: usize) -> Vec<RequestTrace> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut draw = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        (0..n as u64)
+            .map(|request_id| {
+                let node = match draw(3) {
+                    0 => draw(4) as u32,
+                    1 => 1_000 + 977 * draw(5) as u32,
+                    _ => u32::MAX - draw(3) as u32,
+                };
+                let mut spans = [None; 4];
+                for span in &mut spans {
+                    if draw(5) > 0 {
+                        let start = SimTime::from_nanos(draw(50_000_000));
+                        let end = start + SimDuration::from_nanos(draw(5_000_000));
+                        *span = Some(Span { start, end });
+                    }
+                }
+                RequestTrace {
+                    request_id,
+                    node,
+                    cells: draw(1_000),
+                    spans,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dense_slots_equal_the_map_per_lookup_reference() {
+        let strict = ClassifierThresholds {
+            master_issue_fraction: 0.1,
+            queue_pressure: 0.1,
+            imbalance_excess: 0.05,
+        };
+        for seed in 0..60u64 {
+            let traces = random_traces(seed, (seed % 12 * 9) as usize);
+            for th in [ClassifierThresholds::default(), strict] {
+                assert_eq!(
+                    format!("{:?}", analyze_with(&traces, th)),
+                    format!("{:?}", analyze_reference(&traces, th)),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)

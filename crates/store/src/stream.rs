@@ -94,10 +94,15 @@ impl<M: Medium> Engine<M> {
         mut visit: impl FnMut(CellRef<'_>),
     ) -> io::Result<ReadReceipt> {
         let mut receipt = ReadReceipt::default();
-        let mut holders = Vec::new();
+        // The first run holding the partition stays in a local, so a read
+        // of a partition one run holds, the common case, allocates nothing.
+        let (mut first, mut more) = (None, Vec::new());
         for run in &self.runs {
             if let Some(entry) = run.probe(pk, &mut receipt) {
-                holders.push((run, entry));
+                match first {
+                    None => first = Some((run, entry)),
+                    Some(_) => more.push((run, entry)),
+                }
             }
         }
         let mem = self.memtable.range(pk, range.0..=range.1);
@@ -108,15 +113,15 @@ impl<M: Medium> Engine<M> {
             returned += 1;
             visit(cell);
         };
-        match (holders.as_slice(), mem) {
-            ([], None) => {}
-            ([(run, entry)], None) => {
+        match (first, mem) {
+            (None, None) => {}
+            (Some((run, entry)), None) if more.is_empty() => {
                 run.scan_partition(entry, range, cache, &mut receipt, &mut visit)?
             }
-            ([], Some(cells)) => cells.for_each(|cell| visit(cell.as_cell_ref())),
-            (holders, mem) => {
-                let mut sources = Vec::with_capacity(holders.len() + 1);
-                for (run, entry) in holders {
+            (None, Some(cells)) => cells.for_each(|cell| visit(cell.as_cell_ref())),
+            (first, mem) => {
+                let mut sources = Vec::with_capacity(more.len() + 2);
+                for (run, entry) in first.into_iter().chain(more) {
                     let mut cells = CellBuf::default();
                     run.scan_partition(entry, range, cache, &mut receipt, |cell| cells.push(cell))?;
                     sources.push(cells);
