@@ -138,6 +138,10 @@ fn flush_all(owed: &mut Vec<Arc<Mutex<Conn>>>) {
 /// the paper's RAM-resident experiments, or the [`DurableTable`] whose
 /// data survives a kill via WAL + SSTables + manifest (and whose restart
 /// runs *real* crash recovery instead of handing the old memory back).
+// One per node, built once and kept behind the node's mutex: the bytes the
+// RAM arm leaves unused are never copied or multiplied, so boxing either
+// arm would buy nothing but a pointer chase per request.
+#[allow(clippy::large_enum_variant)]
 pub enum NodeStore {
     /// RAM-only: dies with the process, handed back on shutdown.
     Ram(Table),

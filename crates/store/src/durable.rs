@@ -55,7 +55,11 @@ pub struct DurableOptions {
     pub bloom_fp_rate: f64,
     /// Trigger a full compaction when this many SSTables accumulate.
     pub compaction_threshold: usize,
-    /// Block-cache capacity in 4 KiB blocks (0 disables caching).
+    /// Block-cache capacity in 4 KiB blocks (0 disables caching). Once
+    /// full, the cache admits a block only on its second miss, which it
+    /// tells by remembering the keys of the last this many blocks it
+    /// refused ([`crate::sst_file::BlockCache`]): the one number bounds
+    /// both the blocks held and the keys remembered.
     pub block_cache_blocks: usize,
     /// WAL durability policy.
     pub fsync: FsyncPolicy,
@@ -638,6 +642,27 @@ mod tests {
         let (_, r2) = t.get(&pk(1)).expect("get");
         assert_eq!(r2.disk_blocks_read, 0);
         assert_eq!(r2.disk_block_cache_hits, r1.disk_blocks_read);
+    }
+
+    #[test]
+    fn compaction_empties_the_block_cache_and_its_ghost() {
+        let opts = DurableOptions {
+            block_cache_blocks: 2,
+            ..small_opts()
+        };
+        let tmp = TempDir::new("dur-ghost");
+        let (mut t, _) = DurableTable::open(tmp.path(), opts).expect("open");
+        // Three runs of 100 cells, two blocks each: two blocks fill the
+        // cache, and the ghost remembers the last two of the four refused.
+        for c in 0..300u64 {
+            t.put(pk(1), Cell::synthetic(c, 0)).expect("put");
+        }
+        assert_eq!(t.sstable_count(), 3);
+        let (_, r) = t.get(&pk(1)).expect("get");
+        assert_eq!(r.disk_blocks_read, 6);
+        assert_eq!(t.engine.cache.lens(), (2, 2));
+        t.compact().expect("compact");
+        assert_eq!(t.engine.cache.lens(), (0, 0));
     }
 
     /// Every crash point: arm, trigger, verify the operation fails and

@@ -40,10 +40,10 @@
 
 use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES, BLOCK_TARGET_BYTES};
 use crate::bloom::BloomFilter;
-use crate::cache::Lru;
+use crate::cache::{FixedState, Lru};
 use crate::receipt::ReadReceipt;
 use crate::run::{bad_data, Medium, PartitionEntry, Run};
-use crate::schema::PartitionKey;
+use crate::schema::{PartitionKey, CELL_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -65,28 +65,49 @@ const EXTENT_MAX_BYTES: usize = 64 * BLOCK_TARGET_BYTES;
 
 /// The block cache of a durable table's runs, keyed by `(generation,
 /// offset)`, and the buffer extents are read into. The default holds none.
+///
+/// Admission resists scans (2Q's A1out rule, Johnson & Shasha, VLDB '94:
+/// "cache on second miss"). While a slot is free a verified block is
+/// admitted at once. Once the cache is full, a missed block is admitted
+/// only if its key is in the *ghost*, the keys of the last `capacity`
+/// blocks refused; otherwise its key joins the ghost and no byte is
+/// copied. So a pass over more blocks than the cache holds, such as an
+/// aggregation re-reading every partition, leaves the blocks already
+/// cached in place and copies nothing, while a block read twice within
+/// the ghost's memory gets a slot. Hits promote as in plain LRU.
 #[derive(Debug)]
 pub struct BlockCache {
     /// Each block an exact-size copy of its own: `capacity` blocks bound
     /// the resident bytes, and none pins the extent it arrived in.
-    blocks: Lru<(u64, u64), Bytes>,
-    capacity: usize,
+    blocks: Lru<(u64, u64), Bytes, FixedState>,
+    /// The keys of the last `capacity` blocks refused admission, and
+    /// nothing else: no key is in both lists.
+    ghost: Lru<(u64, u64), (), FixedState>,
     extent: Vec<u8>,
 }
 
 impl BlockCache {
-    /// A cache of up to `capacity` blocks; 0 caches nothing.
+    /// A cache of up to `capacity` blocks, remembering as many refused
+    /// keys; 0 caches nothing.
     pub fn new(capacity: usize) -> BlockCache {
         BlockCache {
-            blocks: Lru::new(capacity),
-            capacity,
+            blocks: Lru::with_hasher(capacity, FixedState),
+            ghost: Lru::with_hasher(capacity, FixedState),
             extent: Vec::new(),
         }
     }
 
-    /// Drops every cached block (compaction retired their generations).
+    /// Drops every cached block and every remembered key (compaction
+    /// retired their generations).
     pub fn clear(&mut self) {
         self.blocks.clear();
+        self.ghost.clear();
+    }
+
+    /// How many blocks it holds and how many refused keys it remembers.
+    #[cfg(test)]
+    pub(crate) fn lens(&self) -> (usize, usize) {
+        (self.blocks.len(), self.ghost.len())
     }
 }
 
@@ -309,7 +330,8 @@ impl Medium for DiskBlocks {
 
     /// One cache look-up per block, in order. A miss opens an extent over
     /// the misses that follow it, up to a hit, a gap or the size cap, read,
-    /// charged and verified whole before any block of it is handed on.
+    /// charged and verified whole before any block of it is handed on or
+    /// offered to the cache.
     fn read_blocks(
         &self,
         reached: &[BlockMeta],
@@ -319,7 +341,7 @@ impl Medium for DiskBlocks {
     ) -> io::Result<()> {
         let BlockCache {
             blocks: cached,
-            capacity,
+            ghost,
             extent,
         } = cache;
         let key = |meta: &BlockMeta| (self.generation, meta.offset);
@@ -347,8 +369,11 @@ impl Medium for DiskBlocks {
             let run = &reached[start..at];
             let verified = self.read_extent(run, extent, receipt)?;
             for (meta, block) in blocks_in(run, verified) {
-                if *capacity > 0 {
+                // Admission on the second miss ([`BlockCache`]).
+                if !cached.is_full() || ghost.invalidate(&key(meta)) {
                     cached.put(key(meta), Bytes::copy_from_slice(block));
+                } else {
+                    ghost.put(key(meta), ());
                 }
                 if !fold(meta, block, receipt)? {
                     return Ok(());
@@ -368,7 +393,10 @@ impl Medium for DiskBlocks {
 
 /// Parses the partition index region. `data_len` is the size of the data
 /// region (which starts at file offset 0), so every block extent can be
-/// bounds-checked; structural damage yields `None`.
+/// bounds-checked; structural damage yields `None`. So does a partition
+/// whose `cell_count` is not the sum of its blocks' cells, or whose cell
+/// headers alone would not fit in its bytes: a whole-run scan sizes its
+/// buffers from both.
 fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
     let mut buf = Bytes::copy_from_slice(raw);
     if buf.len() < 4 {
@@ -394,14 +422,18 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
             return None;
         }
         let mut blocks = Vec::with_capacity(block_count);
-        let mut bytes = 0u64;
+        let (mut bytes, mut cells) = (0u64, 0u64);
         for _ in 0..block_count {
             let meta = BlockMeta::decode(&mut buf)?;
             if meta.offset.checked_add(meta.len as u64)? > data_len {
                 return None;
             }
             bytes += meta.len as u64;
+            cells += meta.cells as u64;
             blocks.push(meta);
+        }
+        if cells != cell_count as u64 || cells * CELL_HEADER_BYTES as u64 > bytes {
+            return None;
         }
         out.push(PartitionEntry {
             key,
@@ -690,6 +722,19 @@ mod tests {
         bytes[footer + 64..].copy_from_slice(&footer_crc.to_be_bytes());
     }
 
+    /// Where a one-partition file of 200 cells indexes its partition's
+    /// `cell_count` and its first block's `cells`: past the 200 × 46 B of
+    /// data, count (4) ⋅ key_len (2) ⋅ key (8) ⋅ cell_count (4) ⋅
+    /// block_count (4), then per block offset (8) ⋅ len (4) ⋅ cells (4) ⋅ …
+    const CELL_COUNT_AT: usize = 200 * 46 + 4 + 2 + 8;
+    const FIRST_BLOCK_CELLS_AT: usize = CELL_COUNT_AT + 4 + 4 + 8 + 4;
+
+    /// Overwrites the big-endian `u32` at `at`, which must read `was`.
+    fn patch_u32(bytes: &mut [u8], at: usize, was: u32, now: u32) {
+        assert_eq!(bytes[at..at + 4], was.to_be_bytes());
+        bytes[at..at + 4].copy_from_slice(&now.to_be_bytes());
+    }
+
     /// Streams partition 0 whole, expecting the scan to fail; returns the
     /// error and what the receipt had been charged by then.
     fn scan_err(sst: &SstFile, cache: &mut BlockCache) -> (io::Error, ReadReceipt) {
@@ -704,8 +749,9 @@ mod tests {
     #[test]
     fn block_cell_count_mismatch_rejected_at_read() {
         // A block that verifies but does not hold the cells its index entry
-        // promises: patch the first block's `cells` (90 → 89) and re-seal
-        // the metadata and footer checksums around the lie.
+        // promises: patch the first block's `cells` (90 → 89) and, so the
+        // index still adds up, the partition's `cell_count` (200 → 199);
+        // then re-seal the metadata and footer checksums around the lie.
         let tmp = TempDir::new("sst-count-mismatch");
         let path = tmp.path().join(sst_file_name(1));
         write_sst(
@@ -714,12 +760,8 @@ mod tests {
         )
         .expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
-        let index = 200 * 46;
-        // count (4) ⋅ key_len (2) ⋅ key (8) ⋅ cell_count (4) ⋅ block_count
-        // (4), then per block offset (8) ⋅ len (4) ⋅ cells (4) ⋅ …
-        let cells_at = index + 4 + 2 + 8 + 4 + 4 + 8 + 4;
-        assert_eq!(bytes[cells_at..cells_at + 4], 90u32.to_be_bytes());
-        bytes[cells_at..cells_at + 4].copy_from_slice(&89u32.to_be_bytes());
+        patch_u32(&mut bytes, CELL_COUNT_AT, 200, 199);
+        patch_u32(&mut bytes, FIRST_BLOCK_CELLS_AT, 90, 89);
         reseal(&mut bytes, 0, checksum64);
         std::fs::write(&path, &bytes).expect("write");
 
@@ -733,6 +775,48 @@ mod tests {
         assert!(err.to_string().contains("index says 89"), "{err}");
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
         assert_eq!(r.cells_scanned, 90, "the block was decoded, then refused");
+    }
+
+    #[test]
+    fn partition_cell_count_must_add_up_at_open() {
+        // A whole-run scan (compaction's input) sizes its buffers from a
+        // partition's `cell_count` and its bytes less the cell headers: a
+        // re-sealed `u32::MAX` once passed open and then panicked there
+        // with "capacity overflow".
+        let tmp = TempDir::new("sst-cell-count");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
+        let pristine = std::fs::read(&path).expect("read");
+        let refused = |patches: &[(usize, u32, u32)]| {
+            let mut bytes = pristine.clone();
+            for &(at, was, now) in patches {
+                patch_u32(&mut bytes, at, was, now);
+            }
+            reseal(&mut bytes, 0, checksum64);
+            std::fs::write(&path, &bytes).expect("write");
+            let err = SstFile::open(&path).expect_err("must refuse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("malformed partition index"),
+                "{err}"
+            );
+        };
+        // Not the sum of the blocks' cells (90 + 90 + 20).
+        for count in [u32::MAX, 199, 201] {
+            refused(&[(CELL_COUNT_AT, 200, count)]);
+        }
+        // The sum, but 13-byte cell headers alone outgrow the 9 200 bytes.
+        refused(&[
+            (CELL_COUNT_AT, 200, u32::MAX),
+            (FIRST_BLOCK_CELLS_AT, 90, u32::MAX - 110),
+        ]);
+        std::fs::write(&path, &pristine).expect("write");
+        let sst = SstFile::open(&path).expect("open");
+        assert_eq!(sst.scanned().expect("scan"), build_input(&[200]));
     }
 
     #[test]
@@ -862,5 +946,217 @@ mod tests {
         let tmp = TempDir::new("sst-clobber");
         write_sst(tmp.path(), &Run::build(&[], &SsTableOptions::default(), 1)).expect("first");
         assert!(write_sst(tmp.path(), &Run::build(&[], &SsTableOptions::default(), 1)).is_err());
+    }
+
+    // ---- Admission on the second miss ----
+
+    type Key = (u64, u64);
+
+    /// Reads `blocks` of partition `p` — 10 000 cells, so column-indexed,
+    /// 90 cells a block — reaching exactly those blocks; returns the
+    /// receipt and the cache keys of the blocks read, in order.
+    fn read_blocks_of(
+        sst: &SstFile,
+        p: u64,
+        blocks: std::ops::Range<usize>,
+        cache: &mut BlockCache,
+    ) -> (ReadReceipt, Vec<Key>) {
+        let mut r = ReadReceipt::default();
+        let (from, to) = (blocks.start as u64 * 90, blocks.end as u64 * 90 - 1);
+        sst.read_range(&pk(p), from..=to, cache, &mut r)
+            .expect("io");
+        assert_eq!(r.column_index_blocks, blocks.len() as u64);
+        let entry = sst.probe(&pk(p), &mut ReadReceipt::default());
+        let metas = &entry.expect("present").blocks[blocks];
+        let keys = metas.iter().map(|m| (sst.generation, m.offset)).collect();
+        (r, keys)
+    }
+
+    /// The admission rule written as plainly as possible, over lists kept
+    /// most recently used first; with `ghosted` false, plain LRU.
+    struct Model {
+        capacity: usize,
+        ghosted: bool,
+        blocks: Vec<Key>,
+        ghost: Vec<Key>,
+    }
+
+    impl Model {
+        fn new(capacity: usize, ghosted: bool) -> Model {
+            let blocks = Vec::new();
+            let ghost = Vec::new();
+            Model {
+                capacity,
+                ghosted,
+                blocks,
+                ghost,
+            }
+        }
+
+        fn admit(&mut self, key: Key) {
+            let remembered = self.ghost.contains(&key);
+            if self.blocks.len() < self.capacity || !self.ghosted || remembered {
+                self.ghost.retain(|k| *k != key);
+                self.blocks.insert(0, key);
+                self.blocks.truncate(self.capacity);
+            } else {
+                self.ghost.insert(0, key);
+                self.ghost.truncate(self.capacity);
+            }
+        }
+
+        /// One read of consecutive blocks, in the medium's order: a hit is
+        /// promoted before the misses ahead of it in its extent are
+        /// offered. Returns `(hits, misses)`.
+        fn read(&mut self, keys: &[Key]) -> (u64, u64) {
+            let (mut hits, mut misses) = (0, Vec::new());
+            for &key in keys {
+                match self.blocks.iter().position(|k| *k == key) {
+                    Some(at) => {
+                        let hit = self.blocks.remove(at);
+                        self.blocks.insert(0, hit);
+                        hits += 1;
+                        misses.drain(..).for_each(|miss| self.admit(miss));
+                    }
+                    None => misses.push(key),
+                }
+            }
+            misses.into_iter().for_each(|miss| self.admit(miss));
+            (hits, keys.len() as u64 - hits)
+        }
+    }
+
+    #[test]
+    fn admission_matches_its_model_and_plain_lru_while_the_working_set_fits() {
+        let tmp = TempDir::new("sst-admission");
+        let (sst, _, _) = write_open(tmp.path(), &[10_000], 1);
+        for capacity in [0usize, 1, 2, 3, 8, 24] {
+            // A working set of `capacity` blocks fits; one of 3× + 5 not.
+            for window in [capacity, 3 * capacity + 5] {
+                if window == 0 {
+                    continue;
+                }
+                let fits = window <= capacity;
+                let mut cache = BlockCache::new(capacity);
+                let mut model = Model::new(capacity, true);
+                let mut lru = Model::new(capacity, false);
+                let mut lru_differed = false;
+                let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (capacity * 131 + window) as u64;
+                for step in 0..400 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // 1–3 consecutive blocks inside the window, from block 5.
+                    let len = (1 + state % 3).min(window as u64) as usize;
+                    let first = 5 + (state >> 8) as usize % (window - len + 1);
+                    let (r, keys) = read_blocks_of(&sst, 0, first..first + len, &mut cache);
+                    let want = model.read(&keys);
+                    let what = format!("capacity {capacity}, window {window}, step {step}");
+                    assert_eq!(
+                        (r.disk_block_cache_hits, r.disk_blocks_read),
+                        want,
+                        "{what}"
+                    );
+                    assert_eq!(cache.blocks.keys(), model.blocks, "{what}");
+                    assert_eq!(cache.ghost.keys(), model.ghost, "{what}");
+                    lru_differed |= lru.read(&keys) != want || lru.blocks != model.blocks;
+                    if fits {
+                        assert!(!lru_differed, "{what}: plain LRU");
+                        assert!(cache.ghost.is_empty(), "{what}");
+                    }
+                }
+                // The stream that does not fit tells the two rules apart.
+                assert_eq!(lru_differed, !fits && capacity > 0, "capacity {capacity}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_robin_larger_than_the_cache_keeps_its_first_blocks_and_copies_none() {
+        // One node's share of `agg_coarse`: 10 partitions × 112 blocks,
+        // each read whole in turn, through 256 slots.
+        let tmp = TempDir::new("sst-round-robin");
+        let (sst, blocks, _) = write_open(tmp.path(), &[10_000; 10], 1);
+        assert_eq!(blocks, 1_120);
+        let mut cache = BlockCache::new(256);
+        let round = |cache: &mut BlockCache| -> Vec<u64> {
+            let hits = (0..10).map(|p| {
+                let mut r = ReadReceipt::default();
+                let cells = sst.read(&pk(p), cache, &mut r).expect("io").expect("hit");
+                assert_eq!(cells.len(), 10_000);
+                assert_eq!(r.disk_blocks_read + r.disk_block_cache_hits, 112);
+                r.disk_block_cache_hits
+            });
+            hits.collect()
+        };
+        // Where each cached block's bytes live: a copy would move them.
+        let resident = |cache: &BlockCache| {
+            let held = cache.blocks.recency().into_iter();
+            let mut held: Vec<(Key, *const u8)> = held.map(|(k, v)| (*k, v.as_ptr())).collect();
+            held.sort_unstable();
+            held
+        };
+        assert_eq!(round(&mut cache), [0; 10]);
+        let first = resident(&cache);
+        let metas = sst.partitions.iter().flat_map(|p| &p.blocks);
+        let want: Vec<Key> = metas.take(256).map(|m| (1, m.offset)).collect();
+        assert_eq!(first.iter().map(|(k, _)| *k).collect::<Vec<_>>(), want);
+        for _ in 0..3 {
+            assert_eq!(round(&mut cache), [112, 112, 32, 0, 0, 0, 0, 0, 0, 0]);
+            assert_eq!(resident(&cache), first);
+            assert_eq!(cache.ghost.len(), 256);
+        }
+    }
+
+    #[test]
+    fn a_new_working_set_that_fits_is_cached_by_its_third_pass() {
+        let tmp = TempDir::new("sst-new-set");
+        let (sst, _, _) = write_open(tmp.path(), &[10_000], 1);
+        let mut cache = BlockCache::new(8);
+        let mut pass = |blocks: std::ops::Range<usize>| {
+            read_blocks_of(&sst, 0, blocks, &mut cache)
+                .0
+                .disk_block_cache_hits
+        };
+        // The first set fills free slots: cached on its first pass.
+        assert_eq!((pass(0..8), pass(0..8)), (0, 8));
+        // The next is remembered on its first pass, admitted on its
+        // second, evicting the first set, and hits on its third.
+        assert_eq!((pass(40..48), pass(40..48), pass(40..48)), (0, 0, 8));
+        assert_eq!(pass(0..8), 0);
+        let (_, set) = read_blocks_of(&sst, 0, 40..48, &mut cache);
+        let mut held = cache.blocks.keys();
+        held.sort_unstable();
+        assert_eq!(held, set);
+        assert_eq!(cache.ghost.len(), 8, "the first set, refused once more");
+    }
+
+    #[test]
+    fn a_block_that_fails_its_checksum_enters_neither_list() {
+        // Partition 0 (200 cells, 3 blocks) has a flipped bit in its first
+        // block; partition 1 (10 000 cells) is clean.
+        let tmp = TempDir::new("sst-corrupt-admission");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200, 10_000]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[100] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("write");
+        let sst = SstFile::open(&path).expect("open");
+        // A full cache and a remembered key: a verified miss would now
+        // join the ghost.
+        let mut cache = BlockCache::new(4);
+        read_blocks_of(&sst, 1, 0..4, &mut cache);
+        read_blocks_of(&sst, 1, 10..11, &mut cache);
+        let (blocks, ghost) = (cache.blocks.keys(), cache.ghost.keys());
+        assert_eq!((blocks.len(), ghost.len()), (4, 1));
+        let mut r = ReadReceipt::default();
+        let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
+        assert!(err.to_string().contains("checksum"), "{err}");
+        assert_eq!(r.disk_blocks_read, 3);
+        assert_eq!((cache.blocks.keys(), cache.ghost.keys()), (blocks, ghost));
     }
 }
