@@ -32,3 +32,15 @@ pub fn load_block(file: &mut File, meta: &BlockMeta, receipt: &mut ReadReceipt) 
     }
     Ok(buf)
 }
+
+/// The mapped twin: a block sliced out of the SSTable's mapping is
+/// charged before its checksum is judged (KVS-L019 pass).
+pub fn fold_mapped(blocks: &DiskBlocks, meta: &BlockMeta, receipt: &mut ReadReceipt) -> std::io::Result<usize> {
+    let block = blocks.mapped_block(meta);
+    receipt.disk_blocks_read += 1;
+    receipt.disk_bytes_read += meta.len as u64;
+    if checksum64(0, block) != meta.crc {
+        return Err(corrupt(meta.offset));
+    }
+    Ok(block.len())
+}

@@ -60,10 +60,11 @@
 //! * **KVS-L019** must-reach receipt accounting on the durable read
 //!   paths (`durable.rs`, `sst_file.rs`): in any function with a
 //!   `ReadReceipt` in scope, every CFG path that performs a disk block
-//!   read (`read_exact`/`read_exact_at`) must charge the receipt before
-//!   returning. The read's own `?` error edge is exempt (a failed read
-//!   moved no bytes); calls to same-file helpers that charge count as
-//!   charges.
+//!   read (`read_exact`/`read_exact_at`, or `mapped_block`, the accessor
+//!   that slices a block out of an SSTable's mapping) must charge the
+//!   receipt before returning. The read's own `?` error edge is exempt (a
+//!   failed read moved no bytes); calls to same-file helpers that charge
+//!   count as charges.
 //!
 //! Heuristic boundaries (documented so nobody re-learns them): lock
 //! identity is the receiver's trailing field/binding name, crate-
@@ -1873,7 +1874,8 @@ fn receipt_accounting(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>)
                 .iter()
                 .any(|h| text.contains(&format!("{h}(")) && ident_mentions(text, h))
     };
-    let is_read = |text: &str| text.contains("read_exact");
+    // A positional read, or a block sliced out of an SSTable's mapping.
+    let is_read = |text: &str| text.contains("read_exact") || text.contains("mapped_block(");
     for (f, fn_line, g) in &fns {
         // Receipt in scope: a parameter or any statement names it.
         let param_receipt = cg

@@ -51,6 +51,7 @@ fn each_violating_fixture_fails_with_its_rule() {
             "crates/net/src/clock_bridge.rs",
         ),
         ("l019_receipt", "KVS-L019", "crates/store/src/durable.rs"),
+        ("l019_mapped", "KVS-L019", "crates/store/src/durable.rs"),
     ];
     for (name, rule, path) in cases {
         let outcome = kvs_lint::check_workspace(&fixture(name))
@@ -171,6 +172,21 @@ fn dataflow_diagnostics_carry_source_to_sink_witness_chains() {
              crates/store/src/durable.rs:7 → crates/store/src/durable.rs:8"
         ),
         "unexpected L019 witness: {}",
+        d.message
+    );
+
+    // KVS-L019 over a mapped read: slicing a block out of the mapping is
+    // the read, and the same early return escapes the charge at line 9.
+    let outcome = kvs_lint::check_workspace(&fixture("l019_mapped")).expect("scan l019 mapped");
+    assert_eq!(outcome.diagnostics.len(), 1, "{:#?}", outcome.diagnostics);
+    let d = &outcome.diagnostics[0];
+    assert_eq!(d.line, 5, "anchored at the mapped read");
+    assert!(
+        d.message.ends_with(
+            "escaping path: crates/store/src/durable.rs:5 → \
+             crates/store/src/durable.rs:6 → crates/store/src/durable.rs:7"
+        ),
+        "unexpected mapped L019 witness: {}",
         d.message
     );
 }

@@ -760,6 +760,54 @@ mod tests {
         oracle.assert_matches(&mut t);
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn every_live_sstable_is_mapped_once_and_retired_ones_are_unmapped() {
+        let tmp = TempDir::new("dur-maps");
+        // Lines of this process's memory map naming a file in the table's
+        // directory: one per mapped SSTable, unlinked or not.
+        let mappings_in = |dir: &Path| {
+            let maps = fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+            let dir = format!("{}/", dir.display());
+            maps.lines().filter(|line| line.contains(&dir)).count()
+        };
+        let mut oracle = Oracle::default();
+        let (mut t, _) = DurableTable::open(tmp.path(), small_opts()).expect("open");
+        for round in 0..2u64 {
+            let cells: Vec<Cell> = (0..300).map(|c| Cell::synthetic(c, round as u8)).collect();
+            let mut input = vec![(pk(round), cells.clone()), (pk(7), cells)];
+            input.sort_by(|a, b| a.0.cmp(&b.0));
+            for (pk, cells) in &input {
+                cells.iter().for_each(|c| oracle.put(pk.clone(), c.clone()));
+            }
+            t.ingest_sorted(&input).expect("ingest");
+            assert_eq!(mappings_in(tmp.path()), t.sstable_count());
+        }
+        let mut write = |t: &mut DurableTable, kind: u8| {
+            for c in 0..50u64 {
+                let cell = Cell::synthetic(c, kind);
+                oracle.put(pk(c % 3), cell.clone());
+                t.put(pk(c % 3), cell).expect("put");
+            }
+            t.flush().expect("flush");
+        };
+        write(&mut t, 2);
+        assert_eq!((t.sstable_count(), mappings_in(tmp.path())), (3, 3));
+        t.compact().expect("compact");
+        assert_eq!((t.sstable_count(), mappings_in(tmp.path())), (1, 1));
+        // A crash after the live set swapped: the retired runs are
+        // unmapped with the failed step, their files left for recovery.
+        write(&mut t, 3);
+        t.arm_crash_point(CrashPoint::AfterCompactManifest);
+        t.compact().expect_err("armed compact must fail");
+        assert_eq!((t.sstable_count(), mappings_in(tmp.path())), (1, 1));
+        drop(t);
+        assert_eq!(mappings_in(tmp.path()), 0);
+        let (mut t, _) = DurableTable::open(tmp.path(), small_opts()).expect("reopen");
+        assert_eq!((t.sstable_count(), mappings_in(tmp.path())), (1, 1));
+        oracle.assert_matches(&mut t);
+    }
+
     #[test]
     fn column_index_discontinuity_on_durable_reads() {
         // The Figure 6 knee: 1424 cells below, 1425 above.

@@ -1,13 +1,12 @@
 //! Block-based on-disk SSTables: the file medium of the one run format
 //! ([`crate::run`]).
 //!
-//! An [`SstFile`] is a [`Run`] whose blocks lie in a file: only its
-//! metadata is resident, and 4 KiB blocks are fetched on demand — a run of
-//! consecutive blocks the [`BlockCache`] does not hold is one positional
-//! read (an *extent*, up to 256 KiB) into a reused buffer, charged to the
-//! [`ReadReceipt`] block by block (`disk_blocks_read` vs
-//! `disk_block_cache_hits`), each block verified against its own checksum
-//! before any cell of the extent is visited or any block of it cached.
+//! An [`SstFile`] is a [`Run`] whose file is mapped read-only at open:
+//! each block a scan reaches that the [`BlockCache`] does not hold is
+//! charged to the [`ReadReceipt`], verified against its checksum and
+//! decoded where it lies, before any cell of it is visited or it is
+//! cached. An SST is written once (`create_new`), synced, and never
+//! modified or truncated, only unlinked: truncation would fault readers.
 //!
 //! ## File layout
 //!
@@ -38,17 +37,19 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
-use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES, BLOCK_TARGET_BYTES};
+use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::{FixedState, Lru};
 use crate::receipt::ReadReceipt;
 use crate::run::{bad_data, Medium, PartitionEntry, Run};
 use crate::schema::{PartitionKey, CELL_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ffi::{c_int, c_long, c_void};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::os::unix::fs::FileExt;
+use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
+use std::ptr::{self, NonNull};
 
 /// Footer magic: `"KSST"`.
 pub const SST_MAGIC: u32 = 0x4B53_5354;
@@ -57,14 +58,8 @@ pub const SST_VERSION: u8 = 2;
 /// Encoded footer size in bytes.
 pub const SST_FOOTER_LEN: usize = 72;
 
-/// The most one disk read fetches: a run of consecutive blocks a scan
-/// reaches and the cache does not hold is read as one extent of up to this
-/// many bytes — 64 blocks of the target size — unless a single block is
-/// larger.
-const EXTENT_MAX_BYTES: usize = 64 * BLOCK_TARGET_BYTES;
-
 /// The block cache of a durable table's runs, keyed by `(generation,
-/// offset)`, and the buffer extents are read into. The default holds none.
+/// offset)`. The default holds none.
 ///
 /// Admission resists scans (2Q's A1out rule, Johnson & Shasha, VLDB '94:
 /// "cache on second miss"). While a slot is free a verified block is
@@ -78,12 +73,11 @@ const EXTENT_MAX_BYTES: usize = 64 * BLOCK_TARGET_BYTES;
 #[derive(Debug)]
 pub struct BlockCache {
     /// Each block an exact-size copy of its own: `capacity` blocks bound
-    /// the resident bytes, and none pins the extent it arrived in.
+    /// the resident bytes.
     blocks: Lru<(u64, u64), Bytes, FixedState>,
     /// The keys of the last `capacity` blocks refused admission, and
     /// nothing else: no key is in both lists.
     ghost: Lru<(u64, u64), (), FixedState>,
-    extent: Vec<u8>,
 }
 
 impl BlockCache {
@@ -93,7 +87,6 @@ impl BlockCache {
         BlockCache {
             blocks: Lru::with_hasher(capacity, FixedState),
             ghost: Lru::with_hasher(capacity, FixedState),
-            extent: Vec::new(),
         }
     }
 
@@ -185,24 +178,76 @@ pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<(SstFile,
     Ok((SstFile::open(&path)?, file_bytes))
 }
 
-/// Pairs each block of `run` with its bytes in `extent`, where the blocks
-/// lie back to back.
-fn blocks_in<'a>(
-    run: &'a [BlockMeta],
-    mut extent: &'a [u8],
-) -> impl Iterator<Item = (&'a BlockMeta, &'a [u8])> {
-    run.iter().map(move |meta| {
-        let (block, rest) = extent.split_at(meta.len as usize);
-        extent = rest;
-        (meta, block)
-    })
+// std links the C library, so no crate of bindings is needed.
+extern "C" {
+    /// `mmap(2)`.
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: c_long,
+    ) -> *mut c_void;
+    /// `munmap(2)`.
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
 }
 
-/// The file medium: a run's blocks on disk, fetched in extents through
-/// the [`BlockCache`] and verified against their checksums before use.
+/// `PROT_READ` and `MAP_SHARED` of `<sys/mman.h>`.
+const PROT_READ: c_int = 1;
+const MAP_SHARED: c_int = 1;
+
+/// A read-only shared mapping of a whole file, unmapped on drop.
+#[derive(Debug)]
+struct Mmap {
+    ptr: NonNull<c_void>,
+    len: usize,
+}
+
+// SAFETY: the mapping is read-only and owned by this value alone, which
+// unmaps it once, on drop, when no borrow of its bytes is left.
+unsafe impl Send for Mmap {}
+// SAFETY: `&Mmap` only reads the mapped bytes, and nothing writes them
+// while they are mapped (an SST is never modified once written).
+unsafe impl Sync for Mmap {}
+
+impl Mmap {
+    /// Maps all `len` bytes of `file`.
+    fn map(file: &File, len: usize) -> io::Result<Mmap> {
+        let fd = file.as_raw_fd();
+        // SAFETY: a new mapping at an address the kernel picks overlaps no
+        // memory this program owns; `fd` is open for reading.
+        let at = unsafe { mmap(ptr::null_mut(), len, PROT_READ, MAP_SHARED, fd, 0) };
+        match NonNull::new(at) {
+            // `MAP_FAILED` is `(void *) -1`.
+            Some(ptr) if ptr.as_ptr() as usize != usize::MAX => Ok(Mmap { ptr, len }),
+            _ => Err(io::Error::last_os_error()),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `ptr` starts `len` readable bytes that stay mapped while
+        // `self` lives, and no one writes them (module docs).
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().cast(), self.len) }
+    }
+}
+
+impl Drop for Mmap {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` and `len` are the one mapping this value owns, and
+        // every slice of it borrowed `self`, so none outlives this call.
+        if unsafe { munmap(self.ptr.as_ptr(), self.len) } != 0 {
+            // Leaked address space, not a reason to panic in a drop.
+            eprintln!("kvs-store: munmap failed: {}", io::Error::last_os_error());
+        }
+    }
+}
+
+/// The file medium: a run's blocks in its file's mapping, read through the
+/// [`BlockCache`] and verified against their checksums before use.
 #[derive(Debug)]
 pub struct DiskBlocks {
-    file: File,
+    map: Mmap,
     path: PathBuf,
     /// The run's generation: with a block's offset, its cache key.
     generation: u64,
@@ -212,9 +257,9 @@ pub struct DiskBlocks {
 pub type SstFile = Run<DiskBlocks>;
 
 impl SstFile {
-    /// Opens an SSTable file, verifying the footer and metadata checksums
-    /// and loading the partition index and bloom filter. Data blocks stay
-    /// on disk; their checksums are verified lazily at read time.
+    /// Opens an SSTable file: maps it, verifies the footer and metadata
+    /// checksums and parses the partition index and bloom filter out of
+    /// the mapping. Data blocks are verified at read time.
     pub fn open(path: &Path) -> io::Result<SstFile> {
         let bad = |what: &str| bad_data(format!("{}: {what}", path.display()));
         let file = File::open(path)?;
@@ -222,9 +267,10 @@ impl SstFile {
         if file_len < SST_FOOTER_LEN as u64 {
             return Err(bad("too short for a footer"));
         }
-        let mut footer_raw = [0u8; SST_FOOTER_LEN];
-        file.read_exact_at(&mut footer_raw, file_len - SST_FOOTER_LEN as u64)?;
-        let (covered, tail) = footer_raw.split_at(SST_FOOTER_LEN - 8);
+        let len = usize::try_from(file_len).map_err(|_| bad("too large to map"))?;
+        let map = Mmap::map(&file, len)?;
+        let bytes = map.bytes();
+        let (covered, tail) = bytes[len - SST_FOOTER_LEN..].split_at(SST_FOOTER_LEN - 8);
         let stored = tail.try_into().map_err(|_| bad("unreadable footer crc"))?;
         if checksum64(0, covered) != u64::from_be_bytes(stored) {
             return Err(bad("footer crc mismatch"));
@@ -253,28 +299,25 @@ impl SstFile {
         {
             return Err(bad("metadata extents inconsistent with file size"));
         }
-        let mut index_raw = vec![0u8; index_len as usize];
-        file.read_exact_at(&mut index_raw, index_off)?;
-        let mut bloom_raw = vec![0u8; bloom_len as usize];
-        file.read_exact_at(&mut bloom_raw, bloom_off)?;
-        if checksum64(checksum64(0, &index_raw), &bloom_raw) != meta_crc {
+        let index_raw = &bytes[index_off as usize..bloom_off as usize];
+        let bloom_raw = &bytes[bloom_off as usize..len - SST_FOOTER_LEN];
+        if checksum64(checksum64(0, index_raw), bloom_raw) != meta_crc {
             return Err(bad("metadata crc mismatch"));
         }
         let partitions =
-            parse_index(&index_raw, index_off).ok_or_else(|| bad("malformed partition index"))?;
-        let mut bloom_buf = Bytes::copy_from_slice(&bloom_raw);
+            parse_index(index_raw, index_off).ok_or_else(|| bad("malformed partition index"))?;
+        let mut bloom_buf = Bytes::copy_from_slice(bloom_raw);
         let bloom = BloomFilter::deserialize(&mut bloom_buf)
             .filter(|_| bloom_buf.is_empty())
             .ok_or_else(|| bad("malformed bloom filter"))?;
-        let path = path.to_path_buf();
         Ok(Run {
             generation,
             column_index_size,
             partitions,
             bloom,
             medium: DiskBlocks {
-                file,
-                path,
+                map,
+                path: path.to_path_buf(),
                 generation,
             },
         })
@@ -287,51 +330,20 @@ impl SstFile {
 }
 
 impl DiskBlocks {
-    /// Reads `run` — consecutive blocks, adjacent in the file — with one
-    /// positional read into `extent`, and verifies each against its
-    /// [`BlockMeta`] digest. The blocks lie back to back in the returned
-    /// bytes; nothing of an extent is handed on unless all of it verifies.
-    fn read_extent<'b>(
-        &self,
-        run: &[BlockMeta],
-        extent: &'b mut Vec<u8>,
-        receipt: &mut ReadReceipt,
-    ) -> io::Result<&'b [u8]> {
-        let Some(first) = run.first() else {
-            return Ok(&[]); // the scan went straight to a cached block
-        };
-        let bytes: usize = run.iter().map(|meta| meta.len as usize).sum();
-        if extent.len() < bytes {
-            extent.resize(bytes, 0);
-        }
-        let extent = &mut extent[..bytes];
-        self.file.read_exact_at(extent, first.offset)?;
-        // Charge before the checksum verdict: the read moved the bytes
-        // whether or not they verify, and a corrupt block that escaped
-        // the accounting would skew every cost model built on receipts
-        // (KVS-L019 checks this must-reach property on all paths).
-        receipt.disk_blocks_read += run.len() as u64;
-        receipt.disk_bytes_read += bytes as u64;
-        for (meta, block) in blocks_in(run, extent) {
-            if checksum64(0, block) != meta.crc {
-                return Err(bad_data(format!(
-                    "{}: block at offset {} failed its checksum",
-                    self.path.display(),
-                    meta.offset
-                )));
-            }
-        }
-        Ok(extent)
+    /// `meta`'s block, sliced out of the mapping: the one disk block read
+    /// (KVS-L019 counts each call). [`parse_index`] bounded every block.
+    fn mapped_block(&self, meta: &BlockMeta) -> &[u8] {
+        &self.map.bytes()[meta.offset as usize..][..meta.len as usize]
     }
 }
 
 impl Medium for DiskBlocks {
     type Cache = BlockCache;
 
-    /// One cache look-up per block, in order. A miss opens an extent over
-    /// the misses that follow it, up to a hit, a gap or the size cap, read,
-    /// charged and verified whole before any block of it is handed on or
-    /// offered to the cache.
+    /// One pass over the blocks, in order. A hit is folded from the cache;
+    /// a miss is sliced out of the mapping, charged, verified, offered to
+    /// the cache and folded while it is still in L1. A block that fails
+    /// its checksum is not cached, remembered or visited.
     fn read_blocks(
         &self,
         reached: &[BlockMeta],
@@ -339,52 +351,38 @@ impl Medium for DiskBlocks {
         receipt: &mut ReadReceipt,
         mut fold: impl FnMut(&BlockMeta, &[u8], &mut ReadReceipt) -> io::Result<bool>,
     ) -> io::Result<()> {
-        let BlockCache {
-            blocks: cached,
-            ghost,
-            extent,
-        } = cache;
-        let key = |meta: &BlockMeta| (self.generation, meta.offset);
-        let mut at = 0;
-        while at < reached.len() {
-            let start = at;
-            let mut bytes = 0;
-            let hit = loop {
-                let Some(meta) = reached.get(at) else {
-                    break None;
-                };
-                if let Some(prev) = reached[start..at].last() {
-                    if meta.offset != prev.offset + prev.len as u64
-                        || bytes + meta.len as usize > EXTENT_MAX_BYTES
-                    {
-                        break None;
-                    }
-                }
-                if let Some(block) = cached.get(&key(meta)) {
-                    break Some(block.clone());
-                }
-                bytes += meta.len as usize;
-                at += 1;
-            };
-            let run = &reached[start..at];
-            let verified = self.read_extent(run, extent, receipt)?;
-            for (meta, block) in blocks_in(run, verified) {
-                // Admission on the second miss ([`BlockCache`]).
-                if !cached.is_full() || ghost.invalidate(&key(meta)) {
-                    cached.put(key(meta), Bytes::copy_from_slice(block));
-                } else {
-                    ghost.put(key(meta), ());
-                }
-                if !fold(meta, block, receipt)? {
-                    return Ok(());
-                }
-            }
-            if let Some(block) = hit {
+        let BlockCache { blocks, ghost } = cache;
+        for meta in reached {
+            let key = (self.generation, meta.offset);
+            if let Some(block) = blocks.get(&key) {
                 receipt.disk_block_cache_hits += 1;
-                if !fold(&reached[at], &block, receipt)? {
-                    return Ok(());
+                if !fold(meta, block, receipt)? {
+                    break;
                 }
-                at += 1;
+                continue;
+            }
+            let block = self.mapped_block(meta);
+            // Charge before the checksum verdict: the read moved the bytes
+            // whether or not they verify, and a corrupt block that escaped
+            // the accounting would skew every cost model built on receipts
+            // (KVS-L019 checks this must-reach property on all paths).
+            receipt.disk_blocks_read += 1;
+            receipt.disk_bytes_read += meta.len as u64;
+            if checksum64(0, block) != meta.crc {
+                return Err(bad_data(format!(
+                    "{}: block at offset {} failed its checksum",
+                    self.path.display(),
+                    meta.offset
+                )));
+            }
+            // Admission on the second miss ([`BlockCache`]).
+            if !blocks.is_full() || ghost.invalidate(&key) {
+                blocks.put(key, Bytes::copy_from_slice(block));
+            } else {
+                ghost.put(key, ());
+            }
+            if !fold(meta, block, receipt)? {
+                break;
             }
         }
         Ok(())
@@ -392,7 +390,7 @@ impl Medium for DiskBlocks {
 }
 
 /// Parses the partition index region. `data_len` is the size of the data
-/// region (which starts at file offset 0), so every block extent can be
+/// region (which starts at file offset 0), so every block's bytes can be
 /// bounds-checked; structural damage yields `None`. So does a partition
 /// whose `cell_count` is not the sum of its blocks' cells, or whose cell
 /// headers alone would not fit in its bytes: a whole-run scan sizes its
@@ -456,6 +454,7 @@ mod tests {
     use crate::run::SsTableOptions;
     use crate::schema::Cell;
     use crate::stream::WHOLE;
+    use proptest::prelude::*;
 
     fn pk(i: u64) -> PartitionKey {
         PartitionKey::from_id(i)
@@ -696,12 +695,12 @@ mod tests {
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(sst.scanned().is_err());
-        // Streamed: nothing of the bad group is visited or cached, and the
-        // blocks that were read are on the bill before the verdict.
+        // Streamed: nothing of the bad block is visited or cached, and it
+        // is on the bill before the verdict.
         let (err, r) = scan_err(&sst, &mut cache);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
-        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
         assert_eq!(r.cells_scanned, 0);
         assert!(cache.blocks.is_empty());
     }
@@ -773,7 +772,7 @@ mod tests {
         let (err, r) = scan_err(&sst, &mut BlockCache::new(0));
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("index says 89"), "{err}");
-        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (3, 200 * 46));
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
         assert_eq!(r.cells_scanned, 90, "the block was decoded, then refused");
     }
 
@@ -820,9 +819,8 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_block_deep_in_a_partition_fails_its_extent() {
-        // 10 000 cells = 112 blocks of 4140 B (the last one short): two
-        // extents of 63 and 49 blocks.
+    fn corrupt_block_deep_in_a_partition_fails_at_that_block() {
+        // 10 000 cells = 112 blocks of 4140 B (the last one short).
         let tmp = TempDir::new("sst-corrupt-deep");
         let path = tmp.path().join(sst_file_name(1));
         write_sst(
@@ -850,23 +848,23 @@ mod tests {
             assert!(err.to_string().contains(&named), "{err}");
             (visited, cache.blocks.len(), r)
         };
-        // Block 37, in the first extent: the whole extent is on the bill
-        // before the verdict, and none of it is visited or cached.
-        let (visited, cached, r) = scan(37);
-        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (63, 63 * 4140));
-        assert_eq!(r.disk_block_cache_hits, 0);
-        assert_eq!((visited.len(), r.cells_scanned, cached), (0, 0, 0));
-        // Block 100, in the second: the first extent was verified, cached
-        // and visited; no cell of the second was.
-        let (visited, cached, r) = scan(100);
-        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (112, 10_000 * 46));
-        assert_eq!(visited, (0..63 * 90).collect::<Vec<u64>>());
-        assert_eq!((r.cells_scanned, cached), (63 * 90, 63));
+        // The blocks before the bad one were verified, cached and visited;
+        // the bad one is on the bill before the verdict, and no cell of it
+        // is visited.
+        for bad_block in [0, 37, 100] {
+            let (visited, cached, r) = scan(bad_block);
+            let read = bad_block as u64 + 1;
+            assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (read, read * 4140));
+            assert_eq!(r.disk_block_cache_hits, 0);
+            let cells = bad_block as u64 * 90;
+            assert_eq!(visited, (0..cells).collect::<Vec<u64>>());
+            assert_eq!((r.cells_scanned, cached), (cells, bad_block));
+        }
     }
 
     #[test]
-    fn extents_stop_at_cached_blocks_and_charge_per_block() {
-        let tmp = TempDir::new("sst-extents");
+    fn cached_blocks_hit_and_the_rest_charge_per_block() {
+        let tmp = TempDir::new("sst-per-block");
         let (sst, blocks, _) = write_open(tmp.path(), &[10_000], 1);
         assert_eq!(blocks, 112);
         let mut cache = BlockCache::new(256);
@@ -892,8 +890,6 @@ mod tests {
         let mut r = ReadReceipt::default();
         sst.read(&pk(0), &mut cache, &mut r).expect("io");
         assert_eq!((r.disk_blocks_read, r.disk_block_cache_hits), (0, 112));
-        // The extent buffer never outgrows the cap.
-        assert!(cache.extent.len() <= EXTENT_MAX_BYTES);
     }
 
     #[test]
@@ -1005,23 +1001,20 @@ mod tests {
             }
         }
 
-        /// One read of consecutive blocks, in the medium's order: a hit is
-        /// promoted before the misses ahead of it in its extent are
-        /// offered. Returns `(hits, misses)`.
+        /// One read of consecutive blocks, strictly in order: a hit is
+        /// promoted, a miss offered. Returns `(hits, misses)`.
         fn read(&mut self, keys: &[Key]) -> (u64, u64) {
-            let (mut hits, mut misses) = (0, Vec::new());
+            let mut hits = 0;
             for &key in keys {
                 match self.blocks.iter().position(|k| *k == key) {
                     Some(at) => {
                         let hit = self.blocks.remove(at);
                         self.blocks.insert(0, hit);
                         hits += 1;
-                        misses.drain(..).for_each(|miss| self.admit(miss));
                     }
-                    None => misses.push(key),
+                    None => self.admit(key),
                 }
             }
-            misses.into_iter().for_each(|miss| self.admit(miss));
             (hits, keys.len() as u64 - hits)
         }
     }
@@ -1156,7 +1149,61 @@ mod tests {
         let mut r = ReadReceipt::default();
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert!(err.to_string().contains("checksum"), "{err}");
-        assert_eq!(r.disk_blocks_read, 3);
+        assert_eq!(r.disk_blocks_read, 1);
         assert_eq!((cache.blocks.keys(), cache.ghost.keys()), (blocks, ghost));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A bit flipped in block `k` of a partition of any size fails
+        /// every fold at `k` alone: the blocks before it were verified,
+        /// offered to the cache as the admission model says and visited;
+        /// `k` is on the bill, unvisited, and in neither list.
+        #[test]
+        fn a_corrupt_block_fails_each_fold_after_the_blocks_before_it(
+            cells in 1u64..8_000,
+            payload in 0usize..40,
+            flip in any::<u64>(),
+            capacity in 0usize..96,
+        ) {
+            let input: Vec<Cell> = (0..cells)
+                .map(|c| Cell::new(c, (c % 5) as u8, vec![c as u8; payload + (c % 7) as usize]))
+                .collect();
+            let run = Run::build(&[(pk(0), input.clone())], &SsTableOptions::default(), 1);
+            let metas = run.partitions[0].blocks.clone();
+            let tmp = TempDir::new("sst-corrupt-prop");
+            write_sst(tmp.path(), &run).expect("write");
+            let path = tmp.path().join(sst_file_name(1));
+            let k = (flip % metas.len() as u64) as usize;
+            let bad = &metas[k];
+            let mut bytes = std::fs::read(&path).expect("read");
+            let at = bad.offset as usize + (flip >> 8) as usize % bad.len as usize;
+            bytes[at] ^= 1 << ((flip >> 56) % 8);
+            std::fs::write(&path, &bytes).expect("write");
+            let sst = SstFile::open(&path).expect("open still fine");
+
+            let keys: Vec<Key> = metas.iter().map(|m| (1, m.offset)).collect();
+            let before: u64 = metas[..k].iter().map(|m| m.cells as u64).sum();
+            let (mut cache, mut model) = (BlockCache::new(capacity), Model::new(capacity, true));
+            for _ in 0..3 {
+                let mut r = ReadReceipt::default();
+                let entry = sst.probe(&pk(0), &mut r).expect("present");
+                let mut visited = Vec::new();
+                let err = sst
+                    .scan_partition(entry, WHOLE, &mut cache, &mut r, |cell| {
+                        visited.push(cell.clustering)
+                    })
+                    .expect_err("must fail");
+                let named = format!("block at offset {} failed its checksum", bad.offset);
+                prop_assert!(err.to_string().contains(&named), "{err}");
+                prop_assert_eq!(visited, (0..before).collect::<Vec<u64>>());
+                let (hits, misses) = model.read(&keys[..k]);
+                prop_assert_eq!((r.disk_block_cache_hits, r.disk_blocks_read), (hits, misses + 1));
+                prop_assert_eq!(&cache.blocks.keys(), &model.blocks);
+                prop_assert_eq!(&cache.ghost.keys(), &model.ghost);
+                prop_assert!(!model.blocks.contains(&keys[k]) && !model.ghost.contains(&keys[k]));
+            }
+        }
     }
 }

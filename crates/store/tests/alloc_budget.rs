@@ -89,8 +89,8 @@ fn a_warm_durable_fold_stays_within_its_allocation_budget() {
         assert_eq!(kinds[..4], [CELLS / 4 * PARTITIONS; 4]);
         (cells, hits)
     };
-    // The warm-up fills the cache, sizes the extent buffer and grows the
-    // maps to the size they keep.
+    // The warm-up fills the cache and grows its two hash maps to the size
+    // they keep.
     for _ in 0..3 {
         round(&mut table);
     }

@@ -306,12 +306,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Extent reads are invisible: whatever subset of a partition's blocks
+    /// Mapped reads are invisible: whatever subset of a partition's blocks
     /// earlier range reads left in the cache, and however small the cache,
     /// a whole fold visits exactly the partition's cells, `get` returns
-    /// the same, and every block is either read from disk or served from
-    /// the cache, once. Up to 15 000 cells is up to 167 blocks: uncached
-    /// runs longer than the 64-block extent cap are the common case.
+    /// the same, and every block is either read from its file's mapping
+    /// or served from the cache, once. Up to 15 000 cells is up to 167
+    /// blocks, hits and misses interleaved.
     #[test]
     fn folds_over_a_partly_cached_partition_visit_every_cell_once(
         cells in 1u64..15_000,
