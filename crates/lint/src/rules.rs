@@ -227,7 +227,9 @@ fn in_net_or_cluster_src(rel: &str) -> bool {
 /// The durable store's persistence modules: crash-safety code where a
 /// silently dropped error or a panic can lose acknowledged writes, so the
 /// error-discipline rules (L003/L004) apply with the same force as on the
-/// net/cluster hot paths.
+/// net/cluster hot paths. `table.rs` and `engine.rs` hold the one table's
+/// put/flush/compact/read bodies and the journal steps they call on both
+/// media.
 const PERSISTENCE_FILES: &[&str] = &[
     "crates/store/src/block.rs",
     "crates/store/src/wal.rs",
@@ -235,6 +237,8 @@ const PERSISTENCE_FILES: &[&str] = &[
     "crates/store/src/manifest.rs",
     "crates/store/src/recovery.rs",
     "crates/store/src/durable.rs",
+    "crates/store/src/table.rs",
+    "crates/store/src/engine.rs",
 ];
 
 fn in_error_discipline_zone(rel: &str) -> bool {

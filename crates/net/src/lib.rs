@@ -10,7 +10,7 @@
 //!   carries codec-encoded bodies plus the wall-clock timestamps the four
 //!   methodology stages are reconstructed from;
 //! * [`server`] — [`SlaveServer`]: a TCP front-end over one node's
-//!   [`kvs_store::Table`], with a bounded work queue
+//!   [`kvs_store::Table`], on either medium, with a bounded work queue
 //!   ([`kvs_cluster::queue`]) that answers `Busy` when saturated and a
 //!   worker pool of the paper's per-node parallelism;
 //! * [`master`] — [`NetMaster`]: a connection pool over all slaves with
@@ -67,5 +67,5 @@ pub use master::{
     HedgeConfig, MissedPartition, NetConfig, NetMaster, NetRunReport, QueryMode, Route,
 };
 pub use phi::PhiAccrual;
-pub use server::{NetServerConfig, NodeStore, SlaveHandle, SlaveServer};
+pub use server::{NetServerConfig, SlaveHandle, SlaveServer};
 pub use write_path::{MixedOp, MixedOutcome, MixedPlan, WriteOptions};

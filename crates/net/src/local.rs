@@ -4,23 +4,25 @@
 //! chaos suite, and the `net_loadgen` benchmark all boot.
 //!
 //! Slaves can be [`killed`](LocalCluster::kill) and
-//! [`restarted`](LocalCluster::restart) individually. What a kill means
-//! depends on the tier:
+//! [`restarted`](LocalCluster::restart) individually. Every node serves
+//! the one table type; what a kill means comes from how the cluster was
+//! configured, not from the table a node holds:
 //!
 //! * **RAM cluster** ([`spawn_local_cluster`]): the server tears down
 //!   (its connections drop, so a connected master sees EOF and fails
 //!   over) but the node's [`Table`] is kept in memory, and a restart
 //!   serves the same table on a fresh port — the pre-durability
 //!   behavior.
-//! * **Durable cluster** ([`spawn_local_cluster_durable`]): the kill
-//!   *drops* the node's [`DurableTable`] entirely — exactly what a
-//!   crash leaves behind is what is on disk — and the restart runs real
-//!   crash recovery ([`kvs_store::RecoveryReport`] queryable via
+//! * **Durable cluster** ([`spawn_local_cluster_durable`], which keeps a
+//!   [`DurableClusterConfig`]): the kill *drops* the node's
+//!   [`DurableTable`] entirely — exactly what a crash leaves behind is
+//!   what is on disk — and the restart runs real crash recovery from the
+//!   node's directory ([`kvs_store::RecoveryReport`] queryable via
 //!   [`LocalCluster::last_recovery`]): manifest load, live-SSTable open,
 //!   orphan cleanup and WAL replay.
 
 use crate::master::Route;
-use crate::server::{NetServerConfig, NodeStore, SlaveHandle, SlaveServer};
+use crate::server::{NetServerConfig, ServedTable, SlaveHandle, SlaveServer};
 use kvs_cluster::queue::QueueStats;
 use kvs_cluster::ClusterData;
 use kvs_store::{DurableOptions, DurableTable, RecoveryReport, Table};
@@ -31,19 +33,15 @@ use std::path::PathBuf;
 /// One node's slot in the cluster: a running server, or a killed one.
 enum Slot {
     Up(SlaveHandle),
-    /// A killed RAM node: its data waits in memory for a restart.
-    DownRam {
+    Down {
         /// Last address the server listened on (now closed); kept so
         /// [`LocalCluster::addrs`] stays stable-length while a node is
         /// down.
         addr: SocketAddr,
-        table: Table,
-    },
-    /// A killed durable node: nothing survives in memory — the restart
-    /// recovers from the node's directory.
-    DownDurable {
-        /// Last address the server listened on (now closed).
-        addr: SocketAddr,
+        /// A killed RAM node's table, waiting in memory for the restart;
+        /// `None` for a durable node, whose restart recovers from its
+        /// directory.
+        table: Option<Box<dyn ServedTable>>,
     },
 }
 
@@ -83,8 +81,7 @@ impl LocalCluster {
             .iter()
             .map(|s| match s {
                 Slot::Up(h) => h.addr(),
-                Slot::DownRam { addr, .. } => *addr,
-                Slot::DownDurable { addr } => *addr,
+                Slot::Down { addr, .. } => *addr,
             })
             .collect()
     }
@@ -120,21 +117,19 @@ impl LocalCluster {
         let ix = node as usize;
         assert!(ix < self.slots.len(), "no node {node}");
         // Temporarily park a placeholder so we can move the handle out.
-        let placeholder = Slot::DownDurable {
+        let placeholder = Slot::Down {
             addr: ([127, 0, 0, 1], 0).into(),
+            table: None,
         };
-        let slot = std::mem::replace(&mut self.slots[ix], placeholder);
-        self.slots[ix] = match slot {
+        self.slots[ix] = match std::mem::replace(&mut self.slots[ix], placeholder) {
             Slot::Up(h) => {
                 let addr = h.addr();
-                let (stats, store) = h.shutdown_take_store();
+                let (stats, table) = h.shutdown_take_store();
                 self.downed_stats.merge(&stats);
-                match store {
-                    NodeStore::Ram(table) => Slot::DownRam { addr, table },
-                    // Dropping the DurableTable is the crash: whatever
-                    // it had not committed to WAL/SSTables is gone.
-                    NodeStore::Durable(_) => Slot::DownDurable { addr },
-                }
+                // Dropping a durable node's table is the crash: whatever it
+                // had not committed to WAL/SSTables is gone.
+                let table = self.durable.is_none().then_some(table);
+                Slot::Down { addr, table }
             }
             down => down,
         };
@@ -152,45 +147,36 @@ impl LocalCluster {
         if let Slot::Up(h) = &self.slots[ix] {
             return Ok(h.addr());
         }
-        let placeholder = Slot::DownDurable {
+        let placeholder = Slot::Down {
             addr: ([127, 0, 0, 1], 0).into(),
+            table: None,
         };
-        let slot = std::mem::replace(&mut self.slots[ix], placeholder);
-        let (addr, store) = match slot {
-            Slot::Up(_) => unreachable!("checked Up above"),
-            Slot::DownRam { addr, table } => (addr, NodeStore::Ram(table)),
-            Slot::DownDurable { addr } => {
-                let Some(dcfg) = &self.durable else {
-                    // A durable Down slot in a RAM cluster only exists as
-                    // the transient placeholder above; reaching it here
-                    // means a restart raced a panic. Fail closed.
-                    self.slots[ix] = Slot::DownDurable { addr };
-                    return Err(io::Error::other("node has no recoverable state"));
-                };
-                let dir = node_dir(&dcfg.root, node);
-                match DurableTable::open(&dir, dcfg.store.clone()) {
-                    Ok((table, report)) => {
-                        self.recoveries[ix] = Some(report);
-                        (addr, NodeStore::Durable(table))
-                    }
-                    Err(e) => {
-                        self.slots[ix] = Slot::DownDurable { addr };
-                        return Err(e);
-                    }
-                }
+        let Slot::Down { addr, table } = std::mem::replace(&mut self.slots[ix], placeholder) else {
+            unreachable!("checked Up above")
+        };
+        let served = match (table, &self.durable) {
+            (Some(table), _) => Ok(table),
+            (None, Some(dcfg)) => {
+                let opened = DurableTable::open(&node_dir(&dcfg.root, node), dcfg.store.clone());
+                opened.map(|(table, report)| {
+                    self.recoveries[ix] = Some(report);
+                    Box::new(table) as Box<dyn ServedTable>
+                })
             }
+            // An empty slot of a RAM cluster: a failed restart lost its
+            // table. Fail closed.
+            (None, None) => Err(io::Error::other("node has no recoverable state")),
         };
-        match SlaveServer::spawn_store(store, self.cfg) {
+        match served.and_then(|table| SlaveServer::spawn_store(table, self.cfg)) {
             Ok(handle) => {
                 let new_addr = handle.addr();
                 self.slots[ix] = Slot::Up(handle);
                 Ok(new_addr)
             }
             Err(e) => {
-                // Spawn consumed the store. A durable node loses nothing
-                // (its data is on disk); a RAM node's table is gone, so
-                // park the slot as durable-style empty either way.
-                self.slots[ix] = Slot::DownDurable { addr };
+                // A durable node loses nothing (its data is on disk); a RAM
+                // node's table went with a failed spawn.
+                self.slots[ix] = Slot::Down { addr, table: None };
                 Err(e)
             }
         }
@@ -252,33 +238,7 @@ pub fn spawn_local_cluster(
     data: ClusterData,
     cfg: NetServerConfig,
 ) -> io::Result<(LocalCluster, Vec<Route>)> {
-    let routes = routes_of(&data);
-    let mut slots = Vec::new();
-    for table in data.into_tables() {
-        match SlaveServer::spawn(table, cfg) {
-            Ok(handle) => slots.push(Slot::Up(handle)),
-            Err(e) => {
-                // Don't leak the servers that did boot.
-                for s in slots {
-                    if let Slot::Up(h) = s {
-                        h.shutdown();
-                    }
-                }
-                return Err(e);
-            }
-        }
-    }
-    let recoveries = vec![None; slots.len()];
-    Ok((
-        LocalCluster {
-            slots,
-            cfg,
-            durable: None,
-            recoveries,
-            downed_stats: QueueStats::default(),
-        },
-        routes,
-    ))
+    spawn_nodes(data, cfg, None)
 }
 
 /// Boots a *durable* loopback cluster: each node's data is persisted
@@ -293,59 +253,64 @@ pub fn spawn_local_cluster_durable(
     cfg: NetServerConfig,
     dcfg: DurableClusterConfig,
 ) -> io::Result<(LocalCluster, Vec<Route>)> {
+    spawn_nodes(data, cfg, Some(dcfg))
+}
+
+/// Boots one server per node of `data`, serving the node's table as it is
+/// or, in a durable cluster, [`persist`]ed under its directory.
+fn spawn_nodes(
+    data: ClusterData,
+    cfg: NetServerConfig,
+    durable: Option<DurableClusterConfig>,
+) -> io::Result<(LocalCluster, Vec<Route>)> {
     let routes = routes_of(&data);
-    let mut slots: Vec<Slot> = Vec::new();
-    let boot = |node: u32, table: &Table| -> io::Result<SlaveHandle> {
-        let dir = node_dir(&dcfg.root, node);
-        let (mut durable, _report) = DurableTable::open(&dir, dcfg.store.clone())?;
-        let partitions = table.export_partitions();
-        // Bulk of each partition straight to an SSTable …
-        let mut bulk: Vec<_> = Vec::with_capacity(partitions.len());
-        let mut tails: Vec<_> = Vec::new();
-        for (pk, cells) in partitions {
-            let split = cells.len().saturating_sub(dcfg.wal_tail);
-            let mut cells = cells;
-            let tail = cells.split_off(split);
-            if !cells.is_empty() {
-                bulk.push((pk.clone(), cells));
-            }
-            if !tail.is_empty() {
-                tails.push((pk, tail));
-            }
-        }
-        durable.ingest_sorted(&bulk)?;
-        // … and the tail through the WAL, so a kill/restart cycle has
-        // records to replay even without new writes.
-        for (pk, tail) in tails {
-            for cell in tail {
-                durable.put(pk.clone(), cell)?;
-            }
-        }
-        durable.sync_wal()?;
-        SlaveServer::spawn_store(NodeStore::Durable(durable), cfg)
+    let mut cluster = LocalCluster {
+        slots: Vec::new(),
+        cfg,
+        durable,
+        recoveries: Vec::new(),
+        downed_stats: QueueStats::default(),
     };
-    for (node, table) in data.into_tables().iter().enumerate() {
-        match boot(node as u32, table) {
-            Ok(handle) => slots.push(Slot::Up(handle)),
+    for (node, table) in data.into_tables().into_iter().enumerate() {
+        let served: io::Result<Box<dyn ServedTable>> = match &cluster.durable {
+            None => Ok(Box::new(table)),
+            Some(dcfg) => persist(dcfg, node as u32, &table).map(|t| Box::new(t) as _),
+        };
+        match served.and_then(|table| SlaveServer::spawn_store(table, cfg)) {
+            Ok(handle) => {
+                cluster.slots.push(Slot::Up(handle));
+                cluster.recoveries.push(None);
+            }
             Err(e) => {
-                for s in slots {
-                    if let Slot::Up(h) = s {
-                        h.shutdown();
-                    }
-                }
+                // Don't leak the servers that did boot.
+                cluster.shutdown();
                 return Err(e);
             }
         }
     }
-    let recoveries = vec![None; slots.len()];
-    Ok((
-        LocalCluster {
-            slots,
-            cfg,
-            durable: Some(dcfg),
-            recoveries,
-            downed_stats: QueueStats::default(),
-        },
-        routes,
-    ))
+    Ok((cluster, routes))
+}
+
+/// Seeds node `node`'s directory with `table`'s data: the bulk of each
+/// partition straight to an SSTable, and its trailing `wal_tail` cells
+/// through the WAL, so a kill/restart cycle has records to replay even
+/// without new writes.
+fn persist(dcfg: &DurableClusterConfig, node: u32, table: &Table) -> io::Result<DurableTable> {
+    let dir = node_dir(&dcfg.root, node);
+    let (mut durable, _report) = DurableTable::open(&dir, dcfg.store.clone())?;
+    let mut bulk = table.export_partitions();
+    let tails: Vec<_> = bulk
+        .iter_mut()
+        .map(|(pk, cells)| {
+            let split = cells.len().saturating_sub(dcfg.wal_tail);
+            (pk.clone(), cells.split_off(split))
+        })
+        .collect();
+    bulk.retain(|(_, cells)| !cells.is_empty());
+    durable.ingest_sorted(&bulk)?;
+    for (pk, tail) in tails {
+        durable.put_all(&pk, tail)?;
+    }
+    durable.sync_wal()?;
+    Ok(durable)
 }

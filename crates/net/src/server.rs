@@ -1,6 +1,6 @@
-//! The slave server: a TCP front-end over one node's store — a RAM-only
-//! [`kvs_store::Table`] or a durable [`kvs_store::DurableTable`]
-//! (see [`NodeStore`]).
+//! The slave server: a TCP front-end over one node's table, on either
+//! medium — a RAM-only [`kvs_store::Table`] or a durable
+//! [`kvs_store::DurableTable`].
 //!
 //! Layout per server:
 //!
@@ -35,7 +35,7 @@ use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
 use kvs_cluster::{Codec, WriteAck, WriteRequest};
-use kvs_store::{Cell, CellRef, DurableTable, PartitionKey, Table};
+use kvs_store::{Cell, CellRef, Medium, PartitionKey, Table};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -134,35 +134,44 @@ fn flush_all(owed: &mut Vec<Arc<Mutex<Conn>>>) {
     }
 }
 
-/// The storage engine behind one slave server: the in-memory [`Table`] of
-/// the paper's RAM-resident experiments, or the [`DurableTable`] whose
-/// data survives a kill via WAL + SSTables + manifest (and whose restart
-/// runs *real* crash recovery instead of handing the old memory back).
-// One per node, built once and kept behind the node's mutex: the bytes the
-// RAM arm leaves unused are never copied or multiplied, so boxing either
-// arm would buy nothing but a pointer chase per request.
-#[allow(clippy::large_enum_variant)]
-pub enum NodeStore {
-    /// RAM-only: dies with the process, handed back on shutdown.
-    Ram(Table),
-    /// WAL + on-disk SSTables: dropped on kill, recovered from disk.
-    Durable(DurableTable),
-}
-
 /// What one pass over a partition yields: how many data cells it holds of
 /// each kind, and its LWW version — the timestamp in the reserved version
 /// cell, which is bookkeeping and not counted; `0` if the partition was
 /// never written through the replicated write path.
-struct Aggregate {
+pub(crate) struct Aggregate {
     kinds: [u64; 256],
     version: u64,
 }
 
-impl NodeStore {
+/// The table behind one slave server, on either medium: the in-memory
+/// [`kvs_store::Table`] of the paper's RAM-resident experiments, or the
+/// [`kvs_store::DurableTable`] whose data survives a kill via WAL +
+/// SSTables + manifest (and whose restart runs *real* crash recovery
+/// instead of handing the old memory back).
+pub(crate) trait ServedTable: Send {
     /// Folds a whole partition into its [`Aggregate`] without owning a
-    /// cell. `None` when the durable tier could not read it (I/O error,
-    /// failed checksum — logged here): the partition's contents are then
-    /// unknown, not empty, and the caller must not answer as if it knew.
+    /// cell. `None` when the table could not read it (on disk: an I/O
+    /// error or a failed checksum — logged here): the partition's contents
+    /// are then unknown, not empty, and the caller must not answer as if
+    /// it knew.
+    fn aggregate(&mut self, pk: &PartitionKey) -> Option<Aggregate>;
+
+    /// Applies a replicated write under the last-write-wins rule: a
+    /// strictly newer timestamp replaces the partition's version cell and
+    /// lands every carried cell; an equal or older timestamp leaves the
+    /// incumbent untouched (ties keep the incumbent, so hint replay is
+    /// idempotent). Returns `(applied, version_after)`. A store error
+    /// refuses the write (`applied = false`) with the pre-image version —
+    /// `0` when it is the pre-image read that failed, since an unknown
+    /// version must not let an older write through — and the coordinator
+    /// will not count the ack.
+    fn apply(&mut self, req: &WriteRequest) -> (bool, u64);
+}
+
+impl<M: Medium> ServedTable for Table<M>
+where
+    Table<M>: Send,
+{
     fn aggregate(&mut self, pk: &PartitionKey) -> Option<Aggregate> {
         let mut agg = Aggregate {
             kinds: [0; 256],
@@ -177,29 +186,13 @@ impl NodeStore {
                 agg.version = u64::from_be_bytes(timestamp);
             }
         };
-        match self {
-            NodeStore::Ram(table) => {
-                table.fold_partition(pk, visit);
-            }
-            NodeStore::Durable(table) => {
-                if let Err(e) = table.fold_partition(pk, visit) {
-                    eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
-                    return None;
-                }
-            }
+        if let Err(e) = M::into_result(self.fold_partition(pk, visit)) {
+            eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
+            return None;
         }
         Some(agg)
     }
 
-    /// Applies a replicated write under the last-write-wins rule: a
-    /// strictly newer timestamp replaces the partition's version cell and
-    /// lands every carried cell; an equal or older timestamp leaves the
-    /// incumbent untouched (ties keep the incumbent, so hint replay is
-    /// idempotent). Returns `(applied, version_after)`. A durable-tier
-    /// error refuses the write (`applied = false`) with the pre-image
-    /// version — `0` when it is the pre-image read that failed, since an
-    /// unknown version must not let an older write through — and the
-    /// coordinator will not count the ack.
     fn apply(&mut self, req: &WriteRequest) -> (bool, u64) {
         let Some(current) = self.aggregate(&req.partition).map(|agg| agg.version) else {
             return (false, 0);
@@ -207,31 +200,17 @@ impl NodeStore {
         if req.timestamp <= current {
             return (false, current);
         }
-        match self {
-            NodeStore::Ram(table) => {
-                for cell in &req.cells {
-                    table.put(req.partition.clone(), cell.clone());
-                }
-                table.put(req.partition.clone(), version_cell(req.timestamp));
-            }
-            NodeStore::Durable(table) => {
-                for cell in &req.cells {
-                    if let Err(e) = table.put(req.partition.clone(), cell.clone()) {
-                        eprintln!("kvs-net: durable write of {:?} failed: {e}", req.partition);
-                        return (false, current);
-                    }
-                }
-                if let Err(e) = table.put(req.partition.clone(), version_cell(req.timestamp)) {
-                    eprintln!("kvs-net: version cell write failed: {e}");
-                    return (false, current);
-                }
-                // The ack promises durability: the WAL must be on disk
-                // before the coordinator counts this replica.
-                if let Err(e) = table.sync_wal() {
-                    eprintln!("kvs-net: WAL sync failed: {e}");
-                    return (false, current);
-                }
-            }
+        let cells = req
+            .cells
+            .iter()
+            .cloned()
+            .chain([version_cell(req.timestamp)]);
+        let written = M::into_result(self.put_all(&req.partition, cells));
+        // The ack promises durability: the WAL must be on disk before the
+        // coordinator counts this replica.
+        if let Err(e) = written.and_then(|()| M::into_result(self.sync_wal())) {
+            eprintln!("kvs-net: durable write of {:?} failed: {e}", req.partition);
+            return (false, current);
         }
         (true, req.timestamp)
     }
@@ -249,18 +228,22 @@ pub struct SlaveHandle {
     accept_thread: Option<JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
-    store: Arc<Mutex<NodeStore>>,
+    store: Arc<Mutex<Box<dyn ServedTable>>>,
 }
 
 impl SlaveServer {
     /// Boots a server owning a RAM-only `table` on an ephemeral loopback
-    /// port (see [`SlaveServer::spawn_store`] for the durable tier).
+    /// port.
     pub fn spawn(table: Table, cfg: NetServerConfig) -> io::Result<SlaveHandle> {
-        SlaveServer::spawn_store(NodeStore::Ram(table), cfg)
+        SlaveServer::spawn_store(Box::new(table), cfg)
     }
 
-    /// Boots a server owning `store` on an ephemeral loopback port.
-    pub fn spawn_store(store: NodeStore, cfg: NetServerConfig) -> io::Result<SlaveHandle> {
+    /// Boots a server owning `store`, a table on either medium, on an
+    /// ephemeral loopback port.
+    pub(crate) fn spawn_store(
+        store: Box<dyn ServedTable>,
+        cfg: NetServerConfig,
+    ) -> io::Result<SlaveHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -449,7 +432,7 @@ fn would_block(e: &io::Error) -> bool {
 /// *before* the DB stage — the master gets an `Expired` answer instead of
 /// a result it can no longer use. Returns the job's last stage stamp:
 /// its in-db end, or `dequeued` if it never reached the store.
-fn serve(store: &Mutex<NodeStore>, job: Job, dequeued: u64) -> u64 {
+fn serve(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64) -> u64 {
     if job.frame.deadline != 0 && dequeued >= job.frame.deadline {
         reply_refusal(&job, FrameKind::Expired, 0);
         return dequeued;
@@ -481,7 +464,7 @@ fn codec_of(flags: u8) -> Codec {
 /// aggregate with full coverage; the master's timeout and replica failover
 /// treat the silence as they treat loss. Header and body go straight from
 /// the fold's tally into the connection's reply buffer.
-fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) -> u64 {
+fn serve_read(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(request) = codec.decode_request(frame.payload) else {
@@ -509,7 +492,7 @@ fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) -> u64 {
 /// with the partition's resulting version. An RMW reads the pre-image
 /// first, preserving read-your-write ordering on the replica before the
 /// apply decision.
-fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) -> u64 {
+fn serve_write(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, rmw: bool) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(write) = codec.decode_write(frame.payload) else {
@@ -563,10 +546,10 @@ impl SlaveHandle {
     }
 
     /// Like [`SlaveHandle::shutdown`], but also hands back the node's
-    /// [`NodeStore`]. A chaos harness keeps a RAM table for the restart;
-    /// a durable store is *dropped* on a kill — its restart must go
-    /// through real crash recovery (see `LocalCluster::kill`/`restart`).
-    pub fn shutdown_take_store(mut self) -> (QueueStats, NodeStore) {
+    /// table. A chaos harness keeps a RAM table for the restart; a durable
+    /// store is *dropped* on a kill — its restart must go through real
+    /// crash recovery (see `LocalCluster::kill`/`restart`).
+    pub(crate) fn shutdown_take_store(mut self) -> (QueueStats, Box<dyn ServedTable>) {
         self.stop.store(true, Ordering::Release);
         // Unblock the accept loop with a throwaway connection. If even
         // loopback connect fails the accept loop may hang — say so.

@@ -1,5 +1,8 @@
-//! [`DurableTable`]: the persistent table — WAL + on-disk SSTables +
-//! manifest, with real crash recovery.
+//! [`DurableTable`]: the one [`Table`] over SSTable files, whose journal is
+//! a WAL and a manifest — persistent, with real crash recovery. This module
+//! holds what the disk medium adds to the table: its journal
+//! ([`DiskJournal`]), the commit protocol that installs what the engine
+//! builds, and [`DurableTable::open`].
 //!
 //! ## The write path
 //!
@@ -28,18 +31,17 @@
 //! injects a crash at each step boundary to the same effect: the only way
 //! forward is what a real crash forces, [`DurableTable::open`] again.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Journal};
 use crate::manifest::Manifest;
-use crate::receipt::ReadReceipt;
 use crate::recovery::{recover, RecoveryReport};
 use crate::run::{Run, SsTableOptions};
-use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
+use crate::schema::{Cell, PartitionKey};
 use crate::sst_file::{write_sst, BlockCache, DiskBlocks};
-use crate::stream::{CellBuf, ClusteringRange, WHOLE};
+use crate::table::{Table, TableMetrics};
 use crate::wal::{self, FsyncPolicy, WalWriter};
+use bytes::BytesMut;
 use std::fs;
 use std::io;
-use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,22 +80,8 @@ impl Default for DurableOptions {
     }
 }
 
-/// Lifetime counters for a durable table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurableMetrics {
-    /// Cells written (each one WAL-logged first).
-    pub writes: u64,
-    /// Logical reads served.
-    pub reads: u64,
-    /// Memtable flushes completed (through the manifest commit).
-    pub flushes: u64,
-    /// Compactions completed.
-    pub compactions: u64,
-    /// WAL records appended.
-    pub wal_records: u64,
-    /// SSTable bytes written (flushes, compactions and ingests).
-    pub sst_bytes_written: u64,
-}
+/// Lifetime counters for a durable table: the one table's.
+pub type DurableMetrics = TableMetrics;
 
 /// A step boundary in the flush/compaction protocol where a test can
 /// inject a crash. The armed operation returns an error after completing
@@ -116,16 +104,17 @@ pub enum CrashPoint {
 
 /// A persistent single-node wide-column table: the storage engine over
 /// SSTable files, plus the WAL, the manifest and the commit protocol.
-///
-/// The API mirrors [`crate::Table`] with every operation fallible: disk
-/// I/O errors and detected corruption propagate instead of panicking.
-pub struct DurableTable {
+/// Every operation is fallible: disk I/O errors and detected corruption
+/// propagate instead of panicking.
+pub type DurableTable = Table<DiskBlocks>;
+
+/// The disk medium's journal: the table's directory, its WAL and manifest,
+/// and the state of a table a failure past a commit point has poisoned.
+pub struct DiskJournal {
     dir: PathBuf,
     fsync: FsyncPolicy,
-    engine: Engine<DiskBlocks>,
     wal: WalWriter,
     manifest: Manifest,
-    metrics: DurableMetrics,
     crash_armed: Option<CrashPoint>,
     poisoned: bool,
 }
@@ -143,27 +132,27 @@ impl DurableTable {
             recovered.next_record_seq,
             opts.fsync,
         )?;
-        let mut table = DurableTable {
+        let engine = Engine {
+            memtable: recovered.memtable,
+            runs: recovered.ssts,
+            next_generation: recovered.manifest.next_generation,
+            cache: BlockCache::new(opts.block_cache_blocks),
+            build: SsTableOptions {
+                column_index_size: opts.column_index_size,
+                bloom_fp_rate: opts.bloom_fp_rate,
+            },
+            flush_bytes: opts.memtable_flush_bytes,
+            compaction_threshold: opts.compaction_threshold,
+        };
+        let journal = DiskJournal {
             dir: dir.to_path_buf(),
             fsync: opts.fsync,
-            engine: Engine {
-                memtable: recovered.memtable,
-                runs: recovered.ssts,
-                next_generation: recovered.manifest.next_generation,
-                cache: BlockCache::new(opts.block_cache_blocks),
-                build: SsTableOptions {
-                    column_index_size: opts.column_index_size,
-                    bloom_fp_rate: opts.bloom_fp_rate,
-                },
-                flush_bytes: opts.memtable_flush_bytes,
-                compaction_threshold: opts.compaction_threshold,
-            },
             wal,
             manifest: recovered.manifest,
-            metrics: DurableMetrics::default(),
             crash_armed: None,
             poisoned: false,
         };
+        let mut table = Table::assemble(engine, journal, 0);
         // A replayed memtable can already be over the threshold (the
         // crash happened just before its flush) — finish the job now.
         if table.engine.flush_due() {
@@ -172,21 +161,14 @@ impl DurableTable {
         Ok((table, recovered.report))
     }
 
-    fn check_usable(&self) -> io::Result<()> {
-        if self.poisoned {
-            return Err(io::Error::other(
-                "durable table poisoned by a crash or a failure past a commit point; reopen the directory",
-            ));
-        }
-        Ok(())
-    }
-
     /// Arms a one-shot crash injection (tests only, but compiled in so
     /// integration tests across crates can use it).
     pub fn arm_crash_point(&mut self, point: CrashPoint) {
-        self.crash_armed = Some(point);
+        self.journal.crash_armed = Some(point);
     }
+}
 
+impl DiskJournal {
     fn trip(&mut self, point: CrashPoint) -> io::Result<()> {
         if self.crash_armed == Some(point) {
             self.crash_armed = None;
@@ -202,37 +184,36 @@ impl DurableTable {
         self.poisoned |= result.is_err();
         result
     }
+}
 
-    /// Writes one cell: WAL first, then the memtable; flushes when the
-    /// threshold trips. Once this returns `Ok` the write is recoverable
-    /// (modulo the fsync policy's window).
-    pub fn put(&mut self, pk: PartitionKey, cell: Cell) -> io::Result<()> {
-        self.check_usable()?;
-        self.wal.append(&pk, &cell)?;
-        self.metrics.wal_records += 1;
-        self.metrics.writes += 1;
-        self.engine.memtable.insert(pk, cell);
-        if self.engine.flush_due() {
-            self.flush()?;
+/// The commit protocol (module docs): each step writes its run as an
+/// SSTable file and commits it to the manifest, and installs the run at
+/// that commit point.
+impl Journal<DiskBlocks> for DiskJournal {
+    fn check(&self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "durable table poisoned by a crash or a failure past a commit point; reopen the directory",
+            ));
         }
         Ok(())
     }
 
-    /// Flushes the memtable to a new on-disk SSTable and rotates the WAL
-    /// (see the module docs for the crash-safe ordering). No-op when the
-    /// memtable is empty.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.check_usable()?;
-        if self.engine.memtable.is_empty() {
-            return Ok(());
-        }
-        // 1. SSTable write. The snapshot does not drain: a crash between
-        // here and the manifest commit loses nothing.
-        let generation = self.engine.next_generation;
-        let snapshot = self.engine.memtable.snapshot_sorted();
-        let run = Run::build(&snapshot, &self.engine.build, generation);
-        let (run, bytes) = write_sst(&self.dir, &run)?;
-        self.metrics.sst_bytes_written += bytes;
+    fn log(&mut self, pk: &PartitionKey, cell: &Cell) -> io::Result<()> {
+        self.wal.append(pk, cell).map(drop)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.wal.sync()
+    }
+
+    /// Writes the flushed run and rotates the WAL. The memtable stays as
+    /// it is until the install: a crash before the manifest commit loses
+    /// nothing.
+    fn flush(&mut self, engine: &mut Engine<DiskBlocks>, run: Run<BytesMut>) -> io::Result<bool> {
+        // 1. SSTable write.
+        let generation = run.generation;
+        let run = write_sst(&self.dir, &run)?;
         self.trip(CrashPoint::AfterFlushSstWrite)?;
         // 2. WAL rotation.
         let new_wal = WalWriter::create(
@@ -251,136 +232,56 @@ impl DurableTable {
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
         self.wal = new_wal;
-        let compact = self.engine.install_flush(run);
-        self.metrics.flushes += 1;
+        let compact = engine.install_flush(run);
         // 4. Garbage collection: recovery re-deletes what a crash leaves.
-        self.past_commit(|t| {
-            t.trip(CrashPoint::AfterFlushManifest)?;
-            for (seq, stale) in wal::list_segments(&t.dir)? {
-                if seq < t.manifest.wal_seq {
+        self.past_commit(|j| {
+            j.trip(CrashPoint::AfterFlushManifest)?;
+            for (seq, stale) in wal::list_segments(&j.dir)? {
+                if seq < j.manifest.wal_seq {
                     fs::remove_file(stale)?;
                 }
             }
             Ok(())
         })?;
-        if compact {
-            self.compact()?;
-        }
-        Ok(())
+        Ok(compact)
     }
 
-    /// Merges every live SSTable into one (size-tiered "major"
-    /// compaction), newest generation winning conflicts, and atomically
-    /// swaps the manifest's live set. No-op below two runs.
-    pub fn compact(&mut self) -> io::Result<()> {
-        self.check_usable()?;
-        let Some(run) = self.engine.compacted()? else {
-            return Ok(());
-        };
+    /// Writes the merged run and atomically swaps the manifest's live set.
+    fn compaction(
+        &mut self,
+        engine: &mut Engine<DiskBlocks>,
+        run: Run<BytesMut>,
+    ) -> io::Result<()> {
         let generation = run.generation;
-        let (run, bytes) = write_sst(&self.dir, &run)?;
-        self.metrics.sst_bytes_written += bytes;
+        let run = write_sst(&self.dir, &run)?;
         self.trip(CrashPoint::AfterCompactSstWrite)?;
         let mut manifest = self.manifest.clone();
         manifest.live = vec![generation];
         manifest.next_generation = generation + 1;
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
-        let retired = self.engine.install_compaction(run);
-        self.metrics.compactions += 1;
-        self.past_commit(|t| {
-            t.trip(CrashPoint::AfterCompactManifest)?;
+        let retired = engine.install_compaction(run);
+        self.past_commit(|j| {
+            j.trip(CrashPoint::AfterCompactManifest)?;
             // Cached blocks are keyed by dead generations now; drop them.
-            t.engine.cache.clear();
+            engine.cache.clear();
             retired
                 .iter()
                 .try_for_each(|sst| fs::remove_file(sst.path()))
         })
     }
 
-    /// Bulk-loads already-sorted partitions directly into an SSTable,
-    /// bypassing the WAL and the memtable (they are committed via the
-    /// manifest, so they are just as durable). The restart seeding path —
-    /// cluster loads use this for the bulk of the data, then [`Self::put`]
-    /// for the tail that should exercise WAL replay.
-    pub fn ingest_sorted(&mut self, input: &[(PartitionKey, Vec<Cell>)]) -> io::Result<()> {
-        self.check_usable()?;
-        if input.is_empty() {
-            return Ok(());
-        }
-        let generation = self.engine.next_generation;
-        let run = Run::build(input, &self.engine.build, generation);
-        let (run, bytes) = write_sst(&self.dir, &run)?;
-        self.metrics.sst_bytes_written += bytes;
+    /// Writes the ingested run and adds it to the manifest's live set.
+    fn ingest(&mut self, engine: &mut Engine<DiskBlocks>, run: Run<BytesMut>) -> io::Result<()> {
+        let generation = run.generation;
+        let run = write_sst(&self.dir, &run)?;
         let mut manifest = self.manifest.clone();
         manifest.live.push(generation);
         manifest.next_generation = generation + 1;
         manifest.commit(&self.dir)?;
         self.manifest = manifest;
-        self.engine.push(run);
+        engine.push(run);
         Ok(())
-    }
-
-    /// Streams a whole partition's cells in place into `visit` and returns
-    /// the receipt, as [`crate::Table::fold_partition`] does. On `Err` (I/O
-    /// failure, detected corruption) `visit` may have seen part of it.
-    pub fn fold_partition(
-        &mut self,
-        pk: &PartitionKey,
-        visit: impl FnMut(CellRef<'_>),
-    ) -> io::Result<ReadReceipt> {
-        self.stream(pk, WHOLE, visit)
-    }
-
-    /// Reads a whole partition, merging every run and the memtable
-    /// newest-wins.
-    pub fn get(&mut self, pk: &PartitionKey) -> io::Result<(Vec<Cell>, ReadReceipt)> {
-        self.get_range(pk, 0..=ClusteringKey::MAX)
-    }
-
-    /// Reads a clustering range of a partition; column-indexed partitions
-    /// seek to overlapping blocks only.
-    pub fn get_range(
-        &mut self,
-        pk: &PartitionKey,
-        range: RangeInclusive<ClusteringKey>,
-    ) -> io::Result<(Vec<Cell>, ReadReceipt)> {
-        let mut cells = CellBuf::default();
-        let receipt = self.stream(pk, range.into_inner(), |cell| cells.push(cell))?;
-        Ok((cells.into_cells(), receipt))
-    }
-
-    /// The one read path ([`Engine::stream_partition`]).
-    fn stream(
-        &mut self,
-        pk: &PartitionKey,
-        range: ClusteringRange,
-        visit: impl FnMut(CellRef<'_>),
-    ) -> io::Result<ReadReceipt> {
-        self.check_usable()?;
-        self.metrics.reads += 1;
-        self.engine.stream_partition(pk, range, visit)
-    }
-
-    /// Forces buffered WAL records to stable storage (useful with
-    /// [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Never`] before an ack).
-    pub fn sync_wal(&mut self) -> io::Result<()> {
-        self.wal.sync()
-    }
-
-    /// Lifetime metrics.
-    pub fn metrics(&self) -> DurableMetrics {
-        self.metrics
-    }
-
-    /// Number of live on-disk SSTables.
-    pub fn sstable_count(&self) -> usize {
-        self.engine.runs.len()
-    }
-
-    /// Cells currently buffered in the memtable (WAL-backed).
-    pub fn memtable_cells(&self) -> usize {
-        self.engine.memtable.cells()
     }
 }
 
@@ -428,6 +329,7 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::ClusteringKey;
     use crate::sst_file::sst_file_name;
     use std::collections::BTreeMap;
 
@@ -490,7 +392,7 @@ mod tests {
         assert_eq!(t.sstable_count(), 1);
         assert_eq!(t.memtable_cells(), 0);
         assert_eq!(t.metrics().flushes, 1);
-        assert_eq!(t.manifest.live, vec![1]);
+        assert_eq!(t.journal.manifest.live, vec![1]);
         // The pre-flush segment (seq 1) is gone; the live one is seq 2.
         assert!(!tmp.path().join(wal::segment_file_name(1)).exists());
         assert!(tmp.path().join(wal::segment_file_name(2)).exists());
@@ -593,7 +495,7 @@ mod tests {
         t.compact().expect("compact");
         assert_eq!(t.sstable_count(), 1);
         assert_eq!(t.metrics().compactions, 1);
-        assert_eq!(t.manifest.live.len(), 1);
+        assert_eq!(t.journal.manifest.live.len(), 1);
         // Old generation files are gone; only the merged one remains.
         assert!(!tmp.path().join(sst_file_name(1)).exists());
         assert!(!tmp.path().join(sst_file_name(2)).exists());

@@ -1,19 +1,52 @@
-//! The one storage engine under both tables — memtable → flush → run list
-//! → compaction → reads ([`Engine::stream_partition`]) — over a run
-//! [`Medium`]. [`crate::Table`] adds a row cache; [`crate::DurableTable`]
-//! adds the WAL, the manifest and the commit protocol that decides when a
-//! run it built is installed.
+//! The one storage engine under the one [`crate::Table`] — memtable →
+//! flush → run list → compaction → reads ([`Engine::stream_partition`]) —
+//! over a run [`Medium`], and the [`Journal`] by which a medium makes what
+//! the engine builds outlive the process. Every run is built in memory; a
+//! medium's journal commits it and installs it as a run of its own. On the
+//! heap that is the install alone. On disk ([`crate::durable`]) it is the
+//! SSTable write, the manifest commit and the garbage collection after it.
 
 use crate::memtable::Memtable;
 use crate::merge::merge_runs;
 use crate::run::{Medium, Run, RunBuilder, SsTableOptions};
-use crate::schema::PartitionKey;
+use crate::schema::{Cell, PartitionKey};
 use crate::stream::CellBuf;
 use bytes::BytesMut;
 use std::io;
 
+/// What a medium keeps beside its runs ([`Medium::Journal`]), and the
+/// commit steps that install a run built in memory in the engine at their
+/// commit point, so memory never lags what would be recovered. Nameable
+/// only inside the crate: the two media are the only ones.
+pub trait Journal<M: Medium> {
+    /// `Err` once the table can no longer be trusted.
+    fn check(&self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Records a write before the memtable takes it.
+    fn log(&mut self, _pk: &PartitionKey, _cell: &Cell) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Forces every recorded write to stable storage.
+    fn sync(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Commits `run`, the memtable laid out, in the memtable's place; true
+    /// when compaction is due.
+    fn flush(&mut self, engine: &mut Engine<M>, run: Run<BytesMut>) -> io::Result<bool>;
+
+    /// Commits `run`, every live run merged, in their place.
+    fn compaction(&mut self, engine: &mut Engine<M>, run: Run<BytesMut>) -> io::Result<()>;
+
+    /// Commits `run` as newer than every live run.
+    fn ingest(&mut self, engine: &mut Engine<M>, run: Run<BytesMut>) -> io::Result<()>;
+}
+
 /// Memtable, live runs and the thresholds that move data between them.
-pub(crate) struct Engine<M: Medium> {
+pub struct Engine<M: Medium> {
     /// The write buffer, newer than every run.
     pub(crate) memtable: Memtable,
     /// Live runs, ascending generation: the last one holding a cell wins.
@@ -51,6 +84,16 @@ impl<M: Medium> Engine<M> {
         self.runs.len() >= self.compaction_threshold
     }
 
+    /// The memtable laid out as a run of the next generation, read where
+    /// it lies: it stays as it is until its run is installed.
+    pub(crate) fn memtable_run(&self) -> Run<BytesMut> {
+        let mut builder = RunBuilder::with_capacity(self.memtable.bytes());
+        for (pk, cells) in self.memtable.partitions() {
+            builder.push(pk, cells.map(Cell::as_cell_ref));
+        }
+        builder.finish(&self.build, self.next_generation)
+    }
+
     /// Compaction: every live run merged into one of the next generation,
     /// built as the merge streams it; `None` below two runs.
     pub(crate) fn compacted(&self) -> io::Result<Option<Run<BytesMut>>> {
@@ -85,11 +128,10 @@ impl<M: Medium> Engine<M> {
             sources.push(Box::new(run.scan()));
         }
         if memtable {
-            let partitions = self.memtable.snapshot_sorted().into_iter();
-            sources.push(Box::new(partitions.map(|(pk, cells)| {
+            sources.push(Box::new(self.memtable.partitions().map(|(pk, cells)| {
                 let mut buf = CellBuf::default();
-                cells.iter().for_each(|cell| buf.push(cell.as_cell_ref()));
-                Ok((pk, buf))
+                cells.for_each(|cell| buf.push(cell.as_cell_ref()));
+                Ok((pk.clone(), buf))
             })));
         }
         merge_runs(sources, emit)

@@ -11,13 +11,15 @@
 //! scanned, cache hits, disk blocks read).
 //!
 //! There is one SSTable format ([`run`]: 4 KiB [`block`]s, a partition
-//! index of per-block metadata, a bloom filter) and one engine over it
-//! (memtable → flush → run list → compaction → reads), on two media. The
-//! in-memory [`Table`] holds each run's blocks in one heap buffer and adds
-//! a row cache. The persistent [`DurableTable`] holds them in files
-//! ([`sst_file`]) read through a checksum-verifying block cache, and adds
-//! a write-ahead log ([`wal`]), a [`manifest`] naming the live runs, and
-//! crash [`recovery`]. `docs/STORE.md` has the byte-level formats.
+//! index of per-block metadata, a bloom filter), one engine over it
+//! (memtable → flush → run list → compaction → reads) and one table type,
+//! [`table::Table`]`<M>`, on two [`Medium`]s. [`Table`] holds each run's
+//! blocks in one heap buffer and may keep a row cache; its operations
+//! cannot fail. [`DurableTable`] is the same table over files
+//! ([`sst_file`]) read through a checksum-verifying block cache, with a
+//! write-ahead log ([`wal`]) and a [`manifest`] naming the live runs as its
+//! journal, and crash [`recovery`] at open; its operations answer
+//! `io::Result`. `docs/STORE.md` has the byte-level formats.
 //!
 //! ## The two-level index (why Figure 6 has a kink)
 //!
@@ -64,7 +66,7 @@ pub use durable::{CrashPoint, DurableMetrics, DurableOptions, DurableTable, Temp
 pub use memtable::Memtable;
 pub use receipt::ReadReceipt;
 pub use recovery::RecoveryReport;
-pub use run::SsTableOptions;
+pub use run::{Medium, SsTableOptions};
 pub use schema::{Cell, CellRef, PartitionKey};
 pub use table::{Table, TableMetrics, TableOptions};
 pub use tiering::{StorageHierarchy, Tier};

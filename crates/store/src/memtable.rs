@@ -4,6 +4,7 @@
 //! (clustering key → cell). Newest write wins on a clustering-key conflict.
 
 use crate::schema::{Cell, ClusteringKey, PartitionKey};
+use std::collections::btree_map::Values;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -66,26 +67,16 @@ impl Memtable {
         self.partitions.is_empty()
     }
 
-    /// Clones the contents into `(partition, cells)` pairs in partition
-    /// order *without* draining. The durable flush builds its SSTable from
-    /// this and only replaces the memtable at the manifest commit, so a
-    /// crash mid-flush loses nothing.
-    pub fn snapshot_sorted(&self) -> Vec<(PartitionKey, Vec<Cell>)> {
+    /// Every partition in key order with its cells in clustering order, in
+    /// place — what a flush lays out as a run. The memtable is replaced only
+    /// once that run is installed, so a durable crash mid-flush loses
+    /// nothing.
+    pub fn partitions(
+        &self,
+    ) -> impl Iterator<Item = (&PartitionKey, Values<'_, ClusteringKey, Cell>)> {
         self.partitions
             .iter()
-            .map(|(pk, cells)| (pk.clone(), cells.values().cloned().collect()))
-            .collect()
-    }
-
-    /// Drains the memtable into `(partition, cells)` pairs in partition
-    /// order — the input an SSTable build wants.
-    pub fn drain_sorted(&mut self) -> Vec<(PartitionKey, Vec<Cell>)> {
-        self.bytes = 0;
-        self.cells = 0;
-        std::mem::take(&mut self.partitions)
-            .into_iter()
-            .map(|(pk, cells)| (pk, cells.into_values().collect()))
-            .collect()
+            .map(|(pk, cells)| (pk, cells.values()))
     }
 }
 
@@ -140,17 +131,22 @@ mod tests {
         assert!(mt.range(&pk(1), 10..=100).is_none());
     }
 
+    /// What a flush lays out: each partition with its clustering keys.
+    fn laid_out(mt: &Memtable) -> Vec<(PartitionKey, Vec<u64>)> {
+        mt.partitions()
+            .map(|(pk, cells)| (pk.clone(), cells.map(|c| c.clustering).collect()))
+            .collect()
+    }
+
     #[test]
     fn drain_returns_partition_order_and_empties() {
         let mut mt = Memtable::new();
         mt.insert(pk(2), Cell::synthetic(1, 0));
         mt.insert(pk(1), Cell::synthetic(2, 0));
         mt.insert(pk(1), Cell::synthetic(1, 0));
-        let drained = mt.drain_sorted();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, pk(1));
-        assert_eq!(drained[0].1.len(), 2);
-        assert_eq!(drained[1].0, pk(2));
+        // A flush takes the whole memtable and leaves a fresh one behind.
+        let drained = std::mem::take(&mut mt);
+        assert_eq!(laid_out(&drained), [(pk(1), vec![1, 2]), (pk(2), vec![1])]);
         assert!(mt.is_empty());
         assert_eq!(mt.bytes(), 0);
         assert_eq!(mt.cells(), 0);
@@ -161,9 +157,14 @@ mod tests {
         let mut mt = Memtable::new();
         mt.insert(pk(2), Cell::synthetic(1, 0));
         mt.insert(pk(1), Cell::synthetic(2, 0));
-        let snap = mt.snapshot_sorted();
-        assert_eq!(mt.cells(), 2, "snapshot must not drain");
-        assert_eq!(snap, mt.drain_sorted());
+        let snap = laid_out(&mt);
+        assert_eq!(
+            (mt.cells(), mt.bytes()),
+            (2, 2 * 46),
+            "reading must not drain"
+        );
+        assert_eq!(cells(&mt, 1, 0..=u64::MAX).map(|c| c.len()), Some(1));
+        assert_eq!(snap, laid_out(&std::mem::take(&mut mt)));
         assert!(mt.is_empty());
     }
 
@@ -177,7 +178,7 @@ mod tests {
         }
         assert_eq!(mt.cells(), 12);
         assert_eq!(mt.bytes(), 12 * 46);
-        assert_eq!(mt.snapshot_sorted().len(), 3);
+        assert_eq!(mt.partitions().count(), 3);
         assert!(mt.range(&pk(0), 0..=u64::MAX).is_some());
         assert!(mt.range(&pk(9), 0..=u64::MAX).is_none());
     }

@@ -12,6 +12,7 @@
 
 use crate::block::{build_blocks, BlockMeta};
 use crate::bloom::BloomFilter;
+use crate::engine::Journal;
 use crate::receipt::ReadReceipt;
 use crate::schema::{Cell, CellRef, PartitionKey, CELL_HEADER_BYTES};
 use crate::stream::{CellBuf, ClusteringRange, WHOLE};
@@ -29,11 +30,26 @@ pub struct SsTableOptions {
 }
 
 /// Where a run's blocks lie: the seam between the one partition scan and
-/// the bytes it decodes.
-pub trait Medium {
+/// the bytes it decodes, and between the one [`crate::Table`] and what
+/// each tier adds to it.
+pub trait Medium: Sized {
     /// What scans keep from one read to the next (the file medium's block
     /// cache); the default keeps nothing.
     type Cache: Default;
+
+    /// What a table keeps beside its runs — nothing on the heap; the WAL
+    /// and the manifest on disk — and how it commits a run it built.
+    type Journal: Journal<Self>;
+
+    /// What a table's operations answer: `T` on the heap, where nothing
+    /// can fail, `io::Result<T>` on disk.
+    type Out<T>;
+
+    /// A table operation's result, answered as this medium answers.
+    fn out<T>(result: io::Result<T>) -> Self::Out<T>;
+
+    /// An answer of this medium as a result, for callers of either.
+    fn into_result<T>(out: Self::Out<T>) -> io::Result<T>;
 
     /// Hands `fold` each of `blocks` — consecutive blocks of the run, in
     /// order — with its bytes and the receipt, until `fold` returns
@@ -49,9 +65,21 @@ pub trait Medium {
 
 /// The heap medium: the one buffer the builder wrote, lent a block at a
 /// time. Nothing is charged to the `disk_*` fields and no checksum is
-/// verified — the builder computed each one from these very bytes.
+/// verified — none is computed until a run is written to a file.
 impl Medium for BytesMut {
     type Cache = ();
+    type Journal = ();
+    type Out<T> = T;
+
+    /// A heap run's blocks are the bytes its builder encoded beside their
+    /// index, so nothing of reading one can fail.
+    fn out<T>(result: io::Result<T>) -> T {
+        result.unwrap_or_else(|e| panic!("a run held in memory disagrees with its own index: {e}"))
+    }
+
+    fn into_result<T>(out: T) -> io::Result<T> {
+        Ok(out)
+    }
 
     fn read_blocks(
         &self,

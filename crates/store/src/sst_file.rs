@@ -40,6 +40,7 @@
 use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::{FixedState, Lru};
+use crate::durable::DiskJournal;
 use crate::receipt::ReadReceipt;
 use crate::run::{bad_data, Medium, PartitionEntry, Run};
 use crate::schema::{PartitionKey, CELL_HEADER_BYTES};
@@ -125,10 +126,10 @@ pub fn parse_sst_generation(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Writes a built run as its SSTable file in `dir`, `fdatasync`s it and
-/// opens it. Returns the run on disk and the file's size. The file must not
-/// already exist (generations are never reused).
-pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<(SstFile, u64)> {
+/// Writes a built run as its SSTable file in `dir`, sealing each block with
+/// its checksum as its [`BlockMeta`] is encoded, `fdatasync`s it and opens
+/// it. The file must not already exist (generations are never reused).
+pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<SstFile> {
     let mut index = BytesMut::new();
     index.put_u32(run.partitions.len() as u32);
     for p in &run.partitions {
@@ -137,7 +138,9 @@ pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<(SstFile,
         index.put_u32(p.cell_count);
         index.put_u32(p.blocks.len() as u32);
         for meta in &p.blocks {
-            meta.encode(&mut index);
+            let block = &run.medium[meta.offset as usize..][..meta.len as usize];
+            let crc = checksum64(0, block);
+            BlockMeta { crc, ..*meta }.encode(&mut index);
         }
     }
     let mut bloom_bytes = BytesMut::new();
@@ -174,8 +177,7 @@ pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<(SstFile,
     file.write_all(&footer)?;
     file.sync_data()?;
     // Read back as recovery will: what is installed is what the file says.
-    let file_bytes = bloom_off + bloom_len + SST_FOOTER_LEN as u64;
-    Ok((SstFile::open(&path)?, file_bytes))
+    SstFile::open(&path)
 }
 
 // std links the C library, so no crate of bindings is needed.
@@ -339,6 +341,16 @@ impl DiskBlocks {
 
 impl Medium for DiskBlocks {
     type Cache = BlockCache;
+    type Journal = DiskJournal;
+    type Out<T> = io::Result<T>;
+
+    fn out<T>(result: io::Result<T>) -> io::Result<T> {
+        result
+    }
+
+    fn into_result<T>(out: io::Result<T>) -> io::Result<T> {
+        out
+    }
 
     /// One pass over the blocks, in order. A hit is folded from the cache;
     /// a miss is sliced out of the mapping, charged, verified, offered to
@@ -450,10 +462,11 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
 mod tests {
     use super::*;
     use crate::block::{fnv1a, FNV1A_BASIS};
-    use crate::durable::TempDir;
+    use crate::durable::{DurableOptions, DurableTable, TempDir};
     use crate::run::SsTableOptions;
     use crate::schema::Cell;
     use crate::stream::WHOLE;
+    use crate::wal::FsyncPolicy;
     use proptest::prelude::*;
 
     fn pk(i: u64) -> PartitionKey {
@@ -475,16 +488,58 @@ mod tests {
 
     /// Writes partitions of `sizes` cells; returns the run on disk with
     /// its block and data-byte totals, having checked that the file indexes
-    /// the blocks exactly as the builder laid them out.
+    /// the blocks exactly as the builder laid them out, each sealed with
+    /// the checksum of its bytes in the file.
     fn write_open(dir: &Path, sizes: &[usize], generation: u64) -> (SstFile, u64, u64) {
         let input = build_input(sizes);
-        let build = || Run::build(&input, &SsTableOptions::default(), generation);
-        let (sst, file_bytes) = write_sst(dir, &build()).expect("write");
-        let path = dir.join(sst_file_name(generation));
-        assert_eq!(file_bytes, std::fs::metadata(&path).expect("stat").len());
-        assert_eq!(sst.partitions, build().partitions);
+        let mut built = Run::build(&input, &SsTableOptions::default(), generation);
+        let sst = write_sst(dir, &built).expect("write");
+        for meta in built.partitions.iter_mut().flat_map(|p| &mut p.blocks) {
+            meta.crc = checksum64(0, sst.medium.mapped_block(meta));
+        }
+        assert_eq!(sst.partitions, built.partitions);
         let blocks = sst.partitions.iter().map(|p| p.blocks.len() as u64).sum();
         (sst, blocks, sst_data_bytes(&input))
+    }
+
+    #[test]
+    fn checksums_are_set_when_a_run_is_written_to_a_file() {
+        // A run held in memory carries none: nothing reads it from a file.
+        let heap = Run::build(&build_input(&[300, 20]), &SsTableOptions::default(), 1);
+        let metas: Vec<&BlockMeta> = heap.partitions.iter().flat_map(|p| &p.blocks).collect();
+        assert_eq!(metas.len(), 5);
+        assert!(metas.iter().all(|meta| meta.crc == 0), "{metas:?}");
+        // Every block of an ingested, a flushed and a compacted file, read
+        // back from disk, verifies; returns the block count of each.
+        let verified = |t: &DurableTable| -> Vec<usize> {
+            let files = t.engine.runs.iter();
+            files
+                .map(|run| {
+                    let file = SstFile::open(run.path()).expect("reopen");
+                    let metas: Vec<&BlockMeta> =
+                        file.partitions.iter().flat_map(|p| &p.blocks).collect();
+                    for meta in &metas {
+                        let bytes = file.medium.mapped_block(meta);
+                        assert_eq!(checksum64(0, bytes), meta.crc, "{}", run.path().display());
+                    }
+                    metas.len()
+                })
+                .collect()
+        };
+        let tmp = TempDir::new("sst-sealed");
+        let opts = DurableOptions {
+            fsync: FsyncPolicy::Never,
+            ..DurableOptions::default()
+        };
+        let (mut t, _) = DurableTable::open(tmp.path(), opts).expect("open");
+        t.ingest_sorted(&build_input(&[300, 20])).expect("ingest");
+        assert_eq!(verified(&t), [5]);
+        let cells = (0..200).map(|c| Cell::synthetic(c, 1));
+        t.put_all(&pk(5), cells).expect("put");
+        t.flush().expect("flush");
+        assert_eq!(verified(&t), [5, 3]);
+        t.compact().expect("compact");
+        assert_eq!(verified(&t), [8]);
     }
 
     fn sst_data_bytes(input: &[(PartitionKey, Vec<Cell>)]) -> u64 {

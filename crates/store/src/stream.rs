@@ -38,6 +38,9 @@ impl CellBuf {
         }
     }
 
+    // Once per cell read: `Table<M>`'s reads are generic, so they are built
+    // in the caller's crate, where this would otherwise be a call per cell.
+    #[inline]
     pub(crate) fn push(&mut self, cell: CellRef<'_>) {
         self.payloads.extend_from_slice(cell.payload);
         self.index

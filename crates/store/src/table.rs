@@ -1,15 +1,18 @@
-//! The table: the storage engine over runs held in memory ([`crate::run`]),
-//! plus a row cache — the per-node database the cluster layer talks to.
-//! Reads go row cache → (memtable ∥ every run its bloom filter admits) →
-//! merge newest-wins → fill cache, as Cassandra's do.
+//! The table: the per-node database the cluster layer talks to — the one
+//! storage engine (`engine.rs`) over runs in a [`Medium`], on either
+//! tier. [`Table`] holds its runs in memory and may keep a row cache;
+//! [`crate::DurableTable`] is the same type over SSTable files, its writes
+//! logged and its runs committed by the disk medium's journal. Reads go
+//! row cache → (memtable ∥ every run its bloom filter admits) → merge
+//! newest-wins → fill cache, as Cassandra's do.
 
 use crate::cache::Lru;
-use crate::engine::Engine;
+use crate::engine::{Engine, Journal};
 use crate::memtable::Memtable;
 use crate::receipt::ReadReceipt;
-use crate::run::{Run, SsTableOptions};
+use crate::run::{Medium, Run, SsTableOptions};
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
-use crate::stream::{CellBuf, ClusteringRange, WHOLE};
+use crate::stream::{CellBuf, WHOLE};
 use bytes::BytesMut;
 use std::io;
 use std::ops::RangeInclusive;
@@ -43,28 +46,24 @@ impl Default for TableOptions {
     }
 }
 
-/// Lifetime counters for a table.
+/// Lifetime counters for a table, on either medium.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableMetrics {
-    /// Cells written.
+    /// Cells written (on disk, each one logged first).
     pub writes: u64,
     /// Logical reads served.
     pub reads: u64,
-    /// Memtable flushes performed.
+    /// Memtable flushes committed.
     pub flushes: u64,
-    /// Compactions performed.
+    /// Compactions committed.
     pub compactions: u64,
     /// Reads served entirely from the row cache.
     pub row_cache_hits: u64,
 }
 
-/// A heap run's blocks are the bytes its builder encoded beside their
-/// index, so nothing of reading one can fail.
-fn held<T>(result: io::Result<T>) -> T {
-    result.unwrap_or_else(|e| panic!("a run held in memory disagrees with its own index: {e}"))
-}
-
-/// A single-node wide-column table.
+/// A single-node wide-column table whose runs lie in `M`: in memory (the
+/// default), or in files as a [`crate::DurableTable`], where every
+/// operation answers an `io::Result` ([`Medium::Out`]).
 ///
 /// ```
 /// use kvs_store::{Cell, PartitionKey, Table, TableOptions};
@@ -78,38 +77,73 @@ fn held<T>(result: io::Result<T>) -> T {
 /// assert_eq!(cells.len(), 2);
 /// assert_eq!(receipt.sstables_read, 1);
 /// ```
-pub struct Table {
-    engine: Engine<BytesMut>,
+pub struct Table<M: Medium = BytesMut> {
+    pub(crate) engine: Engine<M>,
+    pub(crate) journal: M::Journal,
     row_cache: Lru<PartitionKey, Arc<Vec<Cell>>>,
     row_cache_on: bool,
     metrics: TableMetrics,
 }
 
 impl Table {
-    /// Creates an empty table.
+    /// Creates an empty table in memory.
     pub fn new(opts: TableOptions) -> Self {
-        Table {
-            engine: Engine {
-                memtable: Memtable::new(),
-                runs: Vec::new(),
-                next_generation: 1,
-                cache: (),
-                build: SsTableOptions {
-                    column_index_size: opts.column_index_size,
-                    bloom_fp_rate: opts.bloom_fp_rate,
-                },
-                flush_bytes: opts.memtable_flush_bytes,
-                compaction_threshold: opts.compaction_threshold,
+        let engine = Engine {
+            memtable: Memtable::new(),
+            runs: Vec::new(),
+            next_generation: 1,
+            cache: (),
+            build: SsTableOptions {
+                column_index_size: opts.column_index_size,
+                bloom_fp_rate: opts.bloom_fp_rate,
             },
-            row_cache: Lru::new(opts.row_cache_partitions),
-            row_cache_on: opts.row_cache_partitions > 0,
+            flush_bytes: opts.memtable_flush_bytes,
+            compaction_threshold: opts.compaction_threshold,
+        };
+        Table::assemble(engine, (), opts.row_cache_partitions)
+    }
+
+    /// Creates a table in memory with default options.
+    pub fn with_defaults() -> Self {
+        Self::new(TableOptions::default())
+    }
+}
+
+/// The heap tier keeps nothing beside its runs: a built run is installed
+/// as it is, and nothing of committing it can fail.
+impl Journal<BytesMut> for () {
+    fn flush(&mut self, engine: &mut Engine<BytesMut>, run: Run<BytesMut>) -> io::Result<bool> {
+        Ok(engine.install_flush(run))
+    }
+
+    fn compaction(&mut self, engine: &mut Engine<BytesMut>, run: Run<BytesMut>) -> io::Result<()> {
+        engine.install_compaction(run);
+        Ok(())
+    }
+
+    fn ingest(&mut self, engine: &mut Engine<BytesMut>, run: Run<BytesMut>) -> io::Result<()> {
+        engine.push(run);
+        Ok(())
+    }
+}
+
+impl<M: Medium> Table<M> {
+    /// A table over `engine` and `journal` with a row cache of `rows`
+    /// partitions (0 disables it).
+    pub(crate) fn assemble(engine: Engine<M>, journal: M::Journal, rows: usize) -> Self {
+        Table {
+            engine,
+            journal,
+            row_cache: Lru::new(rows),
+            row_cache_on: rows > 0,
             metrics: TableMetrics::default(),
         }
     }
 
-    /// Creates a table with default options.
-    pub fn with_defaults() -> Self {
-        Self::new(TableOptions::default())
+    /// Runs `op` if the journal still trusts the table, and answers as the
+    /// medium answers.
+    fn run<T>(&mut self, op: impl FnOnce(&mut Self) -> io::Result<T>) -> M::Out<T> {
+        M::out(self.journal.check().and_then(|()| op(self)))
     }
 
     /// Lifetime metrics.
@@ -127,45 +161,83 @@ impl Table {
         self.engine.memtable.cells()
     }
 
-    /// Writes one cell, flushing / compacting when thresholds trip.
-    pub fn put(&mut self, pk: PartitionKey, cell: Cell) {
-        self.metrics.writes += 1;
-        self.row_cache.invalidate(&pk);
-        self.engine.memtable.insert(pk, cell);
-        if self.engine.flush_due() {
-            self.flush();
-        }
+    /// Writes one cell — on disk, logged first, so once this answers `Ok`
+    /// the write is recoverable (modulo the fsync policy's window) — and
+    /// flushes / compacts when thresholds trip.
+    pub fn put(&mut self, pk: PartitionKey, cell: Cell) -> M::Out<()> {
+        self.run(|t| {
+            t.journal.log(&pk, &cell)?;
+            t.metrics.writes += 1;
+            if t.row_cache_on {
+                t.row_cache.invalidate(&pk);
+            }
+            t.engine.memtable.insert(pk, cell);
+            if t.engine.flush_due() {
+                M::into_result(t.flush())?;
+            }
+            Ok(())
+        })
     }
 
-    /// Bulk-loads cells for one partition (test/workload convenience).
-    pub fn put_all(&mut self, pk: &PartitionKey, cells: impl IntoIterator<Item = Cell>) {
-        for cell in cells {
-            self.put(pk.clone(), cell);
-        }
+    /// Writes every cell of one partition ([`Table::put`] each).
+    pub fn put_all(
+        &mut self,
+        pk: &PartitionKey,
+        cells: impl IntoIterator<Item = Cell>,
+    ) -> M::Out<()> {
+        let mut cells = cells.into_iter();
+        self.run(|t| cells.try_for_each(|cell| M::into_result(t.put(pk.clone(), cell))))
     }
 
-    /// Forces the memtable into a new SSTable, possibly compacting.
-    pub fn flush(&mut self) {
-        if self.engine.memtable.is_empty() {
-            return;
-        }
-        let input = self.engine.memtable.drain_sorted();
-        let run = Run::build(&input, &self.engine.build, self.engine.next_generation);
-        self.metrics.flushes += 1;
-        if self.engine.install_flush(run) {
-            self.compact();
-        }
+    /// Forces the memtable into a new SSTable, possibly compacting. No-op
+    /// when the memtable is empty.
+    pub fn flush(&mut self) -> M::Out<()> {
+        self.run(|t| {
+            if t.engine.memtable.is_empty() {
+                return Ok(());
+            }
+            let run = t.engine.memtable_run();
+            let compact = t.journal.flush(&mut t.engine, run)?;
+            t.metrics.flushes += 1;
+            if compact {
+                M::into_result(t.compact())?;
+            }
+            Ok(())
+        })
     }
 
-    /// Merges all SSTables into one (size-tiered "major" compaction).
-    pub fn compact(&mut self) {
-        let Some(run) = held(self.engine.compacted()) else {
-            return;
-        };
-        self.engine.install_compaction(run);
-        self.metrics.compactions += 1;
-        // Data moved; cached rows remain *logically* valid (compaction does
-        // not change content), so the cache is kept.
+    /// Merges every SSTable into one (size-tiered "major" compaction),
+    /// newest generation winning conflicts. No-op below two.
+    pub fn compact(&mut self) -> M::Out<()> {
+        self.run(|t| {
+            let Some(run) = t.engine.compacted()? else {
+                return Ok(());
+            };
+            t.journal.compaction(&mut t.engine, run)?;
+            t.metrics.compactions += 1;
+            // Data moved; cached rows remain *logically* valid (compaction
+            // does not change content), so the row cache is kept.
+            Ok(())
+        })
+    }
+
+    /// Bulk-loads already-sorted partitions directly into an SSTable newer
+    /// than every other, bypassing the memtable (and on disk the WAL: the
+    /// manifest commits it, so it is just as durable). The restart seeding
+    /// path — cluster loads use this for the bulk of the data, then
+    /// [`Table::put`] for the tail that should exercise WAL replay.
+    pub fn ingest_sorted(&mut self, input: &[(PartitionKey, Vec<Cell>)]) -> M::Out<()> {
+        self.run(|t| {
+            if input.is_empty() {
+                return Ok(());
+            }
+            let run = Run::build(input, &t.engine.build, t.engine.next_generation);
+            t.journal.ingest(&mut t.engine, run)?;
+            for (pk, _) in input.iter().filter(|_| t.row_cache_on) {
+                t.row_cache.invalidate(pk);
+            }
+            Ok(())
+        })
     }
 
     /// Streams a whole partition's cells, in clustering order and in place,
@@ -173,7 +245,8 @@ impl Table {
     /// [`Table::get`] collects from it, an aggregation folds over it
     /// without ever owning a cell. A row-cache hit visits the cached cells;
     /// a miss on a table whose row cache is enabled keeps what it streams
-    /// to fill the cache.
+    /// to fill the cache. On `Err` (disk only: I/O failure, detected
+    /// corruption) `visit` may have seen part of the partition.
     ///
     /// ```
     /// use kvs_store::{Cell, PartitionKey, Table};
@@ -191,74 +264,77 @@ impl Table {
         &mut self,
         pk: &PartitionKey,
         mut visit: impl FnMut(CellRef<'_>),
-    ) -> ReadReceipt {
-        self.metrics.reads += 1;
-        if let Some(cached) = self.row_cache.get(pk) {
-            self.metrics.row_cache_hits += 1;
-            cached.iter().for_each(|cell| visit(cell.as_cell_ref()));
-            return ReadReceipt {
-                row_cache_hit: true,
-                cells_returned: cached.len() as u64,
-                ..ReadReceipt::default()
-            };
-        }
-        if !self.row_cache_on {
-            return self.stream(pk, WHOLE, visit);
-        }
-        let mut kept = CellBuf::default();
-        let receipt = self.stream(pk, WHOLE, |cell| {
-            kept.push(cell);
-            visit(cell);
-        });
-        if kept.len() > 0 {
-            self.row_cache.put(pk.clone(), Arc::new(kept.into_cells()));
-        }
-        receipt
+    ) -> M::Out<ReadReceipt> {
+        self.run(|t| {
+            t.metrics.reads += 1;
+            if !t.row_cache_on {
+                return t.engine.stream_partition(pk, WHOLE, visit);
+            }
+            if let Some(cached) = t.row_cache.get(pk) {
+                t.metrics.row_cache_hits += 1;
+                cached.iter().for_each(|cell| visit(cell.as_cell_ref()));
+                return Ok(ReadReceipt {
+                    row_cache_hit: true,
+                    cells_returned: cached.len() as u64,
+                    ..ReadReceipt::default()
+                });
+            }
+            let mut kept = CellBuf::default();
+            let receipt = t.engine.stream_partition(pk, WHOLE, |cell| {
+                kept.push(cell);
+                visit(cell);
+            })?;
+            if kept.len() > 0 {
+                t.row_cache.put(pk.clone(), Arc::new(kept.into_cells()));
+            }
+            Ok(receipt)
+        })
     }
 
     /// Reads a whole partition, merging memtable and SSTables newest-wins.
     /// Returns the cells in clustering order plus the work receipt.
-    pub fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
+    pub fn get(&mut self, pk: &PartitionKey) -> M::Out<(Vec<Cell>, ReadReceipt)> {
         let mut cells = CellBuf::default();
-        let receipt = self.fold_partition(pk, |cell| cells.push(cell));
-        (cells.into_cells(), receipt)
+        let receipt = M::into_result(self.fold_partition(pk, |cell| cells.push(cell)));
+        M::out(receipt.map(|receipt| (cells.into_cells(), receipt)))
     }
 
-    /// Reads a clustering range of a partition (no row-cache interaction —
-    /// Cassandra's row cache also only serves full-row reads).
+    /// Reads a clustering range of a partition; column-indexed partitions
+    /// seek to overlapping blocks only. No row-cache interaction —
+    /// Cassandra's row cache also only serves full-row reads.
     pub fn get_range(
         &mut self,
         pk: &PartitionKey,
         range: RangeInclusive<ClusteringKey>,
-    ) -> (Vec<Cell>, ReadReceipt) {
-        self.metrics.reads += 1;
-        let mut cells = CellBuf::default();
-        let receipt = self.stream(pk, range.into_inner(), |cell| cells.push(cell));
-        (cells.into_cells(), receipt)
-    }
-
-    /// The one read path under the row cache
-    /// ([`Engine::stream_partition`]).
-    fn stream(
-        &mut self,
-        pk: &PartitionKey,
-        range: ClusteringRange,
-        visit: impl FnMut(CellRef<'_>),
-    ) -> ReadReceipt {
-        held(self.engine.stream_partition(pk, range, visit))
+    ) -> M::Out<(Vec<Cell>, ReadReceipt)> {
+        self.run(|t| {
+            t.metrics.reads += 1;
+            let mut cells = CellBuf::default();
+            let receipt = t
+                .engine
+                .stream_partition(pk, range.into_inner(), |cell| cells.push(cell))?;
+            Ok((cells.into_cells(), receipt))
+        })
     }
 
     /// Exports the table's full logical contents as `(partition, cells)`
     /// pairs in partition order, merging every run and the memtable
     /// newest-wins — the input a durable bulk-load ingests. Does not
     /// mutate the table.
-    pub fn export_partitions(&self) -> Vec<(PartitionKey, Vec<Cell>)> {
+    pub fn export_partitions(&self) -> M::Out<Vec<(PartitionKey, Vec<Cell>)>> {
         let mut partitions = Vec::new();
-        let merged = self.engine.merge(true, |pk, cells| {
-            partitions.push((pk, cells.into_cells()));
+        let merged = self.journal.check().and_then(|()| {
+            self.engine
+                .merge(true, |pk, cells| partitions.push((pk, cells.into_cells())))
         });
-        held(merged);
-        partitions
+        M::out(merged.map(|()| partitions))
+    }
+
+    /// Forces logged writes to stable storage (on disk, useful with
+    /// [`crate::FsyncPolicy::EveryN`] / [`crate::FsyncPolicy::Never`]
+    /// before an ack; on the heap there is nothing to force).
+    pub fn sync_wal(&mut self) -> M::Out<()> {
+        self.run(|t| t.journal.sync())
     }
 }
 

@@ -11,7 +11,7 @@
 //! moves blocks through the block cache), so the two sides read from twin
 //! tables that lived through the same history and the same earlier reads.
 
-use kvs_store::{Cell, CellRef, PartitionKey, ReadReceipt, Table, TableOptions};
+use kvs_store::{Cell, CellRef, Medium, PartitionKey, ReadReceipt, Table, TableOptions};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
@@ -39,52 +39,44 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// What the history driver needs of either table.
-trait Store {
-    fn put(&mut self, pk: PartitionKey, cell: Cell);
-    fn flush(&mut self);
-    fn compact(&mut self);
-    /// Adds `run` as a whole new sorted run, if the tier can.
-    fn ingest(&mut self, pk: &PartitionKey, run: &[Cell]) -> bool;
-    fn memtable_cells(&self) -> usize;
-    fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt);
-    fn get_range(
-        &mut self,
-        pk: &PartitionKey,
-        range: RangeInclusive<u64>,
-    ) -> (Vec<Cell>, ReadReceipt);
-    fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt;
-}
+/// What the history driver does to a table on either medium: the table's
+/// own operations, each expected to succeed.
+struct Store<M: Medium>(Table<M>);
 
-impl Store for Table {
+impl<M: Medium> Store<M> {
     fn put(&mut self, pk: PartitionKey, cell: Cell) {
-        Table::put(self, pk, cell)
+        M::into_result(self.0.put(pk, cell)).expect("put")
     }
     fn flush(&mut self) {
-        Table::flush(self)
+        M::into_result(self.0.flush()).expect("flush")
     }
     fn compact(&mut self) {
-        Table::compact(self)
+        M::into_result(self.0.compact()).expect("compact")
     }
-    fn ingest(&mut self, _pk: &PartitionKey, _run: &[Cell]) -> bool {
-        false
-    }
-    fn memtable_cells(&self) -> usize {
-        Table::memtable_cells(self)
+    /// Adds `run` as a whole new sorted run.
+    fn ingest(&mut self, pk: &PartitionKey, run: &[Cell]) {
+        M::into_result(self.0.ingest_sorted(&[(pk.clone(), run.to_vec())])).expect("ingest")
     }
     fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
-        Table::get(self, pk)
+        M::into_result(self.0.get(pk)).expect("get")
     }
     fn get_range(
         &mut self,
         pk: &PartitionKey,
         range: RangeInclusive<u64>,
     ) -> (Vec<Cell>, ReadReceipt) {
-        Table::get_range(self, pk, range)
+        M::into_result(self.0.get_range(pk, range)).expect("range")
     }
     fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt {
-        self.fold_partition(pk, visit)
+        M::into_result(self.0.fold_partition(pk, visit)).expect("fold")
     }
+}
+
+/// What op 3 ingests: several blocks of one partition at once.
+fn ingested(clustering: u64, kind: u8) -> Vec<Cell> {
+    (clustering..clustering + 200)
+        .map(|c| Cell::new(c, kind, vec![kind; 33]))
+        .collect()
 }
 
 /// The history's truth: the latest cell per partition and clustering key,
@@ -109,29 +101,26 @@ impl Model {
 /// every partition, the absent one included and each twice so that cache
 /// hits are compared too, through `get` on one twin and `fold_partition`
 /// on the other.
-fn twins_agree<S: Store>(mut twins: [S; 2], ops: &[Op]) {
+fn twins_agree<M: Medium>(twins: [Table<M>; 2], ops: &[Op]) {
+    let mut twins = twins.map(Store);
     let mut model = Model::default();
     for (step, &(what, p, clustering, kind, len)) in ops.iter().enumerate() {
         let pk = PartitionKey::from_id(p);
         let cell = Cell::new(clustering, kind, vec![kind; len]);
-        // Several blocks of one partition at once.
-        let run: Vec<Cell> = (clustering..clustering + 200)
-            .map(|c| Cell::new(c, kind, vec![kind; 33]))
-            .collect();
-        let mut ingested = false;
+        let run = ingested(clustering, kind);
         for table in &mut twins {
             match what {
                 0 => table.flush(),
                 1 => table.compact(),
                 // A read in mid-history: later reads start from its caches.
                 2 => drop(table.get(&pk)),
-                3 if table.ingest(&pk, &run) => ingested = true,
+                3 => table.ingest(&pk, &run),
                 _ => table.put(pk.clone(), cell.clone()),
             }
         }
         match what {
             0..=2 => {}
-            3 if ingested => {
+            3 => {
                 let row = model.cells.entry(p).or_default();
                 for cell in run {
                     if !model.in_memtable.contains(&(p, cell.clustering)) {
@@ -144,7 +133,7 @@ fn twins_agree<S: Store>(mut twins: [S; 2], ops: &[Op]) {
                 model.cells.entry(p).or_default().insert(clustering, cell);
             }
         }
-        if twins[0].memtable_cells() == 0 {
+        if twins[0].0.memtable_cells() == 0 {
             model.in_memtable.clear();
         }
         if step % 40 == 39 || step + 1 == ops.len() {
@@ -186,39 +175,6 @@ mod durable {
     use super::*;
     use kvs_store::{DurableOptions, DurableTable, FsyncPolicy, TempDir};
 
-    impl Store for DurableTable {
-        fn put(&mut self, pk: PartitionKey, cell: Cell) {
-            DurableTable::put(self, pk, cell).expect("put")
-        }
-        fn flush(&mut self) {
-            DurableTable::flush(self).expect("flush")
-        }
-        fn compact(&mut self) {
-            DurableTable::compact(self).expect("compact")
-        }
-        fn ingest(&mut self, pk: &PartitionKey, run: &[Cell]) -> bool {
-            self.ingest_sorted(&[(pk.clone(), run.to_vec())])
-                .expect("ingest");
-            true
-        }
-        fn memtable_cells(&self) -> usize {
-            DurableTable::memtable_cells(self)
-        }
-        fn get(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
-            DurableTable::get(self, pk).expect("get")
-        }
-        fn get_range(
-            &mut self,
-            pk: &PartitionKey,
-            range: RangeInclusive<u64>,
-        ) -> (Vec<Cell>, ReadReceipt) {
-            DurableTable::get_range(self, pk, range).expect("range")
-        }
-        fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt {
-            self.fold_partition(pk, visit).expect("fold")
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -244,11 +200,11 @@ mod durable {
 
         /// The two tiers are one engine. A `Table` and a `DurableTable` —
         /// neither with a cache — live through the same history of puts,
-        /// flushes and compactions, one partition of it past the 64 KiB
-        /// column-index threshold, and answer every whole read of every
-        /// partition and range reads over the wide one with the same cells
-        /// and the same receipt in every field but the three only the disk
-        /// medium bills.
+        /// ingests, flushes and compactions, one partition of it past the
+        /// 64 KiB column-index threshold, and answer every whole read of
+        /// every partition and range reads over the wide one with the same
+        /// cells and the same receipt in every field but the three only the
+        /// disk medium bills.
         #[test]
         fn ram_and_durable_tiers_bill_alike(
             ops in ops(),
@@ -279,28 +235,29 @@ mod durable {
 }
 
 /// Plays the tier case's history on `table` — `wide` cells into the one
-/// partition no op writes to, then `ops` with ingests as puts — and returns
+/// partition no op writes to, then `ops` with mid-history reads as puts —
+/// and returns
 /// what every whole read and then every range read over the wide partition
 /// answers, the receipt's disk fields zeroed: all that the two media may
 /// bill apart.
-fn one_history<S: Store>(
-    mut table: S,
+fn one_history<M: Medium>(
+    table: Table<M>,
     wide: u64,
     ops: &[Op],
     ranges: &[RangeInclusive<u64>],
 ) -> Vec<(Vec<Cell>, ReadReceipt)> {
+    let mut table = Store(table);
     let wide_pk = PartitionKey::from_id(PARTITIONS);
     for c in 0..wide {
         table.put(wide_pk.clone(), Cell::synthetic(c, (c % 4) as u8));
     }
     for &(what, p, clustering, kind, len) in ops {
+        let pk = PartitionKey::from_id(p);
         match what {
             0 => table.flush(),
             1 => table.compact(),
-            _ => table.put(
-                PartitionKey::from_id(p),
-                Cell::new(clustering, kind, vec![kind; len]),
-            ),
+            3 => table.ingest(&pk, &ingested(clustering, kind)),
+            _ => table.put(pk, Cell::new(clustering, kind, vec![kind; len])),
         }
     }
     let whole = (0..=PARTITIONS).map(|p| table.get(&PartitionKey::from_id(p)));

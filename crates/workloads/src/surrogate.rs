@@ -18,7 +18,7 @@
 //! — sequence ([`walk_keys`] exposes it without touching a store).
 
 use crate::keydist::scatter;
-use kvs_store::{Cell, CostModel, PartitionKey, ReadReceipt, Table};
+use kvs_store::{Cell, CostModel, Medium, PartitionKey, ReadReceipt, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,25 +158,15 @@ pub trait SurrogateBackend {
     fn store(&mut self, pk: PartitionKey, cells: Vec<Cell>);
 }
 
-impl SurrogateBackend for Table {
+/// The store's table on either medium; a failed disk read or write is a
+/// broken run, not a miss.
+impl<M: Medium> SurrogateBackend for Table<M> {
     fn fetch(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
-        self.get(pk)
+        M::into_result(self.get(pk)).expect("surrogate read")
     }
 
     fn store(&mut self, pk: PartitionKey, cells: Vec<Cell>) {
-        self.put_all(&pk, cells);
-    }
-}
-
-impl SurrogateBackend for kvs_store::DurableTable {
-    fn fetch(&mut self, pk: &PartitionKey) -> (Vec<Cell>, ReadReceipt) {
-        self.get(pk).expect("surrogate durable read")
-    }
-
-    fn store(&mut self, pk: PartitionKey, cells: Vec<Cell>) {
-        for cell in cells {
-            self.put(pk.clone(), cell).expect("surrogate durable write");
-        }
+        M::into_result(self.put_all(&pk, cells)).expect("surrogate write");
     }
 }
 
