@@ -25,18 +25,20 @@
 //!   round-robin, least-loaded).
 //! * [`queue`] — bounded work queues with observable backpressure, the
 //!   worker-pool front of the `kvs-net` TCP slaves.
-//! * [`replication`] — deterministic mirror of the replicated write path:
-//!   ONE/QUORUM/ALL consistency, LWW versions, read-repair, bounded
-//!   hinted handoff, and PCAP-style staleness accounting.
+//! * [`coord`] — the replicated write path's coordinator as one pure
+//!   machine: ONE/QUORUM/ALL consistency counted over distinct replicas,
+//!   LWW versions, read repair, bounded hinted handoff and PCAP-style
+//!   staleness accounting. `kvs-net` drives it over sockets and
+//!   [`sim::run_replicated`] over simulated time.
 //! * [`sim`], [`result`].
 
 pub mod codec;
 pub mod config;
+pub mod coord;
 pub mod data;
 pub mod messages;
 pub mod policy;
 pub mod queue;
-pub mod replication;
 pub mod result;
 pub mod sim;
 pub mod usl;
@@ -45,13 +47,13 @@ pub use codec::{Codec, CodecKind};
 pub use config::{
     ClusterConfig, DbConfig, GcConfig, MasterConfig, NetworkConfig, NodeFailure, Straggler,
 };
+pub use coord::{Consistency, MixedOutcome, OpKind, WriteOptions};
 pub use data::ClusterData;
 pub use messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
 pub use policy::ReplicaPolicy;
 pub use queue::QueueStats;
-pub use replication::{
-    Consistency, DelayFault, FaultWindow, ReplicationOutcome, ReplicationSimConfig, SimOp,
-    SimOpKind,
-};
 pub use result::{Coverage, RunResult};
-pub use sim::{db_microbench, run_open_loop, run_query, run_query_paced, OpenLoopResult};
+pub use sim::{
+    db_microbench, run_open_loop, run_query, run_query_paced, run_replicated, DelayFault,
+    FaultWindow, OpenLoopResult, ReplicationOutcome, ReplicationSimConfig, SimOp,
+};

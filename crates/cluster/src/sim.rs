@@ -37,8 +37,19 @@
 //! | `AtMaster(a)` | the response queues for the receive loop |
 //! | `Received(a)` | slaves-to-master ends; the first attempt here answers |
 //! | `Hedge(r, _)` | a timer: re-issue `r` if it is still unanswered |
+//!
+//! ## The replicated write path
+//!
+//! [`run_replicated`] runs the socket world's write coordinator itself
+//! ([`crate::coord::Coordinator`]) on a calendar of its own: operation
+//! issues, a frame reaching its replica after half a resampled leg (which
+//! applies the version, or reads it, from that replica's LWW map), the
+//! reply after the other half, and fault-window closes that replay hints.
 
 use crate::config::ClusterConfig;
+use crate::coord::{
+    Consistency, Coordinator, Input, MixedOutcome, Op, OpKind, Send, Status, WriteOptions,
+};
 use crate::data::ClusterData;
 use crate::policy::ReplicaPolicy;
 use crate::result::{Coverage, RunResult};
@@ -48,6 +59,7 @@ use kvs_stages::{analyze, RequestTrace, Span};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// One sub-query resolved against the store, before timing begins.
@@ -747,6 +759,224 @@ pub fn run_open_loop(
         },
         latency_ms: kvs_simcore::Summary::from_samples(&latencies),
     }
+}
+
+/// A replica that is dark for a window of simulated time: a leg issued
+/// inside the window hints it instead of sending to it, and its hints
+/// replay when the window closes.
+#[derive(Debug, Clone)]
+pub struct FaultWindow {
+    /// The dark node.
+    pub node: usize,
+    /// Window start, inclusive (ms).
+    pub from_ms: f64,
+    /// Window end, exclusive (ms); hints replay at this instant.
+    pub until_ms: f64,
+}
+
+/// Random per-leg extra delay, the sim twin of a chaos `delay` rule.
+#[derive(Debug, Clone, Copy)]
+pub struct DelayFault {
+    /// Probability a leg is delayed.
+    pub probability: f64,
+    /// The extra latency a delayed leg pays (ms).
+    pub extra_ms: f64,
+}
+
+/// Configuration for one simulated run of the replicated write path.
+#[derive(Debug, Clone)]
+pub struct ReplicationSimConfig {
+    /// Cluster size.
+    pub nodes: usize,
+    /// Replication factor (each partition lives on `rf` nodes).
+    pub rf: usize,
+    /// Seed for every random draw in the run.
+    pub seed: u64,
+    /// Empirical one-leg round-trip samples (ms), resampled per leg.
+    pub leg_latency_ms: Vec<f64>,
+    /// Optional random delay fault applied to every leg.
+    pub delay: Option<DelayFault>,
+    /// Dark-replica windows (hinted handoff exercises).
+    pub down: Vec<FaultWindow>,
+    /// Bound on each node's hint queue; overflow drops the hint (and the
+    /// dropped write can be lost on that replica — the metric shows it).
+    pub hint_queue_cap: usize,
+}
+
+/// One operation of a simulated schedule.
+#[derive(Debug, Clone)]
+pub struct SimOp {
+    /// Arrival time (ms).
+    pub at_ms: f64,
+    /// Partition id; replicas are `(id % nodes) + k` for `k < rf`.
+    pub partition: u64,
+    /// Read, write or read-modify-write.
+    pub kind: OpKind,
+    /// The consistency level this operation runs at.
+    pub consistency: Consistency,
+}
+
+/// What a simulated run came to: the coordinator's outcome, plus what
+/// only the simulator can see.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicationOutcome {
+    /// The coordinator's counters and latency samples.
+    pub mixed: MixedOutcome,
+    /// Hints replayed when their replica's window closed.
+    pub hints_replayed: u64,
+    /// Acked writes that no replica holds once every window has closed —
+    /// the invariant hinted handoff exists to keep at zero.
+    pub lost_acked_writes: u64,
+}
+
+/// What happens next in a simulated write-path run.
+enum Hop {
+    /// The next operation is issued.
+    Issue,
+    /// Frame `id` reaches `node`, which applies the write of a version
+    /// to `key` or, given none, reads its own; the reply takes the last
+    /// field to return.
+    AtReplica(u32, u64, PartitionKey, Option<u64>, SimDuration),
+    /// A reply reaches the coordinator.
+    Reply(Input),
+    /// Fault window `w` closes, and its node's hints replay.
+    Close(usize),
+}
+
+/// Runs `ops` (sorted by `at_ms`) through the write coordinator
+/// ([`Coordinator`]) over simulated legs, one operation at a time as the
+/// socket coordinator issues them: an operation starts at its arrival or
+/// when the one before it closes, whichever is later. Each frame reaches
+/// its replica after half of a leg resampled from
+/// [`ReplicationSimConfig::leg_latency_ms`] (plus the delay fault, when
+/// its coin lands), and the reply returns after the other half. A write's
+/// LWW clock is simulated time.
+pub fn run_replicated(cfg: &ReplicationSimConfig, ops: &[SimOp]) -> ReplicationOutcome {
+    let nodes = cfg.nodes.max(1);
+    let rf = cfg.rf.clamp(1, nodes);
+    let at = |ms: f64| SimTime::ZERO + SimDuration::from_millis_f64(ms);
+    let keys: Vec<PartitionKey> = ops
+        .iter()
+        .map(|op| PartitionKey::from_id(op.partition))
+        .collect();
+    let placement: Vec<u32> = ops
+        .iter()
+        .flat_map(|op| (0..rf).map(move |k| ((op.partition as usize + k) % nodes) as u32))
+        .collect();
+    let mut rng = RngHub::new(cfg.seed).stream("replicated-legs");
+    let mut coord = Coordinator::default();
+    coord.begin(WriteOptions {
+        hint_queue_cap: cfg.hint_queue_cap,
+        read_repair: true,
+    });
+    // Per node, each partition's LWW version.
+    let mut held: Vec<HashMap<PartitionKey, u64>> = vec![HashMap::new(); nodes];
+    let mut calendar = EventQueue::new();
+    for (w, window) in cfg.down.iter().enumerate() {
+        calendar.schedule_at(at(window.until_ms), Hop::Close(w));
+    }
+    if let Some(first) = ops.first() {
+        calendar.schedule_at(at(first.at_ms), Hop::Issue);
+    }
+    let (mut next, mut open, mut replayed, mut acked) = (0, None, 0, Vec::new());
+    while let Some(hop) = calendar.pop() {
+        let now = calendar.now();
+        let now_ms = now.as_millis_f64();
+        match hop {
+            Hop::Issue => {
+                let op = Op {
+                    kind: ops[next].kind,
+                    key: &keys[next],
+                    replicas: &placement[next * rf..][..rf],
+                    cells: &[],
+                    consistency: ops[next].consistency,
+                };
+                let dark = |node: u32| {
+                    let down = |w: &FaultWindow| (w.from_ms..w.until_ms).contains(&now_ms);
+                    cfg.down.iter().any(|w| w.node == node as usize && down(w))
+                };
+                open = Some((next, coord.start(op, now.as_nanos(), now_ms, dark)));
+                next += 1;
+            }
+            Hop::AtReplica(node, id, key, write, back) => {
+                let held = held[node as usize].entry(key).or_insert(0);
+                *held = (*held).max(write.unwrap_or(0));
+                let version = *held;
+                calendar.schedule_in(back, Hop::Reply(Input::Reply { id, node, version }));
+            }
+            Hop::Reply(input) => {
+                if let Some((_, leg)) = &mut open {
+                    coord.step(leg, input, now_ms);
+                }
+            }
+            Hop::Close(w) => {
+                let node = cfg.down[w].node as u32;
+                for hint in coord.take_hints(node) {
+                    replayed += 1;
+                    // No leg waits on a replay's ack: it goes out as id 0.
+                    let write = Some(hint.timestamp);
+                    fly(&mut calendar, cfg, &mut rng, node, 0, hint.partition, write);
+                }
+            }
+        }
+        let Some((i, leg)) = &open else { continue };
+        while let Some(send) = coord.next_send() {
+            let (node, id, write) = match send {
+                Send::Leg(node) => {
+                    let write = (ops[*i].kind != OpKind::Read).then(|| leg.stamp());
+                    (node, leg.id(), write)
+                }
+                Send::Repair { node, id } => (node, id, coord.cached(&keys[*i]).map(|c| c.0)),
+            };
+            let key = keys[*i].clone();
+            fly(&mut calendar, cfg, &mut rng, node, id, key, write);
+        }
+        if leg.status() != Status::Open {
+            if leg.status() == Status::Reached && ops[*i].kind != OpKind::Read {
+                acked.push((*i, leg.stamp()));
+            }
+            open = None;
+            if let Some(op) = ops.get(next) {
+                calendar.schedule_at(at(op.at_ms).max(now), Hop::Issue);
+            }
+        }
+    }
+    let mut mixed = coord.finish();
+    mixed.makespan_ms = calendar.now().as_millis_f64();
+    let held_by_some = |&&(i, version): &&(usize, u64)| {
+        held.iter()
+            .any(|h| h.get(&keys[i]).is_some_and(|v| *v >= version))
+    };
+    ReplicationOutcome {
+        lost_acked_writes: acked.iter().filter(|a| !held_by_some(a)).count() as u64,
+        hints_replayed: replayed,
+        mixed,
+    }
+}
+
+/// Sends frame `id` to `node` over one simulated round trip: a measured
+/// leg, resampled, plus the delay fault when its coin lands; half out and
+/// half back.
+fn fly(
+    calendar: &mut EventQueue<Hop>,
+    cfg: &ReplicationSimConfig,
+    rng: &mut StdRng,
+    node: u32,
+    id: u64,
+    key: PartitionKey,
+    write: Option<u64>,
+) {
+    let samples = &cfg.leg_latency_ms;
+    let base = match samples.len() {
+        0 => 1.0,
+        n => samples[rng.gen_range(0..n)],
+    };
+    let extra = match cfg.delay {
+        Some(d) if rng.gen_bool(d.probability.clamp(0.0, 1.0)) => d.extra_ms,
+        _ => 0.0,
+    };
+    let back = SimDuration::from_millis_f64((base + extra) / 2.0);
+    calendar.schedule_in(back, Hop::AtReplica(node, id, key, write, back));
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
-//! Property tests for the cluster layer: codecs and the USL interference
-//! model.
+//! Property tests for the cluster layer: codecs, the USL interference
+//! model and the write coordinator.
 
+use kvs_cluster::coord::{Coordinator, Input, Op, Status};
 use kvs_cluster::messages::{QueryRequest, QueryResponse};
 use kvs_cluster::usl::{formula7_peak_speedup, params_for_cells, UslParams};
-use kvs_cluster::Codec;
-use kvs_store::PartitionKey;
+use kvs_cluster::{Codec, Consistency, OpKind, WriteOptions};
+use kvs_store::{Cell, PartitionKey};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -193,6 +196,92 @@ proptest! {
         prop_assert!(s <= formula7_peak_speedup(cells) * 1.05 + 1e-9,
             "speed-up exceeds the Formula 7 ceiling: {s}");
         prop_assert!(p.inflation(k) >= 1.0);
+    }
+}
+
+/// Nodes the coordinator property draws replicas and inputs from.
+const NODES: u32 = 6;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The write coordinator alone, fed a seeded interleaving of acks and
+    /// answers, duplicates, stray ids, `Busy`, `Down` and round timeouts
+    /// for each of a run of legs:
+    /// * a level is reported only once `required(cl)` distinct replicas
+    ///   replied with a version at least the write's stamp;
+    /// * a failed write hints every replica that stayed silent (or finds
+    ///   its queue full);
+    /// * no hint queue ever holds more than `hint_queue_cap`.
+    #[test]
+    fn the_coordinator_counts_distinct_replicas(seed in any::<u64>(), cap in 1usize..6) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coord = Coordinator::default();
+        coord.begin(WriteOptions { hint_queue_cap: cap, read_repair: true });
+        let keys: Vec<PartitionKey> = (0..4).map(PartitionKey::from_id).collect();
+        let cells = [Cell::new(1, 0, vec![0xAB; 4])];
+        for _ in 0..24 {
+            let rf = rng.gen_range(1..=5u32);
+            let first = rng.gen_range(0..NODES);
+            let replicas: Vec<u32> = (0..rf).map(|k| (first + k) % NODES).collect();
+            let kind = [OpKind::Read, OpKind::Write, OpKind::Rmw][rng.gen_range(0..3usize)];
+            let consistency = [Consistency::One, Consistency::Quorum, Consistency::All][rng.gen_range(0..3usize)];
+            let write = kind != OpKind::Read;
+            let key = &keys[rng.gen_range(0..keys.len())];
+            let op = Op { kind, key, replicas: &replicas, cells: if write { &cells } else { &[] }, consistency };
+            let suspect: Vec<bool> = (0..NODES).map(|_| rng.gen_bool(0.15)).collect();
+            let mut leg = coord.start(op, rng.gen_range(0..1_000u64), 0.0, |n| suspect[n as usize]);
+            let need = consistency.required(replicas.len());
+            // The model: replicas that replied to this leg at all, and those
+            // whose reply counts toward its level.
+            let (mut replied, mut counted) = (BTreeSet::new(), BTreeSet::new());
+            let mut last = Input::Timeout;
+            for _ in 0..48 {
+                while coord.next_send().is_some() {}
+                if leg.status() != Status::Open {
+                    break;
+                }
+                let node = rng.gen_range(0..NODES);
+                let id = if rng.gen_bool(0.85) { leg.id() } else { leg.id() + rng.gen_range(1..4u64) };
+                let version = leg.stamp().saturating_sub(1) + rng.gen_range(0..3u64);
+                let input = match rng.gen_range(0..10u32) {
+                    0..=4 => Input::Reply { id, node, version },
+                    5 => Input::Busy { id, node },
+                    6 => Input::Down(node),
+                    7 => Input::Timeout,
+                    _ => last,
+                };
+                if let Input::Reply { id, node, version } = input {
+                    if id == leg.id() && replicas.contains(&node) {
+                        replied.insert(node);
+                        if !write || version >= leg.stamp() {
+                            counted.insert(node);
+                        }
+                    }
+                }
+                coord.step(&mut leg, input, 1.0);
+                last = input;
+                for n in 0..NODES {
+                    prop_assert!(coord.hinted_for(n) <= cap, "node {} holds {} hints", n, coord.hinted_for(n));
+                }
+            }
+            // Two round timeouts close any leg still open.
+            coord.step(&mut leg, Input::Timeout, 2.0);
+            coord.step(&mut leg, Input::Timeout, 2.0);
+            while coord.next_send().is_some() {}
+            prop_assert!(leg.status() != Status::Open);
+            if leg.status() == Status::Reached {
+                prop_assert!(counted.len() >= need, "reached {:?} with {} of {} replicas", consistency, counted.len(), need);
+            }
+            if write && leg.status() == Status::Failed {
+                for &node in replicas.iter().filter(|n| !replied.contains(n)) {
+                    let hints = coord.take_hints(node);
+                    let hinted = hints.iter().any(|h| h.partition == *key && h.timestamp == leg.stamp());
+                    prop_assert!(hinted || hints.len() >= cap, "silent replica {} was not hinted", node);
+                    coord.restore_hints(node, hints);
+                }
+            }
+        }
     }
 }
 

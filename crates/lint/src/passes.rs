@@ -56,7 +56,9 @@
 //!   `wall_ns()` portal and tainted returns of helpers that read it)
 //!   must not flow through arguments or returns into the L001
 //!   deterministic zones. `crates/bench/` callers are exempt — the
-//!   bench lane feeds *measured* timings to the model as data.
+//!   bench lane feeds *measured* timings to the model as data — and so
+//!   is the write coordinator (`cluster/src/coord.rs`) as a callee, whose
+//!   clock is a parameter both worlds pass.
 //! * **KVS-L019** must-reach receipt accounting on the durable read
 //!   paths (`durable.rs`, `sst_file.rs`): in any function with a
 //!   `ReadReceipt` in scope, every CFG path that performs a disk block
@@ -1593,6 +1595,13 @@ fn time_exempt_caller(rel: &str) -> bool {
     rel.starts_with("crates/bench/") || rel.starts_with("crates/lint/")
 }
 
+/// The callee exempt from KVS-L018: the write coordinator is one pure
+/// machine that the socket world and the simulator both run, so time and
+/// the LWW clock are its parameters by design — the socket side passes
+/// the wall clock, the simulator simulated time. Its own body stays in the
+/// L001 zone: it may read no clock.
+const TIME_EXEMPT_CALLEE: &str = "crates/cluster/src/coord.rs";
+
 /// True when the source line at a call site is plausibly a call to
 /// *this specific* callee. The call graph resolves `Path` calls whose
 /// qualifier matches no workspace type by name alone, so `Instant::now()`
@@ -1714,7 +1723,9 @@ fn determinism_escape(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>)
             // *does* something with it.
             let constructor =
                 e.name == "new" || e.name.starts_with("from_") || e.name.starts_with("with_");
-            if !caller_zone && !time_exempt_caller(&info.file) && !constructor {
+            let exempt =
+                time_exempt_caller(&info.file) || cg.fns[e.callee].file == TIME_EXEMPT_CALLEE;
+            if !caller_zone && !exempt && !constructor {
                 into_zone.push((fid, e.callee, e.line, e.name.clone()));
             } else if caller_zone {
                 from_zone.push((fid, e.callee, e.line, e.name.clone()));

@@ -211,7 +211,7 @@ const DETERMINISTIC_ZONES: &[&str] = &[
     "crates/workloads/src/",
     "crates/core/src/",
     "crates/cluster/src/sim.rs",
-    "crates/cluster/src/replication.rs",
+    "crates/cluster/src/coord.rs",
 ];
 
 pub(crate) fn in_deterministic_zone(rel: &str) -> bool {

@@ -36,11 +36,12 @@
 //!   suite places between master and slaves to exercise the failover
 //!   path under byte-accurate faults;
 //! * [`write_path`] — the replicated write path: [`NetMaster::run_mixed`]
-//!   coordinates reads, LWW writes and RMWs at per-request consistency
-//!   levels (ONE/QUORUM/ALL), with read-repair, bounded hinted handoff
-//!   for suspected-dead replicas, and replay-on-recovery
-//!   ([`NetMaster::replay_hints`]). The deterministic twin lives in
-//!   [`kvs_cluster::replication`].
+//!   runs reads, LWW writes and RMWs at per-request consistency levels
+//!   (ONE/QUORUM/ALL), with read-repair, bounded hinted handoff for
+//!   suspected-dead replicas, and replay-on-recovery
+//!   ([`NetMaster::replay_hints`]). It runs [`kvs_cluster::coord`]'s
+//!   coordinator over sockets, the machine that
+//!   [`kvs_cluster::sim::run_replicated`] also runs.
 
 pub mod calibrate;
 pub mod chaos;

@@ -400,9 +400,10 @@ pub struct NetMaster {
     /// (`stamps[2]`) so interposers and tests can assert ordering.
     pub(crate) send_seq: u64,
     policy_rng: StdRng,
-    /// Replicated-write-path state: hint queues, the read-repair write
-    /// cache, per-partition acked versions (see `crate::write_path`).
-    pub(crate) wstate: crate::write_path::WriteState,
+    /// The replicated write path's coordinator: hint queues, the
+    /// read-repair write cache, per-partition acked versions (driven by
+    /// `crate::write_path`).
+    pub(crate) coord: kvs_cluster::coord::Coordinator,
 }
 
 /// `TcpStream::connect` with bounded retry on `ConnectionRefused`: a
@@ -540,7 +541,7 @@ impl NetMaster {
             send_seq: 0,
             policy_rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
-            wstate: crate::write_path::WriteState::default(),
+            coord: kvs_cluster::coord::Coordinator::default(),
         })
     }
 

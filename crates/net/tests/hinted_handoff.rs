@@ -7,8 +7,9 @@
 use kvs_cluster::data::uniform_partitions;
 use kvs_cluster::{ClusterData, Consistency};
 use kvs_net::{
-    spawn_local_cluster, spawn_local_cluster_durable, DurableClusterConfig, MixedOp, MixedPlan,
-    NetConfig, NetMaster, NetServerConfig, Route, WriteOptions,
+    spawn_local_cluster, spawn_local_cluster_durable, wrap_cluster, ChaosDirection, ChaosRule,
+    ChaosSchedule, DurableClusterConfig, FaultAction, MixedOp, MixedPlan, NetConfig, NetMaster,
+    NetServerConfig, Route, WriteOptions,
 };
 use kvs_store::{Cell, DurableOptions, FsyncPolicy, TableOptions, TempDir};
 use std::collections::BTreeMap;
@@ -226,5 +227,68 @@ fn all_consistency_fails_while_quorum_survives() {
         "QUORUM tolerates one dark replica: {quorum:?}"
     );
     master.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn duplicated_replies_never_reach_a_level() {
+    // Node 2 swallows every frame while nodes 0 and 1 send every reply
+    // twice. Two replicas are two however often they answer: ALL can be
+    // reached neither by a write nor by a read, and QUORUM still is.
+    let (cluster, routes) =
+        spawn_local_cluster(data(), NetServerConfig::default()).expect("cluster boots");
+    let duplicate = |seed| ChaosSchedule {
+        seed,
+        rules: vec![ChaosRule {
+            direction: ChaosDirection::ToMaster,
+            action: FaultAction::Duplicate,
+            probability: 1.0,
+            after_frame: 0,
+            until_frame: None,
+        }],
+        blackhole_from: None,
+    };
+    let schedules = vec![
+        duplicate(1),
+        duplicate(2),
+        ChaosSchedule::blackhole_at(3, Duration::ZERO),
+    ];
+    let (proxies, proxied) = wrap_cluster(&cluster.addrs(), schedules).expect("proxies spawn");
+    let cfg = NetConfig {
+        timeout: Duration::from_millis(100),
+        ..NetConfig::default()
+    };
+    let mut master = NetMaster::connect(&proxied, cfg).expect("master connects");
+    let wcfg = WriteOptions::default();
+
+    let mut all_writes = storm(&routes, 8, 0);
+    for p in &mut all_writes {
+        p.consistency = Consistency::All;
+    }
+    let writes = master
+        .run_mixed(&all_writes, None, &wcfg)
+        .expect("ALL writes run");
+    assert_eq!(
+        (writes.writes_acked, writes.writes_failed),
+        (0, 8),
+        "{writes:?}"
+    );
+    let reads = master
+        .run_mixed(&read_all(&routes)[..8], None, &wcfg)
+        .expect("ALL reads run");
+    assert_eq!((reads.reads, reads.reads_failed), (0, 8), "{reads:?}");
+    let quorum = master
+        .run_mixed(&storm(&routes, 8, 1), None, &wcfg)
+        .expect("QUORUM writes run");
+    assert_eq!(
+        (quorum.writes_acked, quorum.writes_failed),
+        (8, 0),
+        "{quorum:?}"
+    );
+
+    master.shutdown();
+    for proxy in proxies {
+        proxy.shutdown();
+    }
     cluster.shutdown();
 }
