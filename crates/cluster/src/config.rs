@@ -117,9 +117,10 @@ impl Default for DbConfig {
 pub struct NodeFailure {
     /// The node that fails.
     pub node: u32,
-    /// When it fails, relative to query start. The node drains requests
-    /// already accepted ("connection draining") but rejects new arrivals;
-    /// the master times out and retries the next replica.
+    /// When it fails, relative to query start. From then on a frame
+    /// reaching the node is dropped, though it still serves what it had
+    /// accepted; the master learns of the death `failure_timeout` later
+    /// and fails over whatever the node has not answered by then.
     pub at: SimDuration,
 }
 
@@ -160,15 +161,16 @@ pub struct ClusterConfig {
     pub replication_factor: usize,
     /// Injected node failures (empty = the paper's healthy-cluster runs).
     pub failures: Vec<NodeFailure>,
-    /// How long the master waits before declaring a dead replica and
-    /// retrying the next one.
+    /// How long after a node's death the master learns of it, as the socket
+    /// master learns of a dropped connection, and fails its requests over.
     pub failure_timeout: SimDuration,
     /// Injected stragglers (empty = no artificial tail).
     pub stragglers: Vec<Straggler>,
-    /// Hedged replica reads: when set, any request unanswered this long
-    /// after dispatch is re-issued to the next live replica;
-    /// first-response-wins. Mirrors `kvs-net`'s hedging so the chaos drill
-    /// can cross-validate measured tail cuts against the model.
+    /// Hedged replica reads: when set, a request still unanswered this long
+    /// after its first send is re-issued to the least suspect other
+    /// replica; first-response-wins. The read dispatcher decides it, as it
+    /// does for `kvs-net`'s master, and the chaos drill cross-validates
+    /// measured tail cuts against it.
     pub hedge: Option<SimDuration>,
     /// Degraded mode: a sub-query whose every replica is dead completes as
     /// a recorded miss ([`crate::Coverage`]` < 1`) instead of panicking.

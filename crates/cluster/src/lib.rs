@@ -25,6 +25,10 @@
 //!   round-robin, least-loaded).
 //! * [`queue`] — bounded work queues with observable backpressure, the
 //!   worker-pool front of the `kvs-net` TCP slaves.
+//! * [`dispatch`] — the read path's dispatcher as one pure machine:
+//!   replica pick, credit window, `Busy` back-off, retries, hedging,
+//!   failover, deadlines and misses. `kvs-net`'s master drives it over
+//!   sockets and [`sim`] over simulated time.
 //! * [`coord`] — the replicated write path's coordinator as one pure
 //!   machine: ONE/QUORUM/ALL consistency counted over distinct replicas,
 //!   LWW versions, read repair, bounded hinted handoff and PCAP-style
@@ -36,6 +40,7 @@ pub mod codec;
 pub mod config;
 pub mod coord;
 pub mod data;
+pub mod dispatch;
 pub mod messages;
 pub mod policy;
 pub mod queue;

@@ -22,21 +22,24 @@
 //!
 //! The reads run first and once; the replay then plays out only *time*, as
 //! one [`EventQueue`] of [`Event`]s over indices: `r` into the requests,
-//! `a` into their attempts (a request's primary and, when hedged, its
-//! duplicate). Each master shard's send and receive loops and each node's
-//! database executor are [`Station`]s holding those indices. The events
-//! are the stage boundaries:
+//! `a` into their attempts (every frame a request sends: its own leg, a
+//! hedge, a failover). Each master shard's send and receive loops and each
+//! node's database executor are [`Station`]s holding those indices. Every
+//! read-path decision is the socket master's own: the replay drives
+//! [`crate::dispatch::Dispatcher`] in its paper-mode configuration. The
+//! events are the stage boundaries:
 //!
 //! | event | boundary |
 //! |---|---|
 //! | `Issue(r)` | master-to-slaves begins (t = 0 in the batch query) |
-//! | `Sent(r)` | the send loop has serialised `r`; a replica is chosen |
-//! | `AtNode(a)` | master-to-slaves ends and in-queue begins |
+//! | `Sent(r)` | the send loop has serialised `r`; the dispatcher issues it |
+//! | `AtNode(a)` | master-to-slaves ends and in-queue begins (a dead node drops it) |
 //! | a database server takes `a` | in-queue ends and in-db begins |
 //! | `Served(a)` | in-db ends and slaves-to-master begins |
 //! | `AtMaster(a)` | the response queues for the receive loop |
-//! | `Received(a)` | slaves-to-master ends; the first attempt here answers |
-//! | `Hedge(r, _)` | a timer: re-issue `r` if it is still unanswered |
+//! | `Received(a)` | slaves-to-master ends; the first answer settles `r` |
+//! | `Timer` | the dispatcher's nearest deadline: hedges fire |
+//! | `Down(n)` | `failure_timeout` after `n` died: its requests fail over |
 //!
 //! ## The replicated write path
 //!
@@ -51,6 +54,7 @@ use crate::coord::{
     Consistency, Coordinator, Input, MixedOutcome, Op, OpKind, Send, Status, WriteOptions,
 };
 use crate::data::ClusterData;
+use crate::dispatch::{Dispatcher, ReadOptions, View};
 use crate::policy::ReplicaPolicy;
 use crate::result::{Coverage, RunResult};
 use crate::usl::{self, UslParams};
@@ -131,7 +135,7 @@ fn prepare<'a>(
 }
 
 /// True when `node` has failed by instant `at` under the injected failure
-/// plan.
+/// plan: a frame reaching it from then on is dropped.
 fn node_is_dead(cfg: &ClusterConfig, node: u32, at: SimTime) -> bool {
     cfg.failures
         .iter()
@@ -160,8 +164,10 @@ fn sample_service_ms(cfg: &ClusterConfig, base_ms: f64, mean_ms: f64, rng: &mut 
 enum Event {
     Issue(usize),
     Sent(usize),
-    /// The hedge timer of request `r`, whose primary went to replica `.1`.
-    Hedge(usize, usize),
+    /// The dispatcher's nearest deadline.
+    Timer,
+    /// The master learns that a node died.
+    Down(u32),
     AtNode(usize),
     Served(usize),
     AtMaster(usize),
@@ -176,18 +182,46 @@ struct Request {
     /// The master shard that issues it and receives its answer.
     shard: usize,
     issued: SimTime,
-    /// First response wins: set when an attempt answers.
-    done: bool,
 }
 
-/// One trip of a request to one replica, primary or hedge.
+/// One frame of a request to one replica.
 struct Attempt {
     r: usize,
     node: u32,
-    hedge: bool,
     arrived: SimTime,
     started: SimTime,
     served: SimTime,
+}
+
+/// The simulated master's [`View`]: no phi detector, and the configured
+/// hedge delay for every node.
+struct PaperView(Option<u64>);
+
+impl View for PaperView {
+    fn phi(&self, _: u32) -> f64 {
+        0.0
+    }
+
+    fn hedge_delay(&self, _: u32) -> Option<u64> {
+        self.0
+    }
+}
+
+/// The dispatcher's paper-mode configuration: no credit window (the
+/// simulated slaves never refuse), no deadline and no request timeout. The
+/// master learns of a node's death `failure_timeout` after it, as the
+/// socket master learns of a dropped connection (`Event::Down`); a
+/// per-request timeout that short would also give up on live replicas
+/// whose queues run longer.
+fn paper_mode(cfg: &ClusterConfig) -> ReadOptions {
+    ReadOptions {
+        policy: cfg.replica_policy,
+        timeout: None,
+        max_retries: 0,
+        busy_backoff: 0,
+        deadline: None,
+        phi_threshold: f64::INFINITY,
+    }
 }
 
 /// Phase 2: the discrete-event replay of a set of requests.
@@ -204,6 +238,10 @@ struct Replay<'q> {
     dbs: Vec<Station<(usize, SimDuration)>>,
     requests: Vec<Request>,
     attempts: Vec<Attempt>,
+    dispatch: Dispatcher,
+    view: PaperView,
+    /// The earliest `Timer` event pending.
+    timer: Option<SimTime>,
     /// Per request: the winning attempt's trace, `None` if unanswered.
     traces: Vec<Option<RequestTrace>>,
     /// Requests in the order they were answered.
@@ -211,11 +249,7 @@ struct Replay<'q> {
     missed: usize,
     /// Replica loads handed to the policy, reused.
     loads: Vec<usize>,
-    dispatched: u64,
-    failovers: u64,
-    hedges_sent: u64,
-    hedges_won: u64,
-    extra_bytes_to_slaves: u64,
+    bytes_to_slaves: u64,
     send_first: Option<SimTime>,
     send_last: SimTime,
 }
@@ -228,6 +262,8 @@ impl<'q> Replay<'q> {
         rng: StdRng,
     ) -> Self {
         let shards = cfg.master_shards.max(1);
+        let mut dispatch = Dispatcher::new(cfg.nodes as usize, paper_mode(cfg));
+        dispatch.begin(requests.len());
         Replay {
             cfg,
             subs,
@@ -240,16 +276,15 @@ impl<'q> Replay<'q> {
                 .map(|_| Station::new(cfg.db.parallelism))
                 .collect(),
             attempts: Vec::with_capacity(requests.len()),
+            dispatch,
+            view: PaperView(cfg.hedge.map(SimDuration::as_nanos)),
+            timer: None,
             traces: (0..requests.len()).map(|_| None).collect(),
             answered: Vec::with_capacity(requests.len()),
             requests,
             missed: 0,
             loads: Vec::new(),
-            dispatched: 0,
-            failovers: 0,
-            hedges_sent: 0,
-            hedges_won: 0,
-            extra_bytes_to_slaves: 0,
+            bytes_to_slaves: 0,
             send_first: None,
             send_last: SimTime::ZERO,
         }
@@ -269,7 +304,18 @@ impl<'q> Replay<'q> {
                     }
                     self.sent(r);
                 }
-                Event::Hedge(r, primary) => self.hedge(r, primary),
+                Event::Timer => {
+                    let now = self.calendar.now();
+                    if self.timer == Some(now) {
+                        self.timer = None;
+                    }
+                    self.dispatch.poll(now.as_nanos(), &self.view);
+                    self.pump();
+                }
+                Event::Down(node) => {
+                    self.dispatch.down(node, &self.view);
+                    self.pump();
+                }
                 Event::AtNode(a) => self.at_node(a),
                 Event::Served(a) => self.served(a),
                 Event::AtMaster(a) => {
@@ -293,100 +339,80 @@ impl<'q> Replay<'q> {
         }
     }
 
+    /// The send loop has serialised `r`: the dispatcher picks its replica
+    /// with live load info.
     fn sent(&mut self, r: usize) {
-        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
-        let sub = &subs[self.requests[r].sub];
+        let now = self.calendar.now();
+        let sub = &self.subs[self.requests[r].sub];
         self.send_first.get_or_insert(now - self.requests[r].tx);
         self.send_last = self.send_last.max(now);
-        // Replica choice happens at send time with live load info.
         let dbs = &self.dbs;
         self.loads.clear();
         self.loads.extend(sub.replicas.iter().map(|&n| {
             let db = &dbs[n as usize];
             db.busy() + db.queue_len()
         }));
-        let pick = cfg.replica_policy.pick(
-            sub.replicas.len(),
-            &self.loads,
-            self.dispatched,
-            &mut self.rng,
-        );
-        self.dispatched += 1;
-        // Failure injection: a dead replica costs a timeout, then the
-        // master walks the replica list for the next live one.
-        let transit = cfg.network.transit(sub.req_bytes);
-        let (mut attempt, mut penalty, mut tried) = (pick, SimDuration::ZERO, 0);
-        while node_is_dead(cfg, sub.replicas[attempt], now + transit + penalty) {
-            tried += 1;
-            if tried > sub.replicas.len() {
-                // Out of replicas: a recorded miss in degraded mode, an
-                // experiment-harness failure otherwise.
-                assert!(
-                    cfg.degraded,
-                    "every replica of request {r} is dead — unservable query"
-                );
-                self.failovers += tried as u64 - 1;
-                self.missed += 1;
-                return;
+        let (now, rng) = (now.as_nanos(), &mut self.rng);
+        self.dispatch
+            .issue(r as u64, sub.replicas, &self.loads, now, rng, &self.view);
+        self.pump();
+    }
+
+    /// Carries out what the dispatcher decided: its sends, each reaching
+    /// its replica after one transit (a hedge bypasses the send loop, as
+    /// the real master's is sent from its collect loop), its misses, and a
+    /// timer at its nearest deadline.
+    fn pump(&mut self) {
+        let now = self.calendar.now();
+        while let Some(send) = self.dispatch.next_send(now.as_nanos(), &self.view) {
+            let r = send.id as usize;
+            let bytes = self.subs[self.requests[r].sub].req_bytes;
+            self.bytes_to_slaves += bytes as u64;
+            self.attempts.push(Attempt {
+                r,
+                node: send.node,
+                arrived: SimTime::ZERO,
+                started: SimTime::ZERO,
+                served: SimTime::ZERO,
+            });
+            let a = self.attempts.len() - 1;
+            self.calendar
+                .schedule_in(self.cfg.network.transit(bytes), Event::AtNode(a));
+        }
+        while let Some((r, _)) = self.dispatch.next_miss() {
+            // Out of replicas: a recorded miss in degraded mode, an
+            // experiment-harness failure otherwise.
+            assert!(
+                self.cfg.degraded,
+                "every replica of request {r} is dead — unservable query"
+            );
+            self.missed += 1;
+        }
+        if let Some(at) = self.dispatch.next_deadline().map(SimTime::from_nanos) {
+            if self.timer.is_none_or(|t| at < t) {
+                self.timer = Some(at.max(now));
+                self.calendar.schedule_at(at.max(now), Event::Timer);
             }
-            penalty += cfg.failure_timeout;
-            attempt = (attempt + 1) % sub.replicas.len();
-        }
-        self.failovers += tried as u64;
-        self.launch(r, sub.replicas[attempt], transit + penalty, false);
-        // Hedge: if the request is still unanswered `delay` after dispatch,
-        // re-issue it to the next live replica. The duplicate bypasses the
-        // send loop — a deliberate approximation (the real master's hedge
-        // is sent from the collect loop, off the issue path's critical
-        // resource).
-        if let Some(delay) = cfg.hedge.filter(|_| sub.replicas.len() > 1) {
-            self.calendar.schedule_in(delay, Event::Hedge(r, attempt));
         }
     }
 
-    fn hedge(&mut self, r: usize, primary: usize) {
-        if self.requests[r].done {
-            return;
-        }
-        let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
-        let sub = &subs[self.requests[r].sub];
-        let n = sub.replicas.len();
-        let target = (1..n)
-            .map(|step| sub.replicas[(primary + step) % n])
-            .find(|&cand| !node_is_dead(cfg, cand, now));
-        let Some(node) = target else { return };
-        self.hedges_sent += 1;
-        self.extra_bytes_to_slaves += sub.req_bytes as u64;
-        self.launch(r, node, cfg.network.transit(sub.req_bytes), true);
-    }
-
-    /// Sends an attempt of request `r` to `node`, arriving after `transit`.
-    fn launch(&mut self, r: usize, node: u32, transit: SimDuration, hedge: bool) {
-        self.attempts.push(Attempt {
-            r,
-            node,
-            hedge,
-            arrived: SimTime::ZERO,
-            started: SimTime::ZERO,
-            served: SimTime::ZERO,
-        });
-        let a = self.attempts.len() - 1;
-        self.calendar.schedule_in(transit, Event::AtNode(a));
-    }
-
+    /// A frame reaches its replica. A dead node drops it, and one whose
+    /// request was answered meanwhile never reaches the database.
     fn at_node(&mut self, a: usize) {
         let (cfg, subs, now) = (self.cfg, self.subs, self.calendar.now());
-        let (r, node) = (self.attempts[a].r, self.attempts[a].node as usize);
-        if self.requests[r].done {
-            return; // answered before this attempt even arrived
+        let (r, node) = (self.attempts[a].r, self.attempts[a].node);
+        if node_is_dead(cfg, node, now) || !self.dispatch.accepts(r as u64, node) {
+            return;
         }
         let sub = &subs[self.requests[r].sub];
-        let db = &self.dbs[node];
+        let db = &self.dbs[node as usize];
         let k = (db.busy() + db.queue_len() + 1).min(cfg.db.parallelism);
         let mean_ms = sub.base_service_ms * sub.usl.inflation(k) + cfg.gc.db_extra_ms(sub.cells);
         let service = sample_service_ms(cfg, sub.base_service_ms, mean_ms, &mut self.rng);
         self.attempts[a].arrived = now;
-        if let Some(job) = self.dbs[node].arrive((a, SimDuration::from_millis_f64(service))) {
+        if let Some(job) =
+            self.dbs[node as usize].arrive((a, SimDuration::from_millis_f64(service)))
+        {
             self.start_db(job);
         }
     }
@@ -413,19 +439,22 @@ impl<'q> Replay<'q> {
         self.calendar.schedule_in(back, Event::AtMaster(a));
     }
 
-    /// Only the first attempt of a request to get here records its trace
-    /// and its answer; the loser is dropped, exactly as the network master
-    /// deduplicates a lost hedge's late response.
+    /// The dispatcher settles a request on its first answer, which alone
+    /// records its trace; a later one is dropped, as over sockets.
     fn received(&mut self, a: usize) {
         let now = self.calendar.now();
         let attempt = &self.attempts[a];
-        let request = &mut self.requests[attempt.r];
+        let request = &self.requests[attempt.r];
         if let Some(next) = self.rx[request.shard].finish() {
             self.calendar
                 .schedule_in(self.rx_time, Event::Received(next));
         }
-        if std::mem::replace(&mut request.done, true) {
-            return; // lost the race; duplicate answer dropped
+        if self
+            .dispatch
+            .answer(attempt.r as u64, attempt.node)
+            .is_none()
+        {
+            return;
         }
         let span = |start, end| Some(Span { start, end });
         self.traces[attempt.r] = Some(RequestTrace {
@@ -439,7 +468,6 @@ impl<'q> Replay<'q> {
                 span(attempt.served, now),
             ],
         });
-        self.hedges_won += attempt.hedge as u64;
         self.answered.push(attempt.r);
     }
 }
@@ -515,12 +543,15 @@ fn run_query_inner(
                 tx,
                 shard: shard as usize,
                 issued: SimTime::ZERO,
-                done: false,
             }
         })
         .collect();
     let rng = RngHub::new(cfg.seed).stream("service-noise");
     let mut replay = Replay::new(cfg, &prepared.subs, requests, rng);
+    for f in &cfg.failures {
+        let at = SimTime::ZERO + f.at + cfg.failure_timeout;
+        replay.calendar.schedule_at(at, Event::Down(f.node));
+    }
     for r in 0..keys.len() {
         match arrivals {
             Some(at) => {
@@ -551,6 +582,7 @@ fn run_query_inner(
         .collect();
     let traces: Vec<RequestTrace> = replay.traces.into_iter().flatten().collect();
     let report = analyze(&traces);
+    let ctr = replay.dispatch.counters();
     RunResult {
         makespan: report.makespan,
         report,
@@ -558,25 +590,20 @@ fn run_query_inner(
         counts_by_kind: (0..=u8::MAX).zip(counts).filter(|&(_, c)| c > 0).collect(),
         total_cells,
         messages: keys.len() as u64,
-        bytes_to_slaves: prepared
-            .subs
-            .iter()
-            .map(|s| s.req_bytes as u64)
-            .sum::<u64>()
-            + replay.extra_bytes_to_slaves,
+        bytes_to_slaves: replay.bytes_to_slaves,
         bytes_to_master: prepared.subs.iter().map(|s| s.resp_bytes as u64).sum(),
         issue_span: match replay.send_first {
             Some(first) => replay.send_last - first,
             None => SimDuration::ZERO,
         },
-        failovers: replay.failovers,
+        failovers: ctr.failovers,
         coverage: Coverage {
             answered: keys.len() as u64 - missed.len() as u64,
             total: keys.len() as u64,
         },
         missed,
-        hedges_sent: replay.hedges_sent,
-        hedges_won: replay.hedges_won,
+        hedges_sent: ctr.hedges_sent,
+        hedges_won: ctr.hedges_won,
         queue: None,
     }
 }
@@ -730,7 +757,6 @@ pub fn run_open_loop(
             tx: cfg.master_tx_time(),
             shard: 0,
             issued: SimTime::ZERO,
-            done: false,
         })
         .collect();
     let rng = hub.stream(&format!("open-loop-noise-{label}"));

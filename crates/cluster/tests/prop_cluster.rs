@@ -1,10 +1,11 @@
 //! Property tests for the cluster layer: codecs, the USL interference
-//! model and the write coordinator.
+//! model, the write coordinator and the read dispatcher.
 
 use kvs_cluster::coord::{Coordinator, Input, Op, Status};
+use kvs_cluster::dispatch::{Dispatcher, ReadOptions, View};
 use kvs_cluster::messages::{QueryRequest, QueryResponse};
 use kvs_cluster::usl::{formula7_peak_speedup, params_for_cells, UslParams};
-use kvs_cluster::{Codec, Consistency, OpKind, WriteOptions};
+use kvs_cluster::{Codec, Consistency, OpKind, ReplicaPolicy, WriteOptions};
 use kvs_store::{Cell, PartitionKey};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -281,6 +282,217 @@ proptest! {
                     coord.restore_hints(node, hints);
                 }
             }
+        }
+    }
+}
+
+/// The read dispatcher's view in its property: a fixed phi per node, some
+/// past the threshold, and hedging on or off.
+struct Seen {
+    phi: Vec<f64>,
+    hedge: Option<u64>,
+}
+
+impl View for Seen {
+    fn phi(&self, node: u32) -> f64 {
+        self.phi[node as usize]
+    }
+
+    fn hedge_delay(&self, _: u32) -> Option<u64> {
+        self.hedge
+    }
+}
+
+/// Who an answer or a `Busy` claims to be: mostly a frame on the wire,
+/// else a stray — an unknown id, or a node that was never asked.
+fn target(rng: &mut StdRng, wire: &[(u64, u32, u64)], n: usize) -> (u64, u32) {
+    match rng.gen_range(0..8u32) {
+        0..=4 if !wire.is_empty() => {
+            let (id, node, _) = wire[rng.gen_range(0..wire.len())];
+            (id, node)
+        }
+        5 => (
+            u64::MAX - rng.gen_range(0..2u64),
+            rng.gen_range(0..NODES + 2),
+        ),
+        _ => (rng.gen_range(0..n as u64 + 2), rng.gen_range(0..NODES + 2)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The read dispatcher alone, two queries per seed on one machine, fed
+    /// a seeded schedule of issues, answers (duplicated, stray or unknown
+    /// ids, nodes never asked), `Busy` with windows, `Down`, `Expired` and
+    /// `poll` advancing time, hedging on or off, driven strict (the first
+    /// miss ends the query) or degraded. A model of the frames on the wire
+    /// checks that
+    /// * each issued id settles exactly once, answered or missed;
+    /// * once a node's window is known, no send takes it past the window;
+    /// * a node is exhausted only after a frame of its timed out or a
+    ///   `Busy` allowance on it ran out: a `Busy` never uses up
+    ///   `max_retries`;
+    /// * nothing is sent to a node that went down;
+    /// * a hedge is counted as won only when its node answered first.
+    #[test]
+    fn the_dispatcher_settles_every_request_once(seed in any::<u64>()) {
+        const MS: u64 = 1_000_000;
+        const N: usize = NODES as usize;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let timeout = rng.gen_range(2..20u64) * MS;
+        let max_retries = rng.gen_range(0..3u32);
+        let allowance = timeout * (max_retries as u64 + 1);
+        let policies = [
+            ReplicaPolicy::Primary,
+            ReplicaPolicy::Random,
+            ReplicaPolicy::RoundRobin,
+            ReplicaPolicy::LeastLoaded,
+        ];
+        let opts = ReadOptions {
+            policy: policies[rng.gen_range(0..4usize)],
+            timeout: Some(timeout),
+            max_retries,
+            busy_backoff: rng.gen_range(0..timeout),
+            deadline: rng.gen_bool(0.5).then(|| rng.gen_range(20..200u64) * MS),
+            phi_threshold: 8.0,
+        };
+        let view = Seen {
+            phi: (0..N).map(|_| if rng.gen_bool(0.2) { 9.0 } else { rng.gen_range(0.0..4.0) }).collect(),
+            hedge: rng.gen_bool(0.5).then(|| rng.gen_range(1..8u64) * MS),
+        };
+        let strict = rng.gen_bool(0.5);
+        let mut d = Dispatcher::new(N, opts);
+        // What outlives a query: the windows advertised, the nodes that
+        // went down, and the nodes that may be exhausted ("struck": a frame
+        // of theirs timed out, or a `Busy` allowance on them ran out, since
+        // they were last heard from).
+        let (mut window, mut dead, mut struck) = ([0usize; N], [false; N], [false; N]);
+        for _ in 0..2 {
+            let n = rng.gen_range(1..40usize);
+            let replicas: Vec<Vec<u32>> = (0..n)
+                .map(|_| {
+                    let (first, rf) = (rng.gen_range(0..NODES), rng.gen_range(1..=3u32));
+                    (0..rf).map(|k| (first + k) % NODES).collect()
+                })
+                .collect();
+            d.begin(n);
+            // (id, node, sent) of every frame on the wire, released no
+            // later than the machine releases it (a hedge at its timeout
+            // too); the hedges alone, held until the machine drops them;
+            // per id, the nodes a hedge went to, the `Busy` that last took
+            // it off the wire, and how often it settled.
+            let mut wire: Vec<(u64, u32, u64)> = Vec::new();
+            let mut hedges: Vec<(u64, u32, u64)> = Vec::new();
+            let mut hedged: Vec<Vec<u32>> = vec![Vec::new(); n];
+            let mut busied: Vec<Option<(u32, u64)>> = vec![None; n];
+            let mut settled = vec![0u32; n];
+            let (mut issued, mut now, mut won, mut last) = (0, 0u64, 0u64, (0u64, 0u32));
+            for _ in 0..300 {
+                let mut ended = Vec::new();
+                match rng.gen_range(0..12u32) {
+                    0..=2 if issued < n => {
+                        let loads: Vec<usize> = replicas[issued].iter().map(|&r| d.load(r)).collect();
+                        d.issue(issued as u64, &replicas[issued], &loads, now, &mut rng, &view);
+                        issued += 1;
+                    }
+                    0..=5 => {
+                        let (id, node) = if rng.gen_bool(0.15) { last } else { target(&mut rng, &wire, n) };
+                        last = (id, node);
+                        if let Some(s) = struck.get_mut(node as usize) {
+                            *s = false;
+                        }
+                        if let Some(done) = d.answer(id, node) {
+                            if done.hedge {
+                                prop_assert!(hedged[id as usize].contains(&node), "id {} won by node {}, which no hedge went to", id, node);
+                                won += 1;
+                            }
+                            ended.push(id);
+                        }
+                    }
+                    6 | 7 => {
+                        let (id, node) = target(&mut rng, &wire, n);
+                        let w = [0usize, 0, 1, 2, 4][rng.gen_range(0..5usize)];
+                        d.busy(id, node, w, now);
+                        if (node as usize) < N {
+                            struck[node as usize] = false;
+                            if w != 0 {
+                                window[node as usize] = w;
+                            }
+                        }
+                        if let Some(at) = wire.iter().position(|f| (f.0, f.1) == (id, node)) {
+                            wire.swap_remove(at);
+                            busied[id as usize] = Some((node, now));
+                        }
+                        hedges.retain(|f| (f.0, f.1) != (id, node));
+                    }
+                    8 if rng.gen_bool(0.3) => {
+                        let node = rng.gen_range(0..NODES);
+                        d.down(node, &view);
+                        dead[node as usize] = true;
+                        wire.retain(|f| f.1 != node);
+                        hedges.retain(|f| f.1 != node);
+                    }
+                    8 => d.expired(rng.gen_range(0..n as u64 + 1)),
+                    _ => {
+                        now += rng.gen_range(0..timeout);
+                        d.poll(now, &view);
+                        for &(_, node, sent) in wire.iter().chain(&hedges) {
+                            if sent + timeout <= now {
+                                struck[node as usize] = true;
+                            }
+                        }
+                        for &(node, at) in busied.iter().flatten() {
+                            if at + allowance <= now {
+                                struck[node as usize] = true;
+                            }
+                        }
+                        wire.retain(|f| f.2 + timeout > now);
+                    }
+                }
+                let mut missed = false;
+                while let Some((id, _)) = d.next_miss() {
+                    ended.push(id);
+                    missed = true;
+                }
+                for &id in &ended {
+                    settled[id as usize] += 1;
+                    prop_assert!(settled[id as usize] == 1, "id {} settled twice", id);
+                    wire.retain(|f| f.0 != id);
+                    hedges.retain(|f| f.0 != id);
+                    busied[id as usize] = None;
+                }
+                while let Some(s) = d.next_send(now, &view) {
+                    let node = s.node as usize;
+                    prop_assert!(!dead[node], "{:?} went to a node that is down", s);
+                    wire.push((s.id, s.node, now));
+                    if s.hedge {
+                        hedges.push((s.id, s.node, now));
+                        hedged[s.id as usize].push(s.node);
+                    } else {
+                        busied[s.id as usize] = None;
+                    }
+                    let out = wire.iter().filter(|f| f.1 == s.node).count();
+                    prop_assert!(window[node] == 0 || out <= window[node], "node {} has {} out, window {}", node, out, window[node]);
+                }
+                for node in 0..N {
+                    let exhausted = d.hard_suspect(node as u32) && !dead[node];
+                    prop_assert!(!exhausted || struck[node], "node {} exhausted with no timeout and no spent allowance", node);
+                }
+                if strict && missed {
+                    break;
+                }
+            }
+            // The query ends: whatever is still open misses.
+            d.abandon();
+            while let Some((id, _)) = d.next_miss() {
+                settled[id as usize] += 1;
+            }
+            for (id, &count) in settled.iter().enumerate() {
+                prop_assert_eq!(count, (id < issued) as u32, "id {} settled {} times", id, count);
+            }
+            prop_assert_eq!(d.counters().hedges_won, won);
+            prop_assert_eq!(d.open(), 0);
         }
     }
 }

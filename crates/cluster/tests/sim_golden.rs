@@ -166,7 +166,10 @@ fn cases() -> Vec<(&'static str, String)> {
 }
 
 /// The digests, computed at the commit before the simulator's event loop
-/// was rewritten on typed events.
+/// was rewritten on typed events. The two failure runs were re-pinned when
+/// the simulator began running the socket master's read dispatcher: its
+/// master learns of a death `failure_timeout` after it, once for the node,
+/// where it had charged every request the timeout on its own.
 const GOLDEN: &[(&str, u64)] = &[
     ("primary rf1", 0x7189f6da7947933d),
     ("slow master rf1", 0x97d3396754fd5369),
@@ -174,8 +177,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("round robin rf3", 0xe5dd0b0a479d31df),
     ("least loaded rf3", 0x222de65acf8494a9),
     ("hedge + stragglers rf3", 0x151309f7e066a355),
-    ("failures + failover, 3 master shards", 0xeab5ee703e35dd01),
-    ("degraded with misses", 0xc64bbb51052711d7),
+    ("failures + failover, 3 master shards", 0xafe743f94df7e8c9),
+    ("degraded with misses", 0x070d5f6f00988f0d),
     ("paced", 0xcbcec6bf161a54e9),
     ("open loop", 0xc47d291972368a12),
     ("db microbench", 0xfc57e03ce4f8720a),

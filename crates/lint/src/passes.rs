@@ -57,8 +57,9 @@
 //!   must not flow through arguments or returns into the L001
 //!   deterministic zones. `crates/bench/` callers are exempt — the
 //!   bench lane feeds *measured* timings to the model as data — and so
-//!   is the write coordinator (`cluster/src/coord.rs`) as a callee, whose
-//!   clock is a parameter both worlds pass.
+//!   are the two machines both worlds run, the write coordinator
+//!   (`cluster/src/coord.rs`) and the read dispatcher
+//!   (`cluster/src/dispatch.rs`), as callees: their clock is a parameter.
 //! * **KVS-L019** must-reach receipt accounting on the durable read
 //!   paths (`durable.rs`, `sst_file.rs`): in any function with a
 //!   `ReadReceipt` in scope, every CFG path that performs a disk block
@@ -1595,12 +1596,15 @@ fn time_exempt_caller(rel: &str) -> bool {
     rel.starts_with("crates/bench/") || rel.starts_with("crates/lint/")
 }
 
-/// The callee exempt from KVS-L018: the write coordinator is one pure
-/// machine that the socket world and the simulator both run, so time and
-/// the LWW clock are its parameters by design — the socket side passes
-/// the wall clock, the simulator simulated time. Its own body stays in the
-/// L001 zone: it may read no clock.
-const TIME_EXEMPT_CALLEE: &str = "crates/cluster/src/coord.rs";
+/// The callees exempt from KVS-L018: the write coordinator and the read
+/// dispatcher are pure machines that the socket world and the simulator
+/// both run, so time (and the LWW clock) are their parameters by design —
+/// the socket side passes the clock, the simulator simulated time. Their
+/// own bodies stay in the L001 zone: they may read no clock.
+const TIME_EXEMPT_CALLEES: &[&str] = &[
+    "crates/cluster/src/coord.rs",
+    "crates/cluster/src/dispatch.rs",
+];
 
 /// True when the source line at a call site is plausibly a call to
 /// *this specific* callee. The call graph resolves `Path` calls whose
@@ -1723,8 +1727,8 @@ fn determinism_escape(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>)
             // *does* something with it.
             let constructor =
                 e.name == "new" || e.name.starts_with("from_") || e.name.starts_with("with_");
-            let exempt =
-                time_exempt_caller(&info.file) || cg.fns[e.callee].file == TIME_EXEMPT_CALLEE;
+            let exempt = time_exempt_caller(&info.file)
+                || TIME_EXEMPT_CALLEES.contains(&cg.fns[e.callee].file.as_str());
             if !caller_zone && !exempt && !constructor {
                 into_zone.push((fid, e.callee, e.line, e.name.clone()));
             } else if caller_zone {

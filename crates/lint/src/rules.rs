@@ -212,6 +212,7 @@ const DETERMINISTIC_ZONES: &[&str] = &[
     "crates/core/src/",
     "crates/cluster/src/sim.rs",
     "crates/cluster/src/coord.rs",
+    "crates/cluster/src/dispatch.rs",
 ];
 
 pub(crate) fn in_deterministic_zone(rel: &str) -> bool {
@@ -1149,6 +1150,8 @@ fn lock_across_blocking(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 fn comment_contracts(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     if let Some(f) = ws.file("crates/net/src/master.rs") {
         send_seq_monotonicity(f, out);
+    }
+    if let Some(f) = ws.file("crates/cluster/src/dispatch.rs") {
         busy_rearm_contract(f, out);
     }
     if let Some((rel, lines)) = &ws.net_md {
@@ -1222,14 +1225,14 @@ fn send_seq_monotonicity(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// The Busy allowance re-arm is behavior tests pin (`busy_budget.rs`); the
-/// code site must keep saying so, or the next refactor will "simplify" it
-/// away.
+/// read dispatcher's `busy`, where it is decided, must keep saying so, or
+/// the next refactor will "simplify" it away.
 fn busy_rearm_contract(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     let arm = f
         .numbered()
-        .find(|(_, l)| !l.in_test && l.code.contains("FrameKind::Busy =>"));
+        .find(|(_, l)| !l.in_test && l.code.contains("fn busy("));
     let Some((arm_line, _)) = arm else {
-        return; // no Busy handling in this (fixture) master.rs
+        return; // no Busy handling in this (fixture) dispatcher
     };
     let documented = (arm_line..arm_line + 30)
         .filter_map(|n| f.lines.get(n - 1))
@@ -1239,7 +1242,7 @@ fn busy_rearm_contract(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             rule: "KVS-L008",
             path: f.rel.clone(),
             line: arm_line,
-            message: "the Busy arm must carry the re-arm contract comment (Busy re-arms the \
+            message: "`Dispatcher::busy` must carry the re-arm contract comment (Busy re-arms the \
                       wall-clock allowance; flow control is never a failure)"
                 .to_string(),
         });
@@ -1253,7 +1256,7 @@ fn busy_rearm_contract(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             rule: "KVS-L008",
             path: f.rel.clone(),
             line: arm_line,
-            message: "master.rs must reference the pinning test (tests/busy_budget.rs) near \
+            message: "dispatch.rs must reference the pinning test (tests/busy_budget.rs) near \
                       the Busy contract"
                 .to_string(),
         });

@@ -30,6 +30,11 @@ fn each_violating_fixture_fails_with_its_rule() {
         ("l000_stale", "KVS-L000", "lint.waivers.toml"),
         ("l001_systemtime", "KVS-L001", "crates/cluster/src/sim.rs"),
         ("l001_coord", "KVS-L001", "crates/cluster/src/coord.rs"),
+        (
+            "l001_dispatch",
+            "KVS-L001",
+            "crates/cluster/src/dispatch.rs",
+        ),
         ("l002_drift", "KVS-L002", "docs/NET.md"),
         ("l003_drop", "KVS-L003", "crates/net/src/io.rs"),
         ("l004_unwrap", "KVS-L004", "crates/net/src/io.rs"),
