@@ -7,13 +7,23 @@
 //! past the target — never splitting a cell, never crossing a partition —
 //! so for a partition above `column_index_size` its block list (first and
 //! last clustering key per block) *is* the column index, on both tiers.
+//!
+//! Inside a block the cells lie column by column (PAX, Ailamaki et al.,
+//! VLDB 2001): every clustering key (`u64` LE), every kind (`u8`), every
+//! payload length (`u32` LE), then the payloads. A block is still
+//! `13 n + Σ payload_len` bytes, but [`fold_block`] reads a cell's 13
+//! header bytes from three dense columns and no payload byte.
+//!
 //! Every block of an SSTable file carries its XXH64 [`checksum64`] in its
 //! index entry, computed as the file is written
 //! (`sst_file::write_sst`) and verified on every read from it; the
 //! same checksum guards the WAL, the manifest and the SSTable footer.
 
-use crate::schema::CellRef;
+use crate::receipt::ReadReceipt;
+use crate::run::bad_data;
+use crate::schema::{CellRef, ClusteringKey, CELL_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io;
 
 /// Target encoded size of one data block (bytes). Blocks close at the
 /// first cell boundary at or past this size.
@@ -162,20 +172,30 @@ impl BlockMeta {
     }
 }
 
+/// One block's four columns while it fills: the scratch [`build_blocks`]
+/// lays each block out from, kept by its caller and reused for every block.
+#[derive(Debug, Default)]
+pub struct BlockColumns {
+    clustering: Vec<u8>,
+    kind: Vec<u8>,
+    payload_len: Vec<u8>,
+    payload: Vec<u8>,
+}
+
 /// Appends one partition's cells to `data` as blocks, back to back, and
-/// returns their index entries, `offset` counted from the start of `data`.
+/// their index entries to `metas`, `offset` counted from the start of
+/// `data`.
 ///
 /// # Panics
 /// If the cells are not strictly ascending by clustering key — the
 /// memtable and the merge both guarantee it, so a violation is a bug.
 pub fn build_blocks<'a>(
     cells: impl IntoIterator<Item = CellRef<'a>>,
+    columns: &mut BlockColumns,
     data: &mut BytesMut,
-) -> Vec<BlockMeta> {
-    let mut out = Vec::new();
-    let mut start = data.len();
+    metas: &mut Vec<BlockMeta>,
+) {
     let (mut first, mut last) = (0, None);
-    let mut count: u32 = 0;
     let mut cells = cells.into_iter().peekable();
     while let Some(cell) = cells.next() {
         assert!(
@@ -183,25 +203,87 @@ pub fn build_blocks<'a>(
             "cells must be strictly ascending"
         );
         last = Some(cell.clustering);
-        if count == 0 {
+        if columns.kind.is_empty() {
             first = cell.clustering;
         }
-        count += 1;
-        cell.encode(data);
-        if data.len() - start >= BLOCK_TARGET_BYTES || cells.peek().is_none() {
-            out.push(BlockMeta {
-                offset: start as u64,
-                len: (data.len() - start) as u32,
-                cells: count,
+        let BlockColumns {
+            clustering,
+            kind,
+            payload_len,
+            payload,
+        } = columns;
+        clustering.extend_from_slice(&cell.clustering.to_le_bytes());
+        kind.push(cell.kind);
+        payload_len.extend_from_slice(&(cell.payload.len() as u32).to_le_bytes());
+        payload.extend_from_slice(cell.payload);
+        let len = kind.len() * CELL_HEADER_BYTES + payload.len();
+        if len >= BLOCK_TARGET_BYTES || cells.peek().is_none() {
+            metas.push(BlockMeta {
+                offset: data.len() as u64,
+                len: len as u32,
+                cells: kind.len() as u32,
                 crc: 0,
                 first_clustering: first,
                 last_clustering: cell.clustering,
             });
-            start = data.len();
-            count = 0;
+            for column in [clustering, kind, payload_len, payload] {
+                data.extend_from_slice(column);
+                column.clear();
+            }
         }
     }
-    out
+}
+
+/// Folds one block of run `generation` into `visit`: the cells in
+/// `from..=to`, in order, each a borrow of its payload where it lies.
+/// Charges the receipt per cell walked, the first cell past `to`
+/// included, and returns `Ok(false)` at that cell, which ends the scan.
+/// There is no seek inside a block: the walk starts at its first cell.
+///
+/// `Err` (`InvalidData`), before any cell is visited or charged, when the
+/// columns of `meta.cells` cells do not fit the block or their payload
+/// lengths do not add up to exactly the bytes left for payloads.
+pub fn fold_block(
+    generation: u64,
+    meta: &BlockMeta,
+    block: &[u8],
+    (from, to): (ClusteringKey, ClusteringKey),
+    receipt: &mut ReadReceipt,
+    visit: &mut impl FnMut(CellRef<'_>),
+) -> io::Result<bool> {
+    let cells = meta.cells as usize;
+    let columns = block.split_at_checked(cells * 8).and_then(|(keys, rest)| {
+        let (kinds, rest) = rest.split_at_checked(cells)?;
+        let (lens, payloads) = rest.split_at_checked(cells * 4)?;
+        let lens = lens.as_chunks::<4>().0;
+        let sum: u64 = lens.iter().map(|len| u32::from_le_bytes(*len) as u64).sum();
+        (sum == payloads.len() as u64).then_some((keys.as_chunks::<8>().0, kinds, lens, payloads))
+    });
+    let Some((keys, kinds, lens, payloads)) = columns else {
+        return Err(bad_data(format!(
+            "run {generation}: block at offset {} does not hold the {} cells its index says",
+            meta.offset, meta.cells
+        )));
+    };
+    let mut start = 0;
+    for ((key, &kind), len) in keys.iter().zip(kinds).zip(lens) {
+        let (clustering, len) = (u64::from_le_bytes(*key), u32::from_le_bytes(*len) as usize);
+        receipt.cells_scanned += 1;
+        receipt.bytes_read += (CELL_HEADER_BYTES + len) as u64;
+        if clustering > to {
+            return Ok(false);
+        }
+        let payload = &payloads[start..start + len];
+        start += len;
+        if clustering >= from {
+            visit(CellRef {
+                clustering,
+                kind,
+                payload,
+            });
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -337,12 +419,20 @@ mod tests {
         assert!(BlockMeta::decode(&mut short).is_none());
     }
 
+    /// `cells` laid out as one partition's blocks after `data`'s bytes.
+    fn blocks_of(cells: &[Cell], data: &mut BytesMut) -> Vec<BlockMeta> {
+        let mut metas = Vec::new();
+        let refs = cells.iter().map(Cell::as_cell_ref);
+        build_blocks(refs, &mut BlockColumns::default(), data, &mut metas);
+        metas
+    }
+
     #[test]
     fn blocks_close_at_cell_boundaries() {
         // 46-byte cells: ⌈4096 / 46⌉ = 90 cells close a block at 4140 B.
         let cells: Vec<Cell> = (0..200u64).map(|c| Cell::synthetic(c, 0)).collect();
         let mut data = BytesMut::new();
-        let blocks = build_blocks(cells.iter().map(Cell::as_cell_ref), &mut data);
+        let blocks = blocks_of(&cells, &mut data);
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[0].cells, 90);
         assert_eq!(blocks[0].len as usize, 90 * 46);
@@ -362,12 +452,89 @@ mod tests {
     }
 
     #[test]
+    fn a_block_is_laid_out_column_by_column() {
+        let cells = [
+            Cell::new(7, 1, vec![0xA1, 0xA2]),
+            Cell::new(9, 2, Vec::new()),
+            Cell::new(12, 3, vec![0xC1, 0xC2, 0xC3]),
+        ];
+        let mut data = BytesMut::new();
+        let blocks = blocks_of(&cells, &mut data);
+        assert_eq!(blocks.len(), 1);
+        assert_eq!((blocks[0].len, blocks[0].cells), (3 * 13 + 5, 3));
+        let mut want = Vec::new();
+        for key in [7u64, 9, 12] {
+            want.extend_from_slice(&key.to_le_bytes());
+        }
+        want.extend_from_slice(&[1, 2, 3]);
+        for len in [2u32, 0, 3] {
+            want.extend_from_slice(&len.to_le_bytes());
+        }
+        want.extend_from_slice(&[0xA1, 0xA2, 0xC1, 0xC2, 0xC3]);
+        assert_eq!(&data[..], &want[..]);
+    }
+
+    /// Folds `block` whole, returning the verdict, the cells visited and
+    /// the receipt.
+    fn fold(meta: &BlockMeta, block: &[u8]) -> (io::Result<bool>, Vec<Cell>, ReadReceipt) {
+        let (mut visited, mut r) = (Vec::new(), ReadReceipt::default());
+        let mut visit = |cell: CellRef<'_>| {
+            visited.push(Cell::new(cell.clustering, cell.kind, cell.payload.to_vec()))
+        };
+        let verdict = fold_block(1, meta, block, (0, u64::MAX), &mut r, &mut visit);
+        (verdict, visited, r)
+    }
+
+    #[test]
+    fn fold_returns_each_cell_and_bills_its_encoded_size() {
+        let cells: Vec<Cell> = (0..40u64)
+            .map(|c| Cell::new(c * 3, (c % 5) as u8, vec![c as u8; c as usize % 17]))
+            .collect();
+        let mut data = BytesMut::new();
+        let blocks = blocks_of(&cells, &mut data);
+        assert_eq!(blocks.len(), 1);
+        let (verdict, visited, r) = fold(&blocks[0], &data);
+        assert!(verdict.expect("a sound block folds"));
+        assert_eq!(visited, cells);
+        assert_eq!(r.cells_scanned, 40);
+        assert_eq!(r.bytes_read, data.len() as u64);
+    }
+
+    #[test]
+    fn fold_refuses_a_block_whose_columns_disagree_with_its_meta() {
+        let cells: Vec<Cell> = (0..10u64).map(|c| Cell::synthetic(c, 0)).collect();
+        let mut data = BytesMut::new();
+        let meta = blocks_of(&cells, &mut data)[0];
+        let refused = |meta: &BlockMeta, block: &[u8]| {
+            let (verdict, visited, r) = fold(meta, block);
+            let err = verdict.expect_err("must refuse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("cells its index says"), "{err}");
+            assert!(visited.is_empty());
+            assert_eq!(r, ReadReceipt::default());
+        };
+        // Too many cells for the bytes, too few, and a payload length that
+        // no longer adds up.
+        refused(
+            &BlockMeta {
+                cells: 1_000,
+                ..meta
+            },
+            &data,
+        );
+        refused(&BlockMeta { cells: 9, ..meta }, &data);
+        let mut patched = data.to_vec();
+        patched[10 * 9] += 1;
+        refused(&meta, &patched);
+        refused(&meta, &data[..data.len() - 1]);
+    }
+
+    #[test]
     fn oversized_cell_gets_its_own_block() {
         let big = Cell::new(5, 0, vec![0xAB; 3 * BLOCK_TARGET_BYTES]);
         let mut data = BytesMut::new();
         data.put_slice(&[0; 100]);
-        let cells = [Cell::synthetic(1, 0), big];
-        let blocks = build_blocks(cells.iter().map(Cell::as_cell_ref), &mut data);
+        let blocks = blocks_of(&[Cell::synthetic(1, 0), big], &mut data);
         // First block closes only when the big cell pushes it past target.
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].cells, 2);
@@ -378,7 +545,7 @@ mod tests {
     #[test]
     fn empty_partition_yields_no_blocks() {
         let mut data = BytesMut::new();
-        assert!(build_blocks([], &mut data).is_empty());
+        assert!(blocks_of(&[], &mut data).is_empty());
         assert!(data.is_empty());
     }
 }

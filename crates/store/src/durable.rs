@@ -132,6 +132,12 @@ impl DurableTable {
             recovered.next_record_seq,
             opts.fsync,
         )?;
+        // A write acknowledged before the first flush rests on the new
+        // segment's directory entry; the flush's manifest commit is the
+        // next directory fsync.
+        if opts.fsync != FsyncPolicy::Never {
+            fs::File::open(dir)?.sync_all()?;
+        }
         let engine = Engine {
             memtable: recovered.memtable,
             runs: recovered.ssts,

@@ -101,7 +101,7 @@ impl<M: Medium> Engine<M> {
             return Ok(None);
         }
         // At most what the runs hold: cells the merge drops are not written.
-        let held = self.runs.iter().flat_map(|run| &run.partitions);
+        let held = self.runs.iter().flat_map(|run| &run.index.entries);
         let mut builder = RunBuilder::with_capacity(held.map(|p| p.bytes as usize).sum());
         self.merge(false, |pk, cells| builder.push(&pk, cells.iter()))?;
         Ok(Some(builder.finish(&self.build, self.next_generation)))

@@ -10,13 +10,14 @@
 //! overlaps; a smaller partition is decoded from its start to the first
 //! cell past the range. With 46-byte cells that is Figure 6's 1425.
 
-use crate::block::{build_blocks, BlockMeta};
+use crate::block::{build_blocks, fold_block, BlockColumns, BlockMeta};
 use crate::bloom::BloomFilter;
 use crate::engine::Journal;
 use crate::receipt::ReadReceipt;
 use crate::schema::{Cell, CellRef, PartitionKey, CELL_HEADER_BYTES};
 use crate::stream::{CellBuf, ClusteringRange, WHOLE};
 use bytes::BytesMut;
+use std::cmp::Ordering;
 use std::io;
 
 /// Build-time options for a run.
@@ -98,15 +99,78 @@ impl Medium for BytesMut {
     }
 }
 
-/// One partition's entry in a run's partition index; its blocks are its
-/// column index.
-#[derive(Debug, PartialEq)]
+/// One partition's entry in a run's partition index: a fixed-size record
+/// that points at nothing on the heap.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PartitionEntry {
-    pub(crate) key: PartitionKey,
     pub(crate) cell_count: u32,
     /// Encoded size of the partition (sum of its block lengths).
     pub(crate) bytes: u64,
+    /// Its blocks, its column index: `blocks.0..blocks.1` of the index's
+    /// block list.
+    blocks: (u32, u32),
+}
+
+/// A run's partition index, pointer-free: every key back to back in one
+/// buffer, every partition's [`BlockMeta`]s in one list, and one
+/// [`PartitionEntry`] a partition, so a lookup's binary search reads key
+/// bytes and key ends and nothing it must chase.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct PartitionIndex {
+    keys: Vec<u8>,
+    /// Where each key ends in `keys`; it starts where the one before ended.
+    key_ends: Vec<u32>,
+    pub(crate) entries: Vec<PartitionEntry>,
+    /// Every partition's blocks, in key order.
     pub(crate) blocks: Vec<BlockMeta>,
+}
+
+impl PartitionIndex {
+    /// Closes partition `key` over the blocks added to `blocks` since the
+    /// last one closed. `None`, adding nothing, unless `key` sorts after
+    /// every key before it and its cells fit a `u32`.
+    pub(crate) fn close(&mut self, key: &[u8]) -> Option<PartitionEntry> {
+        let first = self.entries.last().map_or(0, |last| last.blocks.1);
+        let blocks = &self.blocks[first as usize..];
+        let cells: u64 = blocks.iter().map(|b| b.cells as u64).sum();
+        let entry = PartitionEntry {
+            cell_count: u32::try_from(cells).ok()?,
+            bytes: blocks.iter().map(|b| b.len as u64).sum(),
+            blocks: (first, self.blocks.len() as u32),
+        };
+        let last = self.entries.len().checked_sub(1);
+        if last.is_some_and(|last| self.key(last) >= key) {
+            return None;
+        }
+        self.keys.extend_from_slice(key);
+        self.key_ends.push(self.keys.len() as u32);
+        self.entries.push(entry);
+        Some(entry)
+    }
+
+    /// The key of the `i`-th partition.
+    pub(crate) fn key(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |before| self.key_ends[before]);
+        &self.keys[start as usize..self.key_ends[i] as usize]
+    }
+
+    /// `entry`'s blocks.
+    pub(crate) fn blocks(&self, entry: &PartitionEntry) -> &[BlockMeta] {
+        &self.blocks[entry.blocks.0 as usize..entry.blocks.1 as usize]
+    }
+
+    fn find(&self, key: &[u8]) -> Option<&PartitionEntry> {
+        let (mut lo, mut hi) = (0, self.entries.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key(mid).cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(&self.entries[mid]),
+            }
+        }
+        None
+    }
 }
 
 /// An immutable sorted run whose blocks lie in `M`.
@@ -114,7 +178,7 @@ pub(crate) struct PartitionEntry {
 pub struct Run<M> {
     pub(crate) generation: u64,
     pub(crate) column_index_size: usize,
-    pub(crate) partitions: Vec<PartitionEntry>,
+    pub(crate) index: PartitionIndex,
     pub(crate) bloom: BloomFilter,
     pub(crate) medium: M,
 }
@@ -128,7 +192,8 @@ pub(crate) fn bad_data(msg: String) -> io::Error {
 /// memory as it is, or written out with the buffer at file offset 0.
 pub(crate) struct RunBuilder {
     data: BytesMut,
-    partitions: Vec<PartitionEntry>,
+    index: PartitionIndex,
+    columns: BlockColumns,
 }
 
 impl RunBuilder {
@@ -136,7 +201,8 @@ impl RunBuilder {
     pub(crate) fn with_capacity(bytes: usize) -> RunBuilder {
         RunBuilder {
             data: BytesMut::with_capacity(bytes),
-            partitions: Vec::new(),
+            index: PartitionIndex::default(),
+            columns: BlockColumns::default(),
         }
     }
 
@@ -147,30 +213,24 @@ impl RunBuilder {
         pk: &PartitionKey,
         cells: impl IntoIterator<Item = CellRef<'a>>,
     ) {
-        if let Some(prev) = self.partitions.last() {
-            assert!(prev.key < *pk, "partitions must be strictly ascending");
-        }
-        let start = self.data.len();
-        let blocks = build_blocks(cells, &mut self.data);
-        self.partitions.push(PartitionEntry {
-            key: pk.clone(),
-            cell_count: blocks.iter().map(|b| b.cells).sum(),
-            bytes: (self.data.len() - start) as u64,
-            blocks,
-        });
+        let index = &mut self.index;
+        build_blocks(cells, &mut self.columns, &mut self.data, &mut index.blocks);
+        let closed = index.close(pk.as_bytes());
+        closed.expect("partitions must be strictly ascending");
     }
 
     /// The run of generation `generation`, with a bloom filter over every
     /// key pushed.
     pub(crate) fn finish(self, opts: &SsTableOptions, generation: u64) -> Run<BytesMut> {
-        let mut bloom = BloomFilter::with_rate(self.partitions.len(), opts.bloom_fp_rate);
-        for p in &self.partitions {
-            bloom.insert(p.key.as_bytes());
+        let count = self.index.entries.len();
+        let mut bloom = BloomFilter::with_rate(count, opts.bloom_fp_rate);
+        for i in 0..count {
+            bloom.insert(self.index.key(i));
         }
         Run {
             generation,
             column_index_size: opts.column_index_size,
-            partitions: self.partitions,
+            index: self.index,
             bloom,
             medium: self.data,
         }
@@ -194,13 +254,6 @@ impl Run<BytesMut> {
 }
 
 impl<M> Run<M> {
-    fn find(&self, pk: &PartitionKey) -> Option<&PartitionEntry> {
-        self.partitions
-            .binary_search_by(|p| p.key.cmp(pk))
-            .ok()
-            .map(|i| &self.partitions[i])
-    }
-
     /// Looks the partition up — bloom filter, then partition index —
     /// charging the receipt for each step; `None` when this run does not
     /// hold it.
@@ -215,7 +268,7 @@ impl<M> Run<M> {
             return None;
         }
         receipt.partition_index_seeks += 1;
-        let entry = self.find(pk);
+        let entry = self.index.find(pk.as_bytes());
         if entry.is_none() {
             receipt.bloom_false_positives += 1;
         }
@@ -246,7 +299,7 @@ impl<M: Medium> Run<M> {
         receipt.sstables_read += 1;
         // Blocks are ascending and disjoint, so both selections are
         // contiguous.
-        let blocks = &entry.blocks;
+        let blocks = self.index.blocks(entry);
         let reached = if entry.bytes > self.column_index_size as u64 {
             receipt.used_column_index = true;
             let lo = blocks.partition_point(|b| b.last_clustering < from);
@@ -271,57 +324,26 @@ impl<M: Medium> Run<M> {
     /// blocks.
     pub(crate) fn scan(&self) -> impl Iterator<Item = io::Result<(PartitionKey, CellBuf)>> + '_ {
         let (mut cache, mut receipt) = (M::Cache::default(), ReadReceipt::default());
-        self.partitions.iter().map(move |entry| {
+        let index = &self.index;
+        index.entries.iter().enumerate().map(move |(i, entry)| {
             let count = entry.cell_count as usize;
             let payloads = entry.bytes as usize - count * CELL_HEADER_BYTES;
             let mut cells = CellBuf::with_capacity(count, payloads);
             self.scan_partition(entry, WHOLE, &mut cache, &mut receipt, |cell| {
                 cells.push(cell)
             })?;
+            let key = PartitionKey::new(index.key(i));
             if cells.len() != entry.cell_count as usize {
                 return Err(bad_data(format!(
-                    "run {}: partition {:?} decoded {} cells, index says {}",
+                    "run {}: partition {key:?} decoded {} cells, index says {}",
                     self.generation,
-                    entry.key,
                     cells.len(),
                     entry.cell_count
                 )));
             }
-            Ok((entry.key.clone(), cells))
+            Ok((key, cells))
         })
     }
-}
-
-/// Decodes one block of run `generation` into `visit`, charging the
-/// receipt per cell. `Ok(false)` once a cell past `to` ends the scan;
-/// `Err` when the block's contents disagree with its [`BlockMeta`].
-fn fold_block(
-    generation: u64,
-    meta: &BlockMeta,
-    mut block: &[u8],
-    (from, to): ClusteringRange,
-    receipt: &mut ReadReceipt,
-    visit: &mut impl FnMut(CellRef<'_>),
-) -> io::Result<bool> {
-    let mut in_block = 0u32;
-    while let Some(cell) = CellRef::decode(&mut block) {
-        receipt.cells_scanned += 1;
-        receipt.bytes_read += cell.encoded_len() as u64;
-        if cell.clustering > to {
-            return Ok(false);
-        }
-        if cell.clustering >= from {
-            visit(cell);
-        }
-        in_block += 1;
-    }
-    if in_block != meta.cells || !block.is_empty() {
-        return Err(bad_data(format!(
-            "run {generation}: block at offset {} decoded {in_block} cells, index says {}",
-            meta.offset, meta.cells
-        )));
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -348,7 +370,7 @@ mod tests {
         }
 
         pub(crate) fn partition_count(&self) -> usize {
-            self.partitions.len()
+            self.index.entries.len()
         }
 
         /// Every partition, scanned back and collected.
@@ -360,7 +382,8 @@ mod tests {
         /// Whether this partition is column-indexed (encoded size above
         /// the threshold) — the Figure 6 mechanism.
         pub(crate) fn has_column_index(&self, pk: &PartitionKey) -> bool {
-            self.find(pk)
+            self.index
+                .find(pk.as_bytes())
                 .is_some_and(|p| p.bytes > self.column_index_size as u64)
         }
 

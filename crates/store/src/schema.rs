@@ -159,29 +159,7 @@ pub struct CellRef<'a> {
     pub payload: &'a [u8],
 }
 
-impl<'a> CellRef<'a> {
-    /// Decodes one cell from the front of `buf` ([`Cell::encode`]'s
-    /// layout), advancing it. Returns `None`, leaving `buf` where it was,
-    /// on truncated input.
-    pub fn decode(buf: &mut &'a [u8]) -> Option<CellRef<'a>> {
-        let (header, rest) = buf.split_first_chunk::<CELL_HEADER_BYTES>()?;
-        let (clustering, tail) = header.split_first_chunk::<8>()?;
-        let (&kind, len) = tail.split_first()?;
-        let len = u32::from_le_bytes(len.try_into().ok()?) as usize;
-        let (payload, rest) = rest.split_at_checked(len)?;
-        *buf = rest;
-        Some(CellRef {
-            clustering: u64::from_le_bytes(*clustering),
-            kind,
-            payload,
-        })
-    }
-
-    /// Encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        CELL_HEADER_BYTES + self.payload.len()
-    }
-
+impl CellRef<'_> {
     /// Appends the binary encoding to `buf`.
     pub fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64_le(self.clustering);
@@ -276,38 +254,5 @@ mod tests {
             assert_eq!(&Cell::decode(&mut bytes).unwrap(), expected);
         }
         assert!(Cell::decode(&mut bytes).is_none());
-    }
-
-    #[test]
-    fn truncated_borrowed_decode_returns_none_and_stays_put() {
-        let cell = Cell::new(1, 2, vec![9; 16]);
-        let mut buf = BytesMut::new();
-        cell.encode(&mut buf);
-        let full = buf.freeze();
-        for cut in [0usize, 5, CELL_HEADER_BYTES, full.len() - 1] {
-            let mut partial = &full[..cut];
-            assert!(CellRef::decode(&mut partial).is_none(), "cut at {cut}");
-            assert_eq!(partial.len(), cut, "a failed decode must not consume");
-        }
-        let mut whole = &full[..];
-        assert_eq!(CellRef::decode(&mut whole), Some(cell.as_cell_ref()));
-        assert!(whole.is_empty());
-    }
-
-    #[test]
-    fn many_cells_decode_borrowed_in_sequence() {
-        let mut buf = BytesMut::new();
-        let cells: Vec<Cell> = (0..10).map(|i| Cell::synthetic(i, (i % 3) as u8)).collect();
-        for c in &cells {
-            c.encode(&mut buf);
-        }
-        let bytes = buf.freeze();
-        let mut rest = &bytes[..];
-        for expected in &cells {
-            let got = CellRef::decode(&mut rest).unwrap();
-            assert_eq!(got, expected.as_cell_ref());
-            assert_eq!(got.encoded_len(), expected.encoded_len());
-        }
-        assert!(CellRef::decode(&mut rest).is_none());
     }
 }

@@ -19,7 +19,7 @@
 //! ```text
 //! offset size field              notes
 //!      0    4 magic              0x4B535354 ("KSST")
-//!      4    1 version            2
+//!      4    1 version            3
 //!      5    3 reserved           zero
 //!      8    8 generation         newer wins merges
 //!     16    8 column_index_size  threshold the run was built with
@@ -42,8 +42,8 @@ use crate::bloom::BloomFilter;
 use crate::cache::{FixedState, Lru};
 use crate::durable::DiskJournal;
 use crate::receipt::ReadReceipt;
-use crate::run::{bad_data, Medium, PartitionEntry, Run};
-use crate::schema::{PartitionKey, CELL_HEADER_BYTES};
+use crate::run::{bad_data, Medium, PartitionIndex, Run};
+use crate::schema::CELL_HEADER_BYTES;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::ffi::{c_int, c_long, c_void};
 use std::fs::{File, OpenOptions};
@@ -55,7 +55,7 @@ use std::ptr::{self, NonNull};
 /// Footer magic: `"KSST"`.
 pub const SST_MAGIC: u32 = 0x4B53_5354;
 /// Current file format version.
-pub const SST_VERSION: u8 = 2;
+pub const SST_VERSION: u8 = 3;
 /// Encoded footer size in bytes.
 pub const SST_FOOTER_LEN: usize = 72;
 
@@ -131,13 +131,15 @@ pub fn parse_sst_generation(name: &str) -> Option<u64> {
 /// it. The file must not already exist (generations are never reused).
 pub(crate) fn write_sst(dir: &Path, run: &Run<BytesMut>) -> io::Result<SstFile> {
     let mut index = BytesMut::new();
-    index.put_u32(run.partitions.len() as u32);
-    for p in &run.partitions {
-        index.put_u16(p.key.len() as u16);
-        index.put_slice(p.key.as_bytes());
+    let partitions = &run.index.entries;
+    index.put_u32(partitions.len() as u32);
+    for (i, p) in partitions.iter().enumerate() {
+        let (key, blocks) = (run.index.key(i), run.index.blocks(p));
+        index.put_u16(key.len() as u16);
+        index.put_slice(key);
         index.put_u32(p.cell_count);
-        index.put_u32(p.blocks.len() as u32);
-        for meta in &p.blocks {
+        index.put_u32(blocks.len() as u32);
+        for meta in blocks {
             let block = &run.medium[meta.offset as usize..][..meta.len as usize];
             let crc = checksum64(0, block);
             BlockMeta { crc, ..*meta }.encode(&mut index);
@@ -306,7 +308,7 @@ impl SstFile {
         if checksum64(checksum64(0, index_raw), bloom_raw) != meta_crc {
             return Err(bad("metadata crc mismatch"));
         }
-        let partitions =
+        let index =
             parse_index(index_raw, index_off).ok_or_else(|| bad("malformed partition index"))?;
         let mut bloom_buf = Bytes::copy_from_slice(bloom_raw);
         let bloom = BloomFilter::deserialize(&mut bloom_buf)
@@ -315,7 +317,7 @@ impl SstFile {
         Ok(Run {
             generation,
             column_index_size,
-            partitions,
+            index,
             bloom,
             medium: DiskBlocks {
                 map,
@@ -353,9 +355,10 @@ impl Medium for DiskBlocks {
     }
 
     /// One pass over the blocks, in order. A hit is folded from the cache;
-    /// a miss is sliced out of the mapping, charged, verified, offered to
-    /// the cache and folded while it is still in L1. A block that fails
-    /// its checksum is not cached, remembered or visited.
+    /// a miss is sliced out of the mapping, charged, verified, folded while
+    /// it is still in L1 and then offered to the cache. A block that fails
+    /// its checksum is not cached, remembered or visited; one that fails
+    /// its fold is not cached or remembered.
     fn read_blocks(
         &self,
         reached: &[BlockMeta],
@@ -387,13 +390,14 @@ impl Medium for DiskBlocks {
                     meta.offset
                 )));
             }
+            let more = fold(meta, block, receipt)?;
             // Admission on the second miss ([`BlockCache`]).
             if !blocks.is_full() || ghost.invalidate(&key) {
                 blocks.put(key, Bytes::copy_from_slice(block));
             } else {
                 ghost.put(key, ());
             }
-            if !fold(meta, block, receipt)? {
+            if !more {
                 break;
             }
         }
@@ -407,13 +411,13 @@ impl Medium for DiskBlocks {
 /// whose `cell_count` is not the sum of its blocks' cells, or whose cell
 /// headers alone would not fit in its bytes: a whole-run scan sizes its
 /// buffers from both.
-fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
+fn parse_index(raw: &[u8], data_len: u64) -> Option<PartitionIndex> {
     let mut buf = Bytes::copy_from_slice(raw);
     if buf.len() < 4 {
         return None;
     }
     let count = buf.get_u32() as usize;
-    let mut out: Vec<PartitionEntry> = Vec::with_capacity(count);
+    let mut index = PartitionIndex::default();
     for _ in 0..count {
         if buf.len() < 2 {
             return None;
@@ -422,40 +426,30 @@ fn parse_index(raw: &[u8], data_len: u64) -> Option<Vec<PartitionEntry>> {
         if buf.len() < key_len + 8 {
             return None;
         }
-        let key = PartitionKey::new(buf.split_to(key_len).to_vec());
-        if out.last().is_some_and(|prev| prev.key >= key) {
-            return None;
-        }
+        let key = buf.split_to(key_len);
         let cell_count = buf.get_u32();
         let block_count = buf.get_u32() as usize;
         if buf.len() < block_count * BLOCK_META_BYTES {
             return None;
         }
-        let mut blocks = Vec::with_capacity(block_count);
-        let (mut bytes, mut cells) = (0u64, 0u64);
         for _ in 0..block_count {
             let meta = BlockMeta::decode(&mut buf)?;
             if meta.offset.checked_add(meta.len as u64)? > data_len {
                 return None;
             }
-            bytes += meta.len as u64;
-            cells += meta.cells as u64;
-            blocks.push(meta);
+            index.blocks.push(meta);
         }
-        if cells != cell_count as u64 || cells * CELL_HEADER_BYTES as u64 > bytes {
+        let entry = index.close(&key)?;
+        if entry.cell_count != cell_count
+            || cell_count as u64 * CELL_HEADER_BYTES as u64 > entry.bytes
+        {
             return None;
         }
-        out.push(PartitionEntry {
-            key,
-            cell_count,
-            bytes,
-            blocks,
-        });
     }
     if !buf.is_empty() {
         return None;
     }
-    Some(out)
+    Some(index)
 }
 
 #[cfg(test)]
@@ -464,7 +458,7 @@ mod tests {
     use crate::block::{fnv1a, FNV1A_BASIS};
     use crate::durable::{DurableOptions, DurableTable, TempDir};
     use crate::run::SsTableOptions;
-    use crate::schema::Cell;
+    use crate::schema::{Cell, PartitionKey};
     use crate::stream::WHOLE;
     use crate::wal::FsyncPolicy;
     use proptest::prelude::*;
@@ -494,11 +488,11 @@ mod tests {
         let input = build_input(sizes);
         let mut built = Run::build(&input, &SsTableOptions::default(), generation);
         let sst = write_sst(dir, &built).expect("write");
-        for meta in built.partitions.iter_mut().flat_map(|p| &mut p.blocks) {
+        for meta in &mut built.index.blocks {
             meta.crc = checksum64(0, sst.medium.mapped_block(meta));
         }
-        assert_eq!(sst.partitions, built.partitions);
-        let blocks = sst.partitions.iter().map(|p| p.blocks.len() as u64).sum();
+        assert_eq!(sst.index, built.index);
+        let blocks = sst.index.blocks.len() as u64;
         (sst, blocks, sst_data_bytes(&input))
     }
 
@@ -506,7 +500,7 @@ mod tests {
     fn checksums_are_set_when_a_run_is_written_to_a_file() {
         // A run held in memory carries none: nothing reads it from a file.
         let heap = Run::build(&build_input(&[300, 20]), &SsTableOptions::default(), 1);
-        let metas: Vec<&BlockMeta> = heap.partitions.iter().flat_map(|p| &p.blocks).collect();
+        let metas = &heap.index.blocks;
         assert_eq!(metas.len(), 5);
         assert!(metas.iter().all(|meta| meta.crc == 0), "{metas:?}");
         // Every block of an ingested, a flushed and a compacted file, read
@@ -516,9 +510,8 @@ mod tests {
             files
                 .map(|run| {
                     let file = SstFile::open(run.path()).expect("reopen");
-                    let metas: Vec<&BlockMeta> =
-                        file.partitions.iter().flat_map(|p| &p.blocks).collect();
-                    for meta in &metas {
+                    let metas = &file.index.blocks;
+                    for meta in metas {
                         let bytes = file.medium.mapped_block(meta);
                         assert_eq!(checksum64(0, bytes), meta.crc, "{}", run.path().display());
                     }
@@ -782,6 +775,7 @@ mod tests {
     /// block_count (4), then per block offset (8) ⋅ len (4) ⋅ cells (4) ⋅ …
     const CELL_COUNT_AT: usize = 200 * 46 + 4 + 2 + 8;
     const FIRST_BLOCK_CELLS_AT: usize = CELL_COUNT_AT + 4 + 4 + 8 + 4;
+    const FIRST_BLOCK_CRC_AT: usize = FIRST_BLOCK_CELLS_AT + 4;
 
     /// Overwrites the big-endian `u32` at `at`, which must read `was`.
     fn patch_u32(bytes: &mut [u8], at: usize, was: u32, now: u32) {
@@ -826,9 +820,57 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let (err, r) = scan_err(&sst, &mut BlockCache::new(0));
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("index says 89"), "{err}");
+        assert!(
+            err.to_string().contains("the 89 cells its index says"),
+            "{err}"
+        );
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
-        assert_eq!(r.cells_scanned, 90, "the block was decoded, then refused");
+        assert_eq!(
+            r.cells_scanned, 0,
+            "the column extents refused it undecoded"
+        );
+    }
+
+    #[test]
+    fn block_payload_lengths_that_do_not_add_up_are_rejected_at_read() {
+        // A block that verifies, and whose index entry is true, but whose
+        // `payload_len` column no longer sums to its payload region: patch
+        // the first cell's length (33 → 34), then re-seal the block's
+        // checksum in its index entry, the metadata and the footer.
+        let tmp = TempDir::new("sst-payload-lengths");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
+        let mut bytes = std::fs::read(&path).expect("read");
+        // 90 clustering keys (8 B) and 90 kinds (1 B) precede the lengths.
+        let first_len_at = 90 * 8 + 90;
+        assert_eq!(bytes[first_len_at..first_len_at + 4], 33u32.to_le_bytes());
+        bytes[first_len_at] = 34;
+        let crc = checksum64(0, &bytes[..90 * 46]);
+        bytes[FIRST_BLOCK_CRC_AT..FIRST_BLOCK_CRC_AT + 8].copy_from_slice(&crc.to_be_bytes());
+        reseal(&mut bytes, 0, checksum64);
+        std::fs::write(&path, &bytes).expect("write");
+
+        let sst = SstFile::open(&path).expect("the metadata is self-consistent");
+        let mut cache = BlockCache::new(4);
+        let mut r = ReadReceipt::default();
+        let entry = sst.probe(&pk(0), &mut r).expect("present");
+        let mut visited = 0;
+        let err = sst
+            .scan_partition(entry, WHOLE, &mut cache, &mut r, |_| visited += 1)
+            .expect_err("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("the 90 cells its index says"),
+            "{err}"
+        );
+        assert_eq!((visited, r.cells_scanned, r.bytes_read), (0, 0, 0));
+        assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
+        assert_eq!(cache.lens(), (0, 0), "nothing cached or remembered");
+        assert!(sst.scanned().is_err());
     }
 
     #[test]
@@ -963,12 +1005,18 @@ mod tests {
             std::fs::write(&path, bytes).expect("write");
             SstFile::open(&path).expect_err("must refuse").to_string()
         };
-        // Version 1 under today's checksum: the version check refuses it.
-        let mut v1 = pristine.clone();
-        v1[version_at] = 1;
-        reseal(&mut v1, 0, checksum64);
-        let err = open_err(&v1);
-        assert!(err.contains("unsupported version 1"), "{err}");
+        // Versions 1 and 2 (row-layout blocks) under today's checksum: the
+        // version check refuses them.
+        for version in [1, 2] {
+            let mut old = pristine.clone();
+            old[version_at] = version;
+            reseal(&mut old, 0, checksum64);
+            let err = open_err(&old);
+            assert!(
+                err.contains(&format!("unsupported version {version}")),
+                "{err}"
+            );
+        }
         // A real version-1 file is sealed with FNV-1a: the footer checksum
         // refuses it before any field is believed — whatever its version
         // byte says.
@@ -1018,7 +1066,7 @@ mod tests {
             .expect("io");
         assert_eq!(r.column_index_blocks, blocks.len() as u64);
         let entry = sst.probe(&pk(p), &mut ReadReceipt::default());
-        let metas = &entry.expect("present").blocks[blocks];
+        let metas = &sst.index.blocks(entry.expect("present"))[blocks];
         let keys = metas.iter().map(|m| (sst.generation, m.offset)).collect();
         (r, keys)
     }
@@ -1146,7 +1194,7 @@ mod tests {
         };
         assert_eq!(round(&mut cache), [0; 10]);
         let first = resident(&cache);
-        let metas = sst.partitions.iter().flat_map(|p| &p.blocks);
+        let metas = sst.index.blocks.iter();
         let want: Vec<Key> = metas.take(256).map(|m| (1, m.offset)).collect();
         assert_eq!(first.iter().map(|(k, _)| *k).collect::<Vec<_>>(), want);
         for _ in 0..3 {
@@ -1226,7 +1274,7 @@ mod tests {
                 .map(|c| Cell::new(c, (c % 5) as u8, vec![c as u8; payload + (c % 7) as usize]))
                 .collect();
             let run = Run::build(&[(pk(0), input.clone())], &SsTableOptions::default(), 1);
-            let metas = run.partitions[0].blocks.clone();
+            let metas = run.index.blocks.clone();
             let tmp = TempDir::new("sst-corrupt-prop");
             write_sst(tmp.path(), &run).expect("write");
             let path = tmp.path().join(sst_file_name(1));

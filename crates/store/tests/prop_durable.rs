@@ -324,7 +324,10 @@ proptest! {
             .map(|c| Cell::new(c * 3, (c % 5) as u8, vec![c as u8; payload + (c % 7) as usize]))
             .collect();
         let refs = input.iter().map(Cell::as_cell_ref);
-        let blocks = kvs_store::block::build_blocks(refs, &mut BytesMut::new()).len() as u64;
+        let mut metas = Vec::new();
+        let columns = &mut kvs_store::block::BlockColumns::default();
+        kvs_store::block::build_blocks(refs, columns, &mut BytesMut::new(), &mut metas);
+        let blocks = metas.len() as u64;
         let tmp = TempDir::new("prop-extent");
         let opts = DurableOptions {
             block_cache_blocks: [0, 8, 4_096][cache_blocks],
