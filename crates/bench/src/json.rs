@@ -4,8 +4,8 @@
 //! module, so the reports are uniform: one file per drill, one envelope
 //! shape, one schema tag. The value
 //! type (order-preserving objects, pretty printer, parser) is borrowed
-//! from `kvs_lint::json` — the same dependency-free layer that already
-//! round-trips the lint baseline — and this module adds the envelope
+//! from `kvs_lint::json` — the dependency-free JSON layer of the
+//! linter's crate — and this module adds the envelope
 //! builder, the latency-summary shape, and the validator the
 //! `bench_schema_check` bin (and CI) run against emitted files.
 //!

@@ -9,3 +9,7 @@ pub fn flush(conn: &Mutex<TcpStream>, bytes: &[u8]) -> std::io::Result<()> {
     guard.write_all(bytes)?;
     Ok(())
 }
+
+pub fn send(conn: &Mutex<TcpStream>, frame: &crate::frame::Frame) -> std::io::Result<()> {
+    frame.write_to(&mut *conn.lock())
+}

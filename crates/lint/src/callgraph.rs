@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use crate::rules::Workspace;
 use crate::scan::SourceFile;
 use crate::token::{Tok, TokKind};
-use crate::tree::{self, Delim, Group, Tree};
+use crate::tree::{self, is_ident, is_punct, leaf_line, leaf_text, Delim, Group, Tree};
 
 /// How a call site was written, which decides how it resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +135,7 @@ pub fn build(ws: &Workspace) -> CallGraph {
         raw: Vec::new(),
     };
     for (fix, f) in ws.files.iter().enumerate() {
-        let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        b.walk_items(fix, src, &f.toks, &trees, None);
+        b.walk_items(fix, &f.text, &f.toks, &f.trees, None);
     }
     b.resolve()
 }
@@ -257,7 +255,7 @@ impl<'w> Builder<'w> {
                     continue;
                 }
             }
-            if is_ident(toks, src, &trees[i])
+            if is_ident(toks, &trees[i])
                 && matches!(trees.get(i + 1), Some(Tree::Group(g)) if g.delim == Delim::Paren)
             {
                 let name = leaf_text(src, toks, &trees[i]).unwrap_or("").to_string();
@@ -461,28 +459,6 @@ impl CallGraph {
     }
 }
 
-fn leaf_text<'a>(src: &'a str, toks: &[Tok], t: &Tree) -> Option<&'a str> {
-    match t {
-        Tree::Leaf(ix) => Some(toks[*ix].text(src)),
-        Tree::Group(_) => None,
-    }
-}
-
-fn leaf_line(toks: &[Tok], t: &Tree) -> usize {
-    match t {
-        Tree::Leaf(ix) => toks[*ix].line,
-        Tree::Group(g) => toks[g.open].line,
-    }
-}
-
-fn is_ident(toks: &[Tok], _src: &str, t: &Tree) -> bool {
-    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Ident)
-}
-
-fn is_punct_ch(src: &str, toks: &[Tok], t: &Tree, ch: &str) -> bool {
-    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Punct && toks[*ix].text(src) == ch)
-}
-
 fn same_crate(a: &str, b: &str) -> bool {
     let key = |p: &str| p.splitn(3, '/').take(2).collect::<Vec<_>>().join("/");
     key(a) == key(b)
@@ -505,19 +481,17 @@ fn narrow(candidates: &[usize], fns: &[FnInfo], score: impl Fn(&FnInfo) -> u8) -
 
 /// Classifies the call whose name leaf sits at sibling `i`.
 fn call_shape(src: &str, toks: &[Tok], trees: &[Tree], i: usize) -> (EdgeKind, Option<String>) {
-    if i >= 1 && is_punct_ch(src, toks, &trees[i - 1], ".") {
+    if i >= 1 && is_punct(src, toks, &trees[i - 1], ".") {
         let on_self = i >= 2
             && leaf_text(src, toks, &trees[i - 2]) == Some("self")
-            && (i < 3 || !is_punct_ch(src, toks, &trees[i - 3], "."));
+            && (i < 3 || !is_punct(src, toks, &trees[i - 3], "."));
         return if on_self {
             (EdgeKind::SelfMethod, None)
         } else {
             (EdgeKind::Method, None)
         };
     }
-    if i >= 2
-        && is_punct_ch(src, toks, &trees[i - 1], ":")
-        && is_punct_ch(src, toks, &trees[i - 2], ":")
+    if i >= 2 && is_punct(src, toks, &trees[i - 1], ":") && is_punct(src, toks, &trees[i - 2], ":")
     {
         let qualifier = trees
             .get(i.wrapping_sub(3))
@@ -534,7 +508,7 @@ fn split_args(src: &str, toks: &[Tok], args: &Group) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur: Vec<&Tree> = Vec::new();
     for t in &args.children {
-        if is_punct_ch(src, toks, t, ",") {
+        if is_punct(src, toks, t, ",") {
             out.push(flat_text(src, toks, &cur));
             cur.clear();
         } else {
@@ -560,7 +534,7 @@ fn flat_text(src: &str, toks: &[Tok], trees: &[&Tree]) -> String {
 fn params_of(src: &str, toks: &[Tok], sig: &Group) -> Vec<String> {
     let mut segs: Vec<Vec<&Tree>> = vec![Vec::new()];
     for t in &sig.children {
-        if is_punct_ch(src, toks, t, ",") {
+        if is_punct(src, toks, t, ",") {
             segs.push(Vec::new());
         } else {
             segs.last_mut().expect("always non-empty").push(t);
@@ -570,7 +544,7 @@ fn params_of(src: &str, toks: &[Tok], sig: &Group) -> Vec<String> {
     for seg in segs {
         let mut name: Option<String> = None;
         for t in seg {
-            if is_punct_ch(src, toks, t, ":") {
+            if is_punct(src, toks, t, ":") {
                 break;
             }
             match leaf_text(src, toks, t) {

@@ -17,8 +17,8 @@
 //! fork the graph. Nested `fn` items are skipped (they are separate
 //! functions); closure bodies are flattened into their statement.
 
-use crate::token::{Tok, TokKind};
-use crate::tree::{Delim, Group, Tree};
+use crate::token::Tok;
+use crate::tree::{self, Delim, Group, Tree};
 
 /// One statement node.
 #[derive(Debug)]
@@ -93,22 +93,15 @@ pub fn build(src: &str, toks: &[Tok], body: &Group) -> Cfg {
 
 impl<'a> Builder<'a> {
     fn leaf(&self, t: &Tree) -> Option<&'a str> {
-        match t {
-            Tree::Leaf(ix) => Some(self.toks[*ix].text(self.src)),
-            Tree::Group(_) => None,
-        }
+        tree::leaf_text(self.src, self.toks, t)
     }
 
     fn is_punct(&self, t: &Tree, ch: &str) -> bool {
-        matches!(t, Tree::Leaf(ix)
-            if self.toks[*ix].kind == TokKind::Punct && self.toks[*ix].text(self.src) == ch)
+        tree::is_punct(self.src, self.toks, t, ch)
     }
 
     fn line_of(&self, t: &Tree) -> usize {
-        match t {
-            Tree::Leaf(ix) => self.toks[*ix].line,
-            Tree::Group(g) => self.toks[g.open].line,
-        }
+        tree::leaf_line(self.toks, t)
     }
 
     fn node(&mut self, line: usize, text: String, preds: &[usize]) -> usize {

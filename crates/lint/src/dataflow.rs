@@ -553,43 +553,19 @@ fn indexed_by(text: &str, v: &str) -> bool {
 // ---------------------------------------------------------------------
 // Per-function taint analysis.
 
-/// Per-file parse products, built once and shared across functions.
-pub struct FileCtx<'a> {
-    file: &'a SourceFile,
-    trees: Vec<tree::Tree>,
-}
-
-/// Builds the per-file token trees for every workspace file, keyed by
-/// relative path.
-pub fn file_contexts(ws: &Workspace) -> BTreeMap<&str, FileCtx<'_>> {
-    ws.files
-        .iter()
-        .map(|f| {
-            (
-                f.rel.as_str(),
-                FileCtx {
-                    file: f,
-                    trees: tree::build(&f.text, &f.toks),
-                },
-            )
-        })
-        .collect()
-}
-
-/// The CFG for call-graph function `fid`, or `None` for spawn roots
-/// (closure bodies are flattened into their enclosing statement) and
-/// functions whose file is missing.
-fn cfg_for(cg: &CallGraph, fid: usize, ctxs: &BTreeMap<&str, FileCtx<'_>>) -> Option<Cfg> {
+/// The CFG for call-graph function `fid` and the file it sits in, or
+/// `None` for spawn roots (closure bodies are flattened into their
+/// enclosing statement) and functions whose file is missing.
+fn cfg_for<'w>(ws: &'w Workspace, cg: &CallGraph, fid: usize) -> Option<(Cfg, &'w SourceFile)> {
     let info = &cg.fns[fid];
     if info.is_spawn_root {
         return None;
     }
-    let ctx = ctxs.get(info.file.as_str())?;
-    let src = &ctx.file.text;
-    let def = tree::functions(src, &ctx.file.toks, &ctx.trees)
+    let file = ws.file(&info.file)?;
+    let def = tree::functions(&file.text, &file.toks, &file.trees)
         .into_iter()
         .find(|d| d.line == info.line && d.name == info.name)?;
-    Some(cfg::build(src, &ctx.file.toks, def.body))
+    Some((cfg::build(&file.text, &file.toks, def.body), file))
 }
 
 struct StmtInfo {
@@ -1147,11 +1123,9 @@ impl TaintSummaries {
     /// Computes bottom-up taint summaries for every function under
     /// `spec`, iterating each SCC to a fixed point.
     pub fn build(ws: &Workspace, cg: &CallGraph, spec: &TaintSpec<'_>) -> TaintSummaries {
-        let ctxs = file_contexts(ws);
         let cfgs: Vec<Option<(Cfg, Vec<StmtInfo>)>> = (0..cg.fns.len())
             .map(|fid| {
-                let g = cfg_for(cg, fid, &ctxs)?;
-                let file = ctxs.get(cg.fns[fid].file.as_str())?.file;
+                let (g, file) = cfg_for(ws, cg, fid)?;
                 let infos = stmt_infos(&g, file);
                 Some((g, infos))
             })
@@ -1287,9 +1261,7 @@ pub fn flow_for(
     spec: &TaintSpec<'_>,
     summaries: &TaintSummaries,
 ) -> Option<(Cfg, Flow, Vec<Fact>)> {
-    let ctxs = file_contexts(ws);
-    let g = cfg_for(cg, fid, &ctxs)?;
-    let file = ctxs.get(cg.fns[fid].file.as_str())?.file;
+    let (g, file) = cfg_for(ws, cg, fid)?;
     let infos = stmt_infos(&g, file);
     let res = analyze_fn(cg, fid, &g, &infos, spec, &summaries.by_fn);
     Some((g, res.flow, res.table.facts))

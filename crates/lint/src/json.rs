@@ -1,12 +1,11 @@
-//! Minimal JSON support for the baseline file and machine output.
+//! Minimal JSON support, shared with `kvs-bench` and the benchmark.
 //!
-//! kvs-lint is deliberately dependency-free (it guards the shims, so it
+//! This crate is deliberately dependency-free (it guards the shims, so it
 //! must build when every shim is broken), which rules out serde. This is
-//! the smallest JSON layer the linter needs: a value type whose objects
+//! the smallest JSON layer its users need: a value type whose objects
 //! preserve insertion order (so emitted files diff cleanly), a
-//! recursive-descent parser for `lint.baseline.json`, and a serializer
-//! for the `--format json|sarif` outputs. Numbers are kept as `f64` —
-//! line numbers are the only numbers we round-trip.
+//! recursive-descent parser, and a pretty serializer. Numbers are kept as
+//! `f64`.
 
 use std::fmt::Write as _;
 
@@ -60,8 +59,8 @@ impl Value {
         }
     }
 
-    /// Serializes with 2-space indentation and a trailing newline, so the
-    /// committed baseline diffs line-by-line.
+    /// Serializes with 2-space indentation and a trailing newline, so
+    /// committed files diff line-by-line.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

@@ -9,48 +9,45 @@
 //! paths. See [`rules`] for the rule catalogue and [`waiver`] for the
 //! escape hatch.
 //!
-//! Since PR 5 the linter is a three-layer analyzer: a real tokenizer and
+//! The linter is a three-layer analyzer: a real tokenizer and
 //! token-tree builder ([`token`], [`tree`]), the line rules plus
 //! semantic passes over the trees ([`rules`], [`passes`]: lock-order
-//! cycles, channel topology, stage-stamp dataflow, frame-kind
-//! exhaustiveness), and a reporting layer with SARIF/JSON output
-//! ([`sarif`], [`json`]) and a frozen-debt ratchet ([`baseline`]).
-//! PR 9 adds the interprocedural layer — a workspace call graph
-//! ([`callgraph`]) and per-function control-flow graphs ([`cfg`]) that
-//! power blocking-reachability, crash-ordering and deadline-propagation
-//! passes — and parallelizes the per-file scan on a std-only worker
-//! pool ([`ScanMode`]). On top of those sit the dataflow engine
-//! ([`dataflow`]): a gen/kill worklist fixed point over the CFG blocks
-//! with bottom-up interprocedural taint summaries over the call graph's
-//! SCC condensation, powering the wire-input-taint, determinism-escape
-//! and receipt-accounting rules (KVS-L017 … KVS-L019).
+//! cycles, lock guards held across blocking calls, channel topology,
+//! stage-stamp dataflow, frame-kind exhaustiveness), and the
+//! interprocedural layer — a workspace call graph ([`callgraph`]) and
+//! per-function control-flow graphs ([`cfg`]) that power
+//! blocking-reachability, crash-ordering and deadline-propagation
+//! passes. On top of those sits the dataflow engine ([`dataflow`]): a
+//! gen/kill worklist fixed point over the CFG blocks with bottom-up
+//! interprocedural taint summaries over the call graph's SCC
+//! condensation, powering the wire-input-taint, determinism-escape and
+//! receipt-accounting rules (KVS-L017 … KVS-L019). Findings print as
+//! `file:line: RULE: message` text; [`waiver`]s are the one exception
+//! channel.
 //!
 //! Deliberately dependency-free (std only): this crate is the tool that
 //! guards the shims, so it must build even when every shim is broken.
+//! [`json`] is the JSON layer `kvs-bench` and the benchmark share.
 //!
 //! Run it:
 //!
 //! ```console
 //! $ cargo run -p kvs-lint -- check            # lint the workspace
-//! $ cargo run -p kvs-lint -- check --format sarif --output kvs-lint.sarif
 //! $ cargo run -p kvs-lint -- rules            # list rule IDs
 //! $ cargo run -p kvs-lint -- waivers          # waivers with hit counts
-//! $ cargo run -p kvs-lint -- baseline --update
-//! $ cargo run -p kvs-lint -- bench --output target/figures/BENCH_lint.json
+//! $ cargo run -p kvs-lint -- lines            # non-test lines per crate
 //! ```
 //!
 //! See `docs/LINT.md` for the architecture and the full rule catalogue.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
 pub mod json;
 pub mod passes;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 pub mod token;
 pub mod tree;
@@ -68,22 +65,15 @@ pub const WAIVER_FILE: &str = "lint.waivers.toml";
 
 /// Result of linting one workspace root.
 pub struct Outcome {
-    /// Violations that remain after waivers and baseline — non-empty
-    /// means fail.
+    /// Violations that remain after waivers — non-empty means fail.
     pub diagnostics: Vec<Diagnostic>,
     /// Violations suppressed by a waiver, with the justification.
     pub waived: Vec<(Diagnostic, String)>,
-    /// Violations frozen in `lint.baseline.json`: reported (SARIF level
-    /// `warning`) but not failing.
-    pub baselined: Vec<Diagnostic>,
     /// Every parsed waiver with the number of diagnostics it suppressed
     /// this run; feeds `kvs-lint waivers`.
     pub waiver_hits: Vec<(waiver::Waiver, usize)>,
     /// Number of source files scanned.
     pub files_scanned: usize,
-    /// Wall-clock milliseconds spent in the dataflow-engine passes
-    /// (KVS-L017 … KVS-L019); feeds the bench lane's `dataflow_ms`.
-    pub dataflow_ms: f64,
 }
 
 impl Outcome {
@@ -118,116 +108,33 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-fn rel_of(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-/// How the per-file scan/tokenize phase executes.
-///
-/// Scanning is embarrassingly parallel — each file's read, line
-/// classification and tokenization touches nothing shared — and it
-/// dominates wall-clock on large trees, so [`check_workspace`] defaults
-/// to [`ScanMode::Parallel`]. Both modes produce byte-identical
-/// results: the pool reassembles files in path order before any rule
-/// runs, so scheduling can never reorder diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Scan one file at a time on the calling thread.
-    Serial,
-    /// Scan on a fixed pool of `std::thread::scope` workers (see
-    /// [`scan_workers`]), stride-partitioned over the sorted path list.
-    Parallel,
-}
-
-/// Worker count for [`ScanMode::Parallel`]: the machine's available
-/// parallelism, clamped to `[1, 32]`. The upper clamp keeps the pool
-/// from oversubscribing file I/O on very wide hosts; the lower one
-/// covers `available_parallelism` failing (it errors on some
-/// containers).
-pub fn scan_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .clamp(1, 32)
-}
-
-/// Reads and scans `paths` under `mode`. Worker `k` of `n` handles
-/// indices `k, k+n, k+2n, …` and reports `(index, file)` pairs; the
-/// parent reassembles them by index, so output order is the sorted path
-/// order regardless of thread scheduling.
-fn scan_files(root: &Path, paths: &[PathBuf], mode: ScanMode) -> io::Result<Vec<SourceFile>> {
-    let workers = match mode {
-        ScanMode::Serial => 1,
-        ScanMode::Parallel => scan_workers(),
-    };
-    if workers <= 1 || paths.len() <= 1 {
-        let mut files = Vec::with_capacity(paths.len());
-        for path in paths {
-            let text = fs::read_to_string(path)?;
-            files.push(SourceFile::scan(&rel_of(root, path), &text));
-        }
-        return Ok(files);
-    }
-    let results: Vec<io::Result<Vec<(usize, SourceFile)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|k| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for ix in (k..paths.len()).step_by(workers) {
-                        let text = fs::read_to_string(&paths[ix])?;
-                        out.push((ix, SourceFile::scan(&rel_of(root, &paths[ix]), &text)));
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(io::Error::other("scan worker panicked")),
-            })
-            .collect()
-    });
-    let mut slots: Vec<Option<SourceFile>> = Vec::new();
-    slots.resize_with(paths.len(), || None);
-    for r in results {
-        for (ix, file) in r? {
-            slots[ix] = Some(file);
+/// Reads and scans every `.rs` file under `root/<top>` for each `top`,
+/// in path order.
+fn scan_dirs(root: &Path, tops: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
+    for dir in tops {
+        if dir.is_dir() {
+            walk_rs(dir, &mut paths)?;
         }
     }
-    // Every index is visited by exactly one worker, so every slot is
-    // filled once all workers have returned Ok.
-    Ok(slots.into_iter().flatten().collect())
+    paths
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            Ok(SourceFile::scan(&rel, &fs::read_to_string(path)?))
+        })
+        .collect()
 }
 
 /// Lints the workspace rooted at `root` (the directory holding `crates/`,
-/// `shims/`, `docs/` and optionally [`WAIVER_FILE`]), scanning files on
-/// the parallel worker pool. Use [`check_workspace_with`] to pin the
-/// scan mode (the bench subcommand times both).
+/// `shims/` and `docs/`), applying [`WAIVER_FILE`] when present.
 pub fn check_workspace(root: &Path) -> io::Result<Outcome> {
-    check_workspace_with(root, ScanMode::Parallel)
-}
-
-/// Scans the workspace rooted at `root` into a [`rules::Workspace`]
-/// under `mode`, without running any rules. Exposed so the dataflow
-/// engine's property suite can build summaries from serially- and
-/// parallelly-scanned workspaces and assert they are identical.
-pub fn scan_workspace(root: &Path, mode: ScanMode) -> io::Result<rules::Workspace> {
-    let mut paths = Vec::new();
-    for top in ["crates", "shims"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            walk_rs(&dir, &mut paths)?;
-        }
-    }
-    let files = scan_files(root, &paths, mode)?;
-
     let load_md = |name: &str| -> io::Result<Option<(String, Vec<String>)>> {
         let path = root.join("docs").join(name);
         if !path.is_file() {
@@ -239,77 +146,31 @@ pub fn scan_workspace(root: &Path, mode: ScanMode) -> io::Result<rules::Workspac
             text.lines().map(str::to_string).collect(),
         )))
     };
-    let net_md = load_md("NET.md")?;
-    let store_md = load_md("STORE.md")?;
-
-    Ok(rules::Workspace {
-        files,
-        net_md,
-        store_md,
-    })
-}
-
-/// [`check_workspace`] with an explicit [`ScanMode`].
-pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> {
-    let ws = scan_workspace(root, mode)?;
-    let files_scanned = ws.files.len();
-    let (raw, dataflow_ms) = rules::run_all_timed(&ws);
-
-    let config_error = |line: usize, message: String, raw: Vec<Diagnostic>| -> Outcome {
-        let mut diagnostics = raw;
-        diagnostics.push(Diagnostic {
-            rule: "KVS-L000",
-            path: WAIVER_FILE.to_string(),
-            line,
-            message,
-        });
-        diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-        Outcome {
-            diagnostics,
-            waived: Vec::new(),
-            baselined: Vec::new(),
-            waiver_hits: Vec::new(),
-            files_scanned,
-            dataflow_ms,
-        }
+    let ws = rules::Workspace {
+        files: scan_dirs(root, &[root.join("crates"), root.join("shims")])?,
+        net_md: load_md("NET.md")?,
+        store_md: load_md("STORE.md")?,
     };
+    let files_scanned = ws.files.len();
+    let mut raw = rules::run_all(&ws);
 
     let waiver_path = root.join(WAIVER_FILE);
     let waivers = if waiver_path.is_file() {
         match waiver::parse(&fs::read_to_string(&waiver_path)?) {
             Ok(ws) => ws,
             Err((line, msg)) => {
-                return Ok(config_error(
-                    line,
-                    format!("waiver file rejected: {msg}"),
-                    raw,
-                ));
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
-    let baseline_path = root.join(baseline::BASELINE_FILE);
-    let baseline_entries = if baseline_path.is_file() {
-        match baseline::parse(&fs::read_to_string(&baseline_path)?) {
-            Ok(es) => es,
-            Err(msg) => {
-                let mut diagnostics = raw;
-                diagnostics.push(Diagnostic {
+                raw.push(Diagnostic {
                     rule: "KVS-L000",
-                    path: baseline::BASELINE_FILE.to_string(),
-                    line: 1,
-                    message: format!("baseline file rejected: {msg}"),
+                    path: WAIVER_FILE.to_string(),
+                    line,
+                    message: format!("waiver file rejected: {msg}"),
                 });
-                diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+                raw.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
                 return Ok(Outcome {
-                    diagnostics,
+                    diagnostics: raw,
                     waived: Vec::new(),
-                    baselined: Vec::new(),
                     waiver_hits: Vec::new(),
                     files_scanned,
-                    dataflow_ms,
                 });
             }
         }
@@ -318,7 +179,7 @@ pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> 
     };
 
     let raw_line = |path: &str, line: usize| -> Option<String> {
-        if let Some(f) = ws.files.iter().find(|f| f.rel == path) {
+        if let Some(f) = ws.file(path) {
             return f.lines.get(line.checked_sub(1)?).map(|l| l.raw.clone());
         }
         for md in [&ws.net_md, &ws.store_md].into_iter().flatten() {
@@ -329,25 +190,22 @@ pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> 
         None
     };
     let applied = waiver::apply(raw, &waivers, WAIVER_FILE, raw_line);
-    // Waived findings are passed through so a baseline entry that is
-    // also covered by a waiver reads as *used*, not stale (the site is
-    // still in the tree; the waiver merely outranks the ratchet).
-    let waived_findings: Vec<Diagnostic> = applied.waived.iter().map(|(d, _)| d.clone()).collect();
-    let (mut diagnostics, mut baselined) = baseline::apply(
-        applied.failing,
-        &waived_findings,
-        &baseline_entries,
-        baseline::BASELINE_FILE,
-        raw_line,
-    );
+    let mut diagnostics = applied.failing;
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    baselined.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(Outcome {
         diagnostics,
         waived: applied.waived,
-        baselined,
         waiver_hits: waivers.into_iter().zip(applied.hits).collect(),
         files_scanned,
-        dataflow_ms,
     })
+}
+
+/// Every `.rs` file under `root/crates/*/src`, scanned, in path order:
+/// what `kvs-lint lines` counts with [`SourceFile::non_test_lines`].
+pub fn crate_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut srcs: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
+        .map(|e| e.map(|e| e.path().join("src")))
+        .collect::<io::Result<_>>()?;
+    srcs.sort();
+    scan_dirs(root, &srcs)
 }

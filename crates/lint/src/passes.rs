@@ -10,9 +10,10 @@
 //!   `net`/`cluster`, builds the acquired-while-held edge set per function
 //!   (with call-edge propagation one level deep over the real call graph)
 //!   and fails on any cycle — a deadlock candidate — with the full
-//!   witness path. The same propagation feeds the interprocedural half of
-//!   **KVS-L007**: a call made while a guard is held must not transitively
-//!   reach a blocking op.
+//!   witness path. The same guard tracker is **KVS-L007**: in
+//!   `net/src`, no blocking call in a statement that takes a lock or
+//!   while a `let` guard is live; in `net`/`cluster`, no call made while a
+//!   guard is held may transitively reach a blocking op.
 //! * **KVS-L010** pairs channel/queue endpoints by construction site,
 //!   flags unbounded channels (waivable for the documented response
 //!   paths) and sends without a matching drain.
@@ -36,7 +37,7 @@
 //!   propagation (a call to a function that fsyncs, e.g. `write_sst`,
 //!   counts as a sync step), and that SSTable GC can never run before
 //!   the manifest commit that unreferences the files it deletes.
-//! * **KVS-L016** extends L011 across function boundaries: every v2
+//! * **KVS-L016** extends L011 across function boundaries: every
 //!   `Frame` literal on the request paths must thread an incoming
 //!   deadline (value mentions `deadline`, or is a wall-clock portal
 //!   expression with an explicit budget). When the value is a parameter,
@@ -75,9 +76,11 @@
 //! one crate alias. Guards are tracked for `let g = ….lock();` bindings
 //! and same-statement nesting; statement temporaries
 //! (`table.lock().get(…)`) release before the next statement and create
-//! no held state. Closures passed to `spawn` run on another thread and
+//! no held state. A statement ends at `;` or at the brace closing a
+//! block-like expression statement (`if`, `match`, a loop, a bare
+//! block). Closures passed to `spawn` run on another thread and
 //! are analyzed as separate synthetic functions. Reachability (L007's
-//! interprocedural half and L014's zone traversal) follows only
+//! transitive shape and L014's zone traversal) follows only
 //! `Free`/`SelfMethod`/`Path` call edges — may-call method edges alias
 //! bare names like `get` across the whole workspace and would drown
 //! every query in false paths. A direct blocking method call
@@ -89,15 +92,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::callgraph::{self, CallGraph, EdgeKind};
 use crate::cfg;
 use crate::dataflow;
-use crate::rules::{Diagnostic, Workspace};
+use crate::rules::{in_net_or_cluster_src, Diagnostic, Workspace};
 use crate::scan::SourceFile;
 use crate::token::{Tok, TokKind};
-use crate::tree::{self, Delim, Group, Tree};
+use crate::tree::{self, is_ident, is_punct, leaf_line, leaf_text, Delim, Group, Tree};
 
-/// Runs all semantic passes. Returns the wall-clock milliseconds spent
-/// in the dataflow-engine passes (KVS-L017 … KVS-L019, including
-/// summary construction) — the bench lane's `dataflow_ms`.
-pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) -> f64 {
+/// Runs all semantic passes.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let cg = callgraph::build(ws);
     lock_order(ws, &cg, out);
     channel_topology(ws, out);
@@ -106,11 +107,9 @@ pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) -> f64 {
     blocking_reachability(&cg, out);
     crash_ordering(ws, &cg, out);
     deadline_propagation(ws, &cg, out);
-    let t0 = std::time::Instant::now();
     wire_taint(ws, &cg, out);
     determinism_escape(ws, &cg, out);
     receipt_accounting(ws, &cg, out);
-    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Call names that block the calling thread: condvar and channel waits,
@@ -139,10 +138,6 @@ const BLOCKING_OPS: &[&str] = &[
 /// acquisition itself waits on the owner.
 const ZONE_EXTRA_BLOCKING: &[&str] = &["lock"];
 
-fn in_net_or_cluster_src(rel: &str) -> bool {
-    rel.starts_with("crates/net/src/") || rel.starts_with("crates/cluster/src/")
-}
-
 fn crate_key(rel: &str) -> &str {
     if rel.starts_with("crates/net/") {
         "net"
@@ -153,34 +148,15 @@ fn crate_key(rel: &str) -> &str {
     }
 }
 
-fn leaf_text<'a>(src: &'a str, toks: &[Tok], t: &Tree) -> Option<&'a str> {
-    match t {
-        Tree::Leaf(ix) => Some(toks[*ix].text(src)),
-        Tree::Group(_) => None,
-    }
-}
-
-fn leaf_line(toks: &[Tok], t: &Tree) -> usize {
-    match t {
-        Tree::Leaf(ix) => toks[*ix].line,
-        Tree::Group(g) => toks[g.open].line,
-    }
-}
-
-fn is_punct(src: &str, toks: &[Tok], t: &Tree, ch: &str) -> bool {
-    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Punct && toks[*ix].text(src) == ch)
-}
-
-fn is_ident(_src: &str, toks: &[Tok], t: &Tree) -> bool {
-    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Ident)
-}
-
 // ---------------------------------------------------------------------------
 // KVS-L009: lock-order graph.
 // ---------------------------------------------------------------------------
 
 /// Zero-argument methods that acquire a lock.
 const ACQ_METHODS: &[&str] = &["lock", "read", "write"];
+
+/// Keywords that open a block-like expression statement.
+const BLOCK_KEYWORDS: &[&str] = &["if", "match", "while", "for", "loop", "unsafe"];
 
 /// Keywords that look like `ident(` but are not calls.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -212,6 +188,14 @@ struct FnFacts {
     acquired: Vec<String>,
 }
 
+/// What one statement does outside its nested blocks: the locks it
+/// acquires and the blocking calls it makes, as `(shown name, line)`.
+#[derive(Default)]
+struct Stmt {
+    acqs: Vec<String>,
+    blocking: Vec<(String, usize)>,
+}
+
 struct LockCollector<'a> {
     src: &'a str,
     toks: &'a [Tok],
@@ -221,6 +205,10 @@ struct LockCollector<'a> {
     facts: FnFacts,
     /// `spawn(…)` argument groups queued for isolated analysis.
     spawned: Vec<&'a Group>,
+    /// Whether KVS-L007's direct shapes apply to this file.
+    direct: bool,
+    /// KVS-L007 direct findings: `(line, message)`, one per line.
+    blocking: Vec<(usize, String)>,
 }
 
 impl<'a> LockCollector<'a> {
@@ -230,36 +218,50 @@ impl<'a> LockCollector<'a> {
         let entry = held.len();
         let mut start = 0;
         for i in 0..=children.len() {
-            let boundary = i == children.len()
-                || is_punct(self.src, self.toks, &children[i], ";")
-                || (comma && is_punct(self.src, self.toks, &children[i], ","));
-            if !boundary {
+            let sep = i < children.len()
+                && (is_punct(self.src, self.toks, &children[i], ";")
+                    || (comma && is_punct(self.src, self.toks, &children[i], ",")));
+            let block_end =
+                i < children.len() && self.ends_block_stmt(&children[start..i], &children[i]);
+            if !(sep || block_end || i == children.len()) {
                 continue;
             }
             let stmt = &children[start..i];
-            start = i + 1;
+            start = if block_end { i } else { i + 1 };
             if stmt.is_empty() {
                 continue;
             }
             if leaf_text(self.src, self.toks, &stmt[0]) == Some("fn") {
                 continue; // nested fn: analyzed as its own function
             }
-            let mut stmt_acqs: Vec<String> = Vec::new();
-            self.scan_stmt(stmt, held, &mut stmt_acqs);
-            self.maybe_bind_guard(stmt, held, &stmt_acqs);
+            let mut st = Stmt::default();
+            self.scan_stmt(stmt, held, &mut st);
+            self.report_blocking(&st, held);
+            self.maybe_bind_guard(stmt, held, &st.acqs);
             self.maybe_drop_guard(stmt, held);
         }
         held.truncate(entry);
     }
 
+    /// True when `stmt` is a block-like expression statement (`if`,
+    /// `match`, a loop, a bare block) that its last brace group closes:
+    /// `next` starts a new statement unless it is `else`.
+    fn ends_block_stmt(&self, stmt: &[Tree], next: &Tree) -> bool {
+        let block_like = match stmt.first() {
+            Some(Tree::Group(g)) => g.delim == Delim::Brace,
+            Some(t) => {
+                leaf_text(self.src, self.toks, t).is_some_and(|k| BLOCK_KEYWORDS.contains(&k))
+            }
+            None => false,
+        };
+        block_like
+            && matches!(stmt.last(), Some(Tree::Group(g)) if g.delim == Delim::Brace)
+            && leaf_text(self.src, self.toks, next) != Some("else")
+    }
+
     /// Scans one statement (recursing through paren/bracket groups and
     /// into nested blocks) for acquisitions and calls-while-held.
-    fn scan_stmt(
-        &mut self,
-        stmt: &'a [Tree],
-        held: &mut Vec<(String, String)>,
-        stmt_acqs: &mut Vec<String>,
-    ) {
+    fn scan_stmt(&mut self, stmt: &'a [Tree], held: &mut Vec<(String, String)>, st: &mut Stmt) {
         let mut seen_match = false;
         let mut i = 0;
         while i < stmt.len() {
@@ -275,19 +277,19 @@ impl<'a> LockCollector<'a> {
                     for (h, _) in held.iter() {
                         self.push_edge(h.clone(), lock.clone(), line, String::new());
                     }
-                    for prior in stmt_acqs.iter() {
+                    for prior in st.acqs.iter() {
                         if *prior != lock {
                             self.push_edge(prior.clone(), lock.clone(), line, String::new());
                         }
                     }
-                    stmt_acqs.push(lock.clone());
+                    st.acqs.push(lock.clone());
                     self.facts.acquired.push(lock);
                 }
                 i += 3;
                 continue;
             }
             // Call / spawn handling: `ident(…)`.
-            if is_ident(self.src, self.toks, &stmt[i])
+            if is_ident(self.toks, &stmt[i])
                 && i + 1 < stmt.len()
                 && matches!(&stmt[i + 1], Tree::Group(g) if g.delim == Delim::Paren)
             {
@@ -300,6 +302,9 @@ impl<'a> LockCollector<'a> {
                     }
                     i += 2;
                     continue;
+                }
+                if let Some(call) = self.blocking_call(stmt, i) {
+                    st.blocking.push((call, leaf_line(self.toks, &stmt[i])));
                 }
                 if !held.is_empty() && !NON_CALL_KEYWORDS.contains(&name) {
                     self.calls.push(HeldCall {
@@ -315,7 +320,7 @@ impl<'a> LockCollector<'a> {
                     self.walk_block(&g.children, held, seen_match);
                     seen_match = false;
                 }
-                Tree::Group(g) => self.scan_stmt(&g.children, held, stmt_acqs),
+                Tree::Group(g) => self.scan_stmt(&g.children, held, st),
                 Tree::Leaf(_) => {
                     if leaf_text(self.src, self.toks, &stmt[i]) == Some("match") {
                         seen_match = true;
@@ -323,6 +328,47 @@ impl<'a> LockCollector<'a> {
                 }
             }
             i += 1;
+        }
+    }
+
+    /// How KVS-L007 names the call at `stmt[i]` (an identifier followed by
+    /// its argument group) when it is a direct blocking call in a checked
+    /// file: `write_all`, `recv()` when called with no arguments,
+    /// `thread::sleep`. A bare `join()` counts; `join(sep)` is the slice's.
+    fn blocking_call(&self, stmt: &[Tree], i: usize) -> Option<String> {
+        let name = leaf_text(self.src, self.toks, &stmt[i])?;
+        let bare = matches!(&stmt[i + 1], Tree::Group(g) if g.children.is_empty());
+        if !self.direct || !(BLOCKING_OPS.contains(&name) || (name == "join" && bare)) {
+            return None;
+        }
+        let thread = i >= 3
+            && leaf_text(self.src, self.toks, &stmt[i - 3]) == Some("thread")
+            && is_punct(self.src, self.toks, &stmt[i - 1], ":");
+        Some(match (thread, bare) {
+            (true, _) => format!("thread::{name}"),
+            (false, true) => format!("{name}()"),
+            (false, false) => name.to_string(),
+        })
+    }
+
+    /// KVS-L007's direct shapes: a blocking call in a statement that also
+    /// takes a lock, or while a `let` guard from an enclosing block is
+    /// live.
+    fn report_blocking(&mut self, st: &Stmt, held: &[(String, String)]) {
+        for (call, line) in &st.blocking {
+            let message = if !st.acqs.is_empty() {
+                format!(
+                    "lock taken and blocking call `{call}` in one statement — the guard is \
+                     held for the whole call"
+                )
+            } else if let Some((_, guard)) = held.last() {
+                format!("blocking call `{call}` while lock guard `{guard}` from this scope is live")
+            } else {
+                continue;
+            };
+            if !self.blocking.iter().any(|(l, _)| l == line) {
+                self.blocking.push((*line, message));
+            }
         }
     }
 
@@ -373,7 +419,7 @@ impl<'a> LockCollector<'a> {
             k += 1;
         }
         if let Some(name) = leaf_text(self.src, self.toks, &stmt[k]) {
-            if is_ident(self.src, self.toks, &stmt[k]) {
+            if is_ident(self.toks, &stmt[k]) {
                 let lock = stmt_acqs.last().expect("checked non-empty").clone();
                 held.push((lock, name.to_string()));
             }
@@ -415,8 +461,7 @@ fn lock_order(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        for def in tree::functions(src, &f.toks, &trees) {
+        for def in tree::functions(src, &f.toks, &f.trees) {
             if f.line_in_test(def.line) {
                 continue;
             }
@@ -428,6 +473,8 @@ fn lock_order(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
                 calls: Vec::new(),
                 facts: FnFacts::default(),
                 spawned: Vec::new(),
+                direct: f.rel.starts_with("crates/net/src/"),
+                blocking: Vec::new(),
             };
             let mut held = Vec::new();
             c.walk_block(&def.body.children, &mut held, false);
@@ -449,6 +496,14 @@ fn lock_order(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
             }
             edges.append(&mut c.edges);
             calls.append(&mut c.calls);
+            for (line, message) in c.blocking {
+                out.push(Diagnostic {
+                    rule: "KVS-L007",
+                    path: f.rel.clone(),
+                    line,
+                    message,
+                });
+            }
         }
     }
 
@@ -495,10 +550,9 @@ fn lock_order(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // KVS-L007, interprocedural half: a call made while a guard is held
-    // must not transitively reach a blocking op. The same-line case is
-    // the line rule in `rules.rs`; this covers the chain the ROADMAP's
-    // epoll rewrite would otherwise hit blind.
+    // KVS-L007, transitive shape: a call made while a guard is held must
+    // not reach a blocking op through the call graph. The direct shapes
+    // were reported per function above.
     let mut l007_sites: BTreeSet<(String, usize)> = BTreeSet::new();
     for call in &calls {
         let Some(callees) = site.get(&(call.file.as_str(), call.line, call.callee.as_str())) else {
@@ -723,9 +777,7 @@ fn stamp_dataflow(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !stamp_scope(&f.rel) {
             continue;
         }
-        let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        check_frame_literals(f, src, &trees, out);
+        check_frame_literals(f, &f.text, &f.trees, out);
         check_stage_completeness(f, out);
         check_stamp_mutations(f, out);
     }
@@ -1021,9 +1073,7 @@ fn frame_kind_variants(ws: &Workspace) -> Option<Vec<String>> {
         .files
         .iter()
         .find(|f| f.rel == "crates/net/src/frame.rs")?;
-    let src = f.text.as_str();
-    let trees = tree::build(src, &f.toks);
-    variants_in(src, &f.toks, &trees)
+    variants_in(&f.text, &f.toks, &f.trees)
 }
 
 fn variants_in(src: &str, toks: &[Tok], trees: &[Tree]) -> Option<Vec<String>> {
@@ -1037,7 +1087,7 @@ fn variants_in(src: &str, toks: &[Tok], trees: &[Tree]) -> Option<Vec<String>> {
                 for c in &g.children {
                     if is_punct(src, toks, c, ",") {
                         take_next = true;
-                    } else if take_next && is_ident(src, toks, c) {
+                    } else if take_next && is_ident(toks, c) {
                         names.push(leaf_text(src, toks, c)?.to_string());
                         take_next = false;
                     }
@@ -1062,9 +1112,7 @@ fn kind_exhaustiveness(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if !kind_scope(&f.rel) {
             continue;
         }
-        let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        check_matches(f, src, &trees, &kinds, out);
+        check_matches(f, &f.text, &f.trees, &kinds, out);
     }
 }
 
@@ -1318,8 +1366,7 @@ fn crash_ordering(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        for def in tree::functions(src, &f.toks, &trees) {
+        for def in tree::functions(src, &f.toks, &f.trees) {
             if f.line_in_test(def.line) {
                 continue;
             }
@@ -1401,9 +1448,8 @@ fn has_shorthand_field(src: &str, toks: &[Tok], body: &Group, name: &str) -> boo
     })
 }
 
-/// KVS-L016: every v2 `Frame` literal on the request paths must thread an
-/// incoming deadline. Literals without a `deadline:` field (v1 shapes)
-/// are L011's concern and skipped here. A value that names the deadline
+/// KVS-L016: every `Frame` literal on the request paths must thread an
+/// incoming deadline. A value that names the deadline
 /// it threads, or derives a budget from the wall-clock portal
 /// (`wall_ns() + …`), passes. When the value is a parameter of the
 /// enclosing function the obligation moves to every call site in the
@@ -1418,9 +1464,8 @@ fn deadline_propagation(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic
         }
         let src = f.text.as_str();
         let toks = &f.toks;
-        let trees = tree::build(src, toks);
         let mut sites: Vec<(usize, String)> = Vec::new();
-        for_each_frame_literal(f, src, &trees, &mut |body, line| {
+        for_each_frame_literal(f, src, &f.trees, &mut |body, line| {
             if let Some(vals) = field_value(src, toks, body, "deadline") {
                 sites.push((line, slot_text(src, toks, &vals)));
             } else if has_shorthand_field(src, toks, body, "deadline") {
@@ -1463,7 +1508,7 @@ fn deadline_propagation(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic
                                     line: site.1,
                                     message: format!(
                                         "call to `{}()` passes a fresh `{arg}` deadline \
-                                         into a v2 frame — thread the incoming deadline \
+                                         into a frame — thread the incoming deadline \
                                          across this call",
                                         cg.fns[node].name
                                     ),
@@ -1871,8 +1916,7 @@ fn receipt_accounting(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>)
         if !receipt_scope(&f.rel) {
             continue;
         }
-        let trees = tree::build(&f.text, &f.toks);
-        for def in tree::functions(&f.text, &f.toks, &trees) {
+        for def in tree::functions(&f.text, &f.toks, &f.trees) {
             if f.line_in_test(def.line) {
                 continue;
             }
@@ -1935,7 +1979,7 @@ mod tests {
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let _ms = run(&ws_of(files), &mut out);
+        run(&ws_of(files), &mut out);
         out
     }
 

@@ -18,14 +18,15 @@
 //! | KVS-L013 | store-format drift: WAL/SSTable constants vs documented tables |
 //! | KVS-L014 | non-blocking zones must not transitively reach blocking ops |
 //! | KVS-L015 | crash ordering: write → fsync → rename → dir-fsync, GC after commit |
-//! | KVS-L016 | deadline propagation: v2 frames thread the incoming deadline |
+//! | KVS-L016 | deadline propagation: frames thread the incoming deadline |
 //! | KVS-L017 | wire-input taint: untrusted lengths bounded before allocation/indexing |
 //! | KVS-L018 | determinism escape: no wall-clock/RNG value flow into L001 zones |
 //! | KVS-L019 | receipt accounting: every disk block read charges the ReadReceipt |
 //!
-//! KVS-L007 and KVS-L009 are interprocedural since PR 9: they resolve
-//! calls through the workspace call graph ([`crate::callgraph`]) instead
-//! of a per-file name index. L014–L016 are implemented in
+//! KVS-L002 and KVS-L013 are one checker over the layouts in
+//! [`LAYOUTS`]. KVS-L007 and KVS-L009 are one lock-guard tracker in
+//! [`crate::passes`], interprocedural through the workspace call graph
+//! ([`crate::callgraph`]). L014–L016 are implemented in
 //! [`crate::passes`] on top of the call graph and the per-function CFG
 //! ([`crate::cfg`]). L017–L019 run on the gen/kill dataflow engine
 //! ([`crate::dataflow`]): interprocedural taint with bottom-up function
@@ -41,7 +42,7 @@ use crate::scan::SourceFile;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable rule ID (`KVS-L001` … `KVS-L019`, `KVS-L000` for waiver
-    /// and baseline machinery errors).
+    /// machinery errors).
     pub rule: &'static str,
     /// Path relative to the workspace root, `/`-separated.
     pub path: String,
@@ -129,7 +130,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "KVS-L016",
-        "deadline propagation: every forwarded v2 frame threads the incoming deadline — no \
+        "deadline propagation: every forwarded frame threads the incoming deadline — no \
          fresh 0/u64::MAX deadlines, checked across call sites",
     ),
     (
@@ -164,7 +165,7 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    fn file(&self, rel: &str) -> Option<&SourceFile> {
+    pub(crate) fn file(&self, rel: &str) -> Option<&SourceFile> {
         self.files.iter().find(|f| f.rel == rel)
     }
 }
@@ -172,26 +173,17 @@ impl Workspace {
 /// Runs every rule over the workspace and returns the findings, sorted by
 /// path and line.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
-    run_all_timed(ws).0
-}
-
-/// [`run_all`] plus the wall-clock milliseconds the dataflow-engine
-/// passes (KVS-L017 … KVS-L019, including summary construction) took —
-/// the bench lane's `dataflow_ms` phase timing.
-pub fn run_all_timed(ws: &Workspace) -> (Vec<Diagnostic>, f64) {
     let mut out = Vec::new();
     determinism_guard(ws, &mut out);
-    protocol_drift(ws, &mut out);
-    store_format_drift(ws, &mut out);
+    layout_drift(ws, &mut out);
     result_drops(ws, &mut out);
     unwrap_discipline(ws, &mut out);
     unsafe_safety_comments(ws, &mut out);
     std_mutex_forbidden(ws, &mut out);
-    lock_across_blocking(ws, &mut out);
     comment_contracts(ws, &mut out);
-    let dataflow_ms = crate::passes::run(ws, &mut out);
+    crate::passes::run(ws, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    (out, dataflow_ms)
+    out
 }
 
 /// The wall-clock portal: the only file allowed to call
@@ -221,7 +213,7 @@ pub(crate) fn in_deterministic_zone(rel: &str) -> bool {
         .any(|z| rel.starts_with(z) || rel == z.trim_end_matches('/'))
 }
 
-fn in_net_or_cluster_src(rel: &str) -> bool {
+pub(crate) fn in_net_or_cluster_src(rel: &str) -> bool {
     rel.starts_with("crates/net/src/") || rel.starts_with("crates/cluster/src/")
 }
 
@@ -301,31 +293,398 @@ fn determinism_guard(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The frame header layout, as derived from `frame.rs` constants. Field
-/// offsets follow from the fixed field order; `HEADER_LEN` pins the total.
-struct FrameLayout {
+/// A binary layout pinned by a drift rule: the constants in `src` are the
+/// single source of truth, and both the ASCII table in `src`'s module
+/// docs and the markdown table in `doc` must restate them byte for byte.
+struct Layout {
+    rule: &'static str,
+    src: &'static str,
+    /// How markdown findings name the source file.
+    named: &'static str,
+    doc: &'static str,
+    /// What markdown findings call the table (`frame table: …`).
+    label: &'static str,
+    /// Names of the magic, version and total-length constants.
+    consts: [&'static str; 3],
+    /// Fields in order with their sizes: offsets follow from the order and
+    /// the length constant pins the total. Size 0 is the variable-length
+    /// tail, whose size column is not checked.
+    fields: &'static [(&'static str, u64)],
+    /// A doc name starting with the first string names the second field.
+    aliases: &'static [(&'static str, &'static str)],
+    extra: Extra,
+}
+
+/// What a layout's docs must state beyond its tables.
+enum Extra {
+    /// The wire frame: the kind discriminants and the CRC's coverage in
+    /// the notes, and `<len> bytes` in the prose.
+    Frame,
+    /// A store format: rows count only under a heading containing the
+    /// label, the prose states `<len>-byte <noun>`, and the doc must exist.
+    Store { noun: &'static str },
+}
+
+const LAYOUTS: &[Layout] = &[
+    Layout {
+        rule: "KVS-L002",
+        src: "crates/net/src/frame.rs",
+        named: "frame.rs",
+        doc: "docs/NET.md",
+        label: "frame",
+        consts: ["MAGIC", "VERSION", "HEADER_LEN"],
+        fields: &[
+            ("magic", 2),
+            ("version", 1),
+            ("kind", 1),
+            ("flags", 1),
+            ("id", 8),
+            ("len", 4),
+            ("stamps", 32),
+            ("deadline", 8),
+            ("crc", 4),
+            ("payload", 0),
+        ],
+        aliases: &[("checksum", "crc"), ("stamps", "stamps")],
+        extra: Extra::Frame,
+    },
+    Layout {
+        rule: "KVS-L013",
+        src: "crates/store/src/wal.rs",
+        named: "crates/store/src/wal.rs",
+        doc: "docs/STORE.md",
+        label: "segment header",
+        consts: ["WAL_MAGIC", "WAL_VERSION", "WAL_HEADER_LEN"],
+        fields: &[
+            ("magic", 4),
+            ("version", 1),
+            ("reserved", 3),
+            ("segment_seq", 8),
+        ],
+        aliases: &[],
+        extra: Extra::Store { noun: "header" },
+    },
+    Layout {
+        rule: "KVS-L013",
+        src: "crates/store/src/sst_file.rs",
+        named: "crates/store/src/sst_file.rs",
+        doc: "docs/STORE.md",
+        label: "footer",
+        consts: ["SST_MAGIC", "SST_VERSION", "SST_FOOTER_LEN"],
+        fields: &[
+            ("magic", 4),
+            ("version", 1),
+            ("reserved", 3),
+            ("generation", 8),
+            ("column_index_size", 8),
+            ("index_off", 8),
+            ("index_len", 8),
+            ("bloom_off", 8),
+            ("bloom_len", 8),
+            ("meta_crc", 8),
+            ("footer_crc", 8),
+        ],
+        aliases: &[],
+        extra: Extra::Store { noun: "footer" },
+    },
+];
+
+/// A [`Layout`]'s values as read from its source file.
+struct Parsed {
     magic: u64,
     version: u64,
-    header_len: u64,
+    len: u64,
+    /// `(name, offset, size)`.
+    fields: Vec<(&'static str, u64, u64)>,
+    /// `FrameKind` discriminants, for [`Extra::Frame`] only.
     kinds: Vec<(String, u64)>,
 }
 
-impl FrameLayout {
-    /// `(name, offset, size)` for every fixed header field. `payload` is
-    /// reported with size 0 (its size is the `len` field).
-    fn fields(&self) -> Vec<(&'static str, u64, u64)> {
-        vec![
-            ("magic", 0, 2),
-            ("version", 2, 1),
-            ("kind", 3, 1),
-            ("flags", 4, 1),
-            ("id", 5, 8),
-            ("len", 13, 4),
-            ("stamps", 17, 32),
-            ("deadline", self.header_len - 12, 8),
-            ("crc", self.header_len - 4, 4),
-            ("payload", self.header_len, 0),
-        ]
+impl Layout {
+    fn diag(&self, path: &str, line: usize, message: String) -> Diagnostic {
+        Diagnostic {
+            rule: self.rule,
+            path: path.to_string(),
+            line,
+            message,
+        }
+    }
+
+    /// A doc table row `offset size name …`: the documented offset and
+    /// the field the row names, with its true offset and size.
+    fn row<'p>(
+        &self,
+        p: &'p Parsed,
+        cells: &[&str],
+    ) -> Option<(u64, &'p (&'static str, u64, u64))> {
+        let doc_name = *cells.get(2)?;
+        let name = self
+            .aliases
+            .iter()
+            .find(|(from, _)| doc_name.starts_with(from))
+            .map_or(doc_name, |(_, to)| to);
+        Some((
+            parse_int(cells[0])?,
+            p.fields.iter().find(|(f, _, _)| *f == name)?,
+        ))
+    }
+
+    /// Reads the constants (and the frame's kinds) from `f`, or reports
+    /// why the rule cannot run.
+    fn parse(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) -> Option<Parsed> {
+        let mut get = |name: &str| {
+            let v = parse_const(f, name);
+            if v.is_none() {
+                out.push(self.diag(
+                    &f.rel,
+                    1,
+                    format!("could not parse `pub const {name}` — drift rule cannot run"),
+                ));
+            }
+            v
+        };
+        let [magic, version, len] = self.consts;
+        let (magic, version, len_v) = (get(magic)?, get(version)?, get(len)?);
+        let mut fields = Vec::new();
+        let mut offset = 0;
+        for &(name, size) in self.fields {
+            fields.push((name, offset, size));
+            offset += size;
+        }
+        if offset != len_v {
+            out.push(self.diag(
+                &f.rel,
+                1,
+                format!(
+                    "{len} ({len_v}) disagrees with the sum of the fixed field sizes \
+                     ({offset}) — a field was resized without bumping the length constant"
+                ),
+            ));
+        }
+        let mut kinds = Vec::new();
+        if let Extra::Frame = self.extra {
+            // `FrameKind::Request => 1,` — the to_byte arms. (from_byte's
+            // arms are written value-first and don't match this shape.)
+            for l in &f.lines {
+                let Some((name, val)) = l
+                    .code
+                    .trim()
+                    .strip_prefix("FrameKind::")
+                    .and_then(|rest| rest.split_once("=>"))
+                else {
+                    continue;
+                };
+                let name = name.trim();
+                if !name.is_empty() && name.chars().all(char::is_alphanumeric) {
+                    if let Some(v) = parse_int(val.trim().trim_end_matches(',')) {
+                        kinds.push((name.to_string(), v));
+                    }
+                }
+            }
+            if kinds.is_empty() {
+                out.push(self.diag(
+                    &f.rel,
+                    1,
+                    "could not parse FrameKind discriminants — drift rule cannot run".to_string(),
+                ));
+                return None;
+            }
+        }
+        Some(Parsed {
+            magic,
+            version,
+            len: len_v,
+            fields,
+            kinds,
+        })
+    }
+
+    /// The ASCII table in the source's own module docs: rows look like
+    /// `//!      0     2  magic        0x4B56 ("KV")`.
+    fn check_moduledoc(&self, f: &SourceFile, p: &Parsed, out: &mut Vec<Diagnostic>) {
+        let mut seen = Vec::new();
+        for (n, l) in f.numbered() {
+            // Doc comments reach the comment view as `!      0     2  magic …`
+            // (the `//` is consumed, the `!` or third `/` is not).
+            let text = l.comment.trim_start().trim_start_matches(['!', '/']);
+            let toks: Vec<&str> = text.split_whitespace().collect();
+            let Some((offset, &(name, want_off, want_size))) = self.row(p, &toks) else {
+                continue;
+            };
+            seen.push(name);
+            if offset != want_off {
+                out.push(self.diag(
+                    &f.rel,
+                    n,
+                    format!(
+                        "module-doc table: `{name}` at offset {offset}, but the constants put \
+                         it at {want_off}"
+                    ),
+                ));
+            }
+            if want_size != 0 && parse_int(toks[1]) != Some(want_size) {
+                out.push(self.diag(
+                    &f.rel,
+                    n,
+                    format!(
+                        "module-doc table: `{name}` sized {} bytes, but the constants say \
+                         {want_size}",
+                        toks[1]
+                    ),
+                ));
+            }
+        }
+        for (name, _, _) in &p.fields {
+            if !seen.contains(name) {
+                out.push(self.diag(
+                    &f.rel,
+                    1,
+                    format!("module-doc table: field `{name}` is missing"),
+                ));
+            }
+        }
+    }
+
+    /// The markdown table in the doc: rows look like
+    /// `| 0 | 2 | magic | \`0x4B56\` (\`"KV"\`) |`.
+    fn check_markdown(&self, rel: &str, lines: &[String], p: &Parsed, out: &mut Vec<Diagnostic>) {
+        let (label, named) = (self.label, self.named);
+        let scoped = matches!(self.extra, Extra::Store { .. });
+        let mut active = !scoped;
+        let mut seen = Vec::new();
+        for (ix, raw) in lines.iter().enumerate() {
+            let n = ix + 1;
+            if raw.trim_start().starts_with('#') {
+                active = !scoped || raw.to_ascii_lowercase().contains(label);
+                continue;
+            }
+            let plain = raw.replace('`', "");
+            let cells: Vec<&str> = plain
+                .trim()
+                .trim_start_matches('|')
+                .trim_end_matches('|')
+                .split('|')
+                .map(str::trim)
+                .collect();
+            if !active || cells.len() < 4 {
+                continue;
+            }
+            let Some((offset, &(name, want_off, want_size))) = self.row(p, &cells) else {
+                continue;
+            };
+            seen.push(name);
+            let mut push = |message: String| out.push(self.diag(rel, n, message));
+            if offset != want_off {
+                push(format!(
+                    "{label} table: `{name}` documented at offset {offset}, but {named} puts it \
+                     at {want_off}"
+                ));
+            }
+            if want_size != 0 && parse_int(cells[1]) != Some(want_size) {
+                push(format!(
+                    "{label} table: `{name}` documented as {} bytes, but {named} says {want_size}",
+                    cells[1]
+                ));
+            }
+            let notes = cells[3];
+            match name {
+                "magic" => {
+                    let want = format!("0x{:0w$X}", p.magic, w = 2 * want_size as usize);
+                    if !notes.contains(&want) {
+                        push(format!("{label} table: magic notes must state {want}"));
+                    }
+                }
+                "version" if !notes.contains(&p.version.to_string()) => {
+                    push(format!(
+                        "{label} table: version notes must state {}",
+                        p.version
+                    ));
+                }
+                "kind" => {
+                    for (kname, kval) in &p.kinds {
+                        if !notes.contains(&format!("{kval} {kname}")) {
+                            push(format!(
+                                "{label} table: kind notes must map `{kval}` to `{kname}` \
+                                 (frame.rs to_byte drifted from the docs)"
+                            ));
+                        }
+                    }
+                }
+                "crc" => {
+                    let last = want_off - 1;
+                    if !notes.contains(&format!("0\u{2013}{last}"))
+                        && !notes.contains(&format!("0-{last}"))
+                    {
+                        push(format!(
+                            "{label} table: crc notes must state coverage of header bytes \
+                             0\u{2013}{last} plus payload"
+                        ));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for (name, _, _) in &p.fields {
+            if !seen.contains(name) {
+                let scope = if scoped {
+                    format!(" (or outside a `{label}` section)")
+                } else {
+                    String::new()
+                };
+                out.push(self.diag(
+                    rel,
+                    1,
+                    format!("{label} table: field `{name}` is missing{scope}"),
+                ));
+            }
+        }
+        let (needle, message) = match self.extra {
+            Extra::Frame => (format!("{} bytes", p.len), "the current header size"),
+            Extra::Store { noun } => (format!("{}-byte {noun}", p.len), "the encoded size"),
+        };
+        if !lines.join("\n").contains(&needle) {
+            let message = match self.extra {
+                Extra::Frame => format!("prose must state {message} ({needle})"),
+                Extra::Store { .. } => {
+                    format!(
+                        "prose must state {message} (`{needle}`) pinned by {}",
+                        self.src
+                    )
+                }
+            };
+            out.push(self.diag(rel, 1, message));
+        }
+    }
+}
+
+/// KVS-L002 and KVS-L013: every [`LAYOUTS`] entry against its two tables.
+/// Trees without a layout's source file (most fixtures) skip it.
+fn layout_drift(ws: &Workspace, out: &mut Vec<Diagnostic>) {
+    for layout in LAYOUTS {
+        let Some(f) = ws.file(layout.src) else {
+            continue;
+        };
+        let Some(parsed) = layout.parse(f, out) else {
+            continue;
+        };
+        layout.check_moduledoc(f, &parsed, out);
+        let doc = [&ws.net_md, &ws.store_md]
+            .into_iter()
+            .flatten()
+            .find(|(rel, _)| rel == layout.doc);
+        match (doc, &layout.extra) {
+            (Some((rel, lines)), _) => layout.check_markdown(rel, lines, &parsed, out),
+            (None, Extra::Store { .. }) => out.push(layout.diag(
+                layout.src,
+                1,
+                format!(
+                    "{} is missing — the on-disk format this file defines must be documented \
+                     there",
+                    layout.doc
+                ),
+            )),
+            (None, Extra::Frame) => {}
+        }
     }
 }
 
@@ -339,594 +698,10 @@ fn parse_int(tok: &str) -> Option<u64> {
 }
 
 /// Extracts `pub const NAME: ty = value;` from the code view.
-fn parse_const(f: &SourceFile, name: &str) -> Option<(u64, usize)> {
+fn parse_const(f: &SourceFile, name: &str) -> Option<u64> {
     let needle = format!("const {name}:");
-    for (n, l) in f.numbered() {
-        if let Some(pos) = l.code.find(&needle) {
-            let rest = &l.code[pos..];
-            let val = rest.split('=').nth(1)?;
-            return parse_int(val).map(|v| (v, n));
-        }
-    }
-    None
-}
-
-fn parse_frame_layout(f: &SourceFile, out: &mut Vec<Diagnostic>) -> Option<FrameLayout> {
-    let mut get = |name: &str| -> Option<u64> {
-        match parse_const(f, name) {
-            Some((v, _)) => Some(v),
-            None => {
-                out.push(Diagnostic {
-                    rule: "KVS-L002",
-                    path: f.rel.clone(),
-                    line: 1,
-                    message: format!("could not parse `pub const {name}` — drift rule cannot run"),
-                });
-                None
-            }
-        }
-    };
-    let magic = get("MAGIC")?;
-    let version = get("VERSION")?;
-    let header_len = get("HEADER_LEN")?;
-    let mut kinds = Vec::new();
-    for (n, l) in f.numbered() {
-        // `FrameKind::Request => 1,` — the to_byte arms. (from_byte's arms
-        // are written value-first and don't match this shape.)
-        let code = l.code.trim();
-        if let Some(rest) = code.strip_prefix("FrameKind::") {
-            if let Some((name, val)) = rest.split_once("=>") {
-                let name = name.trim();
-                if name.chars().all(|c| c.is_alphanumeric()) && !name.is_empty() {
-                    if let Some(v) = parse_int(val.trim().trim_end_matches(',')) {
-                        kinds.push((name.to_string(), v));
-                    }
-                }
-            }
-        }
-        let _ = n;
-    }
-    if kinds.is_empty() {
-        out.push(Diagnostic {
-            rule: "KVS-L002",
-            path: f.rel.clone(),
-            line: 1,
-            message: "could not parse FrameKind discriminants — drift rule cannot run".to_string(),
-        });
-        return None;
-    }
-    Some(FrameLayout {
-        magic,
-        version,
-        header_len,
-        kinds,
-    })
-}
-
-/// KVS-L002: the frame constants in `frame.rs` are the single source of
-/// truth; the ASCII table in the `frame.rs` module docs and the markdown
-/// table in `docs/NET.md` must agree with them byte for byte.
-fn protocol_drift(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let Some(frame) = ws.file("crates/net/src/frame.rs") else {
-        return; // fixture trees without a frame.rs skip the rule
-    };
-    let Some(layout) = parse_frame_layout(frame, out) else {
-        return;
-    };
-    check_moduledoc_table(frame, &layout, out);
-    if let Some((rel, lines)) = &ws.net_md {
-        check_netmd_table(rel, lines, &layout, out);
-    }
-}
-
-fn normalize_doc_name(name: &str) -> &str {
-    match name {
-        "checksum" | "crc" => "crc",
-        s if s.starts_with("stamps") => "stamps",
-        s => s,
-    }
-}
-
-/// The ASCII table in frame.rs's own module docs: rows look like
-/// `     0     2  magic        0x4B56 ("KV")`.
-fn check_moduledoc_table(f: &SourceFile, layout: &FrameLayout, out: &mut Vec<Diagnostic>) {
-    let expected = layout.fields();
-    let mut seen = Vec::new();
-    for (n, l) in f.numbered() {
-        // Doc comments reach the comment view as `!      0     2  magic …`
-        // (the `//` is consumed, the `!` or third `/` is not).
-        let text = l
-            .comment
-            .trim_start()
-            .trim_start_matches(['!', '/'])
-            .trim_start();
-        let toks: Vec<&str> = text.split_whitespace().collect();
-        if toks.len() < 3 {
-            continue;
-        }
-        let Some(offset) = parse_int(toks[0]) else {
-            continue;
-        };
-        let size = parse_int(toks[1]);
-        let name = normalize_doc_name(toks[2]).to_string();
-        let Some(&(_, want_off, want_size)) = expected.iter().find(|(fname, _, _)| *fname == name)
-        else {
-            continue;
-        };
-        seen.push(name.clone());
-        if offset != want_off {
-            out.push(Diagnostic {
-                rule: "KVS-L002",
-                path: f.rel.clone(),
-                line: n,
-                message: format!(
-                    "module-doc table: `{name}` at offset {offset}, but the constants put it \
-                     at {want_off}"
-                ),
-            });
-        }
-        if name != "payload" && size != Some(want_size) {
-            out.push(Diagnostic {
-                rule: "KVS-L002",
-                path: f.rel.clone(),
-                line: n,
-                message: format!(
-                    "module-doc table: `{name}` sized {} bytes, but the constants say {want_size}",
-                    toks[1]
-                ),
-            });
-        }
-    }
-    for (name, _, _) in expected {
-        if !seen.contains(&name.to_string()) {
-            out.push(Diagnostic {
-                rule: "KVS-L002",
-                path: f.rel.clone(),
-                line: 1,
-                message: format!("module-doc table: field `{name}` is missing"),
-            });
-        }
-    }
-}
-
-/// The markdown table in docs/NET.md: rows look like
-/// `| 0 | 2 | magic | \`0x4B56\` (\`"KV"\`) |`.
-fn check_netmd_table(rel: &str, lines: &[String], layout: &FrameLayout, out: &mut Vec<Diagnostic>) {
-    let expected = layout.fields();
-    let mut seen = Vec::new();
-    let diag = |line: usize, message: String| Diagnostic {
-        rule: "KVS-L002",
-        path: rel.to_string(),
-        line,
-        message,
-    };
-    for (ix, raw) in lines.iter().enumerate() {
-        let n = ix + 1;
-        let plain = raw.replace('`', "");
-        let cells: Vec<&str> = plain
-            .trim()
-            .trim_start_matches('|')
-            .trim_end_matches('|')
-            .split('|')
-            .map(str::trim)
-            .collect();
-        if cells.len() < 4 {
-            continue;
-        }
-        let Some(offset) = parse_int(cells[0]) else {
-            continue;
-        };
-        let size = parse_int(cells[1]);
-        let name = normalize_doc_name(cells[2]).to_string();
-        let notes = cells[3];
-        let Some(&(_, want_off, want_size)) = expected.iter().find(|(fname, _, _)| *fname == name)
-        else {
-            continue;
-        };
-        seen.push(name.clone());
-        if offset != want_off {
-            out.push(diag(
-                n,
-                format!(
-                    "frame table: `{name}` documented at offset {offset}, but frame.rs puts it \
-                     at {want_off}"
-                ),
-            ));
-        }
-        if name != "payload" && size != Some(want_size) {
-            out.push(diag(
-                n,
-                format!(
-                    "frame table: `{name}` documented as {} bytes, but frame.rs says {want_size}",
-                    cells[1]
-                ),
-            ));
-        }
-        match name.as_str() {
-            "magic" => {
-                let want = format!("0x{:04X}", layout.magic);
-                if !notes.contains(&want) {
-                    out.push(diag(
-                        n,
-                        format!("frame table: magic notes must state {want}"),
-                    ));
-                }
-            }
-            "version" if !notes.contains(&layout.version.to_string()) => {
-                out.push(diag(
-                    n,
-                    format!("frame table: version notes must state {}", layout.version),
-                ));
-            }
-            "kind" => {
-                for (kname, kval) in &layout.kinds {
-                    if !notes.contains(&format!("{kval} {kname}")) {
-                        out.push(diag(
-                            n,
-                            format!(
-                                "frame table: kind notes must map `{kval}` to `{kname}` \
-                                 (frame.rs to_byte drifted from the docs)"
-                            ),
-                        ));
-                    }
-                }
-            }
-            "crc" => {
-                let last_covered = layout.header_len - 5;
-                if !notes.contains(&format!("0\u{2013}{last_covered}"))
-                    && !notes.contains(&format!("0-{last_covered}"))
-                {
-                    out.push(diag(
-                        n,
-                        format!(
-                            "frame table: crc notes must state coverage of header bytes \
-                             0\u{2013}{last_covered} plus payload"
-                        ),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (name, _, _) in expected {
-        if !seen.contains(&name.to_string()) {
-            out.push(diag(1, format!("frame table: field `{name}` is missing")));
-        }
-    }
-    let body = lines.join("\n");
-    if !body.contains(&format!("{} bytes", layout.header_len)) {
-        out.push(diag(
-            1,
-            format!(
-                "prose must state the current header size ({} bytes)",
-                layout.header_len
-            ),
-        ));
-    }
-}
-
-/// One on-disk store layout pinned by KVS-L013: the source file its
-/// constants come from, the field list those constants imply, and how the
-/// documentation must restate it.
-struct StoreLayout {
-    /// `crates/store/src/…` file the constants live in.
-    src: String,
-    /// Lowercase substring identifying this layout's section heading in
-    /// `docs/STORE.md` (rows outside a matching section are ignored, so
-    /// the two tables' shared field names cannot cross-talk).
-    heading: &'static str,
-    magic: u64,
-    version: u64,
-    /// What the prose must call the structure, e.g. `72-byte footer`.
-    prose: String,
-    /// `(name, offset, size)`, offsets derived from the fixed field order.
-    fields: Vec<(&'static str, u64, u64)>,
-}
-
-/// Derives one [`StoreLayout`] from a store source file, or reports why it
-/// can't. `sizes` is the fixed field order; offsets follow from it and the
-/// `len_const` constant pins the total, so a resized field that forgets to
-/// bump the length constant is itself a finding.
-fn parse_store_layout(
-    f: &SourceFile,
-    prefix: &str,
-    len_const: &str,
-    heading: &'static str,
-    noun: &str,
-    sizes: &[(&'static str, u64)],
-    out: &mut Vec<Diagnostic>,
-) -> Option<StoreLayout> {
-    let mut get = |name: String| -> Option<u64> {
-        match parse_const(f, &name) {
-            Some((v, _)) => Some(v),
-            None => {
-                out.push(Diagnostic {
-                    rule: "KVS-L013",
-                    path: f.rel.clone(),
-                    line: 1,
-                    message: format!("could not parse `pub const {name}` — drift rule cannot run"),
-                });
-                None
-            }
-        }
-    };
-    let magic = get(format!("{prefix}_MAGIC"))?;
-    let version = get(format!("{prefix}_VERSION"))?;
-    let len = get(len_const.to_string())?;
-    let mut fields = Vec::new();
-    let mut offset = 0;
-    for &(name, size) in sizes {
-        fields.push((name, offset, size));
-        offset += size;
-    }
-    if offset != len {
-        out.push(Diagnostic {
-            rule: "KVS-L013",
-            path: f.rel.clone(),
-            line: 1,
-            message: format!(
-                "{len_const} ({len}) disagrees with the sum of the fixed field sizes \
-                 ({offset}) — a field was resized without bumping the length constant"
-            ),
-        });
-    }
-    Some(StoreLayout {
-        src: f.rel.clone(),
-        heading,
-        magic,
-        version,
-        prose: format!("{len}-byte {noun}"),
-        fields,
-    })
-}
-
-/// The ASCII table in a store module's own docs: rows look like
-/// `!      0    4 magic        0x4B57414C ("KWAL")`.
-fn check_store_moduledoc_table(f: &SourceFile, layout: &StoreLayout, out: &mut Vec<Diagnostic>) {
-    let mut seen = Vec::new();
-    for (n, l) in f.numbered() {
-        let text = l
-            .comment
-            .trim_start()
-            .trim_start_matches(['!', '/'])
-            .trim_start();
-        let toks: Vec<&str> = text.split_whitespace().collect();
-        if toks.len() < 3 {
-            continue;
-        }
-        let Some(offset) = parse_int(toks[0]) else {
-            continue;
-        };
-        let size = parse_int(toks[1]);
-        let Some(&(name, want_off, want_size)) =
-            layout.fields.iter().find(|(fname, _, _)| *fname == toks[2])
-        else {
-            continue;
-        };
-        seen.push(name);
-        if offset != want_off {
-            out.push(Diagnostic {
-                rule: "KVS-L013",
-                path: f.rel.clone(),
-                line: n,
-                message: format!(
-                    "module-doc table: `{name}` at offset {offset}, but the constants put it \
-                     at {want_off}"
-                ),
-            });
-        }
-        if size != Some(want_size) {
-            out.push(Diagnostic {
-                rule: "KVS-L013",
-                path: f.rel.clone(),
-                line: n,
-                message: format!(
-                    "module-doc table: `{name}` sized {} bytes, but the constants say {want_size}",
-                    toks[1]
-                ),
-            });
-        }
-    }
-    for &(name, _, _) in &layout.fields {
-        if !seen.contains(&name) {
-            out.push(Diagnostic {
-                rule: "KVS-L013",
-                path: f.rel.clone(),
-                line: 1,
-                message: format!("module-doc table: field `{name}` is missing"),
-            });
-        }
-    }
-}
-
-/// The markdown tables in docs/STORE.md: each layout's rows sit under a
-/// heading naming it (`### WAL segment header`, `### SSTable footer`);
-/// rows look like `| 0 | 4 | magic | \`0x4B57414C\` (\`"KWAL"\`) |`.
-fn check_store_md(rel: &str, lines: &[String], layouts: &[StoreLayout], out: &mut Vec<Diagnostic>) {
-    let mut active: Option<usize> = None;
-    let mut seen: Vec<Vec<&str>> = layouts.iter().map(|_| Vec::new()).collect();
-    for (ix, raw) in lines.iter().enumerate() {
-        let n = ix + 1;
-        if raw.trim_start().starts_with('#') {
-            let h = raw.to_ascii_lowercase();
-            active = layouts.iter().position(|l| h.contains(l.heading));
-            continue;
-        }
-        let Some(lix) = active else {
-            continue;
-        };
-        let layout = &layouts[lix];
-        let plain = raw.replace('`', "");
-        let cells: Vec<&str> = plain
-            .trim()
-            .trim_start_matches('|')
-            .trim_end_matches('|')
-            .split('|')
-            .map(str::trim)
-            .collect();
-        if cells.len() < 4 {
-            continue;
-        }
-        let Some(offset) = parse_int(cells[0]) else {
-            continue;
-        };
-        let size = parse_int(cells[1]);
-        let notes = cells[3];
-        let Some(&(name, want_off, want_size)) = layout
-            .fields
-            .iter()
-            .find(|(fname, _, _)| *fname == cells[2])
-        else {
-            continue;
-        };
-        seen[lix].push(name);
-        let diag = |line: usize, message: String| Diagnostic {
-            rule: "KVS-L013",
-            path: rel.to_string(),
-            line,
-            message,
-        };
-        if offset != want_off {
-            out.push(diag(
-                n,
-                format!(
-                    "{} table: `{name}` documented at offset {offset}, but {} puts it at \
-                     {want_off}",
-                    layout.heading, layout.src
-                ),
-            ));
-        }
-        if size != Some(want_size) {
-            out.push(diag(
-                n,
-                format!(
-                    "{} table: `{name}` documented as {} bytes, but {} says {want_size}",
-                    layout.heading, cells[1], layout.src
-                ),
-            ));
-        }
-        match name {
-            "magic" => {
-                let want = format!("0x{:08X}", layout.magic);
-                if !notes.contains(&want) {
-                    out.push(diag(
-                        n,
-                        format!("{} table: magic notes must state {want}", layout.heading),
-                    ));
-                }
-            }
-            "version" if !notes.contains(&layout.version.to_string()) => {
-                out.push(diag(
-                    n,
-                    format!(
-                        "{} table: version notes must state {}",
-                        layout.heading, layout.version
-                    ),
-                ));
-            }
-            _ => {}
-        }
-    }
-    let body = lines.join("\n");
-    for (lix, layout) in layouts.iter().enumerate() {
-        for &(name, _, _) in &layout.fields {
-            if !seen[lix].contains(&name) {
-                out.push(Diagnostic {
-                    rule: "KVS-L013",
-                    path: rel.to_string(),
-                    line: 1,
-                    message: format!(
-                        "{} table: field `{name}` is missing (or outside a `{}` section)",
-                        layout.heading, layout.heading
-                    ),
-                });
-            }
-        }
-        if !body.contains(&layout.prose) {
-            out.push(Diagnostic {
-                rule: "KVS-L013",
-                path: rel.to_string(),
-                line: 1,
-                message: format!(
-                    "prose must state the encoded size (`{}`) pinned by {}",
-                    layout.prose, layout.src
-                ),
-            });
-        }
-    }
-}
-
-/// KVS-L013: the durable store's format constants in `wal.rs` and
-/// `sst_file.rs` are the single source of truth; the ASCII tables in their
-/// module docs and the markdown tables in `docs/STORE.md` must agree with
-/// them byte for byte. Dormant in trees without the store sources.
-fn store_format_drift(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    const WAL_SIZES: &[(&str, u64)] = &[
-        ("magic", 4),
-        ("version", 1),
-        ("reserved", 3),
-        ("segment_seq", 8),
-    ];
-    const SST_SIZES: &[(&str, u64)] = &[
-        ("magic", 4),
-        ("version", 1),
-        ("reserved", 3),
-        ("generation", 8),
-        ("column_index_size", 8),
-        ("index_off", 8),
-        ("index_len", 8),
-        ("bloom_off", 8),
-        ("bloom_len", 8),
-        ("meta_crc", 8),
-        ("footer_crc", 8),
-    ];
-    let mut layouts = Vec::new();
-    if let Some(f) = ws.file("crates/store/src/wal.rs") {
-        if let Some(layout) = parse_store_layout(
-            f,
-            "WAL",
-            "WAL_HEADER_LEN",
-            "segment header",
-            "header",
-            WAL_SIZES,
-            out,
-        ) {
-            check_store_moduledoc_table(f, &layout, out);
-            layouts.push(layout);
-        }
-    }
-    if let Some(f) = ws.file("crates/store/src/sst_file.rs") {
-        if let Some(layout) = parse_store_layout(
-            f,
-            "SST",
-            "SST_FOOTER_LEN",
-            "footer",
-            "footer",
-            SST_SIZES,
-            out,
-        ) {
-            check_store_moduledoc_table(f, &layout, out);
-            layouts.push(layout);
-        }
-    }
-    if layouts.is_empty() {
-        return; // fixture trees without the store sources skip the rule
-    }
-    match &ws.store_md {
-        Some((rel, lines)) => check_store_md(rel, lines, &layouts, out),
-        None => {
-            for layout in &layouts {
-                out.push(Diagnostic {
-                    rule: "KVS-L013",
-                    path: layout.src.clone(),
-                    line: 1,
-                    message: "docs/STORE.md is missing — the on-disk format this file defines \
-                              must be documented there"
-                        .to_string(),
-                });
-            }
-        }
-    }
+    let l = f.lines.iter().find(|l| l.code.contains(&needle))?;
+    parse_int(l.code[l.code.find(&needle)?..].split('=').nth(1)?)
 }
 
 /// KVS-L003.
@@ -1048,98 +823,6 @@ fn std_mutex_forbidden(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                               parking_lot shim (poison-free lock())"
                         .to_string(),
                 });
-            }
-        }
-    }
-}
-
-/// Calls that can block on a peer or another thread. Holding a lock across
-/// one of these turns backpressure into a pile-up behind the lock.
-const BLOCKING_CALLS: &[&str] = &[
-    ".write_all(",
-    ".write_to(",
-    ".read_exact(",
-    "::read_from(",
-    ".recv()",
-    ".recv_timeout(",
-    ".accept()",
-    "thread::sleep(",
-    ".join()",
-];
-
-fn blocking_call_in(code: &str) -> Option<&'static str> {
-    BLOCKING_CALLS.iter().find(|t| code.contains(**t)).copied()
-}
-
-/// KVS-L007: two heuristics over `crates/net/src`:
-///
-/// 1. a statement that both takes a lock and makes a blocking call
-///    (`frame.write_to(&mut *conn.lock())`);
-/// 2. a `let guard = …lock();` binding whose enclosing block performs a
-///    blocking call before the guard's scope closes.
-fn lock_across_blocking(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for f in &ws.files {
-        if !f.rel.starts_with("crates/net/src/") {
-            continue;
-        }
-        let mut depth: i64 = 0;
-        // Open guard scopes: (depth at binding, guard name).
-        let mut guards: Vec<(i64, String)> = Vec::new();
-        for (n, l) in f.numbered() {
-            if l.in_test {
-                continue;
-            }
-            let code = l.code.trim();
-            if code.contains(".lock()") {
-                if let Some(call) = blocking_call_in(code) {
-                    out.push(Diagnostic {
-                        rule: "KVS-L007",
-                        path: f.rel.clone(),
-                        line: n,
-                        message: format!(
-                            "lock taken and blocking call `{}` in one statement — the guard is \
-                             held for the whole call",
-                            call.trim_matches(|c| c == '.' || c == ':' || c == '(')
-                        ),
-                    });
-                } else if code.starts_with("let ") && code.ends_with(".lock();") {
-                    let name = code
-                        .trim_start_matches("let ")
-                        .trim_start_matches("mut ")
-                        .split(['=', ':'])
-                        .next()
-                        .unwrap_or("")
-                        .trim()
-                        .to_string();
-                    guards.push((depth, name));
-                }
-            } else if !guards.is_empty() {
-                if let Some(call) = blocking_call_in(code) {
-                    out.push(Diagnostic {
-                        rule: "KVS-L007",
-                        path: f.rel.clone(),
-                        line: n,
-                        message: format!(
-                            "blocking call `{}` while lock guard `{}` from this scope is live",
-                            call.trim_matches(|c| c == '.' || c == ':' || c == '('),
-                            guards
-                                .last()
-                                .map(|(_, g)| g.as_str())
-                                .unwrap_or("<unknown>")
-                        ),
-                    });
-                }
-                guards.retain(|(_, g)| !(code.contains("drop(") && code.contains(g.as_str())));
-            }
-            for c in l.code.chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        guards.retain(|&(d, _)| d <= depth);
-                    }
-                    _ => {}
-                }
             }
         }
     }

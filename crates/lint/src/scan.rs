@@ -16,6 +16,7 @@
 //! individual functions outside such a module is treated as regular code.
 
 use crate::token::{self, Tok, TokKind};
+use crate::tree::{self, Tree};
 
 /// One scanned source line, in three views.
 #[derive(Debug)]
@@ -44,6 +45,8 @@ pub struct SourceFile {
     pub text: String,
     /// The token stream for `text` (round-trip exact).
     pub toks: Vec<Tok>,
+    /// The token trees over `toks`, built once for every pass.
+    pub trees: Vec<Tree>,
 }
 
 impl SourceFile {
@@ -67,17 +70,29 @@ impl SourceFile {
                 in_test: test_flags.get(i).copied().unwrap_or(false),
             })
             .collect();
+        let trees = tree::build(text, &toks);
         SourceFile {
             rel: rel.to_string(),
             lines,
             text: text.to_string(),
             toks,
+            trees,
         }
     }
 
     /// 1-based enumeration over the lines.
     pub fn numbered(&self) -> impl Iterator<Item = (usize, &LineInfo)> {
         self.lines.iter().enumerate().map(|(i, l)| (i + 1, l))
+    }
+
+    /// Lines outside every top-level item gated `#[cfg(test)]`, comments
+    /// and blanks included: the count `kvs-lint lines` reports.
+    pub fn non_test_lines(&self) -> usize {
+        let test: usize = tree::cfg_test_items(&self.text, &self.toks, &self.trees)
+            .iter()
+            .map(|(first, last)| last + 1 - first)
+            .sum();
+        self.lines.len() - test
     }
 
     /// True when 1-based `line` is inside a `#[cfg(test)]` module.

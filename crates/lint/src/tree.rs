@@ -183,6 +183,63 @@ fn fn_at<'t>(src: &str, toks: &[Tok], trees: &'t [Tree], i: usize) -> Option<(Fn
     None
 }
 
+/// The text of a leaf, or `None` for a group.
+pub fn leaf_text<'a>(src: &'a str, toks: &[Tok], t: &Tree) -> Option<&'a str> {
+    match t {
+        Tree::Leaf(ix) => Some(toks[*ix].text(src)),
+        Tree::Group(_) => None,
+    }
+}
+
+/// The line a tree starts on.
+pub fn leaf_line(toks: &[Tok], t: &Tree) -> usize {
+    match t {
+        Tree::Leaf(ix) => toks[*ix].line,
+        Tree::Group(g) => toks[g.open].line,
+    }
+}
+
+/// True when `t` is the punctuation leaf `ch`.
+pub fn is_punct(src: &str, toks: &[Tok], t: &Tree, ch: &str) -> bool {
+    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Punct && toks[*ix].text(src) == ch)
+}
+
+/// True when `t` is an identifier leaf.
+pub fn is_ident(toks: &[Tok], t: &Tree) -> bool {
+    matches!(t, Tree::Leaf(ix) if toks[*ix].kind == TokKind::Ident)
+}
+
+/// Line spans `(first, last)` of the items in `trees` gated
+/// `#[cfg(test)]`: from the attribute's `#` to the item's first brace
+/// group (its body) or `;`.
+pub fn cfg_test_items(src: &str, toks: &[Tok], trees: &[Tree]) -> Vec<(usize, usize)> {
+    let last_line = |t: &Tree| match t {
+        Tree::Leaf(ix) => toks[*ix].line,
+        Tree::Group(g) => toks[g.close.unwrap_or(toks.len() - 1)].line,
+    };
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i + 1 < trees.len() {
+        let gated = is_punct(src, toks, &trees[i], "#")
+            && matches!(&trees[i + 1], Tree::Group(g)
+                if g.delim == Delim::Bracket && text_of(src, toks, &g.children) == "cfg(test)");
+        if !gated {
+            i += 1;
+            continue;
+        }
+        let mut j = (i + 2).min(trees.len() - 1);
+        while j + 1 < trees.len()
+            && !is_punct(src, toks, &trees[j], ";")
+            && !matches!(&trees[j], Tree::Group(g) if g.delim == Delim::Brace)
+        {
+            j += 1;
+        }
+        spans.push((last_line(&trees[i]), last_line(&trees[j])));
+        i = j + 1;
+    }
+    spans
+}
+
 /// Concatenated source text of a tree slice (code tokens only, no
 /// whitespace): `job.frame.stamps[1]`, `wall_ns()`, …
 pub fn text_of(src: &str, toks: &[Tok], trees: &[Tree]) -> String {
@@ -246,6 +303,23 @@ mod tests {
         assert!(!trees.is_empty());
         let (_, trees2) = forest(") } fn g() {}");
         assert!(!trees2.is_empty());
+    }
+
+    #[test]
+    fn cfg_test_items_cover_helpers_above_live_code() {
+        // A gated helper and constant sit above live code, as in the
+        // store's block module: only the gated items are test lines.
+        let src = "fn a() {}\n#[cfg(test)]\npub(crate) fn fnv1a(h: u64) -> u64 {\n    h\n}\n\n\
+                   #[cfg(test)]\npub(crate) const BASIS: [u8; 2] = [1, 2];\n\n\
+                   pub fn build_blocks() {\n    let x = S { a: 1 };\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let (toks, trees) = forest(src);
+        assert_eq!(
+            cfg_test_items(src, &toks, &trees),
+            vec![(2, 5), (7, 8), (13, 16)]
+        );
+        let file = crate::scan::SourceFile::scan("crates/store/src/block.rs", src);
+        assert_eq!(file.non_test_lines(), 16 - 4 - 2 - 4);
     }
 
     #[test]
