@@ -2,7 +2,7 @@
 
 use crate::messages::QueryResponse;
 use kvs_balance::HashRing;
-use kvs_store::{Cell, PartitionKey, ReadReceipt, Table, TableOptions};
+use kvs_store::{Cell, PartitionKey, ReadReceipt, Table, TableOptions, Tally};
 use std::collections::BTreeMap;
 
 /// The cluster's data: one [`Table`] per node, plus the ring and a
@@ -96,19 +96,19 @@ impl ClusterData {
     }
 
     /// The slave read path: `node` aggregates the partition — counts its
-    /// cells by kind as they stream past, owning none — and answers
-    /// request `request_id` with the counts, plus the receipt of the work
-    /// the read did.
+    /// cells by kind with the store's one aggregation read
+    /// ([`Table::aggregate`]), owning none — and answers request
+    /// `request_id` with the counts, plus the receipt of the work the read
+    /// did.
     pub fn aggregate(
         &mut self,
         node: u32,
         request_id: u64,
         pk: &PartitionKey,
     ) -> (QueryResponse, ReadReceipt) {
-        let mut tally = [0; 256];
-        let receipt =
-            self.tables[node as usize].fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
-        (QueryResponse::from_tally(request_id, &tally), receipt)
+        let mut tally = Tally::default();
+        let receipt = self.tables[node as usize].aggregate(pk, &mut tally);
+        (QueryResponse::from_tally(request_id, &tally.kinds), receipt)
     }
 
     /// The replica lists and the tables, borrowed apart, so a reader can

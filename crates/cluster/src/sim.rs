@@ -60,7 +60,7 @@ use crate::result::{Coverage, RunResult};
 use crate::usl::{self, UslParams};
 use kvs_simcore::{Dist, EventQueue, RngHub, SimDuration, SimTime, Station};
 use kvs_stages::{analyze, RequestTrace, Span};
-use kvs_store::PartitionKey;
+use kvs_store::{PartitionKey, Tally};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -86,9 +86,9 @@ struct Prepared<'a> {
     kinds: Vec<(u8, u64)>,
 }
 
-/// Phase 1: reads each key's partition on its primary replica, folding it
-/// into a per-kind tally, and sizes the request and response the codec
-/// would put on the wire for it.
+/// Phase 1: reads each key's partition on its primary replica with the
+/// store's one aggregation read, into a per-kind tally, and sizes the
+/// request and response the codec would put on the wire for it.
 fn prepare<'a>(
     cfg: &ClusterConfig,
     data: &'a mut ClusterData,
@@ -105,20 +105,19 @@ fn prepare<'a>(
         subs: Vec::with_capacity(keys.len()),
         kinds: Vec::new(),
     };
-    let (mut tally, mut wire) = ([0u64; 256], Vec::new());
+    let (mut tally, mut wire) = (Tally::default(), Vec::new());
     for (i, pk) in keys.iter().enumerate() {
         let replicas = placement.get(pk).map_or(&[][..], Vec::as_slice);
         assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
-        let receipt =
-            tables[replicas[0] as usize].fold_partition(pk, |cell| tally[cell.kind as usize] += 1);
+        let receipt = tables[replicas[0] as usize].aggregate(pk, &mut tally);
         wire.clear();
         codec.append_request(&mut wire, i as u64, pk);
         let req_bytes = wire.len();
         wire.clear();
-        codec.append_response(&mut wire, i as u64, &tally, 0);
+        codec.append_response(&mut wire, i as u64, &tally.kinds, 0);
         let start = prepared.kinds.len();
-        for (kind, count) in tally.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
-            prepared.kinds.push((kind as u8, std::mem::take(count)));
+        for (kind, &count) in tally.kinds.iter().enumerate().filter(|(_, c)| **c > 0) {
+            prepared.kinds.push((kind as u8, count));
         }
         let cells = prepared.kinds[start..].iter().map(|&(_, c)| c).sum();
         prepared.subs.push(Sub {

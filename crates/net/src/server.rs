@@ -22,8 +22,9 @@
 //! finds the queue empty or has held an answer for [`REPLY_HOLD`] — so a
 //! burst of cheap requests shares a `write`, and a lone request or one
 //! that took the store milliseconds is answered at once. A read's answer
-//! is encoded into that buffer directly from the tally the store fold
-//! filled; the hold is measured on the stage stamps a request takes anyway.
+//! is encoded into that buffer directly from the worker's [`Tally`], which
+//! the store's aggregation read filled ([`ServedTable`]); the hold is
+//! measured on the stage stamps a request takes anyway.
 //!
 //! Shutdown is deterministic: [`SlaveHandle::shutdown`] stops the accept
 //! loop, joins every connection reader (their sockets poll a stop flag),
@@ -35,7 +36,7 @@ use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
 use kvs_cluster::{Codec, WriteAck, WriteRequest};
-use kvs_store::{Cell, CellRef, Medium, PartitionKey, Table};
+use kvs_store::{Cell, Medium, PartitionKey, Table, Tally};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -134,13 +135,20 @@ fn flush_all(owed: &mut Vec<Arc<Mutex<Conn>>>) {
     }
 }
 
-/// What one pass over a partition yields: how many data cells it holds of
-/// each kind, and its LWW version — the timestamp in the reserved version
-/// cell, which is bookkeeping and not counted; `0` if the partition was
-/// never written through the replicated write path.
-pub(crate) struct Aggregate {
-    kinds: [u64; 256],
-    version: u64,
+/// Takes the partition's version cell, when its last cell is one, out of
+/// `tally`'s counts — it is bookkeeping, not data — and answers the LWW
+/// version it carries; `0` when the partition was never written through
+/// the replicated write path. The version cell sorts after every data
+/// cell, so it is the last cell or absent.
+fn take_version(tally: &mut Tally) -> u64 {
+    let version = match tally.last() {
+        Some(last) if last.clustering == VERSION_CLUSTERING && last.kind == VERSION_KIND => {
+            last.payload.try_into().map_or(0, u64::from_be_bytes)
+        }
+        _ => return 0,
+    };
+    tally.kinds[VERSION_KIND as usize] -= 1;
+    version
 }
 
 /// The table behind one slave server, on either medium: the in-memory
@@ -148,13 +156,20 @@ pub(crate) struct Aggregate {
 /// [`kvs_store::DurableTable`] whose data survives a kill via WAL +
 /// SSTables + manifest (and whose restart runs *real* crash recovery
 /// instead of handing the old memory back).
+///
+/// A read is the store's one aggregation read, [`Table::aggregate`]: it
+/// counts a whole partition by kind, a column of a block at a time where
+/// one run holds the partition, and reports the partition's last cell, so
+/// the version cell is taken out of the counts here and the store never
+/// learns what one is. A write's last-write-wins check reads the version
+/// cell alone, a one-key [`Table::fold_range`], rather than the partition.
 pub(crate) trait ServedTable: Send {
-    /// Folds a whole partition into its [`Aggregate`] without owning a
-    /// cell. `None` when the table could not read it (on disk: an I/O
-    /// error or a failed checksum — logged here): the partition's contents
-    /// are then unknown, not empty, and the caller must not answer as if
-    /// it knew.
-    fn aggregate(&mut self, pk: &PartitionKey) -> Option<Aggregate>;
+    /// Counts a whole partition's data cells by kind into `tally` without
+    /// owning a cell, and answers its LWW version ([`take_version`]).
+    /// `None` when the table could not read it (on disk: an I/O error or a
+    /// failed checksum — logged here): the partition's contents are then
+    /// unknown, not empty, and the caller must not answer as if it knew.
+    fn aggregate(&mut self, pk: &PartitionKey, tally: &mut Tally) -> Option<u64>;
 
     /// Applies a replicated write under the last-write-wins rule: a
     /// strictly newer timestamp replaces the partition's version cell and
@@ -162,7 +177,7 @@ pub(crate) trait ServedTable: Send {
     /// incumbent untouched (ties keep the incumbent, so hint replay is
     /// idempotent). Returns `(applied, version_after)`. A store error
     /// refuses the write (`applied = false`) with the pre-image version —
-    /// `0` when it is the pre-image read that failed, since an unknown
+    /// `0` when it is the version read that failed, since an unknown
     /// version must not let an older write through — and the coordinator
     /// will not count the ack.
     fn apply(&mut self, req: &WriteRequest) -> (bool, u64);
@@ -172,31 +187,28 @@ impl<M: Medium> ServedTable for Table<M>
 where
     Table<M>: Send,
 {
-    fn aggregate(&mut self, pk: &PartitionKey) -> Option<Aggregate> {
-        let mut agg = Aggregate {
-            kinds: [0; 256],
-            version: 0,
-        };
-        // The stream hands over one cell per clustering key, so at most
-        // one version cell.
-        let visit = |cell: CellRef<'_>| {
-            if cell.clustering != VERSION_CLUSTERING || cell.kind != VERSION_KIND {
-                agg.kinds[cell.kind as usize] += 1;
-            } else if let Ok(timestamp) = cell.payload.try_into() {
-                agg.version = u64::from_be_bytes(timestamp);
-            }
-        };
-        if let Err(e) = M::into_result(self.fold_partition(pk, visit)) {
+    fn aggregate(&mut self, pk: &PartitionKey, tally: &mut Tally) -> Option<u64> {
+        if let Err(e) = M::into_result(Table::aggregate(self, pk, tally)) {
             eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
             return None;
         }
-        Some(agg)
+        Some(take_version(tally))
     }
 
     fn apply(&mut self, req: &WriteRequest) -> (bool, u64) {
-        let Some(current) = self.aggregate(&req.partition).map(|agg| agg.version) else {
+        // The newest version cell of every source, merged newest-wins; no
+        // other cell is handed over and the row cache is not touched.
+        let mut current = 0;
+        let version = VERSION_CLUSTERING..=VERSION_CLUSTERING;
+        let read = self.fold_range(&req.partition, version, |cell| {
+            if let (VERSION_KIND, Ok(timestamp)) = (cell.kind, cell.payload.try_into()) {
+                current = u64::from_be_bytes(timestamp);
+            }
+        });
+        if let Err(e) = M::into_result(read) {
+            eprintln!("kvs-net: durable read of {:?} failed: {e}", req.partition);
             return (false, 0);
-        };
+        }
         if req.timestamp <= current {
             return (false, current);
         }
@@ -259,6 +271,8 @@ impl SlaveServer {
                 // and the dequeue stamp of the first request behind them.
                 let mut unflushed: Vec<Arc<Mutex<Conn>>> = Vec::new();
                 let mut held_since = 0;
+                // What this worker's reads count into, reused.
+                let mut tally = Tally::default();
                 loop {
                     let job = match source.recv_timeout(Duration::ZERO) {
                         Some(job) => job,
@@ -277,7 +291,7 @@ impl SlaveServer {
                     if !unflushed.iter().any(|c| Arc::ptr_eq(c, &job.conn)) {
                         unflushed.push(job.conn.clone());
                     }
-                    let done = serve(&store, job, dequeued);
+                    let done = serve(&store, job, dequeued, &mut tally);
                     if Duration::from_nanos(done.saturating_sub(held_since)) >= REPLY_HOLD {
                         flush_all(&mut unflushed);
                     }
@@ -432,15 +446,15 @@ fn would_block(e: &io::Error) -> bool {
 /// *before* the DB stage — the master gets an `Expired` answer instead of
 /// a result it can no longer use. Returns the job's last stage stamp:
 /// its in-db end, or `dequeued` if it never reached the store.
-fn serve(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64) -> u64 {
+fn serve(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, tally: &mut Tally) -> u64 {
     if job.frame.deadline != 0 && dequeued >= job.frame.deadline {
         reply_refusal(&job, FrameKind::Expired, 0);
         return dequeued;
     }
     match job.frame.kind {
-        FrameKind::Request => serve_read(store, job, dequeued),
-        FrameKind::Write => serve_write(store, job, dequeued, false),
-        FrameKind::Rmw => serve_write(store, job, dequeued, true),
+        FrameKind::Request => serve_read(store, job, dequeued, tally),
+        FrameKind::Write => serve_write(store, job, dequeued, None),
+        FrameKind::Rmw => serve_write(store, job, dequeued, Some(tally)),
         // dispatch() never queues these; tolerate and drop.
         FrameKind::Response | FrameKind::WriteAck | FrameKind::Busy | FrameKind::Expired => {
             dequeued
@@ -464,13 +478,18 @@ fn codec_of(flags: u8) -> Codec {
 /// aggregate with full coverage; the master's timeout and replica failover
 /// treat the silence as they treat loss. Header and body go straight from
 /// the fold's tally into the connection's reply buffer.
-fn serve_read(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64) -> u64 {
+fn serve_read(
+    store: &Mutex<Box<dyn ServedTable>>,
+    job: Job,
+    dequeued: u64,
+    tally: &mut Tally,
+) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(request) = codec.decode_request(frame.payload) else {
         return dequeued; // checksummed frame with an undecodable body: drop it
     };
-    let Some(agg) = store.lock().aggregate(&request.partition) else {
+    let Some(version) = store.lock().aggregate(&request.partition, tally) else {
         return dequeued;
     };
     let db_end = wall_ns();
@@ -483,16 +502,21 @@ fn serve_read(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64) -> u
         payload: bytes::Bytes::new(),
     };
     reply.encode_with(&mut conn.lock().out, |out| {
-        codec.append_response(out, request.request_id, &agg.kinds, agg.version)
+        codec.append_response(out, request.request_id, &tally.kinds, version)
     });
     db_end
 }
 
 /// The write path: apply the batch under last-write-wins and acknowledge
-/// with the partition's resulting version. An RMW reads the pre-image
-/// first, preserving read-your-write ordering on the replica before the
-/// apply decision.
-fn serve_write(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, rmw: bool) -> u64 {
+/// with the partition's resulting version. An RMW — a write given a
+/// `tally` to read into — reads the whole partition first, preserving
+/// read-your-write ordering on the replica before the apply decision.
+fn serve_write(
+    store: &Mutex<Box<dyn ServedTable>>,
+    job: Job,
+    dequeued: u64,
+    rmw: Option<&mut Tally>,
+) -> u64 {
     let Job { frame, conn } = job;
     let codec = codec_of(frame.flags);
     let Some(write) = codec.decode_write(frame.payload) else {
@@ -503,7 +527,8 @@ fn serve_write(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, rmw
         // The pre-image read is the "modify" input; the prototype's
         // aggregation workload only needs its cost, not its value — but
         // a replica that cannot read the partition must not ack.
-        if rmw && guard.aggregate(&write.partition).is_none() {
+        let pre_image = rmw.map(|tally| guard.aggregate(&write.partition, tally));
+        if matches!(pre_image, Some(None)) {
             (false, 0)
         } else {
             guard.apply(&write)
@@ -579,5 +604,72 @@ impl SlaveHandle {
             .unwrap_or_else(|_| panic!("store still shared after worker join"))
             .into_inner();
         (stats, store)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kvs_store::TableOptions;
+
+    /// A replicated write of one data cell at `clustering`, stamped
+    /// `timestamp`.
+    fn write(pk: &PartitionKey, timestamp: u64, clustering: u64) -> WriteRequest {
+        WriteRequest {
+            request_id: timestamp,
+            partition: pk.clone(),
+            timestamp,
+            cells: vec![Cell::new(clustering, 1, vec![0xAB; 4])],
+        }
+    }
+
+    #[test]
+    fn the_lww_check_reads_the_newest_version_over_memtable_and_runs() {
+        let mut table = Table::new(TableOptions {
+            compaction_threshold: 100,
+            ..TableOptions::default()
+        });
+        let pk = PartitionKey::from_id(7);
+        // Versions 10 and 20 in a run each, then a plain cell in the
+        // memtable: the partition lies in three sources, the version cell
+        // in the two runs.
+        assert_eq!(table.apply(&write(&pk, 10, 0)), (true, 10));
+        table.flush();
+        assert_eq!(table.apply(&write(&pk, 20, 1)), (true, 20));
+        table.flush();
+        table.put(pk.clone(), Cell::new(2, 1, vec![0xCD; 4]));
+        assert_eq!(table.sstable_count(), 2);
+        // The newer run's version wins; an older write and an equal one
+        // keep the incumbent.
+        assert_eq!(table.apply(&write(&pk, 15, 3)), (false, 20));
+        assert_eq!(table.apply(&write(&pk, 20, 3)), (false, 20));
+        // A newer one lands, its version cell in the memtable over both.
+        assert_eq!(table.apply(&write(&pk, 30, 3)), (true, 30));
+        assert_eq!(table.apply(&write(&pk, 25, 4)), (false, 30));
+        assert_eq!(table.apply(&write(&pk, 30, 4)), (false, 30));
+        // The read agrees, and counts the four data cells alone.
+        let mut tally = Tally::default();
+        assert_eq!(
+            ServedTable::aggregate(&mut table, &pk, &mut tally),
+            Some(30)
+        );
+        assert_eq!(tally.kinds[1], 4);
+        assert_eq!(tally.cells(), 4);
+        // So does the block kernel, once one run holds it all.
+        table.flush();
+        table.compact();
+        assert_eq!(
+            ServedTable::aggregate(&mut table, &pk, &mut tally),
+            Some(30)
+        );
+        assert_eq!((tally.kinds[1], tally.cells()), (4, 4));
+        // A partition never written through this path has version 0.
+        let fresh = PartitionKey::from_id(8);
+        table.put(fresh.clone(), Cell::new(0, 2, Vec::new()));
+        assert_eq!(
+            ServedTable::aggregate(&mut table, &fresh, &mut tally),
+            Some(0)
+        );
+        assert_eq!((tally.kinds[2], tally.cells()), (1, 1));
     }
 }

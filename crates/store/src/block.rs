@@ -12,7 +12,9 @@
 //! VLDB 2001): every clustering key (`u64` LE), every kind (`u8`), every
 //! payload length (`u32` LE), then the payloads. A block is still
 //! `13 n + Σ payload_len` bytes, but [`fold_block`] reads a cell's 13
-//! header bytes from three dense columns and no payload byte.
+//! header bytes from three dense columns and no payload byte, and
+//! [`tally_block`], what an aggregation reads a block with, reads 5 of
+//! them, its kind and its payload length.
 //!
 //! Every block of an SSTable file carries its XXH64 [`checksum64`] in its
 //! index entry, computed as the file is written
@@ -234,6 +236,41 @@ pub fn build_blocks<'a>(
     }
 }
 
+/// A block's four columns: every clustering key, every kind, every payload
+/// length, and the payloads back to back.
+struct Columns<'a> {
+    keys: &'a [[u8; 8]],
+    kinds: &'a [u8],
+    lens: &'a [[u8; 4]],
+    payloads: &'a [u8],
+}
+
+/// The columns of the `meta.cells` cells of `block`, a block of run
+/// `generation`. `Err` (`InvalidData`) when they do not fit the block or
+/// their payload lengths do not add up to exactly the bytes left for
+/// payloads: the one check every reader of a block makes first.
+fn columns<'a>(generation: u64, meta: &BlockMeta, block: &'a [u8]) -> io::Result<Columns<'a>> {
+    let cells = meta.cells as usize;
+    let columns = block.split_at_checked(cells * 8).and_then(|(keys, rest)| {
+        let (kinds, rest) = rest.split_at_checked(cells)?;
+        let (lens, payloads) = rest.split_at_checked(cells * 4)?;
+        let lens = lens.as_chunks::<4>().0;
+        let sum: u64 = lens.iter().map(|len| u32::from_le_bytes(*len) as u64).sum();
+        (sum == payloads.len() as u64).then_some(Columns {
+            keys: keys.as_chunks::<8>().0,
+            kinds,
+            lens,
+            payloads,
+        })
+    });
+    columns.ok_or_else(|| {
+        bad_data(format!(
+            "run {generation}: block at offset {} does not hold the {} cells its index says",
+            meta.offset, meta.cells
+        ))
+    })
+}
+
 /// Folds one block of run `generation` into `visit`: the cells in
 /// `from..=to`, in order, each a borrow of its payload where it lies.
 /// Charges the receipt per cell walked, the first cell past `to`
@@ -251,20 +288,12 @@ pub fn fold_block(
     receipt: &mut ReadReceipt,
     visit: &mut impl FnMut(CellRef<'_>),
 ) -> io::Result<bool> {
-    let cells = meta.cells as usize;
-    let columns = block.split_at_checked(cells * 8).and_then(|(keys, rest)| {
-        let (kinds, rest) = rest.split_at_checked(cells)?;
-        let (lens, payloads) = rest.split_at_checked(cells * 4)?;
-        let lens = lens.as_chunks::<4>().0;
-        let sum: u64 = lens.iter().map(|len| u32::from_le_bytes(*len) as u64).sum();
-        (sum == payloads.len() as u64).then_some((keys.as_chunks::<8>().0, kinds, lens, payloads))
-    });
-    let Some((keys, kinds, lens, payloads)) = columns else {
-        return Err(bad_data(format!(
-            "run {generation}: block at offset {} does not hold the {} cells its index says",
-            meta.offset, meta.cells
-        )));
-    };
+    let Columns {
+        keys,
+        kinds,
+        lens,
+        payloads,
+    } = columns(generation, meta, block)?;
     let mut start = 0;
     for ((key, &kind), len) in keys.iter().zip(kinds).zip(lens) {
         let (clustering, len) = (u64::from_le_bytes(*key), u32::from_le_bytes(*len) as usize);
@@ -284,6 +313,43 @@ pub fn fold_block(
         }
     }
     Ok(true)
+}
+
+/// Counts the cells of one whole block of run `generation` into `kinds`,
+/// one counter per kind, and returns its last cell (`None` for a block of
+/// no cells): what an aggregation needs of a block, read a column at a
+/// time. Past [`fold_block`]'s column check, which reads every payload
+/// length, it reads the kinds column and the last cell, nothing else, and
+/// bills the receipt in one step with what folding every cell of the block
+/// would: `cells_scanned` by its cells and `bytes_read` by its length,
+/// which the check has just shown is exactly their encoded sizes.
+///
+/// `Err` (`InvalidData`), before any cell is counted or charged, as for
+/// [`fold_block`].
+pub fn tally_block<'a>(
+    generation: u64,
+    meta: &BlockMeta,
+    block: &'a [u8],
+    receipt: &mut ReadReceipt,
+    kinds: &mut [u64; 256],
+) -> io::Result<Option<CellRef<'a>>> {
+    let Columns {
+        keys,
+        kinds: column,
+        lens,
+        payloads,
+    } = columns(generation, meta, block)?;
+    for &kind in column {
+        kinds[kind as usize] += 1;
+    }
+    receipt.cells_scanned += column.len() as u64;
+    receipt.bytes_read += block.len() as u64;
+    let last = keys.last().zip(column.last()).zip(lens.last());
+    Ok(last.map(|((key, &kind), len)| CellRef {
+        clustering: u64::from_le_bytes(*key),
+        kind,
+        payload: &payloads[payloads.len() - u32::from_le_bytes(*len) as usize..],
+    }))
 }
 
 #[cfg(test)]
@@ -501,6 +567,36 @@ mod tests {
     }
 
     #[test]
+    fn tally_counts_kinds_and_bills_what_the_fold_bills() {
+        let cells: Vec<Cell> = (0..40u64)
+            .map(|c| Cell::new(c * 3, (c % 5) as u8, vec![c as u8; c as usize % 17]))
+            .collect();
+        let mut data = BytesMut::new();
+        let meta = blocks_of(&cells, &mut data)[0];
+        let (verdict, visited, folded) = fold(&meta, &data);
+        verdict.expect("a sound block folds");
+        let (mut kinds, mut tallied) = ([0u64; 256], ReadReceipt::default());
+        let last = tally_block(1, &meta, &data, &mut tallied, &mut kinds).expect("tallies");
+        assert_eq!(last, visited.last().map(Cell::as_cell_ref));
+        assert_eq!(tallied, folded);
+        let mut want = [0u64; 256];
+        visited
+            .iter()
+            .for_each(|cell| want[cell.kind as usize] += 1);
+        assert_eq!(kinds, want);
+        // A block of no cells counts nothing and has no last cell.
+        let empty = BlockMeta {
+            len: 0,
+            cells: 0,
+            ..meta
+        };
+        let mut r = ReadReceipt::default();
+        let last = tally_block(1, &empty, &[], &mut r, &mut kinds).expect("tallies");
+        assert_eq!((last, r), (None, ReadReceipt::default()));
+        assert_eq!(kinds, want);
+    }
+
+    #[test]
     fn fold_refuses_a_block_whose_columns_disagree_with_its_meta() {
         let cells: Vec<Cell> = (0..10u64).map(|c| Cell::synthetic(c, 0)).collect();
         let mut data = BytesMut::new();
@@ -511,6 +607,15 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("cells its index says"), "{err}");
             assert!(visited.is_empty());
+            assert_eq!(r, ReadReceipt::default());
+            // The tally kernel refuses the same block with the same error,
+            // and counts and bills nothing of it.
+            let (mut kinds, mut r) = ([0u64; 256], ReadReceipt::default());
+            let tallied = tally_block(1, meta, block, &mut r, &mut kinds);
+            let tally_err = tallied.expect_err("the kernel must refuse too");
+            assert_eq!(tally_err.kind(), err.kind());
+            assert_eq!(tally_err.to_string(), err.to_string());
+            assert_eq!(kinds, [0; 256]);
             assert_eq!(r, ReadReceipt::default());
         };
         // Too many cells for the bytes, too few, and a payload length that

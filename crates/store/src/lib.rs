@@ -68,6 +68,7 @@ pub use receipt::ReadReceipt;
 pub use recovery::RecoveryReport;
 pub use run::{Medium, SsTableOptions};
 pub use schema::{Cell, CellRef, PartitionKey};
+pub use stream::Tally;
 pub use table::{Table, TableMetrics, TableOptions};
 pub use tiering::{StorageHierarchy, Tier};
 pub use wal::FsyncPolicy;

@@ -22,11 +22,15 @@ impl Memtable {
         Self::default()
     }
 
-    /// Inserts (or overwrites) a cell. Returns `true` when the cell
-    /// replaced an existing clustering key.
-    pub fn insert(&mut self, pk: PartitionKey, cell: Cell) -> bool {
+    /// Inserts (or overwrites) a cell; the key is cloned only for a
+    /// partition the memtable does not hold yet. Returns `true` when the
+    /// cell replaced an existing clustering key.
+    pub fn insert(&mut self, pk: &PartitionKey, cell: Cell) -> bool {
         let size = cell.encoded_len();
-        let slot = self.partitions.entry(pk).or_default();
+        let slot = match self.partitions.get_mut(pk) {
+            Some(slot) => slot,
+            None => self.partitions.entry(pk.clone()).or_default(),
+        };
         match slot.insert(cell.clustering, cell) {
             Some(old) => {
                 self.bytes = self.bytes - old.encoded_len() + size;
@@ -46,7 +50,7 @@ impl Memtable {
         &self,
         pk: &PartitionKey,
         range: RangeInclusive<ClusteringKey>,
-    ) -> Option<impl Iterator<Item = &Cell>> {
+    ) -> Option<impl Iterator<Item = &Cell> + Clone> {
         let mut cells = self.partitions.get(pk)?.range(range).peekable();
         cells.peek()?;
         Some(cells.map(|(_, cell)| cell))
@@ -98,7 +102,7 @@ mod tests {
     fn insert_and_get_sorted() {
         let mut mt = Memtable::new();
         for c in [5u64, 1, 3] {
-            mt.insert(pk(1), Cell::synthetic(c, 0));
+            mt.insert(&pk(1), Cell::synthetic(c, 0));
         }
         let cells = cells(&mt, 1, 0..=u64::MAX).unwrap();
         let keys: Vec<u64> = cells.iter().map(|c| c.clustering).collect();
@@ -109,9 +113,9 @@ mod tests {
     #[test]
     fn overwrite_keeps_newest_and_accounts_bytes() {
         let mut mt = Memtable::new();
-        assert!(!mt.insert(pk(1), Cell::new(7, 0, vec![0u8; 10])));
+        assert!(!mt.insert(&pk(1), Cell::new(7, 0, vec![0u8; 10])));
         let bytes_before = mt.bytes();
-        assert!(mt.insert(pk(1), Cell::new(7, 9, vec![0u8; 20])));
+        assert!(mt.insert(&pk(1), Cell::new(7, 9, vec![0u8; 20])));
         assert_eq!(mt.cells(), 1);
         assert_eq!(mt.bytes(), bytes_before + 10);
         assert_eq!(cells(&mt, 1, 7..=7).unwrap()[0].kind, 9);
@@ -121,7 +125,7 @@ mod tests {
     fn range_reads() {
         let mut mt = Memtable::new();
         for c in 0..10u64 {
-            mt.insert(pk(1), Cell::synthetic(c, 0));
+            mt.insert(&pk(1), Cell::synthetic(c, 0));
         }
         let cells = cells(&mt, 1, 3..=6).unwrap();
         let keys: Vec<u64> = cells.iter().map(|c| c.clustering).collect();
@@ -141,9 +145,9 @@ mod tests {
     #[test]
     fn drain_returns_partition_order_and_empties() {
         let mut mt = Memtable::new();
-        mt.insert(pk(2), Cell::synthetic(1, 0));
-        mt.insert(pk(1), Cell::synthetic(2, 0));
-        mt.insert(pk(1), Cell::synthetic(1, 0));
+        mt.insert(&pk(2), Cell::synthetic(1, 0));
+        mt.insert(&pk(1), Cell::synthetic(2, 0));
+        mt.insert(&pk(1), Cell::synthetic(1, 0));
         // A flush takes the whole memtable and leaves a fresh one behind.
         let drained = std::mem::take(&mut mt);
         assert_eq!(laid_out(&drained), [(pk(1), vec![1, 2]), (pk(2), vec![1])]);
@@ -155,8 +159,8 @@ mod tests {
     #[test]
     fn snapshot_matches_drain_but_keeps_contents() {
         let mut mt = Memtable::new();
-        mt.insert(pk(2), Cell::synthetic(1, 0));
-        mt.insert(pk(1), Cell::synthetic(2, 0));
+        mt.insert(&pk(2), Cell::synthetic(1, 0));
+        mt.insert(&pk(1), Cell::synthetic(2, 0));
         let snap = laid_out(&mt);
         assert_eq!(
             (mt.cells(), mt.bytes()),
@@ -173,7 +177,7 @@ mod tests {
         let mut mt = Memtable::new();
         for p in 0..3u64 {
             for c in 0..4u64 {
-                mt.insert(pk(p), Cell::synthetic(c, 0));
+                mt.insert(&pk(p), Cell::synthetic(c, 0));
             }
         }
         assert_eq!(mt.cells(), 12);

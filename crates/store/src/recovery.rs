@@ -154,7 +154,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
         report.wal_segments_replayed += 1;
         for rec in replay.records {
             max_record_seq = Some(max_record_seq.map_or(rec.seq, |m| m.max(rec.seq)));
-            memtable.insert(rec.key, rec.cell);
+            memtable.insert(&rec.key, rec.cell);
             report.wal_records_replayed += 1;
         }
         match replay.tail {

@@ -8,14 +8,16 @@
 //! index, then — past [`SsTableOptions::column_index_size`] (64 KiB) — the
 //! block list as the *column index*, so a range read seeks to the blocks it
 //! overlaps; a smaller partition is decoded from its start to the first
-//! cell past the range. With 46-byte cells that is Figure 6's 1425.
+//! cell past the range. With 46-byte cells that is Figure 6's 1425. An
+//! aggregation of a whole partition reaches the same blocks and counts
+//! them a column at a time instead ([`Run::tally_partition`]).
 
-use crate::block::{build_blocks, fold_block, BlockColumns, BlockMeta};
+use crate::block::{build_blocks, fold_block, tally_block, BlockColumns, BlockMeta};
 use crate::bloom::BloomFilter;
 use crate::engine::Journal;
 use crate::receipt::ReadReceipt;
 use crate::schema::{Cell, CellRef, PartitionKey, CELL_HEADER_BYTES};
-use crate::stream::{CellBuf, ClusteringRange, WHOLE};
+use crate::stream::{CellBuf, ClusteringRange, Tally, WHOLE};
 use bytes::BytesMut;
 use std::cmp::Ordering;
 use std::io;
@@ -109,6 +111,16 @@ pub(crate) struct PartitionEntry {
     /// Its blocks, its column index: `blocks.0..blocks.1` of the index's
     /// block list.
     blocks: (u32, u32),
+}
+
+impl PartitionEntry {
+    /// The partition's cells, and the bytes of their payloads: its encoded
+    /// size less a header a cell (an SSTable file whose index says less is
+    /// refused at open).
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let cells = self.cell_count as usize;
+        (cells, self.bytes as usize - cells * CELL_HEADER_BYTES)
+    }
 }
 
 /// A run's partition index, pointer-free: every key back to back in one
@@ -296,11 +308,27 @@ impl<M: Medium> Run<M> {
         receipt: &mut ReadReceipt,
         mut visit: impl FnMut(CellRef<'_>),
     ) -> io::Result<()> {
+        let reached = self.reach(entry, (from, to), receipt);
+        let generation = self.generation;
+        self.medium
+            .read_blocks(reached, cache, receipt, |meta, block, receipt| {
+                fold_block(generation, meta, block, (from, to), receipt, &mut visit)
+            })
+    }
+
+    /// The blocks of `entry` a read of `from..=to` reaches, the run and
+    /// the column index charged: decided from their metadata alone.
+    fn reach(
+        &self,
+        entry: &PartitionEntry,
+        (from, to): ClusteringRange,
+        receipt: &mut ReadReceipt,
+    ) -> &[BlockMeta] {
         receipt.sstables_read += 1;
         // Blocks are ascending and disjoint, so both selections are
         // contiguous.
         let blocks = self.index.blocks(entry);
-        let reached = if entry.bytes > self.column_index_size as u64 {
+        if entry.bytes > self.column_index_size as u64 {
             receipt.used_column_index = true;
             let lo = blocks.partition_point(|b| b.last_clustering < from);
             let hi = blocks.partition_point(|b| b.first_clustering <= to).max(lo);
@@ -309,12 +337,35 @@ impl<M: Medium> Run<M> {
         } else {
             let within = blocks.partition_point(|b| b.last_clustering <= to);
             &blocks[..blocks.len().min(within + 1)]
-        };
-        let generation = self.generation;
+        }
+    }
+
+    /// Counts the whole partition of `entry` into `tally` a block at a
+    /// time ([`tally_block`]) — the blocks the scan of the whole partition
+    /// reaches, fetched and verified through the same
+    /// [`Medium::read_blocks`] — and returns how many cells it counted.
+    /// Bills the receipt exactly as [`Run::scan_partition`] over the
+    /// whole partition does. `Err` as that scan's; `tally` may have
+    /// counted a prefix of the partition by then.
+    pub(crate) fn tally_partition(
+        &self,
+        entry: &PartitionEntry,
+        cache: &mut M::Cache,
+        receipt: &mut ReadReceipt,
+        tally: &mut Tally,
+    ) -> io::Result<u64> {
+        let reached = self.reach(entry, WHOLE, receipt);
+        let (generation, mut cells) = (self.generation, 0);
         self.medium
             .read_blocks(reached, cache, receipt, |meta, block, receipt| {
-                fold_block(generation, meta, block, (from, to), receipt, &mut visit)
-            })
+                let last = tally_block(generation, meta, block, receipt, &mut tally.kinds)?;
+                if let Some(last) = last {
+                    tally.set_last(last);
+                }
+                cells += meta.cells as u64;
+                Ok(true)
+            })?;
+        Ok(cells)
     }
 
     /// Reads every partition back, in key order and one at a time — what
@@ -326,8 +377,7 @@ impl<M: Medium> Run<M> {
         let (mut cache, mut receipt) = (M::Cache::default(), ReadReceipt::default());
         let index = &self.index;
         index.entries.iter().enumerate().map(move |(i, entry)| {
-            let count = entry.cell_count as usize;
-            let payloads = entry.bytes as usize - count * CELL_HEADER_BYTES;
+            let (count, payloads) = entry.held();
             let mut cells = CellBuf::with_capacity(count, payloads);
             self.scan_partition(entry, WHOLE, &mut cache, &mut receipt, |cell| {
                 cells.push(cell)

@@ -459,7 +459,7 @@ mod tests {
     use crate::durable::{DurableOptions, DurableTable, TempDir};
     use crate::run::SsTableOptions;
     use crate::schema::{Cell, PartitionKey};
-    use crate::stream::WHOLE;
+    use crate::stream::{Tally, WHOLE};
     use crate::wal::FsyncPolicy;
     use proptest::prelude::*;
 
@@ -926,7 +926,10 @@ mod tests {
         )
         .expect("write");
         let pristine = std::fs::read(&path).expect("read");
-        let scan = |bad_block: usize| {
+        // Folds the partition with block `bad_block` corrupt — cell by
+        // cell, or with `tally` counted a block at a time — and returns
+        // the cells visited, the blocks cached and the receipt.
+        let scan = |bad_block: usize, tally: Option<&mut Tally>| {
             let mut bytes = pristine.clone();
             bytes[bad_block * 4140 + 100] ^= 0x01;
             std::fs::write(&path, &bytes).expect("write");
@@ -935,27 +938,37 @@ mod tests {
             let mut r = ReadReceipt::default();
             let entry = sst.probe(&pk(0), &mut r).expect("present");
             let mut visited = Vec::new();
-            let err = sst
-                .scan_partition(entry, WHOLE, &mut cache, &mut r, |cell| {
-                    visited.push(cell.clustering)
-                })
-                .expect_err("must fail");
+            let err = match tally {
+                Some(tally) => sst.tally_partition(entry, &mut cache, &mut r, tally),
+                None => sst
+                    .scan_partition(entry, WHOLE, &mut cache, &mut r, |cell| {
+                        visited.push(cell.clustering)
+                    })
+                    .map(|()| 0),
+            };
+            let err = err.expect_err("must fail");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let named = format!("block at offset {} failed its checksum", bad_block * 4140);
             assert!(err.to_string().contains(&named), "{err}");
             (visited, cache.blocks.len(), r)
         };
-        // The blocks before the bad one were verified, cached and visited;
-        // the bad one is on the bill before the verdict, and no cell of it
-        // is visited.
+        // The blocks before the bad one were verified, cached and visited
+        // (or counted); the bad one is on the bill before the verdict, and
+        // no cell of it is visited or counted, nor its bytes cached.
         for bad_block in [0, 37, 100] {
-            let (visited, cached, r) = scan(bad_block);
+            let (visited, cached, r) = scan(bad_block, None);
             let read = bad_block as u64 + 1;
             assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (read, read * 4140));
             assert_eq!(r.disk_block_cache_hits, 0);
             let cells = bad_block as u64 * 90;
             assert_eq!(visited, (0..cells).collect::<Vec<u64>>());
             assert_eq!((r.cells_scanned, cached), (cells, bad_block));
+            let mut tally = Tally::default();
+            let (_, tally_cached, tally_r) = scan(bad_block, Some(&mut tally));
+            assert_eq!((tally_r, tally_cached), (r, cached));
+            let mut kinds = [0u64; 256];
+            (0..cells).for_each(|c| kinds[c as usize % 4] += 1);
+            assert_eq!(tally.kinds, kinds);
         }
     }
 

@@ -1,13 +1,16 @@
 //! The read path: [`Engine::stream_partition`], what `fold_partition`,
-//! `get` and `get_range` of both tables run. A partition held by a single
-//! source — one run, or the memtable alone — streams straight from where
-//! it lies; one held by several is copied source by source and merged
-//! newest-wins ([`crate::merge::merge_newest_wins`]).
+//! `aggregate`, `get` and `fold_range` of both tables run, into a
+//! [`Sink`]. A partition held by a single source — one run, or the
+//! memtable alone — streams straight from where it lies; one held by
+//! several is copied source by source, each into a buffer sized from the
+//! partition index, and merged newest-wins
+//! ([`crate::merge::merge_newest_wins`]). A [`Tally`], the aggregation
+//! read's sink, counts a partition one run holds a block at a time.
 
 use crate::engine::Engine;
 use crate::merge::merge_newest_wins;
 use crate::receipt::ReadReceipt;
-use crate::run::Medium;
+use crate::run::{Medium, PartitionEntry, Run};
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
 use bytes::Bytes;
 use std::io;
@@ -84,17 +87,149 @@ impl CellBuf {
     }
 }
 
+/// What one partition read hands what it reads to
+/// ([`Engine::stream_partition`]): every cell, in clustering order, unless
+/// one run holds the partition alone and the sink reads that run's blocks
+/// itself.
+pub(crate) trait Sink {
+    /// Told, before the first cell, that the read will hand over at most
+    /// `cells` cells whose payloads add up to at most `payload_bytes`.
+    fn reserve(&mut self, _cells: usize, _payload_bytes: usize) {}
+
+    /// One cell of the partition.
+    fn cell(&mut self, cell: CellRef<'_>);
+
+    /// Reads the cells of `entry` within `range` where one run, `run`,
+    /// holds the partition and the memtable none of it, and returns how
+    /// many it took; the run's scan, cell by cell, unless the sink has a
+    /// faster way.
+    fn sole_run<M: Medium>(
+        &mut self,
+        run: &Run<M>,
+        entry: &PartitionEntry,
+        range: ClusteringRange,
+        cache: &mut M::Cache,
+        receipt: &mut ReadReceipt,
+    ) -> io::Result<u64> {
+        scan_cells(self, run, entry, range, cache, receipt)
+    }
+}
+
+/// [`Sink::sole_run`] cell by cell: the run's one partition scan.
+fn scan_cells<M: Medium, S: Sink + ?Sized>(
+    sink: &mut S,
+    run: &Run<M>,
+    entry: &PartitionEntry,
+    range: ClusteringRange,
+    cache: &mut M::Cache,
+    receipt: &mut ReadReceipt,
+) -> io::Result<u64> {
+    let mut handed = 0;
+    run.scan_partition(entry, range, cache, receipt, |cell| {
+        handed += 1;
+        sink.cell(cell);
+    })?;
+    Ok(handed)
+}
+
+/// A visitor is a sink that takes every cell.
+impl<F: FnMut(CellRef<'_>)> Sink for F {
+    fn cell(&mut self, cell: CellRef<'_>) {
+        self(cell)
+    }
+}
+
+/// What an aggregation read counts of one partition
+/// ([`crate::Table::aggregate`]): how many cells of each kind it holds,
+/// and its last cell, the one of greatest clustering key. The tally keeps
+/// that cell's payload in a buffer of its own, so a tally reused from
+/// read to read stops allocating once the buffer has grown to the
+/// largest last payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    /// How many cells of each kind the partition holds.
+    pub kinds: [u64; 256],
+    /// The last cell's clustering key and kind.
+    last: Option<(ClusteringKey, u8)>,
+    /// The last cell's payload.
+    last_payload: Vec<u8>,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            kinds: [0; 256],
+            last: None,
+            last_payload: Vec::new(),
+        }
+    }
+}
+
+impl Tally {
+    /// The partition's last cell; `None` when it holds none.
+    pub fn last(&self) -> Option<CellRef<'_>> {
+        self.last.map(|(clustering, kind)| CellRef {
+            clustering,
+            kind,
+            payload: &self.last_payload,
+        })
+    }
+
+    /// Cells counted, of every kind.
+    pub fn cells(&self) -> u64 {
+        self.kinds.iter().sum()
+    }
+
+    /// Forgets every count and the last cell, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.kinds = [0; 256];
+        self.last = None;
+        self.last_payload.clear();
+    }
+
+    /// Makes `cell` the last cell.
+    pub(crate) fn set_last(&mut self, cell: CellRef<'_>) {
+        self.last = Some((cell.clustering, cell.kind));
+        self.last_payload.clear();
+        self.last_payload.extend_from_slice(cell.payload);
+    }
+}
+
+/// A tally counts every cell it is handed, and where one run holds the
+/// partition alone counts that run's blocks a column at a time
+/// ([`Run::tally_partition`]) instead.
+impl Sink for Tally {
+    fn cell(&mut self, cell: CellRef<'_>) {
+        self.kinds[cell.kind as usize] += 1;
+        self.set_last(cell);
+    }
+
+    fn sole_run<M: Medium>(
+        &mut self,
+        run: &Run<M>,
+        entry: &PartitionEntry,
+        range: ClusteringRange,
+        cache: &mut M::Cache,
+        receipt: &mut ReadReceipt,
+    ) -> io::Result<u64> {
+        if range != WHOLE {
+            return scan_cells(self, run, entry, range, cache, receipt);
+        }
+        run.tally_partition(entry, cache, receipt, self)
+    }
+}
+
 impl<M: Medium> Engine<M> {
     /// Streams the cells of `pk` within `range` — the newest version of
     /// each, in clustering order — from the live runs (ascending
-    /// generation) and the memtable (newer than any run) into `visit`, and
-    /// returns the receipt of the work. On `Err`, `visit` may have seen part
+    /// generation) and the memtable (newer than any run) into `sink`, and
+    /// returns the receipt of the work. On `Err`, `sink` may have seen part
     /// of the partition.
     pub(crate) fn stream_partition(
         &mut self,
         pk: &PartitionKey,
         range: ClusteringRange,
-        mut visit: impl FnMut(CellRef<'_>),
+        sink: &mut impl Sink,
     ) -> io::Result<ReadReceipt> {
         let mut receipt = ReadReceipt::default();
         // The first run holding the partition stays in a local, so a read
@@ -110,26 +245,40 @@ impl<M: Medium> Engine<M> {
         }
         let mem = self.memtable.range(pk, range.0..=range.1);
         receipt.memtable_hit = mem.is_some();
+        // What the memtable holds in range, and at most what the read
+        // hands over: every source in full.
+        let in_mem = mem.clone().map_or((0, 0), |cells| {
+            cells.fold((0, 0), |(n, bytes), cell| {
+                (n + 1, bytes + cell.payload.len())
+            })
+        });
+        let held = first.iter().chain(&more).map(|(_, entry)| entry.held());
+        sink.reserve(
+            held.clone().map(|(n, _)| n).sum::<usize>() + in_mem.0,
+            held.map(|(_, bytes)| bytes).sum::<usize>() + in_mem.1,
+        );
         let cache = &mut self.cache;
         let mut returned = 0;
         let mut visit = |cell: CellRef<'_>| {
             returned += 1;
-            visit(cell);
+            sink.cell(cell);
         };
         match (first, mem) {
             (None, None) => {}
             (Some((run, entry)), None) if more.is_empty() => {
-                run.scan_partition(entry, range, cache, &mut receipt, &mut visit)?
+                returned = sink.sole_run(run, entry, range, cache, &mut receipt)?
             }
             (None, Some(cells)) => cells.for_each(|cell| visit(cell.as_cell_ref())),
             (first, mem) => {
                 let mut sources = Vec::with_capacity(more.len() + 2);
                 for (run, entry) in first.into_iter().chain(more) {
-                    let mut cells = CellBuf::default();
+                    // A whole read takes all the run holds; a range, less.
+                    let (n, bytes) = if range == WHOLE { entry.held() } else { (0, 0) };
+                    let mut cells = CellBuf::with_capacity(n, bytes);
                     run.scan_partition(entry, range, cache, &mut receipt, |cell| cells.push(cell))?;
                     sources.push(cells);
                 }
-                let mut cells = CellBuf::default();
+                let mut cells = CellBuf::with_capacity(in_mem.0, in_mem.1);
                 for cell in mem.into_iter().flatten() {
                     cells.push(cell.as_cell_ref());
                 }

@@ -4,7 +4,9 @@
 //! [`crate::DurableTable`] is the same type over SSTable files, its writes
 //! logged and its runs committed by the disk medium's journal. Reads go
 //! row cache → (memtable ∥ every run its bloom filter admits) → merge
-//! newest-wins → fill cache, as Cassandra's do.
+//! newest-wins → fill cache, as Cassandra's do; an aggregation
+//! ([`Table::aggregate`]) of a partition one run holds skips the cells and
+//! counts that run's blocks a column at a time.
 
 use crate::cache::Lru;
 use crate::engine::{Engine, Journal};
@@ -12,7 +14,7 @@ use crate::memtable::Memtable;
 use crate::receipt::ReadReceipt;
 use crate::run::{Medium, Run, SsTableOptions};
 use crate::schema::{Cell, CellRef, ClusteringKey, PartitionKey};
-use crate::stream::{CellBuf, WHOLE};
+use crate::stream::{CellBuf, Sink, Tally, WHOLE};
 use bytes::BytesMut;
 use std::io;
 use std::ops::RangeInclusive;
@@ -83,6 +85,24 @@ pub struct Table<M: Medium = BytesMut> {
     row_cache: Lru<PartitionKey, Arc<Vec<Cell>>>,
     row_cache_on: bool,
     metrics: TableMetrics,
+}
+
+/// A row-cache miss's sink: keeps every cell it passes on, to fill the
+/// cache, in a buffer sized from what the probe found.
+struct Keep<'a, S> {
+    kept: CellBuf,
+    sink: &'a mut S,
+}
+
+impl<S: Sink> Sink for Keep<'_, S> {
+    fn reserve(&mut self, cells: usize, payload_bytes: usize) {
+        self.kept = CellBuf::with_capacity(cells, payload_bytes);
+    }
+
+    fn cell(&mut self, cell: CellRef<'_>) {
+        self.kept.push(cell);
+        self.sink.cell(cell);
+    }
 }
 
 impl Table {
@@ -165,28 +185,31 @@ impl<M: Medium> Table<M> {
     /// the write is recoverable (modulo the fsync policy's window) — and
     /// flushes / compacts when thresholds trip.
     pub fn put(&mut self, pk: PartitionKey, cell: Cell) -> M::Out<()> {
-        self.run(|t| {
-            t.journal.log(&pk, &cell)?;
-            t.metrics.writes += 1;
-            if t.row_cache_on {
-                t.row_cache.invalidate(&pk);
-            }
-            t.engine.memtable.insert(pk, cell);
-            if t.engine.flush_due() {
-                M::into_result(t.flush())?;
-            }
-            Ok(())
-        })
+        self.put_all(&pk, [cell])
     }
 
-    /// Writes every cell of one partition ([`Table::put`] each).
+    /// Writes every cell of one partition, each as [`Table::put`] writes
+    /// one; the row cache forgets the partition once, before the first.
     pub fn put_all(
         &mut self,
         pk: &PartitionKey,
         cells: impl IntoIterator<Item = Cell>,
     ) -> M::Out<()> {
         let mut cells = cells.into_iter();
-        self.run(|t| cells.try_for_each(|cell| M::into_result(t.put(pk.clone(), cell))))
+        self.run(|t| {
+            if t.row_cache_on {
+                t.row_cache.invalidate(pk);
+            }
+            cells.try_for_each(|cell| {
+                t.journal.log(pk, &cell)?;
+                t.metrics.writes += 1;
+                t.engine.memtable.insert(pk, cell);
+                if t.engine.flush_due() {
+                    M::into_result(t.flush())?;
+                }
+                Ok(())
+            })
+        })
     }
 
     /// Forces the memtable into a new SSTable, possibly compacting. No-op
@@ -242,11 +265,12 @@ impl<M: Medium> Table<M> {
 
     /// Streams a whole partition's cells, in clustering order and in place,
     /// into `visit`, and returns the work receipt — the read primitive:
-    /// [`Table::get`] collects from it, an aggregation folds over it
-    /// without ever owning a cell. A row-cache hit visits the cached cells;
-    /// a miss on a table whose row cache is enabled keeps what it streams
-    /// to fill the cache. On `Err` (disk only: I/O failure, detected
-    /// corruption) `visit` may have seen part of the partition.
+    /// [`Table::get`] collects from it, [`Table::aggregate`] counts what
+    /// it streams where it cannot count blocks whole. A row-cache hit
+    /// visits the cached cells; a miss on a table whose row cache is
+    /// enabled keeps what it streams to fill the cache. On `Err` (disk
+    /// only: I/O failure, detected corruption) `visit` may have seen part
+    /// of the partition.
     ///
     /// ```
     /// use kvs_store::{Cell, PartitionKey, Table};
@@ -265,30 +289,63 @@ impl<M: Medium> Table<M> {
         pk: &PartitionKey,
         mut visit: impl FnMut(CellRef<'_>),
     ) -> M::Out<ReadReceipt> {
-        self.run(|t| {
-            t.metrics.reads += 1;
-            if !t.row_cache_on {
-                return t.engine.stream_partition(pk, WHOLE, visit);
-            }
-            if let Some(cached) = t.row_cache.get(pk) {
-                t.metrics.row_cache_hits += 1;
-                cached.iter().for_each(|cell| visit(cell.as_cell_ref()));
-                return Ok(ReadReceipt {
-                    row_cache_hit: true,
-                    cells_returned: cached.len() as u64,
-                    ..ReadReceipt::default()
-                });
-            }
-            let mut kept = CellBuf::default();
-            let receipt = t.engine.stream_partition(pk, WHOLE, |cell| {
-                kept.push(cell);
-                visit(cell);
-            })?;
-            if kept.len() > 0 {
-                t.row_cache.put(pk.clone(), Arc::new(kept.into_cells()));
-            }
-            Ok(receipt)
-        })
+        self.run(|t| t.read_whole(pk, &mut visit))
+    }
+
+    /// The one aggregation read: counts a whole partition's cells by kind
+    /// into `tally`, which it clears first, and notes its last cell, the
+    /// one of greatest clustering key; returns the work receipt, the very
+    /// one [`Table::fold_partition`] would bill. Where one run holds the
+    /// partition, the memtable none of it and no row cache is kept, it
+    /// reads the run's blocks a column at a time and never decodes a cell
+    /// but each block's last; otherwise — a row-cache hit or fill, several
+    /// sources — it counts the cells the newest-wins stream hands it. On
+    /// `Err` (disk only) `tally` may hold part of the partition.
+    ///
+    /// ```
+    /// use kvs_store::{Cell, PartitionKey, Table, Tally};
+    ///
+    /// let mut table = Table::with_defaults();
+    /// let pk = PartitionKey::from("users:eu");
+    /// table.put_all(&pk, (0..10).map(|c| Cell::synthetic(c, (c % 2) as u8)));
+    /// table.flush();
+    ///
+    /// let mut tally = Tally::default();
+    /// let receipt = table.aggregate(&pk, &mut tally);
+    /// assert_eq!((tally.kinds[0], tally.kinds[1]), (5, 5));
+    /// assert_eq!(tally.last().map(|cell| cell.clustering), Some(9));
+    /// assert_eq!(receipt.cells_returned, 10);
+    /// ```
+    pub fn aggregate(&mut self, pk: &PartitionKey, tally: &mut Tally) -> M::Out<ReadReceipt> {
+        tally.clear();
+        self.run(|t| t.read_whole(pk, tally))
+    }
+
+    /// A whole-partition read into `sink`: the row cache, then the stream.
+    fn read_whole(&mut self, pk: &PartitionKey, sink: &mut impl Sink) -> io::Result<ReadReceipt> {
+        self.metrics.reads += 1;
+        if !self.row_cache_on {
+            return self.engine.stream_partition(pk, WHOLE, sink);
+        }
+        if let Some(cached) = self.row_cache.get(pk) {
+            self.metrics.row_cache_hits += 1;
+            cached.iter().for_each(|cell| sink.cell(cell.as_cell_ref()));
+            return Ok(ReadReceipt {
+                row_cache_hit: true,
+                cells_returned: cached.len() as u64,
+                ..ReadReceipt::default()
+            });
+        }
+        let mut keep = Keep {
+            kept: CellBuf::default(),
+            sink,
+        };
+        let receipt = self.engine.stream_partition(pk, WHOLE, &mut keep)?;
+        if keep.kept.len() > 0 {
+            self.row_cache
+                .put(pk.clone(), Arc::new(keep.kept.into_cells()));
+        }
+        Ok(receipt)
     }
 
     /// Reads a whole partition, merging memtable and SSTables newest-wins.
@@ -299,22 +356,35 @@ impl<M: Medium> Table<M> {
         M::out(receipt.map(|receipt| (cells.into_cells(), receipt)))
     }
 
-    /// Reads a clustering range of a partition; column-indexed partitions
-    /// seek to overlapping blocks only. No row-cache interaction —
-    /// Cassandra's row cache also only serves full-row reads.
+    /// Streams the cells of a clustering range of a partition, newest
+    /// version of each and in clustering order, into `visit`, and returns
+    /// the work receipt — the range read primitive; column-indexed
+    /// partitions seek to overlapping blocks only. No row-cache
+    /// interaction — Cassandra's row cache also only serves full-row
+    /// reads. On `Err` (disk only) `visit` may have seen part of the range.
+    pub fn fold_range(
+        &mut self,
+        pk: &PartitionKey,
+        range: RangeInclusive<ClusteringKey>,
+        mut visit: impl FnMut(CellRef<'_>),
+    ) -> M::Out<ReadReceipt> {
+        self.run(|t| {
+            t.metrics.reads += 1;
+            t.engine
+                .stream_partition(pk, range.into_inner(), &mut visit)
+        })
+    }
+
+    /// Reads a clustering range of a partition ([`Table::fold_range`],
+    /// collected).
     pub fn get_range(
         &mut self,
         pk: &PartitionKey,
         range: RangeInclusive<ClusteringKey>,
     ) -> M::Out<(Vec<Cell>, ReadReceipt)> {
-        self.run(|t| {
-            t.metrics.reads += 1;
-            let mut cells = CellBuf::default();
-            let receipt = t
-                .engine
-                .stream_partition(pk, range.into_inner(), |cell| cells.push(cell))?;
-            Ok((cells.into_cells(), receipt))
-        })
+        let mut cells = CellBuf::default();
+        let receipt = M::into_result(self.fold_range(pk, range, |cell| cells.push(cell)));
+        M::out(receipt.map(|receipt| (cells.into_cells(), receipt)))
     }
 
     /// Exports the table's full logical contents as `(partition, cells)`

@@ -8,11 +8,14 @@
 //! it evicted before they came round again. Admission on the second miss
 //! copies none. The RAM set-up is one node's share of `agg_fine`: 100-cell
 //! partitions folded where they lie, which allocates nothing when one run
-//! holds each, and only the merge's buffers when three do. The counts
-//! repeat from run to run where timings do not.
+//! holds each, and only the merge's buffers, sized from the partition
+//! index, when three do. The aggregation read, which counts blocks whole,
+//! allocates nothing warm on either tier. The counts repeat from run to
+//! run where timings do not.
 
 use kvs_store::{
-    Cell, DurableOptions, DurableTable, FsyncPolicy, PartitionKey, Table, TableOptions, TempDir,
+    Cell, DurableOptions, DurableTable, FsyncPolicy, PartitionKey, Table, TableOptions, Tally,
+    TempDir,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as Counter;
@@ -128,6 +131,24 @@ fn a_warm_durable_fold_stays_within_its_allocation_budget() {
         per_fold <= 0.5,
         "a warm fold allocated {per_fold:.2} times, budget 0.5"
     );
+
+    // The aggregation read over the same round robin, its tally reused;
+    // the first read grows the tally's last-cell buffer.
+    let mut tally = Tally::default();
+    table.aggregate(&keys[0], &mut tally).expect("aggregate");
+    let before = allocations();
+    for _ in 0..rounds {
+        for pk in &keys {
+            table.aggregate(pk, &mut tally).expect("aggregate");
+            assert_eq!(tally.cells(), CELLS);
+        }
+    }
+    let per_read = (allocations() - before) as f64 / folds as f64;
+    println!("allocations per aggregation read: {per_read:.2}");
+    assert!(
+        per_read <= 0.5,
+        "a warm aggregation read allocated {per_read:.2} times, budget 0.5"
+    );
 }
 
 /// Allocations per fold of every partition of `table`, over ten warm
@@ -175,14 +196,26 @@ fn a_warm_ram_fold_allocates_nothing() {
         assert_eq!(table.sstable_count(), runs as usize);
         table
     };
-    let one = ram_folds(&mut table(1), &keys, RAM_CELLS);
+    let mut one_run = table(1);
+    let one = ram_folds(&mut one_run, &keys, RAM_CELLS);
+    // The first read grows the tally's last-cell buffer.
+    let mut tally = Tally::default();
+    one_run.aggregate(&keys[0], &mut tally);
+    let before = allocations();
+    for pk in &keys {
+        one_run.aggregate(pk, &mut tally);
+        assert_eq!(tally.cells(), RAM_CELLS);
+    }
+    assert_eq!(allocations(), before, "an aggregation read allocated");
     let three = ram_folds(&mut table(3), &keys, RAM_CELLS);
     println!("allocations per RAM fold: one run {one:.2}, three runs {three:.2}");
     assert_eq!(one, 0.0, "a fold of a partition one run holds allocated");
     // The merge copies each run's share into a buffer of its own (payloads
-    // and index, each grown a few times) and keeps the buffers in a list.
+    // and index, each sized once from the run's partition index), keeps
+    // the buffers in a list and its heads in another, and the probe keeps
+    // the runs past the first in a third: 3 × 2 + 3.
     assert!(
-        three <= 40.0,
-        "a three-run fold allocated {three:.2} times, budget 40"
+        three <= 9.0,
+        "a three-run fold allocated {three:.2} times, budget 9"
     );
 }

@@ -10,8 +10,15 @@
 //! A read changes what the next read costs (it fills the row cache, it
 //! moves blocks through the block cache), so the two sides read from twin
 //! tables that lived through the same history and the same earlier reads.
+//!
+//! The aggregation read is the visitor fold counted: `aggregate` returns
+//! the per-kind counts and the last cell a counting `fold_partition`
+//! sees, and the same receipt in every field, whether it counts one run's
+//! blocks whole or the stream's cells — over one run, several, a memtable
+//! overlap, a column-indexed partition, the row cache off and on, and on
+//! the durable table with block-cache hits and misses.
 
-use kvs_store::{Cell, CellRef, Medium, PartitionKey, ReadReceipt, Table, TableOptions};
+use kvs_store::{Cell, CellRef, Medium, PartitionKey, ReadReceipt, Table, TableOptions, Tally};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
@@ -70,6 +77,22 @@ impl<M: Medium> Store<M> {
     fn fold(&mut self, pk: &PartitionKey, visit: impl FnMut(CellRef<'_>)) -> ReadReceipt {
         M::into_result(self.0.fold_partition(pk, visit)).expect("fold")
     }
+    fn aggregate(&mut self, pk: &PartitionKey, tally: &mut Tally) -> ReadReceipt {
+        M::into_result(self.0.aggregate(pk, tally)).expect("aggregate")
+    }
+    /// Plays one history op: the table's own operations, mid-history
+    /// reads included.
+    fn play(&mut self, (what, p, clustering, kind, len): Op) {
+        let pk = PartitionKey::from_id(p);
+        match what {
+            0 => self.flush(),
+            1 => self.compact(),
+            // A read in mid-history: later reads start from its caches.
+            2 => drop(self.get(&pk)),
+            3 => self.ingest(&pk, &ingested(clustering, kind)),
+            _ => self.put(pk, Cell::new(clustering, kind, vec![kind; len])),
+        }
+    }
 }
 
 /// What op 3 ingests: several blocks of one partition at once.
@@ -105,18 +128,10 @@ fn twins_agree<M: Medium>(twins: [Table<M>; 2], ops: &[Op]) {
     let mut twins = twins.map(Store);
     let mut model = Model::default();
     for (step, &(what, p, clustering, kind, len)) in ops.iter().enumerate() {
-        let pk = PartitionKey::from_id(p);
         let cell = Cell::new(clustering, kind, vec![kind; len]);
         let run = ingested(clustering, kind);
         for table in &mut twins {
-            match what {
-                0 => table.flush(),
-                1 => table.compact(),
-                // A read in mid-history: later reads start from its caches.
-                2 => drop(table.get(&pk)),
-                3 => table.ingest(&pk, &run),
-                _ => table.put(pk.clone(), cell.clone()),
-            }
+            table.play((what, p, clustering, kind, len));
         }
         match what {
             0..=2 => {}
@@ -154,8 +169,93 @@ fn twins_agree<M: Medium>(twins: [Table<M>; 2], ops: &[Op]) {
     }
 }
 
+/// Reads every partition, the wide one and the absent one included and
+/// each twice so that cache hits are compared too, through `aggregate` on
+/// one twin — into one tally, reused — and a fold that counts on the
+/// other, and asserts they agree on the counts, the last cell and the
+/// receipt.
+fn tally_matches_fold<M: Medium>(a: &mut Store<M>, b: &mut Store<M>) {
+    let mut tally = Tally::default();
+    for p in (0..=PARTITIONS).chain(0..=PARTITIONS) {
+        let pk = PartitionKey::from_id(p);
+        let tally_receipt = a.aggregate(&pk, &mut tally);
+        let (mut kinds, mut last) = ([0u64; 256], None);
+        let fold_receipt = b.fold(&pk, |cell| {
+            kinds[cell.kind as usize] += 1;
+            last = Some(Cell::new(cell.clustering, cell.kind, cell.payload.to_vec()));
+        });
+        assert_eq!(tally.kinds, kinds, "partition {p}");
+        let tally_last = tally.last();
+        let tally_last = tally_last.map(|c| Cell::new(c.clustering, c.kind, c.payload.to_vec()));
+        assert_eq!(tally_last, last, "partition {p}");
+        assert_eq!(tally_receipt, fold_receipt, "partition {p}");
+    }
+}
+
+/// Ingests a partition past the 64 KiB column-index threshold into both
+/// twins as two runs — `wide` cells, then every third of them overwritten
+/// — plays `ops` on both, and compares the aggregation read with the
+/// counting fold every 40 steps, at the end, after one more write to the
+/// wide partition puts it in the memtable too, and after a flush and a
+/// compaction leave every partition in one run and none in the memtable:
+/// the reads the block kernel serves when no row cache is kept.
+fn kernel_agrees<M: Medium>(twins: [Table<M>; 2], ops: &[Op], wide: u64) {
+    let mut twins = twins.map(Store);
+    let wide_pk = PartitionKey::from_id(PARTITIONS);
+    let first: Vec<Cell> = (0..wide)
+        .map(|c| Cell::synthetic(c, (c % 4) as u8))
+        .collect();
+    let second: Vec<Cell> = (0..wide)
+        .step_by(3)
+        .map(|c| Cell::new(c, 9, vec![9; 33]))
+        .collect();
+    for table in &mut twins {
+        table.ingest(&wide_pk, &first);
+        table.ingest(&wide_pk, &second);
+    }
+    let [a, b] = &mut twins;
+    for (step, &op) in ops.iter().enumerate() {
+        a.play(op);
+        b.play(op);
+        if step % 40 == 39 {
+            tally_matches_fold(a, b);
+        }
+    }
+    tally_matches_fold(a, b);
+    let overlap = Cell::new(wide + 5, 3, vec![3; 8]);
+    for table in [&mut *a, &mut *b] {
+        table.put(wide_pk.clone(), overlap.clone());
+    }
+    tally_matches_fold(a, b);
+    for table in [&mut *a, &mut *b] {
+        table.flush();
+        table.compact();
+        assert_eq!(table.0.sstable_count(), 1);
+    }
+    tally_matches_fold(a, b);
+    // Unless the row cache answers it, the wide partition is read through
+    // its column index.
+    let wide_read = a.aggregate(&wide_pk, &mut Tally::default());
+    assert!(wide_read.row_cache_hit || wide_read.used_column_index);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ram_kernel_counts_what_the_fold_visits(
+        ops in ops(),
+        row_cache in 0usize..3,
+        wide in 1_426u64..2_400,
+    ) {
+        let opts = TableOptions {
+            memtable_flush_bytes: 46 * FLUSH_CELLS,
+            compaction_threshold: 4,
+            row_cache_partitions: [0, 1, 8][row_cache],
+            ..Default::default()
+        };
+        kernel_agrees([Table::new(opts.clone()), Table::new(opts)], &ops, wide);
+    }
 
     #[test]
     fn ram_fold_visits_what_get_returns(ops in ops(), row_cache in 0usize..3) {
@@ -196,6 +296,28 @@ mod durable {
                 .each_ref()
                 .map(|dir| DurableTable::open(dir.path(), opts.clone()).expect("open").0);
             twins_agree(twins, &ops);
+        }
+
+        #[test]
+        fn durable_kernel_counts_what_the_fold_visits(
+            ops in ops(),
+            cache in 0usize..4,
+            wide in 1_426u64..2_400,
+        ) {
+            let opts = DurableOptions {
+                memtable_flush_bytes: 46 * FLUSH_CELLS,
+                compaction_threshold: 6,
+                // None; smaller than a checksum group; one that thrashes;
+                // one that holds everything.
+                block_cache_blocks: [0, 2, 7, 1024][cache],
+                fsync: FsyncPolicy::Never,
+                ..Default::default()
+            };
+            let dirs = [TempDir::new("prop-kernel-a"), TempDir::new("prop-kernel-b")];
+            let twins = dirs
+                .each_ref()
+                .map(|dir| DurableTable::open(dir.path(), opts.clone()).expect("open").0);
+            kernel_agrees(twins, &ops, wide);
         }
 
         /// The two tiers are one engine. A `Table` and a `DurableTable` —
