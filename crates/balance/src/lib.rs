@@ -18,13 +18,9 @@
 //!   21 % → 35 % city numbers.
 //! * [`hashing`] — a consistent-hash ring with virtual nodes, the DHT
 //!   placement substrate used by `kvs-cluster`.
-//! * [`kinesis`] — Microsoft Kinesis-style `r`-of-`k` placement (related
-//!   work, §VIII): writes pick the `r` least-loaded of `k` candidate
-//!   servers; reads must consult all `k`.
 
 pub mod formula;
 pub mod hashing;
-pub mod kinesis;
 pub mod simulation;
 pub mod weighted;
 

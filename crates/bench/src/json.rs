@@ -1,28 +1,28 @@
 //! The shared `BENCH_*.json` emitter.
 //!
-//! Every drill that produces machine-readable results goes through this
-//! module, so the reports are uniform: one file per drill, one envelope
-//! shape, one schema tag. The value
-//! type (order-preserving objects, pretty printer, parser) is borrowed
-//! from `kvs_lint::json` — the dependency-free JSON layer of the
-//! linter's crate — and this module adds the envelope
-//! builder, the latency-summary shape, and the validator the
-//! `bench_schema_check` bin (and CI) run against emitted files.
+//! The `drill` binary writes its machine-readable results through this
+//! module: one file, one envelope shape, one schema tag. The value type
+//! (order-preserving objects, pretty printer, parser) is borrowed from
+//! `kvs_lint::json` — the dependency-free JSON layer of the linter's
+//! crate — and this module adds the envelope builder, the
+//! latency-summary shape, and the checks [`write_report`] runs before it
+//! writes: the report validates, and its text parses back to the same
+//! document.
 //!
 //! ## Envelope (`kvs-bench/v1`)
 //!
 //! ```json
 //! {
 //!   "schema": "kvs-bench/v1",
-//!   "bench": "workloads",
-//!   "config": { ... knobs that shaped the run ... },
+//!   "bench": "drill",
+//!   "config": { ... the sizes and seeds that shaped the run ... },
 //!   "results": { ... or [ ... ] }
 //! }
 //! ```
 //!
-//! `schema` pins the envelope version; `bench` names the drill (the file
-//! is `BENCH_<bench>.json`); `config` records every knob needed to
-//! reproduce the run; `results` is drill-specific. The
+//! `schema` pins the envelope version; `bench` names the emitter (the
+//! file is `BENCH_<bench>.json`); `config` records everything needed to
+//! reproduce the run; `results` is emitter-specific. The
 //! validator additionally rejects non-finite numbers anywhere in the
 //! document — a NaN percentile means a bug, not a result.
 
@@ -120,21 +120,33 @@ fn check_finite(v: &Value, path: &str) -> Result<(), String> {
     }
 }
 
-/// Validates and writes a report to `target/figures/BENCH_<bench>.json`
+/// Checks that `text` parses back to exactly `report`.
+fn round_trips(report: &Value, text: &str) -> Result<(), String> {
+    match parse(text) {
+        Ok(back) if back == *report => Ok(()),
+        Ok(_) => Err("report text parses to a different document".to_string()),
+        Err(e) => Err(format!("report text does not parse: {e}")),
+    }
+}
+
+/// Validates a report, serialises it, checks the text parses back to the
+/// same document, and writes it to `target/figures/BENCH_<bench>.json`
 /// (the `bench` field names the file), reporting the path on stdout like
 /// [`crate::Csv::finish`] does.
 ///
 /// # Panics
-/// If the report fails [`validate`] — a malformed emitter is a bug the
-/// drill must not paper over.
+/// If the report fails [`validate`] or does not round-trip through its
+/// text — a malformed emitter is a bug the drill must not paper over.
 pub fn write_report(report: &Value) -> io::Result<PathBuf> {
     validate(report).expect("BENCH report failed schema validation");
+    let text = report.to_pretty();
+    round_trips(report, &text).expect("BENCH report failed its round trip");
     let bench = report
         .get("bench")
         .and_then(Value::as_str)
         .expect("validated report has a bench name");
     let path = crate::figures_dir().join(format!("BENCH_{bench}.json"));
-    fs::write(&path, report.to_pretty())?;
+    fs::write(&path, text)?;
     println!("[json] {}", path.display());
     Ok(path)
 }
@@ -206,7 +218,12 @@ mod tests {
         let r = sample_report();
         let path = write_report(&r).unwrap();
         assert!(path.ends_with("BENCH_selftest_json.json"));
-        let back = parse(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, r);
+        let text = fs::read_to_string(&path).unwrap();
+        round_trips(&r, &text).unwrap();
+        // The equality check catches a document that parses but differs,
+        // not only one that does not parse.
+        let changed = text.replace("0.99", "0.98");
+        assert!(round_trips(&r, &changed).unwrap_err().contains("different"));
+        assert!(round_trips(&r, &text[1..]).unwrap_err().contains("parse"));
     }
 }

@@ -502,8 +502,8 @@ pub fn run_query(
 /// Like [`run_query`], but request `i` enters the master's send loop only
 /// once `arrivals[i]` has elapsed from query start (open-loop pacing), and
 /// its master-to-slaves stage is measured from that arrival instead of
-/// t=0. The chaos drill uses this to replay a measured run's arrival
-/// process through the model.
+/// t=0. `drill chaos` and `drill workloads` use this to replay a
+/// measured run's arrival process through the model.
 ///
 /// # Panics
 /// Same contracts as [`run_query`], plus one arrival offset per key.

@@ -10,7 +10,7 @@
 //! The result plugs straight into [`kvs_model::MasterModel`], so the
 //! Figure 11 master-saturation sweep can re-run with *measured* constants
 //! instead of the paper's (see `fig11_master_limit`'s calibrated mode and
-//! the `net_loadgen` benchmark).
+//! `drill load`).
 
 use crate::local::spawn_local_cluster;
 use crate::master::{NetConfig, NetMaster};

@@ -1,7 +1,7 @@
 //! In-process loopback clusters: N slave servers on ephemeral ports, one
 //! per node of a [`ClusterData`] placement, with deterministic teardown.
 //! This is the harness the integration tests, the calibration path, the
-//! chaos suite, and the `net_loadgen` benchmark all boot.
+//! chaos suite, and the `drill` scenarios all boot.
 //!
 //! Slaves can be [`killed`](LocalCluster::kill) and
 //! [`restarted`](LocalCluster::restart) individually. Every node serves

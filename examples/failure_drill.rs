@@ -107,5 +107,5 @@ fn main() {
     );
     println!("every partition answered over the wire: {} cells", net_keys);
     println!("\nThe measured makespan is dominated by the same detection window the");
-    println!("simulator charges — `cargo run --bin chaos_drill` quantifies the match.");
+    println!("simulator charges — `cargo run --bin drill -- chaos` quantifies the match.");
 }
