@@ -23,12 +23,15 @@
 //! The read path's bodies can be written and read in place: a sender
 //! appends to the buffer it will write from ([`Codec::append_request`],
 //! [`Codec::append_response`] — straight from a per-kind tally), a
-//! receiver folds a response into an accumulator from the bytes where
-//! they lie ([`Codec::fold_response`]). `encode_*`/`decode_response` call
-//! the same routines, so both agree and both do the verbose stack's work.
+//! receiver takes a request's key ([`Codec::next_request`]) or folds a
+//! response into an accumulator ([`Codec::fold_response`]) from the bytes
+//! where they lie. Every body is self-delimiting, so a frame may carry
+//! several back to back: `next_request` and [`Codec::next_response`] take
+//! one off the front. `encode_*`/`decode_*` call the same routines, so
+//! both agree and both do the verbose stack's work.
 
 use crate::messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use kvs_store::{Cell, PartitionKey};
 use std::collections::BTreeMap;
 
@@ -110,35 +113,45 @@ impl Codec {
     }
 
     /// Decodes a request; `None` on malformed input.
-    pub fn decode_request(&self, mut bytes: Bytes) -> Option<QueryRequest> {
-        match self.kind {
+    pub fn decode_request(&self, bytes: Bytes) -> Option<QueryRequest> {
+        let (request_id, key) = self.next_request(&mut &bytes[..])?;
+        Some(QueryRequest {
+            request_id,
+            partition: PartitionKey::new(key),
+        })
+    }
+
+    /// Decodes the request at the front of `bytes` and moves `bytes` past
+    /// it: its id and its partition key, borrowed where it lies. A request
+    /// frame's payload is such bodies back to back, so a slave takes them
+    /// one at a time without owning a key. `None` on malformed input,
+    /// with `bytes` left anywhere.
+    pub fn next_request<'a>(&self, bytes: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
+        let body = *bytes;
+        let (request_id, key) = match self.kind {
             CodecKind::Verbose => {
-                verbose_stack_overhead(&bytes, "rx-req");
-                expect_str(&mut bytes, "org.kvscale.proto.QueryRequest")?;
-                expect_str(&mut bytes, "serialVersionUID")?;
-                get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "requestId")?;
-                let request_id = get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "partition")?;
-                let pk = get_bytes_field(&mut bytes)?;
-                Some(QueryRequest {
-                    request_id,
-                    partition: PartitionKey::new(pk),
-                })
+                expect_str(bytes, "org.kvscale.proto.QueryRequest")?;
+                expect_str(bytes, "serialVersionUID")?;
+                get_u64(bytes)?;
+                expect_str(bytes, "requestId")?;
+                let request_id = get_u64(bytes)?;
+                expect_str(bytes, "partition")?;
+                let len = get_u32(bytes)? as usize;
+                (request_id, take(bytes, len)?)
             }
             CodecKind::Compact => {
-                if get_u8(&mut bytes)? != CLASS_REQUEST {
+                if get_u8(bytes)? != CLASS_REQUEST {
                     return None;
                 }
-                let request_id = get_varint(&mut bytes)?;
-                let len = get_varint(&mut bytes)? as usize;
-                let pk = get_vec(&mut bytes, len)?;
-                Some(QueryRequest {
-                    request_id,
-                    partition: PartitionKey::new(pk),
-                })
+                let request_id = get_varint(bytes)?;
+                let len = get_varint(bytes)?;
+                (request_id, take(bytes, usize::try_from(len).ok()?)?)
             }
+        };
+        if self.kind == CodecKind::Verbose {
+            verbose_stack_overhead(&body[..body.len() - bytes.len()], "rx-req");
         }
+        Some((request_id, key))
     }
 
     /// Encodes a response to wire bytes.
@@ -232,7 +245,7 @@ impl Codec {
             verbose_stack_overhead(&bytes, "rx-resp");
         }
         let mut counts = BTreeMap::new();
-        let (request_id, cells, version) = self.walk_response(&bytes, |kind, count| {
+        let (request_id, cells, version) = self.walk_response(&mut &bytes[..], |kind, count| {
             counts.insert(kind, count);
         })?;
         Some(QueryResponse {
@@ -254,8 +267,8 @@ impl Codec {
         }
         // A body cut short must leave the accumulator as it was: walk it
         // to its end before adding any of it.
-        self.walk_response(bytes, |_, _| {})?;
-        let (_, cells, version) = self.walk_response(bytes, |kind, count| {
+        self.walk_response(&mut &bytes[..], |_, _| {})?;
+        let (_, cells, version) = self.walk_response(&mut &bytes[..], |kind, count| {
             *acc.counts.entry(kind).or_insert(0) += count;
         })?;
         acc.cells += cells;
@@ -263,13 +276,23 @@ impl Codec {
         Some(cells)
     }
 
-    /// The one response-body decoder; returns `(request_id, cells, version)`.
+    /// Splits the response body at the front of `bytes` off it: the
+    /// request id it answers and the whole body, for
+    /// [`Codec::fold_response`]. `None` on malformed input, with `bytes`
+    /// left anywhere.
+    pub fn next_response<'a>(&self, bytes: &mut &'a [u8]) -> Option<(u64, &'a [u8])> {
+        let body = *bytes;
+        let (request_id, _, _) = self.walk_response(bytes, |_, _| {})?;
+        Some((request_id, &body[..body.len() - bytes.len()]))
+    }
+
+    /// The one response-body decoder: reads one body off the front of
+    /// `bytes` and returns `(request_id, cells, version)`.
     fn walk_response(
         &self,
-        mut bytes: &[u8],
+        bytes: &mut &[u8],
         mut visit: impl FnMut(u8, u64),
     ) -> Option<(u64, u64, u64)> {
-        let bytes = &mut bytes;
         match self.kind {
             CodecKind::Verbose => {
                 expect_str(bytes, "org.kvscale.proto.QueryResponse")?;
@@ -351,28 +374,29 @@ impl Codec {
     }
 
     /// Decodes a write request; `None` on malformed input.
-    pub fn decode_write(&self, mut bytes: Bytes) -> Option<WriteRequest> {
+    pub fn decode_write(&self, bytes: Bytes) -> Option<WriteRequest> {
+        let rest = &mut &bytes[..];
         match self.kind {
             CodecKind::Verbose => {
                 verbose_stack_overhead(&bytes, "rx-write");
-                expect_str(&mut bytes, "org.kvscale.proto.WriteRequest")?;
-                expect_str(&mut bytes, "serialVersionUID")?;
-                get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "requestId")?;
-                let request_id = get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "partition")?;
-                let pk = get_bytes_field(&mut bytes)?;
-                expect_str(&mut bytes, "timestamp")?;
-                let timestamp = get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "cells")?;
-                expect_str(&mut bytes, "java.util.ArrayList")?;
-                let n = get_u32(&mut bytes)? as usize;
+                expect_str(rest, "org.kvscale.proto.WriteRequest")?;
+                expect_str(rest, "serialVersionUID")?;
+                get_u64(rest)?;
+                expect_str(rest, "requestId")?;
+                let request_id = get_u64(rest)?;
+                expect_str(rest, "partition")?;
+                let pk = get_bytes_field(rest)?;
+                expect_str(rest, "timestamp")?;
+                let timestamp = get_u64(rest)?;
+                expect_str(rest, "cells")?;
+                expect_str(rest, "java.util.ArrayList")?;
+                let n = get_u32(rest)? as usize;
                 let mut cells = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    expect_str(&mut bytes, "org.kvscale.proto.Cell")?;
-                    let clustering = get_u64(&mut bytes)?;
-                    let kind = get_u8(&mut bytes)?;
-                    let payload = get_bytes_field(&mut bytes)?;
+                    expect_str(rest, "org.kvscale.proto.Cell")?;
+                    let clustering = get_u64(rest)?;
+                    let kind = get_u8(rest)?;
+                    let payload = get_bytes_field(rest)?;
                     cells.push(Cell::new(clustering, kind, payload));
                 }
                 Some(WriteRequest {
@@ -383,23 +407,20 @@ impl Codec {
                 })
             }
             CodecKind::Compact => {
-                if get_u8(&mut bytes)? != CLASS_WRITE {
+                if get_u8(rest)? != CLASS_WRITE {
                     return None;
                 }
-                let request_id = get_varint(&mut bytes)?;
-                let len = get_varint(&mut bytes)? as usize;
-                let pk = get_vec(&mut bytes, len)?;
-                let timestamp = get_varint(&mut bytes)?;
-                let n = get_varint(&mut bytes)? as usize;
+                let request_id = get_varint(rest)?;
+                let len = get_varint(rest)? as usize;
+                let pk = take(rest, len)?;
+                let timestamp = get_varint(rest)?;
+                let n = get_varint(rest)? as usize;
                 let mut cells = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    let clustering = get_varint(&mut bytes)?;
-                    let kind = get_u8(&mut bytes)?;
-                    let plen = get_varint(&mut bytes)? as usize;
-                    if bytes.remaining() < plen {
-                        return None;
-                    }
-                    let payload = bytes.split_to(plen);
+                    let clustering = get_varint(rest)?;
+                    let kind = get_u8(rest)?;
+                    let plen = get_varint(rest)? as usize;
+                    let payload = bytes.slice_ref(take(rest, plen)?);
                     cells.push(Cell::new(clustering, kind, payload));
                 }
                 Some(WriteRequest {
@@ -439,19 +460,20 @@ impl Codec {
     }
 
     /// Decodes a write acknowledgement; `None` on malformed input.
-    pub fn decode_write_ack(&self, mut bytes: Bytes) -> Option<WriteAck> {
+    pub fn decode_write_ack(&self, bytes: Bytes) -> Option<WriteAck> {
+        let rest = &mut &bytes[..];
         match self.kind {
             CodecKind::Verbose => {
                 verbose_stack_overhead(&bytes, "rx-ack");
-                expect_str(&mut bytes, "org.kvscale.proto.WriteAck")?;
-                expect_str(&mut bytes, "serialVersionUID")?;
-                get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "requestId")?;
-                let request_id = get_u64(&mut bytes)?;
-                expect_str(&mut bytes, "applied")?;
-                let applied = get_u8(&mut bytes)? != 0;
-                expect_str(&mut bytes, "version")?;
-                let version = get_u64(&mut bytes)?;
+                expect_str(rest, "org.kvscale.proto.WriteAck")?;
+                expect_str(rest, "serialVersionUID")?;
+                get_u64(rest)?;
+                expect_str(rest, "requestId")?;
+                let request_id = get_u64(rest)?;
+                expect_str(rest, "applied")?;
+                let applied = get_u8(rest)? != 0;
+                expect_str(rest, "version")?;
+                let version = get_u64(rest)?;
                 Some(WriteAck {
                     request_id,
                     applied,
@@ -459,12 +481,12 @@ impl Codec {
                 })
             }
             CodecKind::Compact => {
-                if get_u8(&mut bytes)? != CLASS_WRITE_ACK {
+                if get_u8(rest)? != CLASS_WRITE_ACK {
                     return None;
                 }
-                let request_id = get_varint(&mut bytes)?;
-                let applied = get_u8(&mut bytes)? != 0;
-                let version = get_varint(&mut bytes)?;
+                let request_id = get_varint(rest)?;
+                let applied = get_u8(rest)? != 0;
+                let version = get_varint(rest)?;
                 Some(WriteAck {
                     request_id,
                     applied,
@@ -518,31 +540,41 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn expect_str(bytes: &mut impl Buf, expected: &str) -> Option<()> {
-    if bytes.remaining() < 2 {
+// The readers below take the bytes where they lie and move the slice
+// past what they read; each answers `None` when too few bytes remain.
+
+fn expect_str(bytes: &mut &[u8], expected: &str) -> Option<()> {
+    let len = u16::from_be_bytes(*take_array(bytes)?) as usize;
+    (take(bytes, len)? == expected.as_bytes()).then_some(())
+}
+
+fn get_u8(bytes: &mut &[u8]) -> Option<u8> {
+    let (&byte, rest) = bytes.split_first()?;
+    *bytes = rest;
+    Some(byte)
+}
+
+fn get_u32(bytes: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_be_bytes(*take_array(bytes)?))
+}
+
+fn get_u64(bytes: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_be_bytes(*take_array(bytes)?))
+}
+
+fn take_array<'a, const N: usize>(bytes: &mut &'a [u8]) -> Option<&'a [u8; N]> {
+    let (field, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(field)
+}
+
+/// The next `len` bytes of `bytes`, borrowed.
+fn take<'a>(bytes: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    if bytes.len() < len {
         return None;
     }
-    let len = bytes.get_u16() as usize;
-    let matches = bytes.chunk().get(..len)? == expected.as_bytes();
-    bytes.advance(len);
-    matches.then_some(())
-}
-
-fn get_u8(bytes: &mut impl Buf) -> Option<u8> {
-    (bytes.remaining() >= 1).then(|| bytes.get_u8())
-}
-
-fn get_u32(bytes: &mut impl Buf) -> Option<u32> {
-    (bytes.remaining() >= 4).then(|| bytes.get_u32())
-}
-
-fn get_u64(bytes: &mut impl Buf) -> Option<u64> {
-    (bytes.remaining() >= 8).then(|| bytes.get_u64())
-}
-
-fn get_vec(bytes: &mut impl Buf, len: usize) -> Option<Vec<u8>> {
-    let field = bytes.chunk().get(..len)?.to_vec();
-    bytes.advance(len);
+    let (field, rest) = bytes.split_at(len);
+    *bytes = rest;
     Some(field)
 }
 
@@ -551,9 +583,9 @@ fn put_bytes_field(buf: &mut Vec<u8>, b: &[u8]) {
     buf.put_slice(b);
 }
 
-fn get_bytes_field(bytes: &mut impl Buf) -> Option<Vec<u8>> {
+fn get_bytes_field(bytes: &mut &[u8]) -> Option<Vec<u8>> {
     let len = get_u32(bytes)? as usize;
-    get_vec(bytes, len)
+    take(bytes, len).map(<[u8]>::to_vec)
 }
 
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -568,12 +600,12 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn get_varint(bytes: &mut impl Buf) -> Option<u64> {
+fn get_varint(bytes: &mut &[u8]) -> Option<u64> {
     let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = get_u8(bytes)?;
-        v |= ((byte & 0x7f) as u64) << shift;
+    for (i, &byte) in bytes.iter().take(MAX_VARINT).enumerate() {
+        v |= ((byte & 0x7f) as u64) << (7 * i);
         if byte & 0x80 == 0 {
+            *bytes = &bytes[i + 1..];
             return Some(v);
         }
     }

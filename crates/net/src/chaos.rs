@@ -6,7 +6,10 @@
 //! [`Frame::decode`] so faults land *byte-accurately at frame
 //! boundaries* — a dropped frame is exactly one request or response,
 //! a corrupted frame is a real CRC failure, a truncation is a mid-frame
-//! connection cut.
+//! connection cut. A request or response frame that carries several
+//! partitions is relayed as one frame per partition (the layout of
+//! [`crate::frame`] allows either), so a fault still hits one partition's
+//! request or answer, and frame indexes count partitions.
 //!
 //! Faults are driven by a declarative [`ChaosSchedule`]: a seed, an
 //! optional blackhole instant, and a list of [`ChaosRule`]s matched in
@@ -19,7 +22,7 @@
 //! and any regression observed on a connection increments
 //! [`ChaosStats::seq_regressions`].
 
-use crate::frame::{Frame, FrameKind, HEADER_LEN};
+use crate::frame::{codec_of, Frame, FrameKind, HEADER_LEN};
 use crate::ioutil::{best_effort, join_logged};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -549,23 +552,28 @@ fn pump(src: TcpStream, mut dst: TcpStream, to_slave: bool, conn_id: u64, shared
                 buf.extend_from_slice(&chunk[..n]);
                 loop {
                     match Frame::decode(&buf) {
-                        Ok(Some((frame, used))) => {
+                        Ok(Some((whole, used))) => {
                             let raw: Vec<u8> = buf.drain(..used).collect();
-                            shared.stats.frames_seen.fetch_add(1, Ordering::Relaxed);
-                            if to_slave
-                                && (frame.kind == FrameKind::Request
-                                    || frame.kind == FrameKind::Write
-                                    || frame.kind == FrameKind::Rmw)
-                            {
-                                let seq = frame.stamps[2];
-                                if last_seq.is_some_and(|prev| seq < prev) {
-                                    shared.stats.seq_regressions.fetch_add(1, Ordering::Relaxed);
+                            for (frame, raw) in one_per_partition(whole, raw) {
+                                shared.stats.frames_seen.fetch_add(1, Ordering::Relaxed);
+                                if to_slave
+                                    && (frame.kind == FrameKind::Request
+                                        || frame.kind == FrameKind::Write
+                                        || frame.kind == FrameKind::Rmw)
+                                {
+                                    let seq = frame.stamps[2];
+                                    if last_seq.is_some_and(|prev| seq < prev) {
+                                        shared
+                                            .stats
+                                            .seq_regressions
+                                            .fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    last_seq = Some(last_seq.map_or(seq, |p| p.max(seq)));
                                 }
-                                last_seq = Some(last_seq.map_or(seq, |p| p.max(seq)));
-                            }
-                            if !relay_frame(&raw, to_slave, shared, &mut rng, &mut dst) {
-                                cut(&src, &dst);
-                                return;
+                                if !relay_frame(&raw, to_slave, shared, &mut rng, &mut dst) {
+                                    cut(&src, &dst);
+                                    return;
+                                }
                             }
                         }
                         Ok(None) => break, // need more bytes
@@ -600,6 +608,59 @@ fn pump(src: TcpStream, mut dst: TcpStream, to_slave: bool, conn_id: u64, shared
             }
         }
     }
+}
+
+/// A decoded frame and its wire bytes as one frame per partition: a
+/// request or response frame of several entries becomes one frame for
+/// each, every other frame (and one whose payload does not parse to its
+/// end) stays as it came.
+fn one_per_partition(frame: Frame, raw: Vec<u8>) -> Vec<(Frame, Vec<u8>)> {
+    let codec = codec_of(frame.flags);
+    let mut parts = Vec::new();
+    let whole = match frame.kind {
+        FrameKind::Request => {
+            let mut rest = &frame.payload[..];
+            while !rest.is_empty() {
+                let entry = rest;
+                let Some((id, _)) = codec.next_request(&mut rest) else {
+                    break;
+                };
+                let body = &entry[..entry.len() - rest.len()];
+                parts.push(Frame {
+                    id,
+                    payload: frame.payload.slice_ref(body),
+                    ..frame.clone()
+                });
+            }
+            rest.is_empty()
+        }
+        FrameKind::Response => frame
+            .answers(&codec, |answer| {
+                let [echo, dequeued, db_end] = answer.stamps;
+                parts.push(Frame {
+                    id: answer.id,
+                    stamps: [echo, dequeued, db_end, frame.stamps[3]],
+                    payload: frame.payload.slice_ref(answer.body),
+                    ..frame.clone()
+                });
+            })
+            .is_some(),
+        FrameKind::Busy
+        | FrameKind::Expired
+        | FrameKind::Write
+        | FrameKind::WriteAck
+        | FrameKind::Rmw => false,
+    };
+    if !whole || parts.len() < 2 {
+        return vec![(frame, raw)];
+    }
+    parts
+        .into_iter()
+        .map(|part| {
+            let raw = part.encode();
+            (part, raw)
+        })
+        .collect()
 }
 
 /// Applies the schedule to one complete frame. Returns false when the

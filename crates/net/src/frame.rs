@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic        0x4B56 ("KV")
-//!      2     1  version      2 (any other value is refused)
+//!      2     1  version      3 (any other value is refused)
 //!      3     1  kind         1 = request, 2 = response, 3 = busy,
 //!                            4 = expired, 5 = write, 6 = write-ack,
 //!                            7 = rmw
@@ -25,6 +25,27 @@
 //! Integers are big-endian. The CRC covers the header (minus the checksum
 //! field itself) and the payload, so any single-bit corruption anywhere
 //! in the frame is detected.
+//!
+//! A frame is a transport unit: request and response frames carry one or
+//! more *entries*, one per partition, and everything else about a
+//! sub-request — its queue slot, its refusal, its answer — stays per
+//! entry. The header's `id` and stamps are the first entry's:
+//! * request payload — request bodies back to back
+//!   ([`kvs_cluster::Codec::next_request`] takes one off the front); every
+//!   entry shares the header's stamps and deadline. One entry is exactly
+//!   `Codec::encode_request`'s bytes.
+//! * response payload — the first entry's response body, then for every
+//!   further entry its own `[sent echo, dequeued, in-db end]` (3 × u64,
+//!   [`ENTRY_STAMPS_LEN`] bytes) and its body. The header's first three
+//!   stamps are the first entry's, `stamps[3]` the frame's send time. One
+//!   entry is exactly `Codec::encode_response`'s bytes.
+//!
+//! Where frames are cut: the master puts every request its issue pass
+//! releases for one node into one frame (at most the pass's burst of 64)
+//! and starts a new one only where the deadline differs; a slave worker
+//! appends each answer to its connection's open response frame and seals
+//! it where it flushes (queue empty, or an answer held `REPLY_HOLD`).
+//! Refusals, writes and write-acks carry one entry each.
 //!
 //! Timestamp conventions:
 //! * request — `stamps[0]` query issue time, `stamps[1]` master send time,
@@ -53,13 +74,14 @@
 //! turns them into the four methodology stages.
 
 use bytes::Bytes;
+use kvs_cluster::Codec;
 use std::io::{self, Read, Write};
 
 /// Frame magic, "KV".
 pub const MAGIC: u16 = 0x4B56;
 /// The one wire protocol version: the encoder emits it and the decoder
 /// refuses anything else.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes, checksum included.
 pub const HEADER_LEN: usize = 61;
 /// Offset of the checksum field: the last four header bytes.
@@ -67,6 +89,9 @@ const CRC_OFFSET: usize = HEADER_LEN - 4;
 /// Header bytes through the `len` field: enough to refuse an oversized
 /// declared length before the rest of the header has arrived.
 const LEN_FIELD_END: usize = 17;
+/// Bytes of the stamps every response entry after the first carries
+/// ahead of its body: `[sent echo, dequeued, in-db end]`, big-endian.
+pub const ENTRY_STAMPS_LEN: usize = 24;
 /// Upper bound on payload size — malformed length prefixes fail fast
 /// instead of provoking giant allocations.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
@@ -194,6 +219,16 @@ impl Frame {
     /// checksum that payload calls for. The frame's own `payload` is not
     /// read: in-place senders leave it empty. Returns the payload length.
     pub fn encode_with(&self, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let at = self.begin(out);
+        body(out);
+        Frame::seal(out, at)
+    }
+
+    /// Appends this frame's header to `out` with its length and checksum
+    /// left open, and returns where it starts: whatever is appended to
+    /// `out` from here on is its payload, until [`Frame::seal`]. This is
+    /// how a sender adds entries to a frame as it releases them.
+    pub fn begin(&self, out: &mut Vec<u8>) -> usize {
         let start = out.len();
         out.extend_from_slice(&MAGIC.to_be_bytes());
         out.push(VERSION);
@@ -206,15 +241,55 @@ impl Frame {
         }
         out.extend_from_slice(&self.deadline.to_be_bytes());
         out.extend_from_slice(&[0; 4]); // checksum, likewise
-        let payload_at = start + HEADER_LEN;
-        body(out);
+        start
+    }
+
+    /// Closes the frame [`Frame::begin`] started at `at`: everything after
+    /// its header is its payload. Fills in the length and the checksum and
+    /// returns the payload length.
+    pub fn seal(out: &mut [u8], at: usize) -> usize {
+        let payload_at = at + HEADER_LEN;
         let len = out.len() - payload_at;
-        out[start + 13..start + LEN_FIELD_END].copy_from_slice(&(len as u32).to_be_bytes());
+        out[at + 13..at + LEN_FIELD_END].copy_from_slice(&(len as u32).to_be_bytes());
         let mut crc = Crc32::new();
-        crc.update(&out[start..start + CRC_OFFSET]);
+        crc.update(&out[at..at + CRC_OFFSET]);
         crc.update(&out[payload_at..]);
-        out[start + CRC_OFFSET..payload_at].copy_from_slice(&crc.finish().to_be_bytes());
+        out[at + CRC_OFFSET..payload_at].copy_from_slice(&crc.finish().to_be_bytes());
         len
+    }
+
+    /// Walks the entries of a response frame (see the module docs), each
+    /// with its request id, its `[sent echo, dequeued, in-db end]` stamps
+    /// and its body, and returns how many there are. A frame is taken
+    /// whole or not at all: every entry is checked before `each` sees the
+    /// first, and `None` — with `each` never called — answers a payload
+    /// that is cut short or does not parse anywhere.
+    pub fn answers<'a>(&'a self, codec: &Codec, mut each: impl FnMut(Answer<'a>)) -> Option<usize> {
+        self.walk_answers(codec, &mut |_| {})?;
+        self.walk_answers(codec, &mut each)
+    }
+
+    fn walk_answers<'a>(
+        &'a self,
+        codec: &Codec,
+        each: &mut dyn FnMut(Answer<'a>),
+    ) -> Option<usize> {
+        let mut rest: &'a [u8] = &self.payload;
+        let mut stamps = [self.stamps[0], self.stamps[1], self.stamps[2]];
+        let mut entries = 0;
+        loop {
+            let (id, body) = codec.next_response(&mut rest)?;
+            each(Answer { id, stamps, body });
+            entries += 1;
+            if rest.is_empty() {
+                return Some(entries);
+            }
+            let (head, tail) = rest.split_first_chunk::<ENTRY_STAMPS_LEN>()?;
+            for (stamp, bytes) in stamps.iter_mut().zip(head.as_chunks::<8>().0) {
+                *stamp = u64::from_be_bytes(*bytes);
+            }
+            rest = tail;
+        }
     }
 
     /// Tries to decode one frame from the front of `buf`.
@@ -314,6 +389,35 @@ impl Frame {
             )),
             Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
         }
+    }
+}
+
+/// One partition's answer in a response frame ([`Frame::answers`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer<'a> {
+    /// The request id its body answers.
+    pub id: u64,
+    /// `[sent echo, dequeued, in-db end]`: the header's first three stamps
+    /// for the first entry, its own for every later one.
+    pub stamps: [u64; 3],
+    /// Its codec-encoded response body.
+    pub body: &'a [u8],
+}
+
+/// The codec a frame's flags declare: peers answer in kind.
+pub fn codec_of(flags: u8) -> Codec {
+    if flags & FLAG_COMPACT != 0 {
+        Codec::compact()
+    } else {
+        Codec::verbose()
+    }
+}
+
+/// Appends the stamps of a response entry after the first, ahead of its
+/// body (see the module docs).
+pub fn put_entry_stamps(out: &mut Vec<u8>, stamps: [u64; 3]) {
+    for s in stamps {
+        out.extend_from_slice(&s.to_be_bytes());
     }
 }
 
@@ -586,9 +690,14 @@ mod tests {
     #[test]
     fn unknown_version_rejected() {
         let mut bytes = sample().encode();
-        bytes[2] = 3;
-        assert_eq!(Frame::decode(&bytes), Err(FrameError::BadVersion(3)));
-        assert_eq!(Frame::decode(&bytes[..3]), Err(FrameError::BadVersion(3)));
+        for version in [2, 4] {
+            bytes[2] = version;
+            assert_eq!(Frame::decode(&bytes), Err(FrameError::BadVersion(version)));
+            assert_eq!(
+                Frame::decode(&bytes[..3]),
+                Err(FrameError::BadVersion(version))
+            );
+        }
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!
 //! I/O is batched per wake-up: the master takes every frame that is ready,
 //! issues the credit they freed into one buffer per node, and writes each
-//! buffer once before it blocks again. A request is encoded straight into
-//! its node's buffer from the route's key (a retry or a hedge encodes
-//! again), and a response's counts are folded into the query's totals
-//! where they lie. The clock is read per sub-request only for the stage
-//! stamps (`sent`, `received`); `tx`, `rx`, heartbeats and the machine's
-//! time are read per batch.
+//! buffer once before it blocks again. Frames carry many partitions: every
+//! request an issue pass releases for one node goes into one frame (a new
+//! one only where the deadline differs), each encoded straight into its
+//! node's buffer from the route's key (a retry or a hedge encodes again),
+//! and a response frame's answers are folded into the query's totals where
+//! they lie, the frame whole or not at all. The clock is read per frame for
+//! the stage stamps (`sent`, `received`); `tx`, `rx`, heartbeats and the
+//! machine's time are read per batch.
 //!
 //! In the default strict mode a request the dispatcher gives up on (no
 //! live replica, deadline passed, shed by its slave) fails the whole query;
@@ -211,6 +213,12 @@ pub struct NetRunReport {
     /// master-to-slave stage attributable to busy back-off, timeouts and
     /// failover detection.
     pub retry_wait_ms: f64,
+    /// Request frames written: each carries the requests one issue pass
+    /// released for one node with one deadline.
+    pub request_frames: u64,
+    /// Response frames received: each carries the answers one slave worker
+    /// served between two flushes.
+    pub response_frames: u64,
     /// Hedged (duplicate) requests issued to a second replica.
     pub hedges_sent: u64,
     /// Hedges whose duplicate answered before the original.
@@ -383,11 +391,23 @@ fn spawn_reader(node: u32, mut read_half: TcpStream, tx: Sender<Event>) -> JoinH
     })
 }
 
-/// How many frames the issue pass encodes for one node before it writes
-/// them and looks at the event channel again. A node whose window is not
-/// known yet has unlimited credit, and this is what lets its first `Busy`
-/// be heard before every route has been sent to it.
+/// How many requests the issue pass encodes for one node before it writes
+/// them and looks at the event channel again — so also the most one
+/// request frame carries. A node whose window is not known yet has
+/// unlimited credit, and this is what lets its first `Busy` be heard
+/// before every route has been sent to it.
 const ISSUE_BURST: usize = 64;
+
+/// A request frame the issue pass is still adding requests to.
+#[derive(Clone, Copy)]
+struct OpenRequest {
+    /// Where its header starts in its node's buffer.
+    at: usize,
+    /// The deadline every request in it carries.
+    deadline: u64,
+    /// Its send stamp, every request's `sent`.
+    sent: u64,
+}
 
 /// The driver's side of one running query.
 struct Query<'r> {
@@ -399,10 +419,12 @@ struct Query<'r> {
     /// hedge: the answer is traced from the frame it answers.
     walls: Vec<[u64; 2]>,
     misses: Vec<u64>,
-    /// Per node, whether the batch being drained has marked it alive, and
-    /// the frames the issue pass has encoded for it.
+    /// Per node, whether the batch being drained has marked it alive, the
+    /// requests the issue pass has encoded for it and the frame it is
+    /// encoding them into.
     heard: Vec<bool>,
     burst: Vec<usize>,
+    open: Vec<Option<OpenRequest>>,
     ctr: Counters,
     send_last: Instant,
 }
@@ -573,6 +595,7 @@ impl NetMaster {
             misses: Vec::new(),
             heard: vec![false; nodes],
             burst: vec![0; nodes],
+            open: vec![None; nodes],
             ctr: Counters::default(),
             send_last: origin,
         };
@@ -761,6 +784,8 @@ impl NetMaster {
             suspected_dead: self.suspected_dead(),
             crc_disconnects: ctr.crc_disconnects,
             retry_wait_ms: reads.retry_wait_ns as f64 / 1e6,
+            request_frames: ctr.request_frames,
+            response_frames: ctr.response_frames,
             hedges_sent: reads.hedges_sent,
             hedges_won: reads.hedges_won,
             missed,
@@ -789,12 +814,12 @@ impl NetMaster {
         Ok(())
     }
 
-    /// The one place requests are sent from: encodes every frame the
-    /// dispatcher releases into its node's buffer, then writes each buffer
-    /// once. A failed write takes the node down, and its requests fail
-    /// over through another pass. Returns whether the pass stopped at
-    /// [`ISSUE_BURST`] frames to one node, so the caller can look at the
-    /// event channel in between.
+    /// The one place requests are sent from: encodes every request the
+    /// dispatcher releases into its node's open frame, then seals the
+    /// frames and writes each buffer once. A failed write takes the node
+    /// down, and its requests fail over through another pass. Returns
+    /// whether the pass stopped at [`ISSUE_BURST`] requests to one node, so
+    /// the caller can look at the event channel in between.
     fn issue_ready(&mut self, q: &mut Query, flags: u8) -> io::Result<bool> {
         loop {
             let started = Instant::now();
@@ -818,6 +843,9 @@ impl NetMaster {
                     break;
                 }
             }
+            for node in 0..self.out.len() {
+                self.seal(q, node);
+            }
             if sent {
                 q.send_last = Instant::now();
                 q.ctr.tx_ns += nanos(q.send_last.duration_since(started));
@@ -837,31 +865,54 @@ impl NetMaster {
         }
     }
 
-    /// Encodes `send`'s request, header and body, into its node's buffer
-    /// for the next [`NetMaster::flush`], stamping when it was sent;
-    /// returns its length.
+    /// Encodes `send`'s request into its node's open frame for the next
+    /// [`NetMaster::flush`] — opening one, stamped with when it was sent,
+    /// if the node has none or the one it has carries another deadline —
+    /// and returns the request's length.
     fn frame_request(&mut self, q: &mut Query, send: Send, flags: u8) -> u64 {
-        let id = send.id as usize;
-        let sent_wall = wall_ns();
-        q.walls[id][send.hedge as usize] = sent_wall;
+        let (id, node) = (send.id as usize, send.node as usize);
         let issued_wall = q.origin_wall + q.arrival(id);
         let budget = self.cfg.query_deadline.map(nanos);
         let deadline_wall = budget.map_or(0, |b| issued_wall + b);
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        let codec = self.cfg.codec;
-        let key = &q.routes[id].key;
-        Frame {
-            kind: FrameKind::Request,
-            flags,
-            id: send.id,
-            stamps: [issued_wall, sent_wall, seq, 0],
-            deadline: deadline_wall,
-            payload: Bytes::new(),
+        let sent_wall = match q.open[node] {
+            Some(open) if open.deadline == deadline_wall => open.sent,
+            _ => {
+                self.seal(q, node);
+                let sent_wall = wall_ns();
+                let seq = self.send_seq;
+                self.send_seq += 1;
+                let at = Frame {
+                    kind: FrameKind::Request,
+                    flags,
+                    id: send.id,
+                    stamps: [issued_wall, sent_wall, seq, 0],
+                    deadline: deadline_wall,
+                    payload: Bytes::new(),
+                }
+                .begin(&mut self.out[node]);
+                q.open[node] = Some(OpenRequest {
+                    at,
+                    deadline: deadline_wall,
+                    sent: sent_wall,
+                });
+                sent_wall
+            }
+        };
+        q.walls[id][send.hedge as usize] = sent_wall;
+        let out = &mut self.out[node];
+        let before = out.len();
+        self.cfg
+            .codec
+            .append_request(out, send.id, &q.routes[id].key);
+        (out.len() - before) as u64
+    }
+
+    /// Closes `node`'s open request frame, if it has one.
+    fn seal(&mut self, q: &mut Query, node: usize) {
+        if let Some(open) = q.open[node].take() {
+            Frame::seal(&mut self.out[node], open.at);
+            q.ctr.request_frames += 1;
         }
-        .encode_with(&mut self.out[send.node as usize], |out| {
-            codec.append_request(out, send.id, key)
-        }) as u64
     }
 
     /// Writes what `node`'s buffer holds, if anything, in one call; the
@@ -892,42 +943,47 @@ impl NetMaster {
     ) {
         match frame.kind {
             FrameKind::Response => {
-                // A duplicate (a retry or a lost hedge raced the winner)
-                // or a stray is dropped; so is a checksummed but
-                // undecodable body, which the retry path covers.
-                if !self.dispatch.accepts(frame.id, node) {
-                    return;
-                }
+                q.ctr.response_frames += 1;
                 let codec = self.cfg.codec;
-                let Some(cells) = codec.fold_response(&frame.payload, &mut answers.total) else {
-                    return;
-                };
-                let Some(done) = self.dispatch.answer(frame.id, node) else {
-                    return;
-                };
-                q.ctr.bytes_to_master += frame.payload.len() as u64;
-                let id = frame.id as usize;
                 let done_wall = wall_ns();
-                let sent = q.walls[id][done.hedge as usize];
-                if let Some(h) = self.health.get_mut(node as usize) {
-                    h.latency
-                        .record(Duration::from_nanos(done_wall.saturating_sub(sent)));
-                }
-                let mut spans = [None; 4];
-                for (stage, from, to) in [
-                    (Stage::MasterToSlave, q.origin_wall + q.arrival(id), sent),
-                    (Stage::InQueue, frame.stamps[0], frame.stamps[1]),
-                    (Stage::InDb, frame.stamps[1], frame.stamps[2]),
-                    (Stage::SlaveToMaster, frame.stamps[2], done_wall),
-                ] {
-                    let (start, end) = (q.to_sim(from), q.to_sim(to));
-                    spans[stage.index()] = Some(Span { start, end });
-                }
-                answers.recorder.insert(RequestTrace {
-                    request_id: frame.id,
-                    node,
-                    cells,
-                    spans,
+                // A frame that does not parse to its end answers nothing
+                // (the retry path covers its requests); in one that does,
+                // a duplicate (a retry or a lost hedge raced the winner)
+                // or a stray answer is dropped alone.
+                frame.answers(&codec, |answer| {
+                    if !self.dispatch.accepts(answer.id, node) {
+                        return;
+                    }
+                    let Some(cells) = codec.fold_response(answer.body, &mut answers.total) else {
+                        return;
+                    };
+                    let Some(done) = self.dispatch.answer(answer.id, node) else {
+                        return;
+                    };
+                    q.ctr.bytes_to_master += answer.body.len() as u64;
+                    let id = answer.id as usize;
+                    let sent = q.walls[id][done.hedge as usize];
+                    if let Some(h) = self.health.get_mut(node as usize) {
+                        h.latency
+                            .record(Duration::from_nanos(done_wall.saturating_sub(sent)));
+                    }
+                    let [echo, dequeued, db_end] = answer.stamps;
+                    let mut spans = [None; 4];
+                    for (stage, from, to) in [
+                        (Stage::MasterToSlave, q.origin_wall + q.arrival(id), sent),
+                        (Stage::InQueue, echo, dequeued),
+                        (Stage::InDb, dequeued, db_end),
+                        (Stage::SlaveToMaster, db_end, done_wall),
+                    ] {
+                        let (start, end) = (q.to_sim(from), q.to_sim(to));
+                        spans[stage.index()] = Some(Span { start, end });
+                    }
+                    answers.recorder.insert(RequestTrace {
+                        request_id: answer.id,
+                        node,
+                        cells,
+                        spans,
+                    });
                 });
             }
             // The refusal names the capacity of the queue that made it
@@ -1021,4 +1077,6 @@ struct Counters {
     crc_disconnects: u64,
     bytes_to_slaves: u64,
     bytes_to_master: u64,
+    request_frames: u64,
+    response_frames: u64,
 }

@@ -5,24 +5,28 @@
 //! Layout per server:
 //!
 //! * one **accept loop** on an ephemeral loopback port;
-//! * one **reader thread per connection**, deframing requests and offering
-//!   them to the bounded work queue — a full queue answers with a `Busy`
-//!   frame instead of absorbing load silently, and that frame advertises
-//!   the queue's capacity so the master can keep within it from then on;
+//! * one **reader thread per connection**, deframing requests, unpacking
+//!   each request frame into one job per partition (a refcounted slice of
+//!   the frame's payload each) and offering them to the bounded work
+//!   queue — a full queue answers the keys it refuses with one `Busy`
+//!   frame each instead of absorbing load silently, and that frame
+//!   advertises the queue's capacity so the master can keep within it from
+//!   then on;
 //! * a fixed pool of **worker threads** (`workers_per_node`, the paper's
-//!   per-node database parallelism) draining the queue: decode the
-//!   request, read the store, encode the response with the stage
-//!   timestamps (`in-queue` start/end, `in-db` start/end) stamped into the
-//!   frame header. A busy worker is not woken for the next request (see
-//!   [`kvs_cluster::queue`]): it polls the queue when it is done, and
-//!   parks only once the queue is empty and its replies are out.
+//!   per-node database parallelism) draining the queue: read the store
+//!   for the job's key, encode the answer with its stage timestamps
+//!   (`in-queue` start/end, `in-db` start/end). A busy worker is not woken
+//!   for the next request (see [`kvs_cluster::queue`]): it polls the queue
+//!   when it is done, and parks only once the queue is empty and its
+//!   replies are out.
 //!
-//! Replies collect in a per-connection buffer: a reader writes the
-//! refusals of the chunk it just read in one call, a worker writes when it
+//! Replies collect per connection: a reader writes the refusals of the
+//! chunk it just read in one call; a worker appends each answer to the
+//! connection's one open response frame and seals and writes it when it
 //! finds the queue empty or has held an answer for [`REPLY_HOLD`] — so a
-//! burst of cheap requests shares a `write`, and a lone request or one
-//! that took the store milliseconds is answered at once. A read's answer
-//! is encoded into that buffer directly from the worker's [`Tally`], which
+//! burst of cheap requests shares a frame and a `write`, and a lone
+//! request or one that took the store milliseconds is answered at once. A
+//! read's answer is encoded directly from the worker's [`Tally`], which
 //! the store's aggregation read filled ([`ServedTable`]); the hold is
 //! measured on the stage stamps a request takes anyway.
 //!
@@ -32,10 +36,11 @@
 //! pool. No thread or socket outlives the call.
 
 use crate::clock::wall_ns;
-use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
+use crate::frame::{codec_of, put_entry_stamps, Deframer, Frame, FrameKind};
 use crate::ioutil::{best_effort, join_logged};
+use bytes::Bytes;
 use kvs_cluster::queue::{work_queue, QueueStats, TimedPush, WorkQueue, NO_DEADLINE};
-use kvs_cluster::{Codec, WriteAck, WriteRequest};
+use kvs_cluster::{WriteAck, WriteRequest};
 use kvs_store::{Cell, Medium, PartitionKey, Table, Tally};
 use parking_lot::Mutex;
 use std::io::{self, Write};
@@ -100,10 +105,56 @@ struct Conn {
     stream: TcpStream,
     /// Encoded frames not yet written.
     out: Vec<u8>,
+    /// The open response frame: the header its first answer gives it, and
+    /// the payload appended since (see [`crate::frame`]'s entry layout).
+    head: Option<Head>,
+    open: Vec<u8>,
 }
 
+/// What the first answer of an open response frame puts in its header.
+#[derive(Clone, Copy)]
+struct Head {
+    flags: u8,
+    id: u64,
+    deadline: u64,
+    /// `[sent echo, dequeued, in-db end]`.
+    stamps: [u64; 3],
+}
+
+impl Conn {
+    /// Seals the open response frame, if any, into the reply buffer.
+    fn seal(&mut self) {
+        let Some(head) = self.head.take() else {
+            return;
+        };
+        let [sent, dequeued, db_end] = head.stamps;
+        let Conn { out, open, .. } = self;
+        Frame {
+            kind: FrameKind::Response,
+            flags: head.flags,
+            id: head.id,
+            stamps: [sent, dequeued, db_end, wall_ns()],
+            deadline: head.deadline,
+            payload: Bytes::new(),
+        }
+        .encode_with(out, |out| out.extend_from_slice(open));
+        open.clear();
+    }
+}
+
+/// One partition's worth of work, as the reader unpacked it from a frame.
 struct Job {
-    frame: Frame,
+    kind: FrameKind,
+    flags: u8,
+    /// The request id: a read entry's, or the write frame's.
+    id: u64,
+    /// The send stamp of the frame it came in, which its answer echoes.
+    sent: u64,
+    /// Absolute wall-clock deadline; 0 = none.
+    deadline: u64,
+    /// A read's partition key, or a write's whole body: a slice of the
+    /// frame's payload.
+    body: Bytes,
     conn: Arc<Mutex<Conn>>,
 }
 
@@ -113,13 +164,40 @@ fn queue_reply(conn: &Mutex<Conn>, frame: &Frame) {
     frame.encode_into(&mut conn.lock().out);
 }
 
-/// Writes the connection's buffered replies, if any, in one call.
-fn flush(conn: &Mutex<Conn>) {
+/// Appends a read's answer — its stamps `[sent echo, dequeued, in-db
+/// end]` and the body `encode` writes — to the connection's open response
+/// frame, opening one if none is; whoever appended it owes the connection
+/// a [`flush`] with `seal` before blocking.
+fn queue_answer(job: &Job, stamps: [u64; 3], encode: impl FnOnce(&mut Vec<u8>)) {
+    let mut c = job.conn.lock();
+    // One frame's entries share a codec.
+    if c.head.is_some_and(|head| head.flags != job.flags) {
+        c.seal();
+    }
+    if c.head.is_none() {
+        c.head = Some(Head {
+            flags: job.flags,
+            id: job.id,
+            deadline: job.deadline,
+            stamps,
+        });
+    } else {
+        put_entry_stamps(&mut c.open, stamps);
+    }
+    encode(&mut c.open);
+}
+
+/// Writes the connection's buffered replies, if any, in one call; with
+/// `seal`, the open response frame goes with them.
+fn flush(conn: &Mutex<Conn>, seal: bool) {
     let mut c = conn.lock();
+    if seal {
+        c.seal();
+    }
     if c.out.is_empty() {
         return;
     }
-    let Conn { stream, out } = &mut *c;
+    let Conn { stream, out, .. } = &mut *c;
     // The connection mutex *is* the per-connection write serializer:
     // refusals from readers and responses from workers must not interleave
     // mid-frame, so holding it across the write is the point (waived
@@ -128,10 +206,11 @@ fn flush(conn: &Mutex<Conn>) {
     out.clear();
 }
 
-/// Flushes every connection a worker owes one, emptying the list.
+/// Seals and flushes every connection a worker owes one, emptying the
+/// list.
 fn flush_all(owed: &mut Vec<Arc<Mutex<Conn>>>) {
     for conn in owed.drain(..) {
-        flush(&conn);
+        flush(&conn, true);
     }
 }
 
@@ -271,8 +350,10 @@ impl SlaveServer {
                 // and the dequeue stamp of the first request behind them.
                 let mut unflushed: Vec<Arc<Mutex<Conn>>> = Vec::new();
                 let mut held_since = 0;
-                // What this worker's reads count into, reused.
+                // What this worker's reads count into, and the key they
+                // read, reused.
                 let mut tally = Tally::default();
+                let mut key = PartitionKey(Vec::new());
                 loop {
                     let job = match source.recv_timeout(Duration::ZERO) {
                         Some(job) => job,
@@ -291,7 +372,7 @@ impl SlaveServer {
                     if !unflushed.iter().any(|c| Arc::ptr_eq(c, &job.conn)) {
                         unflushed.push(job.conn.clone());
                     }
-                    let done = serve(&store, job, dequeued, &mut tally);
+                    let done = serve(&store, job, dequeued, &mut tally, &mut key);
                     if Duration::from_nanos(done.saturating_sub(held_since)) >= REPLY_HOLD {
                         flush_all(&mut unflushed);
                     }
@@ -350,6 +431,8 @@ fn read_connection(stream: TcpStream, queue: WorkQueue<Job>, stop: Arc<AtomicBoo
     let conn = Arc::new(Mutex::new(Conn {
         stream,
         out: Vec::new(),
+        head: None,
+        open: Vec::new(),
     }));
     let mut deframer = Deframer::new();
     loop {
@@ -364,7 +447,7 @@ fn read_connection(stream: TcpStream, queue: WorkQueue<Job>, stop: Arc<AtomicBoo
                     }
                 }
                 // The refusals of this chunk, in one write.
-                flush(&conn);
+                flush(&conn, false);
             }
             Err(e) if would_block(&e) => {
                 if stop.load(Ordering::Acquire) {
@@ -376,31 +459,52 @@ fn read_connection(stream: TcpStream, queue: WorkQueue<Job>, stop: Arc<AtomicBoo
     }
 }
 
-/// Routes one decoded frame: requests, writes and RMWs go to the
-/// deadline-aware queue. A request whose deadline already passed is
-/// answered `Expired` without ever occupying a queue slot, a full queue
-/// of live work gets a `Busy` reply advertising the queue's capacity, and
-/// expired entries evicted to make room are each answered `Expired`.
-/// Refusals to `conn` are left for the caller to flush. Anything else is a
-/// protocol violation, dropped.
+/// Routes one decoded frame: each partition of a request, and a write or
+/// RMW whole, goes to the deadline-aware queue as a job of its own. A job
+/// whose deadline already passed is answered `Expired` without ever
+/// occupying a queue slot, a full queue of live work gets a `Busy` reply
+/// per refused job advertising the queue's capacity, and expired entries
+/// evicted to make room are each answered `Expired`. Refusals to `conn`
+/// are left for the caller to flush. A request entry that does not decode
+/// drops it and the rest of its frame; any other kind is a protocol
+/// violation, dropped.
 fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<Conn>>) {
-    if frame.kind != FrameKind::Request
-        && frame.kind != FrameKind::Write
-        && frame.kind != FrameKind::Rmw
-    {
-        return;
-    }
     let now = wall_ns();
+    let job = |id, body| Job {
+        kind: frame.kind,
+        flags: frame.flags,
+        id,
+        sent: frame.stamps[1],
+        deadline: frame.deadline,
+        body,
+        conn: conn.clone(),
+    };
+    match frame.kind {
+        FrameKind::Request => {
+            let codec = codec_of(frame.flags);
+            let mut rest = &frame.payload[..];
+            while !rest.is_empty() {
+                let Some((id, key)) = codec.next_request(&mut rest) else {
+                    return;
+                };
+                offer(job(id, frame.payload.slice_ref(key)), queue, now);
+            }
+        }
+        FrameKind::Write | FrameKind::Rmw => {
+            offer(job(frame.id, frame.payload.clone()), queue, now)
+        }
+        FrameKind::Response | FrameKind::Busy | FrameKind::Expired | FrameKind::WriteAck => {}
+    }
+}
+
+/// Offers one job to the queue at `now`, answering whatever it refuses.
+fn offer(job: Job, queue: &WorkQueue<Job>, now: u64) {
     // Deadline 0 on the wire means "none"; the queue's never-expires
     // sentinel keeps such entries immortal.
-    let deadline = if frame.deadline == 0 {
+    let deadline = if job.deadline == 0 {
         NO_DEADLINE
     } else {
-        frame.deadline
-    };
-    let job = Job {
-        frame,
-        conn: conn.clone(),
+        job.deadline
     };
     match queue.try_push_timed(job, deadline, now) {
         TimedPush::Accepted { evicted } => {
@@ -408,7 +512,7 @@ fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<Conn>>) {
                 // Possibly another connection's request: nobody else owes
                 // that connection a flush.
                 reply_refusal(&dead, FrameKind::Expired, 0);
-                flush(&dead.conn);
+                flush(&dead.conn, false);
             }
         }
         TimedPush::AlreadyExpired(job) => reply_refusal(&job, FrameKind::Expired, 0),
@@ -424,11 +528,11 @@ fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<Conn>>) {
 fn reply_refusal(job: &Job, kind: FrameKind, window: u64) {
     let refusal = Frame {
         kind,
-        flags: job.frame.flags,
-        id: job.frame.id,
-        stamps: [job.frame.stamps[1], wall_ns(), window, 0],
-        deadline: job.frame.deadline,
-        payload: bytes::Bytes::new(),
+        flags: job.flags,
+        id: job.id,
+        stamps: [job.sent, wall_ns(), window, 0],
+        deadline: job.deadline,
+        payload: Bytes::new(),
     };
     queue_reply(&job.conn, &refusal);
 }
@@ -441,18 +545,24 @@ fn would_block(e: &io::Error) -> bool {
     )
 }
 
-/// Worker body: decode → store read/write → encode → queue the reply with
-/// its stage stamps. Work whose deadline has passed while queued is shed
+/// Worker body: store read/write → encode → queue the reply with its
+/// stage stamps. Work whose deadline has passed while queued is shed
 /// *before* the DB stage — the master gets an `Expired` answer instead of
-/// a result it can no longer use. Returns the job's last stage stamp:
-/// its in-db end, or `dequeued` if it never reached the store.
-fn serve(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, tally: &mut Tally) -> u64 {
-    if job.frame.deadline != 0 && dequeued >= job.frame.deadline {
+/// a result it can no longer use. Returns the job's last stage stamp: its
+/// in-db end, or `dequeued` if it never reached the store.
+fn serve(
+    store: &Mutex<Box<dyn ServedTable>>,
+    job: Job,
+    dequeued: u64,
+    tally: &mut Tally,
+    key: &mut PartitionKey,
+) -> u64 {
+    if job.deadline != 0 && dequeued >= job.deadline {
         reply_refusal(&job, FrameKind::Expired, 0);
         return dequeued;
     }
-    match job.frame.kind {
-        FrameKind::Request => serve_read(store, job, dequeued, tally),
+    match job.kind {
+        FrameKind::Request => serve_read(store, job, dequeued, tally, key),
         FrameKind::Write => serve_write(store, job, dequeued, None),
         FrameKind::Rmw => serve_write(store, job, dequeued, Some(tally)),
         // dispatch() never queues these; tolerate and drop.
@@ -462,47 +572,30 @@ fn serve(store: &Mutex<Box<dyn ServedTable>>, job: Job, dequeued: u64, tally: &m
     }
 }
 
-/// The codec a frame's flags declare; the server answers in kind.
-fn codec_of(flags: u8) -> Codec {
-    if flags & FLAG_COMPACT != 0 {
-        Codec::compact()
-    } else {
-        Codec::verbose()
-    }
-}
-
 /// The read path: aggregate the partition's per-kind counts and report
 /// the partition's LWW version for coordinator-side staleness accounting.
 /// A read the store could not complete gets no answer — the frame protocol
 /// has no error kind, and an answer of zero cells would be a wrong
 /// aggregate with full coverage; the master's timeout and replica failover
-/// treat the silence as they treat loss. Header and body go straight from
-/// the fold's tally into the connection's reply buffer.
+/// treat the silence as they treat loss. The answer goes straight from the
+/// fold's tally into the connection's open response frame; the key is
+/// copied into the worker's reused one.
 fn serve_read(
     store: &Mutex<Box<dyn ServedTable>>,
     job: Job,
     dequeued: u64,
     tally: &mut Tally,
+    key: &mut PartitionKey,
 ) -> u64 {
-    let Job { frame, conn } = job;
-    let codec = codec_of(frame.flags);
-    let Some(request) = codec.decode_request(frame.payload) else {
-        return dequeued; // checksummed frame with an undecodable body: drop it
-    };
-    let Some(version) = store.lock().aggregate(&request.partition, tally) else {
+    key.0.clear();
+    key.0.extend_from_slice(&job.body);
+    let Some(version) = store.lock().aggregate(key, tally) else {
         return dequeued;
     };
     let db_end = wall_ns();
-    let reply = Frame {
-        kind: FrameKind::Response,
-        flags: frame.flags,
-        id: frame.id,
-        stamps: [frame.stamps[1], dequeued, db_end, wall_ns()],
-        deadline: frame.deadline,
-        payload: bytes::Bytes::new(),
-    };
-    reply.encode_with(&mut conn.lock().out, |out| {
-        codec.append_response(out, request.request_id, &tally.kinds, version)
+    let codec = codec_of(job.flags);
+    queue_answer(&job, [job.sent, dequeued, db_end], |out| {
+        codec.append_response(out, job.id, &tally.kinds, version)
     });
     db_end
 }
@@ -517,9 +610,8 @@ fn serve_write(
     dequeued: u64,
     rmw: Option<&mut Tally>,
 ) -> u64 {
-    let Job { frame, conn } = job;
-    let codec = codec_of(frame.flags);
-    let Some(write) = codec.decode_write(frame.payload) else {
+    let codec = codec_of(job.flags);
+    let Some(write) = codec.decode_write(job.body) else {
         return dequeued; // checksummed frame with an undecodable body: drop it
     };
     let (applied, version) = {
@@ -542,13 +634,13 @@ fn serve_write(
     let db_end = wall_ns();
     let reply = Frame {
         kind: FrameKind::WriteAck,
-        flags: frame.flags,
-        id: frame.id,
-        stamps: [frame.stamps[1], dequeued, db_end, wall_ns()],
-        deadline: frame.deadline,
+        flags: job.flags,
+        id: job.id,
+        stamps: [job.sent, dequeued, db_end, wall_ns()],
+        deadline: job.deadline,
         payload: codec.encode_write_ack(&ack),
     };
-    queue_reply(&conn, &reply);
+    queue_reply(&job.conn, &reply);
     db_end
 }
 

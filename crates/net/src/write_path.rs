@@ -30,7 +30,7 @@ use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
 use crate::master::{Event, NetMaster, Route};
 use bytes::Bytes;
 use kvs_cluster::coord::{Coordinator, Input, Leg, Op, OpKind, Send, Status};
-use kvs_cluster::{CodecKind, Consistency, QueryRequest, WriteRequest};
+use kvs_cluster::{CodecKind, Consistency, QueryRequest, QueryResponse, WriteRequest};
 use kvs_store::{Cell, PartitionKey};
 use std::io;
 use std::time::{Duration, Instant};
@@ -200,13 +200,14 @@ impl NetMaster {
             let input = match self.rx.recv_timeout(left).ok() {
                 Some(Event::Frame(node, frame)) => {
                     self.note_alive(node, Instant::now());
-                    let Some(input) = self.input(node, frame) else {
-                        continue;
-                    };
-                    if let Input::Busy { .. } = input {
-                        std::thread::sleep(self.cfg.busy_backoff);
-                    }
-                    input
+                    let backoff = self.cfg.busy_backoff;
+                    self.inputs(node, frame, |input| {
+                        if let Input::Busy { .. } = input {
+                            std::thread::sleep(backoff);
+                        }
+                        coord.step(leg, input, ms_since(origin));
+                    });
+                    continue;
                 }
                 Some(Event::Down(node, _reason)) => {
                     self.mark_dead(node);
@@ -221,18 +222,34 @@ impl NetMaster {
         }
     }
 
-    /// The coordinator input a received frame carries, if any.
-    fn input(&self, node: u32, frame: Frame) -> Option<Input> {
-        let (id, codec) = (frame.id, &self.cfg.codec);
-        let version = match frame.kind {
-            FrameKind::WriteAck => codec.decode_write_ack(frame.payload)?.version,
-            FrameKind::Response => codec.decode_response(frame.payload)?.version,
-            FrameKind::Busy => return Some(Input::Busy { id, node }),
-            FrameKind::Request | FrameKind::Expired | FrameKind::Write | FrameKind::Rmw => {
-                return None
+    /// Hands `each` the coordinator inputs a received frame carries: one
+    /// per answer of a response frame — a slave may answer this leg in the
+    /// frame that carries a stray from an earlier one — one for a write-ack
+    /// or a `Busy`, none for anything else or a body that does not decode.
+    fn inputs(&self, node: u32, frame: Frame, mut each: impl FnMut(Input)) {
+        let (id, codec) = (frame.id, self.cfg.codec);
+        match frame.kind {
+            FrameKind::Response => {
+                frame.answers(&codec, |answer| {
+                    let mut reply = QueryResponse::empty();
+                    if codec.fold_response(answer.body, &mut reply).is_some() {
+                        let (id, version) = (answer.id, reply.version);
+                        each(Input::Reply { id, node, version });
+                    }
+                });
             }
-        };
-        Some(Input::Reply { id, node, version })
+            FrameKind::WriteAck => {
+                if let Some(ack) = codec.decode_write_ack(frame.payload) {
+                    each(Input::Reply {
+                        id,
+                        node,
+                        version: ack.version,
+                    });
+                }
+            }
+            FrameKind::Busy => each(Input::Busy { id, node }),
+            FrameKind::Request | FrameKind::Expired | FrameKind::Write | FrameKind::Rmw => {}
+        }
     }
 
     fn encode_write(&self, id: u64, key: &PartitionKey, timestamp: u64, cells: &[Cell]) -> Bytes {

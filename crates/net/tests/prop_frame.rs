@@ -5,9 +5,15 @@
 //! side — the one [`Deframer`] both ends of a connection read through —
 //! gets the same treatment: however the bytes are cut into reads, the
 //! frames come out whole and in order, and a corrupted byte stops it.
+//! Frames that carry many partitions round-trip under both codecs, and the
+//! master takes a response frame's answers whole or not at all.
 
 use bytes::Bytes;
-use kvs_net::frame::{Deframer, Frame, FrameError, FrameKind};
+use kvs_cluster::{Codec, QueryRequest, QueryResponse};
+use kvs_net::frame::{
+    put_entry_stamps, Deframer, Frame, FrameError, FrameKind, ENTRY_STAMPS_LEN, FLAG_COMPACT,
+};
+use kvs_store::PartitionKey;
 use proptest::prelude::*;
 use std::io::{self, Read};
 
@@ -191,5 +197,213 @@ proptest! {
         let mut stream = &wire[..cut];
         // A stream that ends mid-frame is an io error, not a panic.
         prop_assert!(Frame::read_from(&mut stream).is_err());
+    }
+}
+
+// ---- Frames that carry many partitions (see `kvs_net::frame`). ----
+
+/// One partition's answer: its request id, its `[sent echo, dequeued,
+/// in-db end]` stamps and the kind of every cell it counted.
+type Answered = (u64, (u64, u64, u64), Vec<u8>);
+
+fn answered() -> impl Strategy<Value = Answered> {
+    (
+        any::<u64>(),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        proptest::collection::vec(any::<u8>(), 0..12),
+    )
+}
+
+/// Either codec, with the flags a frame of it carries.
+fn codec(sel: u8) -> (Codec, u8) {
+    if sel.is_multiple_of(2) {
+        (Codec::compact(), FLAG_COMPACT)
+    } else {
+        (Codec::verbose(), 0)
+    }
+}
+
+/// The response body `answer` is, decoded.
+fn response(answer: &Answered) -> QueryResponse {
+    let (id, _, kinds) = answer;
+    QueryResponse::from_kinds(*id, kinds.iter().copied()).with_version(id ^ 7)
+}
+
+/// A response frame carrying `answers`, laid out as a slave's worker
+/// writes one, and where each entry's body ends in its payload.
+fn response_frame(codec: &Codec, flags: u8, answers: &[Answered]) -> (Frame, Vec<usize>) {
+    let (mut payload, mut ends) = (Vec::new(), Vec::new());
+    for (i, answer) in answers.iter().enumerate() {
+        let (_, (echo, dequeued, db_end), _) = *answer;
+        if i > 0 {
+            put_entry_stamps(&mut payload, [echo, dequeued, db_end]);
+        }
+        payload.extend_from_slice(&codec.encode_response(&response(answer)));
+        ends.push(payload.len());
+    }
+    let (id, (echo, dequeued, db_end), _) = answers[0];
+    let frame = Frame {
+        kind: FrameKind::Response,
+        flags,
+        id,
+        stamps: [echo, dequeued, db_end, 99],
+        deadline: 5,
+        payload: Bytes::from(payload),
+    };
+    (frame, ends)
+}
+
+/// Walks `frame` as the master does — every answer folded into `acc` —
+/// and returns what [`Frame::answers`] said and how many answers it
+/// handed over.
+fn fold(codec: &Codec, frame: &Frame, acc: &mut QueryResponse) -> (Option<usize>, usize) {
+    let mut handed = 0;
+    let walked = frame.answers(codec, |answer| {
+        handed += 1;
+        codec
+            .fold_response(answer.body, acc)
+            .expect("an answer the walk handed over folds");
+    });
+    (walked, handed)
+}
+
+/// `frame` with its payload replaced: what a slave that cut or garbled
+/// its own frame would send — the checksum is right, the body is not.
+fn reframed(frame: &Frame, payload: Vec<u8>) -> Frame {
+    let wire = Frame {
+        payload: Bytes::from(payload),
+        ..frame.clone()
+    }
+    .encode();
+    Frame::decode(&wire).expect("valid").expect("whole").0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn many_partition_frames_roundtrip_under_both_codecs(
+        sel in any::<u8>(),
+        answers in proptest::collection::vec(answered(), 1..=64),
+    ) {
+        let (codec, flags) = codec(sel);
+        // A request frame: the requests back to back, as the master writes
+        // them; the slave takes them off the front one at a time.
+        let mut payload = Vec::new();
+        for (id, _, _) in &answers {
+            codec.append_request(&mut payload, *id, &PartitionKey::from_id(id ^ 3));
+        }
+        let request = Frame {
+            kind: FrameKind::Request,
+            flags,
+            id: answers[0].0,
+            stamps: [1, 2, 3, 0],
+            deadline: 0,
+            payload: Bytes::from(payload),
+        };
+        let wire = request.encode();
+        let (decoded, used) = Frame::decode(&wire).expect("valid").expect("whole");
+        prop_assert_eq!(used, wire.len());
+        prop_assert_eq!(&decoded, &request);
+        let mut rest = &decoded.payload[..];
+        for (id, _, _) in &answers {
+            let (got, key) = codec.next_request(&mut rest).expect("a whole request");
+            prop_assert_eq!(got, *id);
+            prop_assert_eq!(key, PartitionKey::from_id(id ^ 3).as_bytes());
+        }
+        prop_assert!(rest.is_empty());
+
+        // A response frame: every answer comes back with its own stamps.
+        let (response_frame, _) = response_frame(&codec, flags, &answers);
+        let wire = response_frame.encode();
+        let (decoded, _) = Frame::decode(&wire).expect("valid").expect("whole");
+        let mut got = Vec::new();
+        let entries = decoded.answers(&codec, |answer| {
+            let body = codec.decode_response(Bytes::copy_from_slice(answer.body));
+            got.push((answer.id, answer.stamps, body.expect("a whole body")));
+        });
+        prop_assert_eq!(entries, Some(answers.len()));
+        let want: Vec<(u64, [u64; 3], QueryResponse)> = answers
+            .iter()
+            .map(|a| (a.0, [a.1 .0, a.1 .1, a.1 .2], response(a)))
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_one_key_payload_is_the_codec_body(sel in any::<u8>(), answer in answered()) {
+        let (codec, flags) = codec(sel);
+        let (id, key) = (answer.0, PartitionKey::from_id(answer.0 ^ 3));
+        let mut payload = Vec::new();
+        codec.append_request(&mut payload, id, &key);
+        let request = QueryRequest { request_id: id, partition: key };
+        prop_assert_eq!(&payload[..], &codec.encode_request(&request)[..]);
+        let (frame, _) = response_frame(&codec, flags, std::slice::from_ref(&answer));
+        prop_assert_eq!(&frame.payload[..], &codec.encode_response(&response(&answer))[..]);
+    }
+
+    #[test]
+    fn a_response_frame_cut_or_corrupted_answers_no_entry(
+        sel in any::<u8>(),
+        answers in proptest::collection::vec(answered(), 2..=64),
+        cut in any::<usize>(),
+        pos in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let (codec, flags) = codec(sel);
+        let (frame, ends) = response_frame(&codec, flags, &answers);
+        let before = QueryResponse::from_kinds(0, [1u8, 1, 9]);
+
+        // On the wire, a cut or a flipped byte never becomes a frame, so
+        // nothing of it is answered.
+        let wire = frame.encode();
+        let mut flipped = wire.clone();
+        flipped[pos % wire.len()] ^= mask;
+        for bytes in [&wire[..cut % wire.len()], &flipped[..]] {
+            let (frames, _) = deframe(bytes, &[bytes.len().max(1)]);
+            prop_assert!(frames.is_empty());
+        }
+
+        // A slave that cut its own payload inside an entry, checksum and
+        // all, is answered for no entry: the master folds a frame whole or
+        // not at all. A cut at an entry's end is a frame of fewer entries.
+        let cut = cut % frame.payload.len();
+        let mut acc = before.clone();
+        let (walked, handed) = fold(&codec, &reframed(&frame, frame.payload[..cut].to_vec()), &mut acc);
+        match ends.iter().position(|&end| end == cut) {
+            Some(whole) => {
+                prop_assert_eq!(walked, Some(whole + 1));
+                prop_assert_eq!(handed, whole + 1);
+            }
+            None => {
+                prop_assert_eq!(walked, None);
+                prop_assert_eq!(handed, 0);
+                prop_assert_eq!(&acc, &before);
+            }
+        }
+
+        // A garbled byte anywhere in the payload: every entry or none.
+        let mut garbled = frame.payload.to_vec();
+        let at = pos % garbled.len();
+        garbled[at] ^= mask;
+        let mut acc = before.clone();
+        let (walked, handed) = fold(&codec, &reframed(&frame, garbled), &mut acc);
+        match walked {
+            Some(entries) => prop_assert_eq!(handed, entries),
+            None => {
+                prop_assert_eq!(handed, 0);
+                prop_assert_eq!(&acc, &before);
+            }
+        }
+        // The class byte of a later entry is never a valid one garbled:
+        // that frame is refused whole, its first entries with it.
+        let mut garbled = frame.payload.to_vec();
+        let later = ends[pos % (ends.len() - 1)] + ENTRY_STAMPS_LEN;
+        garbled[later] ^= 0x80;
+        let mut acc = before.clone();
+        let (walked, handed) = fold(&codec, &reframed(&frame, garbled), &mut acc);
+        prop_assert_eq!(walked, None);
+        prop_assert_eq!(handed, 0);
+        prop_assert_eq!(&acc, &before);
     }
 }

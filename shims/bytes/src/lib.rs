@@ -71,6 +71,24 @@ impl Bytes {
         self.len() == 0
     }
 
+    /// Returns the sub-view `subset` is: a slice borrowed from this view
+    /// becomes a view of the same storage, with no copy. Panics when
+    /// `subset` does not lie inside this view (as the real crate).
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_ptr() as usize;
+        let at = (subset.as_ptr() as usize)
+            .checked_sub(base)
+            .expect("slice_ref: subset before this view");
+        assert!(
+            at + subset.len() <= self.len(),
+            "slice_ref: subset past this view"
+        );
+        self.slice(at..at + subset.len())
+    }
+
     /// Returns a sub-view; panics when out of range (as the real crate).
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let lo = match range.start_bound() {
@@ -406,6 +424,10 @@ impl BufMut for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
     }
+
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
 }
 
 #[cfg(test)]
@@ -437,6 +459,18 @@ mod tests {
         assert_eq!(&b[..], &[2, 3, 4, 5]);
         assert_eq!(&b.slice(1..3)[..], &[3, 4]);
         assert_eq!(b.slice(..0).len(), 0);
+    }
+
+    #[test]
+    fn slice_ref_shares_the_storage_it_borrows_from() {
+        let b = Bytes::copy_from_slice(b"header:key:rest");
+        let key = &b[7..10];
+        let sub = b.slice_ref(key);
+        assert_eq!(&sub[..], b"key");
+        assert_eq!(sub.as_ptr(), key.as_ptr());
+        let inner = b.slice(7..);
+        assert_eq!(inner.slice_ref(&inner[..3]), sub);
+        assert!(b.slice_ref(&[]).is_empty());
     }
 
     #[test]
