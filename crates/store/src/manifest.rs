@@ -13,7 +13,7 @@
 //! ```text
 //! offset size field            notes
 //!      0    4 magic            0x4B4D414E ("KMAN")
-//!      4    1 version          2
+//!      4    1 version          3
 //!      5    3 reserved         zero
 //!      8    8 next_generation  next SSTable generation to allocate
 //!     16    8 wal_seq          lowest live WAL segment seq
@@ -37,7 +37,7 @@ pub const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
 /// Manifest magic: `"KMAN"`.
 pub const MANIFEST_MAGIC: u32 = 0x4B4D_414E;
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u8 = 2;
+pub const MANIFEST_VERSION: u8 = 3;
 
 /// The durable tier's commit point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,9 +220,12 @@ mod tests {
         };
         // The sealing procedure reproduces a good manifest …
         assert_eq!(sealed(MANIFEST_VERSION, 0, checksum64), pristine);
-        // … so what refuses version 1 under today's checksum is the version
-        // check, and what refuses FNV-1a seals is the checksum.
-        assert_eq!(Manifest::decode(&sealed(1, 0, checksum64)), None);
+        // … so what refuses versions 1 and 2 (sealed with XXH64) under
+        // today's checksum is the version check, and what refuses FNV-1a
+        // seals is the checksum.
+        for version in [1, 2] {
+            assert_eq!(Manifest::decode(&sealed(version, 0, checksum64)), None);
+        }
         assert_eq!(Manifest::decode(&sealed(1, FNV1A_BASIS, fnv1a)), None);
         let fnv_today = sealed(MANIFEST_VERSION, FNV1A_BASIS, fnv1a);
         assert_eq!(Manifest::decode(&fnv_today), None);

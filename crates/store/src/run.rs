@@ -356,10 +356,12 @@ impl<M: Medium> Run<M> {
     ) -> io::Result<u64> {
         let reached = self.reach(entry, WHOLE, receipt);
         let (generation, mut cells) = (self.generation, 0);
+        // Only the final block's last cell is the partition's: copy no other.
+        let final_offset = reached.last().map(|meta| meta.offset);
         self.medium
             .read_blocks(reached, cache, receipt, |meta, block, receipt| {
                 let last = tally_block(generation, meta, block, receipt, &mut tally.kinds)?;
-                if let Some(last) = last {
+                if let Some(last) = last.filter(|_| Some(meta.offset) == final_offset) {
                     tally.set_last(last);
                 }
                 cells += meta.cells as u64;

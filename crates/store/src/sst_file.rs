@@ -19,7 +19,7 @@
 //! ```text
 //! offset size field              notes
 //!      0    4 magic              0x4B535354 ("KSST")
-//!      4    1 version            3
+//!      4    1 version            4
 //!      5    3 reserved           zero
 //!      8    8 generation         newer wins merges
 //!     16    8 column_index_size  threshold the run was built with
@@ -55,7 +55,7 @@ use std::ptr::{self, NonNull};
 /// Footer magic: `"KSST"`.
 pub const SST_MAGIC: u32 = 0x4B53_5354;
 /// Current file format version.
-pub const SST_VERSION: u8 = 3;
+pub const SST_VERSION: u8 = 4;
 /// Encoded footer size in bytes.
 pub const SST_FOOTER_LEN: usize = 72;
 
@@ -1018,9 +1018,9 @@ mod tests {
             std::fs::write(&path, bytes).expect("write");
             SstFile::open(&path).expect_err("must refuse").to_string()
         };
-        // Versions 1 and 2 (row-layout blocks) under today's checksum: the
-        // version check refuses them.
-        for version in [1, 2] {
+        // Versions 1, 2 (row-layout blocks) and 3 (sealed with XXH64)
+        // under today's checksum: the version check refuses them.
+        for version in [1, 2, 3] {
             let mut old = pristine.clone();
             old[version_at] = version;
             reseal(&mut old, 0, checksum64);

@@ -14,7 +14,7 @@
 //! ```text
 //! offset size field        notes
 //!      0    4 magic        0x4B57414C ("KWAL")
-//!      4    1 version      2
+//!      4    1 version      3
 //!      5    3 reserved     zero
 //!      8    8 segment_seq  must match the file name
 //! ```
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 /// Segment header magic: `"KWAL"`.
 pub const WAL_MAGIC: u32 = 0x4B57_414C;
 /// Current segment format version.
-pub const WAL_VERSION: u8 = 2;
+pub const WAL_VERSION: u8 = 3;
 /// Encoded segment header size in bytes.
 pub const WAL_HEADER_LEN: usize = 16;
 /// Record kind byte: a put of one cell.
@@ -464,15 +464,17 @@ mod tests {
                 crc.copy_from_slice(&sealed.to_be_bytes());
             }
         };
-        // Version 1 over today's records: the header check refuses the
-        // segment whole.
-        let mut v1 = pristine.clone();
-        v1[4] = 1;
-        reseal(&mut v1, 0, checksum64);
-        let refused = replay(&v1);
-        assert!(refused.records.is_empty());
-        assert_eq!(refused.header_seq, None);
-        assert_eq!(refused.tail, WalTail::Corrupt { valid_bytes: 0 });
+        // Versions 1 and 2 (sealed with XXH64) over today's records: the
+        // header check refuses the segment whole.
+        for version in [1, 2] {
+            let mut old = pristine.clone();
+            old[4] = version;
+            reseal(&mut old, 0, checksum64);
+            let refused = replay(&old);
+            assert!(refused.records.is_empty());
+            assert_eq!(refused.header_seq, None);
+            assert_eq!(refused.tail, WalTail::Corrupt { valid_bytes: 0 });
+        }
         // A real version-1 segment seals its records with FNV-1a: behind
         // today's version byte the first record's checksum refuses it.
         let mut fnv = pristine.clone();
