@@ -39,7 +39,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use kvs_cluster::dispatch::{Dispatcher, Miss, ReadOptions, Send, View};
 use kvs_cluster::{Codec, CodecKind, Coverage, QueryResponse, ReplicaPolicy, RunResult};
 use kvs_simcore::{SimDuration, SimTime};
-use kvs_stages::{analyze, RequestTrace, Span, Stage, TraceRecorder};
+use kvs_stages::{analyze, RequestTrace, Span, Stage};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -448,7 +448,9 @@ impl Query<'_> {
 /// What the responses of one query add up to; apart from [`Query`] so
 /// its clocks do not look to KVS-L018 as if they reached the trace analysis.
 struct Answers {
-    recorder: TraceRecorder,
+    /// Per request id (the route index): the accepted answer's trace,
+    /// `None` while unanswered.
+    traces: Vec<Option<RequestTrace>>,
     /// Every response folded together: the per-kind counts and cell total.
     total: QueryResponse,
 }
@@ -600,7 +602,7 @@ impl NetMaster {
             send_last: origin,
         };
         let mut answers = Answers {
-            recorder: TraceRecorder::with_capacity(routes.len()),
+            traces: vec![None; routes.len()],
             total: QueryResponse::empty(),
         };
         let mut next_issue = 0usize;
@@ -736,7 +738,7 @@ impl NetMaster {
             send_last,
             ..
         } = q;
-        let Answers { recorder, total } = answers;
+        let Answers { traces, total } = answers;
         let reads = self.dispatch.counters();
         misses.sort_unstable();
         let missed: Vec<MissedPartition> = misses
@@ -754,7 +756,7 @@ impl NetMaster {
             answered: routes.len() as u64 - misses.len() as u64,
             total: routes.len() as u64,
         };
-        let traces = recorder.into_traces();
+        let traces: Vec<RequestTrace> = traces.into_iter().flatten().collect();
         let report = analyze(&traces);
         Ok(NetRunReport {
             result: RunResult {
@@ -976,9 +978,10 @@ impl NetMaster {
                         (Stage::SlaveToMaster, db_end, done_wall),
                     ] {
                         let (start, end) = (q.to_sim(from), q.to_sim(to));
+                        debug_assert!(end >= start, "span ends before it starts");
                         spans[stage.index()] = Some(Span { start, end });
                     }
-                    answers.recorder.insert(RequestTrace {
+                    answers.traces[id] = Some(RequestTrace {
                         request_id: answer.id,
                         node,
                         cells,

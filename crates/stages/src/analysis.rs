@@ -118,10 +118,10 @@ struct NodeAcc {
 /// Analyzes a run's traces with explicit thresholds.
 pub fn analyze_with(traces: &[RequestTrace], thresholds: ClassifierThresholds) -> StageReport {
     // Node ids may be sparse: each one seen gets a dense slot, in id order.
-    let mut nodes: Vec<u32> = traces.iter().map(|t| t.node).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let mut per_node = vec![NodeAcc::default(); nodes.len()];
+    // A run has far fewer nodes than traces, so the distinct ids are kept
+    // sorted as they are met instead of sorting one id per trace.
+    let mut nodes: Vec<u32> = Vec::new();
+    let mut per_node: Vec<NodeAcc> = Vec::new();
     let mut per_stage: [OnlineStats; 4] = Default::default();
     let mut run_start = SimTime::MAX;
     let mut run_end = SimTime::ZERO;
@@ -129,9 +129,11 @@ pub fn analyze_with(traces: &[RequestTrace], thresholds: ClassifierThresholds) -
     let mut send_end = SimTime::ZERO;
 
     for trace in traces {
-        let slot = nodes
-            .binary_search(&trace.node)
-            .expect("every node has a slot");
+        let slot = nodes.binary_search(&trace.node).unwrap_or_else(|at| {
+            nodes.insert(at, trace.node);
+            per_node.insert(at, NodeAcc::default());
+            at
+        });
         let node = &mut per_node[slot];
         node.requests += 1;
         if let Some(t0) = trace.issued_at() {
@@ -419,6 +421,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shuffled_sparse_node_ids_get_the_reference_report() {
+        // The first eight traces meet the ids out of order, so each new id
+        // is slotted in front of, behind and between the ones already met;
+        // the rest draw from them in a scrambled order.
+        let ids = [u32::MAX, 900_000, 5, 0, u32::MAX - 1, 77, 1_000, 6];
+        let mut traces = random_traces(7, 2_000);
+        for (i, trace) in traces.iter_mut().enumerate() {
+            let pick = if i < ids.len() {
+                i
+            } else {
+                (trace.request_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize
+            };
+            trace.node = ids[pick];
+        }
+        let mut sorted = ids;
+        sorted.sort_unstable();
+        let report = analyze(&traces);
+        assert!(report.requests_per_node.keys().eq(sorted.iter()));
+        assert_eq!(
+            format!("{report:?}"),
+            format!(
+                "{:?}",
+                analyze_reference(&traces, ClassifierThresholds::default())
+            )
+        );
     }
 
     fn t(ms: u64) -> SimTime {
