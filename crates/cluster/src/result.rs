@@ -44,7 +44,8 @@ impl Coverage {
 /// quantities the paper's figures plot.
 #[derive(Debug)]
 pub struct RunResult {
-    /// Per-request stage traces (input to Figures 2 and 4).
+    /// Per-request stage traces (input to Figures 2 and 4): one for each
+    /// answered request, none for a missed one, in request-id order.
     pub traces: Vec<RequestTrace>,
     /// First issue → last response processed.
     pub makespan: SimDuration,
