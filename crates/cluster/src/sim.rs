@@ -579,7 +579,9 @@ fn run_query_inner(
     let missed: Vec<u64> = (0..keys.len() as u64)
         .filter(|&r| replay.traces[r as usize].is_none())
         .collect();
-    let traces: Vec<RequestTrace> = replay.traces.into_iter().flatten().collect();
+    // Sized up front: a `flatten` tells `collect` nothing of its length.
+    let mut traces = Vec::with_capacity(replay.answered.len());
+    traces.extend(replay.traces.into_iter().flatten());
     let report = analyze(&traces);
     let ctr = replay.dispatch.counters();
     RunResult {

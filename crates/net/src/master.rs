@@ -738,7 +738,10 @@ impl NetMaster {
             send_last,
             ..
         } = q;
-        let Answers { traces, total } = answers;
+        let Answers {
+            traces: by_id,
+            total,
+        } = answers;
         let reads = self.dispatch.counters();
         misses.sort_unstable();
         let missed: Vec<MissedPartition> = misses
@@ -756,7 +759,9 @@ impl NetMaster {
             answered: routes.len() as u64 - misses.len() as u64,
             total: routes.len() as u64,
         };
-        let traces: Vec<RequestTrace> = traces.into_iter().flatten().collect();
+        // Sized up front: a `flatten` tells `collect` nothing of its length.
+        let mut traces = Vec::with_capacity(coverage.answered as usize);
+        traces.extend(by_id.into_iter().flatten());
         let report = analyze(&traces);
         Ok(NetRunReport {
             result: RunResult {
