@@ -759,8 +759,9 @@ impl NetMaster {
             answered: routes.len() as u64 - misses.len() as u64,
             total: routes.len() as u64,
         };
-        // Sized up front: a `flatten` tells `collect` nothing of its length.
-        let mut traces = Vec::with_capacity(coverage.answered as usize);
+        // Sized up front (at most one a route): a `flatten` tells `collect`
+        // nothing of its length.
+        let mut traces = Vec::with_capacity(by_id.len());
         traces.extend(by_id.into_iter().flatten());
         let report = analyze(&traces);
         Ok(NetRunReport {
