@@ -37,7 +37,6 @@ impl OnlineStats {
     }
 
     /// Adds one observation.
-    #[inline]
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;

@@ -25,37 +25,31 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from raw nanoseconds.
-    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Raw nanoseconds since simulation start.
-    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Seconds since start, as a float (lossy above ~2^53 ns).
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Milliseconds since start, as a float.
-    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Microseconds since start, as a float.
-    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Duration elapsed since `earlier`; zero if `earlier` is in the future.
-    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -68,51 +62,43 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Builds a duration from raw nanoseconds.
-    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Builds a duration from microseconds.
-    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us.saturating_mul(1_000))
     }
 
     /// Builds a duration from milliseconds.
-    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms.saturating_mul(1_000_000))
     }
 
     /// Builds a duration from whole seconds.
-    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Builds a duration from fractional seconds. Negative and NaN inputs
     /// clamp to zero; overly large inputs clamp to [`SimDuration::MAX`].
-    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         Self::from_nanos_f64(s * 1e9)
     }
 
     /// Builds a duration from fractional milliseconds (clamping like
     /// [`SimDuration::from_secs_f64`]).
-    #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
         Self::from_nanos_f64(ms * 1e6)
     }
 
     /// Builds a duration from fractional microseconds (clamping like
     /// [`SimDuration::from_secs_f64`]).
-    #[inline]
     pub fn from_micros_f64(us: f64) -> Self {
         Self::from_nanos_f64(us * 1e3)
     }
 
-    #[inline]
     fn from_nanos_f64(ns: f64) -> Self {
         if ns.is_nan() || ns <= 0.0 {
             return SimDuration::ZERO;
@@ -124,44 +110,37 @@ impl SimDuration {
     }
 
     /// Raw nanoseconds.
-    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds.
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Fractional milliseconds.
-    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Fractional microseconds.
-    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// True if this is the zero duration.
-    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Scales the duration by a non-negative factor (clamping on overflow).
-    #[inline]
     pub fn mul_f64(self, k: f64) -> Self {
         Self::from_nanos_f64(self.0 as f64 * k)
     }
 
     /// Divides the duration by a positive factor; returns `MAX` when the
     /// divisor is zero or negative (an "infinitely slow" rate).
-    #[inline]
     pub fn div_f64(self, k: f64) -> Self {
         if k <= 0.0 {
             return SimDuration::MAX;
@@ -170,19 +149,16 @@ impl SimDuration {
     }
 
     /// Saturating subtraction.
-    #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// The larger of two durations.
-    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
-    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
@@ -190,14 +166,12 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
-    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
-    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -205,7 +179,6 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
-    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
@@ -213,7 +186,6 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
-    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
@@ -221,14 +193,12 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
-    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -236,14 +206,12 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
 impl SubAssign for SimDuration {
-    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -251,7 +219,6 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(rhs))
     }
@@ -259,7 +226,6 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs.max(1))
     }

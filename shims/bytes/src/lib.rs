@@ -44,7 +44,6 @@ impl Default for Storage {
 
 impl Bytes {
     /// An empty buffer.
-    #[inline]
     pub fn new() -> Self {
         Bytes::default()
     }
@@ -64,13 +63,11 @@ impl Bytes {
     }
 
     /// Number of bytes remaining in the view.
-    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// True when no bytes remain.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -95,7 +92,6 @@ impl Bytes {
     }
 
     /// Returns a sub-view; panics when out of range (as the real crate).
-    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let lo = match range.start_bound() {
             std::ops::Bound::Included(&n) => n,
@@ -116,7 +112,6 @@ impl Bytes {
     }
 
     /// Splits off and returns the first `at` bytes, advancing `self`.
-    #[inline]
     pub fn split_to(&mut self, at: usize) -> Bytes {
         assert!(at <= self.len(), "split_to out of range");
         let head = Bytes {
@@ -142,7 +137,6 @@ impl Deref for Bytes {
 }
 
 impl AsRef<[u8]> for Bytes {
-    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
@@ -200,13 +194,11 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// An empty builder.
-    #[inline]
     pub fn new() -> Self {
         BytesMut::default()
     }
 
     /// An empty builder with reserved capacity.
-    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(cap),
@@ -215,32 +207,27 @@ impl BytesMut {
     }
 
     /// Unread bytes.
-    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.read
     }
 
     /// True when no unread bytes remain.
-    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drops all content.
-    #[inline]
     pub fn clear(&mut self) {
         self.data.clear();
         self.read = 0;
     }
 
     /// Appends a slice.
-    #[inline]
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.data.extend_from_slice(s);
     }
 
     /// Freezes into an immutable [`Bytes`].
-    #[inline]
     pub fn freeze(self) -> Bytes {
         let mut v = self.data;
         if self.read > 0 {
@@ -250,7 +237,6 @@ impl BytesMut {
     }
 
     /// Splits off and returns the first `at` unread bytes.
-    #[inline]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len(), "split_to out of range");
         let head = self.data[self.read..self.read + at].to_vec();
@@ -271,7 +257,6 @@ impl Deref for BytesMut {
 }
 
 impl AsRef<[u8]> for BytesMut {
-    #[inline]
     fn as_ref(&self) -> &[u8] {
         self
     }
@@ -289,7 +274,6 @@ pub trait Buf {
     fn advance(&mut self, n: usize);
 
     /// Reads one byte.
-    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -297,7 +281,6 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u16`.
-    #[inline]
     fn get_u16(&mut self) -> u16 {
         let mut b = [0u8; 2];
         b.copy_from_slice(&self.chunk()[..2]);
@@ -306,7 +289,6 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u32`.
-    #[inline]
     fn get_u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         b.copy_from_slice(&self.chunk()[..4]);
@@ -315,7 +297,6 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u64`.
-    #[inline]
     fn get_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         b.copy_from_slice(&self.chunk()[..8]);
@@ -324,31 +305,26 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `f64`.
-    #[inline]
     fn get_f64(&mut self) -> f64 {
         f64::from_bits(self.get_u64())
     }
 
     /// Reads a little-endian `u16`.
-    #[inline]
     fn get_u16_le(&mut self) -> u16 {
         self.get_u16().swap_bytes()
     }
 
     /// Reads a little-endian `u32`.
-    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         self.get_u32().swap_bytes()
     }
 
     /// Reads a little-endian `u64`.
-    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         self.get_u64().swap_bytes()
     }
 
     /// Copies the next `len` bytes out as an owned [`Bytes`].
-    #[inline]
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         let out = Bytes::copy_from_slice(&self.chunk()[..len]);
         self.advance(len);
@@ -356,7 +332,6 @@ pub trait Buf {
     }
 
     /// Copies bytes into `dst`.
-    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
         self.advance(dst.len());
@@ -364,15 +339,12 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
-    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
-    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
-    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end");
         self.start += n;
@@ -380,15 +352,12 @@ impl Buf for Bytes {
 }
 
 impl Buf for BytesMut {
-    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
-    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
-    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end");
         self.read += n;
@@ -396,15 +365,12 @@ impl Buf for BytesMut {
 }
 
 impl Buf for &[u8] {
-    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
-    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
-    #[inline]
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
@@ -416,52 +382,43 @@ pub trait BufMut {
     fn put_slice(&mut self, s: &[u8]);
 
     /// Appends one byte.
-    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
     /// Appends a big-endian `u16`.
-    #[inline]
     fn put_u16(&mut self, v: u16) {
         self.put_slice(&v.to_be_bytes());
     }
     /// Appends a big-endian `u32`.
-    #[inline]
     fn put_u32(&mut self, v: u32) {
         self.put_slice(&v.to_be_bytes());
     }
     /// Appends a big-endian `u64`.
-    #[inline]
     fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_be_bytes());
     }
     /// Appends a big-endian `f64`.
-    #[inline]
     fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends a little-endian `u16`.
-    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
-    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
-    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for BytesMut {
-    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.data.extend_from_slice(s);
     }

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Resolves a tools/sigprof sample file into a table of leaf symbols.
+"""Resolves tools/sigprof sample files into a table of leaf symbols.
 
-    python3 tools/sigprof/resolve.py BINARY PROFILE [--top N]
+    python3 tools/sigprof/resolve.py BINARY PROFILE... [--top N]
 
 BINARY is the program that ran (its own samples are looked up in
-`nm -C -n BINARY`), PROFILE the `<prefix>.<pid>.txt` the sampler wrote.
+`nm -C -n BINARY`), each PROFILE a `<prefix>.<pid>.txt` the sampler
+wrote. Several profiles of the same binary are pooled: each file's
+samples are mapped through its own object list, then counted together.
 Samples in libc and in the vDSO are counted as `[libc]` and `[vdso]`;
 those in any other shared object as `[<its file name>]`. Prints the
 sample count, then the top N (default 25) symbols with their share.
@@ -83,17 +85,21 @@ def resolve(objects, ips, symbols):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("binary")
-    ap.add_argument("profile")
+    ap.add_argument("profile", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
-    objects, ips, header = read_profile(args.profile)
-    if not ips:
-        sys.exit(f"resolve.py: no samples in {args.profile}")
-    counts = resolve(objects, ips, read_symbols(args.binary))
-    print(f"# {header}")
-    print(f"# {len(ips)} samples")
+    symbols = read_symbols(args.binary)
+    counts, total = collections.Counter(), 0
+    for path in args.profile:
+        objects, ips, header = read_profile(path)
+        print(f"# {path}: {header}")
+        counts += resolve(objects, ips, symbols)
+        total += len(ips)
+    if not total:
+        sys.exit(f"resolve.py: no samples in {' '.join(args.profile)}")
+    print(f"# {total} samples")
     for name, n in counts.most_common(args.top):
-        print(f"{100.0 * n / len(ips):6.2f} % {n:7d}  {name}")
+        print(f"{100.0 * n / total:6.2f} % {n:7d}  {name}")
 
 
 if __name__ == "__main__":

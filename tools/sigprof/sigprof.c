@@ -1,10 +1,9 @@
 /*
  * sigprof: an LD_PRELOAD leaf-IP sampler.
  *
- * Every SIGPROF_US microseconds of process CPU time (ITIMER_PROF, default
- * 1000) the kernel sends SIGPROF to the thread that was running; the
- * handler stores the interrupted instruction pointer (REG_RIP) in a fixed
- * buffer. At exit the sampler turns the timer off and writes
+ * Every millisecond of process CPU time (ITIMER_PROF) the kernel sends
+ * SIGPROF to the thread that was running; the handler stores the
+ * interrupted instruction pointer (REG_RIP) in a fixed buffer. At exit the sampler turns the timer off and writes
  * <SIGPROF_OUT>.<pid>.txt (SIGPROF_OUT defaults to "sigprof"): the loaded
  * objects and their executable segments, found with dl_iterate_phdr, then
  * one `ip` line per sample. tools/sigprof/resolve.py turns that file into
@@ -37,7 +36,7 @@
 
 static uint64_t samples[MAX_SAMPLES];
 static unsigned long taken;
-static long interval_us = 1000;
+#define INTERVAL_US 1000
 
 static void on_sigprof(int sig, siginfo_t *info, void *context) {
     (void)sig;
@@ -67,10 +66,6 @@ static int dump_object(struct dl_phdr_info *info, size_t size, void *data) {
 }
 
 __attribute__((constructor)) static void sigprof_start(void) {
-    const char *us = getenv("SIGPROF_US");
-    if (us && atol(us) > 0) {
-        interval_us = atol(us);
-    }
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_sigaction = on_sigprof;
@@ -81,8 +76,8 @@ __attribute__((constructor)) static void sigprof_start(void) {
         return;
     }
     struct itimerval tv = {
-        .it_interval = {interval_us / 1000000, interval_us % 1000000},
-        .it_value = {interval_us / 1000000, interval_us % 1000000},
+        .it_interval = {0, INTERVAL_US},
+        .it_value = {0, INTERVAL_US},
     };
     if (setitimer(ITIMER_PROF, &tv, NULL) != 0) {
         perror("sigprof: setitimer");
@@ -105,7 +100,7 @@ __attribute__((destructor)) static void sigprof_stop(void) {
     }
     unsigned long n = __atomic_load_n(&taken, __ATOMIC_RELAXED);
     unsigned long kept = n < MAX_SAMPLES ? n : MAX_SAMPLES;
-    fprintf(out, "# sigprof interval_us=%ld samples=%lu dropped=%lu\n", interval_us, kept,
+    fprintf(out, "# sigprof interval_us=%d samples=%lu dropped=%lu\n", INTERVAL_US, kept,
             n - kept);
     dl_iterate_phdr(dump_object, out);
     for (unsigned long i = 0; i < kept; i++) {
