@@ -7,8 +7,7 @@
 //! designer needs to see before buying hardware.
 
 use kvs_bench::{banner, fmt_ms, Csv};
-use kvs_model::SystemModel;
-use kvs_store::StorageHierarchy;
+use kvs_model::{StorageHierarchy, SystemModel};
 
 fn main() {
     banner(

@@ -8,6 +8,7 @@
 use kvs_bench::{banner, Csv};
 use kvs_cluster::{db_microbench, ClusterConfig, ClusterData};
 use kvs_model::regression::fit_piecewise;
+use kvs_simcore::stats::percentile_sorted;
 use kvs_simcore::RngHub;
 use kvs_store::cost::{
     PAPER_BASE_MS, PAPER_INDEXED_BASE_MS, PAPER_INDEXED_PER_CELL_MS, PAPER_INDEX_THRESHOLD_CELLS,
@@ -41,7 +42,7 @@ fn main() {
         .map(|i| {
             let mut times: Vec<f64> = runs.iter().map(|r| r.samples[i].ms).collect();
             times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (runs[0].samples[i].cells, times[REPS / 2])
+            (runs[0].samples[i].cells, percentile_sorted(&times, 0.5))
         })
         .collect();
 

@@ -30,7 +30,7 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
-use kvs_simcore::stats::percentile_sorted;
+use kvs_simcore::Summary;
 
 pub use kvs_lint::json::{obj, parse, s, Value};
 
@@ -58,25 +58,23 @@ pub fn report(bench: &str, config: Value, results: Value) -> Value {
     ])
 }
 
-/// The standard latency-summary object: count, mean and the quantiles
-/// the drills report (p50/p95/p99, plus p90 and the extremes). `samples` need not be sorted.
+/// The standard latency-summary object: [`Summary`]'s count, mean and
+/// the quantiles the drills report (p50/p95/p99, plus p90 and the
+/// extremes). `samples` need not be sorted.
 ///
 /// # Panics
 /// If `samples` is empty.
 pub fn latency_summary_ms(samples: &[f64]) -> Value {
-    assert!(!samples.is_empty(), "latency summary of an empty sample");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency sample"));
-    let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
+    let s = Summary::from_samples(samples).expect("latency summary of an empty sample");
     obj(vec![
-        ("count", int(sorted.len() as u64)),
-        ("mean_ms", num(mean)),
-        ("min_ms", num(sorted[0])),
-        ("p50_ms", num(percentile_sorted(&sorted, 0.50))),
-        ("p90_ms", num(percentile_sorted(&sorted, 0.90))),
-        ("p95_ms", num(percentile_sorted(&sorted, 0.95))),
-        ("p99_ms", num(percentile_sorted(&sorted, 0.99))),
-        ("max_ms", num(sorted[sorted.len() - 1])),
+        ("count", int(s.count as u64)),
+        ("mean_ms", num(s.mean)),
+        ("min_ms", num(s.min)),
+        ("p50_ms", num(s.p50)),
+        ("p90_ms", num(s.p90)),
+        ("p95_ms", num(s.p95)),
+        ("p99_ms", num(s.p99)),
+        ("max_ms", num(s.max)),
     ])
 }
 

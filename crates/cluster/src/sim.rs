@@ -21,7 +21,7 @@
 //! ## Events and the four stages
 //!
 //! The reads run first and once; the replay then plays out only *time*, as
-//! one [`EventQueue`] of [`Event`]s over indices: `r` into the requests,
+//! one [`EventQueue`] of `Event`s over indices: `r` into the requests,
 //! `a` into their attempts (every frame a request sends: its own leg, a
 //! hedge, a failover). Each master shard's send and receive loops and each
 //! node's database executor are [`Station`]s holding those indices. Every

@@ -5,6 +5,7 @@ use kvs_model::dbmodel::{ParallelismModel, QueryTimeModel};
 use kvs_model::optimizer::{optimize_partitions, OptimalChoice};
 use kvs_model::regression::{fit_loglinear, fit_piecewise, LogLinearFit, PiecewiseFit};
 use kvs_model::{DbModel, MasterModel, SystemModel};
+use kvs_simcore::stats::percentile_sorted;
 use kvs_simcore::RngHub;
 use kvs_stages::gantt::{render, GanttOptions};
 use kvs_stages::Bottleneck;
@@ -155,7 +156,7 @@ impl Study {
             let mut times: Vec<f64> = serial.iter().map(|run| run.samples[i].ms).collect();
             times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             xs.push(serial[0].samples[i].cells as f64);
-            ys.push(times[REPS / 2]);
+            ys.push(percentile_sorted(&times, 0.5));
         }
         let piecewise = fit_piecewise(&xs, &ys).expect("figure-6 sample too small to fit");
 

@@ -15,7 +15,7 @@
 //! cycles, lock guards held across blocking calls, channel topology,
 //! stage-stamp dataflow, frame-kind exhaustiveness), and the
 //! interprocedural layer — a workspace call graph ([`callgraph`]) and
-//! per-function control-flow graphs ([`cfg`]) that power
+//! per-function control-flow graphs ([`cfg`](mod@cfg)) that power
 //! blocking-reachability, crash-ordering and deadline-propagation
 //! passes. On top of those sits the dataflow engine ([`dataflow`]): a
 //! gen/kill worklist fixed point over the CFG blocks with bottom-up

@@ -24,7 +24,7 @@
 //! | KVS-L019 | receipt accounting: every disk block read charges the ReadReceipt |
 //!
 //! KVS-L002 and KVS-L013 are one checker over the layouts in
-//! [`LAYOUTS`]. KVS-L007 and KVS-L009 are one lock-guard tracker in
+//! `LAYOUTS`. KVS-L007 and KVS-L009 are one lock-guard tracker in
 //! [`crate::passes`], interprocedural through the workspace call graph
 //! ([`crate::callgraph`]). L014–L016 are implemented in
 //! [`crate::passes`] on top of the call graph and the per-function CFG

@@ -27,7 +27,8 @@
 //! regression" (§VI). [`gc`] adds the garbage-collector correction of
 //! Figure 8, [`optimizer`] finds the optimal partition count (Figures 9 and
 //! 10), and [`limits`] reproduces the single-master scalability analysis of
-//! Figure 11 and §VII.
+//! Figure 11 and §VII. [`tiering`] extends the device side to the
+//! hierarchical storage stack of the paper's §IX future work.
 
 pub mod architecture;
 pub mod dbmodel;
@@ -38,6 +39,7 @@ pub mod optimizer;
 pub mod regression;
 pub mod sensitivity;
 pub mod system;
+pub mod tiering;
 pub mod validation;
 
 pub use architecture::{evaluate as evaluate_architecture, ArchPrediction, Architecture};
@@ -48,3 +50,4 @@ pub use optimizer::{optimize_partitions, OptimalChoice};
 pub use regression::{LinearFit, LogLinearFit, PiecewiseFit};
 pub use sensitivity::{dominant_parameter, sensitivities, Parameter, Sensitivity};
 pub use system::{Prediction, SystemModel};
+pub use tiering::{StorageHierarchy, Tier};

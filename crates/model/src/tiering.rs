@@ -88,11 +88,6 @@ impl StorageHierarchy {
         &self.tiers
     }
 
-    /// Total capacity of the stack.
-    pub fn total_capacity(&self) -> u64 {
-        self.tiers.iter().map(|t| t.capacity_bytes).sum()
-    }
-
     /// Waterfall residency of a `working_set` bytes dataset: the fraction
     /// living on each tier, filling fastest tiers first. Data beyond the
     /// stack's total capacity is attributed to the slowest tier (an

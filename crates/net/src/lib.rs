@@ -19,8 +19,6 @@
 //!   [`kvs_cluster::RunResult`] as the simulator;
 //! * [`phi`] — [`PhiAccrual`]: the continuous suspicion level the master
 //!   orders replicas by (Hayashibara et al., SRDS 2004);
-//! * [`latency`] — [`LatencyTracker`]: online per-node latency histogram
-//!   + EWMA, the source of the hedge-delay quantile;
 //! * [`local`] — [`spawn_local_cluster`]: N servers on ephemeral loopback
 //!   ports with deterministic shutdown, for tests and benchmarks; its
 //!   durable twin [`spawn_local_cluster_durable`] persists every node
@@ -48,7 +46,6 @@ pub mod chaos;
 pub mod clock;
 pub mod frame;
 mod ioutil;
-pub mod latency;
 pub mod local;
 pub mod master;
 pub mod phi;
@@ -60,7 +57,6 @@ pub use chaos::{
     wrap_cluster, ChaosDirection, ChaosProxy, ChaosRule, ChaosSchedule, ChaosStats, FaultAction,
 };
 pub use frame::{Frame, FrameError, FrameKind};
-pub use latency::LatencyTracker;
 pub use local::{
     spawn_local_cluster, spawn_local_cluster_durable, DurableClusterConfig, LocalCluster,
 };

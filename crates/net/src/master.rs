@@ -12,7 +12,8 @@
 //! per connection funnelling frames into one channel, the framing, the
 //! clocks and what only they can measure — the phi-accrual suspicion
 //! ([`crate::phi`]) and the per-node latency quantile the hedge delay
-//! comes from — and the stage stamps and folding of every answer.
+//! comes from ([`kvs_simcore::Histogram`]) — and the stage stamps and
+//! folding of every answer.
 //!
 //! I/O is batched per wake-up: the master takes every frame that is ready,
 //! issues the credit they freed into one buffer per node, and writes each
@@ -32,13 +33,12 @@
 
 use crate::clock::wall_ns;
 use crate::frame::{Deframer, Frame, FrameKind, FLAG_COMPACT};
-use crate::latency::LatencyTracker;
 use crate::phi::PhiAccrual;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use kvs_cluster::dispatch::{Dispatcher, Miss, ReadOptions, Send, View};
 use kvs_cluster::{Codec, CodecKind, Coverage, QueryResponse, ReplicaPolicy, RunResult};
-use kvs_simcore::{SimDuration, SimTime};
+use kvs_simcore::{Histogram, SimDuration, SimTime};
 use kvs_stages::{analyze, RequestTrace, Span, Stage};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
@@ -268,7 +268,7 @@ pub(crate) enum Event {
 #[derive(Default)]
 struct NodeHealth {
     phi: PhiAccrual,
-    latency: LatencyTracker,
+    latency: Histogram,
 }
 
 /// The per-node measurements as the dispatcher reads them at `now`.

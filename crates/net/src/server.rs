@@ -23,11 +23,11 @@
 //! Replies collect per connection: a reader writes the refusals of the
 //! chunk it just read in one call; a worker appends each answer to the
 //! connection's one open response frame and seals and writes it when it
-//! finds the queue empty or has held an answer for [`REPLY_HOLD`] — so a
+//! finds the queue empty or has held an answer for `REPLY_HOLD` — so a
 //! burst of cheap requests shares a frame and a `write`, and a lone
 //! request or one that took the store milliseconds is answered at once. A
 //! read's answer is encoded directly from the worker's [`Tally`], which
-//! the store's aggregation read filled ([`ServedTable`]); the hold is
+//! the store's aggregation read filled (`ServedTable`); the hold is
 //! measured on the stage stamps a request takes anyway.
 //!
 //! Shutdown is deterministic: [`SlaveHandle::shutdown`] stops the accept

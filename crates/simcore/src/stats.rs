@@ -1,18 +1,27 @@
-//! Online statistics: Welford moments, percentile summaries and log-scale
-//! histograms.
+//! Online statistics: Welford moments, percentile summaries and the
+//! power-of-two latency histogram.
 //!
 //! These are the primitives the methodology layer (`kvs-stages`,
 //! `kvs-model`) uses to condense thousands of per-request timings into the
-//! few numbers the paper plots.
+//! few numbers the paper plots, and the histogram the socket master reads
+//! its hedge delay from.
+
+use std::time::Duration;
 
 /// Numerically stable running moments (Welford's algorithm) plus min/max.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -144,6 +153,8 @@ pub struct Summary {
     pub p50: f64,
     /// 90th percentile.
     pub p90: f64,
+    /// 95th percentile.
+    pub p95: f64,
     /// 99th percentile.
     pub p99: f64,
     /// Maximum.
@@ -166,6 +177,7 @@ impl Summary {
             min: sorted[0],
             p50: percentile_sorted(&sorted, 0.50),
             p90: percentile_sorted(&sorted, 0.90),
+            p95: percentile_sorted(&sorted, 0.95),
             p99: percentile_sorted(&sorted, 0.99),
             max: sorted[sorted.len() - 1],
         })
@@ -193,103 +205,59 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// A histogram with logarithmically spaced buckets, suitable for latency
-/// distributions spanning several orders of magnitude (Figure 3 of the paper
-/// uses a plain count histogram, which is the `bucket_width = 1` case of
-/// [`Histogram::linear`]).
+/// Power-of-two buckets: bucket `i` covers `[2^i, 2^(i+1))` µs.
+const BUCKETS: usize = 40;
+
+/// A latency histogram over power-of-two microsecond buckets, from which
+/// any quantile is read in one pass. Forty counters resolve both 100 µs
+/// loopback round trips and multi-second stalls to within a factor of
+/// two — the precision a hedge trigger needs.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    /// Bucket lower edges, ascending. `counts[i]` counts values in
-    /// `[edges[i], edges[i+1])`; the last bucket is open-ended.
-    edges: Vec<f64>,
-    counts: Vec<u64>,
-    underflow: u64,
+    buckets: [u64; BUCKETS],
     total: u64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: [0; BUCKETS],
+            total: 0,
+        }
+    }
+}
+
 impl Histogram {
-    /// Log-spaced buckets from `min` decades up, `per_decade` buckets per
-    /// factor of 10, covering `decades` decades.
-    pub fn log(min: f64, per_decade: usize, decades: usize) -> Self {
-        assert!(min > 0.0 && per_decade > 0 && decades > 0);
-        let n = per_decade * decades;
-        let edges: Vec<f64> = (0..=n)
-            .map(|i| min * 10f64.powf(i as f64 / per_decade as f64))
-            .collect();
-        let buckets = edges.len();
-        Histogram {
-            edges,
-            counts: vec![0; buckets],
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Linear buckets `[lo + i·width, lo + (i+1)·width)`.
-    pub fn linear(lo: f64, width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && buckets > 0);
-        let edges: Vec<f64> = (0..=buckets).map(|i| lo + i as f64 * width).collect();
-        let n = edges.len();
-        Histogram {
-            edges,
-            counts: vec![0; n],
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: f64) {
+    /// Records one latency; anything under 1 µs counts as 1 µs.
+    pub fn record(&mut self, latency: Duration) {
+        let us = latency.as_micros().max(1) as u64;
+        let bucket = (63 - us.leading_zeros() as usize).min(BUCKETS - 1);
+        self.buckets[bucket] += 1;
         self.total += 1;
-        if v < self.edges[0] {
-            self.underflow += 1;
-            return;
-        }
-        // Binary search for the bucket whose lower edge is ≤ v.
-        let idx = match self
-            .edges
-            .binary_search_by(|e| e.partial_cmp(&v).expect("NaN edge"))
-        {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let last = self.counts.len() - 1;
-        self.counts[idx.min(last)] += 1;
     }
 
-    /// Total recorded values.
+    /// Latencies recorded so far.
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Values below the first edge.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Iterates `(lower_edge, count)` over non-empty buckets.
-    pub fn nonempty_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.edges
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(&e, &c)| (e, c))
-    }
-
-    /// The bucket lower edge holding the `q`-quantile, or `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    /// The `q`-quantile (`0 < q ≤ 1`) of recorded latencies, reported as
+    /// the covering bucket's *upper* bound — deliberately conservative so
+    /// a hedge never fires below genuinely observed latencies. `None`
+    /// until any sample exists.
+    pub fn quantile(&self, q: f64) -> Option<Duration> {
         if self.total == 0 {
             return None;
         }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut cum = self.underflow;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target.max(1) {
-                return Some(self.edges[i]);
+        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, &count) in self.buckets.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Some(Duration::from_micros(1 << (i + 1)));
             }
         }
-        Some(*self.edges.last().expect("histogram has edges"))
+        Some(Duration::from_micros(1 << BUCKETS))
     }
 }
 
@@ -363,46 +331,41 @@ mod tests {
         assert!((s.mean - 50.5).abs() < 1e-12);
         assert!((s.p50 - 50.5).abs() < 1e-12);
         assert!((s.p90 - 90.1).abs() < 1e-9);
+        assert!((s.p95 - 95.05).abs() < 1e-9);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 100.0);
         assert!(Summary::from_samples(&[]).is_none());
     }
 
     #[test]
-    fn linear_histogram_buckets() {
-        let mut h = Histogram::linear(0.0, 1.0, 10);
-        for v in [0.5, 1.5, 1.7, 9.5, 42.0, -1.0] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.underflow(), 1);
-        let buckets: Vec<(f64, u64)> = h.nonempty_buckets().collect();
-        assert!(buckets.contains(&(0.0, 1)));
-        assert!(buckets.contains(&(1.0, 2)));
-        assert!(buckets.contains(&(9.0, 1)));
-        // 42.0 lands in the open-ended last bucket.
-        assert!(buckets.iter().any(|&(e, _)| e == 10.0));
+    fn empty_histogram_has_no_quantile() {
+        let h = Histogram::default();
+        assert_eq!(h.quantile(0.95), None);
+        assert_eq!(h.total(), 0);
     }
 
     #[test]
-    fn log_histogram_spans_decades() {
-        let mut h = Histogram::log(0.001, 4, 6);
-        for v in [0.001, 0.01, 0.1, 1.0, 10.0, 100.0] {
-            h.record(v);
+    fn quantile_bounds_the_observed_tail() {
+        let mut h = Histogram::default();
+        // 99 fast samples around 200 µs, one 50 ms straggler.
+        for _ in 0..99 {
+            h.record(Duration::from_micros(200));
         }
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.nonempty_buckets().count(), 6);
+        h.record(Duration::from_millis(50));
+        let p95 = h.quantile(0.95).unwrap();
+        assert!(p95 >= Duration::from_micros(200));
+        assert!(p95 < Duration::from_millis(1), "p95 excludes the straggler");
+        let p100 = h.quantile(1.0).unwrap();
+        assert!(
+            p100 >= Duration::from_millis(50),
+            "max covers the straggler"
+        );
     }
 
     #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::linear(0.0, 1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let q50 = h.quantile(0.5).unwrap();
-        assert!((49.0..=51.0).contains(&q50), "{q50}");
-        assert_eq!(Histogram::linear(0.0, 1.0, 2).quantile(0.5), None);
+    fn quantile_is_conservative_upper_bound() {
+        let mut h = Histogram::default();
+        h.record(Duration::from_micros(300)); // bucket [256, 512)
+        assert_eq!(h.quantile(0.5).unwrap(), Duration::from_micros(512));
     }
 }

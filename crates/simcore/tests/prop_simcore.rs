@@ -7,6 +7,7 @@ use kvs_simcore::{
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Submits one job per service time (µs) at t = 0 to a `servers`-server
 /// station; returns the jobs in completion order and the makespan.
@@ -70,16 +71,26 @@ proptest! {
         }
     }
 
-    /// Histograms never lose a record: total == number of records.
+    /// The histogram never loses a record (total == number of records),
+    /// and each quantile is the upper bound of the power-of-two bucket
+    /// holding the nearest-rank sample x: x < quantile ≤ 2x.
     #[test]
-    fn histogram_conserves(values in proptest::collection::vec(-10.0f64..1e5, 1..100)) {
-        let mut h = Histogram::linear(0.0, 100.0, 50);
-        for &v in &values {
-            h.record(v);
+    fn histogram_conserves(decades in proptest::collection::vec(0.0f64..9.0, 1..100),
+                           q in 0.0f64..1.0) {
+        // Log-uniform over 1 µs ..= 10⁹ µs, so every decade is drawn.
+        let mut us: Vec<u64> = decades.iter().map(|d| 10f64.powf(*d).round() as u64).collect();
+        let mut h = Histogram::default();
+        for &x in &us {
+            h.record(Duration::from_micros(x));
         }
-        prop_assert_eq!(h.total() as usize, values.len());
-        let bucketed: u64 = h.nonempty_buckets().map(|(_, c)| c).sum();
-        prop_assert_eq!(bucketed + h.underflow(), h.total());
+        prop_assert_eq!(h.total() as usize, us.len());
+        us.sort_unstable();
+        for q in [q, 0.5, 0.9, 0.95, 0.99, 1.0] {
+            let rank = ((q * us.len() as f64).ceil() as usize).max(1);
+            let x = Duration::from_micros(us[rank - 1]);
+            let got = h.quantile(q).unwrap();
+            prop_assert!(x < got && got <= 2 * x, "q {} sample {:?} quantile {:?}", q, x, got);
+        }
     }
 
     /// A single-server station completes jobs in FIFO order and the

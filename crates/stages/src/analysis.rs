@@ -424,6 +424,24 @@ mod tests {
     }
 
     #[test]
+    fn one_trace_reports_min_equal_to_max() {
+        let ms = |m: u64| SimTime::from_nanos(m * 1_000_000);
+        let mut rec = TraceRecorder::new();
+        rec.begin(0, 3, 100);
+        rec.record(0, Stage::MasterToSlave, ms(1), ms(2));
+        rec.record(0, Stage::InQueue, ms(2), ms(4));
+        rec.record(0, Stage::InDb, ms(4), ms(12));
+        rec.record(0, Stage::SlaveToMaster, ms(12), ms(13));
+        let report = analyze(&rec.into_traces());
+        let all = report.per_stage_ms.values();
+        for stats in all.chain(report.per_node_stage_ms.values()) {
+            assert_eq!(stats.count(), 1);
+            assert_eq!(stats.min(), stats.max(), "{stats:?}");
+        }
+        assert_eq!(report.per_node_stage_ms.len(), 4);
+    }
+
+    #[test]
     fn shuffled_sparse_node_ids_get_the_reference_report() {
         // The first eight traces meet the ids out of order, so each new id
         // is slotted in front of, behind and between the ones already met;

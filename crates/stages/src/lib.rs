@@ -21,14 +21,11 @@
 //! renders the Figure 4 stage profile as text.
 
 pub mod analysis;
-pub mod compare;
-pub mod export;
 pub mod gantt;
 pub mod report;
 pub mod stage;
 pub mod trace;
 
 pub use analysis::{analyze, Bottleneck, StageReport};
-pub use compare::{compare, Comparison};
 pub use stage::Stage;
 pub use trace::{RequestTrace, Span, TraceRecorder};

@@ -55,7 +55,6 @@ pub mod schema;
 pub mod sst_file;
 mod stream;
 pub mod table;
-pub mod tiering;
 pub mod wal;
 
 pub use block::BLOCK_TARGET_BYTES;
@@ -70,5 +69,4 @@ pub use run::{Medium, SsTableOptions};
 pub use schema::{Cell, CellRef, PartitionKey};
 pub use stream::Tally;
 pub use table::{Table, TableMetrics, TableOptions};
-pub use tiering::{StorageHierarchy, Tier};
 pub use wal::FsyncPolicy;

@@ -10,7 +10,7 @@
 //! overlaps; a smaller partition is decoded from its start to the first
 //! cell past the range. With 46-byte cells that is Figure 6's 1425. An
 //! aggregation of a whole partition reaches the same blocks and counts
-//! them a column at a time instead ([`Run::tally_partition`]).
+//! them a column at a time instead (`Run::tally_partition`).
 
 use crate::block::{build_blocks, fold_block, tally_block, BlockColumns, BlockMeta};
 use crate::bloom::BloomFilter;

@@ -30,7 +30,7 @@ impl IntoSizeRange for std::ops::RangeInclusive<usize> {
     }
 }
 
-/// Strategy for `Vec<S::Value>` (see [`vec`]).
+/// Strategy for `Vec<S::Value>` (see [`vec()`]).
 pub struct VecStrategy<S, L> {
     element: S,
     len: L,

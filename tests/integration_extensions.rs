@@ -6,8 +6,8 @@ use kvscale::cluster::data::uniform_partitions;
 use kvscale::cluster::{run_open_loop, run_query, ClusterConfig, ClusterData, NodeFailure};
 use kvscale::model::architecture::{optimize_for_architecture, Architecture};
 use kvscale::model::sensitivity::{dominant_parameter, Parameter};
+use kvscale::model::StorageHierarchy;
 use kvscale::prelude::*;
-use kvscale::store::StorageHierarchy;
 use kvscale::workloads::datamodels::custom_partitions;
 
 #[test]
