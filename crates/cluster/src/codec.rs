@@ -24,15 +24,15 @@
 //! appends to the buffer it will write from ([`Codec::append_request`],
 //! [`Codec::append_response`] — straight from a per-kind tally), a
 //! receiver takes a request's key ([`Codec::next_request`]) or folds a
-//! response into an accumulator ([`Codec::fold_response`]) from the bytes
-//! where they lie. Every body is self-delimiting, so a frame may carry
-//! several back to back: `next_request` and [`Codec::next_response`] take
-//! one off the front. `encode_*`/`decode_*` call the same routines, so
+//! response into a dense accumulator ([`Codec::fold_response`] into
+//! [`Totals`]) from the bytes where they lie. Every body is
+//! self-delimiting, so a frame may carry several back to back:
+//! `next_request` and [`Codec::next_response`] take one off the front. `encode_*`/`decode_*` call the same routines, so
 //! both agree and both do the verbose stack's work.
 
-use crate::messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
+use crate::messages::{QueryRequest, QueryResponse, Totals, WriteAck, WriteRequest};
 use bytes::{BufMut, Bytes};
-use kvs_store::{Cell, PartitionKey};
+use kvs_store::{nonzero_counts, Cell, PartitionKey};
 use std::collections::BTreeMap;
 
 /// Which serialization strategy a cluster uses.
@@ -158,7 +158,8 @@ impl Codec {
     pub fn encode_response(&self, resp: &QueryResponse) -> Bytes {
         let mut out = Vec::new();
         let counts = resp.counts.iter().map(|(&kind, &count)| (kind, count));
-        self.write_response(&mut out, resp.request_id, resp.cells, resp.version, counts);
+        let (id, kinds) = (resp.request_id, resp.counts.len());
+        self.write_response(&mut out, id, resp.cells, resp.version, kinds, counts);
         Bytes::from(out)
     }
 
@@ -173,34 +174,31 @@ impl Codec {
         tally: &[u64; 256],
         version: u64,
     ) {
-        // Eight slots at a glance: a partition holds a handful of kinds.
+        // The header leads with the totals: note the kinds on one walk.
         let (mut kinds, mut found, mut cells) = ([0u8; 256], 0, 0);
-        for (base, eight) in tally.chunks_exact(8).enumerate() {
-            if eight.iter().fold(0, |any, &count| any | count) != 0 {
-                for (slot, &count) in eight.iter().enumerate().filter(|&(_, &c)| c > 0) {
-                    kinds[found] = (base * 8 + slot) as u8;
-                    found += 1;
-                    cells += count;
-                }
-            }
+        for (kind, count) in nonzero_counts(tally) {
+            kinds[found] = kind;
+            found += 1;
+            cells += count;
         }
         let counts = kinds[..found]
             .iter()
             .map(|&kind| (kind, tally[kind as usize]));
-        self.write_response(out, request_id, cells, version, counts);
+        self.write_response(out, request_id, cells, version, found, counts);
     }
 
-    /// The one response-body encoder.
-    fn write_response(
+    /// The one response-body encoder: a body of `cells` cells at
+    /// `version`, whose `kinds` kinds and counts `counts` lists.
+    pub(crate) fn write_response(
         &self,
         out: &mut Vec<u8>,
         request_id: u64,
         cells: u64,
         version: u64,
-        counts: impl ExactSizeIterator<Item = (u8, u64)>,
+        kinds: usize,
+        counts: impl Iterator<Item = (u8, u64)>,
     ) {
         let start = out.len();
-        let kinds = counts.len();
         match self.kind {
             CodecKind::Verbose => {
                 out.reserve(160 + 48 * kinds);
@@ -258,19 +256,28 @@ impl Codec {
 
     /// Folds an encoded response into `acc` where it lies — what
     /// [`Codec::decode_response`] then [`QueryResponse::merge`] do, with
-    /// no message in between — and returns its cell count. `None`, with
-    /// `acc` untouched, for exactly the input `decode_response` refuses.
-    /// (A kind named twice, which no encoder writes, is added twice.)
-    pub fn fold_response(&self, bytes: &[u8], acc: &mut QueryResponse) -> Option<u64> {
+    /// no message in between and the counts dense — and returns its cell
+    /// count. `None`, with `acc` untouched, for exactly the input
+    /// `decode_response` refuses. (A kind named twice, which no encoder
+    /// writes, is added twice.)
+    pub fn fold_response(&self, bytes: &[u8], acc: &mut Totals) -> Option<u64> {
         if self.kind == CodecKind::Verbose {
             verbose_stack_overhead(bytes, "rx-resp");
         }
-        // A body cut short must leave the accumulator as it was: walk it
-        // to its end before adding any of it.
-        self.walk_response(&mut &bytes[..], |_, _| {})?;
-        let (_, cells, version) = self.walk_response(&mut &bytes[..], |kind, count| {
-            *acc.counts.entry(kind).or_insert(0) += count;
-        })?;
+        // One walk adds each count as it reads it. A body cut short is
+        // walked again, to its cut, taking back what the first walk added,
+        // so a refused body leaves the accumulator as it was.
+        let kinds = &mut acc.kinds;
+        let walked = self.walk_response(&mut &bytes[..], |kind, count| {
+            kinds[kind as usize] = kinds[kind as usize].wrapping_add(count);
+        });
+        let Some((_, cells, version)) = walked else {
+            let undone = self.walk_response(&mut &bytes[..], |kind, count| {
+                kinds[kind as usize] = kinds[kind as usize].wrapping_sub(count);
+            });
+            debug_assert!(undone.is_none(), "the same bytes walk the same way");
+            return None;
+        };
         acc.cells += cells;
         acc.version = acc.version.max(version);
         Some(cells)

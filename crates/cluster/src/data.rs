@@ -1,8 +1,19 @@
 //! DHT data placement: partitions → hash ring → per-node tables.
+//!
+//! The placement directory is flat: a hash map from a partition's key to
+//! its slot, and one array of every partition's replicas, `rf` to a slot,
+//! so a lookup is one hash probe and its replica list a slice of one
+//! contiguous array. The map hashes with the store's fixed hash
+//! ([`FixedState`]), safe here for the reason the block cache's is: the
+//! loader places every key before any request arrives, and a request
+//! only looks one up. The cell counts stay a key-ordered map, which is
+//! what the query routes are drawn from.
 
 use crate::messages::QueryResponse;
 use kvs_balance::HashRing;
+use kvs_store::cache::FixedState;
 use kvs_store::{Cell, PartitionKey, ReadReceipt, Table, TableOptions, Tally};
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
 
 /// The cluster's data: one [`Table`] per node, plus the ring and a
@@ -11,10 +22,52 @@ pub struct ClusterData {
     ring: HashRing,
     tables: Vec<Table>,
     /// partition → replica node indexes (primary first).
-    placement: BTreeMap<PartitionKey, Vec<u32>>,
+    placement: Placement,
     /// partition → cell count (what the planner and the master "know").
     partition_cells: BTreeMap<PartitionKey, u64>,
     replication_factor: usize,
+}
+
+/// The placement directory: partition → replica node indexes (primary
+/// first).
+pub(crate) struct Placement {
+    /// partition → its slot.
+    slots: HashMap<PartitionKey, u32, FixedState>,
+    /// Every slot's replicas, `per_slot` to a slot.
+    replicas: Vec<u32>,
+    /// The replication factor, or the node count where it is smaller.
+    per_slot: usize,
+}
+
+impl Placement {
+    /// An empty directory of `per_slot` replicas a partition, with room
+    /// for `partitions`.
+    fn with_capacity(partitions: usize, per_slot: usize) -> Placement {
+        Placement {
+            slots: HashMap::with_capacity_and_hasher(partitions, FixedState),
+            replicas: Vec::with_capacity(partitions * per_slot),
+            per_slot,
+        }
+    }
+
+    /// Places `pk` on `replicas`, unless it is placed already: the ring
+    /// places a key loaded twice where it placed it before.
+    fn place(&mut self, pk: PartitionKey, replicas: impl IntoIterator<Item = u32>) {
+        let slot = (self.replicas.len() / self.per_slot) as u32;
+        if let Entry::Vacant(new) = self.slots.entry(pk) {
+            new.insert(slot);
+            self.replicas.extend(replicas);
+        }
+    }
+
+    /// The replica node indexes of a partition (primary first). Empty for
+    /// unknown partitions.
+    pub(crate) fn replicas_of(&self, pk: &PartitionKey) -> &[u32] {
+        match self.slots.get(pk) {
+            Some(&slot) => &self.replicas[slot as usize * self.per_slot..][..self.per_slot],
+            None => &[],
+        }
+    }
 }
 
 impl ClusterData {
@@ -34,18 +87,18 @@ impl ClusterData {
         assert!(replication_factor > 0, "need rf ≥ 1");
         let ring = HashRing::with_nodes(nodes, 128);
         let mut tables: Vec<Table> = (0..nodes).map(|_| Table::new(table_opts.clone())).collect();
-        let mut placement = BTreeMap::new();
+        let per_slot = replication_factor.min(nodes as usize);
+        let mut placement = Placement::with_capacity(partitions.len(), per_slot);
         let mut partition_cells = BTreeMap::new();
         for (pk, cells) in partitions {
-            let replicas = ring.replicas_for_key(pk.as_bytes(), replication_factor);
-            let nodes_idx: Vec<u32> = replicas.iter().map(|n| n.0).collect();
+            let nodes_idx = ring.replicas_for_key(pk.as_bytes(), replication_factor);
             partition_cells.insert(pk.clone(), cells.len() as u64);
-            for &node in &nodes_idx {
+            for node in &nodes_idx {
                 for cell in &cells {
-                    tables[node as usize].put(pk.clone(), cell.clone());
+                    tables[node.0 as usize].put(pk.clone(), cell.clone());
                 }
             }
-            placement.insert(pk, nodes_idx);
+            placement.place(pk, nodes_idx.iter().map(|node| node.0));
         }
         for t in &mut tables {
             t.flush();
@@ -72,7 +125,7 @@ impl ClusterData {
     /// The replica node indexes of a partition (primary first). Empty for
     /// unknown partitions.
     pub fn replicas_of(&self, pk: &PartitionKey) -> &[u32] {
-        self.placement.get(pk).map(|v| v.as_slice()).unwrap_or(&[])
+        self.placement.replicas_of(pk)
     }
 
     /// The primary node of a partition.
@@ -111,11 +164,9 @@ impl ClusterData {
         (QueryResponse::from_tally(request_id, &tally.kinds), receipt)
     }
 
-    /// The replica lists and the tables, borrowed apart, so a reader can
-    /// hold a partition's replicas while it reads their tables.
-    pub(crate) fn placement_and_tables(
-        &mut self,
-    ) -> (&BTreeMap<PartitionKey, Vec<u32>>, &mut [Table]) {
+    /// The placement directory and the tables, borrowed apart, so a
+    /// reader can hold a partition's replicas while it reads their tables.
+    pub(crate) fn placement_and_tables(&mut self) -> (&Placement, &mut [Table]) {
         (&self.placement, &mut self.tables)
     }
 
@@ -132,10 +183,9 @@ impl ClusterData {
     /// Per-node partition counts — the figure-2 style load histogram.
     pub fn partitions_per_node(&self) -> BTreeMap<u32, u64> {
         let mut out: BTreeMap<u32, u64> = (0..self.nodes()).map(|n| (n, 0)).collect();
-        for replicas in self.placement.values() {
-            if let Some(&primary) = replicas.first() {
-                *out.get_mut(&primary).expect("node exists") += 1;
-            }
+        let placement = &self.placement;
+        for replicas in placement.replicas.chunks_exact(placement.per_slot) {
+            *out.get_mut(&replicas[0]).expect("node exists") += 1;
         }
         out
     }
@@ -246,6 +296,48 @@ mod tests {
         assert_eq!(data.cells_of(&PartitionKey::from_id(1)), 5);
         assert_eq!(data.cells_of(&PartitionKey::from_id(9)), 0);
         assert!(data.replicas_of(&PartitionKey::from_id(9)).is_empty());
+    }
+
+    #[test]
+    fn the_directory_finds_keys_of_every_length_and_only_those() {
+        // Keys of 0 to 12 bytes, among them "ab", "ab\0" and "ab\0\0\0\0\0\0"
+        // (one word, three lengths), one of them loaded twice, and a
+        // replication factor above the node count.
+        let loaded: Vec<&[u8]> = vec![
+            b"",
+            b"a",
+            b"ab",
+            b"ab\0",
+            b"ab\0\0\0\0\0\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefghij",
+            b"abcdefghik",
+            b"ab",
+        ];
+        let partitions = loaded
+            .iter()
+            .map(|&key| (PartitionKey::new(key), vec![Cell::synthetic(0, 0)]))
+            .collect();
+        let data = ClusterData::load(2, 3, TableOptions::default(), partitions);
+        for &key in &loaded {
+            let pk = PartitionKey::new(key);
+            let ring = data.ring().replicas_for_key(key, 3);
+            let want: Vec<u32> = ring.iter().map(|node| node.0).collect();
+            assert_eq!(data.replicas_of(&pk), want, "{pk:?}");
+            assert_eq!(want.len(), 2);
+        }
+        for never in [
+            &b"ab\0\0"[..],
+            b"abcdefg",
+            b"abcdefgh\0\0",
+            b"abcdefghi",
+            b"b",
+        ] {
+            assert!(data.replicas_of(&PartitionKey::new(never)).is_empty());
+        }
+        assert_eq!(data.partitions_per_node().values().sum::<u64>(), 9);
+        assert_eq!(data.partition_count(), 9);
     }
 
     #[test]

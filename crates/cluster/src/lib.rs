@@ -54,7 +54,7 @@ pub use config::{
 };
 pub use coord::{Consistency, MixedOutcome, OpKind, WriteOptions};
 pub use data::ClusterData;
-pub use messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
+pub use messages::{QueryRequest, QueryResponse, Totals, WriteAck, WriteRequest};
 pub use policy::ReplicaPolicy;
 pub use queue::QueueStats;
 pub use result::{Coverage, RunResult};

@@ -13,7 +13,7 @@
 //! reads the partition pre-image before applying, preserving sequential
 //! semantics on the replica.
 
-use kvs_store::{Cell, PartitionKey};
+use kvs_store::{nonzero_counts, Cell, PartitionKey};
 use std::collections::BTreeMap;
 
 /// A sub-query: "aggregate this partition".
@@ -58,11 +58,9 @@ impl QueryResponse {
             request_id,
             ..QueryResponse::empty()
         };
-        for (kind, &count) in tally.iter().enumerate() {
-            if count > 0 {
-                response.counts.insert(kind as u8, count);
-                response.cells += count;
-            }
+        for (kind, count) in nonzero_counts(tally) {
+            response.counts.insert(kind, count);
+            response.cells += count;
         }
         response
     }
@@ -90,6 +88,38 @@ impl QueryResponse {
             cells: 0,
             version: 0,
         }
+    }
+}
+
+/// The master's reduce of a query's answers, dense: every kind's count in
+/// a slot of its own, as a slave's read and the simulator count them, so
+/// folding an answer in ([`crate::Codec::fold_response`]) adds one slot a
+/// kind and looks nothing up.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Totals {
+    /// kind byte → number of cells of that kind.
+    pub kinds: [u64; 256],
+    /// Total cells folded.
+    pub cells: u64,
+    /// The newest partition version any answer carried.
+    pub version: u64,
+}
+
+impl Default for Totals {
+    fn default() -> Self {
+        Totals {
+            kinds: [0; 256],
+            cells: 0,
+            version: 0,
+        }
+    }
+}
+
+impl Totals {
+    /// The counts as a [`QueryResponse`] holds them: every kind counted,
+    /// with its count.
+    pub fn counts(&self) -> BTreeMap<u8, u64> {
+        nonzero_counts(&self.kinds).collect()
     }
 }
 

@@ -60,7 +60,7 @@ use crate::result::{Coverage, RunResult};
 use crate::usl::{self, UslParams};
 use kvs_simcore::{Dist, EventQueue, RngHub, SimDuration, SimTime, Station};
 use kvs_stages::{analyze, RequestTrace, Span};
-use kvs_store::{PartitionKey, Tally};
+use kvs_store::{nonzero_counts, PartitionKey, Tally};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -105,21 +105,25 @@ fn prepare<'a>(
         subs: Vec::with_capacity(keys.len()),
         kinds: Vec::new(),
     };
+    // Every directory look-up first: they do not depend on one another,
+    // so the cache misses of a key's bytes and its map entry overlap
+    // where, one before each read, each would wait alone.
+    let placed: Vec<&[u32]> = keys.iter().map(|pk| placement.replicas_of(pk)).collect();
     let (mut tally, mut wire) = (Tally::default(), Vec::new());
-    for (i, pk) in keys.iter().enumerate() {
-        let replicas = placement.get(pk).map_or(&[][..], Vec::as_slice);
+    for (i, (pk, replicas)) in keys.iter().zip(placed).enumerate() {
         assert!(!replicas.is_empty(), "query for unplaced partition {pk:?}");
         let receipt = tables[replicas[0] as usize].aggregate(pk, &mut tally);
         wire.clear();
         codec.append_request(&mut wire, i as u64, pk);
         let req_bytes = wire.len();
-        wire.clear();
-        codec.append_response(&mut wire, i as u64, &tally.kinds, 0);
         let start = prepared.kinds.len();
-        for (kind, &count) in tally.kinds.iter().enumerate().filter(|(_, c)| **c > 0) {
-            prepared.kinds.push((kind as u8, count));
-        }
-        let cells = prepared.kinds[start..].iter().map(|&(_, c)| c).sum();
+        prepared.kinds.extend(nonzero_counts(&tally.kinds));
+        let counts = &prepared.kinds[start..];
+        let cells = counts.iter().map(|&(_, c)| c).sum();
+        // The body `append_response` would write, from the counts at hand.
+        wire.clear();
+        let answer = counts.iter().copied();
+        codec.write_response(&mut wire, i as u64, cells, 0, counts.len(), answer);
         prepared.subs.push(Sub {
             replicas,
             cells,

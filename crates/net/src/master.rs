@@ -37,7 +37,7 @@ use crate::phi::PhiAccrual;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use kvs_cluster::dispatch::{Dispatcher, Miss, ReadOptions, Send, View};
-use kvs_cluster::{Codec, CodecKind, Coverage, QueryResponse, ReplicaPolicy, RunResult};
+use kvs_cluster::{Codec, CodecKind, Coverage, ReplicaPolicy, RunResult, Totals};
 use kvs_simcore::{Histogram, SimDuration, SimTime};
 use kvs_stages::{analyze, RequestTrace, Span, Stage};
 use kvs_store::PartitionKey;
@@ -452,7 +452,7 @@ struct Answers {
     /// `None` while unanswered.
     traces: Vec<Option<RequestTrace>>,
     /// Every response folded together: the per-kind counts and cell total.
-    total: QueryResponse,
+    total: Totals,
 }
 
 impl NetMaster {
@@ -603,7 +603,7 @@ impl NetMaster {
         };
         let mut answers = Answers {
             traces: vec![None; routes.len()],
-            total: QueryResponse::empty(),
+            total: Totals::default(),
         };
         let mut next_issue = 0usize;
         let mut loads = Vec::new();
@@ -769,7 +769,7 @@ impl NetMaster {
                 makespan: report.makespan,
                 report,
                 traces,
-                counts_by_kind: total.counts,
+                counts_by_kind: total.counts(),
                 total_cells: total.cells,
                 messages: routes.len() as u64,
                 bytes_to_slaves: ctr.bytes_to_slaves,

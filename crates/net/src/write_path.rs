@@ -30,7 +30,7 @@ use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
 use crate::master::{Event, NetMaster, Route};
 use bytes::Bytes;
 use kvs_cluster::coord::{Coordinator, Input, Leg, Op, OpKind, Send, Status};
-use kvs_cluster::{CodecKind, Consistency, QueryRequest, QueryResponse, WriteRequest};
+use kvs_cluster::{CodecKind, Consistency, QueryRequest, Totals, WriteRequest};
 use kvs_store::{Cell, PartitionKey};
 use std::io;
 use std::time::{Duration, Instant};
@@ -231,7 +231,7 @@ impl NetMaster {
         match frame.kind {
             FrameKind::Response => {
                 frame.answers(&codec, |answer| {
-                    let mut reply = QueryResponse::empty();
+                    let mut reply = Totals::default();
                     if codec.fold_response(answer.body, &mut reply).is_some() {
                         let (id, version) = (answer.id, reply.version);
                         each(Input::Reply { id, node, version });

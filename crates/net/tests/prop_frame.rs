@@ -9,7 +9,7 @@
 //! master takes a response frame's answers whole or not at all.
 
 use bytes::Bytes;
-use kvs_cluster::{Codec, QueryRequest, QueryResponse};
+use kvs_cluster::{Codec, QueryRequest, QueryResponse, Totals};
 use kvs_net::frame::{
     put_entry_stamps, Deframer, Frame, FrameError, FrameKind, ENTRY_STAMPS_LEN, FLAG_COMPACT,
 };
@@ -256,7 +256,7 @@ fn response_frame(codec: &Codec, flags: u8, answers: &[Answered]) -> (Frame, Vec
 /// Walks `frame` as the master does — every answer folded into `acc` —
 /// and returns what [`Frame::answers`] said and how many answers it
 /// handed over.
-fn fold(codec: &Codec, frame: &Frame, acc: &mut QueryResponse) -> (Option<usize>, usize) {
+fn fold(codec: &Codec, frame: &Frame, acc: &mut Totals) -> (Option<usize>, usize) {
     let mut handed = 0;
     let walked = frame.answers(codec, |answer| {
         handed += 1;
@@ -352,7 +352,11 @@ proptest! {
     ) {
         let (codec, flags) = codec(sel);
         let (frame, ends) = response_frame(&codec, flags, &answers);
-        let before = QueryResponse::from_kinds(0, [1u8, 1, 9]);
+        let mut before = Totals {
+            cells: 3,
+            ..Totals::default()
+        };
+        (before.kinds[1], before.kinds[9]) = (2, 1);
 
         // On the wire, a cut or a flipped byte never becomes a frame, so
         // nothing of it is answered.

@@ -13,8 +13,10 @@
 //! payload length (`u32` LE), then the payloads. A block is still
 //! `13 n + Σ payload_len` bytes, but [`fold_block`] reads a cell's 13
 //! header bytes from three dense columns and no payload byte, and
-//! [`tally_block`], what an aggregation reads a block with, reads 5 of
-//! them, its kind and its payload length.
+//! [`tally_block`], what an aggregation reads a block with, reads one of
+//! them, its kind. Whether the payload lengths add up to the block is
+//! [`check_block`]'s question, asked once where a block enters a read
+//! path: at a heap run's build, and on a file run's cache miss.
 //!
 //! Every block of an SSTable file carries its XXH3 [`checksum64`] in its
 //! index entry, computed as the file is written
@@ -524,29 +526,47 @@ struct Columns<'a> {
 }
 
 /// The columns of the `meta.cells` cells of `block`, a block of run
-/// `generation`. `Err` (`InvalidData`) when they do not fit the block or
-/// their payload lengths do not add up to exactly the bytes left for
-/// payloads: the one check every reader of a block makes first.
+/// `generation`, sliced by their bounds alone: no payload length is read.
+/// `Err` (`InvalidData`) when the three fixed-width columns do not fit the
+/// block.
 fn columns<'a>(generation: u64, meta: &BlockMeta, block: &'a [u8]) -> io::Result<Columns<'a>> {
     let cells = meta.cells as usize;
     let columns = block.split_at_checked(cells * 8).and_then(|(keys, rest)| {
         let (kinds, rest) = rest.split_at_checked(cells)?;
         let (lens, payloads) = rest.split_at_checked(cells * 4)?;
-        let lens = lens.as_chunks::<4>().0;
-        let sum: u64 = lens.iter().map(|len| u32::from_le_bytes(*len) as u64).sum();
-        (sum == payloads.len() as u64).then_some(Columns {
+        Some(Columns {
             keys: keys.as_chunks::<8>().0,
             kinds,
-            lens,
+            lens: lens.as_chunks::<4>().0,
             payloads,
         })
     });
-    columns.ok_or_else(|| {
-        bad_data(format!(
-            "run {generation}: block at offset {} does not hold the {} cells its index says",
-            meta.offset, meta.cells
-        ))
-    })
+    columns.ok_or_else(|| malformed(generation, meta))
+}
+
+/// The one error of a block whose columns disagree with its [`BlockMeta`].
+fn malformed(generation: u64, meta: &BlockMeta) -> io::Error {
+    bad_data(format!(
+        "run {generation}: block at offset {} does not hold the {} cells its index says",
+        meta.offset, meta.cells
+    ))
+}
+
+/// The column check: `Ok` when the columns of `meta.cells` cells fit
+/// `block`, a block of run `generation`, and their payload lengths add up
+/// to exactly the bytes left for payloads; `Err` (`InvalidData`)
+/// otherwise. It reads every payload length, so it runs once, where a
+/// block enters: when a heap run is sealed (`RunBuilder::finish`), and on
+/// a file run's cache miss, after the checksum and before the block is
+/// folded or cached (`DiskBlocks::read_blocks`). A cache hit is a block
+/// that passed it on its way in.
+pub fn check_block(generation: u64, meta: &BlockMeta, block: &[u8]) -> io::Result<()> {
+    let Columns { lens, payloads, .. } = columns(generation, meta, block)?;
+    let sum: u64 = lens.iter().map(|len| u32::from_le_bytes(*len) as u64).sum();
+    if sum != payloads.len() as u64 {
+        return Err(malformed(generation, meta));
+    }
+    Ok(())
 }
 
 /// Folds one block of run `generation` into `visit`: the cells in
@@ -555,9 +575,10 @@ fn columns<'a>(generation: u64, meta: &BlockMeta, block: &'a [u8]) -> io::Result
 /// included, and returns `Ok(false)` at that cell, which ends the scan.
 /// There is no seek inside a block: the walk starts at its first cell.
 ///
-/// `Err` (`InvalidData`), before any cell is visited or charged, when the
-/// columns of `meta.cells` cells do not fit the block or their payload
-/// lengths do not add up to exactly the bytes left for payloads.
+/// The block must have passed [`check_block`] where it entered. A block
+/// that did not may be refused (`InvalidData`, as the check words it)
+/// part-way through, when a payload length overruns the payloads; it is
+/// never read out of bounds.
 pub fn fold_block(
     generation: u64,
     meta: &BlockMeta,
@@ -580,7 +601,9 @@ pub fn fold_block(
         if clustering > to {
             return Ok(false);
         }
-        let payload = &payloads[start..start + len];
+        let payload = payloads
+            .get(start..start + len)
+            .ok_or_else(|| malformed(generation, meta))?;
         start += len;
         if clustering >= from {
             visit(CellRef {
@@ -594,39 +617,57 @@ pub fn fold_block(
 }
 
 /// Counts the cells of one whole block of run `generation` into `kinds`,
-/// one counter per kind, and returns its last cell (`None` for a block of
-/// no cells): what an aggregation needs of a block, read a column at a
-/// time. Past [`fold_block`]'s column check, which reads every payload
-/// length, it reads the kinds column and the last cell, nothing else, and
-/// bills the receipt in one step with what folding every cell of the block
-/// would: `cells_scanned` by its cells and `bytes_read` by its length,
-/// which the check has just shown is exactly their encoded sizes.
+/// one counter per kind: what an aggregation needs of every block but a
+/// partition's last, read a column at a time. It reads the kinds column
+/// and nothing else, and bills the receipt in one step with what folding
+/// every cell of the block would: `cells_scanned` by its cells and
+/// `bytes_read` by its length, which [`check_block`], passed where the
+/// block entered, showed is exactly their encoded sizes.
 ///
-/// `Err` (`InvalidData`), before any cell is counted or charged, as for
-/// [`fold_block`].
-pub fn tally_block<'a>(
+/// `Err` (`InvalidData`), before any cell is counted or charged, when the
+/// columns do not fit the block.
+pub fn tally_block(
     generation: u64,
     meta: &BlockMeta,
-    block: &'a [u8],
+    block: &[u8],
     receipt: &mut ReadReceipt,
     kinds: &mut [u64; 256],
-) -> io::Result<Option<CellRef<'a>>> {
-    let Columns {
-        keys,
-        kinds: column,
-        lens,
-        payloads,
-    } = columns(generation, meta, block)?;
+) -> io::Result<()> {
+    let column = columns(generation, meta, block)?.kinds;
     for &kind in column {
         kinds[kind as usize] += 1;
     }
     receipt.cells_scanned += column.len() as u64;
     receipt.bytes_read += block.len() as u64;
-    let last = keys.last().zip(column.last()).zip(lens.last());
-    Ok(last.map(|((key, &kind), len)| CellRef {
+    Ok(())
+}
+
+/// The last cell of a block of run `generation` (`None` for a block of no
+/// cells): what an aggregation reads of a partition's final block past
+/// its kinds. Charges nothing. `Err` (`InvalidData`) when the columns do
+/// not fit the block or the last payload length overruns the payloads.
+pub fn last_cell<'a>(
+    generation: u64,
+    meta: &BlockMeta,
+    block: &'a [u8],
+) -> io::Result<Option<CellRef<'a>>> {
+    let Columns {
+        keys,
+        kinds,
+        lens,
+        payloads,
+    } = columns(generation, meta, block)?;
+    let Some(((key, &kind), len)) = keys.last().zip(kinds.last()).zip(lens.last()) else {
+        return Ok(None);
+    };
+    let start = payloads
+        .len()
+        .checked_sub(u32::from_le_bytes(*len) as usize);
+    let start = start.ok_or_else(|| malformed(generation, meta))?;
+    Ok(Some(CellRef {
         clustering: u64::from_le_bytes(*key),
         kind,
-        payload: &payloads[payloads.len() - u32::from_le_bytes(*len) as usize..],
+        payload: &payloads[start..],
     }))
 }
 
@@ -768,9 +809,10 @@ mod tests {
         let (verdict, visited, folded) = fold(&meta, &data);
         verdict.expect("a sound block folds");
         let (mut kinds, mut tallied) = ([0u64; 256], ReadReceipt::default());
-        let last = tally_block(1, &meta, &data, &mut tallied, &mut kinds).expect("tallies");
-        assert_eq!(last, visited.last().map(Cell::as_cell_ref));
+        tally_block(1, &meta, &data, &mut tallied, &mut kinds).expect("tallies");
         assert_eq!(tallied, folded);
+        let last = last_cell(1, &meta, &data).expect("has columns");
+        assert_eq!(last, visited.last().map(Cell::as_cell_ref));
         let mut want = [0u64; 256];
         visited
             .iter()
@@ -783,32 +825,22 @@ mod tests {
             ..meta
         };
         let mut r = ReadReceipt::default();
-        let last = tally_block(1, &empty, &[], &mut r, &mut kinds).expect("tallies");
-        assert_eq!((last, r), (None, ReadReceipt::default()));
+        tally_block(1, &empty, &[], &mut r, &mut kinds).expect("tallies");
+        assert_eq!(r, ReadReceipt::default());
+        assert_eq!(last_cell(1, &empty, &[]).expect("has columns"), None);
         assert_eq!(kinds, want);
     }
 
     #[test]
-    fn fold_refuses_a_block_whose_columns_disagree_with_its_meta() {
+    fn check_refuses_a_block_whose_columns_disagree_with_its_meta() {
         let cells: Vec<Cell> = (0..10u64).map(|c| Cell::synthetic(c, 0)).collect();
         let mut data = BytesMut::new();
         let meta = blocks_of(&cells, &mut data)[0];
+        check_block(1, &meta, &data).expect("a sound block passes");
         let refused = |meta: &BlockMeta, block: &[u8]| {
-            let (verdict, visited, r) = fold(meta, block);
-            let err = verdict.expect_err("must refuse");
+            let err = check_block(1, meta, block).expect_err("must refuse");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("cells its index says"), "{err}");
-            assert!(visited.is_empty());
-            assert_eq!(r, ReadReceipt::default());
-            // The tally kernel refuses the same block with the same error,
-            // and counts and bills nothing of it.
-            let (mut kinds, mut r) = ([0u64; 256], ReadReceipt::default());
-            let tallied = tally_block(1, meta, block, &mut r, &mut kinds);
-            let tally_err = tallied.expect_err("the kernel must refuse too");
-            assert_eq!(tally_err.kind(), err.kind());
-            assert_eq!(tally_err.to_string(), err.to_string());
-            assert_eq!(kinds, [0; 256]);
-            assert_eq!(r, ReadReceipt::default());
         };
         // Too many cells for the bytes, too few, and a payload length that
         // no longer adds up.
@@ -824,6 +856,40 @@ mod tests {
         patched[10 * 9] += 1;
         refused(&meta, &patched);
         refused(&meta, &data[..data.len() - 1]);
+    }
+
+    #[test]
+    fn the_kernels_refuse_columns_that_overrun_and_never_read_past_them() {
+        let cells: Vec<Cell> = (0..10u64).map(|c| Cell::synthetic(c, 0)).collect();
+        let mut data = BytesMut::new();
+        let meta = blocks_of(&cells, &mut data)[0];
+        let refused = |verdict: io::Result<()>| {
+            let err = verdict.expect_err("must refuse");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("cells its index says"), "{err}");
+        };
+        // Columns that do not fit: refused before anything is counted or
+        // charged.
+        let over = BlockMeta {
+            cells: 1_000,
+            ..meta
+        };
+        let (mut kinds, mut r) = ([0u64; 256], ReadReceipt::default());
+        refused(tally_block(1, &over, &data, &mut r, &mut kinds));
+        assert_eq!((kinds, r), ([0; 256], ReadReceipt::default()));
+        refused(last_cell(1, &over, &data).map(drop));
+        let (verdict, visited, r) = fold(&over, &data);
+        refused(verdict.map(drop));
+        assert_eq!((visited.len(), r), (0, ReadReceipt::default()));
+        // A last payload length past the payloads, which only the check
+        // sees as a sum: the fold stops at that cell, and the last cell is
+        // refused.
+        let mut patched = data.to_vec();
+        patched[10 * 9 + 9 * 4 + 3] = 1;
+        let (verdict, visited, _) = fold(&meta, &patched);
+        refused(verdict.map(drop));
+        assert_eq!(visited.len(), 9);
+        refused(last_cell(1, &meta, &patched).map(drop));
     }
 
     #[test]

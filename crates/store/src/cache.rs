@@ -10,9 +10,13 @@
 //! ([`Lru::new`]) keeps the standard library's keyed SipHash: its keys are
 //! partition keys that arrive off the wire, and a fixed hash would let a
 //! client choose keys that collide. The block cache and its ghost
-//! ([`Lru::with_hasher`] with `FixedState`) are keyed by a run's own
+//! ([`Lru::with_hasher`] with [`FixedState`]) are keyed by a run's own
 //! `(generation, offset)`, which the store mints and no client names, so
 //! they use a fixed multiply-and-rotate hash at a fraction of the cost.
+//! The cluster's placement directory (`kvs_cluster::ClusterData`) hashes
+//! partition keys with it too, which is safe there for another reason:
+//! the loader mints those keys before any request arrives, and no client
+//! adds one, so none can lengthen the map's chains.
 //!
 //! The paper's database model calls out caches as a variance source:
 //! "a miss in a cache … can arbitrarily make a request orders of magnitude
@@ -26,10 +30,11 @@ use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
-/// A fixed, unkeyed hash for maps whose keys the store mints itself — a
-/// run's `(generation, offset)` — and no client can choose: each word is
-/// added and multiplied by an odd constant, and the result rotated (the
-/// scheme and constants of rustc-hash 2).
+/// A fixed, unkeyed hash for maps whose keys no client can choose — a
+/// run's `(generation, offset)`, which the store mints, or a loaded
+/// partition's key, which the loader places: each word is added and
+/// multiplied by an odd constant, and the result rotated (the scheme and
+/// constants of rustc-hash 2).
 ///
 /// The rotate matters: block offsets step by the ≈ 4 KiB block size, so
 /// their low bits take few values; a product's low bits depend only on its
@@ -37,11 +42,11 @@ use std::hash::{BuildHasher, Hash, Hasher};
 /// hash. The rotate folds the well-mixed high bits down to where buckets
 /// are chosen.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FixedState;
+pub struct FixedState;
 
 /// The hasher [`FixedState`] builds.
 #[derive(Debug)]
-pub(crate) struct FixedHasher(u64);
+pub struct FixedHasher(u64);
 
 /// rustc-hash 2's multiplier: odd, so multiplication is a bijection.
 const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
@@ -55,11 +60,16 @@ impl BuildHasher for FixedState {
 }
 
 impl Hasher for FixedHasher {
+    /// A word at a time, the last one zero-padded.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.write_u64(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let word =
+                (tail.iter().enumerate()).fold(0, |word, (i, &b)| word | (b as u64) << (8 * i));
+            self.write_u64(word);
         }
     }
 

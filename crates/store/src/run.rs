@@ -12,7 +12,9 @@
 //! aggregation of a whole partition reaches the same blocks and counts
 //! them a column at a time instead (`Run::tally_partition`).
 
-use crate::block::{build_blocks, fold_block, tally_block, BlockColumns, BlockMeta};
+use crate::block::{
+    build_blocks, check_block, fold_block, last_cell, tally_block, BlockColumns, BlockMeta,
+};
 use crate::bloom::BloomFilter;
 use crate::engine::Journal;
 use crate::receipt::ReadReceipt;
@@ -68,7 +70,9 @@ pub trait Medium: Sized {
 
 /// The heap medium: the one buffer the builder wrote, lent a block at a
 /// time. Nothing is charged to the `disk_*` fields and no checksum is
-/// verified — none is computed until a run is written to a file.
+/// verified — none is computed until a run is written to a file — and
+/// every block passed the column check when the run was sealed
+/// ([`RunBuilder::finish`]).
 impl Medium for BytesMut {
     type Cache = ();
     type Journal = ();
@@ -124,14 +128,21 @@ impl PartitionEntry {
 }
 
 /// A run's partition index, pointer-free: every key back to back in one
-/// buffer, every partition's [`BlockMeta`]s in one list, and one
-/// [`PartitionEntry`] a partition, so a lookup's binary search reads key
-/// bytes and key ends and nothing it must chase.
+/// buffer, every key's first 8 bytes as one `u64` (its *head*), every
+/// partition's [`BlockMeta`]s in one list, and one [`PartitionEntry`] a
+/// partition. A lookup's binary search compares heads, one load and one
+/// integer compare a probe, and reads a key's bytes only where the heads
+/// tie (Graefe's "poor man's normalized keys", *Modern B-Tree
+/// Techniques*, 2011). The heads are derived, never stored: a file's
+/// index is the keys alone, and [`PartitionIndex::close`] adds each
+/// key's head beside it.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct PartitionIndex {
     keys: Vec<u8>,
     /// Where each key ends in `keys`; it starts where the one before ended.
     key_ends: Vec<u32>,
+    /// Each key's [`head`].
+    heads: Vec<u64>,
     pub(crate) entries: Vec<PartitionEntry>,
     /// Every partition's blocks, in key order.
     pub(crate) blocks: Vec<BlockMeta>,
@@ -156,6 +167,7 @@ impl PartitionIndex {
         }
         self.keys.extend_from_slice(key);
         self.key_ends.push(self.keys.len() as u32);
+        self.heads.push(head(key));
         self.entries.push(entry);
         Some(entry)
     }
@@ -171,17 +183,47 @@ impl PartitionIndex {
         &self.blocks[entry.blocks.0 as usize..entry.blocks.1 as usize]
     }
 
+    /// The entry of partition `key`, searched for by head; key bytes are
+    /// compared only where the heads tie.
     fn find(&self, key: &[u8]) -> Option<&PartitionEntry> {
-        let (mut lo, mut hi) = (0, self.entries.len());
+        let head = head(key);
+        let (mut lo, mut hi) = (0, self.heads.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.key(mid).cmp(key) {
+            let order = self.heads[mid].cmp(&head);
+            match order.then_with(|| self.tie(mid, key)) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Some(&self.entries[mid]),
             }
         }
         None
+    }
+
+    /// How the `i`-th key orders against `key`, whose head is its own.
+    /// Keys of at most 8 bytes with one head differ only in how many zero
+    /// bytes end them, so the shorter sorts first and no key byte is read;
+    /// longer keys are compared whole.
+    fn tie(&self, i: usize, key: &[u8]) -> Ordering {
+        let mine = self.key(i);
+        if mine.len() <= 8 && key.len() <= 8 {
+            mine.len().cmp(&key.len())
+        } else {
+            mine.cmp(key)
+        }
+    }
+}
+
+/// A key's first 8 bytes, big-endian and zero-padded. Heads order as
+/// their keys do wherever they differ: the first byte they differ in is
+/// either a byte both keys have, or one past the end of the shorter key,
+/// which is a prefix of the longer there and so sorts first. Keys
+/// shorter than 8 bytes or sharing their first 8 can tie ("ab" and
+/// "ab\0" both have head `0x6162_0000_0000_0000`).
+fn head(key: &[u8]) -> u64 {
+    match key.first_chunk::<8>() {
+        Some(first) => u64::from_be_bytes(*first),
+        None => (key.iter().enumerate()).fold(0, |head, (i, &b)| head | (b as u64) << (56 - 8 * i)),
     }
 }
 
@@ -232,8 +274,16 @@ impl RunBuilder {
     }
 
     /// The run of generation `generation`, with a bloom filter over every
-    /// key pushed.
+    /// key pushed. Each block passes the column check ([`check_block`])
+    /// here, once, so no read of the run makes it again.
+    ///
+    /// # Panics
+    /// If a block fails it: the builder disagrees with its own layout.
     pub(crate) fn finish(self, opts: &SsTableOptions, generation: u64) -> Run<BytesMut> {
+        for meta in &self.index.blocks {
+            let block = &self.data[meta.offset as usize..][..meta.len as usize];
+            BytesMut::out(check_block(generation, meta, block));
+        }
         let count = self.index.entries.len();
         let mut bloom = BloomFilter::with_rate(count, opts.bloom_fp_rate);
         for i in 0..count {
@@ -360,9 +410,11 @@ impl<M: Medium> Run<M> {
         let final_offset = reached.last().map(|meta| meta.offset);
         self.medium
             .read_blocks(reached, cache, receipt, |meta, block, receipt| {
-                let last = tally_block(generation, meta, block, receipt, &mut tally.kinds)?;
-                if let Some(last) = last.filter(|_| Some(meta.offset) == final_offset) {
-                    tally.set_last(last);
+                tally_block(generation, meta, block, receipt, &mut tally.kinds)?;
+                if Some(meta.offset) == final_offset {
+                    if let Some(last) = last_cell(generation, meta, block)? {
+                        tally.set_last(last);
+                    }
                 }
                 cells += meta.cells as u64;
                 Ok(true)

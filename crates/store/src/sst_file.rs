@@ -37,7 +37,7 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
-use crate::block::{checksum64, BlockMeta, BLOCK_META_BYTES};
+use crate::block::{check_block, checksum64, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::{FixedState, Lru};
 use crate::durable::DiskJournal;
@@ -355,10 +355,12 @@ impl Medium for DiskBlocks {
     }
 
     /// One pass over the blocks, in order. A hit is folded from the cache;
-    /// a miss is sliced out of the mapping, charged, verified, folded while
-    /// it is still in L1 and then offered to the cache. A block that fails
-    /// its checksum is not cached, remembered or visited; one that fails
-    /// its fold is not cached or remembered.
+    /// a miss is sliced out of the mapping, charged, verified — its
+    /// checksum, then the column check ([`check_block`]), the one place a
+    /// file's block meets it — folded while it is still in L1 and then
+    /// offered to the cache, so every cached block has passed both. A
+    /// block that fails either check is not cached, remembered or
+    /// visited; one that fails its fold is not cached or remembered.
     fn read_blocks(
         &self,
         reached: &[BlockMeta],
@@ -390,6 +392,7 @@ impl Medium for DiskBlocks {
                     meta.offset
                 )));
             }
+            check_block(self.generation, meta, block)?;
             let more = fold(meta, block, receipt)?;
             // Admission on the second miss ([`BlockCache`]).
             if !blocks.is_full() || ghost.invalidate(&key) {
@@ -831,20 +834,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn block_payload_lengths_that_do_not_add_up_are_rejected_at_read() {
-        // A block that verifies, and whose index entry is true, but whose
-        // `payload_len` column no longer sums to its payload region: patch
-        // the first cell's length (33 → 34), then re-seal the block's
-        // checksum in its index entry, the metadata and the footer.
-        let tmp = TempDir::new("sst-payload-lengths");
-        let path = tmp.path().join(sst_file_name(1));
-        write_sst(
-            tmp.path(),
-            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
-        )
-        .expect("write");
-        let mut bytes = std::fs::read(&path).expect("read");
+    /// Rewrites, in the one-partition file of 200 cells at `path`, the
+    /// first cell's `payload_len` (33 → 34), so the block's lengths no
+    /// longer sum to its payload region, then re-seals the block's
+    /// checksum in its index entry, the metadata and the footer: a block
+    /// only the column check can refuse.
+    fn reseal_a_wrong_payload_length(path: &Path) {
+        let mut bytes = std::fs::read(path).expect("read");
         // 90 clustering keys (8 B) and 90 kinds (1 B) precede the lengths.
         let first_len_at = 90 * 8 + 90;
         assert_eq!(bytes[first_len_at..first_len_at + 4], 33u32.to_le_bytes());
@@ -852,7 +848,21 @@ mod tests {
         let crc = checksum64(0, &bytes[..90 * 46]);
         bytes[FIRST_BLOCK_CRC_AT..FIRST_BLOCK_CRC_AT + 8].copy_from_slice(&crc.to_be_bytes());
         reseal(&mut bytes, 0, checksum64);
-        std::fs::write(&path, &bytes).expect("write");
+        std::fs::write(path, &bytes).expect("write");
+    }
+
+    #[test]
+    fn block_payload_lengths_that_do_not_add_up_are_rejected_at_read() {
+        // A block that verifies, and whose index entry is true, but whose
+        // `payload_len` column no longer sums to its payload region.
+        let tmp = TempDir::new("sst-payload-lengths");
+        let path = tmp.path().join(sst_file_name(1));
+        write_sst(
+            tmp.path(),
+            &Run::build(&build_input(&[200]), &SsTableOptions::default(), 1),
+        )
+        .expect("write");
+        reseal_a_wrong_payload_length(&path);
 
         let sst = SstFile::open(&path).expect("the metadata is self-consistent");
         let mut cache = BlockCache::new(4);
@@ -871,6 +881,44 @@ mod tests {
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
         assert_eq!(cache.lens(), (0, 0), "nothing cached or remembered");
         assert!(sst.scanned().is_err());
+    }
+
+    #[test]
+    fn every_read_of_a_table_meets_the_column_check_on_a_miss() {
+        // The check runs where a block enters, on a cache miss, and not on
+        // a hit: so a block that fails it must never reach the cache, and
+        // every read of it must miss and fail again, through both of the
+        // table's whole-partition reads.
+        let tmp = TempDir::new("sst-entry-check");
+        let opts = DurableOptions {
+            fsync: FsyncPolicy::Never,
+            block_cache_blocks: 4,
+            ..DurableOptions::default()
+        };
+        let (mut t, _) = DurableTable::open(tmp.path(), opts.clone()).expect("open");
+        t.ingest_sorted(&build_input(&[200])).expect("ingest");
+        let path = t.engine.runs[0].path().to_path_buf();
+        drop(t);
+        reseal_a_wrong_payload_length(&path);
+        let (mut t, _) = DurableTable::open(tmp.path(), opts).expect("reopen");
+        let refused = |err: io::Error| {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("the 90 cells its index says"),
+                "{err}"
+            );
+        };
+        for _ in 0..2 {
+            let mut tally = Tally::default();
+            refused(t.aggregate(&pk(0), &mut tally).expect_err("must fail"));
+            assert_eq!(tally.kinds, [0; 256], "nothing of the block counted");
+            assert_eq!(t.engine.cache.lens(), (0, 0), "neither cached nor ghosted");
+            let mut visited = 0;
+            let folded = t.fold_partition(&pk(0), |_| visited += 1);
+            refused(folded.expect_err("must fail"));
+            assert_eq!(visited, 0, "nothing of the block visited");
+            assert_eq!(t.engine.cache.lens(), (0, 0), "neither cached nor ghosted");
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl Tally {
 
     /// Cells counted, of every kind.
     pub fn cells(&self) -> u64 {
-        self.kinds.iter().sum()
+        nonzero_counts(&self.kinds).map(|(_, count)| count).sum()
     }
 
     /// Forgets every count and the last cell, keeping the buffer.
@@ -192,6 +192,47 @@ impl Tally {
         self.last = Some((cell.clustering, cell.kind));
         self.last_payload.clear();
         self.last_payload.extend_from_slice(cell.payload);
+    }
+}
+
+/// The counters of `counts` that are not zero, as `(index, count)` in
+/// index order: what every reader of a tally's kinds walks them with. A
+/// partition holds a handful of kinds among 256, so the walk looks at
+/// eight counters at a time and skips the eight when all are zero.
+pub fn nonzero_counts(counts: &[u64; 256]) -> impl Iterator<Item = (u8, u64)> + '_ {
+    NonZeroCounts {
+        counts,
+        next: 0,
+        mask: 0,
+    }
+}
+
+/// The walk [`nonzero_counts`] makes.
+struct NonZeroCounts<'a> {
+    counts: &'a [u64; 256],
+    /// The group of eight counters after the one `mask` covers.
+    next: usize,
+    /// A bit for each non-zero counter of that group not yet handed out.
+    mask: u8,
+}
+
+impl Iterator for NonZeroCounts<'_> {
+    type Item = (u8, u64);
+
+    fn next(&mut self) -> Option<(u8, u64)> {
+        while self.mask == 0 {
+            let eight: &[u64; 8] = self.counts.as_chunks().0.get(self.next)?;
+            self.next += 1;
+            if eight.iter().fold(0, |any, &count| any | count) != 0 {
+                let bits = eight.iter().enumerate();
+                self.mask = bits.fold(0, |mask, (slot, &count)| {
+                    mask | u8::from(count != 0) << slot
+                });
+            }
+        }
+        let index = (self.next - 1) * 8 + self.mask.trailing_zeros() as usize;
+        self.mask &= self.mask - 1;
+        Some((index as u8, self.counts[index]))
     }
 }
 
@@ -317,5 +358,24 @@ mod tests {
         let expect: Vec<CellRef<'_>> = cells.iter().map(Cell::as_cell_ref).collect();
         assert_eq!(borrowed, expect);
         assert_eq!(buf.into_cells(), cells);
+    }
+
+    #[test]
+    fn nonzero_counts_lists_every_counter_that_is_not_zero_in_order() {
+        let naive = |counts: &[u64; 256]| -> Vec<(u8, u64)> {
+            let all = (0..=u8::MAX).zip(counts.iter().copied());
+            all.filter(|&(_, count)| count > 0).collect()
+        };
+        let mut counts = [0u64; 256];
+        assert_eq!(nonzero_counts(&counts).count(), 0);
+        // Both ends, a whole group of eight, groups with one counter set,
+        // and a counter whose bits are only high ones.
+        for (kind, count) in [(0, 1), (7, 2), (8, 3), (15, 4), (100, 1 << 63), (255, 5)] {
+            counts[kind] = count;
+        }
+        (16..24).for_each(|kind| counts[kind] = kind as u64);
+        assert_eq!(nonzero_counts(&counts).collect::<Vec<_>>(), naive(&counts));
+        let all = [1u64; 256];
+        assert_eq!(nonzero_counts(&all).collect::<Vec<_>>(), naive(&all));
     }
 }
