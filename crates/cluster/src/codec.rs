@@ -32,7 +32,7 @@
 
 use crate::messages::{QueryRequest, QueryResponse, Totals, WriteAck, WriteRequest};
 use bytes::{BufMut, Bytes};
-use kvs_store::{nonzero_counts, Cell, PartitionKey};
+use kvs_store::{Cell, PartitionKey, Tally};
 use std::collections::BTreeMap;
 
 /// Which serialization strategy a cluster uses.
@@ -163,28 +163,15 @@ impl Codec {
         Bytes::from(out)
     }
 
-    /// Appends to `out` the response to a read whose fold counted `tally`
-    /// cells of each kind at `version` — byte for byte
+    /// Appends to `out` the response to a read that counted `tally` at
+    /// `version` — byte for byte
     /// `encode_response(&from_tally(request_id, tally).with_version(version))`,
     /// with no message and no map built to get there.
-    pub fn append_response(
-        &self,
-        out: &mut Vec<u8>,
-        request_id: u64,
-        tally: &[u64; 256],
-        version: u64,
-    ) {
-        // The header leads with the totals: note the kinds on one walk.
-        let (mut kinds, mut found, mut cells) = ([0u8; 256], 0, 0);
-        for (kind, count) in nonzero_counts(tally) {
-            kinds[found] = kind;
-            found += 1;
-            cells += count;
-        }
-        let counts = kinds[..found]
-            .iter()
-            .map(|&kind| (kind, tally[kind as usize]));
-        self.write_response(out, request_id, cells, version, found, counts);
+    pub fn append_response(&self, out: &mut Vec<u8>, request_id: u64, tally: &Tally, version: u64) {
+        // The header leads with the totals: walk the tally's kinds for
+        // them, then again for the counts.
+        let (kinds, cells) = (tally.counts().count(), tally.cells());
+        self.write_response(out, request_id, cells, version, kinds, tally.counts());
     }
 
     /// The one response-body encoder: a body of `cells` cells at

@@ -161,7 +161,7 @@ impl ClusterData {
     ) -> (QueryResponse, ReadReceipt) {
         let mut tally = Tally::default();
         let receipt = self.tables[node as usize].aggregate(pk, &mut tally);
-        (QueryResponse::from_tally(request_id, &tally.kinds), receipt)
+        (QueryResponse::from_tally(request_id, &tally), receipt)
     }
 
     /// The placement directory and the tables, borrowed apart, so a

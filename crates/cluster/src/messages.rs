@@ -13,7 +13,7 @@
 //! reads the partition pre-image before applying, preserving sequential
 //! semantics on the replica.
 
-use kvs_store::{nonzero_counts, Cell, PartitionKey};
+use kvs_store::{Cell, PartitionKey, Tally};
 use std::collections::BTreeMap;
 
 /// A sub-query: "aggregate this partition".
@@ -44,25 +44,25 @@ pub struct QueryResponse {
 impl QueryResponse {
     /// Builds a response from raw cell kinds.
     pub fn from_kinds(request_id: u64, kinds: impl IntoIterator<Item = u8>) -> Self {
-        let mut tally = [0; 256];
-        for kind in kinds {
-            tally[kind as usize] += 1;
-        }
-        Self::from_tally(request_id, &tally)
-    }
-
-    /// Builds a response from a tally indexed by kind byte — what a fold
-    /// over a partition's cells counts into.
-    pub fn from_tally(request_id: u64, tally: &[u64; 256]) -> Self {
         let mut response = QueryResponse {
             request_id,
             ..QueryResponse::empty()
         };
-        for (kind, count) in nonzero_counts(tally) {
-            response.counts.insert(kind, count);
-            response.cells += count;
+        for kind in kinds {
+            *response.counts.entry(kind).or_insert(0) += 1;
+            response.cells += 1;
         }
         response
+    }
+
+    /// Builds a response from what an aggregation read counted.
+    pub fn from_tally(request_id: u64, tally: &Tally) -> Self {
+        QueryResponse {
+            request_id,
+            counts: tally.counts().collect(),
+            cells: tally.cells(),
+            version: 0,
+        }
     }
 
     /// Sets the partition's LWW version (builder style).
@@ -119,7 +119,8 @@ impl Totals {
     /// The counts as a [`QueryResponse`] holds them: every kind counted,
     /// with its count.
     pub fn counts(&self) -> BTreeMap<u8, u64> {
-        nonzero_counts(&self.kinds).collect()
+        let counted = (0..=u8::MAX).zip(self.kinds);
+        counted.filter(|&(_, count)| count != 0).collect()
     }
 }
 

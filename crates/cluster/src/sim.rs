@@ -60,7 +60,7 @@ use crate::result::{Coverage, RunResult};
 use crate::usl::{self, UslParams};
 use kvs_simcore::{Dist, EventQueue, RngHub, SimDuration, SimTime, Station};
 use kvs_stages::{analyze, RequestTrace, Span};
-use kvs_store::{nonzero_counts, PartitionKey, Tally};
+use kvs_store::{PartitionKey, Tally};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
@@ -117,7 +117,7 @@ fn prepare<'a>(
         codec.append_request(&mut wire, i as u64, pk);
         let req_bytes = wire.len();
         let start = prepared.kinds.len();
-        prepared.kinds.extend(nonzero_counts(&tally.kinds));
+        prepared.kinds.extend(tally.counts());
         let counts = &prepared.kinds[start..];
         let cells = counts.iter().map(|&(_, c)| c).sum();
         // The body `append_response` would write, from the counts at hand.

@@ -6,7 +6,7 @@ use kvs_cluster::dispatch::{Dispatcher, ReadOptions, View};
 use kvs_cluster::messages::{QueryRequest, QueryResponse, Totals};
 use kvs_cluster::usl::{formula7_peak_speedup, params_for_cells, UslParams};
 use kvs_cluster::{Codec, Consistency, OpKind, ReplicaPolicy, WriteOptions};
-use kvs_store::{Cell, PartitionKey};
+use kvs_store::{Cell, PartitionKey, Tally};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -509,10 +509,10 @@ proptest! {
 
 /// A tally with `kinds` non-zero slots, the run of them starting (and
 /// wrapping) at `first_kind`, slot `k` holding `counts[k]`.
-fn tally_of(kinds: usize, first_kind: u8, counts: &[u64]) -> [u64; 256] {
-    let mut tally = [0u64; 256];
+fn tally_of(kinds: usize, first_kind: u8, counts: &[u64]) -> Tally {
+    let mut tally = Tally::default();
     for k in (0..kinds).map(|j| (first_kind as usize + j) % 256) {
-        tally[k] = counts[k];
+        tally.add(k as u8, counts[k]);
     }
     tally
 }

@@ -226,7 +226,7 @@ fn take_version(tally: &mut Tally) -> u64 {
         }
         _ => return 0,
     };
-    tally.kinds[VERSION_KIND as usize] -= 1;
+    tally.remove(VERSION_KIND);
     version
 }
 
@@ -595,7 +595,7 @@ fn serve_read(
     let db_end = wall_ns();
     let codec = codec_of(job.flags);
     queue_answer(&job, [job.sent, dequeued, db_end], |out| {
-        codec.append_response(out, job.id, &tally.kinds, version)
+        codec.append_response(out, job.id, tally, version)
     });
     db_end
 }
@@ -745,7 +745,7 @@ mod tests {
             ServedTable::aggregate(&mut table, &pk, &mut tally),
             Some(30)
         );
-        assert_eq!(tally.kinds[1], 4);
+        assert_eq!(tally.count(1), 4);
         assert_eq!(tally.cells(), 4);
         // So does the block kernel, once one run holds it all.
         table.flush();
@@ -754,7 +754,7 @@ mod tests {
             ServedTable::aggregate(&mut table, &pk, &mut tally),
             Some(30)
         );
-        assert_eq!((tally.kinds[1], tally.cells()), (4, 4));
+        assert_eq!((tally.count(1), tally.cells()), (4, 4));
         // A partition never written through this path has version 0.
         let fresh = PartitionKey::from_id(8);
         table.put(fresh.clone(), Cell::new(0, 2, Vec::new()));
@@ -762,6 +762,6 @@ mod tests {
             ServedTable::aggregate(&mut table, &fresh, &mut tally),
             Some(0)
         );
-        assert_eq!((tally.kinds[2], tally.cells()), (1, 1));
+        assert_eq!((tally.count(2), tally.cells()), (1, 1));
     }
 }

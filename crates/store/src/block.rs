@@ -14,9 +14,11 @@
 //! `13 n + Σ payload_len` bytes, but [`fold_block`] reads a cell's 13
 //! header bytes from three dense columns and no payload byte, and
 //! [`tally_block`], what an aggregation reads a block with, reads one of
-//! them, its kind. Whether the payload lengths add up to the block is
-//! [`check_block`]'s question, asked once where a block enters a read
-//! path: at a heap run's build, and on a file run's cache miss.
+//! them, its kind, and counts it 32 cells at a time with AVX2 compares
+//! where it can ([`count_kinds`]). Whether the payload lengths add up to
+//! the block is [`check_block`]'s question, asked once where a block
+//! enters a read path: at a heap run's build, and on a file run's cache
+//! miss.
 //!
 //! Every block of an SSTable file carries its XXH3 [`checksum64`] in its
 //! index entry, computed as the file is written
@@ -28,6 +30,7 @@ use crate::run::bad_data;
 use crate::schema::{CellRef, ClusteringKey, CELL_HEADER_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io;
+use std::ops::Range;
 
 /// Target encoded size of one data block (bytes). Blocks close at the
 /// first cell boundary at or past this size.
@@ -618,11 +621,12 @@ pub fn fold_block(
 
 /// Counts the cells of one whole block of run `generation` into `kinds`,
 /// one counter per kind: what an aggregation needs of every block but a
-/// partition's last, read a column at a time. It reads the kinds column
-/// and nothing else, and bills the receipt in one step with what folding
-/// every cell of the block would: `cells_scanned` by its cells and
-/// `bytes_read` by its length, which [`check_block`], passed where the
-/// block entered, showed is exactly their encoded sizes.
+/// partition's last, read a column at a time ([`count_kinds`]). It reads
+/// the kinds column and nothing else, and bills the receipt in one step
+/// with what folding every cell of the block would: `cells_scanned` by its
+/// cells and `bytes_read` by its length, which [`check_block`], passed
+/// where the block entered, showed is exactly their encoded sizes. Returns
+/// the column's kind bound: one past its greatest kind, 0 for no cells.
 ///
 /// `Err` (`InvalidData`), before any cell is counted or charged, when the
 /// columns do not fit the block.
@@ -632,14 +636,137 @@ pub fn tally_block(
     block: &[u8],
     receipt: &mut ReadReceipt,
     kinds: &mut [u64; 256],
-) -> io::Result<()> {
-    let column = columns(generation, meta, block)?.kinds;
+) -> io::Result<usize> {
+    let cells = columns(generation, meta, block)?.kinds.len();
+    let bound = count_kinds(block, cells * 8..cells * 9, kinds);
+    receipt.cells_scanned += cells as u64;
+    receipt.bytes_read += block.len() as u64;
+    Ok(bound)
+}
+
+/// The vector count's kinds: a column whose greatest kind is below this
+/// is counted one compare per kind below its greatest; any other, byte by
+/// byte.
+const VECTOR_KINDS: usize = 16;
+
+/// Adds one to `kinds[kind]` for every byte of the column `bytes[column]`
+/// and returns its kind bound, one past its greatest kind (0 for an empty
+/// column) — what [`count_kinds_portable`] does, in AVX2 where the CPU has
+/// it and the column holds only kinds below 16.
+///
+/// The vector count reads the column 32 bytes at a time, its last partial
+/// vector in place: it may read up to 31 bytes of `bytes` past the
+/// column's end, and does so only when `bytes` holds them, and counts
+/// none of them. Inside a block the payload-length column follows the
+/// kinds, so the load stays in the block whenever
+/// `start + ⌈n/32⌉ · 32 ≤ block.len()`.
+///
+/// # Panics
+/// If `column` is not within `bytes`.
+pub fn count_kinds(bytes: &[u8], column: Range<usize>, kinds: &mut [u64; 256]) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if !column.is_empty()
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: `kinds_avx2::count` requires AVX2 and POPCNT and nothing
+        // else, and the lines above found that this CPU has both.
+        if let Some(bound) = unsafe { kinds_avx2::count(bytes, column.clone(), kinds) } {
+            return bound;
+        }
+    }
+    count_kinds_portable(&bytes[column], kinds)
+}
+
+/// [`count_kinds`] in portable code, one byte at a time: the reference
+/// its vector count is tested against, and what runs on any column that
+/// count declines.
+pub fn count_kinds_portable(column: &[u8], kinds: &mut [u64; 256]) -> usize {
+    let mut greatest = None;
     for &kind in column {
         kinds[kind as usize] += 1;
+        greatest = greatest.max(Some(kind));
     }
-    receipt.cells_scanned += column.len() as u64;
-    receipt.bytes_read += block.len() as u64;
-    Ok(())
+    greatest.map_or(0, |kind| kind as usize + 1)
+}
+
+/// The kinds count in AVX2: one `max` pass finds the column's greatest
+/// kind; each kind below it is then counted by a byte compare, a mask of
+/// its 32 lanes and a population count, and the greatest kind gets the
+/// cells left over.
+#[cfg(target_arch = "x86_64")]
+mod kinds_avx2 {
+    use super::VECTOR_KINDS;
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// [`super::count_kinds`] of a column that is not empty; `None`,
+    /// having counted nothing, when `bytes` does not hold the column's last
+    /// vector in full or the column holds a kind of [`VECTOR_KINDS`] or
+    /// more. A caller outside this module must know that the CPU has AVX2
+    /// and POPCNT to call it, and says so with `unsafe`.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn count(
+        bytes: &[u8],
+        column: Range<usize>,
+        kinds: &mut [u64; 256],
+    ) -> Option<usize> {
+        let n = column.len();
+        let vectors = bytes[column.start..].as_chunks::<32>().0;
+        let (last, full) = vectors.get(..n.div_ceil(32))?.split_last()?;
+        // The last vector's lanes that lie in the column.
+        let lanes = n - 32 * full.len();
+        let mut greatest = _mm256_and_si256(load(last), live(lanes));
+        for cells in full {
+            greatest = _mm256_max_epu8(greatest, load(cells));
+        }
+        let greatest = horizontal_max(greatest) as usize;
+        if greatest >= VECTOR_KINDS {
+            return None;
+        }
+        let (tail, mut counted) = ((u64::MAX >> (64 - lanes)) as u32, 0);
+        // Kinds `0..greatest`, which the check above keeps within the
+        // first `VECTOR_KINDS` counters.
+        let below = kinds[..VECTOR_KINDS].iter_mut().take(greatest);
+        for (kind, slot) in below.enumerate() {
+            let key = _mm256_set1_epi8(kind as i8);
+            let hits = |cells| _mm256_movemask_epi8(_mm256_cmpeq_epi8(load(cells), key)) as u32;
+            let in_full: u32 = full.iter().map(|cells| hits(cells).count_ones()).sum();
+            let count = (in_full + (hits(last) & tail).count_ones()) as u64;
+            *slot += count;
+            counted += count;
+        }
+        kinds[greatest] += n as u64 - counted;
+        Some(greatest + 1)
+    }
+
+    /// A mask of the first `lanes` of 32 byte lanes, all ones in each.
+    #[target_feature(enable = "avx2")]
+    fn live(lanes: usize) -> __m256i {
+        let index = _mm256_setr_epi8(
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+            24, 25, 26, 27, 28, 29, 30, 31,
+        );
+        _mm256_cmpgt_epi8(_mm256_set1_epi8(lanes as i8), index)
+    }
+
+    /// The greatest of the 32 byte lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    fn horizontal_max(v: __m256i) -> u8 {
+        let v = _mm_max_epu8(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        let v = _mm_max_epu8(v, _mm_srli_si128::<8>(v));
+        let v = _mm_max_epu8(v, _mm_srli_si128::<4>(v));
+        let v = _mm_max_epu8(v, _mm_srli_si128::<2>(v));
+        let v = _mm_max_epu8(v, _mm_srli_si128::<1>(v));
+        _mm_cvtsi128_si32(v) as u8
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn load(bytes: &[u8; 32]) -> __m256i {
+        // SAFETY: `bytes` is 32 readable bytes, what an unaligned 256-bit
+        // load reads.
+        unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) }
+    }
 }
 
 /// The last cell of a block of run `generation` (`None` for a block of no
@@ -809,8 +936,8 @@ mod tests {
         let (verdict, visited, folded) = fold(&meta, &data);
         verdict.expect("a sound block folds");
         let (mut kinds, mut tallied) = ([0u64; 256], ReadReceipt::default());
-        tally_block(1, &meta, &data, &mut tallied, &mut kinds).expect("tallies");
-        assert_eq!(tallied, folded);
+        let bound = tally_block(1, &meta, &data, &mut tallied, &mut kinds).expect("tallies");
+        assert_eq!((tallied, bound), (folded, 5));
         let last = last_cell(1, &meta, &data).expect("has columns");
         assert_eq!(last, visited.last().map(Cell::as_cell_ref));
         let mut want = [0u64; 256];
@@ -825,8 +952,8 @@ mod tests {
             ..meta
         };
         let mut r = ReadReceipt::default();
-        tally_block(1, &empty, &[], &mut r, &mut kinds).expect("tallies");
-        assert_eq!(r, ReadReceipt::default());
+        let bound = tally_block(1, &empty, &[], &mut r, &mut kinds).expect("tallies");
+        assert_eq!((r, bound), (ReadReceipt::default(), 0));
         assert_eq!(last_cell(1, &empty, &[]).expect("has columns"), None);
         assert_eq!(kinds, want);
     }
@@ -875,7 +1002,7 @@ mod tests {
             ..meta
         };
         let (mut kinds, mut r) = ([0u64; 256], ReadReceipt::default());
-        refused(tally_block(1, &over, &data, &mut r, &mut kinds));
+        refused(tally_block(1, &over, &data, &mut r, &mut kinds).map(drop));
         assert_eq!((kinds, r), ([0; 256], ReadReceipt::default()));
         refused(last_cell(1, &over, &data).map(drop));
         let (verdict, visited, r) = fold(&over, &data);

@@ -67,6 +67,6 @@ pub use receipt::ReadReceipt;
 pub use recovery::RecoveryReport;
 pub use run::{Medium, SsTableOptions};
 pub use schema::{Cell, CellRef, PartitionKey};
-pub use stream::{nonzero_counts, Tally};
+pub use stream::Tally;
 pub use table::{Table, TableMetrics, TableOptions};
 pub use wal::FsyncPolicy;

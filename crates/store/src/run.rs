@@ -12,9 +12,7 @@
 //! aggregation of a whole partition reaches the same blocks and counts
 //! them a column at a time instead (`Run::tally_partition`).
 
-use crate::block::{
-    build_blocks, check_block, fold_block, last_cell, tally_block, BlockColumns, BlockMeta,
-};
+use crate::block::{build_blocks, check_block, fold_block, last_cell, BlockColumns, BlockMeta};
 use crate::bloom::BloomFilter;
 use crate::engine::Journal;
 use crate::receipt::ReadReceipt;
@@ -391,8 +389,8 @@ impl<M: Medium> Run<M> {
     }
 
     /// Counts the whole partition of `entry` into `tally` a block at a
-    /// time ([`tally_block`]) — the blocks the scan of the whole partition
-    /// reaches, fetched and verified through the same
+    /// time ([`crate::block::tally_block`]) — the blocks the scan of the
+    /// whole partition reaches, fetched and verified through the same
     /// [`Medium::read_blocks`] — and returns how many cells it counted.
     /// Bills the receipt exactly as [`Run::scan_partition`] over the
     /// whole partition does. `Err` as that scan's; `tally` may have
@@ -410,7 +408,7 @@ impl<M: Medium> Run<M> {
         let final_offset = reached.last().map(|meta| meta.offset);
         self.medium
             .read_blocks(reached, cache, receipt, |meta, block, receipt| {
-                tally_block(generation, meta, block, receipt, &mut tally.kinds)?;
+                tally.add_block(generation, meta, block, receipt)?;
                 if Some(meta.offset) == final_offset {
                     if let Some(last) = last_cell(generation, meta, block)? {
                         tally.set_last(last);

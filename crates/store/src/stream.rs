@@ -7,6 +7,7 @@
 //! ([`crate::merge::merge_newest_wins`]). A [`Tally`], the aggregation
 //! read's sink, counts a partition one run holds a block at a time.
 
+use crate::block::{tally_block, BlockMeta};
 use crate::engine::Engine;
 use crate::merge::merge_newest_wins;
 use crate::receipt::ReadReceipt;
@@ -145,10 +146,16 @@ impl<F: FnMut(CellRef<'_>)> Sink for F {
 /// that cell's payload in a buffer of its own, so a tally reused from
 /// read to read stops allocating once the buffer has grown to the
 /// largest last payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// It knows the range of kinds it has counted into, `0..end`, and clears
+/// and walks that range alone: a partition holds a handful of kinds among
+/// 256.
+#[derive(Debug, Clone)]
 pub struct Tally {
-    /// How many cells of each kind the partition holds.
-    pub kinds: [u64; 256],
+    /// How many cells of each kind the partition holds; zero from `end`.
+    kinds: [u64; 256],
+    /// One past the greatest kind counted since the tally was cleared.
+    end: usize,
     /// The last cell's clustering key and kind.
     last: Option<(ClusteringKey, u8)>,
     /// The last cell's payload.
@@ -159,11 +166,22 @@ impl Default for Tally {
     fn default() -> Self {
         Tally {
             kinds: [0; 256],
+            end: 0,
             last: None,
             last_payload: Vec::new(),
         }
     }
 }
+
+/// Two tallies are equal when they hold the same counts and the same last
+/// cell, whatever range each has counted into.
+impl PartialEq for Tally {
+    fn eq(&self, other: &Self) -> bool {
+        self.kinds == other.kinds && self.last() == other.last()
+    }
+}
+
+impl Eq for Tally {}
 
 impl Tally {
     /// The partition's last cell; `None` when it holds none.
@@ -175,14 +193,58 @@ impl Tally {
         })
     }
 
+    /// Every kind counted, with its count, in kind order.
+    pub fn counts(&self) -> impl Iterator<Item = (u8, u64)> + '_ {
+        let counted = self.kinds[..self.end].iter().enumerate();
+        counted
+            .filter(|&(_, &count)| count != 0)
+            .map(|(kind, &count)| (kind as u8, count))
+    }
+
+    /// How many cells of `kind` were counted.
+    pub fn count(&self, kind: u8) -> u64 {
+        self.kinds[kind as usize]
+    }
+
     /// Cells counted, of every kind.
     pub fn cells(&self) -> u64 {
-        nonzero_counts(&self.kinds).map(|(_, count)| count).sum()
+        self.kinds[..self.end].iter().sum()
+    }
+
+    /// Counts `count` more cells of `kind`.
+    pub fn add(&mut self, kind: u8, count: u64) {
+        self.kinds[kind as usize] += count;
+        self.end = self.end.max(kind as usize + 1);
+    }
+
+    /// Takes one cell of `kind` out of the counts — a cell its reader
+    /// counts as bookkeeping, not data — and narrows the range to the
+    /// kinds still counted. The tally must count a cell of `kind`.
+    pub fn remove(&mut self, kind: u8) {
+        self.kinds[kind as usize] -= 1;
+        while self.end > 0 && self.kinds[self.end - 1] == 0 {
+            self.end -= 1;
+        }
+    }
+
+    /// Counts one whole block of run `generation` a column at a time
+    /// ([`tally_block`]).
+    pub(crate) fn add_block(
+        &mut self,
+        generation: u64,
+        meta: &BlockMeta,
+        block: &[u8],
+        receipt: &mut ReadReceipt,
+    ) -> io::Result<()> {
+        let bound = tally_block(generation, meta, block, receipt, &mut self.kinds)?;
+        self.end = self.end.max(bound);
+        Ok(())
     }
 
     /// Forgets every count and the last cell, keeping the buffer.
     pub(crate) fn clear(&mut self) {
-        self.kinds = [0; 256];
+        self.kinds[..self.end].fill(0);
+        self.end = 0;
         self.last = None;
         self.last_payload.clear();
     }
@@ -195,53 +257,12 @@ impl Tally {
     }
 }
 
-/// The counters of `counts` that are not zero, as `(index, count)` in
-/// index order: what every reader of a tally's kinds walks them with. A
-/// partition holds a handful of kinds among 256, so the walk looks at
-/// eight counters at a time and skips the eight when all are zero.
-pub fn nonzero_counts(counts: &[u64; 256]) -> impl Iterator<Item = (u8, u64)> + '_ {
-    NonZeroCounts {
-        counts,
-        next: 0,
-        mask: 0,
-    }
-}
-
-/// The walk [`nonzero_counts`] makes.
-struct NonZeroCounts<'a> {
-    counts: &'a [u64; 256],
-    /// The group of eight counters after the one `mask` covers.
-    next: usize,
-    /// A bit for each non-zero counter of that group not yet handed out.
-    mask: u8,
-}
-
-impl Iterator for NonZeroCounts<'_> {
-    type Item = (u8, u64);
-
-    fn next(&mut self) -> Option<(u8, u64)> {
-        while self.mask == 0 {
-            let eight: &[u64; 8] = self.counts.as_chunks().0.get(self.next)?;
-            self.next += 1;
-            if eight.iter().fold(0, |any, &count| any | count) != 0 {
-                let bits = eight.iter().enumerate();
-                self.mask = bits.fold(0, |mask, (slot, &count)| {
-                    mask | u8::from(count != 0) << slot
-                });
-            }
-        }
-        let index = (self.next - 1) * 8 + self.mask.trailing_zeros() as usize;
-        self.mask &= self.mask - 1;
-        Some((index as u8, self.counts[index]))
-    }
-}
-
 /// A tally counts every cell it is handed, and where one run holds the
 /// partition alone counts that run's blocks a column at a time
 /// ([`Run::tally_partition`]) instead.
 impl Sink for Tally {
     fn cell(&mut self, cell: CellRef<'_>) {
-        self.kinds[cell.kind as usize] += 1;
+        self.add(cell.kind, 1);
         self.set_last(cell);
     }
 
@@ -361,21 +382,33 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_counts_lists_every_counter_that_is_not_zero_in_order() {
-        let naive = |counts: &[u64; 256]| -> Vec<(u8, u64)> {
-            let all = (0..=u8::MAX).zip(counts.iter().copied());
+    fn a_tally_lists_every_kind_it_counts_in_order() {
+        let naive = |tally: &Tally| -> Vec<(u8, u64)> {
+            let all = (0..=u8::MAX).map(|kind| (kind, tally.count(kind)));
             all.filter(|&(_, count)| count > 0).collect()
         };
-        let mut counts = [0u64; 256];
-        assert_eq!(nonzero_counts(&counts).count(), 0);
-        // Both ends, a whole group of eight, groups with one counter set,
-        // and a counter whose bits are only high ones.
-        for (kind, count) in [(0, 1), (7, 2), (8, 3), (15, 4), (100, 1 << 63), (255, 5)] {
-            counts[kind] = count;
+        let mut tally = Tally::default();
+        assert_eq!((tally.counts().count(), tally.cells()), (0, 0));
+        // Both ends, kinds out of order, a kind counted twice, and a count
+        // whose bits are only high ones.
+        for (kind, count) in [(7, 2), (0, 1), (255, 5), (8, 3), (100, 1 << 62), (8, 1)] {
+            tally.add(kind, count);
         }
-        (16..24).for_each(|kind| counts[kind] = kind as u64);
-        assert_eq!(nonzero_counts(&counts).collect::<Vec<_>>(), naive(&counts));
-        let all = [1u64; 256];
-        assert_eq!(nonzero_counts(&all).collect::<Vec<_>>(), naive(&all));
+        let want = [(0, 1), (7, 2), (8, 4), (100, 1 << 62), (255, 5)];
+        assert_eq!(tally.counts().collect::<Vec<_>>(), want);
+        assert_eq!(naive(&tally), want);
+        assert_eq!(tally.cells(), 12 + (1 << 62));
+        // Taking the top kind's last cell out narrows the range to the
+        // kinds left, and a cleared tally counts nothing.
+        (0..5).for_each(|_| tally.remove(255));
+        assert_eq!(tally.end, 101);
+        tally.remove(8);
+        assert_eq!(tally.count(8), 3);
+        tally.clear();
+        assert_eq!(
+            (tally.counts().count(), tally.cells(), tally.end),
+            (0, 0, 0)
+        );
+        assert_eq!(naive(&tally), []);
     }
 }

@@ -312,7 +312,7 @@ impl<M: Medium> Table<M> {
     ///
     /// let mut tally = Tally::default();
     /// let receipt = table.aggregate(&pk, &mut tally);
-    /// assert_eq!((tally.kinds[0], tally.kinds[1]), (5, 5));
+    /// assert_eq!(tally.counts().collect::<Vec<_>>(), [(0, 5), (1, 5)]);
     /// assert_eq!(tally.last().map(|cell| cell.clustering), Some(9));
     /// assert_eq!(receipt.cells_returned, 10);
     /// ```

@@ -16,7 +16,9 @@
 //! sees, and the same receipt in every field, whether it counts one run's
 //! blocks whole or the stream's cells — over one run, several, a memtable
 //! overlap, a column-indexed partition, the row cache off and on, and on
-//! the durable table with block-cache hits and misses.
+//! the durable table with block-cache hits and misses. One tally reused
+//! across reads whose kinds reach 255, stay below 4 and reach 16 counts
+//! each read as a fresh one does, on either path and either medium.
 
 use kvs_store::{Cell, CellRef, Medium, PartitionKey, ReadReceipt, Table, TableOptions, Tally};
 use proptest::prelude::*;
@@ -184,11 +186,88 @@ fn tally_matches_fold<M: Medium>(a: &mut Store<M>, b: &mut Store<M>) {
             kinds[cell.kind as usize] += 1;
             last = Some(Cell::new(cell.clustering, cell.kind, cell.payload.to_vec()));
         });
-        assert_eq!(tally.kinds, kinds, "partition {p}");
+        assert_counts(&tally, &kinds, &format!("partition {p}"));
         let tally_last = tally.last();
         let tally_last = tally_last.map(|c| Cell::new(c.clustering, c.kind, c.payload.to_vec()));
         assert_eq!(tally_last, last, "partition {p}");
         assert_eq!(tally_receipt, fold_receipt, "partition {p}");
+    }
+}
+
+/// Asserts that `tally` counts `kinds`: every counter, and the kinds its
+/// walk lists.
+fn assert_counts(tally: &Tally, kinds: &[u64; 256], what: &str) {
+    let every = (0..=u8::MAX).map(|kind| (kind, kinds[kind as usize]));
+    let want: Vec<(u8, u64)> = every.filter(|&(_, count)| count > 0).collect();
+    assert_eq!(tally.counts().collect::<Vec<_>>(), want, "{what}");
+    let counters = (0..=u8::MAX).map(|kind| tally.count(kind));
+    assert!(counters.eq(kinds.iter().copied()), "{what}");
+    assert_eq!(tally.cells(), want.iter().map(|&(_, n)| n).sum(), "{what}");
+}
+
+/// The kinds of the reuse test's partitions, in the order it reads them:
+/// every kind up to 255, then below 4, then `0..=16` (the vector count's
+/// edge), so one tally's range grows, shrinks and grows again.
+const ALPHABETS: [u8; 3] = [255, 3, 16];
+
+/// Lays out the reuse test's partitions, `kinds[i]` partition `i`'s
+/// cells' kinds (each cut to its alphabet, and the first cell's its
+/// greatest kind): each in one run, the column path, when `split` is
+/// false; otherwise the cells before its middle in one run and the rest,
+/// with every third key written again, in a newer one, so each read
+/// merges two sources and the tally counts cells.
+fn lay_out<M: Medium>(store: &mut Store<M>, kinds: &[Vec<u8>], split: bool) {
+    let (mut older, mut newer) = (Vec::new(), Vec::new());
+    for (i, kinds) in kinds.iter().enumerate() {
+        let pk = PartitionKey::from_id(i as u64);
+        let alphabet = ALPHABETS[i] as u16 + 1;
+        let cells: Vec<Cell> = kinds
+            .iter()
+            .enumerate()
+            .map(|(c, &kind)| {
+                let kind = if c == 0 {
+                    ALPHABETS[i]
+                } else {
+                    (kind as u16 % alphabet) as u8
+                };
+                Cell::new(c as u64, kind, vec![kind; c % 9])
+            })
+            .collect();
+        if !split {
+            older.push((pk, cells));
+            continue;
+        }
+        let middle = cells.len() / 2;
+        let again = cells
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| c % 3 == 0 || c >= middle);
+        newer.push((pk.clone(), again.map(|(_, cell)| cell.clone()).collect()));
+        older.push((pk, cells[..middle].to_vec()));
+    }
+    for run in [older, newer].iter().filter(|run| !run.is_empty()) {
+        M::into_result(store.0.ingest_sorted(run)).expect("ingest");
+    }
+    assert_eq!(store.0.sstable_count(), 1 + split as usize);
+}
+
+/// Reads the reuse test's partitions round after round into one tally,
+/// and asserts each read equals a fresh tally's and counts what a
+/// counting fold does.
+fn reused_tally_matches_a_fresh_one<M: Medium>(store: &mut Store<M>) {
+    let mut reused = Tally::default();
+    for round in 0..3 {
+        for i in 0..ALPHABETS.len() {
+            let pk = PartitionKey::from_id(i as u64);
+            store.aggregate(&pk, &mut reused);
+            let mut fresh = Tally::default();
+            store.aggregate(&pk, &mut fresh);
+            let what = format!("partition {i}, round {round}");
+            assert_eq!(reused, fresh, "{what}");
+            let mut kinds = [0u64; 256];
+            store.fold(&pk, |cell| kinds[cell.kind as usize] += 1);
+            assert_counts(&reused, &kinds, &what);
+        }
     }
 }
 
@@ -239,8 +318,31 @@ fn kernel_agrees<M: Medium>(twins: [Table<M>; 2], ops: &[Op], wide: u64) {
     assert!(wide_read.row_cache_hit || wide_read.used_column_index);
 }
 
+/// The kinds of the reuse test's partitions, one list each.
+fn partition_kinds() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        proptest::collection::vec(any::<u8>(), 1..600),
+        ALPHABETS.len(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ram_reused_tally_counts_what_a_fresh_one_does(
+        kinds in partition_kinds(),
+        split in any::<bool>(),
+        row_cache in any::<bool>(),
+    ) {
+        let opts = TableOptions {
+            row_cache_partitions: if row_cache { 8 } else { 0 },
+            ..Default::default()
+        };
+        let mut store = Store(Table::new(opts));
+        lay_out(&mut store, &kinds, split);
+        reused_tally_matches_a_fresh_one(&mut store);
+    }
 
     #[test]
     fn ram_kernel_counts_what_the_fold_visits(
@@ -296,6 +398,23 @@ mod durable {
                 .each_ref()
                 .map(|dir| DurableTable::open(dir.path(), opts.clone()).expect("open").0);
             twins_agree(twins, &ops);
+        }
+
+        #[test]
+        fn durable_reused_tally_counts_what_a_fresh_one_does(
+            kinds in partition_kinds(),
+            split in any::<bool>(),
+            cache in any::<bool>(),
+        ) {
+            let opts = DurableOptions {
+                block_cache_blocks: if cache { 1024 } else { 0 },
+                fsync: FsyncPolicy::Never,
+                ..Default::default()
+            };
+            let dir = TempDir::new("prop-reuse");
+            let mut store = Store(DurableTable::open(dir.path(), opts).expect("open").0);
+            lay_out(&mut store, &kinds, split);
+            reused_tally_matches_a_fresh_one(&mut store);
         }
 
         #[test]

@@ -7,14 +7,21 @@ BINARY is the program that ran (its own samples are looked up in
 `nm -C -n BINARY`), each PROFILE a `<prefix>.<pid>.txt` the sampler
 wrote. Several profiles of the same binary are pooled: each file's
 samples are mapped through its own object list, then counted together.
-Samples in libc and in the vDSO are counted as `[libc]` and `[vdso]`;
-those in any other shared object as `[<its file name>]`. Prints the
-sample count, then the top N (default 25) symbols with their share.
+A sample in libc is named by the exported function it falls inside
+(`nm -D -S --defined-only` of the libc the profile lists, each symbol
+with its size) as `[libc] <name>`, and counted as `[libc, unexported]`
+when it falls inside none (glibc's string functions, say, run bodies its
+IFUNC resolvers pick at load time, which it does not export); as
+`[libc]` when that libc cannot be read. Samples in the vDSO are counted
+as `[vdso]`, those in any other shared object as `[<its file name>]`.
+Prints the sample count, then the top N (default 25) symbols with their
+share.
 """
 
 import argparse
 import bisect
 import collections
+import functools
 import os
 import subprocess
 import sys
@@ -54,13 +61,50 @@ def read_symbols(binary):
     return symbols
 
 
+@functools.cache
+def read_exports(path):
+    """Sorted (address, end, name) of every exported function of the shared
+    object at `path`, one name per address (the one without a leading
+    underscore, then the shortest); None when `nm` cannot read it."""
+    try:
+        out = subprocess.run(
+            ["nm", "-D", "-S", "--defined-only", path],
+            check=True, capture_output=True, text=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    named = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) != 4 or parts[2] not in "TtWw":
+            continue
+        addr, size, name = int(parts[0], 16), int(parts[1], 16), parts[3].split("@")[0]
+        rank = (name.startswith("_"), len(name), name)
+        if size and (addr not in named or rank < named[addr][0]):
+            named[addr] = (rank, addr + size, name)
+    return sorted((addr, end, name) for addr, (_, end, name) in named.items())
+
+
+def is_libc(name):
+    base = os.path.basename(name)
+    return base.startswith("libc.so") or base.startswith("libc-")
+
+
 def bucket(name):
     base = os.path.basename(name)
-    if base.startswith("libc.so") or base.startswith("libc-"):
-        return "[libc]"
     if "vdso" in base:
         return "[vdso]"
     return f"[{base}]"
+
+
+def libc_name(exports, offset):
+    """The libc bucket of a sample `offset` bytes past libc's base."""
+    if exports is None:
+        return "[libc]"
+    at = bisect.bisect_right(exports, (offset, float("inf"))) - 1
+    if at >= 0 and offset < exports[at][1]:
+        return f"[libc] {exports[at][2]}"
+    return "[libc, unexported]"
 
 
 def resolve(objects, ips, symbols):
@@ -77,6 +121,8 @@ def resolve(objects, ips, symbols):
         elif owner[1] == "[main]":
             at = bisect.bisect_right(addrs, ip - owner[0]) - 1
             counts[symbols[at][1] if at >= 0 else "[main, before the first symbol]"] += 1
+        elif is_libc(owner[1]):
+            counts[libc_name(read_exports(owner[1]), ip - owner[0])] += 1
         else:
             counts[bucket(owner[1])] += 1
     return counts
