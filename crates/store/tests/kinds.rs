@@ -22,23 +22,24 @@ fn avx2() -> bool {
     return false;
 }
 
-/// A column of `n` kinds: `pick(i, random)` is cell `i`'s.
-fn column(n: usize, seed: u64, pick: impl Fn(usize, u64) -> u8) -> Vec<u8> {
+/// A column of `n` kinds, each `pick` of a random word.
+fn column(n: usize, seed: u64, pick: Pick) -> Vec<u8> {
     let mut state = seed;
-    (0..n).map(|i| pick(i, splitmix(&mut state))).collect()
+    (0..n).map(|_| pick(splitmix(&mut state))).collect()
 }
 
-/// The alphabets: their names and how each picks a cell's kind.
-type Alphabet = (&'static str, fn(usize, u64) -> u8);
+/// How an alphabet picks a cell's kind from a random word.
+type Pick = fn(u64) -> u8;
 
-const ALPHABETS: [Alphabet; 7] = [
-    ("one kind", |_, _| 2),
-    ("kinds 0..4", |_, r| (r % 4) as u8),
-    ("kinds 0..=15", |_, r| (r % 16) as u8),
-    ("kinds 0..=16", |_, r| (r % 17) as u8),
-    ("kind 15 alone", |_, _| 15),
-    ("kinds 0..=255", |_, r| r as u8),
-    ("all 0xFF", |_, _| 0xFF),
+/// The alphabets: their names and how each picks a cell's kind.
+const ALPHABETS: [(&str, Pick); 7] = [
+    ("one kind", |_| 2),
+    ("kinds 0..4", |r| (r % 4) as u8),
+    ("kinds 0..=15", |r| (r % 16) as u8),
+    ("kinds 0..=16", |r| (r % 17) as u8),
+    ("kind 15 alone", |_| 15),
+    ("kinds 0..=255", |r| r as u8),
+    ("all 0xFF", |_| 0xFF),
 ];
 
 /// Counts `kinds` placed at `start` of a buffer with `after` bytes past
@@ -112,7 +113,7 @@ fn a_column_at_the_limit_is_counted_by_either_path() {
     // handful of small kinds, and the same with 15, the greatest kind the
     // vector count takes.
     for top in [15u8, 16, 0xFF] {
-        let mut kinds = column(89, 7, |_, r| (r % 4) as u8);
+        let mut kinds = column(89, 7, |r| (r % 4) as u8);
         kinds[88] = top;
         agree(&kinds, 8 * 89, 4 * 89, &format!("top kind {top}"));
         kinds[0] = top;
