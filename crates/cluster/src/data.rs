@@ -3,18 +3,74 @@
 //! The placement directory is flat: a hash map from a partition's key to
 //! its slot, and one array of every partition's replicas, `rf` to a slot,
 //! so a lookup is one hash probe and its replica list a slice of one
-//! contiguous array. The map hashes with the store's fixed hash
-//! ([`FixedState`]), safe here for the reason the block cache's is: the
-//! loader places every key before any request arrives, and a request
-//! only looks one up. The cell counts stay a key-ordered map, which is
-//! what the query routes are drawn from.
+//! contiguous array. The map hashes with a fixed multiply-and-rotate hash
+//! ([`FixedState`]) rather than the keyed SipHash. That is safe here: the
+//! loader places every key before any request arrives, and a request only
+//! looks one up, so no client can lengthen the map's chains. The cell
+//! counts stay a key-ordered map, which is what the query routes are
+//! drawn from.
 
 use crate::messages::QueryResponse;
 use kvs_balance::HashRing;
-use kvs_store::cache::FixedState;
 use kvs_store::{Cell, PartitionKey, ReadReceipt, Table, TableOptions, Tally};
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hasher};
+
+/// A fixed, unkeyed hash for the placement directory, whose keys the
+/// loader places and no client adds: each word is added and multiplied by
+/// an odd constant (rustc-hash 2's), and the sum's 128-bit product with
+/// the same constant is folded, its high half xored into its low.
+///
+/// The fold matters. A key of [`PartitionKey::from_id`] is its id's 8
+/// big-endian bytes, read here as one little-endian word, so a small id
+/// sets only the word's high bits; a product's low bits depend only on its
+/// factors' low bits; and the map picks buckets from the low bits of the
+/// hash. The high half of the folded product depends on every bit of the
+/// sum, so the fold carries the ids' bits down to where buckets are
+/// chosen. A rotate of the sum would not do: it moves only some of those
+/// bits down, and ids 0..2 048 would fall into 2 buckets of 2 048.
+#[derive(Debug, Clone, Copy, Default)]
+struct FixedState;
+
+/// The hasher [`FixedState`] builds.
+#[derive(Debug)]
+struct FixedHasher(u64);
+
+/// rustc-hash 2's multiplier: odd, so multiplication is a bijection.
+const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
+
+impl BuildHasher for FixedState {
+    type Hasher = FixedHasher;
+
+    fn build_hasher(&self) -> FixedHasher {
+        FixedHasher(0)
+    }
+}
+
+impl Hasher for FixedHasher {
+    /// A word at a time, the last one zero-padded.
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.write_u64(u64::from_le_bytes(*word));
+        }
+        if !tail.is_empty() {
+            let word =
+                (tail.iter().enumerate()).fold(0, |word, (i, &b)| word | (b as u64) << (8 * i));
+            self.write_u64(word);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        let product = self.0 as u128 * MULTIPLIER as u128;
+        product as u64 ^ (product >> 64) as u64
+    }
+}
 
 /// The cluster's data: one [`Table`] per node, plus the ring and a
 /// partition directory.
@@ -338,6 +394,30 @@ mod tests {
         }
         assert_eq!(data.partitions_per_node().values().sum::<u64>(), 9);
         assert_eq!(data.partition_count(), 9);
+    }
+
+    #[test]
+    fn the_fixed_hash_spreads_partition_keys_over_buckets() {
+        // The keys `uniform_partitions` loads, ids 0..2 048, bucketed by
+        // the low 11 bits as a 2 048-bucket table would. Before the final
+        // fold every sum's low 48 bits are the same, since each id sets
+        // only the high 16 bits of its word, so all land in one bucket; a
+        // uniform hash fills ≈ 1 295.
+        let bucket = |hash: u64| hash & 2_047;
+        let mut fixed = std::collections::BTreeSet::new();
+        let mut unfolded = std::collections::BTreeSet::new();
+        for (pk, _) in uniform_partitions(2_048, 0, 1) {
+            let mut hasher = FixedState.build_hasher();
+            std::hash::Hash::hash(&pk, &mut hasher);
+            fixed.insert(bucket(hasher.finish()));
+            unfolded.insert(bucket(hasher.0));
+        }
+        assert_eq!(unfolded.len(), 1);
+        assert!(
+            fixed.len() >= 1_200,
+            "{} of 2 048 buckets used",
+            fixed.len()
+        );
     }
 
     #[test]

@@ -83,7 +83,10 @@ fn read_all(routes: &[Route]) -> Vec<MixedPlan> {
 }
 
 /// The fault-free answer: the same two write halves against a RAM
-/// cluster that never fails, then the standard aggregation query.
+/// cluster that never fails, then the standard aggregation query. The
+/// halves are written at ALL: the query reads one replica per partition,
+/// and after a QUORUM write it could read the one replica that has not
+/// applied it yet.
 fn oracle(routes_template: &[Route]) -> (BTreeMap<u8, u64>, u64) {
     let (cluster, routes) =
         spawn_local_cluster(data(), NetServerConfig::default()).expect("oracle cluster boots");
@@ -91,8 +94,12 @@ fn oracle(routes_template: &[Route]) -> (BTreeMap<u8, u64>, u64) {
     let mut master = NetMaster::connect(&cluster.addrs(), cfg()).expect("oracle connects");
     let wcfg = WriteOptions::default();
     for phase in 0..2u64 {
+        let mut plans = storm(&routes, WRITES_PER_HALF, phase);
+        for plan in &mut plans {
+            plan.consistency = Consistency::All;
+        }
         let out = master
-            .run_mixed(&storm(&routes, WRITES_PER_HALF, phase), None, &wcfg)
+            .run_mixed(&plans, None, &wcfg)
             .expect("oracle storm runs");
         assert_eq!(out.writes_acked as usize, WRITES_PER_HALF);
         assert_eq!(out.writes_failed, 0);

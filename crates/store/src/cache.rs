@@ -1,86 +1,23 @@
-//! A small O(1) LRU cache: the table's row cache and the durable tier's
-//! block cache, and the block cache's ghost list of refused keys.
+//! A small O(1) LRU cache: the RAM table's row cache.
 //!
 //! Entries live in a slab (`Vec`) threaded into a doubly linked recency
 //! list by slot index, and one `HashMap` maps a key to its slot: a `get`
 //! or a `put` is one hash look-up plus a few index writes (a `put` that
-//! evicts also unmaps its victim).
-//!
-//! Which hash a map uses depends on who picks its keys. The row cache
-//! ([`Lru::new`]) keeps the standard library's keyed SipHash: its keys are
-//! partition keys that arrive off the wire, and a fixed hash would let a
-//! client choose keys that collide. The block cache and its ghost
-//! ([`Lru::with_hasher`] with [`FixedState`]) are keyed by a run's own
-//! `(generation, offset)`, which the store mints and no client names, so
-//! they use a fixed multiply-and-rotate hash at a fraction of the cost.
-//! The cluster's placement directory (`kvs_cluster::ClusterData`) hashes
-//! partition keys with it too, which is safe there for another reason:
-//! the loader mints those keys before any request arrives, and no client
-//! adds one, so none can lengthen the map's chains.
+//! evicts also unmaps its victim). The map keeps the standard library's
+//! keyed SipHash: its keys are partition keys that arrive off the wire,
+//! and a fixed hash would let a client choose keys that collide.
 //!
 //! The paper's database model calls out caches as a variance source:
 //! "a miss in a cache … can arbitrarily make a request orders of magnitude
 //! slower than average" (§VI-a), and its related-work discussion notes that
-//! replica-spreading defeats caching. The row cache here lets the cost
-//! model and the ablation benches quantify both effects; the block cache
-//! admits a block only on its second miss, so a scan larger than the cache
-//! cannot flush it (`crate::sst_file::BlockCache`).
+//! replica-spreading defeats caching. The row cache lets the cost model and
+//! the ablation benches quantify both effects. The durable tier's block
+//! cache is not this one: it names a block by its run and its number in
+//! the run and hashes nothing (`crate::sst_file::BlockCache`).
 
-use std::collections::hash_map::{Entry, RandomState};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
-
-/// A fixed, unkeyed hash for maps whose keys no client can choose — a
-/// run's `(generation, offset)`, which the store mints, or a loaded
-/// partition's key, which the loader places: each word is added and
-/// multiplied by an odd constant, and the result rotated (the scheme and
-/// constants of rustc-hash 2).
-///
-/// The rotate matters: block offsets step by the ≈ 4 KiB block size, so
-/// their low bits take few values; a product's low bits depend only on its
-/// factors' low bits; and the map picks buckets from the low bits of the
-/// hash. The rotate folds the well-mixed high bits down to where buckets
-/// are chosen.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixedState;
-
-/// The hasher [`FixedState`] builds.
-#[derive(Debug)]
-pub struct FixedHasher(u64);
-
-/// rustc-hash 2's multiplier: odd, so multiplication is a bijection.
-const MULTIPLIER: u64 = 0xf135_7aea_2e62_a9c5;
-
-impl BuildHasher for FixedState {
-    type Hasher = FixedHasher;
-
-    fn build_hasher(&self) -> FixedHasher {
-        FixedHasher(0)
-    }
-}
-
-impl Hasher for FixedHasher {
-    /// A word at a time, the last one zero-padded.
-    fn write(&mut self, bytes: &[u8]) {
-        let (words, tail) = bytes.as_chunks::<8>();
-        for word in words {
-            self.write_u64(u64::from_le_bytes(*word));
-        }
-        if !tail.is_empty() {
-            let word =
-                (tail.iter().enumerate()).fold(0, |word, (i, &b)| word | (b as u64) << (8 * i));
-            self.write_u64(word);
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = self.0.wrapping_add(word).wrapping_mul(MULTIPLIER);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
+use std::hash::Hash;
 
 /// "No slot": the list's ends, and both links of an empty list.
 const NIL: usize = usize::MAX;
@@ -95,12 +32,12 @@ struct Slot<K, V> {
     next: usize,
 }
 
-/// An LRU cache over hashable keys, its map hashed by `S`.
+/// An LRU cache over hashable keys.
 #[derive(Debug)]
-pub struct Lru<K, V, S = RandomState> {
+pub struct Lru<K, V> {
     capacity: usize,
     /// key → index into `slots`; exactly one entry per slot.
-    map: HashMap<K, usize, S>,
+    map: HashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
     /// Most recently used slot.
     head: usize,
@@ -109,21 +46,12 @@ pub struct Lru<K, V, S = RandomState> {
 }
 
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
-    /// Creates a cache holding up to `capacity` entries under the keyed
-    /// hasher, for keys from outside the program. Capacity 0 is a legal
-    /// "always miss" cache.
+    /// Creates a cache holding up to `capacity` entries. Capacity 0 is a
+    /// legal "always miss" cache.
     pub fn new(capacity: usize) -> Self {
-        Lru::with_hasher(capacity, RandomState::new())
-    }
-}
-
-impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
-    /// Creates a cache holding up to `capacity` entries whose map hashes
-    /// with `hasher`.
-    pub fn with_hasher(capacity: usize, hasher: S) -> Self {
         Lru {
             capacity,
-            map: HashMap::with_hasher(hasher),
+            map: HashMap::new(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -256,28 +184,23 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
 }
 
 #[cfg(test)]
-impl<K: Eq + Hash + Clone, V, S: BuildHasher> Lru<K, V, S> {
-    /// Every entry from most to least recently used, checking the list
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// Every key from most to least recently used, checking the list
     /// against the slab and the map on the way; reads without touching.
-    pub(crate) fn recency(&self) -> Vec<(&K, &V)> {
-        let mut entries = Vec::new();
+    fn keys(&self) -> Vec<K> {
+        let mut keys = Vec::new();
         let (mut at, mut prev) = (self.head, NIL);
         while at != NIL {
             let slot = &self.slots[at];
             assert_eq!(slot.prev, prev, "back link of slot {at}");
             assert_eq!(self.map.get(&slot.key), Some(&at), "map entry of slot {at}");
-            entries.push((&slot.key, &slot.value));
+            keys.push(slot.key.clone());
             (prev, at) = (at, slot.next);
         }
         assert_eq!(self.tail, prev);
-        assert_eq!(entries.len(), self.slots.len(), "every slot is on the list");
-        assert_eq!(entries.len(), self.map.len());
-        entries
-    }
-
-    /// The keys alone, most recently used first ([`Lru::recency`]).
-    pub(crate) fn keys(&self) -> Vec<K> {
-        self.recency().into_iter().map(|(k, _)| k.clone()).collect()
+        assert_eq!(keys.len(), self.slots.len(), "every slot is on the list");
+        assert_eq!(keys.len(), self.map.len());
+        keys
     }
 }
 
@@ -357,14 +280,9 @@ mod tests {
 
     #[test]
     fn random_streams_match_a_naive_vec_model() {
-        random_streams_match(Lru::new);
-        random_streams_match(|capacity| Lru::with_hasher(capacity, FixedState));
-    }
-
-    fn random_streams_match<S: BuildHasher>(new: impl Fn(usize) -> Lru<u8, u32, S>) {
         // The model: (key, value) pairs, most recently used first.
         for capacity in [0usize, 1, 2, 3, 8] {
-            let mut lru = new(capacity);
+            let mut lru = Lru::new(capacity);
             let mut model: Vec<(u8, u32)> = Vec::new();
             let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
             for step in 0..20_000u32 {
@@ -414,25 +332,5 @@ mod tests {
                 assert_eq!(lru.slots[lru.map[&key]].value, value);
             }
         }
-    }
-
-    #[test]
-    fn the_fixed_hash_spreads_block_offsets_over_buckets() {
-        // The first 256 blocks of a run of 10 000-cell partitions (112
-        // blocks of 4 140 B, the last 460 B), bucketed by the low 9 bits
-        // as a 512-bucket table would. Without the final rotate a hash's
-        // low 9 bits depend only on the offset's, which are multiples of
-        // 4, so at most 128 buckets are used; a uniform hash fills ≈ 201.
-        let bucket = |hash: u64| hash & 511;
-        let mut fixed = std::collections::BTreeSet::new();
-        let mut unrotated = std::collections::BTreeSet::new();
-        for block in 0..256u64 {
-            let offset = block / 112 * 460_000 + block % 112 * 4_140;
-            let hash = FixedState.hash_one((1u64, offset));
-            fixed.insert(bucket(hash));
-            unrotated.insert(bucket(hash.rotate_right(26)));
-        }
-        assert!(unrotated.len() <= 128, "{}", unrotated.len());
-        assert!(fixed.len() >= 170, "{} of 512 buckets used", fixed.len());
     }
 }

@@ -55,10 +55,12 @@ pub trait Medium: Sized {
     fn into_result<T>(out: Self::Out<T>) -> io::Result<T>;
 
     /// Hands `fold` each of `blocks` — consecutive blocks of the run, in
-    /// order — with its bytes and the receipt, until `fold` returns
-    /// `Ok(false)`; charges the receipt for any I/O.
+    /// order, the first of them block number `first` of the run — with its
+    /// bytes and the receipt, until `fold` returns `Ok(false)`; charges the
+    /// receipt for any I/O.
     fn read_blocks(
         &self,
+        first: usize,
         blocks: &[BlockMeta],
         cache: &mut Self::Cache,
         receipt: &mut ReadReceipt,
@@ -88,6 +90,7 @@ impl Medium for BytesMut {
 
     fn read_blocks(
         &self,
+        _first: usize,
         blocks: &[BlockMeta],
         _cache: &mut (),
         receipt: &mut ReadReceipt,
@@ -356,35 +359,37 @@ impl<M: Medium> Run<M> {
         receipt: &mut ReadReceipt,
         mut visit: impl FnMut(CellRef<'_>),
     ) -> io::Result<()> {
-        let reached = self.reach(entry, (from, to), receipt);
+        let (first, reached) = self.reach(entry, (from, to), receipt);
         let generation = self.generation;
         self.medium
-            .read_blocks(reached, cache, receipt, |meta, block, receipt| {
+            .read_blocks(first, reached, cache, receipt, |meta, block, receipt| {
                 fold_block(generation, meta, block, (from, to), receipt, &mut visit)
             })
     }
 
-    /// The blocks of `entry` a read of `from..=to` reaches, the run and
-    /// the column index charged: decided from their metadata alone.
+    /// The blocks of `entry` a read of `from..=to` reaches, and the
+    /// number in the run of the first, the run and the column index
+    /// charged: decided from their metadata alone.
     fn reach(
         &self,
         entry: &PartitionEntry,
         (from, to): ClusteringRange,
         receipt: &mut ReadReceipt,
-    ) -> &[BlockMeta] {
+    ) -> (usize, &[BlockMeta]) {
         receipt.sstables_read += 1;
         // Blocks are ascending and disjoint, so both selections are
         // contiguous.
         let blocks = self.index.blocks(entry);
+        let first = entry.blocks.0 as usize;
         if entry.bytes > self.column_index_size as u64 {
             receipt.used_column_index = true;
             let lo = blocks.partition_point(|b| b.last_clustering < from);
             let hi = blocks.partition_point(|b| b.first_clustering <= to).max(lo);
             receipt.column_index_blocks += (hi - lo) as u64;
-            &blocks[lo..hi]
+            (first + lo, &blocks[lo..hi])
         } else {
             let within = blocks.partition_point(|b| b.last_clustering <= to);
-            &blocks[..blocks.len().min(within + 1)]
+            (first, &blocks[..blocks.len().min(within + 1)])
         }
     }
 
@@ -402,12 +407,12 @@ impl<M: Medium> Run<M> {
         receipt: &mut ReadReceipt,
         tally: &mut Tally,
     ) -> io::Result<u64> {
-        let reached = self.reach(entry, WHOLE, receipt);
+        let (first, reached) = self.reach(entry, WHOLE, receipt);
         let (generation, mut cells) = (self.generation, 0);
         // Only the final block's last cell is the partition's: copy no other.
         let final_offset = reached.last().map(|meta| meta.offset);
         self.medium
-            .read_blocks(reached, cache, receipt, |meta, block, receipt| {
+            .read_blocks(first, reached, cache, receipt, |meta, block, receipt| {
                 tally.add_block(generation, meta, block, receipt)?;
                 if Some(meta.offset) == final_offset {
                     if let Some(last) = last_cell(generation, meta, block)? {

@@ -39,7 +39,6 @@
 
 use crate::block::{check_block, checksum64, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
-use crate::cache::{FixedState, Lru};
 use crate::durable::DiskJournal;
 use crate::receipt::ReadReceipt;
 use crate::run::{bad_data, Medium, PartitionIndex, Run};
@@ -59,55 +58,340 @@ pub const SST_VERSION: u8 = 4;
 /// Encoded footer size in bytes.
 pub const SST_FOOTER_LEN: usize = 72;
 
-/// The block cache of a durable table's runs, keyed by `(generation,
-/// offset)`. The default holds none.
+/// The block cache of a durable table's runs. The default holds none.
 ///
 /// Admission resists scans (2Q's A1out rule, Johnson & Shasha, VLDB '94:
 /// "cache on second miss"). While a slot is free a verified block is
 /// admitted at once. Once the cache is full, a missed block is admitted
-/// only if its key is in the *ghost*, the keys of the last `capacity`
-/// blocks refused; otherwise its key joins the ghost and no byte is
-/// copied. So a pass over more blocks than the cache holds, such as an
-/// aggregation re-reading every partition, leaves the blocks already
-/// cached in place and copies nothing, while a block read twice within
-/// the ghost's memory gets a slot. Hits promote as in plain LRU.
-#[derive(Debug)]
+/// only if it is in the *ghost*, the last `capacity` blocks refused;
+/// otherwise it joins the ghost and no byte is copied. So a pass over
+/// more blocks than the cache holds, such as an aggregation re-reading
+/// every partition, leaves the blocks already cached in place and copies
+/// nothing, while a block read twice within the ghost's memory gets a
+/// slot. Hits promote as in plain LRU.
+///
+/// Nothing is hashed. A block is named by its run's generation and its
+/// number in the run, which a scan knows from the partition index. Each
+/// run read through the cache has a *slot table*, one entry a block,
+/// found by generation once a read; an entry says whether the block is
+/// resident, a ghost or neither, and in which slot. Each list is a
+/// recency list threaded through a slab of its own by slot index; the
+/// resident slab holds the blocks' bytes, the ghost slab none.
+#[derive(Debug, Default)]
 pub struct BlockCache {
+    capacity: usize,
+    /// Each run's generation and slot table, in the order first read:
+    /// entry `b` is block `b`'s [`Held`], encoded. A table is as long as
+    /// the greatest block number offered to the cache, plus one.
+    runs: Vec<(u64, Vec<u32>)>,
     /// Each block an exact-size copy of its own: `capacity` blocks bound
     /// the resident bytes.
-    blocks: Lru<(u64, u64), Bytes, FixedState>,
-    /// The keys of the last `capacity` blocks refused admission, and
-    /// nothing else: no key is in both lists.
-    ghost: Lru<(u64, u64), (), FixedState>,
+    resident: Slab<Bytes>,
+    /// The last `capacity` blocks refused admission, and nothing else: no
+    /// block is in both lists.
+    ghost: Slab<()>,
+}
+
+/// Where a slot table says a block is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Held {
+    Absent,
+    Resident(u32),
+    Ghost(u32),
+}
+
+impl Held {
+    /// 0 for absent, else the slot plus one, doubled, plus one for a ghost.
+    fn encode(self) -> u32 {
+        match self {
+            Held::Absent => 0,
+            Held::Resident(slot) => (slot + 1) << 1,
+            Held::Ghost(slot) => (slot + 1) << 1 | 1,
+        }
+    }
+
+    fn decode(entry: u32) -> Held {
+        match (entry >> 1, entry & 1) {
+            (0, _) => Held::Absent,
+            (slot, 0) => Held::Resident(slot - 1),
+            (slot, _) => Held::Ghost(slot - 1),
+        }
+    }
 }
 
 impl BlockCache {
     /// A cache of up to `capacity` blocks, remembering as many refused
-    /// keys; 0 caches nothing.
+    /// ones; 0 caches nothing.
+    ///
+    /// # Panics
+    /// If `capacity` is 2³¹ − 1 blocks (8 TiB) or more: a slot table
+    /// entry holds the slot in 31 bits.
     pub fn new(capacity: usize) -> BlockCache {
+        assert!(
+            capacity < i32::MAX as usize,
+            "a block cache of {capacity} blocks"
+        );
         BlockCache {
-            blocks: Lru::with_hasher(capacity, FixedState),
-            ghost: Lru::with_hasher(capacity, FixedState),
+            capacity,
+            ..BlockCache::default()
         }
     }
 
-    /// Drops every cached block and every remembered key (compaction
+    /// Drops every cached block and every remembered one (compaction
     /// retired their generations).
     pub fn clear(&mut self) {
-        self.blocks.clear();
+        self.runs.clear();
+        self.resident.clear();
         self.ghost.clear();
     }
 
-    /// How many blocks it holds and how many refused keys it remembers.
-    #[cfg(test)]
-    pub(crate) fn lens(&self) -> (usize, usize) {
-        (self.blocks.len(), self.ghost.len())
+    /// The index in `runs` of the slot table of generation `generation`,
+    /// added empty on its first read.
+    fn run(&mut self, generation: u64) -> usize {
+        let found = self.runs.iter().position(|(g, _)| *g == generation);
+        found.unwrap_or_else(|| {
+            self.runs.push((generation, Vec::new()));
+            self.runs.len() - 1
+        })
+    }
+
+    fn held(&self, run: usize, block: usize) -> Held {
+        let entry = self.runs[run].1.get(block).copied();
+        entry.map_or(Held::Absent, Held::decode)
+    }
+
+    fn set(&mut self, run: u32, block: u32, held: Held) {
+        self.runs[run as usize].1[block as usize] = held.encode();
+    }
+
+    /// Block `block` of run `run`, if resident, promoted to most recently
+    /// used.
+    fn hit(&mut self, run: usize, block: usize) -> Option<&Bytes> {
+        let Held::Resident(slot) = self.held(run, block) else {
+            return None;
+        };
+        self.resident.touch(slot);
+        Some(&self.resident.nodes[slot as usize].value)
+    }
+
+    /// Offers `bytes`, block `block` of run `run`, verified and missed:
+    /// admitted while a slot is free or if it is a ghost, remembered as a
+    /// ghost otherwise.
+    fn offer(&mut self, run: usize, block: usize, bytes: &[u8]) {
+        if self.capacity == 0 {
+            return;
+        }
+        let table = &mut self.runs[run].1;
+        if table.len() <= block {
+            table.resize(block + 1, Held::Absent.encode());
+        }
+        let admit = match self.held(run, block) {
+            Held::Ghost(slot) => {
+                if let Some((moved_run, moved_block)) = self.ghost.remove(slot) {
+                    self.set(moved_run, moved_block, Held::Ghost(slot));
+                }
+                true
+            }
+            _ => self.resident.len() < self.capacity,
+        };
+        let (run, block, capacity) = (run as u32, block as u32, self.capacity);
+        let (held, victim) = if admit {
+            let copy = Bytes::copy_from_slice(bytes);
+            let (slot, victim) = self.resident.push(run, block, copy, capacity);
+            (Held::Resident(slot), victim)
+        } else {
+            let (slot, victim) = self.ghost.push(run, block, (), capacity);
+            (Held::Ghost(slot), victim)
+        };
+        if let Some((victim_run, victim_block)) = victim {
+            self.set(victim_run, victim_block, Held::Absent);
+        }
+        self.set(run, block, held);
     }
 }
 
-impl Default for BlockCache {
+/// "No slot": the lists' ends, and both links of an empty list.
+const NIL: u32 = u32::MAX;
+
+/// A recency list threaded through a slab by slot index.
+#[derive(Debug)]
+struct Slab<V> {
+    nodes: Vec<Node<V>>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the eviction victim.
+    tail: u32,
+}
+
+#[derive(Debug)]
+struct Node<V> {
+    /// The block's run, an index into [`BlockCache`]'s `runs`.
+    run: u32,
+    /// The block's number in its run.
+    block: u32,
+    /// Towards the most recently used node.
+    prev: u32,
+    /// Towards the least recently used node.
+    next: u32,
+    value: V,
+}
+
+impl<V> Default for Slab<V> {
     fn default() -> Self {
-        BlockCache::new(0)
+        Slab {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl<V> Slab<V> {
+    fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        (self.head, self.tail) = (NIL, NIL);
+    }
+
+    /// Points the forward link of `prev` (the head, when `prev` is no slot)
+    /// at `forward`, and the back link of `next` (or the tail) at `back`.
+    fn join(&mut self, prev: u32, next: u32, forward: u32, back: u32) {
+        match prev {
+            NIL => self.head = forward,
+            _ => self.nodes[prev as usize].next = forward,
+        }
+        match next {
+            NIL => self.tail = back,
+            _ => self.nodes[next as usize].prev = back,
+        }
+    }
+
+    /// Takes `slot` out of the list.
+    fn unlink(&mut self, slot: u32) {
+        let (prev, next) = (
+            self.nodes[slot as usize].prev,
+            self.nodes[slot as usize].next,
+        );
+        self.join(prev, next, next, prev);
+    }
+
+    /// Puts an unlinked `slot` at the most recently used end.
+    fn link_front(&mut self, slot: u32) {
+        let head = self.head;
+        let node = &mut self.nodes[slot as usize];
+        (node.prev, node.next) = (NIL, head);
+        self.join(NIL, head, slot, slot);
+    }
+
+    fn touch(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+    }
+
+    /// Puts `value`, block `block` of run `run`, at the most recently used
+    /// end: in a new slot while fewer than `capacity` (not 0) are in use,
+    /// else in the least recently used one's. Returns the slot and the
+    /// block evicted from it, if any.
+    fn push(
+        &mut self,
+        run: u32,
+        block: u32,
+        value: V,
+        capacity: usize,
+    ) -> (u32, Option<(u32, u32)>) {
+        if self.nodes.len() < capacity {
+            let (prev, next) = (NIL, NIL);
+            self.nodes.push(Node {
+                run,
+                block,
+                prev,
+                next,
+                value,
+            });
+            let slot = self.nodes.len() as u32 - 1;
+            self.link_front(slot);
+            return (slot, None);
+        }
+        let slot = self.tail;
+        self.touch(slot);
+        let node = &mut self.nodes[slot as usize];
+        let victim = (node.run, node.block);
+        (node.run, node.block, node.value) = (run, block, value);
+        (slot, Some(victim))
+    }
+
+    /// Takes `slot` out of the list and the slab. The last slot moves into
+    /// the hole, so this returns the block it holds, if any, for that
+    /// block's slot table entry to follow it.
+    fn remove(&mut self, slot: u32) -> Option<(u32, u32)> {
+        self.unlink(slot);
+        self.nodes.swap_remove(slot as usize);
+        let moved = self.nodes.get(slot as usize)?;
+        let (prev, next, block) = (moved.prev, moved.next, (moved.run, moved.block));
+        self.join(prev, next, slot, slot);
+        Some(block)
+    }
+}
+
+/// A block named as the tests name it: its run's generation and its
+/// number in the run.
+#[cfg(test)]
+type Named = (u64, usize);
+
+#[cfg(test)]
+impl BlockCache {
+    /// How many blocks it holds and how many refused ones it remembers.
+    pub(crate) fn lens(&self) -> (usize, usize) {
+        (self.resident.len(), self.ghost.len())
+    }
+
+    /// Each list's blocks as `(generation, number)`, most recently used
+    /// first, the resident ones with their bytes; checks both lists
+    /// against their slabs and the slot tables on the way.
+    pub(crate) fn lists(&self) -> (Vec<(Named, &Bytes)>, Vec<Named>) {
+        let named = |run: u32, block: u32, held| {
+            let (run, block) = (run as usize, block as usize);
+            assert_eq!(self.held(run, block), held, "the slot table entry");
+            (self.runs[run].0, block)
+        };
+        let resident = self.resident.walk().map(|(slot, node)| {
+            let held = Held::Resident(slot);
+            (named(node.run, node.block, held), &node.value)
+        });
+        let resident: Vec<_> = resident.collect();
+        let ghost = self.ghost.walk();
+        let ghost: Vec<_> = ghost
+            .map(|(slot, node)| named(node.run, node.block, Held::Ghost(slot)))
+            .collect();
+        let tables = self.runs.iter().flat_map(|(_, table)| table);
+        let held = tables.filter(|&&entry| Held::decode(entry) != Held::Absent);
+        let listed = resident.len() + ghost.len();
+        assert_eq!(held.count(), listed, "slot table entries of no list");
+        (resident, ghost)
+    }
+}
+
+#[cfg(test)]
+impl<V> Slab<V> {
+    /// Every slot and its node from most to least recently used, checking
+    /// the links against the slab on the way.
+    fn walk(&self) -> impl Iterator<Item = (u32, &Node<V>)> {
+        let mut walked = Vec::new();
+        let (mut at, mut prev) = (self.head, NIL);
+        while at != NIL {
+            let node = &self.nodes[at as usize];
+            assert_eq!(node.prev, prev, "back link of slot {at}");
+            walked.push((at, node));
+            (prev, at) = (at, node.next);
+        }
+        assert_eq!(self.tail, prev);
+        assert_eq!(walked.len(), self.nodes.len(), "every slot is on the list");
+        walked.into_iter()
     }
 }
 
@@ -253,7 +537,8 @@ impl Drop for Mmap {
 pub struct DiskBlocks {
     map: Mmap,
     path: PathBuf,
-    /// The run's generation: with a block's offset, its cache key.
+    /// The run's generation: it finds the run's slot table in the
+    /// [`BlockCache`].
     generation: u64,
 }
 
@@ -363,15 +648,15 @@ impl Medium for DiskBlocks {
     /// visited; one that fails its fold is not cached or remembered.
     fn read_blocks(
         &self,
+        first: usize,
         reached: &[BlockMeta],
         cache: &mut BlockCache,
         receipt: &mut ReadReceipt,
         mut fold: impl FnMut(&BlockMeta, &[u8], &mut ReadReceipt) -> io::Result<bool>,
     ) -> io::Result<()> {
-        let BlockCache { blocks, ghost } = cache;
-        for meta in reached {
-            let key = (self.generation, meta.offset);
-            if let Some(block) = blocks.get(&key) {
+        let run = cache.run(self.generation);
+        for (number, meta) in (first..).zip(reached) {
+            if let Some(block) = cache.hit(run, number) {
                 receipt.disk_block_cache_hits += 1;
                 if !fold(meta, block, receipt)? {
                     break;
@@ -395,11 +680,7 @@ impl Medium for DiskBlocks {
             check_block(self.generation, meta, block)?;
             let more = fold(meta, block, receipt)?;
             // Admission on the second miss ([`BlockCache`]).
-            if !blocks.is_full() || ghost.invalidate(&key) {
-                blocks.put(key, Bytes::copy_from_slice(block));
-            } else {
-                ghost.put(key, ());
-            }
+            cache.offer(run, number, block);
             if !more {
                 break;
             }
@@ -753,7 +1034,7 @@ mod tests {
         assert!(err.to_string().contains("checksum"), "{err}");
         assert_eq!((r.disk_blocks_read, r.disk_bytes_read), (1, 90 * 46));
         assert_eq!(r.cells_scanned, 0);
-        assert!(cache.blocks.is_empty());
+        assert_eq!(cache.lens().0, 0);
     }
 
     /// Re-seals an SST image's metadata and footer digests around a patch,
@@ -998,7 +1279,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let named = format!("block at offset {} failed its checksum", bad_block * 4140);
             assert!(err.to_string().contains(&named), "{err}");
-            (visited, cache.blocks.len(), r)
+            (visited, cache.lens().0, r)
         };
         // The blocks before the bad one were verified, cached and visited
         // (or counted); the bad one is on the bill before the verdict, and
@@ -1033,7 +1314,7 @@ mod tests {
                 .expect("io");
             assert_eq!(r.column_index_blocks, r.disk_blocks_read);
         }
-        assert_eq!(cache.blocks.len(), 4);
+        assert_eq!(cache.lens().0, 4);
         let mut r = ReadReceipt::default();
         let cells = sst
             .read(&pk(0), &mut cache, &mut r)
@@ -1044,7 +1325,7 @@ mod tests {
         assert_eq!(r.disk_bytes_read, 10_000 * 46 - 4 * 4140);
         assert_eq!(r.column_index_blocks, 112);
         // Every cached block is a copy of exactly its own bytes.
-        assert_eq!(cache.blocks.len(), 112);
+        assert_eq!(cache.lens().0, 112);
         let mut r = ReadReceipt::default();
         sst.read(&pk(0), &mut cache, &mut r).expect("io");
         assert_eq!((r.disk_blocks_read, r.disk_block_cache_hits), (0, 112));
@@ -1111,6 +1392,24 @@ mod tests {
     // ---- Admission on the second miss ----
 
     type Key = (u64, u64);
+
+    impl BlockCache {
+        /// The resident and the ghost lists, most recently used first, as
+        /// the `(generation, offset)` keys of blocks of `runs`.
+        fn keys(&self, runs: &[&SstFile]) -> (Vec<Key>, Vec<Key>) {
+            let key = |(generation, number): Named| {
+                let mut runs = runs.iter();
+                let run = runs.find(|run| run.generation == generation);
+                (
+                    generation,
+                    run.expect("a run read").index.blocks[number].offset,
+                )
+            };
+            let (resident, ghost) = self.lists();
+            let resident = resident.into_iter().map(|(block, _)| key(block));
+            (resident.collect(), ghost.into_iter().map(key).collect())
+        }
+    }
 
     /// Reads `blocks` of partition `p` — 10 000 cells, so column-indexed,
     /// 90 cells a block — reaching exactly those blocks; returns the
@@ -1214,12 +1513,13 @@ mod tests {
                         want,
                         "{what}"
                     );
-                    assert_eq!(cache.blocks.keys(), model.blocks, "{what}");
-                    assert_eq!(cache.ghost.keys(), model.ghost, "{what}");
+                    let (blocks, ghost) = cache.keys(&[&sst]);
+                    assert_eq!(blocks, model.blocks, "{what}");
+                    assert_eq!(ghost, model.ghost, "{what}");
                     lru_differed |= lru.read(&keys) != want || lru.blocks != model.blocks;
                     if fits {
                         assert!(!lru_differed, "{what}: plain LRU");
-                        assert!(cache.ghost.is_empty(), "{what}");
+                        assert_eq!(cache.lens().1, 0, "{what}");
                     }
                 }
                 // The stream that does not fit tells the two rules apart.
@@ -1248,8 +1548,8 @@ mod tests {
         };
         // Where each cached block's bytes live: a copy would move them.
         let resident = |cache: &BlockCache| {
-            let held = cache.blocks.recency().into_iter();
-            let mut held: Vec<(Key, *const u8)> = held.map(|(k, v)| (*k, v.as_ptr())).collect();
+            let held = cache.lists().0.into_iter().zip(cache.keys(&[&sst]).0);
+            let mut held: Vec<(Key, *const u8)> = held.map(|((_, v), k)| (k, v.as_ptr())).collect();
             held.sort_unstable();
             held
         };
@@ -1261,7 +1561,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(round(&mut cache), [112, 112, 32, 0, 0, 0, 0, 0, 0, 0]);
             assert_eq!(resident(&cache), first);
-            assert_eq!(cache.ghost.len(), 256);
+            assert_eq!(cache.lens().1, 256);
         }
     }
 
@@ -1282,10 +1582,10 @@ mod tests {
         assert_eq!((pass(40..48), pass(40..48), pass(40..48)), (0, 0, 8));
         assert_eq!(pass(0..8), 0);
         let (_, set) = read_blocks_of(&sst, 0, 40..48, &mut cache);
-        let mut held = cache.blocks.keys();
+        let mut held = cache.keys(&[&sst]).0;
         held.sort_unstable();
         assert_eq!(held, set);
-        assert_eq!(cache.ghost.len(), 8, "the first set, refused once more");
+        assert_eq!(cache.lens().1, 8, "the first set, refused once more");
     }
 
     #[test]
@@ -1308,13 +1608,92 @@ mod tests {
         let mut cache = BlockCache::new(4);
         read_blocks_of(&sst, 1, 0..4, &mut cache);
         read_blocks_of(&sst, 1, 10..11, &mut cache);
-        let (blocks, ghost) = (cache.blocks.keys(), cache.ghost.keys());
+        let (blocks, ghost) = cache.keys(&[&sst]);
         assert_eq!((blocks.len(), ghost.len()), (4, 1));
         let mut r = ReadReceipt::default();
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert!(err.to_string().contains("checksum"), "{err}");
         assert_eq!(r.disk_blocks_read, 1);
-        assert_eq!((cache.blocks.keys(), cache.ghost.keys()), (blocks, ghost));
+        assert_eq!(cache.keys(&[&sst]), (blocks, ghost));
+    }
+
+    #[test]
+    fn one_cache_over_runs_of_several_generations_matches_its_model() {
+        // Flushes leave runs of one layout under different generations, so
+        // the runs' blocks share their offsets and only the generation
+        // tells them apart. Block 7 of partition 1 of generation 6 fails
+        // its checksum.
+        let tmp = TempDir::new("sst-multi-run");
+        let generations = [2u64, 5, 6, 9];
+        let (bad_generation, bad_block) = (6, 7);
+        let input = build_input(&[2_000, 2_000]);
+        for generation in generations {
+            let built = Run::build(&input, &SsTableOptions::default(), generation);
+            drop(write_sst(tmp.path(), &built).expect("write"));
+            if generation == bad_generation {
+                let bad = built.index.blocks(&built.index.entries[1])[bad_block];
+                let path = tmp.path().join(sst_file_name(generation));
+                let mut bytes = std::fs::read(&path).expect("read");
+                bytes[bad.offset as usize + 100] ^= 0x01;
+                std::fs::write(&path, &bytes).expect("write");
+            }
+        }
+        let open = |generation| SstFile::open(&tmp.path().join(sst_file_name(generation)));
+        let runs: Vec<SstFile> = generations.map(|g| open(g).expect("open")).into();
+        let (mut corrupt_reads, mut clears, mut total_hits, mut admitted_from_ghost) = (0, 0, 0, 0);
+        for count in 2..=generations.len() {
+            let runs: Vec<&SstFile> = runs[..count].iter().collect();
+            for capacity in [0usize, 1, 3, 8, 24, 64] {
+                let mut cache = BlockCache::new(capacity);
+                let mut model = Model::new(capacity, true);
+                let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (count * 131 + capacity) as u64;
+                for step in 0..600 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let what = format!("{count} runs, capacity {capacity}, step {step}");
+                    if state.is_multiple_of(60) {
+                        cache.clear();
+                        model = Model::new(capacity, true);
+                        clears += 1;
+                        assert_eq!(cache.lens(), (0, 0), "{what}");
+                        continue;
+                    }
+                    // 1–4 consecutive blocks of the first 22 (of 23, 90
+                    // cells each) of either partition of one run.
+                    let sst = runs[(state >> 8) as usize % count];
+                    let p = (state >> 16) % 2;
+                    let len = 1 + (state >> 24) as usize % 4;
+                    let first = (state >> 32) as usize % (22 - len + 1);
+                    let entry = sst.probe(&pk(p), &mut ReadReceipt::default());
+                    let metas = &sst.index.blocks(entry.expect("present"))[first..first + len];
+                    let keys: Vec<Key> = metas.iter().map(|m| (sst.generation, m.offset)).collect();
+                    let mut r = ReadReceipt::default();
+                    let range = first as u64 * 90..=(first + len) as u64 * 90 - 1;
+                    let read = sst.read_range(&pk(p), range, &mut cache, &mut r);
+                    let corrupt = (sst.generation, p) == (bad_generation, 1)
+                        && (first..first + len).contains(&bad_block);
+                    let before = model.ghost.len();
+                    let want = if corrupt {
+                        let err = read.expect_err("the corrupt block fails the read");
+                        assert!(err.to_string().contains("checksum"), "{what}: {err}");
+                        corrupt_reads += 1;
+                        let (hits, misses) = model.read(&keys[..bad_block - first]);
+                        (hits, misses + 1)
+                    } else {
+                        assert_eq!(read.expect("io").len(), len * 90, "{what}");
+                        model.read(&keys)
+                    };
+                    total_hits += want.0;
+                    admitted_from_ghost += (model.ghost.len() < before) as u32;
+                    let got = (r.disk_block_cache_hits, r.disk_blocks_read);
+                    assert_eq!(got, want, "{what}");
+                    let lists = (model.blocks.clone(), model.ghost.clone());
+                    assert_eq!(cache.keys(&runs), lists, "{what}");
+                }
+            }
+        }
+        assert!(corrupt_reads > 0 && clears > 0 && total_hits > 0 && admitted_from_ghost > 0);
     }
 
     proptest! {
@@ -1364,8 +1743,9 @@ mod tests {
                 prop_assert_eq!(visited, (0..before).collect::<Vec<u64>>());
                 let (hits, misses) = model.read(&keys[..k]);
                 prop_assert_eq!((r.disk_block_cache_hits, r.disk_blocks_read), (hits, misses + 1));
-                prop_assert_eq!(&cache.blocks.keys(), &model.blocks);
-                prop_assert_eq!(&cache.ghost.keys(), &model.ghost);
+                let (blocks, ghost) = cache.keys(&[&sst]);
+                prop_assert_eq!(&blocks, &model.blocks);
+                prop_assert_eq!(&ghost, &model.ghost);
                 prop_assert!(!model.blocks.contains(&keys[k]) && !model.ghost.contains(&keys[k]));
             }
         }

@@ -1,9 +1,10 @@
 //! `block::checksum64` is XXH3-64: bit-exact with libxxhash 0.8 on every
 //! digest of `xxh3_vectors.txt` (which `xxh3_vectors.py` prints from the
-//! library itself), the AVX2 stripe loop equal to the portable one at
-//! every length, and every bit of a block guarded.
+//! library itself) through every stripe loop this CPU has, each vector
+//! loop equal to the portable one at every length, and every bit of a
+//! block guarded.
 
-use kvs_store::block::{checksum64, checksum64_portable};
+use kvs_store::block::{checksum64, checksum64_avx2, checksum64_avx512, checksum64_portable};
 
 const VECTORS: &str = include_str!("xxh3_vectors.txt");
 
@@ -35,25 +36,46 @@ fn hex(field: &str) -> u64 {
     u64::from_str_radix(field, 16).unwrap_or_else(|e| panic!("{field:?}: {e}"))
 }
 
-fn avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    return false;
+/// A way to compute the checksum: `None` where this CPU cannot.
+type Checksum = fn(u64, &[u8]) -> Option<u64>;
+
+/// Every way to compute the checksum, by name: the dispatching entry
+/// point, the portable code and each vector loop through its own.
+const CHECKSUMS: [(&str, Checksum); 4] = [
+    ("checksum64", |seed, bytes| Some(checksum64(seed, bytes))),
+    ("portable", |seed, bytes| {
+        Some(checksum64_portable(seed, bytes))
+    }),
+    ("AVX-512F", checksum64_avx512),
+    ("AVX2", checksum64_avx2),
+];
+
+/// The ways of [`CHECKSUMS`] this CPU has; prints a line naming each it
+/// lacks.
+fn every_checksum() -> Vec<(&'static str, Checksum)> {
+    let has = |&(name, checksum): &(&str, Checksum)| {
+        let has = checksum(0, &[]).is_some();
+        if !has {
+            eprintln!("skipped: this CPU has no {name}");
+        }
+        has
+    };
+    CHECKSUMS.into_iter().filter(has).collect()
 }
 
 #[test]
 fn equals_libxxhash_on_every_committed_vector() {
     let buf = sanity_buffer(10_007);
+    let checksums = every_checksum();
     let (mut lengths, mut chains) = (0, 0);
     for line in VECTORS.lines().filter(|line| !line.starts_with('#')) {
         let fields: Vec<&str> = line.split_whitespace().collect();
         if let ["chain", a, b, digest] = fields[..] {
             let (a, b): (usize, usize) = (a.parse().expect("a_len"), b.parse().expect("b_len"));
             let (first, second) = (&buf[..a], &buf[a..a + b]);
-            for hash in [checksum64, checksum64_portable] {
-                let chained = hash(hash(0, first), second);
-                assert_eq!(chained, hex(digest), "chain {a} + {b}");
+            for (name, hash) in &checksums {
+                let chained = hash(hash(0, first).expect(name), second);
+                assert_eq!(chained, Some(hex(digest)), "{name}, chain {a} + {b}");
             }
             chains += 1;
             continue;
@@ -64,14 +86,10 @@ fn equals_libxxhash_on_every_committed_vector() {
         let len: usize = len.parse().expect("len");
         assert_eq!(digests.len(), SEEDS.len(), "{line}");
         for (&seed, &digest) in SEEDS.iter().zip(digests) {
-            let want = hex(digest);
-            assert_eq!(
-                checksum64(seed, &buf[..len]),
-                want,
-                "len {len} seed {seed:#x}"
-            );
-            let portable = checksum64_portable(seed, &buf[..len]);
-            assert_eq!(portable, want, "portable, len {len} seed {seed:#x}");
+            for (name, hash) in &checksums {
+                let at = format!("{name}, len {len} seed {seed:#x}");
+                assert_eq!(hash(seed, &buf[..len]), Some(hex(digest)), "{at}");
+            }
         }
         lengths += 1;
     }
@@ -79,13 +97,14 @@ fn equals_libxxhash_on_every_committed_vector() {
     assert_eq!((lengths, chains), (301 + 101 + 111 + 1, 7));
 }
 
-#[test]
-fn avx2_equals_portable_at_every_length() {
-    if !avx2() {
-        eprintln!(
-            "this CPU has no AVX2: checksum64 runs the portable code, so this \
-             test compares the portable code with itself"
-        );
+/// `kernel`, the vector loop named `name`, equals the portable code at
+/// every length 0..=8 192, under seed 0 at even lengths and a random seed
+/// at odd ones; prints a line and compares nothing where this CPU lacks
+/// the loop.
+fn equals_portable_at_every_length(name: &str, kernel: Checksum) {
+    if kernel(0, &[]).is_none() {
+        eprintln!("skipped: this CPU has no {name}, so its loop is not compared");
+        return;
     }
     let mut state = 0x5EED;
     let bytes: Vec<u8> = (0..8_192).map(|_| splitmix(&mut state) as u8).collect();
@@ -95,13 +114,23 @@ fn avx2_equals_portable_at_every_length() {
         } else {
             splitmix(&mut state)
         };
-        let (input, at) = (&bytes[..len], format!("len {len} seed {seed:#x}"));
+        let (input, at) = (&bytes[..len], format!("{name}, len {len} seed {seed:#x}"));
         assert_eq!(
-            checksum64(seed, input),
-            checksum64_portable(seed, input),
+            kernel(seed, input),
+            Some(checksum64_portable(seed, input)),
             "{at}"
         );
     }
+}
+
+#[test]
+fn avx2_equals_portable_at_every_length() {
+    equals_portable_at_every_length("AVX2", checksum64_avx2);
+}
+
+#[test]
+fn avx512_equals_portable_at_every_length() {
+    equals_portable_at_every_length("AVX-512F", checksum64_avx512);
 }
 
 #[test]
