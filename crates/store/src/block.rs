@@ -102,10 +102,11 @@ const LANES: [u64; 8] = [
 /// ([`checksum64_avx2`]), else in portable code
 /// ([`checksum64_portable`]). All three give the same digest.
 ///
-/// On a 2-vCPU Xeon host it checks a hot 4 KiB block at 33.7–45.0 GB/s
-/// with AVX-512F and 27.0–33.7 GB/s with AVX2; XXH64, the checksum
-/// before it, read 8.5–10.5 GB/s, so verifying a block cost more than
-/// reading it; the portable code takes 0.27–0.45 µs a block.
+/// On a 2-vCPU Xeon host it checks a hot 4 KiB block at 33.0–34.4 GB/s
+/// with AVX-512F, 24.4–25.5 GB/s with AVX2 and 9.4–9.7 GB/s in portable
+/// code; over a 64 MiB set of blocks, where memory binds, at 7.5–8.0
+/// against 5.9–6.7 GB/s. XXH64, the checksum before it, read
+/// 8.5–10.5 GB/s hot, so verifying a block cost more than reading it.
 ///
 /// A record in two parts is checksummed without joining the buffers by
 /// seeding the second part with the first's digest:

@@ -1,9 +1,10 @@
 //! A small O(1) LRU cache: the RAM table's row cache.
 //!
 //! Entries live in a slab (`Vec`) threaded into a doubly linked recency
-//! list by slot index, and one `HashMap` maps a key to its slot: a `get`
-//! or a `put` is one hash look-up plus a few index writes (a `put` that
-//! evicts also unmaps its victim). The map keeps the standard library's
+//! list by slot index ([`Slab`], which the durable tier's block cache
+//! keeps its lists in too), and one `HashMap` maps a key to its slot: a
+//! `get` or a `put` is one hash look-up plus a few index writes (a `put`
+//! that evicts also unmaps its victim). The map keeps the standard library's
 //! keyed SipHash: its keys are partition keys that arrive off the wire,
 //! and a fixed hash would let a client choose keys that collide.
 //!
@@ -22,27 +23,143 @@ use std::hash::Hash;
 /// "No slot": the list's ends, and both links of an empty list.
 const NIL: usize = usize::MAX;
 
+/// A recency list threaded through a slab by slot index: what both of the
+/// store's caches keep their entries in, the row cache ([`Lru`]) and the
+/// block cache's resident and ghost lists (`crate::sst_file::BlockCache`).
+/// Its owner finds a slot by its own means and keeps track of where each
+/// entry lies, which a [`Slab::push`] or a [`Slab::remove`] can change.
 #[derive(Debug)]
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    /// Towards the most recently used entry.
-    prev: usize,
-    /// Towards the least recently used entry.
-    next: usize,
-}
-
-/// An LRU cache over hashable keys.
-#[derive(Debug)]
-pub struct Lru<K, V> {
-    capacity: usize,
-    /// key → index into `slots`; exactly one entry per slot.
-    map: HashMap<K, usize>,
-    slots: Vec<Slot<K, V>>,
+pub(crate) struct Slab<T> {
+    nodes: Vec<Node<T>>,
     /// Most recently used slot.
     head: usize,
     /// Least recently used slot: the eviction victim.
     tail: usize,
+}
+
+#[derive(Debug)]
+struct Node<T> {
+    value: T,
+    /// Towards the most recently used node.
+    prev: usize,
+    /// Towards the least recently used node.
+    next: usize,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        (self.head, self.tail) = (NIL, NIL);
+    }
+
+    /// Points the forward link of `prev` (the head, when `prev` is no slot)
+    /// at `forward`, and the back link of `next` (or the tail) at `back`.
+    fn join(&mut self, prev: usize, next: usize, forward: usize, back: usize) {
+        match prev {
+            NIL => self.head = forward,
+            _ => self.nodes[prev].next = forward,
+        }
+        match next {
+            NIL => self.tail = back,
+            _ => self.nodes[next].prev = back,
+        }
+    }
+
+    /// Takes `slot` out of the list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
+        self.join(prev, next, next, prev);
+    }
+
+    /// Puts an unlinked `slot` at the most recently used end.
+    fn link_front(&mut self, slot: usize) {
+        let head = self.head;
+        (self.nodes[slot].prev, self.nodes[slot].next) = (NIL, head);
+        self.join(NIL, head, slot, slot);
+    }
+
+    /// Makes `slot` the most recently used, and its value the caller's.
+    pub(crate) fn touch(&mut self, slot: usize) -> &mut T {
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+        &mut self.nodes[slot].value
+    }
+
+    /// Puts `value` at the most recently used end: in a new slot while
+    /// fewer than `capacity` (not 0) are in use, else in the least recently
+    /// used one's. Returns the slot and the value it held, if any.
+    pub(crate) fn push(&mut self, value: T, capacity: usize) -> (usize, Option<T>) {
+        if self.nodes.len() < capacity {
+            let (prev, next) = (NIL, NIL);
+            self.nodes.push(Node { value, prev, next });
+            let slot = self.nodes.len() - 1;
+            self.link_front(slot);
+            return (slot, None);
+        }
+        let slot = self.tail;
+        let victim = std::mem::replace(self.touch(slot), value);
+        (slot, Some(victim))
+    }
+
+    /// Takes `slot` out of the list and the slab. The last slot moves into
+    /// the hole, so this returns the value it holds, if any, for its owner
+    /// to find it at `slot` from now on.
+    pub(crate) fn remove(&mut self, slot: usize) -> Option<&T> {
+        self.unlink(slot);
+        self.nodes.swap_remove(slot);
+        let (prev, next) = (self.nodes.get(slot)?.prev, self.nodes[slot].next);
+        self.join(prev, next, slot, slot);
+        Some(&self.nodes[slot].value)
+    }
+}
+
+#[cfg(test)]
+impl<T> Slab<T> {
+    /// The value in `slot`.
+    fn get(&self, slot: usize) -> &T {
+        &self.nodes[slot].value
+    }
+
+    /// Every slot and its value from most to least recently used, checking
+    /// the links against the slab on the way.
+    pub(crate) fn walk(&self) -> impl Iterator<Item = (usize, &T)> {
+        let mut walked = Vec::new();
+        let (mut at, mut prev) = (self.head, NIL);
+        while at != NIL {
+            let node = &self.nodes[at];
+            assert_eq!(node.prev, prev, "back link of slot {at}");
+            walked.push((at, &node.value));
+            (prev, at) = (at, node.next);
+        }
+        assert_eq!(self.tail, prev);
+        assert_eq!(walked.len(), self.nodes.len(), "every slot is on the list");
+        walked.into_iter()
+    }
+}
+
+/// An LRU cache over hashable keys: a map from each key to its slot.
+#[derive(Debug)]
+pub struct Lru<K, V> {
+    capacity: usize,
+    /// key → its slot in `slab`; exactly one entry per slot.
+    map: HashMap<K, usize>,
+    slab: Slab<(K, V)>,
 }
 
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
@@ -52,54 +169,14 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         Lru {
             capacity,
             map: HashMap::new(),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Points the forward link of `prev` (the head, when `prev` is no slot)
-    /// at `forward`, and the back link of `next` (or the tail) at `back`.
-    fn join(&mut self, prev: usize, next: usize, forward: usize, back: usize) {
-        match prev {
-            NIL => self.head = forward,
-            _ => self.slots[prev].next = forward,
-        }
-        match next {
-            NIL => self.tail = back,
-            _ => self.slots[next].prev = back,
-        }
-    }
-
-    /// Takes `slot` out of the recency list.
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
-        self.join(prev, next, next, prev);
-    }
-
-    /// Puts an unlinked `slot` at the most recently used end.
-    fn link_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
-        match self.head {
-            NIL => self.tail = slot,
-            head => self.slots[head].prev = slot,
-        }
-        self.head = slot;
-    }
-
-    fn touch(&mut self, slot: usize) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.link_front(slot);
+            slab: Slab::default(),
         }
     }
 
     /// Looks up a key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         let slot = *self.map.get(key)?;
-        self.touch(slot);
-        Some(&self.slots[slot].value)
+        Some(&self.slab.touch(slot).1)
     }
 
     /// Inserts or replaces an entry, evicting the least recently used entry
@@ -108,35 +185,16 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         if self.capacity == 0 {
             return;
         }
-        let full = self.is_full();
-        // A new key takes the victim's slot when full, a fresh one otherwise.
-        let target = if full { self.tail } else { self.slots.len() };
-        let key = match self.map.entry(key) {
-            Entry::Occupied(held) => {
-                let slot = *held.get();
-                self.slots[slot].value = value;
-                self.touch(slot);
-                return;
-            }
+        match self.map.entry(key) {
+            Entry::Occupied(held) => self.slab.touch(*held.get()).1 = value,
             Entry::Vacant(vacant) => {
-                let key = vacant.key().clone();
-                vacant.insert(target);
-                key
+                let entry = (vacant.key().clone(), value);
+                let (slot, victim) = self.slab.push(entry, self.capacity);
+                vacant.insert(slot);
+                if let Some((victim, _)) = victim {
+                    self.map.remove(&victim);
+                }
             }
-        };
-        if full {
-            let victim = std::mem::replace(&mut self.slots[target].key, key);
-            self.map.remove(&victim);
-            self.slots[target].value = value;
-            self.touch(target);
-        } else {
-            self.slots.push(Slot {
-                key,
-                value,
-                prev: NIL,
-                next: NIL,
-            });
-            self.link_front(target);
         }
     }
 
@@ -146,15 +204,10 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         let Some(slot) = self.map.remove(key) else {
             return false;
         };
-        self.unlink(slot);
-        // Keep the slab dense: the last slot moves into the hole.
-        self.slots.swap_remove(slot);
-        if let Some(moved) = self.slots.get(slot) {
-            let (prev, next) = (moved.prev, moved.next);
-            if let Some(at) = self.map.get_mut(&moved.key) {
+        if let Some((moved, _)) = self.slab.remove(slot) {
+            if let Some(at) = self.map.get_mut(moved) {
                 *at = slot;
             }
-            self.join(prev, next, slot, slot);
         }
         true
     }
@@ -162,24 +215,22 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Drops everything (used after compaction rewrites the data).
     pub fn clear(&mut self) {
         self.map.clear();
-        self.slots.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.slab.clear();
     }
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slab.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slab.len() == 0
     }
 
     /// True when a new key would evict one (always, at capacity 0).
     pub fn is_full(&self) -> bool {
-        self.slots.len() == self.capacity
+        self.slab.len() == self.capacity
     }
 }
 
@@ -188,17 +239,11 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Every key from most to least recently used, checking the list
     /// against the slab and the map on the way; reads without touching.
     fn keys(&self) -> Vec<K> {
-        let mut keys = Vec::new();
-        let (mut at, mut prev) = (self.head, NIL);
-        while at != NIL {
-            let slot = &self.slots[at];
-            assert_eq!(slot.prev, prev, "back link of slot {at}");
-            assert_eq!(self.map.get(&slot.key), Some(&at), "map entry of slot {at}");
-            keys.push(slot.key.clone());
-            (prev, at) = (at, slot.next);
-        }
-        assert_eq!(self.tail, prev);
-        assert_eq!(keys.len(), self.slots.len(), "every slot is on the list");
+        let walked = self.slab.walk().map(|(slot, (key, _))| {
+            assert_eq!(self.map.get(key), Some(&slot), "map entry of slot {slot}");
+            key.clone()
+        });
+        let keys: Vec<K> = walked.collect();
         assert_eq!(keys.len(), self.map.len());
         keys
     }
@@ -329,7 +374,7 @@ mod tests {
                 assert_eq!(lru.is_full(), model.len() == capacity);
             }
             for (key, value) in model {
-                assert_eq!(lru.slots[lru.map[&key]].value, value);
+                assert_eq!(lru.slab.get(lru.map[&key]).1, value);
             }
         }
     }

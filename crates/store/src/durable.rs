@@ -59,9 +59,9 @@ pub struct DurableOptions {
     pub compaction_threshold: usize,
     /// Block-cache capacity in 4 KiB blocks (0 disables caching). Once
     /// full, the cache admits a block only on its second miss, which it
-    /// tells by remembering the keys of the last this many blocks it
-    /// refused ([`crate::sst_file::BlockCache`]): the one number bounds
-    /// both the blocks held and the keys remembered.
+    /// tells by remembering the last this many blocks it refused, without
+    /// their bytes ([`crate::sst_file::BlockCache`]): the one number
+    /// bounds both the blocks held and the blocks remembered.
     pub block_cache_blocks: usize,
     /// WAL durability policy.
     pub fsync: FsyncPolicy,

@@ -39,6 +39,7 @@
 
 use crate::block::{check_block, checksum64, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
+use crate::cache::Slab;
 use crate::durable::DiskJournal;
 use crate::receipt::ReadReceipt;
 use crate::run::{bad_data, Medium, PartitionIndex, Run};
@@ -75,7 +76,7 @@ pub const SST_FOOTER_LEN: usize = 72;
 /// run read through the cache has a *slot table*, one entry a block,
 /// found by generation once a read; an entry says whether the block is
 /// resident, a ghost or neither, and in which slot. Each list is a
-/// recency list threaded through a slab of its own by slot index; the
+/// recency list threaded through a [`Slab`] of its own by slot index; the
 /// resident slab holds the blocks' bytes, the ghost slab none.
 #[derive(Debug, Default)]
 pub struct BlockCache {
@@ -86,18 +87,22 @@ pub struct BlockCache {
     runs: Vec<(u64, Vec<u32>)>,
     /// Each block an exact-size copy of its own: `capacity` blocks bound
     /// the resident bytes.
-    resident: Slab<Bytes>,
+    resident: Slab<(Place, Bytes)>,
     /// The last `capacity` blocks refused admission, and nothing else: no
     /// block is in both lists.
-    ghost: Slab<()>,
+    ghost: Slab<Place>,
 }
+
+/// A block as the cache places it: its run's index in the cache's `runs`
+/// and its number in the run.
+type Place = (u32, u32);
 
 /// Where a slot table says a block is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Held {
     Absent,
-    Resident(u32),
-    Ghost(u32),
+    Resident(usize),
+    Ghost(usize),
 }
 
 impl Held {
@@ -105,16 +110,17 @@ impl Held {
     fn encode(self) -> u32 {
         match self {
             Held::Absent => 0,
-            Held::Resident(slot) => (slot + 1) << 1,
-            Held::Ghost(slot) => (slot + 1) << 1 | 1,
+            Held::Resident(slot) => (slot as u32 + 1) << 1,
+            Held::Ghost(slot) => (slot as u32 + 1) << 1 | 1,
         }
     }
 
     fn decode(entry: u32) -> Held {
-        match (entry >> 1, entry & 1) {
+        let slot = (entry >> 1) as usize;
+        match (slot, entry & 1) {
             (0, _) => Held::Absent,
-            (slot, 0) => Held::Resident(slot - 1),
-            (slot, _) => Held::Ghost(slot - 1),
+            (_, 0) => Held::Resident(slot - 1),
+            _ => Held::Ghost(slot - 1),
         }
     }
 }
@@ -160,7 +166,7 @@ impl BlockCache {
         entry.map_or(Held::Absent, Held::decode)
     }
 
-    fn set(&mut self, run: u32, block: u32, held: Held) {
+    fn set(&mut self, (run, block): Place, held: Held) {
         self.runs[run as usize].1[block as usize] = held.encode();
     }
 
@@ -170,8 +176,7 @@ impl BlockCache {
         let Held::Resident(slot) = self.held(run, block) else {
             return None;
         };
-        self.resident.touch(slot);
-        Some(&self.resident.nodes[slot as usize].value)
+        Some(&self.resident.touch(slot).1)
     }
 
     /// Offers `bytes`, block `block` of run `run`, verified and missed:
@@ -187,154 +192,26 @@ impl BlockCache {
         }
         let admit = match self.held(run, block) {
             Held::Ghost(slot) => {
-                if let Some((moved_run, moved_block)) = self.ghost.remove(slot) {
-                    self.set(moved_run, moved_block, Held::Ghost(slot));
+                if let Some(&moved) = self.ghost.remove(slot) {
+                    self.set(moved, Held::Ghost(slot));
                 }
                 true
             }
             _ => self.resident.len() < self.capacity,
         };
-        let (run, block, capacity) = (run as u32, block as u32, self.capacity);
+        let place = (run as u32, block as u32);
         let (held, victim) = if admit {
-            let copy = Bytes::copy_from_slice(bytes);
-            let (slot, victim) = self.resident.push(run, block, copy, capacity);
-            (Held::Resident(slot), victim)
+            let copy = (place, Bytes::copy_from_slice(bytes));
+            let (slot, victim) = self.resident.push(copy, self.capacity);
+            (Held::Resident(slot), victim.map(|(victim, _)| victim))
         } else {
-            let (slot, victim) = self.ghost.push(run, block, (), capacity);
+            let (slot, victim) = self.ghost.push(place, self.capacity);
             (Held::Ghost(slot), victim)
         };
-        if let Some((victim_run, victim_block)) = victim {
-            self.set(victim_run, victim_block, Held::Absent);
+        if let Some(victim) = victim {
+            self.set(victim, Held::Absent);
         }
-        self.set(run, block, held);
-    }
-}
-
-/// "No slot": the lists' ends, and both links of an empty list.
-const NIL: u32 = u32::MAX;
-
-/// A recency list threaded through a slab by slot index.
-#[derive(Debug)]
-struct Slab<V> {
-    nodes: Vec<Node<V>>,
-    /// Most recently used slot.
-    head: u32,
-    /// Least recently used slot: the eviction victim.
-    tail: u32,
-}
-
-#[derive(Debug)]
-struct Node<V> {
-    /// The block's run, an index into [`BlockCache`]'s `runs`.
-    run: u32,
-    /// The block's number in its run.
-    block: u32,
-    /// Towards the most recently used node.
-    prev: u32,
-    /// Towards the least recently used node.
-    next: u32,
-    value: V,
-}
-
-impl<V> Default for Slab<V> {
-    fn default() -> Self {
-        Slab {
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
-impl<V> Slab<V> {
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn clear(&mut self) {
-        self.nodes.clear();
-        (self.head, self.tail) = (NIL, NIL);
-    }
-
-    /// Points the forward link of `prev` (the head, when `prev` is no slot)
-    /// at `forward`, and the back link of `next` (or the tail) at `back`.
-    fn join(&mut self, prev: u32, next: u32, forward: u32, back: u32) {
-        match prev {
-            NIL => self.head = forward,
-            _ => self.nodes[prev as usize].next = forward,
-        }
-        match next {
-            NIL => self.tail = back,
-            _ => self.nodes[next as usize].prev = back,
-        }
-    }
-
-    /// Takes `slot` out of the list.
-    fn unlink(&mut self, slot: u32) {
-        let (prev, next) = (
-            self.nodes[slot as usize].prev,
-            self.nodes[slot as usize].next,
-        );
-        self.join(prev, next, next, prev);
-    }
-
-    /// Puts an unlinked `slot` at the most recently used end.
-    fn link_front(&mut self, slot: u32) {
-        let head = self.head;
-        let node = &mut self.nodes[slot as usize];
-        (node.prev, node.next) = (NIL, head);
-        self.join(NIL, head, slot, slot);
-    }
-
-    fn touch(&mut self, slot: u32) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.link_front(slot);
-        }
-    }
-
-    /// Puts `value`, block `block` of run `run`, at the most recently used
-    /// end: in a new slot while fewer than `capacity` (not 0) are in use,
-    /// else in the least recently used one's. Returns the slot and the
-    /// block evicted from it, if any.
-    fn push(
-        &mut self,
-        run: u32,
-        block: u32,
-        value: V,
-        capacity: usize,
-    ) -> (u32, Option<(u32, u32)>) {
-        if self.nodes.len() < capacity {
-            let (prev, next) = (NIL, NIL);
-            self.nodes.push(Node {
-                run,
-                block,
-                prev,
-                next,
-                value,
-            });
-            let slot = self.nodes.len() as u32 - 1;
-            self.link_front(slot);
-            return (slot, None);
-        }
-        let slot = self.tail;
-        self.touch(slot);
-        let node = &mut self.nodes[slot as usize];
-        let victim = (node.run, node.block);
-        (node.run, node.block, node.value) = (run, block, value);
-        (slot, Some(victim))
-    }
-
-    /// Takes `slot` out of the list and the slab. The last slot moves into
-    /// the hole, so this returns the block it holds, if any, for that
-    /// block's slot table entry to follow it.
-    fn remove(&mut self, slot: u32) -> Option<(u32, u32)> {
-        self.unlink(slot);
-        self.nodes.swap_remove(slot as usize);
-        let moved = self.nodes.get(slot as usize)?;
-        let (prev, next, block) = (moved.prev, moved.next, (moved.run, moved.block));
-        self.join(prev, next, slot, slot);
-        Some(block)
+        self.set(place, held);
     }
 }
 
@@ -352,46 +229,26 @@ impl BlockCache {
 
     /// Each list's blocks as `(generation, number)`, most recently used
     /// first, the resident ones with their bytes; checks both lists
-    /// against their slabs and the slot tables on the way.
+    /// against the slot tables on the way.
     pub(crate) fn lists(&self) -> (Vec<(Named, &Bytes)>, Vec<Named>) {
-        let named = |run: u32, block: u32, held| {
+        let named = |(run, block): Place, held| {
             let (run, block) = (run as usize, block as usize);
             assert_eq!(self.held(run, block), held, "the slot table entry");
             (self.runs[run].0, block)
         };
-        let resident = self.resident.walk().map(|(slot, node)| {
-            let held = Held::Resident(slot);
-            (named(node.run, node.block, held), &node.value)
-        });
-        let resident: Vec<_> = resident.collect();
+        let resident = self.resident.walk();
+        let resident: Vec<_> = resident
+            .map(|(slot, (place, bytes))| (named(*place, Held::Resident(slot)), bytes))
+            .collect();
         let ghost = self.ghost.walk();
         let ghost: Vec<_> = ghost
-            .map(|(slot, node)| named(node.run, node.block, Held::Ghost(slot)))
+            .map(|(slot, place)| named(*place, Held::Ghost(slot)))
             .collect();
         let tables = self.runs.iter().flat_map(|(_, table)| table);
         let held = tables.filter(|&&entry| Held::decode(entry) != Held::Absent);
         let listed = resident.len() + ghost.len();
         assert_eq!(held.count(), listed, "slot table entries of no list");
         (resident, ghost)
-    }
-}
-
-#[cfg(test)]
-impl<V> Slab<V> {
-    /// Every slot and its node from most to least recently used, checking
-    /// the links against the slab on the way.
-    fn walk(&self) -> impl Iterator<Item = (u32, &Node<V>)> {
-        let mut walked = Vec::new();
-        let (mut at, mut prev) = (self.head, NIL);
-        while at != NIL {
-            let node = &self.nodes[at as usize];
-            assert_eq!(node.prev, prev, "back link of slot {at}");
-            walked.push((at, node));
-            (prev, at) = (at, node.next);
-        }
-        assert_eq!(self.tail, prev);
-        assert_eq!(walked.len(), self.nodes.len(), "every slot is on the list");
-        walked.into_iter()
     }
 }
 
