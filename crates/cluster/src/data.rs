@@ -3,7 +3,7 @@
 //! The placement directory is flat: a hash map from a partition's key to
 //! its slot, and one array of every partition's replicas, `rf` to a slot,
 //! so a lookup is one hash probe and its replica list a slice of one
-//! contiguous array. The map hashes with a fixed multiply-and-rotate hash
+//! contiguous array. The map hashes with a fixed multiply-and-fold hash
 //! ([`FixedState`]) rather than the keyed SipHash. That is safe here: the
 //! loader places every key before any request arrives, and a request only
 //! looks one up, so no client can lengthen the map's chains. The cell

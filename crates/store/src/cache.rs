@@ -227,11 +227,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     pub fn is_empty(&self) -> bool {
         self.slab.len() == 0
     }
-
-    /// True when a new key would evict one (always, at capacity 0).
-    pub fn is_full(&self) -> bool {
-        self.slab.len() == self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -371,7 +366,6 @@ mod tests {
                 assert_eq!(lru.keys(), keys, "step {step}, capacity {capacity}");
                 assert_eq!(lru.len(), model.len());
                 assert_eq!(lru.is_empty(), model.is_empty());
-                assert_eq!(lru.is_full(), model.len() == capacity);
             }
             for (key, value) in model {
                 assert_eq!(lru.slab.get(lru.map[&key]).1, value);
